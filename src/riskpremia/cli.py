@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from ._linalg import NumericalError, chi2_sf, format_float
 from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
 from .kronecker import kps_residual_report
@@ -24,6 +25,7 @@ from .montecarlo import (
     EigenLabSpec,
     preset_dgp,
     power_curve,
+    power_surface,
     rank_one_noncentrality,
     sfar_density_experiment,
     wishart_eigen_lab,
@@ -85,7 +87,7 @@ def _versions():
     import scipy
 
     return {
-        "riskpremia": "0.1.0",
+        "riskpremia": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": sys.version.split()[0],
@@ -382,8 +384,6 @@ def cmd_mc(args) -> int:
                 "failures": res.failures,
             })
         elif args.figure == "6" or args.experiment == "power-surface":
-            from .montecarlo import power_surface
-
             lam = spec.lambda1[0]
             axis1 = lam[0] + np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
             axis2 = lam[1] + np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
@@ -501,7 +501,8 @@ def build_parser():
     p = sub.add_parser("mc", help="Monte Carlo experiments on preset DGPs")
     _add_common(p)
     p.add_argument("--figure", default=None, help="preset: 2, 4, or 6")
-    p.add_argument("--experiment", default="power", choices=["power", "sfar-density"])
+    p.add_argument("--experiment", default="power",
+                   choices=["power", "sfar-density", "power-surface"])
     p.add_argument("--dgp", choices=["strong", "weak"], default="strong")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)

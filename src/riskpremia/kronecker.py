@@ -3,7 +3,8 @@
 A (kp x kp) matrix S with Kronecker structure Omega kron Sigma (Omega p x p,
 Sigma k x k) becomes rank one under the block rearrangement R(S); the leading
 singular pair of R(S) therefore recovers the factors, and the trailing
-singular values measure the distance from exact structure.
+singular values measure the distance from exact structure.  A matrix given
+as a short sum of Kronecker products is factored without being formed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spd_project, sym, unvec, vec
+from ._linalg import spd_project, unvec, vec
 
 
 def rearrange(s: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -68,14 +69,41 @@ def kps_factorize(
     is invariant to this choice.  Factors are symmetrized and eigenvalue-
     clipped afterwards so downstream Cholesky factorizations succeed.
     """
-    s_hat = np.asarray(s_hat, dtype=float)
     r = rearrange(s_hat, p, k)
     u, sv, vt = np.linalg.svd(r, full_matrices=False)
+    return _from_leading_pair(u[:, 0], sv, vt[0, :], p, k, normalize, spd_floor)
+
+
+def kps_factorize_terms(
+    terms,
+    normalize: str = "omega11",
+    spd_floor: float = 1e-12,
+) -> KpsFactorization:
+    """:func:`kps_factorize` of S = sum_j A_j kron B_j without forming S.
+
+    ``terms`` is a sequence of (A_j, B_j) pairs, A_j p x p and B_j k x k.
+    R(S) = L M' with L = [vec A_j] and M = [vec B_j], so thin QR factors
+    L = Q_L R_L and M = Q_M R_M reduce the SVD of R(S) to that of the small
+    core R_L R_M'.  The spectrum is padded with exact zeros past the number
+    of terms; factors, normalization and residual follow
+    :func:`kps_factorize`.
+    """
+    p, k = terms[0][0].shape[0], terms[0][1].shape[0]
+    q_l, r_l = np.linalg.qr(np.column_stack([vec(a) for a, _ in terms]))
+    q_m, r_m = np.linalg.qr(np.column_stack([vec(b) for _, b in terms]))
+    u, core_sv, vt = np.linalg.svd(r_l @ r_m.T)
+    sv = np.zeros(min(p * p, k * k))
+    sv[: core_sv.size] = core_sv
+    return _from_leading_pair(q_l @ u[:, 0], sv, q_m @ vt[0, :], p, k, normalize, spd_floor)
+
+
+def _from_leading_pair(l1, sv, n1, p, k, normalize, spd_floor):
+    """Split the leading singular triplet (sv[0], l1, n1) of R(S) into
+    SPD-clipped factors; the residual follows from the spectrum by
+    Eckart-Young."""
     s1 = sv[0]
     if s1 == 0.0:
         raise ValueError("zero matrix has no Kronecker factorization")
-    l1 = u[:, 0]
-    n1 = vt[0, :]
     # sign: both factors of a PSD Kronecker product have positive trace
     if np.trace(unvec(l1, (p, p))) < 0:
         l1, n1 = -l1, -n1
@@ -96,19 +124,10 @@ def kps_factorize(
             pivot = l1[0]
         omega_raw = unvec(l1 / pivot, (p, p))
         sigma_raw = unvec(pivot * s1 * n1, (k, k))
-    return _finish(s_hat, sv, omega_raw, sigma_raw, used, spd_floor)
-
-
-def _finish(s_hat, sv, omega_raw, sigma_raw, used, spd_floor):
-    approx = np.kron(sym(omega_raw), sym(sigma_raw))
-    denom = np.linalg.norm(s_hat)
-    resid = np.linalg.norm(s_hat - approx) / denom if denom > 0 else 0.0
-    omega = spd_project(omega_raw, spd_floor)
-    sigma = spd_project(sigma_raw, spd_floor)
     return KpsFactorization(
-        omega=omega,
-        sigma=sigma,
-        residual_rel=float(resid),
+        omega=spd_project(omega_raw, spd_floor),
+        sigma=spd_project(sigma_raw, spd_floor),
+        residual_rel=float(np.linalg.norm(sv[1:]) / np.linalg.norm(sv)),
         spectrum=sv.copy(),
         normalization=used,
     )

@@ -14,12 +14,16 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from ._linalg import chi2_ppf
+from ._linalg import NumericalError, chi2_ppf
 from .panels import FactorPanel, ReturnPanel
 from .pipeline import ModelFit, fit_model
 from .subset import SubsetHypothesis, sfar_row
 from .threestep import PriceOfRisk, ReturnRegression
-from .varstage import VarEstimate
+from .varstage import RankError, VarEstimate
+
+# Numerical failures of one replicate or grid point: counted as failures, never
+# swallowed beyond these so that programming errors surface.
+FIT_ERRORS = (NumericalError, RankError, np.linalg.LinAlgError)
 
 
 def replicate_rng(seed: int, replicate: int = 0, stream: int = 0) -> np.random.Generator:
@@ -225,7 +229,7 @@ def _evaluate_tests(fit: ModelFit, tests, h0_mats, level, cov_cache):
                 for i, t in enumerate(tests):
                     if t in res:
                         out[i, j] = res[t].pvalue < level
-            except Exception:
+            except FIT_ERRORS:
                 pass
         if "wald" in tests:
             i = tests.index("wald")
@@ -233,14 +237,14 @@ def _evaluate_tests(fit: ModelFit, tests, h0_mats, level, cov_cache):
                 if cov_cache.get("cov") is None:
                     cov_cache["cov"] = fit.asymptotic_cov()
                 out[i, j] = fit.wald(lam, cov=cov_cache["cov"]).pvalue < level
-            except Exception:
+            except FIT_ERRORS:
                 pass
         if "sfar" in tests:
             i = tests.index("sfar")
             try:
                 h = SubsetHypothesis("row", 0, np.asarray(lam)[0])
                 out[i, j] = sfar_row(h, fit.stacked).pvalue_upper < level
-            except Exception:
+            except FIT_ERRORS:
                 pass
     return out
 
@@ -269,7 +273,7 @@ def power_curve(
         returns, factors = simulate(spec, seed, rep)
         try:
             fit = fit_model(returns, factors)
-        except Exception:
+        except FIT_ERRORS:
             return np.full((len(tests), len(h0_mats)), np.nan)
         return _evaluate_tests(fit, tests, h0_mats, level, {})
 
@@ -325,7 +329,7 @@ def sfar_density_experiment(
             fit = fit_model(returns, factors)
             res = sfar_row(SubsetHypothesis("row", row_index, truth), fit.stacked)
             stats.append(res.statistic)
-        except Exception:
+        except FIT_ERRORS:
             failures += 1
     stats = np.asarray(stats)
     dof = k * (n - k + 1)
@@ -377,7 +381,7 @@ def power_surface(
         returns, factors = simulate(spec, seed, rep)
         try:
             fit = fit_model(returns, factors)
-        except Exception:
+        except FIT_ERRORS:
             continue
         for i, v1 in enumerate(axis1):
             for j, v2 in enumerate(axis2):
@@ -469,7 +473,7 @@ def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.
         returns, factors = simulate(spec, seed, rep)
         try:
             fit = fit_model(returns, factors)
-        except Exception:
+        except FIT_ERRORS:
             continue
         if fit.por is None:
             continue

@@ -311,6 +311,9 @@ def demean(panel):
     """Subtract each row's time-series mean; returns the same panel type."""
     if isinstance(panel, FactorPanel):
         x = panel.factors - panel.factors.mean(axis=1, keepdims=True)
+        # second pass removes the rounding left by a large row mean, so the
+        # rows sum to zero at the scale of the centered values
+        x -= x.mean(axis=1, keepdims=True)
         return replace(panel, factors=x, demeaned=True)
     if isinstance(panel, ReturnPanel):
         r = panel.returns - panel.returns.mean(axis=1, keepdims=True)

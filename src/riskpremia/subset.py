@@ -30,7 +30,7 @@ from ._linalg import (
     spd_project,
     sym,
 )
-from .kronecker import KpsFactorization, kps_factorize
+from .kronecker import KpsFactorization, kps_factorize, kps_factorize_terms
 from .panels import FactorPanel, ReturnPanel
 from .threestep import check_alignment
 from .varstage import VarEstimate
@@ -46,7 +46,6 @@ class StackedSystem:
     sigma_hat: np.ndarray    # (N, N) KPS residual covariance factor
     q_xx: np.ndarray         # (K, K) upper-left block of w_hat
     kps: KpsFactorization
-    s_hat: np.ndarray        # (2KN, 2KN) score covariance fed to the factorization
     xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
     rbar: np.ndarray         # (N, T)
@@ -80,6 +79,32 @@ class StackedSystem:
         return self.psi_hat[:k, :k]
 
 
+def model_score_terms(
+    xbar: np.ndarray,
+    vhat: np.ndarray,
+    resid: np.ndarray,
+    beta: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Kronecker terms of the homoskedastic-model score covariance.
+
+    Returns [(diag(Qxx, 0), s2 I + beta Sigma_v beta'), (diag(0, Sigma_v), s2 I)],
+    whose Kronecker sum is
+
+        S = diag( Qxx kron (s2 I + beta Sigma_v beta'),  Sigma_v kron s2 I ).
+    """
+    k, t = xbar.shape
+    n = resid.shape[0]
+    q_xx = xbar @ xbar.T / t
+    sig_v = vhat @ vhat.T / t
+    sig2 = float(np.einsum("nt,nt->", resid, resid) / (n * t))
+    a_x = np.zeros((2 * k, 2 * k))
+    a_x[:k, :k] = q_xx
+    a_v = np.zeros((2 * k, 2 * k))
+    a_v[k:, k:] = sig_v
+    s2_i = sig2 * np.eye(n)
+    return [(a_x, s2_i + beta @ sig_v @ beta.T), (a_v, s2_i)]
+
+
 def stacked_score_covariance(
     rbar: np.ndarray,
     xbar: np.ndarray,
@@ -94,16 +119,12 @@ def stacked_score_covariance(
     stacked coefficients, and dropping it loses the factor-risk component of
     the covariance.
 
-    ``method='model'`` (default) assembles the homoskedastic-model form
-
-        S = diag( Qxx kron (s2 I + beta Sigma_v beta'),  Sigma_v kron s2 I )
-
-    from a handful of plug-ins; ``method='outer'`` is the raw per-period
-    outer product, which is robust to the model structure but too noisy for
-    chi-square-referenced quadratic forms at short sample lengths.
+    ``method='model'`` (default) is the dense sum of the homoskedastic-model
+    terms of :func:`model_score_terms`; ``method='outer'`` is the raw
+    per-period outer product, which is robust to the model structure but too
+    noisy for chi-square-referenced quadratic forms at short sample lengths.
     """
     k, t = xbar.shape
-    n = rbar.shape[0]
     resid = rbar - phi_hat @ np.vstack([xbar, vhat])
     beta = phi_hat[:, k:]
     if method == "outer":
@@ -114,14 +135,7 @@ def stacked_score_covariance(
         return h.T @ h / t
     if method != "model":
         raise ValueError(f"unknown score covariance method {method!r}")
-    q_xx = xbar @ xbar.T / t
-    sig_v = vhat @ vhat.T / t
-    sig2 = float(np.einsum("nt,nt->", resid, resid) / (n * t))
-    sigma_u = sig2 * np.eye(n) + beta @ sig_v @ beta.T
-    s = np.zeros((2 * k * n, 2 * k * n))
-    s[: k * n, : k * n] = np.kron(q_xx, sigma_u)
-    s[k * n :, k * n :] = np.kron(sig_v, sig2 * np.eye(n))
-    return s
+    return sum(np.kron(a, b) for a, b in model_score_terms(xbar, vhat, resid, beta))
 
 
 def build_stacked(
@@ -131,7 +145,11 @@ def build_stacked(
     kps: KpsFactorization | None = None,
     score_cov: str = "model",
 ) -> StackedSystem:
-    """Fit the joint regression and attach the KPS covariance factorization."""
+    """Fit the joint regression and attach the KPS covariance factorization.
+
+    The default model covariance is factored from its Kronecker terms; the
+    dense score covariance is formed only for ``score_cov='outer'``.
+    """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
     x = factors.factors
@@ -142,9 +160,12 @@ def build_stacked(
     w_hat = w_rows @ w_rows.T / t
     phi_hat = np.linalg.solve(w_hat, w_rows @ rbar.T / t).T
     resid = rbar - phi_hat @ w_rows
-    s_hat = stacked_score_covariance(rbar, xbar, vhat, phi_hat, method=score_cov)
     if kps is None:
-        kps = kps_factorize(s_hat, p=2 * k, k=returns.n_assets)
+        if score_cov == "model":
+            kps = kps_factorize_terms(model_score_terms(xbar, vhat, resid, phi_hat[:, k:]))
+        else:
+            s_hat = stacked_score_covariance(rbar, xbar, vhat, phi_hat, method=score_cov)
+            kps = kps_factorize(s_hat, p=2 * k, k=returns.n_assets)
     w_inv = np.linalg.inv(w_hat)
     psi_hat = spd_project(w_inv @ kps.omega @ w_inv)
     return StackedSystem(
@@ -154,7 +175,6 @@ def build_stacked(
         sigma_hat=kps.sigma,
         q_xx=w_hat[:k, :k],
         kps=kps,
-        s_hat=s_hat,
         xbar_lagged=xbar,
         vhat=vhat,
         rbar=rbar,

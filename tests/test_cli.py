@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskpremia
 from riskpremia.cli import main
 from riskpremia.panels import YieldPanel, save_yield_csv
 
@@ -39,6 +40,7 @@ def test_ingest_roundtrip(tmp_path, yields_csv, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "ingest"
     assert "numpy" in manifest["versions"]
+    assert manifest["versions"]["riskpremia"] == riskpremia.__version__
     # re-ingesting our own output must be stable: returns file reload matches
     from riskpremia.panels import load_yield_csv, excess_returns, pca_factors
 
@@ -127,6 +129,16 @@ def test_mc_sfar_density_experiment(tmp_path):
     assert code == 0
     summary = json.loads((out / "sfar_density_weak_summary.json").read_text())
     assert summary["dof_bound"] == 2 * (4 - 2 + 1)
+
+
+def test_mc_power_surface_experiment(tmp_path):
+    out = tmp_path / "ps"
+    code = run(["mc", "--experiment", "power-surface", "--k", "2", "--n", "3",
+                "--reps", "100", "--grid-steps", "3", "--out", out])
+    assert code == 0
+    rows = (out / "power_surface_strong.csv").read_text().splitlines()
+    assert rows[0] == "x,y,rejection"
+    assert len(rows) == 1 + 3 * 3
 
 
 def test_eigenlab_command(tmp_path):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riskpremia.kronecker import (
     kps_factorize,
+    kps_factorize_terms,
     kps_residual_report,
     rearrange,
     rearrange_inverse,
 )
+from riskpremia.subset import model_score_terms
 
 
 def random_spd(rng, n, scale=1.0):
@@ -166,3 +170,55 @@ def test_residual_report_flags():
 
     warn = KpsDiagnostic(residual_rel=0.25, singular_ratio=0.3, threshold=0.10, passed=False)
     assert warn.to_dict()["flag"] == "warn"
+
+
+@st.composite
+def kronecker_terms(draw):
+    """Model score terms on random data (N = 1, N = K+1, near-unspanned beta,
+    s2 = 0) or a single exact product."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        return [(random_spd(rng, p), random_spd(rng, k))]
+    k = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.just(1), st.just(k + 1), st.integers(1, 8)))
+    t = 3 * (n + k) + 5
+    xbar = rng.standard_normal((k, t))
+    vhat = rng.standard_normal((k, t))
+    resid = draw(st.sampled_from([0.0, 0.3, 1.0])) * rng.standard_normal((n, t))
+    beta = draw(st.sampled_from([1.0, 1e-3, 1e-6])) * rng.standard_normal((n, k))
+    return model_score_terms(xbar, vhat, resid, beta)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kronecker_terms(), st.sampled_from(["omega11", "sigma11", "maxabs"]))
+def test_terms_route_matches_dense_factorization(terms, normalize):
+    p, k = terms[0][0].shape[0], terms[0][1].shape[0]
+    s = sum(np.kron(a, b) for a, b in terms)
+    dense = kps_factorize(s, p, k, normalize=normalize)
+    sv = dense.spectrum
+    # a near-tied leading pair leaves the factors ill-posed on both routes
+    assume(sv.size == 1 or sv[1] < 0.9 * sv[0])
+    fact = kps_factorize_terms(terms, normalize=normalize)
+    r = len(terms)
+    assert fact.normalization == dense.normalization
+    assert _rel(fact.omega, dense.omega) <= 1e-10
+    assert _rel(fact.sigma, dense.sigma) <= 1e-10
+    assert abs(fact.residual_rel - dense.residual_rel) <= 1e-12
+    assert fact.spectrum.shape == sv.shape
+    assert np.allclose(fact.spectrum[:r], sv[:r], rtol=1e-10, atol=1e-12 * sv[0])
+    assert np.all(fact.spectrum[r:] == 0.0)
+
+
+def test_terms_route_exact_product_and_zero():
+    rng = np.random.default_rng(9)
+    omega, sigma = random_spd(rng, 4), random_spd(rng, 3)
+    fact = kps_factorize_terms([(omega, sigma)])
+    assert fact.residual_rel == 0.0
+    assert np.allclose(fact.product, np.kron(omega, sigma), rtol=1e-12)
+    with pytest.raises(ValueError):
+        kps_factorize_terms([(np.zeros((2, 2)), np.eye(3))])

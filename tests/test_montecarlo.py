@@ -16,6 +16,8 @@ from riskpremia.montecarlo import (
     simulate,
     wishart_eigen_lab,
 )
+from riskpremia import montecarlo
+from riskpremia._linalg import NumericalError
 from riskpremia.pipeline import fit_model
 
 
@@ -147,6 +149,25 @@ def test_sfar_density_statistics_nonnegative_finite():
     assert res.failures == 0
     assert np.all(res.statistics >= 0.0)
     assert np.all(np.isfinite(res.statistics))
+
+
+def test_sfar_density_counts_numerical_failures_and_raises_bugs(monkeypatch):
+    spec = preset_dgp("strong", k=2, n=4, t=60)
+
+    def numerical(*args, **kwargs):
+        raise NumericalError("matrix is not positive definite")
+
+    monkeypatch.setattr(montecarlo, "fit_model", numerical)
+    res = sfar_density_experiment(spec, reps=3)
+    assert res.failures == 3
+    assert res.statistics.size == 0
+
+    def bug(*args, **kwargs):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(montecarlo, "fit_model", bug)
+    with pytest.raises(TypeError):
+        sfar_density_experiment(spec, reps=3)
 
 
 # -- Wishart lab -------------------------------------------------------------------

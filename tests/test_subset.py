@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskpremia._linalg import chi2_ppf
+from riskpremia.kronecker import kps_factorize, kps_residual_report
+from riskpremia.montecarlo import preset_dgp, simulate
+from riskpremia.pipeline import fit_model
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.subset import (
     BoundednessReport,
@@ -15,6 +20,7 @@ from riskpremia.subset import (
     sfar_distant,
     sfar_minimized,
     sfar_row,
+    stacked_score_covariance,
 )
 from riskpremia.varstage import fit_var1
 
@@ -33,7 +39,6 @@ def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=
 
 def synthetic_system(rng, k, n, t=100):
     """A StackedSystem with freely chosen Phi, Psi, Sigma for algebraic tests."""
-    from riskpremia.kronecker import kps_factorize
     from riskpremia.subset import StackedSystem
 
     phi = rng.standard_normal((n, 2 * k))
@@ -49,7 +54,6 @@ def synthetic_system(rng, k, n, t=100):
         sigma_hat=sigma,
         q_xx=np.eye(k),
         kps=kps,
-        s_hat=np.kron(psi, sigma),
         xbar_lagged=np.zeros((k, t)),
         vhat=np.zeros((k, t)),
         rbar=np.zeros((n, t)),
@@ -102,7 +106,36 @@ def test_build_stacked_asset_permutation_equivariance():
     assert np.allclose(sys_p.w_hat, sys.w_hat, rtol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.sampled_from(["strong", "weak"]),
+    st.integers(0, 1000),
+)
+def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
+    # N = K+1 when extra = 0; weak loadings give a near-unspanned beta
+    n = k + 1 + extra
+    spec = preset_dgp(kind, k=k, n=n, t=120)
+    returns, factors = simulate(spec, seed)
+    fit = fit_model(returns, factors)
+    stacked = fit.stacked
+    dense = kps_factorize(
+        stacked_score_covariance(stacked.rbar, stacked.xbar_lagged, stacked.vhat, stacked.phi_hat),
+        2 * k,
+        n,
+    )
+    dense_sys = build_stacked(returns, factors, fit.var, kps=dense)
+    assert fit.cov_mode == ("kps" if kps_residual_report(dense).passed else "hc0")
+    h = SubsetHypothesis("row", 0, spec.lambda1[0])
+    got = sfar_row(h, stacked).statistic
+    ref = sfar_row(h, dense_sys).statistic
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
 # -- sFAR row ---------------------------------------------------------------------
+
+
 
 
 def test_restriction_matrix_shape_and_k1():
