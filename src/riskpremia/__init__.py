@@ -18,13 +18,7 @@ from .confsets import (
     pvalue_curve,
     row_binding,
 )
-from .kronecker import (
-    KpsFactorization,
-    kps_factorize,
-    kps_factorize_terms,
-    kps_residual_report,
-    rearrange,
-)
+from .kronecker import KpsFactorization, kps_factorize, kps_residual_report, rearrange
 from .moments import RobustTestResult, build_moment_system, far, jklm, klm, moment_vector
 from .montecarlo import (
     DgpSpec,

@@ -15,6 +15,10 @@ import numpy as np
 
 from ._linalg import spd_project, unvec, vec
 
+# conventions shared by both factorization routes
+DEFAULT_NORMALIZE = "omega11"
+SPD_FLOOR = 1e-12
+
 
 def rearrange(s: np.ndarray, p: int, k: int) -> np.ndarray:
     """Block rearrangement: (kp x kp) -> (p^2 x k^2).
@@ -57,8 +61,8 @@ def kps_factorize(
     s_hat: np.ndarray,
     p: int,
     k: int,
-    normalize: str = "omega11",
-    spd_floor: float = 1e-12,
+    normalize: str = DEFAULT_NORMALIZE,
+    spd_floor: float = SPD_FLOOR,
 ) -> KpsFactorization:
     """Factor a symmetric PSD (kp x kp) matrix as Omega kron Sigma.
 
@@ -74,19 +78,15 @@ def kps_factorize(
     return _from_leading_pair(u[:, 0], sv, vt[0, :], p, k, normalize, spd_floor)
 
 
-def kps_factorize_terms(
-    terms,
-    normalize: str = "omega11",
-    spd_floor: float = 1e-12,
-) -> KpsFactorization:
+def kps_factorize_terms(terms) -> KpsFactorization:
     """:func:`kps_factorize` of S = sum_j A_j kron B_j without forming S.
 
     ``terms`` is a sequence of (A_j, B_j) pairs, A_j p x p and B_j k x k.
     R(S) = L M' with L = [vec A_j] and M = [vec B_j], so thin QR factors
     L = Q_L R_L and M = Q_M R_M reduce the SVD of R(S) to that of the small
     core R_L R_M'.  The spectrum is padded with exact zeros past the number
-    of terms; factors, normalization and residual follow
-    :func:`kps_factorize`.
+    of terms; factors, residual and the default normalization and SPD floor
+    follow :func:`kps_factorize`.
     """
     p, k = terms[0][0].shape[0], terms[0][1].shape[0]
     q_l, r_l = np.linalg.qr(np.column_stack([vec(a) for a, _ in terms]))
@@ -94,7 +94,9 @@ def kps_factorize_terms(
     u, core_sv, vt = np.linalg.svd(r_l @ r_m.T)
     sv = np.zeros(min(p * p, k * k))
     sv[: core_sv.size] = core_sv
-    return _from_leading_pair(q_l @ u[:, 0], sv, q_m @ vt[0, :], p, k, normalize, spd_floor)
+    return _from_leading_pair(
+        q_l @ u[:, 0], sv, q_m @ vt[0, :], p, k, DEFAULT_NORMALIZE, SPD_FLOOR
+    )
 
 
 def _from_leading_pair(l1, sv, n1, p, k, normalize, spd_floor):

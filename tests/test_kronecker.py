@@ -195,15 +195,15 @@ def _rel(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(kronecker_terms(), st.sampled_from(["omega11", "sigma11", "maxabs"]))
-def test_terms_route_matches_dense_factorization(terms, normalize):
+@given(kronecker_terms())
+def test_terms_route_matches_dense_factorization(terms):
     p, k = terms[0][0].shape[0], terms[0][1].shape[0]
     s = sum(np.kron(a, b) for a, b in terms)
-    dense = kps_factorize(s, p, k, normalize=normalize)
+    dense = kps_factorize(s, p, k)
     sv = dense.spectrum
     # a near-tied leading pair leaves the factors ill-posed on both routes
     assume(sv.size == 1 or sv[1] < 0.9 * sv[0])
-    fact = kps_factorize_terms(terms, normalize=normalize)
+    fact = kps_factorize_terms(terms)
     r = len(terms)
     assert fact.normalization == dense.normalization
     assert _rel(fact.omega, dense.omega) <= 1e-10

@@ -136,8 +136,6 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
 # -- sFAR row ---------------------------------------------------------------------
 
 
-
-
 def test_restriction_matrix_shape_and_k1():
     a = restriction_matrix(np.array([1.5]))
     assert np.allclose(a, [[1.0], [-1.5]])
