@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskpremia.panels import (
@@ -200,6 +200,9 @@ def test_demean_basic_and_idempotent():
     st.floats(-10, 10),
     st.floats(-10, 10),
 )
+# a large constant row: one centring pass leaves rounding that fails the
+# demeaned sum-to-zero check
+@example(row=[155355.0] * 3, a=0.0, b=0.0)
 def test_demean_is_linear(row, a, b):
     x = np.asarray(row)[None, :]
     pa = FactorPanel(a * x + b * (x**2 / 1e3), ("f",))
