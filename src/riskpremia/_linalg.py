@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * ``vec`` is column-major (Fortran) stacking, so ``vec(a b') = b kron a``
-  for column vectors and ``vec(A X B) = (B' kron A) vec(X)``.
+  for column vectors and ``vec(A X B) = (B' kron A) vec(X)``;
+  ``vec(A kron B)`` is linear in each factor and is formed by ``vec_kron``.
 * matrix square roots are lower-triangular Cholesky factors; ``M^{-1/2}``
   means the inverse of that factor.
 """
@@ -125,29 +126,15 @@ def orthonormal_completion(direction: np.ndarray) -> np.ndarray:
     return comp
 
 
-def kron_map_right(q: np.ndarray, m_shape: tuple[int, int]) -> np.ndarray:
-    """Matrix G with vec(q kron M) = G vec(M) for M of the given shape."""
-    n, k = m_shape
-    cols = []
-    basis = np.zeros((n, k))
-    for j in range(n * k):
-        basis.flat[0] = 0.0
-        basis[:] = 0.0
-        basis[j % n, j // n] = 1.0  # column-major unit matrix
-        cols.append(vec(np.kron(q, basis)))
-    return np.column_stack(cols)
+def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """vec(a kron b), broadcast over leading batch axes of ``a`` and ``b``.
 
-
-def kron_map_left(b: np.ndarray, q_shape: tuple[int, int]) -> np.ndarray:
-    """Matrix H with vec(Q kron b) = H vec(Q) for Q of the given shape."""
-    p, r = q_shape
-    cols = []
-    basis = np.zeros((p, r))
-    for j in range(p * r):
-        basis[:] = 0.0
-        basis[j % p, j // p] = 1.0
-        cols.append(vec(np.kron(basis, b)))
-    return np.column_stack(cols)
+    For a of shape (p, q) and b of shape (m, n), the entry a[i, j] b[r, s] of
+    the product sits at column-major position ((j n + s) p + i) m + r, so the
+    outer product laid out with axes (j, s, i, r) is already vec-ordered.
+    """
+    out = np.einsum("...ij,...ab->...jbia", a, b)
+    return out.reshape(*out.shape[:-4], -1)
 
 
 def format_float(x: float) -> str:

@@ -288,9 +288,7 @@ def cmd_cs(args) -> int:
         base = _parse_h0(args.h0, k, full=True).reshape(-1, order="F") if args.h0 else np.zeros(k * k)
         binding = full_lambda_binding(k, base=base, vary=range(len(axes)))
     grid = GridSpec(axes=tuple(axes), binding=binding)
-    cs = joint_confidence_set(
-        stat, grid, args.level, fit, threads=args.threads, seed=args.seed
-    )
+    cs = joint_confidence_set(stat, grid, args.level, fit, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     pts = grid.points()
     with open(out / "surface.csv", "w", newline="") as fh:
@@ -332,7 +330,7 @@ def _mc_power(args, spec, kind, out):
         h0_grid.append(shifted)
     table = power_curve(
         [t.strip() for t in args.tests.split(",")], h0_grid, spec,
-        reps=args.reps, level=args.level, seed=args.seed, threads=args.threads,
+        reps=args.reps, level=args.level, seed=args.seed,
     )
     path = out / f"power_{kind}.csv"
     with open(path, "w", newline="") as fh:
@@ -459,7 +457,6 @@ def _add_data_flags(p):
 def _add_common(p):
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cov", choices=["auto", "kps", "hc0"], default="auto")
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .moments import robust_tests
-from .pipeline import ModelFit
+from .pipeline import FIT_ERRORS, ModelFit
 from .subset import SubsetHypothesis, boundedness_diagnostic, sfar_column, sfar_row
 
 VALID_TESTS = ("far", "klm", "jklm", "wald", "sfar")
@@ -161,25 +160,22 @@ def pvalue_curve(
     grid: GridSpec,
     fit: ModelFit,
     mode: str | None = None,
-    threads: int = 1,
 ) -> PvalueSurface:
-    """P-value at every grid point; failed points carry NaN and are recorded."""
+    """P-value at every grid point.
+
+    Points whose evaluation raises a numerical failure or an invalid-value
+    error (a hypothesis or p-value out of range) carry NaN and are recorded
+    with their exception; any other exception propagates.
+    """
     ev = _point_evaluator(test, fit, grid.binding, mode)
-    pts = grid.points()
     failures = []
-
-    def run_one(i):
+    vals = []
+    for i, point in enumerate(grid.points()):
         try:
-            return ev(grid.binding.assemble(pts[i]))
-        except Exception as exc:  # per-point failures must not kill the scan
+            vals.append(ev(grid.binding.assemble(point)))
+        except FIT_ERRORS + (ValueError,) as exc:
             failures.append((i, repr(exc)))
-            return np.nan
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(run_one, range(len(pts))))
-    else:
-        vals = [run_one(i) for i in range(len(pts))]
+            vals.append(np.nan)
     return PvalueSurface(
         grid=grid,
         test=test,
@@ -205,7 +201,6 @@ def joint_confidence_set(
     level: float,
     fit: ModelFit,
     mode: str | None = None,
-    threads: int = 1,
     n_directions: int = 64,
     seed: int = 0,
 ) -> ConfidenceSet:
@@ -217,7 +212,7 @@ def joint_confidence_set(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    surface = pvalue_curve(test, grid, fit, mode=mode, threads=threads)
+    surface = pvalue_curve(test, grid, fit, mode=mode)
     alpha = 1.0 - level
     with np.errstate(invalid="ignore"):
         mask = surface.pvalues >= alpha

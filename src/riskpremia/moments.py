@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, kron_map_left, kron_map_right, sym, unvec, vec, whiten
+from ._linalg import chi2_sf, chol_spd, sym, unvec, vec, vec_kron, whiten
 from .pipeline import ModelFit
 from .subset import StackedSystem
 
@@ -119,21 +119,22 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
     """
     k, n = sys.n_factors, sys.n_assets
     lam1_0 = np.asarray(lam1_0, dtype=float).reshape(k, k)
-    g_q = kron_map_right(sys.q_xx, (n, k))
     if mode == "kps":
         psi_vx = sys.psi_hat[k:, :k]
         cov_bf = np.kron((psi_vx - sys.psi_v @ lam1_0) @ sys.q_xx, sys.sigma_hat)
-        return -g_q @ cov_bf
+        # column c of cov_bf is vec of an N x K matrix M_c; column c of the
+        # result is -vec(Qxx kron M_c); kept C-contiguous, since a transposed
+        # view sends vqf @ x through another BLAS path and changes its rounding
+        m = cov_bf.T.reshape(n * k, k, n).transpose(0, 2, 1)
+        return np.ascontiguousarray(-vec_kron(sys.q_xx, m).T)
     if mode != "hc0":
         raise ValueError(f"unknown variance mode {mode!r}")
     t = sys.n_periods
     sig_v = sys.w_hat[k:, k:]
     sv = np.linalg.solve(sig_v, sys.vhat)                 # Sigma_v^-1 vhat
-    vec_beta = np.einsum("jt,nt->tjn", sv, sys.residuals).reshape(t, -1)
-    xx = np.einsum("it,jt->tij", sys.xbar_lagged, sys.xbar_lagged).reshape(t, -1)
-    vec_q = xx - vec(sys.q_xx)[None, :]
-    h_b = kron_map_left(sys.beta_hat, (k, k))
-    psi_q = -(vec_beta @ g_q.T + vec_q @ h_b.T)
+    b_t = np.einsum("jt,nt->tnj", sv, sys.residuals)       # per-period beta score
+    x_t = np.einsum("it,jt->tij", sys.xbar_lagged, sys.xbar_lagged) - sys.q_xx
+    psi_q = -(vec_kron(sys.q_xx, b_t) + vec_kron(x_t, sys.beta_hat))
     scores = _hc0_scores(sys, lam1_0)
     return psi_q.T @ scores / t
 
@@ -146,18 +147,6 @@ def vqf_discrepancy(sys: StackedSystem, lam1_0) -> float:
     v_hc0 = vqf_estimator(sys, lam1_0, "hc0")
     denom = max(np.linalg.norm(v_hc0), np.finfo(float).tiny)
     return float(np.linalg.norm(v_kps - v_hc0) / denom)
-
-
-def orthogonalized_jacobian(
-    sys: StackedSystem, lam1_0: np.ndarray, vff: np.ndarray, vqf: np.ndarray
-) -> np.ndarray:
-    """Jacobian estimator asymptotically independent of the moment vector."""
-    k, n = sys.n_factors, sys.n_assets
-    f = moment_vector(sys, lam1_0)
-    q = -np.kron(sys.q_xx, sys.beta_hat)
-    low = chol_spd(vff)
-    vff_inv_f = np.linalg.solve(low.T, whiten(low, f))
-    return unvec(vec(q) - vqf @ vff_inv_f, (n * k, k * k))
 
 
 def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> MomentSystem:

@@ -1,29 +1,24 @@
 """Monte Carlo engine: calibrated DGPs, size/power studies, eigenvalue lab.
 
 Reproducibility contract: every replicate draws from a counter-based
-generator keyed by (seed, replicate, stream), so results are bit-identical
-across serial and threaded runs.
+generator keyed by (seed, replicate, stream), so replicate r's draws and
+result do not depend on ``reps``: a longer run extends a shorter one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from ._linalg import NumericalError, chi2_ppf
+from ._linalg import chi2_ppf
 from .panels import FactorPanel, ReturnPanel
-from .pipeline import ModelFit, fit_model
+from .pipeline import FIT_ERRORS, ModelFit, fit_model
 from .subset import SubsetHypothesis, sfar_row
 from .threestep import PriceOfRisk, ReturnRegression
-from .varstage import RankError, VarEstimate
-
-# Numerical failures of one replicate or grid point: counted as failures, never
-# swallowed beyond these so that programming errors surface.
-FIT_ERRORS = (NumericalError, RankError, np.linalg.LinAlgError)
+from .varstage import VarEstimate
 
 
 def replicate_rng(seed: int, replicate: int = 0, stream: int = 0) -> np.random.Generator:
@@ -205,6 +200,18 @@ def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationa
 # ---------------------------------------------------------------------------
 
 
+def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
+    """``evaluate(fit)`` on replicates 0..reps-1; None where a FIT_ERRORS was raised."""
+    out = []
+    for rep in range(reps):
+        returns, factors = simulate(spec, seed, rep)
+        try:
+            out.append(evaluate(fit_model(returns, factors)))
+        except FIT_ERRORS:
+            out.append(None)
+    return out
+
+
 @dataclass(frozen=True)
 class PowerTable:
     tests: tuple[str, ...]
@@ -256,7 +263,6 @@ def power_curve(
     reps: int,
     level: float = 0.05,
     seed: int = 0,
-    threads: int = 1,
 ) -> PowerTable:
     """Rejection frequencies of the chosen tests over a hypothesis grid.
 
@@ -268,21 +274,11 @@ def power_curve(
     tests = [t.lower() for t in tests]
     k = spec.n_factors
     h0_mats = [np.asarray(h, dtype=float).reshape(k, k) for h in h0_grid]
-
-    def one(rep):
-        returns, factors = simulate(spec, seed, rep)
-        try:
-            fit = fit_model(returns, factors)
-        except FIT_ERRORS:
-            return np.full((len(tests), len(h0_mats)), np.nan)
-        return _evaluate_tests(fit, tests, h0_mats, level, {})
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(reps)))
-    else:
-        results = [one(rep) for rep in range(reps)]
-    stack = np.stack(results)                       # (reps, tests, points)
+    results = _replicates(
+        spec, reps, seed, lambda fit: _evaluate_tests(fit, tests, h0_mats, level, {})
+    )
+    failed = np.full((len(tests), len(h0_mats)), np.nan)
+    stack = np.stack([failed if r is None else r for r in results])  # (reps, tests, points)
     counts = np.sum(~np.isnan(stack), axis=0)
     freq = np.nansum(stack, axis=0) / np.maximum(counts, 1)
     se = np.sqrt(np.maximum(freq * (1 - freq), 0.0) / np.maximum(counts, 1))
@@ -321,17 +317,10 @@ def sfar_density_experiment(
     if reps < 0:
         raise ValueError("reps must be nonnegative")
     k, n = spec.n_factors, spec.n_assets
-    truth = spec.lambda1[row_index]
-    stats, failures = [], 0
-    for rep in range(reps):
-        returns, factors = simulate(spec, seed, rep)
-        try:
-            fit = fit_model(returns, factors)
-            res = sfar_row(SubsetHypothesis("row", row_index, truth), fit.stacked)
-            stats.append(res.statistic)
-        except FIT_ERRORS:
-            failures += 1
-    stats = np.asarray(stats)
+    h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
+    results = _replicates(spec, reps, seed, lambda fit: sfar_row(h, fit.stacked).statistic)
+    stats = np.asarray([s for s in results if s is not None])
+    failures = len(results) - stats.size
     dof = k * (n - k + 1)
     if stats.size == 0:
         return SfarDensityResult(
@@ -375,22 +364,17 @@ def power_surface(
     if level >= 1.0:
         return np.ones((len(axis1), len(axis2)))
     crit = chi2_ppf(1 - level, 2 * (spec.n_assets - 1))
-    hits = np.zeros((len(axis1), len(axis2)))
-    counts = np.zeros_like(hits)
-    for rep in range(reps):
-        returns, factors = simulate(spec, seed, rep)
-        try:
-            fit = fit_model(returns, factors)
-        except FIT_ERRORS:
-            continue
-        for i, v1 in enumerate(axis1):
-            for j, v2 in enumerate(axis2):
-                res = sfar_row(
-                    SubsetHypothesis("row", row_index, np.array([v1, v2])), fit.stacked
-                )
-                hits[i, j] += res.statistic > crit
-                counts[i, j] += 1
-    return hits / np.maximum(counts, 1)
+
+    def rejections(fit):
+        stat = [
+            [sfar_row(SubsetHypothesis("row", row_index, np.array([v1, v2])), fit.stacked).statistic
+             for v2 in axis2]
+            for v1 in axis1
+        ]
+        return np.array(stat) > crit
+
+    kept = [r for r in _replicates(spec, reps, seed, rejections) if r is not None]
+    return sum(kept, np.zeros((len(axis1), len(axis2)))) / max(len(kept), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +452,8 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
 
 def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
     """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T."""
-    draws = []
-    for rep in range(reps):
-        returns, factors = simulate(spec, seed, rep)
-        try:
-            fit = fit_model(returns, factors)
-        except FIT_ERRORS:
-            continue
-        if fit.por is None:
-            continue
-        draws.append(fit.por.lambda1.reshape(-1, order="F"))
-    draws = np.asarray(draws)
+    por = _replicates(spec, reps, seed, lambda fit: fit.por)
+    draws = np.asarray([p.lambda1.reshape(-1, order="F") for p in por if p is not None])
     return np.cov(draws.T, ddof=1).reshape(
         (spec.n_factors**2, spec.n_factors**2)
     ) * spec.t

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import NumericalError
 from .kronecker import KpsDiagnostic, kps_residual_report
 from .panels import FactorPanel, ReturnPanel
 from .subset import StackedSystem, build_stacked
@@ -20,6 +21,10 @@ from .threestep import (
     wald_test,
 )
 from .varstage import RankError, VarEstimate, fit_var1
+
+# Numerical failures of one replicate or grid point: counted as failures, never
+# swallowed beyond these so that programming errors surface.
+FIT_ERRORS = (NumericalError, RankError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)

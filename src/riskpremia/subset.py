@@ -257,16 +257,16 @@ def _sigma_inv(sys: StackedSystem) -> np.ndarray:
     return inv_from_chol(chol_spd(sys.sigma_hat))
 
 
-def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
-    """Subset statistic for one row of Lambda1 via the characteristic pencil."""
-    if h.kind != "row":
-        raise ValueError("sfar_row requires a row hypothesis")
+def _pencil_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
+    """T times the K smallest roots of the pencil (g' H g, g' Psi g).
+
+    H = Phi' Sigma^-1 Phi and Psi are taken with innovation slot ``index``
+    moved to the front; ``g`` (2K x (2K-1)) carries the hypothesis.
+    """
     k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
-    phi, psi = _row_permuted(sys, h.index)
-    a = restriction_matrix(h.value)
+    phi, psi = _row_permuted(sys, index)
     hmat = phi.T @ _sigma_inv(sys) @ phi
-    roots = gen_eigvals(a.T @ hmat @ a, a.T @ psi @ a)
-    roots = np.maximum(roots, 0.0)
+    roots = np.maximum(gen_eigvals(g.T @ hmat @ g, g.T @ psi @ g), 0.0)
     stat = float(t * roots[:k].sum())
     dof = k * (n - k + 1)
     return SfarResult(
@@ -278,6 +278,22 @@ def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
     )
 
 
+def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
+    """Subset statistic for one row of Lambda1 via the characteristic pencil."""
+    if h.kind != "row":
+        raise ValueError("sfar_row requires a row hypothesis")
+    return _pencil_result(sys, h.index, restriction_matrix(h.value))
+
+
+def _far_trace_form(sys: StackedSystem, hmat: np.ndarray, lam1: np.ndarray) -> float:
+    """far_trace for a K x K Lambda1 and a precomputed H = Phi' Sigma^-1 Phi."""
+    k = sys.n_factors
+    b = np.vstack([np.eye(k), -lam1])
+    num = b.T @ hmat @ b
+    den = b.T @ sys.psi_hat @ b
+    return float(sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num))))
+
+
 def far_trace(sys: StackedSystem, lam1: np.ndarray) -> float:
     """Full-vector FAR under the Kronecker weighting, as a trace form.
 
@@ -286,11 +302,8 @@ def far_trace(sys: StackedSystem, lam1: np.ndarray) -> float:
     """
     k = sys.n_factors
     lam1 = np.asarray(lam1, dtype=float).reshape(k, k)
-    b = np.vstack([np.eye(k), -lam1])
     hmat = sys.phi_hat.T @ _sigma_inv(sys) @ sys.phi_hat
-    num = b.T @ hmat @ b
-    den = b.T @ sys.psi_hat @ b
-    return float(sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num))))
+    return _far_trace_form(sys, hmat, lam1)
 
 
 def _assemble_lambda1(h: SubsetHypothesis, free: np.ndarray, k: int) -> np.ndarray:
@@ -315,7 +328,7 @@ def sfar_minimized(
 ) -> SfarResult:
     """Subset statistic as a direct minimization of FAR over the nuisance
     entries of Lambda1 (quasi-Newton, deterministic multi-start)."""
-    k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
+    k, n = sys.n_factors, sys.n_assets
     dof = k * (n - k + 1)
     n_free = k * (k - 1)
     if n_free == 0:
@@ -332,12 +345,8 @@ def sfar_minimized(
     hmat = sys.phi_hat.T @ sigma_inv @ sys.phi_hat
 
     def objective(free):
-        lam = _assemble_lambda1(h, free, k)
-        b = np.vstack([np.eye(k), -lam])
-        num = sym(b.T @ hmat @ b)
-        den = sym(b.T @ sys.psi_hat @ b)
         try:
-            return float(t * np.trace(np.linalg.solve(den, num)))
+            return _far_trace_form(sys, hmat, _assemble_lambda1(h, free, k))
         except np.linalg.LinAlgError:
             return np.inf
 
@@ -392,23 +401,11 @@ def sfar_distant(
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
     lam = lam / norm
-    k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
-    phi, psi = _row_permuted(sys, index)
-    comp = orthonormal_completion(lam)
+    k = sys.n_factors
     g = np.zeros((2 * k, 2 * k - 1))
-    g[:k, : k - 1] = comp
+    g[:k, : k - 1] = orthonormal_completion(lam)
     g[k:, k - 1 :] = np.eye(k)
-    hmat = phi.T @ _sigma_inv(sys) @ phi
-    roots = np.maximum(gen_eigvals(g.T @ hmat @ g, g.T @ psi @ g), 0.0)
-    stat = float(t * roots[:k].sum())
-    dof = k * (n - k + 1)
-    return SfarResult(
-        statistic=stat,
-        roots=roots,
-        dof_bound=dof,
-        pvalue_upper=chi2_sf(stat, dof),
-        method="eigen",
-    )
+    return _pencil_result(sys, index, g)
 
 
 def kp_rank(sys: StackedSystem) -> RankTestResult:

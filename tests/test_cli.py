@@ -163,10 +163,16 @@ def test_config_file_merging(tmp_path, yields_csv):
     assert manifest["config"]["maturities"] == "12"
     assert manifest["config"]["factors"] == "pca:1"
 
-    cfg2 = tmp_path / "bad.json"
-    cfg2.write_text(json.dumps({"not_a_flag": 1}))
-    assert run(["test", "--input", yields_csv, "--maturities", "12", "--config",
-                cfg2, "--out", tmp_path / "c2"]) == 2
+    # unknown keys, including the removed 'threads', are configuration errors
+    for bad in ({"not_a_flag": 1}, {"threads": 2}):
+        cfg2 = tmp_path / "bad.json"
+        cfg2.write_text(json.dumps(bad))
+        assert run(["test", "--input", yields_csv, "--maturities", "12", "--config",
+                    cfg2, "--out", tmp_path / "c2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["test", "--input", yields_csv, "--maturities", "12", "--threads", "2",
+             "--out", tmp_path / "c3"])
+    assert exc.value.code == 2
 
 
 def test_unknown_stat_exit_2(tmp_path, yields_csv):

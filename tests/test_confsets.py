@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskpremia import confsets
 from riskpremia.confsets import (
     ConfidenceSet,
     GridAxis,
@@ -88,12 +89,16 @@ def test_surface_matches_pointwise_invocation():
         assert surface.pvalues[i] == pytest.approx(direct, rel=1e-12)
 
 
-def test_threaded_scan_matches_serial():
+def test_programming_errors_propagate_out_of_the_scan(monkeypatch):
     fit, _ = fitted(seed=3)
-    grid = GridSpec(axes=(GridAxis(-1, 1, 9),), binding=full_lambda_binding(1))
-    s1 = pvalue_curve("klm", grid, fit, threads=1)
-    s2 = pvalue_curve("klm", grid, fit, threads=3)
-    assert np.array_equal(s1.pvalues, s2.pvalues)
+    grid = GridSpec(axes=(GridAxis(-1, 1, 3),), binding=full_lambda_binding(1))
+
+    def bug(*args, **kwargs):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(confsets, "robust_tests", bug)
+    with pytest.raises(TypeError):
+        pvalue_curve("klm", grid, fit)
 
 
 def test_refined_grid_agrees_on_shared_points():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from riskpremia._linalg import vec, vec_kron
 from riskpremia.kronecker import (
     kps_factorize,
     kps_factorize_terms,
@@ -222,3 +223,23 @@ def test_terms_route_exact_product_and_zero():
     assert np.allclose(fact.product, np.kron(omega, sigma), rtol=1e-12)
     with pytest.raises(ValueError):
         kps_factorize_terms([(np.zeros((2, 2)), np.eye(3))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.booleans(),
+)
+def test_vec_kron_matches_dense_kron(seed, dims, batch, shared_a):
+    p, q, m, n = dims
+    rng = np.random.default_rng(seed)
+    # a batch axis on b alone (shared a) or on both factors
+    a = rng.standard_normal((p, q) if shared_a else batch + (p, q))
+    b = rng.standard_normal(batch + (m, n))
+    got = vec_kron(a, b)
+    assert got.shape == batch + (p * q * m * n,)
+    for idx in np.ndindex(*batch):
+        a_i = a if shared_a else a[idx]
+        assert np.array_equal(got[idx], vec(np.kron(a_i, b[idx])))

@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
+from riskpremia import moments
 from riskpremia._linalg import gen_eigvals, vec
 from riskpremia.moments import (
     MomentSystem,
@@ -14,7 +15,6 @@ from riskpremia.moments import (
     jklm,
     klm,
     moment_vector,
-    orthogonalized_jacobian,
     robust_tests,
     vff_estimator,
     vqf_estimator,
@@ -140,15 +140,46 @@ def test_vqf_kps_close_to_hc0_reference_on_near_kps_dgp():
     )
 
 
+def kron_map_right(q, m_shape):
+    """Matrix G with vec(q kron M) = G vec(M), built one unit matrix at a time."""
+    n, k = m_shape
+    cols = []
+    for j in range(n * k):
+        basis = np.zeros((n, k))
+        basis[j % n, j // n] = 1.0  # column-major unit matrix
+        cols.append(vec(np.kron(q, basis)))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("k,n", [(3, 10), (1, 11), (2, 6), (5, 20)])
+def test_vqf_matches_loop_built_kronecker_oracle(k, n):
+    sys, lam1 = fitted_system(k=k, n=n, t=80, seed=47)
+    lam0 = lam1 + 0.1
+    g_q = kron_map_right(sys.q_xx, (n, k))
+
+    psi_vx = sys.psi_hat[k:, :k]
+    cov_bf = np.kron((psi_vx - sys.psi_v @ lam0) @ sys.q_xx, sys.sigma_hat)
+    np.testing.assert_allclose(vqf_estimator(sys, lam0, "kps"), -g_q @ cov_bf, rtol=1e-15, atol=0)
+
+    t = sys.n_periods
+    sv = np.linalg.solve(sys.w_hat[k:, k:], sys.vhat)
+    psi_q = np.empty((t, k**3 * n))
+    for s in range(t):
+        b_s = np.outer(sys.residuals[:, s], sv[:, s])
+        x_s = np.outer(sys.xbar_lagged[:, s], sys.xbar_lagged[:, s]) - sys.q_xx
+        psi_q[s] = -(g_q @ vec(b_s) + vec(np.kron(x_s, sys.beta_hat)))
+    oracle = psi_q.T @ moments._hc0_scores(sys, lam0) / t
+    np.testing.assert_allclose(vqf_estimator(sys, lam0, "hc0"), oracle, rtol=1e-15, atol=0)
+
+
 # -- orthogonalized Jacobian ---------------------------------------------------------
 
 
-def test_jacobian_reduces_to_q_when_decoupled():
+def test_jacobian_reduces_to_q_when_decoupled(monkeypatch):
     sys, lam1 = fitted_system(k=2, n=4, t=60, seed=48)
-    vff = vff_estimator(sys, lam1, "kps")
-    q = -np.kron(sys.q_xx, sys.beta_hat)
-    d = orthogonalized_jacobian(sys, lam1, vff, np.zeros((4 * 2 * 4, 4 * 2)))
-    assert np.allclose(d, q)
+    monkeypatch.setattr(moments, "vqf_estimator", lambda s, lam, mode: np.zeros((4 * 2 * 4, 4 * 2)))
+    ms = build_moment_system(sys, lam1, "kps")
+    assert np.allclose(ms.d_ortho, -np.kron(sys.q_xx, sys.beta_hat))
 
 
 def test_jacobian_matches_dense_oracle():

@@ -19,6 +19,7 @@ from riskpremia.montecarlo import (
 from riskpremia import montecarlo
 from riskpremia._linalg import NumericalError
 from riskpremia.pipeline import fit_model
+from riskpremia.subset import SfarResult
 
 
 # -- simulate -----------------------------------------------------------------
@@ -117,14 +118,6 @@ def test_power_curve_validation_and_degenerate_level():
     assert np.all(table.rejection == 1.0)
 
 
-def test_power_curve_deterministic_across_threads():
-    spec = preset_dgp("strong", k=1, n=4, t=60)
-    t1 = power_curve(["far", "wald"], [spec.lambda1], spec, reps=120, seed=9, threads=1)
-    t2 = power_curve(["far", "wald"], [spec.lambda1], spec, reps=120, seed=9, threads=3)
-    assert np.array_equal(t1.rejection, t2.rejection)
-    assert np.array_equal(t1.std_error, t2.std_error)
-
-
 def test_power_surface_degenerate_level_and_minimum_location():
     spec = preset_dgp("strong", k=2, n=3, t=200)
     ax = spec.lambda1[0, 0] + np.linspace(-1.2, 1.2, 3)
@@ -134,6 +127,42 @@ def test_power_surface_degenerate_level_and_minimum_location():
     center = surf[1, 1]
     assert center <= surf.min() + 0.05
     assert surf[0, 0] > center and surf[-1, -1] > center
+
+
+def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
+    spec = preset_dgp("strong", k=2, n=3, t=80)
+    ax = spec.lambda1[0, 0] + np.array([-0.5, 0.5])
+    ay = spec.lambda1[0, 1] + np.array([-0.5, 0.5])
+    calls = []
+
+    def first_call_fails(h, sys):
+        calls.append(h)
+        if len(calls) == 1:
+            raise NumericalError("matrix is not positive definite")
+        return SfarResult(np.inf, np.array([]), 4, 0.0, "eigen")
+
+    # replicate 0 fails at its first grid point; every other replicate rejects
+    # everywhere, so a dropped replicate leaves the frequency at exactly one
+    monkeypatch.setattr(montecarlo, "sfar_row", first_call_fails)
+    surf = power_surface(spec, ax, ay, reps=3, seed=1)
+    assert np.array_equal(surf, np.ones((2, 2)))
+    assert len(calls) == 1 + 2 * 4
+
+    def bug(h, sys):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(montecarlo, "sfar_row", bug)
+    with pytest.raises(TypeError):
+        power_surface(spec, ax, ay, reps=3, seed=1)
+
+
+def test_sfar_density_replicates_independent_of_reps():
+    spec = preset_dgp("strong", k=2, n=4, t=60)
+    for seed in (0, 11):
+        short = sfar_density_experiment(spec, reps=5, seed=seed).statistics
+        long = sfar_density_experiment(spec, reps=8, seed=seed).statistics
+        assert short.size == 5 and long.size == 8
+        assert np.array_equal(short, long[:5])
 
 
 def test_sfar_density_zero_reps_edge():
