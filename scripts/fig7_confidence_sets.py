@@ -12,8 +12,6 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from riskpremia.confsets import GridAxis, GridSpec, joint_confidence_set, project_cs, row_binding
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import fit_model

@@ -84,7 +84,7 @@ def chi2_ppf(p: float, dof: int) -> float:
     return float(stats.chi2.ppf(p, dof))
 
 
-def gen_eigvals(a: np.ndarray, b: np.ndarray, normalize_cols: bool = True) -> np.ndarray:
+def gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric-definite pencil (a, b).
 
     Solved by Cholesky-reducing ``b`` to standard symmetric form.  Both
@@ -94,10 +94,9 @@ def gen_eigvals(a: np.ndarray, b: np.ndarray, normalize_cols: bool = True) -> np
     """
     a = sym(np.asarray(a, dtype=float))
     b = sym(np.asarray(b, dtype=float))
-    if normalize_cols:
-        d = np.sqrt(np.maximum(np.diag(b), np.finfo(float).tiny))
-        a = a / d[:, None] / d[None, :]
-        b = b / d[:, None] / d[None, :]
+    d = np.sqrt(np.maximum(np.diag(b), np.finfo(float).tiny))
+    a = a / d[:, None] / d[None, :]
+    b = b / d[:, None] / d[None, :]
     try:
         low = chol_spd(b)
     except NumericalError:

@@ -21,7 +21,6 @@ from ._linalg import NumericalError, chi2_sf, format_float
 from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
 from .kronecker import kps_residual_report
 from .montecarlo import (
-    DgpSpec,
     EigenLabSpec,
     preset_dgp,
     power_curve,
@@ -41,8 +40,8 @@ from .panels import (
     save_return_csv,
 )
 from .pipeline import fit_model
-from .subset import SubsetHypothesis, boundedness_diagnostic, kp_rank, sfar_column, sfar_row
-from .varstage import RankError, fit_var1
+from .subset import SubsetHypothesis, kp_rank, sfar_column, sfar_row
+from .varstage import RankError
 
 
 def _render_json(o, indent=0) -> str:

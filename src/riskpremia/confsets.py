@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -135,10 +135,10 @@ def _point_evaluator(test: str, fit: ModelFit, binding: ParameterBinding, mode=N
     elif test == "wald":
         if binding.kind != "full":
             raise ValueError("wald requires a 'full' binding over vec(Lambda1)")
-        cov = fit.asymptotic_cov()
+        fit.asymptotic_cov  # a fit without a price of risk fails here, not per point
 
         def ev(params):
-            return fit.wald(params.reshape(k, k, order="F"), cov=cov).pvalue
+            return fit.wald(params.reshape(k, k, order="F")).pvalue
 
     elif test == "sfar":
         if binding.kind == "full":

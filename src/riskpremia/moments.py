@@ -115,7 +115,9 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
     The Jacobian -(Qxx kron beta) co-moves with f only through beta to first
     order (the Qxx part is uncorrelated under conditionally symmetric errors),
     so the Kronecker form maps the beta/moment covariance through the linear
-    embedding vec(Qxx kron .); the outer-product form keeps both pieces.
+    embedding vec(Qxx kron .); the outer-product form keeps both pieces and
+    reads its per-period Jacobian scores, fixed per fit, from
+    ``StackedSystem.hc0_psi_q``.
     """
     k, n = sys.n_factors, sys.n_assets
     lam1_0 = np.asarray(lam1_0, dtype=float).reshape(k, k)
@@ -129,14 +131,7 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
         return np.ascontiguousarray(-vec_kron(sys.q_xx, m).T)
     if mode != "hc0":
         raise ValueError(f"unknown variance mode {mode!r}")
-    t = sys.n_periods
-    sig_v = sys.w_hat[k:, k:]
-    sv = np.linalg.solve(sig_v, sys.vhat)                 # Sigma_v^-1 vhat
-    b_t = np.einsum("jt,nt->tnj", sv, sys.residuals)       # per-period beta score
-    x_t = np.einsum("it,jt->tij", sys.xbar_lagged, sys.xbar_lagged) - sys.q_xx
-    psi_q = -(vec_kron(sys.q_xx, b_t) + vec_kron(x_t, sys.beta_hat))
-    scores = _hc0_scores(sys, lam1_0)
-    return psi_q.T @ scores / t
+    return sys.hc0_psi_q.T @ _hc0_scores(sys, lam1_0) / sys.n_periods
 
 
 def vqf_discrepancy(sys: StackedSystem, lam1_0) -> float:

@@ -223,7 +223,7 @@ class PowerTable:
     level: float
 
 
-def _evaluate_tests(fit: ModelFit, tests, h0_mats, level, cov_cache):
+def _evaluate_tests(fit: ModelFit, tests, h0_mats, level):
     """Rejection indicators, NaN on per-point failure."""
     from .moments import robust_tests
 
@@ -241,9 +241,7 @@ def _evaluate_tests(fit: ModelFit, tests, h0_mats, level, cov_cache):
         if "wald" in tests:
             i = tests.index("wald")
             try:
-                if cov_cache.get("cov") is None:
-                    cov_cache["cov"] = fit.asymptotic_cov()
-                out[i, j] = fit.wald(lam, cov=cov_cache["cov"]).pvalue < level
+                out[i, j] = fit.wald(lam).pvalue < level
             except FIT_ERRORS:
                 pass
         if "sfar" in tests:
@@ -275,7 +273,7 @@ def power_curve(
     k = spec.n_factors
     h0_mats = [np.asarray(h, dtype=float).reshape(k, k) for h in h0_grid]
     results = _replicates(
-        spec, reps, seed, lambda fit: _evaluate_tests(fit, tests, h0_mats, level, {})
+        spec, reps, seed, lambda fit: _evaluate_tests(fit, tests, h0_mats, level)
     )
     failed = np.full((len(tests), len(h0_mats)), np.nan)
     stack = np.stack([failed if r is None else r for r in results])  # (reps, tests, points)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ class ModelFit:
 
     ``por`` is None when beta'beta is numerically singular (the unspanned
     factor pathology); the identification-robust tests remain available.
+    ``asymptotic_cov`` is computed on first use and kept for the fit.
     """
 
     returns: ReturnPanel
@@ -56,16 +58,14 @@ class ModelFit:
     def n_periods(self) -> int:
         return self.returns.n_periods
 
+    @cached_property
     def asymptotic_cov(self) -> AsymptoticCovariance:
         if self.por is None:
             raise RankError("price-of-risk estimates unavailable (singular beta'beta)")
         return asymptotic_covariance(self.factors, self.var, self.reg, self.por)
 
-    def wald(self, h0_lambda1: np.ndarray, cov: AsymptoticCovariance | None = None) -> WaldResult:
-        if self.por is None:
-            raise RankError("price-of-risk estimates unavailable (singular beta'beta)")
-        cov = cov if cov is not None else self.asymptotic_cov()
-        return wald_test(self.por, cov, h0_lambda1, self.n_periods)
+    def wald(self, h0_lambda1: np.ndarray) -> WaldResult:
+        return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
 
 
 def fit_model(
@@ -73,24 +73,22 @@ def fit_model(
     factors: FactorPanel,
     variant: str = "II",
     cov: str = "auto",
-    kps_threshold: float = 0.10,
-    cond_cap: float = 1e12,
-    score_cov: str = "model",
 ) -> ModelFit:
     """Run steps 1-3 plus the stacked system and pick the covariance mode.
 
     ``cov='auto'`` selects the Kronecker form when the factorization residual
-    passes the threshold and the outer-product (HC0) form otherwise.
+    passes the default threshold of ``kps_residual_report`` and the
+    outer-product (HC0) form otherwise.
     """
     if cov not in ("auto", "kps", "hc0"):
         raise ValueError(f"unknown covariance mode {cov!r}")
     var = fit_var1(factors)
     reg = second_stage(returns, factors, var, variant=variant)
-    stacked = build_stacked(returns, factors, var, score_cov=score_cov)
-    diag = kps_residual_report(stacked.kps, threshold=kps_threshold)
+    stacked = build_stacked(returns, factors, var)
+    diag = kps_residual_report(stacked.kps)
     mode = cov if cov != "auto" else ("kps" if diag.passed else "hc0")
     try:
-        por = third_stage(reg, var, cond_cap=cond_cap)
+        por = third_stage(reg, var)
     except RankError:
         por = None
     return ModelFit(

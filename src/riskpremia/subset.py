@@ -9,13 +9,16 @@ sum of the K smallest roots of the symmetric-definite pencil
     | mu * A' Psi A  -  A' Phi' Sigma^-1 Phi A | = 0,
 
 which equals the infimum of the full-vector FAR statistic over the nuisance
-rows (tested against that definition numerically).
+rows (tested against that definition numerically).  H = Phi' Sigma^-1 Phi is
+fixed once the model is fit (``StackedSystem.h_hat``); only the restriction
+matrix carries the hypothesis.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -29,8 +32,9 @@ from ._linalg import (
     orthonormal_completion,
     spd_project,
     sym,
+    vec_kron,
 )
-from .kronecker import KpsFactorization, kps_factorize, kps_factorize_terms
+from .kronecker import KpsFactorization, kps_factorize_terms
 from .panels import FactorPanel, ReturnPanel
 from .threestep import check_alignment
 from .varstage import VarEstimate
@@ -73,10 +77,24 @@ class StackedSystem:
         k = self.n_factors
         return self.psi_hat[k:, k:]
 
-    @property
-    def psi_x(self) -> np.ndarray:
+    @cached_property
+    def h_hat(self) -> np.ndarray:
+        """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and trace form."""
+        return self.phi_hat.T @ inv_from_chol(chol_spd(self.sigma_hat)) @ self.phi_hat
+
+    @cached_property
+    def hc0_psi_q(self) -> np.ndarray:
+        """(T, NK^3) per-period scores of the Jacobian -vec(Qxx kron beta).
+
+        Row t is -vec(Qxx kron B_t + X_t kron beta) with the beta score
+        B_t = e_t (Sigma_v^-1 v_t)' and X_t = xbar_t xbar_t' - Qxx; none of it
+        depends on the hypothesis.
+        """
         k = self.n_factors
-        return self.psi_hat[:k, :k]
+        sv = np.linalg.solve(self.w_hat[k:, k:], self.vhat)       # Sigma_v^-1 vhat
+        b_t = np.einsum("jt,nt->tnj", sv, self.residuals)
+        x_t = np.einsum("it,jt->tij", self.xbar_lagged, self.xbar_lagged) - self.q_xx
+        return -(vec_kron(self.q_xx, b_t) + vec_kron(x_t, self.beta_hat))
 
 
 def model_score_terms(
@@ -110,32 +128,18 @@ def stacked_score_covariance(
     xbar: np.ndarray,
     vhat: np.ndarray,
     phi_hat: np.ndarray,
-    method: str = "model",
 ) -> np.ndarray:
-    """Estimate the score covariance of the joint regression.
+    """Dense score covariance of the joint regression under the model.
 
-    The lagged-factor block pairs with ``resid + beta vhat`` rather than the
-    raw residual: first-stage innovation estimation feeds back into the
-    stacked coefficients, and dropping it loses the factor-risk component of
-    the covariance.
-
-    ``method='model'`` (default) is the dense sum of the homoskedastic-model
-    terms of :func:`model_score_terms`; ``method='outer'`` is the raw
-    per-period outer product, which is robust to the model structure but too
-    noisy for chi-square-referenced quadratic forms at short sample lengths.
+    The Kronecker sum of :func:`model_score_terms`, formed as a (2KN)^2
+    matrix; the fit factors those terms without forming it.  The lagged-factor
+    block pairs with ``resid + beta vhat`` rather than the raw residual:
+    first-stage innovation estimation feeds back into the stacked
+    coefficients, and dropping it loses the factor-risk component.
     """
-    k, t = xbar.shape
+    k = xbar.shape[0]
     resid = rbar - phi_hat @ np.vstack([xbar, vhat])
-    beta = phi_hat[:, k:]
-    if method == "outer":
-        upper = resid + beta @ vhat
-        hx = np.einsum("it,nt->tin", xbar, upper).reshape(t, -1)
-        hv = np.einsum("it,nt->tin", vhat, resid).reshape(t, -1)
-        h = np.hstack([hx, hv])
-        return h.T @ h / t
-    if method != "model":
-        raise ValueError(f"unknown score covariance method {method!r}")
-    return sum(np.kron(a, b) for a, b in model_score_terms(xbar, vhat, resid, beta))
+    return sum(np.kron(a, b) for a, b in model_score_terms(xbar, vhat, resid, phi_hat[:, k:]))
 
 
 def build_stacked(
@@ -143,12 +147,11 @@ def build_stacked(
     factors: FactorPanel,
     var: VarEstimate,
     kps: KpsFactorization | None = None,
-    score_cov: str = "model",
 ) -> StackedSystem:
     """Fit the joint regression and attach the KPS covariance factorization.
 
-    The default model covariance is factored from its Kronecker terms; the
-    dense score covariance is formed only for ``score_cov='outer'``.
+    Unless ``kps`` is given, the model score covariance is factored from its
+    Kronecker terms without forming the dense matrix.
     """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
@@ -161,11 +164,7 @@ def build_stacked(
     phi_hat = np.linalg.solve(w_hat, w_rows @ rbar.T / t).T
     resid = rbar - phi_hat @ w_rows
     if kps is None:
-        if score_cov == "model":
-            kps = kps_factorize_terms(model_score_terms(xbar, vhat, resid, phi_hat[:, k:]))
-        else:
-            s_hat = stacked_score_covariance(rbar, xbar, vhat, phi_hat, method=score_cov)
-            kps = kps_factorize(s_hat, p=2 * k, k=returns.n_assets)
+        kps = kps_factorize_terms(model_score_terms(xbar, vhat, resid, phi_hat[:, k:]))
     w_inv = np.linalg.inv(w_hat)
     psi_hat = spd_project(w_inv @ kps.omega @ w_inv)
     return StackedSystem(
@@ -243,18 +242,11 @@ def restriction_matrix(lam0: np.ndarray) -> np.ndarray:
 
 
 def _row_permuted(sys: StackedSystem, index: int):
-    """Phi and Psi with innovation slot `index` moved to the front."""
+    """H and Psi with innovation slot ``index`` moved to the front."""
     k = sys.n_factors
-    if index == 0:
-        return sys.phi_hat, sys.psi_hat
-    order = [index] + [i for i in range(k) if i != index]
-    perm = np.eye(k)[order]
-    tp = np.block([[np.eye(k), np.zeros((k, k))], [np.zeros((k, k)), perm]])
-    return sys.phi_hat @ tp.T, tp @ sys.psi_hat @ tp.T
-
-
-def _sigma_inv(sys: StackedSystem) -> np.ndarray:
-    return inv_from_chol(chol_spd(sys.sigma_hat))
+    order = [*range(k), k + index, *(k + i for i in range(k) if i != index)]
+    rows = np.ix_(order, order)
+    return sys.h_hat[rows], sys.psi_hat[rows]
 
 
 def _pencil_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
@@ -264,8 +256,7 @@ def _pencil_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
     moved to the front; ``g`` (2K x (2K-1)) carries the hypothesis.
     """
     k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
-    phi, psi = _row_permuted(sys, index)
-    hmat = phi.T @ _sigma_inv(sys) @ phi
+    hmat, psi = _row_permuted(sys, index)
     roots = np.maximum(gen_eigvals(g.T @ hmat @ g, g.T @ psi @ g), 0.0)
     stat = float(t * roots[:k].sum())
     dof = k * (n - k + 1)
@@ -285,15 +276,6 @@ def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
     return _pencil_result(sys, h.index, restriction_matrix(h.value))
 
 
-def _far_trace_form(sys: StackedSystem, hmat: np.ndarray, lam1: np.ndarray) -> float:
-    """far_trace for a K x K Lambda1 and a precomputed H = Phi' Sigma^-1 Phi."""
-    k = sys.n_factors
-    b = np.vstack([np.eye(k), -lam1])
-    num = b.T @ hmat @ b
-    den = b.T @ sys.psi_hat @ b
-    return float(sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num))))
-
-
 def far_trace(sys: StackedSystem, lam1: np.ndarray) -> float:
     """Full-vector FAR under the Kronecker weighting, as a trace form.
 
@@ -301,9 +283,10 @@ def far_trace(sys: StackedSystem, lam1: np.ndarray) -> float:
     second-moment matrix cancels against the weighting.
     """
     k = sys.n_factors
-    lam1 = np.asarray(lam1, dtype=float).reshape(k, k)
-    hmat = sys.phi_hat.T @ _sigma_inv(sys) @ sys.phi_hat
-    return _far_trace_form(sys, hmat, lam1)
+    b = np.vstack([np.eye(k), -np.asarray(lam1, dtype=float).reshape(k, k)])
+    num = b.T @ sys.h_hat @ b
+    den = b.T @ sys.psi_hat @ b
+    return float(sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num))))
 
 
 def _assemble_lambda1(h: SubsetHypothesis, free: np.ndarray, k: int) -> np.ndarray:
@@ -341,18 +324,15 @@ def sfar_minimized(
             method="numeric",
         )
 
-    sigma_inv = _sigma_inv(sys)
-    hmat = sys.phi_hat.T @ sigma_inv @ sys.phi_hat
-
     def objective(free):
         try:
-            return _far_trace_form(sys, hmat, _assemble_lambda1(h, free, k))
+            return far_trace(sys, _assemble_lambda1(h, free, k))
         except np.linalg.LinAlgError:
             return np.inf
 
     # anchor starts: GLS-implied Lambda1 and zeros, then seeded random spread
-    beta = sys.beta_hat
-    gls = np.linalg.solve(beta.T @ sigma_inv @ beta, beta.T @ sigma_inv @ sys.d_hat)
+    hmat = sys.h_hat
+    gls = np.linalg.solve(hmat[k:, k:], hmat[k:, :k])
     if h.kind == "row":
         anchor = gls[np.delete(np.arange(k), h.index), :].reshape(-1)
     else:
@@ -417,9 +397,7 @@ def kp_rank(sys: StackedSystem) -> RankTestResult:
     subset statistic, with equality at K = 1.
     """
     k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
-    beta = sys.beta_hat
-    m = beta.T @ _sigma_inv(sys) @ beta
-    roots = gen_eigvals(m, sys.psi_v)
+    roots = gen_eigvals(sys.h_hat[k:, k:], sys.psi_v)
     stat = float(t * max(roots[0], 0.0))
     dof = n - k + 1
     return RankTestResult(statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof))

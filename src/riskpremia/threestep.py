@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import chi2_sf, chol_spd, sym, vec
 from .panels import FactorPanel, PanelError, ReturnPanel
-from .varstage import RankError, VarEstimate, _ols_qr
+from .varstage import COND_CAP, RankError, VarEstimate, _ols_qr
 
 
 def check_alignment(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -> int:
@@ -138,14 +138,14 @@ def second_stage(
     )
 
 
-def third_stage(reg: ReturnRegression, var: VarEstimate, cond_cap: float = 1e12) -> PriceOfRisk:
+def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:
     """Closed-form price-of-risk estimates from the stacked regressions."""
     beta = reg.beta_hat
     gram = beta.T @ beta
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise RankError(
-            f"beta'beta condition number {cond:.3e} exceeds cap {cond_cap:.1e}; "
+            f"beta'beta condition number {cond:.3e} exceeds cap {COND_CAP:.1e}; "
             "factors appear (nearly) unspanned"
         )
     target0 = reg.a_hat + reg.g_hat + beta @ var.mu

@@ -14,20 +14,23 @@ class RankError(RuntimeError):
     """A regression design matrix is numerically rank deficient."""
 
 
+# Largest condition number of a design (R diagonal) or Gram matrix accepted
+# before a fit is declared rank deficient.
+COND_CAP = 1e12
+
+
 @dataclass(frozen=True)
 class VarEstimate:
     """OLS fit of X_t = mu + phi1 X_{t-1} + v_t.
 
-    ``residuals`` spans t = 1..T; ``sigma_v`` uses the 1/T divisor; ``qxx``
-    is the second-moment matrix of the demeaned lagged factors (initial
-    observation included) and ``x_lagged_mean`` the mean it was taken around.
+    ``residuals`` spans t = 1..T; ``sigma_v`` uses the 1/T divisor;
+    ``x_lagged_mean`` is the mean of the lagged factors X_0..X_{T-1}.
     """
 
     mu: np.ndarray          # (K,)
     phi1: np.ndarray        # (K, K)
     residuals: np.ndarray   # (K, T)
     sigma_v: np.ndarray     # (K, K)
-    qxx: np.ndarray         # (K, K)
     x_lagged_mean: np.ndarray  # (K,)
 
     @property
@@ -39,11 +42,11 @@ class VarEstimate:
         return self.residuals.shape[1]
 
 
-def _ols_qr(design: np.ndarray, targets: np.ndarray, cond_cap: float = 1e12):
+def _ols_qr(design: np.ndarray, targets: np.ndarray):
     """Least squares via QR; raises RankError with the condition number."""
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diag(r))
-    if diag.min() == 0.0 or diag.max() / diag.min() > cond_cap:
+    if diag.min() == 0.0 or diag.max() / diag.min() > COND_CAP:
         cond = np.inf if diag.min() == 0.0 else diag.max() / diag.min()
         raise RankError(
             f"design matrix is rank deficient (R-diagonal condition {cond:.3e})"
@@ -51,12 +54,8 @@ def _ols_qr(design: np.ndarray, targets: np.ndarray, cond_cap: float = 1e12):
     return scipy.linalg.solve_triangular(r, q.T @ targets, lower=False)
 
 
-def fit_var1(factors: FactorPanel, include_initial_lag: bool = True) -> VarEstimate:
-    """Least-squares VAR(1) on a K x (T+1) factor panel.
-
-    ``include_initial_lag`` controls whether the initial observation enters
-    the demeaned lag moment matrix ``qxx`` (it always enters the regression).
-    """
+def fit_var1(factors: FactorPanel) -> VarEstimate:
+    """Least-squares VAR(1) on a K x (T+1) factor panel."""
     x = np.asarray(factors.factors, dtype=float)
     k, n_obs = x.shape
     t = n_obs - 1
@@ -69,19 +68,10 @@ def fit_var1(factors: FactorPanel, include_initial_lag: bool = True) -> VarEstim
     mu = coef[0]
     phi1 = coef[1:].T
     resid = (current - design @ coef).T       # (K, T)
-    sigma_v = resid @ resid.T / t
-    if include_initial_lag:
-        window = lagged
-    else:
-        window = lagged[1:]
-    xbar = window.mean(axis=0)
-    centered = window - xbar
-    qxx = centered.T @ centered / centered.shape[0]
     return VarEstimate(
         mu=mu,
         phi1=phi1,
         residuals=resid,
-        sigma_v=sigma_v,
-        qxx=qxx,
-        x_lagged_mean=xbar,
+        sigma_v=resid @ resid.T / t,
+        x_lagged_mean=lagged.mean(axis=0),
     )

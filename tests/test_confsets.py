@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from riskpremia.confsets import (
 from riskpremia.moments import far
 from riskpremia.panels import ReturnPanel
 from riskpremia.pipeline import fit_model
-from riskpremia.varstage import fit_var1
+from riskpremia.threestep import asymptotic_covariance
+from riskpremia.varstage import RankError, fit_var1
 
 from test_threestep import default_params, make_dataset
 
@@ -99,6 +102,29 @@ def test_programming_errors_propagate_out_of_the_scan(monkeypatch):
     monkeypatch.setattr(confsets, "robust_tests", bug)
     with pytest.raises(TypeError):
         pvalue_curve("klm", grid, fit)
+
+
+def test_wald_scan_computes_the_covariance_once_and_fails_early(monkeypatch):
+    from riskpremia import pipeline
+
+    fit, lam1 = fitted(seed=3)
+    calls = []
+
+    def counting_cov(*args):
+        calls.append(1)
+        return asymptotic_covariance(*args)
+
+    monkeypatch.setattr(pipeline, "asymptotic_covariance", counting_cov)
+    grid = GridSpec(axes=(GridAxis(-1, 1, 3),), binding=full_lambda_binding(1))
+    surface = pvalue_curve("wald", grid, fit)
+    assert surface.pvalues[1] == fit.wald(np.zeros((1, 1))).pvalue
+    fit.wald(lam1)
+    assert fit.asymptotic_cov.v_lambda1.shape == (1, 1)
+    assert len(calls) == 1
+
+    # a fit without a price of risk stops the scan before its first point
+    with pytest.raises(RankError, match="price-of-risk"):
+        pvalue_curve("wald", grid, dataclasses.replace(fit, por=None))
 
 
 def test_refined_grid_agrees_on_shared_points():

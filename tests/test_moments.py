@@ -172,6 +172,24 @@ def test_vqf_matches_loop_built_kronecker_oracle(k, n):
     np.testing.assert_allclose(vqf_estimator(sys, lam0, "hc0"), oracle, rtol=1e-15, atol=0)
 
 
+def test_hc0_jacobian_scores_built_once_per_system(monkeypatch):
+    from riskpremia import _linalg, subset
+
+    sys, lam1 = fitted_system(k=2, n=5, t=80, seed=50)
+    batched = []
+
+    def counting_vec_kron(a, b):
+        if np.ndim(a) == 3:        # the per-period X_t kron beta term of psi_q
+            batched.append(1)
+        return _linalg.vec_kron(a, b)
+
+    for module in (moments, subset):
+        monkeypatch.setattr(module, "vec_kron", counting_vec_kron, raising=False)
+    for shift in (0.0, 0.1, -0.3):
+        vqf_estimator(sys, lam1 + shift, "hc0")
+    assert len(batched) == 1
+
+
 # -- orthogonalized Jacobian ---------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from riskpremia import montecarlo
 from riskpremia._linalg import NumericalError
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import SfarResult
+from riskpremia.threestep import asymptotic_covariance
 
 
 # -- simulate -----------------------------------------------------------------
@@ -98,7 +99,7 @@ def test_calibrate_simulate_self_consistency():
     spec = calibrate(fit.returns, fit.factors, fit.var, fit.reg, fit.por, t=100_000)
     big_r, big_f = simulate(spec, seed=4)
     refit = fit_model(big_r, big_f)
-    cov = refit.asymptotic_cov()
+    cov = refit.asymptotic_cov
     se = np.sqrt(np.diag(cov.v_lambda1) / spec.t)
     diff = np.abs(refit.por.lambda1 - spec.lambda1).reshape(-1, order="F")
     assert np.all(diff < 4 * se)
@@ -116,6 +117,30 @@ def test_power_curve_validation_and_degenerate_level():
         power_curve(["far"], [spec.lambda1], spec, reps=10)
     table = power_curve(["far"], [spec.lambda1], spec, reps=100, level=1.0, seed=0)
     assert np.all(table.rejection == 1.0)
+
+
+def test_power_curve_wald_covariance_once_per_fit(monkeypatch):
+    from riskpremia import pipeline
+
+    fits, calls = [], []
+
+    def recording_fit(*args, **kwargs):
+        fits.append(fit_model(*args, **kwargs))
+        return fits[-1]
+
+    def counting_cov(*args):
+        calls.append(1)
+        return asymptotic_covariance(*args)
+
+    monkeypatch.setattr(montecarlo, "fit_model", recording_fit)
+    monkeypatch.setattr(pipeline, "asymptotic_covariance", counting_cov)
+    spec = preset_dgp("strong", k=1, n=4, t=80)
+    table = power_curve(["wald"], [0.0, 0.5, 1.0], spec, reps=100, seed=3)
+    assert table.failures["wald"] == 0
+    assert len(calls) == sum(f.por is not None for f in fits) == 100
+    # each fit keeps the covariance its scan used: reading it computes nothing
+    assert all(f.asymptotic_cov.v_lambda1.shape == (1, 1) for f in fits)
+    assert len(calls) == 100
 
 
 def test_power_surface_degenerate_level_and_minimum_location():
@@ -257,7 +282,7 @@ def test_bootstrap_covariance_agrees_with_analytic():
         DgpSpec(**{**spec.to_dict(), "t": 40_000}), seed=7
     )
     fit = fit_model(returns, factors)
-    ana = fit.asymptotic_cov().v_lambda1
+    ana = fit.asymptotic_cov.v_lambda1
     assert boot.shape == (1, 1)
     assert abs(boot[0, 0] - ana[0, 0]) / ana[0, 0] < 0.15
 

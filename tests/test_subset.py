@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpremia._linalg import chi2_ppf
+from riskpremia import subset
+from riskpremia._linalg import chi2_ppf, chol_spd, gen_eigvals, inv_from_chol, orthonormal_completion
 from riskpremia.kronecker import kps_factorize, kps_residual_report
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import fit_model
@@ -183,6 +184,60 @@ def test_sfar_row_nonzero_index_matches_explicit_permutation():
     # oracle: minimize FAR over the other row numerically
     num = sfar_minimized(h, sys, n_starts=20, seed=1)
     assert num.statistic == pytest.approx(stat, rel=1e-6)
+
+
+def _pencil_by_permutation_matrix(sys, index, g):
+    """Reference statistic and roots: Phi and Psi permuted by an explicit
+    2K x 2K matrix, and H formed from the permuted Phi."""
+    k = sys.n_factors
+    order = [index] + [i for i in range(k) if i != index]
+    perm = np.eye(k)[order]
+    tp = np.block([[np.eye(k), np.zeros((k, k))], [np.zeros((k, k)), perm]])
+    phi, psi = sys.phi_hat @ tp.T, tp @ sys.psi_hat @ tp.T
+    hmat = phi.T @ inv_from_chol(chol_spd(sys.sigma_hat)) @ phi
+    roots = np.maximum(gen_eigvals(g.T @ hmat @ g, g.T @ psi @ g), 0.0)
+    return sys.n_periods * roots[:k].sum(), roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_sfar_every_index_matches_permutation_matrix_oracle(k, extra, seed):
+    # N = K+1 when extra = 0
+    rng = np.random.default_rng(seed)
+    sys = synthetic_system(rng, k, k + 1 + extra)
+    value = 3.0 * rng.standard_normal(k)
+    for index in range(k):
+        res = sfar_row(SubsetHypothesis("row", index, value), sys)
+        stat, roots = _pencil_by_permutation_matrix(sys, index, restriction_matrix(value))
+        scale = sys.n_periods * roots.max()
+        assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
+        np.testing.assert_allclose(res.roots, roots, rtol=1e-12, atol=1e-12 * roots.max())
+        dist = sfar_distant(value, sys, index=index)
+        g = np.zeros((2 * k, 2 * k - 1))
+        g[:k, : k - 1] = orthonormal_completion(value / np.linalg.norm(value))
+        g[k:, k - 1 :] = np.eye(k)
+        stat, roots = _pencil_by_permutation_matrix(sys, index, g)
+        scale = sys.n_periods * roots.max()
+        assert dist.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_sigma_factored_once_per_system(monkeypatch):
+    sys, lam1 = fitted_system(k=3, n=6, t=120, seed=23)
+    calls = []
+
+    def counting_chol(m, *args, **kwargs):
+        if np.array_equal(m, sys.sigma_hat):
+            calls.append(1)
+        return chol_spd(m, *args, **kwargs)
+
+    monkeypatch.setattr(subset, "chol_spd", counting_chol)
+    for index in range(3):
+        sfar_row(SubsetHypothesis("row", index, lam1[index]), sys)
+        sfar_distant(lam1[index], sys, index=index)
+    far_trace(sys, lam1)
+    kp_rank(sys)
+    boundedness_diagnostic(sys, n_directions=4)
+    assert len(calls) == 1
 
 
 def test_sfar_roots_real_nonnegative_and_continuous():

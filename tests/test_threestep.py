@@ -129,7 +129,7 @@ def test_third_stage_identity_projection():
     )
     var = VarEstimate(
         mu=np.zeros(k), phi1=np.zeros((k, k)), residuals=np.zeros((k, 4)),
-        sigma_v=np.eye(k), qxx=np.eye(k), x_lagged_mean=np.zeros(k),
+        sigma_v=np.eye(k), x_lagged_mean=np.zeros(k),
     )
     por = third_stage(reg, var)
     assert np.allclose(por.lambda0, a)
@@ -178,7 +178,7 @@ def test_near_singular_beta_raises():
     )
     var = VarEstimate(
         mu=np.zeros(2), phi1=np.zeros((2, 2)), residuals=np.zeros((2, 4)),
-        sigma_v=np.eye(2), qxx=np.eye(2), x_lagged_mean=np.zeros(2),
+        sigma_v=np.eye(2), x_lagged_mean=np.zeros(2),
     )
     with pytest.raises(RankError, match="unspanned"):
         third_stage(reg, var)

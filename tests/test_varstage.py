@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riskpremia.panels import FactorPanel, PanelError
+from riskpremia.panels import FactorPanel, PanelError, ReturnPanel
+from riskpremia.subset import build_stacked
 from riskpremia.varstage import RankError, fit_var1
 
 
@@ -65,10 +66,11 @@ def test_residual_orthogonality_and_qxx():
     lagged = x[:, :-1]
     assert np.abs(est.residuals @ lagged.T).max() < 1e-8 * scale * 200
     centered = lagged - lagged.mean(axis=1, keepdims=True)
-    assert np.allclose(est.qxx, centered @ centered.T / 200, rtol=1e-12)
-    est2 = fit_var1(make_panel(x), include_initial_lag=False)
-    c2 = lagged[:, 1:] - lagged[:, 1:].mean(axis=1, keepdims=True)
-    assert np.allclose(est2.qxx, c2 @ c2.T / 199, rtol=1e-12)
+    returns = ReturnPanel(
+        (1, 2), rng.standard_normal((2, 200)), tuple(f"t{i}" for i in range(200))
+    )
+    q_xx = build_stacked(returns, make_panel(x), est).q_xx
+    assert np.allclose(q_xx, centered @ centered.T / 200, rtol=1e-12)
 
 
 def test_sigma_v_permutation_conjugation():
