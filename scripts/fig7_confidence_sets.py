@@ -12,7 +12,14 @@ import csv
 import json
 from pathlib import Path
 
-from riskpremia.confsets import GridAxis, GridSpec, joint_confidence_set, project_cs, row_binding
+from riskpremia.confsets import (
+    GridAxis,
+    GridSpec,
+    invert_surface,
+    project_cs,
+    pvalue_curve,
+    row_binding,
+)
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import fit_model
 
@@ -39,21 +46,21 @@ def main():
             ),
             binding=row_binding(2, index=0),
         )
+        surface = pvalue_curve("sfar", grid, fit)
+        with open(out / f"surface_{kind}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["lambda_11", "lambda_12", "pvalue"])
+            for point, p in zip(grid.points(), surface.pvalues.reshape(-1)):
+                writer.writerow([f"{point[0]:.17g}", f"{point[1]:.17g}", f"{p:.17g}"])
         summary = {}
         for level in (0.90, 0.95, 0.99):
-            cs = joint_confidence_set("sfar", grid, level, fit, seed=args.seed)
+            cs = invert_surface(surface, level, fit, seed=args.seed)
             summary[f"{level:.2f}"] = {
                 "bounded": cs.bounded,
                 "n_accepted": int(cs.accepted.shape[0]),
                 "projection_axis1": project_cs(cs, 0),
                 "projection_axis2": project_cs(cs, 1),
             }
-            if level == 0.95:
-                with open(out / f"surface_{kind}.csv", "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["lambda_11", "lambda_12", "pvalue"])
-                    for point, p in zip(grid.points(), cs.pvalues.reshape(-1)):
-                        writer.writerow([f"{point[0]:.17g}", f"{point[1]:.17g}", f"{p:.17g}"])
         (out / f"sets_{kind}.json").write_text(json.dumps(summary, indent=2))
         print(f"{kind}: 95% set {summary['0.95']['bounded']} with "
               f"{summary['0.95']['n_accepted']} accepted points")

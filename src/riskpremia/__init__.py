@@ -13,6 +13,7 @@ from .confsets import (
     GridSpec,
     ParameterBinding,
     full_lambda_binding,
+    invert_surface,
     joint_confidence_set,
     project_cs,
     pvalue_curve,

@@ -7,6 +7,8 @@ Conventions used throughout the package:
   ``vec(A kron B)`` is linear in each factor and is formed by ``vec_kron``.
 * matrix square roots are lower-triangular Cholesky factors; ``M^{-1/2}``
   means the inverse of that factor.
+* the matrix helpers below also take stacks of matrices (leading batch
+  axes); a single matrix is the same computation with no batch axis.
 """
 
 from __future__ import annotations
@@ -28,17 +30,38 @@ def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(shape, order="F")
 
 
+def square_stack(x, k: int) -> np.ndarray:
+    """``x`` as a C-ordered stack (..., k, k); any other shape with k*k
+    entries is read row-major as one k x k matrix."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x.shape[-2:] != (k, k):
+        x = x.reshape(k, k)
+    return np.ascontiguousarray(x)
+
+
 def sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def per_matrix(fn, m: np.ndarray) -> np.ndarray:
+    """Apply a matrix-to-matrix ``fn`` to each matrix of a stack."""
+    out = [fn(x) for x in m.reshape(-1, *m.shape[-2:])]
+    return np.stack(out).reshape(*m.shape[:-2], *out[0].shape)
 
 
 def chol_spd(m: np.ndarray, jitters=(0.0, 1e-12, 1e-10)) -> np.ndarray:
     """Lower Cholesky factor of a symmetrized matrix, with jitter escalation.
 
     Jitter levels are relative to ``trace/dim``; raises NumericalError if the
-    matrix stays indefinite at the largest level.
+    matrix stays indefinite at the largest level.  A stack is factored in one
+    call; only if that fails is each of its matrices escalated on its own.
     """
     m = sym(np.asarray(m, dtype=float))
+    if m.ndim > 2:
+        try:
+            return np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return per_matrix(lambda x: chol_spd(x, jitters), m)
     n = m.shape[0]
     scale = max(np.trace(m) / n, np.finfo(float).tiny)
     for j in jitters:
@@ -67,21 +90,49 @@ def inv_from_chol(low: np.ndarray) -> np.ndarray:
 
 
 def whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^{-1} x for a lower-triangular L."""
-    return scipy.linalg.solve_triangular(low, x, lower=True)
+    """L^{-1} x for lower-triangular L and matrices x, both possibly stacked.
+
+    One LAPACK solve per matrix of the stack; forming L^{-1} instead loses
+    accuracy on ill-conditioned factors.
+    """
+    return np.linalg.solve(low, x)
 
 
-def chi2_sf(x: float, dof: int) -> float:
-    """Upper tail of chi^2(dof) via the regularized incomplete gamma."""
+def whiten_vec(low: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^{-1} x for vectors x (..., n) against factors L (..., n, n)."""
+    return whiten(low, x[..., None])[..., 0]
+
+
+def sumsq(x: np.ndarray) -> np.ndarray:
+    """x'x over the last axis, one dot product per vector."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def chi2_sf(x, dof: int):
+    """Upper tail of chi^2(dof) via the regularized incomplete gamma.
+
+    A float for a scalar ``x``, an array of the same shape otherwise.
+    """
+    x = np.asarray(x, dtype=float)
     if dof == 0:
-        return 1.0 if x <= 1e-12 else 0.0
-    return float(special.gammaincc(dof / 2.0, max(x, 0.0) / 2.0))
+        out = np.where(x <= 1e-12, 1.0, 0.0)
+    else:
+        out = special.gammaincc(dof / 2.0, np.maximum(x, 0.0) / 2.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def chi2_ppf(p: float, dof: int) -> float:
     if dof == 0:
         return 0.0
     return float(stats.chi2.ppf(p, dof))
+
+
+def _pencil_chol(b: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one pencil matrix, SPD-projected if jitter fails."""
+    try:
+        return chol_spd(b)
+    except NumericalError:
+        return chol_spd(spd_project(b))
 
 
 def gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,38 +142,37 @@ def gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrices may be given as congruences ``g' M g`` whose columns are first
     rescaled to unit norm (the roots are invariant to column scaling), which
     keeps the reduction stable for hypotheses with very large entries.
+    ``a`` and ``b`` may be stacks (..., m, m); the stack is factored in one
+    call and, only if that fails, each matrix is repaired on its own.
     """
     a = sym(np.asarray(a, dtype=float))
     b = sym(np.asarray(b, dtype=float))
-    d = np.sqrt(np.maximum(np.diag(b), np.finfo(float).tiny))
-    a = a / d[:, None] / d[None, :]
-    b = b / d[:, None] / d[None, :]
+    d = np.sqrt(np.maximum(np.diagonal(b, axis1=-2, axis2=-1), np.finfo(float).tiny))
+    a = a / d[..., :, None] / d[..., None, :]
+    b = b / d[..., :, None] / d[..., None, :]
     try:
-        low = chol_spd(b)
-    except NumericalError:
-        b = spd_project(b)
-        low = chol_spd(b)
-    c = whiten(low, whiten(low, a).T)
-    return np.sort(np.linalg.eigvalsh(sym(c)))
+        low = np.linalg.cholesky(sym(b))
+    except np.linalg.LinAlgError:
+        low = per_matrix(_pencil_chol, b)
+    c = whiten(low, whiten(low, a).swapaxes(-1, -2))
+    return np.sort(np.linalg.eigvalsh(sym(c)), axis=-1)
 
 
 def orthonormal_completion(direction: np.ndarray) -> np.ndarray:
     """K x (K-1) orthonormal basis of the complement of a unit K-vector.
 
     Built from the full QR of [direction | I_K]; column signs are fixed so the
-    largest-magnitude entry of each column is positive.
+    largest-magnitude entry of each column is positive.  A stack of
+    directions (..., K) gives a stack of bases (..., K, K-1).
     """
-    lam = np.asarray(direction, dtype=float).reshape(-1)
-    k = lam.size
-    if k == 1:
-        return np.zeros((1, 0))
-    q, _ = np.linalg.qr(np.column_stack([lam, np.eye(k)]))
-    comp = q[:, 1:k]
-    for j in range(comp.shape[1]):
-        i = np.argmax(np.abs(comp[:, j]))
-        if comp[i, j] < 0:
-            comp[:, j] = -comp[:, j]
-    return comp
+    lam = np.asarray(direction, dtype=float)
+    lam = lam.reshape(-1) if lam.ndim < 2 else lam
+    k = lam.shape[-1]
+    eye = np.broadcast_to(np.eye(k), (*lam.shape[:-1], k, k))
+    q, _ = np.linalg.qr(np.concatenate([lam[..., None], eye], axis=-1))
+    comp = q[..., 1:k]
+    top = np.take_along_axis(comp, np.abs(comp).argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(top < 0, -comp, comp)
 
 
 def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,17 +1,33 @@
-"""Confidence sets by test inversion over parameter grids."""
+"""Confidence sets by test inversion over parameter grids.
+
+A grid scan evaluates its points in chunks, each one stacked array pass
+through the same kernels that evaluate a single hypothesis (a stack of one).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .moments import robust_tests
+from ._linalg import chi2_sf
+from .moments import dofs, robust_statistics
 from .pipeline import FIT_ERRORS, ModelFit
-from .subset import SubsetHypothesis, boundedness_diagnostic, sfar_column, sfar_row
+from .subset import (
+    SubsetHypothesis,
+    boundedness_diagnostic,
+    sfar_column,
+    sfar_dof,
+    sfar_row_statistics,
+)
+from .threestep import wald_statistics
 
 VALID_TESTS = ("far", "klm", "jklm", "wald", "sfar")
+
+#: Working-set budget of one chunk of grid points.  Chunks are sized from the
+#: bytes each point's arrays take (hc0 scores, V_ff, V_qf, pencil matrices),
+#: so a scan's memory does not grow with the grid.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,9 +72,11 @@ class ParameterBinding:
         if len(set(self.vary)) != len(self.vary):
             raise ValueError("duplicate vary positions")
 
-    def assemble(self, point) -> np.ndarray:
-        out = self.base.copy()
-        out[list(self.vary)] = point
+    def assemble(self, points) -> np.ndarray:
+        """Parameter vectors (..., P) from grid points (..., dims)."""
+        points = np.asarray(points, dtype=float)
+        out = np.tile(self.base, (*points.shape[:-1], 1))
+        out[..., list(self.vary)] = points
         return out
 
 
@@ -80,8 +98,8 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All grid points in C order, shape (prod(steps), dims)."""
-        values = [a.values for a in self.axes]
-        return np.array(list(product(*values)))
+        mesh = np.meshgrid(*(a.values for a in self.axes), indexing="ij")
+        return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
 
 
 def full_lambda_binding(k: int, base=None, vary=None) -> ParameterBinding:
@@ -122,37 +140,58 @@ class ConfidenceSet:
         return self.accepted.shape[0] == 0
 
 
-def _point_evaluator(test: str, fit: ModelFit, binding: ParameterBinding, mode=None):
-    k = fit.n_factors
+def _chunk_evaluator(test: str, fit: ModelFit, binding: ParameterBinding, mode=None):
+    """(evaluator, chunk size): p-values of a stack of parameter vectors (B, P)."""
+    k, n, t = fit.n_factors, fit.n_assets, fit.n_periods
+    if test in ("far", "klm", "jklm", "wald") and binding.kind != "full":
+        raise ValueError(f"{test} requires a 'full' binding over vec(Lambda1)")
+
+    def lambdas(params):
+        return params.reshape(-1, k, k).swapaxes(-1, -2)   # column-major vec
+
     if test in ("far", "klm", "jklm"):
-        if binding.kind != "full":
-            raise ValueError(f"{test} requires a 'full' binding over vec(Lambda1)")
+        mode = mode or fit.cov_mode
+        dof = dofs(k, n)[test]
+        nk = n * k
+        floats = 3 * nk * nk                  # V_ff, its symmetrized copy, its factor
+        if mode == "hc0":
+            floats += t * nk                  # hc0 scores
+        if test != "far":
+            floats += 2 * nk * nk * k * k     # V_qf and its product
 
         def ev(params):
-            lam = params.reshape(k, k, order="F")
-            return robust_tests(fit, lam, mode=mode, which=(test,))[test].pvalue
+            stat = robust_statistics(fit.stacked, lambdas(params), mode, (test,))[test]
+            pvalues = chi2_sf(stat, dof)
+            if not np.all((pvalues >= 0.0) & (pvalues <= 1.0)):
+                raise ValueError("p-value outside [0, 1]")
+            return pvalues
 
     elif test == "wald":
-        if binding.kind != "full":
-            raise ValueError("wald requires a 'full' binding over vec(Lambda1)")
-        fit.asymptotic_cov  # a fit without a price of risk fails here, not per point
+        cov = fit.asymptotic_cov  # a fit without a price of risk fails here, not per point
+        floats = k * k
 
         def ev(params):
-            return fit.wald(params.reshape(k, k, order="F")).pvalue
+            return chi2_sf(wald_statistics(fit.por, cov, lambdas(params), t), k * k)
 
     elif test == "sfar":
         if binding.kind == "full":
             raise ValueError("sfar requires a 'row' or 'column' binding")
+        if binding.kind == "column":
+            # each point runs its own numerical minimization: nothing to stack
+            def ev(params):
+                hypotheses = [SubsetHypothesis("column", binding.index, p) for p in params]
+                return np.array([sfar_column(h, fit.stacked).pvalue_upper for h in hypotheses])
+
+            return ev, 1
+        floats = 4 * (2 * k) ** 2   # restriction matrices, congruences, factors
 
         def ev(params):
-            h = SubsetHypothesis(binding.kind, binding.index, params)
-            if binding.kind == "row":
-                return sfar_row(h, fit.stacked).pvalue_upper
-            return sfar_column(h, fit.stacked).pvalue_upper
+            stat = sfar_row_statistics(fit.stacked, params, binding.index)
+            return chi2_sf(stat, sfar_dof(fit.stacked))
 
     else:
         raise ValueError(f"unknown test {test!r}; expected one of {VALID_TESTS}")
-    return ev
+    return ev, max(1, CHUNK_BYTES // (8 * floats))
 
 
 def pvalue_curve(
@@ -163,23 +202,30 @@ def pvalue_curve(
 ) -> PvalueSurface:
     """P-value at every grid point.
 
-    Points whose evaluation raises a numerical failure or an invalid-value
-    error (a hypothesis or p-value out of range) carry NaN and are recorded
-    with their exception; any other exception propagates.
+    Points are evaluated in stacked chunks.  Points whose evaluation raises a
+    numerical failure or an invalid-value error (a hypothesis or p-value out
+    of range) carry NaN and are recorded with their exception: a chunk that
+    raises one is evaluated again point by point.  Any other exception
+    propagates.
     """
-    ev = _point_evaluator(test, fit, grid.binding, mode)
+    ev, size = _chunk_evaluator(test, fit, grid.binding, mode)
+    params = grid.binding.assemble(grid.points())
+    pvalues = np.full(len(params), np.nan)
     failures = []
-    vals = []
-    for i, point in enumerate(grid.points()):
+    for start in range(0, len(params), size):
+        chunk = slice(start, start + size)
         try:
-            vals.append(ev(grid.binding.assemble(point)))
-        except FIT_ERRORS + (ValueError,) as exc:
-            failures.append((i, repr(exc)))
-            vals.append(np.nan)
+            pvalues[chunk] = ev(params[chunk])
+        except FIT_ERRORS + (ValueError,):
+            for i in range(start, min(start + size, len(params))):
+                try:
+                    pvalues[i] = ev(params[i : i + 1])[0]
+                except FIT_ERRORS + (ValueError,) as exc:
+                    failures.append((i, repr(exc)))
     return PvalueSurface(
         grid=grid,
         test=test,
-        pvalues=np.asarray(vals).reshape(grid.shape),
+        pvalues=pvalues.reshape(grid.shape),
         failures=tuple(failures),
     )
 
@@ -195,34 +241,32 @@ def _touches_boundary(mask: np.ndarray) -> bool:
     return False
 
 
-def joint_confidence_set(
-    test: str,
-    grid: GridSpec,
+def invert_surface(
+    surface: PvalueSurface,
     level: float,
     fit: ModelFit,
-    mode: str | None = None,
     n_directions: int = 64,
     seed: int = 0,
 ) -> ConfidenceSet:
-    """Invert the chosen test over the grid at the given confidence level.
+    """The confidence set of a p-value surface at the given confidence level.
 
     Sets touching the grid boundary cannot be classified by the finite grid;
-    for the subset statistic the distant-value scan decides boundedness, for
-    the other tests a boundary-touching set is reported unbounded.
+    for the subset statistic the rank certificate or the distant-value scan
+    decides boundedness, for the other tests a boundary-touching set is
+    reported unbounded.  One surface serves any number of levels.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    surface = pvalue_curve(test, grid, fit, mode=mode)
+    grid = surface.grid
     alpha = 1.0 - level
     with np.errstate(invalid="ignore"):
         mask = surface.pvalues >= alpha
-    pts = grid.points()
-    accepted = pts[mask.reshape(-1)]
+    accepted = grid.points()[mask.reshape(-1)]
     if accepted.shape[0] == 0:
         bounded = "empty"
     elif not _touches_boundary(mask):
         bounded = "bounded"
-    elif test == "sfar":
+    elif surface.test == "sfar":
         rep = boundedness_diagnostic(
             fit.stacked,
             alpha=alpha,
@@ -235,13 +279,30 @@ def joint_confidence_set(
         bounded = "unbounded"
     return ConfidenceSet(
         level=level,
-        test=test,
+        test=surface.test,
         grid=grid,
         pvalues=surface.pvalues,
         accepted=accepted,
         accepted_mask=mask,
         bounded=bounded,
     )
+
+
+def joint_confidence_set(
+    test: str,
+    grid: GridSpec,
+    level: float,
+    fit: ModelFit,
+    mode: str | None = None,
+    n_directions: int = 64,
+    seed: int = 0,
+) -> ConfidenceSet:
+    """Invert the chosen test over the grid at the given confidence level:
+    ``pvalue_curve`` followed by ``invert_surface``."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    surface = pvalue_curve(test, grid, fit, mode=mode)
+    return invert_surface(surface, level, fit, n_directions=n_directions, seed=seed)
 
 
 def project_cs(cs: ConfidenceSet, axis: int) -> list[tuple[float, float]]:

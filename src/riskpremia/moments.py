@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, sym, unvec, vec, vec_kron, whiten
+from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
 from .pipeline import ModelFit
 from .subset import StackedSystem
+
+TESTS = ("far", "klm", "jklm")
+_LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
 
 
 @dataclass(frozen=True)
@@ -52,31 +55,41 @@ class RobustTestResult:
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Moment vector, Jacobian, variance blocks, and orthogonalized Jacobian."""
+    """Moment vector, Jacobian, variance blocks, and orthogonalized Jacobian.
 
-    f: np.ndarray          # (NK,)
-    q: np.ndarray          # (NK, K^2) Jacobian -(Qxx kron beta)
-    vff: np.ndarray        # (NK, NK)
-    vqf: np.ndarray        # (NK^3, NK)
-    d_ortho: np.ndarray    # (NK, K^2)
-    h0: np.ndarray         # (K, K)
+    Every per-hypothesis array may carry leading batch axes, one entry per
+    hypothesis; ``vqf`` and ``d_ortho`` are None when only FAR was asked for.
+    """
+
+    f: np.ndarray          # (..., NK)
+    q: np.ndarray          # (NK, K^2) Jacobian -(Qxx kron beta), fixed per fit
+    vff: np.ndarray        # (..., NK, NK)
+    vff_chol: np.ndarray   # (..., NK, NK) lower Cholesky factor of vff
+    vqf: np.ndarray | None       # (..., NK^3, NK)
+    d_ortho: np.ndarray | None   # (..., NK, K^2)
+    h0: np.ndarray         # (..., K, K)
     mode: str
     n_periods: int
     n_assets: int
     n_factors: int
 
 
+def _vec_stack(m: np.ndarray) -> np.ndarray:
+    """Column-major vec of the last two axes."""
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
+
+
 def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
-    """The stacked sample moment vector at the hypothesized Lambda1."""
-    k, t = sys.n_factors, sys.n_periods
-    lam1_0 = np.asarray(lam1_0, dtype=float).reshape(k, k)
+    """The stacked sample moment vector at the hypothesized Lambda1 (or a stack)."""
+    t = sys.n_periods
+    lam1_0 = square_stack(lam1_0, sys.n_factors)
     u = sys.rbar - sys.beta_hat @ sys.vhat
     raw = vec(u @ sys.xbar_lagged.T / t)
-    return raw - np.kron(sys.q_xx, sys.beta_hat) @ vec(lam1_0)
+    return raw + (sys.jacobian @ _vec_stack(lam1_0)[..., None])[..., 0]
 
 
 def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
-    """Per-period influence of the moment vector, (T, NK).
+    """Per-period influence of the moment vector, (..., T, NK).
 
     The naive score xbar kron residual misses two first-order effects: the
     estimated innovation loadings and the estimated innovations themselves.
@@ -88,25 +101,53 @@ def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     upper = ehat + sys.beta_hat @ sys.vhat
     a_part = np.einsum("it,nt->tin", sys.xbar_lagged, upper).reshape(t, -1)
     sig_v = sys.w_hat[k:, k:]
-    w2 = (sys.q_xx @ lam1_0.T) @ np.linalg.solve(sig_v, sys.vhat)
-    b_part = np.einsum("it,nt->tin", w2, ehat).reshape(t, -1)
-    return a_part - b_part
+    w2 = (sys.q_xx @ lam1_0.swapaxes(-1, -2)) @ np.linalg.solve(sig_v, sys.vhat)
+    scores = np.einsum("...it,nt->...tin", w2, ehat).reshape(*w2.shape[:-2], t, -1)
+    return np.subtract(a_part, scores, out=scores)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("kps", "hc0"):
+        raise ValueError(f"unknown variance mode {mode!r}")
+
+
+def _kron_sigma(sys: StackedSystem, core: np.ndarray) -> np.ndarray:
+    """core kron Sigma for a stack of K x K cores, as (..., K, N, K, N)."""
+    return core[..., :, None, :, None] * sys.sigma_hat[:, None, :]
+
+
+def _vff(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
+    """V_ff at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
+    if mode == "hc0":
+        return sym(scores.swapaxes(-1, -2) @ scores / sys.n_periods)
+    nk = sys.n_factors * sys.n_assets
+    eye = np.broadcast_to(np.eye(sys.n_factors), lam1_0.shape)
+    b = np.concatenate([eye, -lam1_0], axis=-2)
+    mid = b.swapaxes(-1, -2) @ sys.psi_hat @ b
+    return sym(_kron_sigma(sys, sys.q_xx @ mid @ sys.q_xx).reshape(*mid.shape[:-2], nk, nk))
+
+
+def _vqf(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
+    """V_qf at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
+    if mode == "hc0":
+        return sys.hc0_psi_q.T @ scores / sys.n_periods
+    k, n = sys.n_factors, sys.n_assets
+    psi_vx = sys.psi_hat[k:, :k]
+    core = (psi_vx - sys.psi_v @ lam1_0) @ sys.q_xx
+    cov_bf = _kron_sigma(sys, core).reshape(*core.shape[:-2], n * k, n * k)
+    # column c of cov_bf is vec of an N x K matrix M_c; column c of the
+    # result is -vec(Qxx kron M_c); kept C-contiguous, since a transposed
+    # view sends vqf @ x through another BLAS path and changes its rounding
+    m = cov_bf.swapaxes(-1, -2).reshape(*core.shape[:-2], n * k, k, n).swapaxes(-1, -2)
+    return np.ascontiguousarray(-vec_kron(sys.q_xx, m).swapaxes(-1, -2))
 
 
 def vff_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> np.ndarray:
     """Variance estimator of sqrt(T) f_T under the chosen mode."""
-    k = sys.n_factors
-    lam1_0 = np.asarray(lam1_0, dtype=float).reshape(k, k)
-    if mode == "kps":
-        b = np.vstack([np.eye(k), -lam1_0])
-        mid = b.T @ sys.psi_hat @ b
-        out = np.kron(sys.q_xx @ mid @ sys.q_xx, sys.sigma_hat)
-    elif mode == "hc0":
-        scores = _hc0_scores(sys, lam1_0)
-        out = scores.T @ scores / sys.n_periods
-    else:
-        raise ValueError(f"unknown variance mode {mode!r}")
-    return sym(out)
+    _check_mode(mode)
+    lam1_0 = square_stack(lam1_0, sys.n_factors)
+    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
+    return _vff(sys, lam1_0, mode, scores)
 
 
 def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> np.ndarray:
@@ -119,19 +160,10 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
     reads its per-period Jacobian scores, fixed per fit, from
     ``StackedSystem.hc0_psi_q``.
     """
-    k, n = sys.n_factors, sys.n_assets
-    lam1_0 = np.asarray(lam1_0, dtype=float).reshape(k, k)
-    if mode == "kps":
-        psi_vx = sys.psi_hat[k:, :k]
-        cov_bf = np.kron((psi_vx - sys.psi_v @ lam1_0) @ sys.q_xx, sys.sigma_hat)
-        # column c of cov_bf is vec of an N x K matrix M_c; column c of the
-        # result is -vec(Qxx kron M_c); kept C-contiguous, since a transposed
-        # view sends vqf @ x through another BLAS path and changes its rounding
-        m = cov_bf.T.reshape(n * k, k, n).transpose(0, 2, 1)
-        return np.ascontiguousarray(-vec_kron(sys.q_xx, m).T)
-    if mode != "hc0":
-        raise ValueError(f"unknown variance mode {mode!r}")
-    return sys.hc0_psi_q.T @ _hc0_scores(sys, lam1_0) / sys.n_periods
+    _check_mode(mode)
+    lam1_0 = square_stack(lam1_0, sys.n_factors)
+    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
+    return _vqf(sys, lam1_0, mode, scores)
 
 
 def vqf_discrepancy(sys: StackedSystem, lam1_0) -> float:
@@ -144,20 +176,27 @@ def vqf_discrepancy(sys: StackedSystem, lam1_0) -> float:
     return float(np.linalg.norm(v_kps - v_hc0) / denom)
 
 
-def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> MomentSystem:
+def _moment_system(sys: StackedSystem, lam1_0, mode: str, which) -> MomentSystem:
+    """The moment system at one hypothesis or a stack; the Jacobian blocks
+    only when KLM or JKLM is in ``which``."""
+    _check_mode(mode)
     k = sys.n_factors
-    lam1_0 = np.asarray(lam1_0, dtype=float).reshape(k, k)
+    lam1_0 = square_stack(lam1_0, k)
     f = moment_vector(sys, lam1_0)
-    q = -np.kron(sys.q_xx, sys.beta_hat)
-    vff = vff_estimator(sys, lam1_0, mode)
-    vqf = vqf_estimator(sys, lam1_0, mode)
+    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
+    vff = _vff(sys, lam1_0, mode, scores)
     low = chol_spd(vff)
-    vff_inv_f = np.linalg.solve(low.T, whiten(low, f))
-    d_ortho = unvec(vec(q) - vqf @ vff_inv_f, q.shape)
+    vqf = d_ortho = None
+    if "klm" in which or "jklm" in which:
+        vqf = _vqf(sys, lam1_0, mode, scores)
+        vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
+        shift = (vqf @ vff_inv_f[..., None])[..., 0]
+        d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
     return MomentSystem(
         f=f,
-        q=q,
+        q=sys.jacobian,
         vff=vff,
+        vff_chol=low,
         vqf=vqf,
         d_ortho=d_ortho,
         h0=lam1_0,
@@ -168,31 +207,62 @@ def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> Moment
     )
 
 
+def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> MomentSystem:
+    return _moment_system(sys, lam1_0, mode, TESTS)
+
+
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
 
 
-def _decompose(ms: MomentSystem) -> tuple[float, float]:
-    """(FAR, KLM) from whitened moment and Jacobian; JKLM is the difference."""
-    low = chol_spd(ms.vff)
-    fw = whiten(low, ms.f)
+def _decompose(ms: MomentSystem):
+    """(FAR, KLM) from whitened moment and Jacobian; JKLM is the difference.
+
+    KLM is None when the system carries no Jacobian.
+    """
+    low = ms.vff_chol
+    fw = whiten_vec(low, ms.f)
+    far_stat = ms.n_periods * sumsq(fw)
+    if ms.d_ortho is None:
+        return far_stat, None
     dw = whiten(low, ms.d_ortho)
-    far_stat = ms.n_periods * float(fw @ fw)
     u, s, _ = np.linalg.svd(dw, full_matrices=False)
-    rank = int(np.sum(s > max(dw.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
-    if rank < min(dw.shape):
+    full = min(dw.shape[-2:])
+    tol = max(dw.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    rank = np.sum(s > tol, axis=-1)
+    if (rank < full).any():
         warnings.warn(
-            f"orthogonalized Jacobian rank {rank} below {min(dw.shape)}; "
+            f"orthogonalized Jacobian rank {rank.min()} below {full}; "
             "projection uses the realized rank",
             RuntimeWarning,
         )
-    proj = u[:, :rank].T @ fw
-    klm_stat = ms.n_periods * float(proj @ proj)
+    proj = (u.swapaxes(-1, -2) @ fw[..., None])[..., 0]
+    proj = np.where(np.arange(full) < rank[..., None], proj, 0.0)
+    klm_stat = ms.n_periods * sumsq(proj)
     return far_stat, klm_stat
 
 
-def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=("far", "klm", "jklm")):
+def dofs(k: int, n: int) -> dict:
+    """Degrees of freedom of FAR, KLM and JKLM."""
+    return {"far": k * n, "klm": k * k, "jklm": k * (n - k)}
+
+
+def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dict:
+    """The requested robust statistics at a stack of hypotheses (..., K, K).
+
+    One array per name in ``which``, shaped like the stack; JKLM is
+    FAR - KLM, clipped at zero.  ``robust_tests`` is the single-hypothesis
+    form of the same computation.
+    """
+    far_stat, klm_stat = _decompose(_moment_system(sys, lam1_0, mode, which))
+    stats = {"far": far_stat, "klm": klm_stat}
+    if "jklm" in which:
+        stats["jklm"] = np.maximum(far_stat - klm_stat, 0.0)
+    return {name: stats[name] for name in TESTS if name in which}
+
+
+def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=TESTS):
     """Evaluate the requested robust statistics at one hypothesis.
 
     Accepts either a ModelFit (mode defaults to its covariance mode) or a
@@ -204,23 +274,15 @@ def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=("far", "klm
     else:
         sys_ = fit_or_sys
         mode = mode or "kps"
-    ms = build_moment_system(sys_, lam1_0, mode)
-    far_stat, klm_stat = _decompose(ms)
-    n, k = ms.n_assets, ms.n_factors
-    out = {}
-    if "far" in which:
-        out["far"] = RobustTestResult(
-            "FAR", far_stat, k * n, chi2_sf(far_stat, k * n), h0=ms.h0
+    h0 = square_stack(lam1_0, sys_.n_factors)
+    stats = robust_statistics(sys_, h0, mode, which)
+    dof = dofs(sys_.n_factors, sys_.n_assets)
+    return {
+        name: RobustTestResult(
+            _LABELS[name], stat, dof[name], chi2_sf(stat, dof[name]), h0=h0
         )
-    if "klm" in which:
-        out["klm"] = RobustTestResult(
-            "KLM", klm_stat, k * k, chi2_sf(klm_stat, k * k), h0=ms.h0
-        )
-    if "jklm" in which:
-        j = max(far_stat - klm_stat, 0.0)
-        dof = k * (n - k)
-        out["jklm"] = RobustTestResult("JKLM", j, dof, chi2_sf(j, dof), h0=ms.h0)
-    return out
+        for name, stat in stats.items()
+    }
 
 
 def far(fit_or_sys, lam1_0, mode: str | None = None) -> RobustTestResult:

@@ -11,7 +11,9 @@ sum of the K smallest roots of the symmetric-definite pencil
 which equals the infimum of the full-vector FAR statistic over the nuisance
 rows (tested against that definition numerically).  H = Phi' Sigma^-1 Phi is
 fixed once the model is fit (``StackedSystem.h_hat``); only the restriction
-matrix carries the hypothesis.
+matrix carries the hypothesis, so a stack of hypotheses is one stack of
+restriction matrices pushed through one pencil computation
+(``_pencil_result``); a single hypothesis is a stack of one.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ class StackedSystem:
     def h_hat(self) -> np.ndarray:
         """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and trace form."""
         return self.phi_hat.T @ inv_from_chol(chol_spd(self.sigma_hat)) @ self.phi_hat
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """(NK, K^2) Jacobian -(Qxx kron beta) of the moment vector in vec(Lambda1)."""
+        return -np.kron(self.q_xx, self.beta_hat)
 
     @cached_property
     def hc0_psi_q(self) -> np.ndarray:
@@ -197,10 +204,15 @@ class SubsetHypothesis:
         if self.kind not in ("row", "column"):
             raise ValueError("hypothesis kind must be 'row' or 'column'")
         object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
-        if self.index < 0 or self.index >= self.value.size:
-            raise ValueError("hypothesis index out of range")
-        if not np.isfinite(self.value).all():
-            raise ValueError("hypothesis value must be finite")
+        _check_subset_values(self.index, self.value)
+
+
+def _check_subset_values(index: int, values: np.ndarray) -> None:
+    """Validate a subset hypothesis, or a stack of values (..., K) at one index."""
+    if index < 0 or index >= values.shape[-1]:
+        raise ValueError("hypothesis index out of range")
+    if not np.isfinite(values).all():
+        raise ValueError("hypothesis value must be finite")
 
 
 @dataclass(frozen=True)
@@ -231,13 +243,17 @@ class RankTestResult:
 
 
 def restriction_matrix(lam0: np.ndarray) -> np.ndarray:
-    """A(lambda_1^0): 2K x (2K-1) with the tested row folded into the pencil."""
-    lam0 = np.asarray(lam0, dtype=float).reshape(-1)
-    k = lam0.size
-    a = np.zeros((2 * k, 2 * k - 1))
-    a[:k, :k] = np.eye(k)
-    a[k, :k] = -lam0
-    a[k + 1 :, k:] = np.eye(k - 1)
+    """A(lambda_1^0): 2K x (2K-1) with the tested row folded into the pencil.
+
+    A stack of rows (..., K) gives a stack of matrices (..., 2K, 2K-1).
+    """
+    lam0 = np.asarray(lam0, dtype=float)
+    lam0 = lam0.reshape(-1) if lam0.ndim < 2 else lam0
+    k = lam0.shape[-1]
+    a = np.zeros((*lam0.shape[:-1], 2 * k, 2 * k - 1))
+    a[..., :k, :k] = np.eye(k)
+    a[..., k, :k] = -lam0
+    a[..., k + 1 :, k:] = np.eye(k - 1)
     return a
 
 
@@ -249,20 +265,33 @@ def _row_permuted(sys: StackedSystem, index: int):
     return sys.h_hat[rows], sys.psi_hat[rows]
 
 
-def _pencil_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
-    """T times the K smallest roots of the pencil (g' H g, g' Psi g).
+def sfar_dof(sys: StackedSystem) -> int:
+    """Degrees of freedom K(N-K+1) of the chi^2 bound on the subset statistic."""
+    k = sys.n_factors
+    return k * (sys.n_assets - k + 1)
+
+
+def _pencil_result(sys: StackedSystem, index: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T times the sum of the K smallest roots of the pencil (g' H g, g' Psi g).
 
     H = Phi' Sigma^-1 Phi and Psi are taken with innovation slot ``index``
-    moved to the front; ``g`` (2K x (2K-1)) carries the hypothesis.
+    moved to the front; each matrix of the stack ``g`` (B, 2K, 2K-1) carries
+    one hypothesis.  Returns the statistics (B,) and the ascending roots
+    (B, 2K-1).
     """
-    k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
     hmat, psi = _row_permuted(sys, index)
-    roots = np.maximum(gen_eigvals(g.T @ hmat @ g, g.T @ psi @ g), 0.0)
-    stat = float(t * roots[:k].sum())
-    dof = k * (n - k + 1)
+    gt = g.swapaxes(-1, -2)
+    roots = np.maximum(gen_eigvals(gt @ hmat @ g, gt @ psi @ g), 0.0)
+    return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
+
+
+def _single_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
+    """The stack-of-one case of ``_pencil_result`` as an SfarResult."""
+    stats, roots = _pencil_result(sys, index, g[None])
+    stat, dof = float(stats[0]), sfar_dof(sys)
     return SfarResult(
         statistic=stat,
-        roots=roots,
+        roots=roots[0],
         dof_bound=dof,
         pvalue_upper=chi2_sf(stat, dof),
         method="eigen",
@@ -273,7 +302,14 @@ def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
     """Subset statistic for one row of Lambda1 via the characteristic pencil."""
     if h.kind != "row":
         raise ValueError("sfar_row requires a row hypothesis")
-    return _pencil_result(sys, h.index, restriction_matrix(h.value))
+    return _single_result(sys, h.index, restriction_matrix(h.value))
+
+
+def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
+    """Row statistics of ``sfar_row`` at a stack of values (B, K) of row ``index``."""
+    values = np.asarray(values, dtype=float)
+    _check_subset_values(index, values)
+    return _pencil_result(sys, index, restriction_matrix(values))[0]
 
 
 def far_trace(sys: StackedSystem, lam1: np.ndarray) -> float:
@@ -311,8 +347,7 @@ def sfar_minimized(
 ) -> SfarResult:
     """Subset statistic as a direct minimization of FAR over the nuisance
     entries of Lambda1 (quasi-Newton, deterministic multi-start)."""
-    k, n = sys.n_factors, sys.n_assets
-    dof = k * (n - k + 1)
+    k, dof = sys.n_factors, sfar_dof(sys)
     n_free = k * (k - 1)
     if n_free == 0:
         stat = far_trace(sys, h.value.reshape(1, 1))
@@ -372,6 +407,16 @@ def sfar_column(h: SubsetHypothesis, sys: StackedSystem, n_starts: int = 20, see
     return sfar_minimized(h, sys, n_starts=n_starts, seed=seed)
 
 
+def _distant_restriction(directions: np.ndarray) -> np.ndarray:
+    """(B, 2K, 2K-1) distant-value restriction matrices of nonzero directions (B, K)."""
+    b, k = directions.shape
+    unit = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
+    g = np.zeros((b, 2 * k, 2 * k - 1))
+    g[:, :k, : k - 1] = orthonormal_completion(unit)
+    g[:, k:, k - 1 :] = np.eye(k)
+    return g
+
+
 def sfar_distant(
     direction: np.ndarray, sys: StackedSystem, index: int = 0
 ) -> SfarResult:
@@ -380,12 +425,7 @@ def sfar_distant(
     norm = np.linalg.norm(lam)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
-    lam = lam / norm
-    k = sys.n_factors
-    g = np.zeros((2 * k, 2 * k - 1))
-    g[:k, : k - 1] = orthonormal_completion(lam)
-    g[k:, k - 1 :] = np.eye(k)
-    return _pencil_result(sys, index, g)
+    return _single_result(sys, index, _distant_restriction(lam[None])[0])
 
 
 def kp_rank(sys: StackedSystem) -> RankTestResult:
@@ -407,7 +447,9 @@ def kp_rank(sys: StackedSystem) -> RankTestResult:
 class BoundednessReport:
     bounded_all: bool
     unbounded_directions: list = field(default_factory=list)
-    rank_shortcut: bool = False      # K=1 and rank test rejects => bounded certain
+    # True when the rank route decided: T * (smallest rank root) above the
+    # critical value certifies every direction bounded, so nothing was scanned
+    rank_shortcut: bool = False
     critical_value: float = float("nan")
     alpha: float = 0.05
     index: int = 0
@@ -420,27 +462,28 @@ def boundedness_diagnostic(
     index: int = 0,
     seed: int = 0,
 ) -> BoundednessReport:
-    """Scan distant-value statistics over random directions.
+    """Classify boundedness by the rank certificate or a direction scan.
 
-    A direction whose limit statistic stays below the chi^2 critical value is
+    The rank statistic lower-bounds the distant-value statistic in every
+    direction, at every K; when it exceeds the chi^2 critical value no
+    direction is accepted far out and the set is bounded without a scan.
+    Otherwise distant-value statistics are scanned over random directions: a
+    direction whose limit statistic stays below the critical value is
     accepted arbitrarily far out, so the confidence set is unbounded there.
     """
     if n_directions < 1:
         raise ValueError("need at least one direction")
-    k, n = sys.n_factors, sys.n_assets
     # degenerate level: a size-one test accepts nothing anywhere, so every
     # direction is classified unbounded (the p-value cutoff collapses to 0)
-    crit = np.inf if alpha >= 1.0 else chi2_ppf(1.0 - alpha, k * (n - k + 1))
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, k))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    crit = np.inf if alpha >= 1.0 else chi2_ppf(1.0 - alpha, sfar_dof(sys))
     unbounded = []
-    for d in dirs:
-        res = sfar_distant(d, sys, index=index)
-        if res.statistic <= crit:
-            unbounded.append(d.copy())
-    rank = kp_rank(sys)
-    shortcut = bool(k == 1 and rank.pvalue < alpha)
+    shortcut = kp_rank(sys).statistic > crit
+    if not shortcut:
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((n_directions, sys.n_factors))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        stats, _ = _pencil_result(sys, index, _distant_restriction(dirs))
+        unbounded = [d.copy() for d, stat in zip(dirs, stats) if stat <= crit]
     return BoundednessReport(
         bounded_all=len(unbounded) == 0,
         unbounded_directions=unbounded,

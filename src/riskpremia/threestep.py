@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, sym, vec
+from ._linalg import chi2_sf, chol_spd, square_stack, sym, vec
 from .panels import FactorPanel, PanelError, ReturnPanel
 from .varstage import COND_CAP, RankError, VarEstimate, _ols_qr
 
@@ -240,6 +240,21 @@ def asymptotic_covariance(
     return AsymptoticCovariance(v_beta=v_b, c_lambda_beta=m23 @ v_b, v_lambda=v_lambda)
 
 
+def wald_statistics(
+    por: PriceOfRisk,
+    cov: AsymptoticCovariance,
+    h0_lambda1: np.ndarray,
+    t: int,
+) -> np.ndarray:
+    """T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) at one hypothesis or a stack (..., K, K)."""
+    k = por.lambda1.shape[0]
+    h0 = square_stack(h0_lambda1, k)
+    diff = (por.lambda1 - h0).swapaxes(-1, -2).reshape(*h0.shape[:-2], k * k, 1)
+    low = chol_spd(cov.v_lambda1, jitters=(0.0,))
+    half = np.linalg.solve(low, diff)
+    return ((t * half).swapaxes(-1, -2) @ half)[..., 0, 0]
+
+
 def wald_test(
     por: PriceOfRisk,
     cov: AsymptoticCovariance,
@@ -248,9 +263,7 @@ def wald_test(
 ) -> WaldResult:
     """Wald statistic T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) ~ chi^2(K^2)."""
     k = por.lambda1.shape[0]
-    diff = vec(por.lambda1 - np.asarray(h0_lambda1, dtype=float).reshape(k, k))
-    v = cov.v_lambda1
-    low = chol_spd(v, jitters=(0.0,))
-    half = np.linalg.solve(low, diff)
-    stat = float(t * half @ half)
-    return WaldResult(statistic=stat, dof=k * k, pvalue=chi2_sf(stat, k * k), covariance=v)
+    stat = float(wald_statistics(por, cov, h0_lambda1, t))
+    return WaldResult(
+        statistic=stat, dof=k * k, pvalue=chi2_sf(stat, k * k), covariance=cov.v_lambda1
+    )

@@ -10,14 +10,17 @@ from riskpremia.confsets import (
     GridSpec,
     ParameterBinding,
     full_lambda_binding,
+    invert_surface,
     joint_confidence_set,
     project_cs,
     pvalue_curve,
     row_binding,
 )
-from riskpremia.moments import far
+from riskpremia._linalg import NumericalError
+from riskpremia.moments import far, robust_tests
 from riskpremia.panels import ReturnPanel
 from riskpremia.pipeline import fit_model
+from riskpremia.subset import SubsetHypothesis, sfar_row
 from riskpremia.threestep import asymptotic_covariance
 from riskpremia.varstage import RankError, fit_var1
 
@@ -99,7 +102,7 @@ def test_programming_errors_propagate_out_of_the_scan(monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("programming error")
 
-    monkeypatch.setattr(confsets, "robust_tests", bug)
+    monkeypatch.setattr(confsets, "robust_statistics", bug)
     with pytest.raises(TypeError):
         pvalue_curve("klm", grid, fit)
 
@@ -125,6 +128,52 @@ def test_wald_scan_computes_the_covariance_once_and_fails_early(monkeypatch):
     # a fit without a price of risk stops the scan before its first point
     with pytest.raises(RankError, match="price-of-risk"):
         pvalue_curve("wald", grid, dataclasses.replace(fit, por=None))
+
+
+@pytest.mark.parametrize("test", ["sfar", "klm"])
+def test_scan_failures_match_a_point_by_point_loop(monkeypatch, test):
+    # points with a first coordinate above 0.3 fail; chunks of 4 points put
+    # failing and clean points in the same chunk
+    fit, lam1 = fitted(seed=10, k=2, n=5)
+    binding = row_binding(2, index=1) if test == "sfar" else full_lambda_binding(2, vary=(0, 3))
+    grid = GridSpec(axes=(GridAxis(-1, 1, 7), GridAxis(-0.5, 0.5, 3)), binding=binding)
+    name = "sfar_row_statistics" if test == "sfar" else "robust_statistics"
+    real = getattr(confsets, name)
+
+    def injected(value):
+        return NumericalError(f"injected at {value!r}")
+
+    stacks = []
+
+    def flaky(sys, arg, *rest):
+        # arg: row values (B, K) for sfar, Lambda1 stack (B, K, K) for klm
+        first = arg[:, 0] if test == "sfar" else arg[:, 0, 0]
+        stacks.append((len(first), bool((first > 0.3).any())))
+        if (first > 0.3).any():
+            raise injected(float(first[first > 0.3][0]))
+        return real(sys, arg, *rest)
+
+    monkeypatch.setattr(confsets, name, flaky)
+    # about four points per chunk (bytes per point as counted by the scan)
+    per_point = 8 * 4 * 4**2 if test == "sfar" else 8 * (3 * 10**2 + 2 * 10**2 * 2**2)
+    monkeypatch.setattr(confsets, "CHUNK_BYTES", 4 * per_point)
+    surface = pvalue_curve(test, grid, fit, mode="kps")
+
+    expected, failures = [], []
+    for i, point in enumerate(grid.points()):
+        params = binding.assemble(point)
+        if params[0] > 0.3:
+            failures.append((i, repr(injected(float(params[0])))))
+            expected.append(np.nan)
+        elif test == "sfar":
+            expected.append(sfar_row(SubsetHypothesis("row", 1, params), fit.stacked).pvalue_upper)
+        else:
+            lam = params.reshape(2, 2, order="F")
+            expected.append(robust_tests(fit, lam, mode="kps", which=("klm",))["klm"].pvalue)
+    assert surface.failures == tuple(failures)
+    assert len(failures) == 9
+    assert (4, True) in stacks and (4, False) in stacks      # mixed and clean chunks
+    np.testing.assert_array_equal(surface.pvalues.reshape(-1), expected)
 
 
 def test_refined_grid_agrees_on_shared_points():
@@ -184,6 +233,29 @@ def test_sfar_set_on_strong_two_factor_fit():
     truth = lam1[0]
     dists = np.abs(cs.accepted - truth[None, :]).max(axis=1) if not cs.is_empty else []
     assert min(dists) < 0.3
+
+
+def test_one_surface_inverts_at_every_level():
+    fit, lam1 = fitted(seed=7, k=2, n=5, t=250, sigma_e=1.0, beta_scale=0.2)
+    grid = GridSpec(
+        axes=(
+            GridAxis(lam1[0, 0] - 1.5, lam1[0, 0] + 1.5, 9),
+            GridAxis(lam1[0, 1] - 1.5, lam1[0, 1] + 1.5, 9),
+        ),
+        binding=row_binding(2, index=0),
+    )
+    surface = pvalue_curve("sfar", grid, fit)
+    for level in (0.90, 0.95, 0.99):
+        got = invert_surface(surface, level, fit, seed=3)
+        want = joint_confidence_set("sfar", grid, level, fit, seed=3)
+        assert (got.level, got.test, got.grid, got.bounded) == (
+            want.level, want.test, want.grid, want.bounded
+        )
+        np.testing.assert_array_equal(got.pvalues, want.pvalues)
+        np.testing.assert_array_equal(got.accepted_mask, want.accepted_mask)
+        np.testing.assert_array_equal(got.accepted, want.accepted)
+    with pytest.raises(ValueError, match="level"):
+        invert_surface(surface, 1.0, fit)
 
 
 def test_empty_set_classification():

@@ -6,7 +6,7 @@ import scipy.optimize
 import scipy.stats
 
 from riskpremia import moments
-from riskpremia._linalg import gen_eigvals, vec
+from riskpremia._linalg import chol_spd, gen_eigvals, vec
 from riskpremia.moments import (
     MomentSystem,
     _decompose,
@@ -190,12 +190,46 @@ def test_hc0_jacobian_scores_built_once_per_system(monkeypatch):
     assert len(batched) == 1
 
 
+def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):
+    sys, lam1 = fitted_system(k=2, n=5, t=80, seed=51)
+    factored = []
+
+    def counting_chol(m, *args, **kwargs):
+        if m.shape[-1] == 10:            # V_ff is NK x NK
+            factored.append(1)
+        return chol_spd(m, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "chol_spd", counting_chol)
+    hypotheses = [lam1, lam1 + 0.1, lam1 - 0.3]
+    for mode in ("kps", "hc0"):
+        for lam in hypotheses:
+            robust_tests(sys, lam, mode=mode)
+    assert len(factored) == 2 * len(hypotheses)
+    assert build_moment_system(sys, lam1).q is sys.jacobian
+    np.testing.assert_array_equal(sys.jacobian, -np.kron(sys.q_xx, sys.beta_hat))
+
+
+def test_hc0_scores_computed_once_per_hypothesis(monkeypatch):
+    sys, lam1 = fitted_system(k=2, n=5, t=80, seed=52)
+    hc0_scores = moments._hc0_scores
+    calls = []
+
+    def counting_scores(s, lam):
+        calls.append(1)
+        return hc0_scores(s, lam)
+
+    monkeypatch.setattr(moments, "_hc0_scores", counting_scores)
+    for lam in (lam1, lam1 + 0.1, lam1 - 0.3):
+        robust_tests(sys, lam, mode="hc0")
+    assert len(calls) == 3
+
+
 # -- orthogonalized Jacobian ---------------------------------------------------------
 
 
 def test_jacobian_reduces_to_q_when_decoupled(monkeypatch):
     sys, lam1 = fitted_system(k=2, n=4, t=60, seed=48)
-    monkeypatch.setattr(moments, "vqf_estimator", lambda s, lam, mode: np.zeros((4 * 2 * 4, 4 * 2)))
+    monkeypatch.setattr(moments, "_vqf", lambda s, lam, mode, scores: np.zeros((4 * 2 * 4, 4 * 2)))
     ms = build_moment_system(sys, lam1, "kps")
     assert np.allclose(ms.d_ortho, -np.kron(sys.q_xx, sys.beta_hat))
 
@@ -261,7 +295,8 @@ def test_klm_matches_projector_oracle():
 def synthetic_moment_system(f, d, vff, t=100):
     nk, kk = d.shape
     return MomentSystem(
-        f=f, q=d, vff=vff, vqf=np.zeros((nk * kk, nk)), d_ortho=d,
+        f=f, q=d, vff=vff, vff_chol=np.linalg.cholesky(vff),
+        vqf=np.zeros((nk * kk, nk)), d_ortho=d,
         h0=np.zeros((int(np.sqrt(kk)),) * 2), mode="kps", n_periods=t,
         n_assets=nk // int(np.sqrt(kk)), n_factors=int(np.sqrt(kk)),
     )

@@ -398,6 +398,31 @@ def test_boundedness_degenerate_level():
     assert len(rep.unbounded_directions) == 5
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.sampled_from([3, 10, 30, 100]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_certificate_bounds_every_direction(k, extra, t, seed):
+    rng = np.random.default_rng(seed)
+    sys = synthetic_system(rng, k, k + extra, t=t)
+    rep = boundedness_diagnostic(sys, alpha=0.05, n_directions=16, seed=seed % 7)
+    assert rep.rank_shortcut == (kp_rank(sys).statistic > rep.critical_value)
+    if not rep.rank_shortcut:
+        return
+    assert rep.bounded_all and rep.unbounded_directions == []
+    # an explicit scan: a half circle at K = 2, random directions at K = 3
+    if k == 2:
+        angles = np.linspace(0.0, np.pi, 181)
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        dirs = rng.standard_normal((200, k))
+    for d in dirs:
+        assert sfar_distant(d, sys).statistic > rep.critical_value
+
+
 def test_boundedness_rank_shortcut_k1():
     sys, _ = fitted_system(k=1, n=5, t=200, sigma_e=0.2, seed=22)
     rep = boundedness_diagnostic(sys, alpha=0.05, n_directions=4, seed=0)
