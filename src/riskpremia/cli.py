@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from ._linalg import NumericalError, chi2_sf, format_float
 from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
-from .kronecker import kps_residual_report
 from .montecarlo import (
     EigenLabSpec,
     preset_dgp,
@@ -227,7 +226,7 @@ def cmd_estimate(args) -> int:
         "sigma_v": fit.var.sigma_v.tolist(),
         "variant": args.variant,
         "cov_mode": fit.cov_mode,
-        "kps_diagnostic": kps_residual_report(fit.stacked.kps).to_dict(),
+        "kps_diagnostic": fit.kps_diag.to_dict(),
         "kps_spectrum": fit.stacked.kps.spectrum.tolist(),
     }
     out.mkdir(parents=True, exist_ok=True)

@@ -96,12 +96,11 @@ def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     Both corrections are linear in vhat and enter through the residual and
     the hypothesized Lambda1.
     """
-    k, t = sys.n_factors, sys.n_periods
+    t = sys.n_periods
     ehat = sys.residuals
     upper = ehat + sys.beta_hat @ sys.vhat
     a_part = np.einsum("it,nt->tin", sys.xbar_lagged, upper).reshape(t, -1)
-    sig_v = sys.w_hat[k:, k:]
-    w2 = (sys.q_xx @ lam1_0.swapaxes(-1, -2)) @ np.linalg.solve(sig_v, sys.vhat)
+    w2 = (sys.q_xx @ lam1_0.swapaxes(-1, -2)) @ sys.sigma_v_inv_vhat
     scores = np.einsum("...it,nt->...tin", w2, ehat).reshape(*w2.shape[:-2], t, -1)
     return np.subtract(a_part, scores, out=scores)
 

@@ -86,8 +86,6 @@ class DgpSpec:
 
 
 def calibrate(
-    returns: ReturnPanel,
-    factors: FactorPanel,
     var: VarEstimate,
     reg: ReturnRegression,
     por: PriceOfRisk | None = None,
@@ -189,10 +187,7 @@ def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationa
     beta = spec.effective_beta
     r = spec.c[:, None] + beta @ (spec.lambda1 @ x[:, :-1] + v) + e
     factors = FactorPanel(x, tuple(f"f{i + 1}" for i in range(k)))
-    returns = ReturnPanel(
-        tuple(range(1, n + 1)), r, tuple(f"t{s + 1}" for s in range(t))
-    )
-    return returns, factors
+    return ReturnPanel(tuple(range(1, n + 1)), r), factors
 
 
 # ---------------------------------------------------------------------------

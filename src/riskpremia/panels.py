@@ -71,10 +71,11 @@ class ReturnPanel:
 
     maturities_held: tuple[int, ...]
     returns: np.ndarray  # (N, T)
-    dates: tuple[str, ...]  # holding-period end dates, length T
+    dates: tuple[str, ...] | None = None  # holding-period end dates, length T
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", _validate_dates(self.dates))
+        if self.dates is not None:
+            object.__setattr__(self, "dates", _validate_dates(self.dates))
         object.__setattr__(
             self, "maturities_held", tuple(int(m) for m in self.maturities_held)
         )
@@ -82,7 +83,8 @@ class ReturnPanel:
         object.__setattr__(self, "returns", r)
         if r.ndim != 2 or r.shape[0] < 1:
             raise PanelError("returns must be a non-empty N x T matrix")
-        if r.shape != (len(self.maturities_held), len(self.dates)):
+        t = r.shape[1] if self.dates is None else len(self.dates)
+        if r.shape != (len(self.maturities_held), t):
             raise PanelError("returns shape does not match maturities/dates")
         if not np.isfinite(r).all():
             raise PanelError("non-finite excess return")
@@ -217,7 +219,8 @@ def save_yield_csv(path, panel: YieldPanel) -> None:
 
 
 def save_return_csv(path, panel: ReturnPanel) -> None:
-    save_matrix_csv(path, panel.dates, panel.maturities_held, panel.returns.T)
+    dates = panel.dates or tuple(str(t) for t in range(panel.n_periods))
+    save_matrix_csv(path, dates, panel.maturities_held, panel.returns.T)
 
 
 def save_factor_csv(path, panel: FactorPanel) -> None:

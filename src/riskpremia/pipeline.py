@@ -32,13 +32,13 @@ FIT_ERRORS = (NumericalError, RankError, np.linalg.LinAlgError)
 class ModelFit:
     """Immutable bundle of every estimation output the tests consume.
 
-    ``por`` is None when beta'beta is numerically singular (the unspanned
-    factor pathology); the identification-robust tests remain available.
-    ``asymptotic_cov`` is computed on first use and kept for the fit.
+    It keeps no input panels; ``n_assets`` and ``n_periods`` are read off
+    the stacked system.  ``por`` is None when beta'beta is numerically
+    singular (the unspanned factor pathology); the identification-robust
+    tests remain available.  ``asymptotic_cov`` is computed on first use and
+    kept for the fit.
     """
 
-    returns: ReturnPanel
-    factors: FactorPanel
     var: VarEstimate
     reg: ReturnRegression
     stacked: StackedSystem
@@ -48,7 +48,7 @@ class ModelFit:
 
     @property
     def n_assets(self) -> int:
-        return self.returns.n_assets
+        return self.stacked.n_assets
 
     @property
     def n_factors(self) -> int:
@@ -56,13 +56,13 @@ class ModelFit:
 
     @property
     def n_periods(self) -> int:
-        return self.returns.n_periods
+        return self.stacked.n_periods
 
     @cached_property
     def asymptotic_cov(self) -> AsymptoticCovariance:
         if self.por is None:
             raise RankError("price-of-risk estimates unavailable (singular beta'beta)")
-        return asymptotic_covariance(self.factors, self.var, self.reg, self.por)
+        return asymptotic_covariance(self.var, self.reg, self.por, self.stacked.q_xx)
 
     def wald(self, h0_lambda1: np.ndarray) -> WaldResult:
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
@@ -84,7 +84,7 @@ def fit_model(
         raise ValueError(f"unknown covariance mode {cov!r}")
     var = fit_var1(factors)
     reg = second_stage(returns, factors, var, variant=variant)
-    stacked = build_stacked(returns, factors, var)
+    stacked = build_stacked(returns, factors, var, reg)
     diag = kps_residual_report(stacked.kps)
     mode = cov if cov != "auto" else ("kps" if diag.passed else "hc0")
     try:
@@ -92,8 +92,6 @@ def fit_model(
     except RankError:
         por = None
     return ModelFit(
-        returns=returns,
-        factors=factors,
         var=var,
         reg=reg,
         stacked=stacked,

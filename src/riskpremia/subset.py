@@ -38,7 +38,7 @@ from ._linalg import (
 )
 from .kronecker import KpsFactorization, kps_factorize_terms
 from .panels import FactorPanel, ReturnPanel
-from .threestep import check_alignment
+from .threestep import ReturnRegression, check_alignment
 from .varstage import VarEstimate
 
 
@@ -55,7 +55,7 @@ class StackedSystem:
     xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
     rbar: np.ndarray         # (N, T)
-    residuals: np.ndarray    # (N, T) stacked-regression residuals
+    residuals: np.ndarray    # (N, T) second-stage residuals
     n_periods: int
 
     @property
@@ -90,6 +90,12 @@ class StackedSystem:
         return -np.kron(self.q_xx, self.beta_hat)
 
     @cached_property
+    def sigma_v_inv_vhat(self) -> np.ndarray:
+        """(K, T) Sigma_v^-1 vhat, read by every hc0 score."""
+        k = self.n_factors
+        return np.linalg.solve(self.w_hat[k:, k:], self.vhat)
+
+    @cached_property
     def hc0_psi_q(self) -> np.ndarray:
         """(T, NK^3) per-period scores of the Jacobian -vec(Qxx kron beta).
 
@@ -97,17 +103,15 @@ class StackedSystem:
         B_t = e_t (Sigma_v^-1 v_t)' and X_t = xbar_t xbar_t' - Qxx; none of it
         depends on the hypothesis.
         """
-        k = self.n_factors
-        sv = np.linalg.solve(self.w_hat[k:, k:], self.vhat)       # Sigma_v^-1 vhat
-        b_t = np.einsum("jt,nt->tnj", sv, self.residuals)
+        b_t = np.einsum("jt,nt->tnj", self.sigma_v_inv_vhat, self.residuals)
         x_t = np.einsum("it,jt->tij", self.xbar_lagged, self.xbar_lagged) - self.q_xx
         return -(vec_kron(self.q_xx, b_t) + vec_kron(x_t, self.beta_hat))
 
 
 def model_score_terms(
-    xbar: np.ndarray,
-    vhat: np.ndarray,
-    resid: np.ndarray,
+    q_xx: np.ndarray,
+    sigma_v: np.ndarray,
+    sigma_e2: float,
     beta: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Kronecker terms of the homoskedastic-model score covariance.
@@ -117,17 +121,13 @@ def model_score_terms(
 
         S = diag( Qxx kron (s2 I + beta Sigma_v beta'),  Sigma_v kron s2 I ).
     """
-    k, t = xbar.shape
-    n = resid.shape[0]
-    q_xx = xbar @ xbar.T / t
-    sig_v = vhat @ vhat.T / t
-    sig2 = float(np.einsum("nt,nt->", resid, resid) / (n * t))
+    k, n = q_xx.shape[0], beta.shape[0]
     a_x = np.zeros((2 * k, 2 * k))
     a_x[:k, :k] = q_xx
     a_v = np.zeros((2 * k, 2 * k))
-    a_v[k:, k:] = sig_v
-    s2_i = sig2 * np.eye(n)
-    return [(a_x, s2_i + beta @ sig_v @ beta.T), (a_v, s2_i)]
+    a_v[k:, k:] = sigma_v
+    s2_i = sigma_e2 * np.eye(n)
+    return [(a_x, s2_i + beta @ sigma_v @ beta.T), (a_v, s2_i)]
 
 
 def stacked_score_covariance(
@@ -139,39 +139,44 @@ def stacked_score_covariance(
     """Dense score covariance of the joint regression under the model.
 
     The Kronecker sum of :func:`model_score_terms`, formed as a (2KN)^2
-    matrix; the fit factors those terms without forming it.  The lagged-factor
+    matrix from the sample moments of its own inputs; the fit factors those
+    terms without forming it.  The lagged-factor
     block pairs with ``resid + beta vhat`` rather than the raw residual:
     first-stage innovation estimation feeds back into the stacked
     coefficients, and dropping it loses the factor-risk component.
     """
-    k = xbar.shape[0]
+    k, t = xbar.shape
     resid = rbar - phi_hat @ np.vstack([xbar, vhat])
-    return sum(np.kron(a, b) for a, b in model_score_terms(xbar, vhat, resid, phi_hat[:, k:]))
+    sig2 = float(np.einsum("nt,nt->", resid, resid) / resid.size)
+    terms = model_score_terms(xbar @ xbar.T / t, vhat @ vhat.T / t, sig2, phi_hat[:, k:])
+    return sum(np.kron(a, b) for a, b in terms)
 
 
 def build_stacked(
     returns: ReturnPanel,
     factors: FactorPanel,
     var: VarEstimate,
+    reg: ReturnRegression,
     kps: KpsFactorization | None = None,
 ) -> StackedSystem:
-    """Fit the joint regression and attach the KPS covariance factorization.
+    """Attach the KPS covariance factorization to the second-stage regression.
 
-    Unless ``kps`` is given, the model score covariance is factored from its
-    Kronecker terms without forming the dense matrix.
+    The joint regression of demeaned returns on (xbar_{t-1}; vhat_t) is the
+    second stage in the parameterization Phi = (d + beta phi1 : beta), so its
+    coefficients and residuals are read off ``reg``.  Unless ``kps`` is given,
+    the model score covariance is factored from its Kronecker terms without
+    forming the dense matrix.
     """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
-    x = factors.factors
-    xbar = x[:, :-1] - var.x_lagged_mean[:, None]
+    xbar = factors.factors[:, :-1] - var.x_lagged_mean[:, None]
     vhat = var.residuals
-    rbar = returns.returns - returns.returns.mean(axis=1, keepdims=True)
     w_rows = np.vstack([xbar, vhat])
     w_hat = w_rows @ w_rows.T / t
-    phi_hat = np.linalg.solve(w_hat, w_rows @ rbar.T / t).T
-    resid = rbar - phi_hat @ w_rows
+    beta = reg.beta_hat
+    phi_hat = np.column_stack([reg.d_hat + beta @ var.phi1, beta])
     if kps is None:
-        kps = kps_factorize_terms(model_score_terms(xbar, vhat, resid, phi_hat[:, k:]))
+        kps = kps_factorize_terms(model_score_terms(w_hat[:k, :k], w_hat[k:, k:], reg.sigma_e2, beta))
     w_inv = np.linalg.inv(w_hat)
     psi_hat = spd_project(w_inv @ kps.omega @ w_inv)
     return StackedSystem(
@@ -183,8 +188,8 @@ def build_stacked(
         kps=kps,
         xbar_lagged=xbar,
         vhat=vhat,
-        rbar=rbar,
-        residuals=resid,
+        rbar=returns.returns - returns.returns.mean(axis=1, keepdims=True),
+        residuals=reg.residuals,
         n_periods=t,
     )
 

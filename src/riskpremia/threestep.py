@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, square_stack, sym, vec
+from ._linalg import chi2_sf, chol_spd, square_stack, sym
 from .panels import FactorPanel, PanelError, ReturnPanel
 from .varstage import COND_CAP, RankError, VarEstimate, _ols_qr
 
@@ -51,10 +51,8 @@ class ReturnRegression:
     d_hat: np.ndarray       # (N, K)
     beta_hat: np.ndarray    # (N, K)
     sigma_e2: float
-    sigma_e2_by_asset: np.ndarray  # (N,)
     g_hat: np.ndarray       # (N,)
     residuals: np.ndarray   # (N, T)
-    variant: str
 
     @property
     def n_assets(self) -> int:
@@ -123,7 +121,6 @@ def second_stage(
         a, d = a0, d0
     resid = r - (design @ coef).T
     n = r.shape[0]
-    by_asset = np.einsum("nt,nt->n", resid, resid) / t
     sigma_e2 = float(np.trace(resid @ resid.T) / (n * t))
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
     return ReturnRegression(
@@ -131,10 +128,8 @@ def second_stage(
         d_hat=d,
         beta_hat=beta,
         sigma_e2=sigma_e2,
-        sigma_e2_by_asset=by_asset,
         g_hat=g,
         residuals=resid,
-        variant=variant,
     )
 
 
@@ -159,15 +154,6 @@ def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:
 # ---------------------------------------------------------------------------
 
 
-def commutation(m: int, n: int) -> np.ndarray:
-    """K_{m,n} with K vec(A) = vec(A') for m x n matrices A."""
-    k = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(n):
-            k[j + i * n, i + j * m] = 1.0
-    return k
-
-
 @dataclass(frozen=True)
 class AsymptoticCovariance:
     """Joint large-sample covariance blocks of (vec(beta), vec(Lambda)).
@@ -187,26 +173,26 @@ class AsymptoticCovariance:
 
 
 def asymptotic_covariance(
-    factors: FactorPanel,
     var: VarEstimate,
     reg: ReturnRegression,
     por: PriceOfRisk,
+    q_xx: np.ndarray,
 ) -> AsymptoticCovariance:
     """Assemble the full-rank asymptotic covariance blocks term by term.
 
     The estimator noise decomposes into three asymptotically orthogonal
     pieces: second-stage coefficient noise on (1, X_t), beta noise entering
     both directly and through the convexity recomputation, and the variance
-    of the plug-in (Sigma_v, sigma_e^2) inside the convexity term.
+    of the plug-in (Sigma_v, sigma_e^2) inside the convexity term.  The
+    second moments of (1, X_t) come from the lagged mean m and the centred
+    second moments ``q_xx``: Gamma_zz = [[1, m'], [m, Qxx + m m']].
     """
     beta = reg.beta_hat
     n, k = beta.shape
     sigma_v = var.sigma_v
     sigma2 = reg.sigma_e2
-    x = factors.factors
-    t = var.n_periods
-    z = np.column_stack([np.ones(t), x[:, :-1].T])
-    gamma_zz = z.T @ z / t
+    m = var.x_lagged_mean
+    gamma_zz = np.block([[np.ones((1, 1)), m[None, :]], [m[:, None], q_xx + np.outer(m, m)]])
     gamma_inv = np.linalg.inv(gamma_zz)
 
     pbeta = np.linalg.solve(beta.T @ beta, beta.T)          # (K, N)
@@ -217,10 +203,8 @@ def asymptotic_covariance(
     v_b = np.kron(sigma_v_inv, sigma2 * np.eye(n))          # var of vec(beta_hat)
 
     # convexity sensitivity to beta: dg_n = (beta Sigma_v)_n,: d(beta)_n,:
-    dmat = np.zeros((n, n * k))
     bsv = beta @ sigma_v
-    for j in range(k):
-        dmat[np.arange(n), j * n + np.arange(n)] = bsv[:, j]
+    dmat = (bsv[:, :, None] * np.eye(n)[:, None, :]).reshape(n, k * n)
 
     lam = np.column_stack([por.lambda0, por.lambda1])       # (K, K+1)
     e1 = np.zeros(k + 1)
@@ -230,10 +214,11 @@ def asymptotic_covariance(
     m23 = m2 + m3
     mid = m23 @ v_b @ m23.T
 
-    bstar = np.column_stack([vec(np.outer(beta[i], beta[i])) for i in range(n)]).T
-    var_vec_sigma = (np.eye(k * k) + commutation(k, k)) @ np.kron(sigma_v, sigma_v)
-    iota = np.ones((n, 1))
-    g_core = 0.25 * bstar @ var_vec_sigma @ bstar.T + (sigma2**2 / (2.0 * n)) * (iota @ iota.T)
+    # plug-in noise of g = 0.5 (diag(beta Sigma_v beta') + sigma_e^2): Gaussian
+    # innovations give Var(vec Sigma_v) = (I + K_KK)(Sigma_v kron Sigma_v), so
+    # Cov(b_i' Sigma_v b_i, b_j' Sigma_v b_j) = 2 (b_i' Sigma_v b_j)^2 per period
+    bsb = bsv @ beta.T
+    g_core = 0.5 * bsb * bsb + sigma2**2 / (2.0 * n)
     g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
 
     v_lambda = sym(term1 + mid + g_extra)

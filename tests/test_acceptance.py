@@ -57,7 +57,7 @@ def random_instance(rng, k, n, t=80, beta_scale=1.0, sigma_e=0.5):
     sigma_v = np.eye(k) + 0.2 * (np.ones((k, k)) - np.eye(k))
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t)
     var = fit_var1(factors)
-    return build_stacked(returns, factors, var), lam1, (returns, factors, var)
+    return build_stacked(returns, factors, var, second_stage(returns, factors, var)), lam1, (returns, factors, var)
 
 
 def test_criterion_1_far_decomposition():

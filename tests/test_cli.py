@@ -75,6 +75,24 @@ def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
     assert est["cov_mode"] in ("kps", "hc0")
 
 
+def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
+    from riskpremia.kronecker import kps_residual_report
+    from riskpremia.panels import excess_returns, load_yield_csv, pca_factors
+    from riskpremia.pipeline import fit_model
+
+    out = tmp_path / "est"
+    assert run(["estimate", "--input", yields_csv, "--maturities", "12,24",
+                "--factors", "pca:2", "--out", out]) == 0
+    est = json.loads((out / "estimates.json").read_text())
+    panel = load_yield_csv(yields_csv)
+    fit = fit_model(excess_returns(panel, [12, 24]), pca_factors(panel, 2))
+    # the diagnostic the fit chose its mode by, equal to a fresh report
+    # of its factorization to the last digit written
+    assert est["kps_diagnostic"] == fit.kps_diag.to_dict()
+    assert est["kps_diagnostic"] == kps_residual_report(fit.stacked.kps).to_dict()
+    assert est["kps_spectrum"] == fit.stacked.kps.spectrum.tolist()
+
+
 def test_same_command_twice_is_byte_identical(tmp_path, yields_csv):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors",

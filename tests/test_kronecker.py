@@ -188,7 +188,8 @@ def kronecker_terms(draw):
     vhat = rng.standard_normal((k, t))
     resid = draw(st.sampled_from([0.0, 0.3, 1.0])) * rng.standard_normal((n, t))
     beta = draw(st.sampled_from([1.0, 1e-3, 1e-6])) * rng.standard_normal((n, k))
-    return model_score_terms(xbar, vhat, resid, beta)
+    sig2 = float(np.einsum("nt,nt->", resid, resid) / resid.size)
+    return model_score_terms(xbar @ xbar.T / t, vhat @ vhat.T / t, sig2, beta)
 
 
 def _rel(a, b):

@@ -22,6 +22,7 @@ from riskpremia.moments import (
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import build_stacked, far_trace
+from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
 from test_subset import fitted_system, synthetic_system
@@ -51,7 +52,7 @@ def test_moment_vector_zero_on_noiseless_fit():
     var = fit_var1(factors)
     r = beta @ (lam1 @ factors.factors[:, :-1] + var.residuals)
     returns = ReturnPanel(tuple(range(5)), r, tuple(f"t{i}" for i in range(60)))
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     f = moment_vector(sys, lam1)
     assert np.abs(f).max() < 1e-12 * max(1.0, np.abs(sys.rbar).max())
 
@@ -112,7 +113,7 @@ def test_vff_modes_agree_on_near_kps_dgp():
         np.array([[1.0]]), 1.0, 10_000,
     )
     var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     v_kps = vff_estimator(sys, lam1, mode="kps")
     v_hc0 = vff_estimator(sys, lam1, mode="hc0")
     rel = np.linalg.norm(v_kps - v_hc0) / np.linalg.norm(v_hc0)
@@ -128,7 +129,7 @@ def test_vqf_kps_close_to_hc0_reference_on_near_kps_dgp():
         np.array([[1.0]]), 1.0, 10_000,
     )
     var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     v_kps = vqf_estimator(sys, lam1, mode="kps")
     v_hc0 = vqf_estimator(sys, lam1, mode="hc0")
     denom = np.linalg.norm(v_hc0)
@@ -224,6 +225,22 @@ def test_hc0_scores_computed_once_per_hypothesis(monkeypatch):
     assert len(calls) == 3
 
 
+def test_sigma_v_inv_vhat_solved_once_per_system(monkeypatch):
+    sys, lam1 = fitted_system(k=2, n=5, t=80, seed=53)
+    solve = np.linalg.solve
+    calls = []
+
+    def counting_solve(a, b):
+        calls.append(b is sys.vhat)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    for lam in (lam1, lam1 + 0.1, lam1 - 0.3):
+        robust_tests(sys, lam, mode="hc0")
+    # shared by the hc0 scores and the Jacobian scores of every hypothesis
+    assert sum(calls) == 1
+
+
 # -- orthogonalized Jacobian ---------------------------------------------------------
 
 
@@ -251,7 +268,7 @@ def test_far_zero_when_moment_vanishes():
     var = fit_var1(factors)
     r = beta @ (lam1 @ factors.factors[:, :-1] + var.residuals)
     returns = ReturnPanel(tuple(range(5)), r, tuple(f"t{i}" for i in range(60)))
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     res = far(sys, lam1, mode="kps")
     assert res.statistic == pytest.approx(0.0, abs=1e-9)
     assert res.pvalue == pytest.approx(1.0)

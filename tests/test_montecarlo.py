@@ -96,7 +96,7 @@ def test_calibrate_simulate_self_consistency():
     spec0 = preset_dgp("strong", k=2, n=6, t=300)
     returns, factors = simulate(spec0, seed=3)
     fit = fit_model(returns, factors)
-    spec = calibrate(fit.returns, fit.factors, fit.var, fit.reg, fit.por, t=100_000)
+    spec = calibrate(fit.var, fit.reg, fit.por, t=100_000)
     big_r, big_f = simulate(spec, seed=4)
     refit = fit_model(big_r, big_f)
     cov = refit.asymptotic_cov

@@ -12,6 +12,7 @@ from riskpremia.panels import (
     excess_returns,
     load_yield_csv,
     pca_factors,
+    save_return_csv,
     save_yield_csv,
 )
 
@@ -93,6 +94,18 @@ def test_panel_invariants():
         YieldPanel(("a", "b", "c"), (1, 2), np.array([[0, 0], [np.nan, 0], [0, 0]]))
     with pytest.raises(PanelError, match="demeaned"):
         FactorPanel(np.ones((1, 4)), ("f",), demeaned=True)
+
+
+def test_return_dates_optional_and_validated_when_given(tmp_path):
+    r = np.array([[1.0, 2.0, 3.0]])
+    assert ReturnPanel((12,), r).n_periods == 3
+    with pytest.raises(PanelError, match="maturities/dates"):
+        ReturnPanel((12,), r, ("a", "b"))
+    with pytest.raises(PanelError, match="duplicate"):
+        ReturnPanel((12,), r, ("a", "a", "b"))
+    path = tmp_path / "returns.csv"
+    save_return_csv(path, ReturnPanel((12,), r))
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["0", "1", "2"]
 
 
 # -- excess returns ------------------------------------------------------------

@@ -23,6 +23,7 @@ from riskpremia.subset import (
     sfar_row,
     stacked_score_covariance,
 )
+from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
 from test_threestep import make_dataset, default_params
@@ -35,7 +36,7 @@ def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=
         beta = beta * np.asarray(beta_scale)[None, :]
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t)
     var = fit_var1(factors)
-    return build_stacked(returns, factors, var), lam1
+    return build_stacked(returns, factors, var, second_stage(returns, factors, var)), lam1
 
 
 def synthetic_system(rng, k, n, t=100):
@@ -73,7 +74,7 @@ def test_build_stacked_noiseless_population_identity():
     var = fit_var1(factors)
     r = beta @ (lam1 @ factors.factors[:, :-1] + var.residuals)
     returns = ReturnPanel(tuple(range(5)), r, tuple(f"t{i}" for i in range(60)))
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     assert np.allclose(sys.d_hat, beta @ lam1, atol=1e-10)
     assert np.allclose(sys.beta_hat, beta, atol=1e-10)
     assert np.linalg.matrix_rank(sys.phi_hat, tol=1e-8) == 2
@@ -84,7 +85,7 @@ def test_build_stacked_matches_two_block_ols_oracle():
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=1, n=3)
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 6)
     var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     xbar = factors.factors[:, :-1] - factors.factors[:, :-1].mean(axis=1, keepdims=True)
     rbar = returns.returns - returns.returns.mean(axis=1, keepdims=True)
     design = np.vstack([xbar, var.residuals]).T
@@ -97,14 +98,28 @@ def test_build_stacked_asset_permutation_equivariance():
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=2, n=4)
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 80)
     var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     perm = [2, 0, 3, 1]
     rp = ReturnPanel(
         tuple(returns.maturities_held[i] for i in perm), returns.returns[perm], returns.dates
     )
-    sys_p = build_stacked(rp, factors, var)
+    sys_p = build_stacked(rp, factors, var, second_stage(rp, factors, var))
     assert np.allclose(sys_p.phi_hat, sys.phi_hat[perm], rtol=1e-10)
     assert np.allclose(sys_p.w_hat, sys.w_hat, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_stacked_system_reuses_second_stage(variant):
+    rng = np.random.default_rng(4)
+    beta, lam0, lam1, mu, phi, sigma_v = default_params(k=2, n=5)
+    returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 90)
+    var = fit_var1(factors)
+    reg = second_stage(returns, factors, var, variant=variant)
+    sys = build_stacked(returns, factors, var, reg)
+    # Phi = (d + beta phi1 : beta) is the second stage itself, not a re-fit
+    assert sys.residuals is reg.residuals
+    assert np.array_equal(sys.d_hat, reg.d_hat + reg.beta_hat @ var.phi1)
+    assert np.array_equal(sys.beta_hat, reg.beta_hat)
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,7 +141,7 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
         2 * k,
         n,
     )
-    dense_sys = build_stacked(returns, factors, fit.var, kps=dense)
+    dense_sys = build_stacked(returns, factors, fit.var, fit.reg, kps=dense)
     assert fit.cov_mode == ("kps" if kps_residual_report(dense).passed else "hc0")
     h = SubsetHypothesis("row", 0, spec.lambda1[0])
     got = sfar_row(h, stacked).statistic

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskpremia._linalg import sym, vec
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.threestep import (
+    AsymptoticCovariance,
+    PriceOfRisk,
+    ReturnRegression,
     asymptotic_covariance,
-    commutation,
     convexity_adjustment,
     second_stage,
     third_stage,
     wald_test,
 )
-from riskpremia.varstage import RankError, fit_var1
+from riskpremia.varstage import RankError, VarEstimate, fit_var1
 
 
 def make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t):
@@ -115,17 +121,13 @@ def test_convexity_matches_loop_oracle():
 
 
 def test_third_stage_identity_projection():
-    from riskpremia.threestep import ReturnRegression
-    from riskpremia.varstage import VarEstimate
-
     n = k = 3
     rng = np.random.default_rng(4)
     a = rng.standard_normal(n)
     d = rng.standard_normal((n, k))
     reg = ReturnRegression(
         a_hat=a, d_hat=d, beta_hat=np.eye(n), sigma_e2=0.0,
-        sigma_e2_by_asset=np.zeros(n), g_hat=np.zeros(n),
-        residuals=np.zeros((n, 4)), variant="II",
+        g_hat=np.zeros(n), residuals=np.zeros((n, 4)),
     )
     var = VarEstimate(
         mu=np.zeros(k), phi1=np.zeros((k, k)), residuals=np.zeros((k, 4)),
@@ -167,14 +169,10 @@ def test_third_stage_matches_qr_solve_oracle():
 
 
 def test_near_singular_beta_raises():
-    from riskpremia.threestep import ReturnRegression
-    from riskpremia.varstage import VarEstimate
-
     beta = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14], [2.0, 2.0]])
     reg = ReturnRegression(
         a_hat=np.zeros(3), d_hat=np.zeros((3, 2)), beta_hat=beta, sigma_e2=0.0,
-        sigma_e2_by_asset=np.zeros(3), g_hat=np.zeros(3),
-        residuals=np.zeros((3, 4)), variant="II",
+        g_hat=np.zeros(3), residuals=np.zeros((3, 4)),
     )
     var = VarEstimate(
         mu=np.zeros(2), phi1=np.zeros((2, 2)), residuals=np.zeros((2, 4)),
@@ -195,11 +193,66 @@ def fit_all(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t):
     return factors, var, reg, por
 
 
+def lagged_q_xx(factors):
+    """Centred second moments of the lagged factors X_0..X_{T-1}."""
+    lagged = factors.factors[:, :-1]
+    centered = lagged - lagged.mean(axis=1, keepdims=True)
+    return centered @ centered.T / centered.shape[1]
+
+
+def commutation(m, n):
+    """K_{m,n} with K vec(A) = vec(A') for m x n matrices A."""
+    k = np.zeros((m * n, m * n))
+    for i in range(m):
+        for j in range(n):
+            k[j + i * n, i + j * m] = 1.0
+    return k
+
+
+def term_by_term_covariance(factors, var, reg, por):
+    """The covariance built from the factor panel, with the Gaussian variance
+    of vec(Sigma_v) as (I + K_{K,K})(Sigma_v kron Sigma_v) and a loop-built
+    convexity sensitivity: the oracle for ``asymptotic_covariance``."""
+    beta = reg.beta_hat
+    n, k = beta.shape
+    sigma_v = var.sigma_v
+    sigma2 = reg.sigma_e2
+    x = factors.factors
+    t = var.n_periods
+    z = np.column_stack([np.ones(t), x[:, :-1].T])
+    gamma_inv = np.linalg.inv(z.T @ z / t)
+
+    pbeta = np.linalg.solve(beta.T @ beta, beta.T)
+    sigma_u = beta @ sigma_v @ beta.T + sigma2 * np.eye(n)
+    term1 = np.kron(gamma_inv, pbeta @ sigma_u @ pbeta.T)
+    v_b = np.kron(np.linalg.inv(sigma_v), sigma2 * np.eye(n))
+
+    dmat = np.zeros((n, n * k))
+    bsv = beta @ sigma_v
+    for j in range(k):
+        dmat[np.arange(n), j * n + np.arange(n)] = bsv[:, j]
+
+    lam = np.column_stack([por.lambda0, por.lambda1])
+    e1 = np.zeros(k + 1)
+    e1[0] = 1.0
+    m23 = np.kron(e1[:, None], pbeta @ dmat) - np.kron(lam.T, pbeta)
+    mid = m23 @ v_b @ m23.T
+
+    bstar = np.column_stack([vec(np.outer(beta[i], beta[i])) for i in range(n)]).T
+    var_vec_sigma = (np.eye(k * k) + commutation(k, k)) @ np.kron(sigma_v, sigma_v)
+    iota = np.ones((n, 1))
+    g_core = 0.25 * bstar @ var_vec_sigma @ bstar.T + (sigma2**2 / (2.0 * n)) * (iota @ iota.T)
+    g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
+    return AsymptoticCovariance(
+        v_beta=v_b, c_lambda_beta=m23 @ v_b, v_lambda=sym(term1 + mid + g_extra)
+    )
+
+
 def test_v_beta_identity_case():
     rng = np.random.default_rng(7)
     beta, lam0, lam1, mu, phi, _ = default_params(k=2, n=4)
     factors, var, reg, por = fit_all(rng, beta, lam0, lam1, mu, phi, np.eye(2), 1.0, 5000)
-    cov = asymptotic_covariance(factors, var, reg, por)
+    cov = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
     target = np.kron(np.linalg.inv(var.sigma_v), reg.sigma_e2 * np.eye(4))
     assert np.allclose(cov.v_beta, target, rtol=1e-12)
 
@@ -211,6 +264,33 @@ def test_commutation_matrix():
     assert np.allclose(k @ a.reshape(-1, order="F"), a.T.reshape(-1, order="F"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_covariance_matches_term_by_term_oracle(k, extra, seed):
+    rng = np.random.default_rng(seed)
+    n, t = k + extra, 40
+    # factors with a nonzero mean, so Gamma_zz is not block diagonal
+    x = rng.uniform(-3.0, 3.0, (k, 1)) + rng.standard_normal((k, t + 1))
+    factors = FactorPanel(x, tuple(f"f{i}" for i in range(k)))
+    a = rng.standard_normal((k, k))
+    var = VarEstimate(
+        mu=rng.standard_normal(k), phi1=0.3 * rng.standard_normal((k, k)),
+        residuals=np.zeros((k, t)), sigma_v=a @ a.T + 0.1 * np.eye(k),
+        x_lagged_mean=x[:, :-1].mean(axis=1),
+    )
+    reg = ReturnRegression(
+        a_hat=rng.standard_normal(n), d_hat=rng.standard_normal((n, k)),
+        beta_hat=rng.standard_normal((n, k)), sigma_e2=float(rng.uniform(0.1, 2.0)),
+        g_hat=rng.standard_normal(n), residuals=np.zeros((n, t)),
+    )
+    por = PriceOfRisk(lambda0=rng.standard_normal(k), lambda1=rng.standard_normal((k, k)))
+    got = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
+    ref = term_by_term_covariance(factors, var, reg, por)
+    for name in ("v_beta", "c_lambda_beta", "v_lambda"):
+        a_, b_ = getattr(got, name), getattr(ref, name)
+        assert np.linalg.norm(a_ - b_) <= 1e-12 * np.linalg.norm(b_), name
+
+
 def test_covariance_scalar_oracle_k1_n2():
     """Term-by-term scalar re-derivation of V_Lambda for K=1, N=2."""
     rng = np.random.default_rng(9)
@@ -218,7 +298,7 @@ def test_covariance_scalar_oracle_k1_n2():
     lam0, lam1 = np.array([0.4]), np.array([[0.25]])
     mu, phi = np.array([0.1]), np.array([[0.5]])
     factors, var, reg, por = fit_all(rng, beta, lam0, lam1, mu, phi, np.array([[0.8]]), 0.6, 400)
-    cov = asymptotic_covariance(factors, var, reg, por)
+    cov = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
 
     b = reg.beta_hat[:, 0]
     s_v = var.sigma_v[0, 0]
@@ -249,7 +329,7 @@ def test_wald_zero_at_estimate_and_affine_invariance():
     rng = np.random.default_rng(10)
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=2, n=6)
     factors, var, reg, por = fit_all(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.4, 300)
-    cov = asymptotic_covariance(factors, var, reg, por)
+    cov = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
     res = wald_test(por, cov, por.lambda1, t=300)
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.pvalue == pytest.approx(1.0)
@@ -278,6 +358,6 @@ def test_wald_zero_on_noiseless_data():
     returns = ReturnPanel(tuple(range(6)), r, tuple(f"t{i}" for i in range(80)))
     reg = second_stage(returns, factors, var)
     por = third_stage(reg, var)
-    cov = asymptotic_covariance(factors, var, reg, por)
+    cov = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
     res = wald_test(por, cov, lam1, t=80)
     assert res.statistic < 1e-10

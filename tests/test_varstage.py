@@ -3,6 +3,7 @@ import pytest
 
 from riskpremia.panels import FactorPanel, PanelError, ReturnPanel
 from riskpremia.subset import build_stacked
+from riskpremia.threestep import second_stage
 from riskpremia.varstage import RankError, fit_var1
 
 
@@ -69,7 +70,8 @@ def test_residual_orthogonality_and_qxx():
     returns = ReturnPanel(
         (1, 2), rng.standard_normal((2, 200)), tuple(f"t{i}" for i in range(200))
     )
-    q_xx = build_stacked(returns, make_panel(x), est).q_xx
+    factors = make_panel(x)
+    q_xx = build_stacked(returns, factors, est, second_stage(returns, factors, est)).q_xx
     assert np.allclose(q_xx, centered @ centered.T / 200, rtol=1e-12)
 
 
