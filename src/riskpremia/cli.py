@@ -241,23 +241,25 @@ def cmd_test(args) -> int:
     _, returns, factors = _build_panels(args)
     fit = fit_model(returns, factors, cov=args.cov)
     k = fit.n_factors
+    stats = [stat.strip().lower() for stat in args.stat.split(",")]
+    robust = [stat for stat in stats if stat in ("far", "klm", "jklm")]
+    if robust or "wald" in stats:
+        lam = _parse_h0(args.h0, k, full=True)
+    robust = robust_tests(fit, lam, which=tuple(robust)) if robust else {}
+    if "sfar" in stats:
+        value = _parse_h0(args.h0, k, full=False)
+        h = SubsetHypothesis(args.subset_kind, args.subset_index, value)
     results = []
-    for stat in args.stat.split(","):
-        stat = stat.strip().lower()
-        if stat in ("far", "klm", "jklm"):
-            lam = _parse_h0(args.h0, k, full=True)
-            res = robust_tests(fit, lam, which=(stat,))[stat]
-            results.append(res.to_dict())
+    for stat in stats:
+        if stat in robust:
+            results.append(robust[stat].to_dict())
         elif stat == "wald":
-            lam = _parse_h0(args.h0, k, full=True)
             res = fit.wald(lam)
             results.append({
                 "name": "Wald", "statistic": res.statistic, "dof": res.dof,
                 "pvalue": res.pvalue, "bound_only": False, "h0": lam.tolist(),
             })
         elif stat == "sfar":
-            value = _parse_h0(args.h0, k, full=False)
-            h = SubsetHypothesis(args.subset_kind, args.subset_index, value)
             res = sfar_row(h, fit.stacked) if args.subset_kind == "row" else sfar_column(h, fit.stacked)
             d = res.to_dict()
             d.update({"name": "sFAR", "bound_only": True, "h0": value.tolist(),

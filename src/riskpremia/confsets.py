@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chi2_sf
-from .moments import dofs, robust_statistics
+from .moments import TESTS, dofs, robust_statistics
 from .pipeline import FIT_ERRORS, ModelFit
 from .subset import (
     SubsetHypothesis,
@@ -140,28 +140,31 @@ class ConfidenceSet:
         return self.accepted.shape[0] == 0
 
 
-def _chunk_evaluator(test: str, fit: ModelFit, binding: ParameterBinding, mode=None):
-    """(evaluator, chunk size): p-values of a stack of parameter vectors (B, P)."""
+def _chunk_evaluator(tests: tuple, fit: ModelFit, binding: ParameterBinding, mode=None):
+    """(evaluator, chunk size): p-values (tests, B) of a stack of parameter vectors (B, P)."""
     k, n, t = fit.n_factors, fit.n_assets, fit.n_periods
+    test = tests[0]
+    if len(tests) > 1 and not set(tests) <= set(TESTS):
+        raise ValueError(f"{tests!r} is not one family: any of far/klm/jklm, wald, or sfar")
     if test in ("far", "klm", "jklm", "wald") and binding.kind != "full":
         raise ValueError(f"{test} requires a 'full' binding over vec(Lambda1)")
 
     def lambdas(params):
         return params.reshape(-1, k, k).swapaxes(-1, -2)   # column-major vec
 
-    if test in ("far", "klm", "jklm"):
+    if test in TESTS:
         mode = mode or fit.cov_mode
-        dof = dofs(k, n)[test]
+        dof = dofs(k, n)
         nk = n * k
         floats = 3 * nk * nk                  # V_ff, its symmetrized copy, its factor
         if mode == "hc0":
             floats += t * nk                  # hc0 scores
-        if test != "far":
+        if {"klm", "jklm"} & set(tests):
             floats += 2 * nk * nk * k * k     # V_qf and its product
 
         def ev(params):
-            stat = robust_statistics(fit.stacked, lambdas(params), mode, (test,))[test]
-            pvalues = chi2_sf(stat, dof)
+            stats = robust_statistics(fit.stacked, lambdas(params), mode, tests)
+            pvalues = np.array([chi2_sf(stats[name], dof[name]) for name in tests])
             if not np.all((pvalues >= 0.0) & (pvalues <= 1.0)):
                 raise ValueError("p-value outside [0, 1]")
             return pvalues
@@ -171,7 +174,7 @@ def _chunk_evaluator(test: str, fit: ModelFit, binding: ParameterBinding, mode=N
         floats = k * k
 
         def ev(params):
-            return chi2_sf(wald_statistics(fit.por, cov, lambdas(params), t), k * k)
+            return chi2_sf(wald_statistics(fit.por, cov, lambdas(params), t), k * k)[None]
 
     elif test == "sfar":
         if binding.kind == "full":
@@ -180,18 +183,52 @@ def _chunk_evaluator(test: str, fit: ModelFit, binding: ParameterBinding, mode=N
             # each point runs its own numerical minimization: nothing to stack
             def ev(params):
                 hypotheses = [SubsetHypothesis("column", binding.index, p) for p in params]
-                return np.array([sfar_column(h, fit.stacked).pvalue_upper for h in hypotheses])
+                return np.array([[sfar_column(h, fit.stacked).pvalue_upper for h in hypotheses]])
 
             return ev, 1
         floats = 4 * (2 * k) ** 2   # restriction matrices, congruences, factors
 
         def ev(params):
             stat = sfar_row_statistics(fit.stacked, params, binding.index)
-            return chi2_sf(stat, sfar_dof(fit.stacked))
+            return chi2_sf(stat, sfar_dof(fit.stacked))[None]
 
     else:
         raise ValueError(f"unknown test {test!r}; expected one of {VALID_TESTS}")
     return ev, max(1, CHUNK_BYTES // (8 * floats))
+
+
+def scan_pvalues(
+    tests,
+    fit: ModelFit,
+    binding: ParameterBinding,
+    params: np.ndarray,
+    mode: str | None = None,
+) -> tuple[np.ndarray, tuple]:
+    """P-values (len(tests), B) of one test family at a parameter stack (B, P),
+    and the failed points as (index, repr of the exception).
+
+    The family is any of far/klm/jklm (one pass of the robust statistics), or
+    wald, or sfar.  Points are evaluated in stacked chunks; a chunk that raises
+    a numerical failure or an invalid-value error (a hypothesis or p-value out
+    of range) is evaluated again point by point, and the points that raise one
+    carry NaN.  Any other exception propagates, as does a failed per-fit setup
+    (Wald on a fit without a price of risk).
+    """
+    tests = tuple(tests)
+    ev, size = _chunk_evaluator(tests, fit, binding, mode)
+    pvalues = np.full((len(tests), len(params)), np.nan)
+    failures = []
+    for start in range(0, len(params), size):
+        chunk = slice(start, start + size)
+        try:
+            pvalues[:, chunk] = ev(params[chunk])
+        except FIT_ERRORS + (ValueError,):
+            for i in range(start, min(start + size, len(params))):
+                try:
+                    pvalues[:, i] = ev(params[i : i + 1])[:, 0]
+                except FIT_ERRORS + (ValueError,) as exc:
+                    failures.append((i, repr(exc)))
+    return pvalues, tuple(failures)
 
 
 def pvalue_curve(
@@ -200,33 +237,15 @@ def pvalue_curve(
     fit: ModelFit,
     mode: str | None = None,
 ) -> PvalueSurface:
-    """P-value at every grid point.
-
-    Points are evaluated in stacked chunks.  Points whose evaluation raises a
-    numerical failure or an invalid-value error (a hypothesis or p-value out
-    of range) carry NaN and are recorded with their exception: a chunk that
-    raises one is evaluated again point by point.  Any other exception
-    propagates.
-    """
-    ev, size = _chunk_evaluator(test, fit, grid.binding, mode)
+    """P-value at every grid point: ``scan_pvalues`` of the one test over
+    the grid's parameter vectors, failed points NaN and recorded."""
     params = grid.binding.assemble(grid.points())
-    pvalues = np.full(len(params), np.nan)
-    failures = []
-    for start in range(0, len(params), size):
-        chunk = slice(start, start + size)
-        try:
-            pvalues[chunk] = ev(params[chunk])
-        except FIT_ERRORS + (ValueError,):
-            for i in range(start, min(start + size, len(params))):
-                try:
-                    pvalues[i] = ev(params[i : i + 1])[0]
-                except FIT_ERRORS + (ValueError,) as exc:
-                    failures.append((i, repr(exc)))
+    pvalues, failures = scan_pvalues((test,), fit, grid.binding, params, mode)
     return PvalueSurface(
         grid=grid,
         test=test,
-        pvalues=pvalues.reshape(grid.shape),
-        failures=tuple(failures),
+        pvalues=pvalues[0].reshape(grid.shape),
+        failures=failures,
     )
 
 

@@ -165,16 +165,6 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
     return _vqf(sys, lam1_0, mode, scores)
 
 
-def vqf_discrepancy(sys: StackedSystem, lam1_0) -> float:
-    """Relative Frobenius gap between the Kronecker-form and outer-product
-    Jacobian/moment covariance estimators; values above ~0.10 indicate the
-    Kronecker structure is a poor description of the scores."""
-    v_kps = vqf_estimator(sys, lam1_0, "kps")
-    v_hc0 = vqf_estimator(sys, lam1_0, "hc0")
-    denom = max(np.linalg.norm(v_hc0), np.finfo(float).tiny)
-    return float(np.linalg.norm(v_kps - v_hc0) / denom)
-
-
 def _moment_system(sys: StackedSystem, lam1_0, mode: str, which) -> MomentSystem:
     """The moment system at one hypothesis or a stack; the Jacobian blocks
     only when KLM or JKLM is in ``which``."""

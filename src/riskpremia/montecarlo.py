@@ -14,6 +14,8 @@ import scipy.linalg
 import scipy.stats
 
 from ._linalg import chi2_ppf
+from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalues
+from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
 from .pipeline import FIT_ERRORS, ModelFit, fit_model
 from .subset import SubsetHypothesis, sfar_row
@@ -218,34 +220,16 @@ class PowerTable:
     level: float
 
 
-def _evaluate_tests(fit: ModelFit, tests, h0_mats, level):
-    """Rejection indicators, NaN on per-point failure."""
-    from .moments import robust_tests
-
-    out = np.full((len(tests), len(h0_mats)), np.nan)
-    robust = [t for t in tests if t in ("far", "klm", "jklm")]
-    for j, lam in enumerate(h0_mats):
-        if robust:
-            try:
-                res = robust_tests(fit, lam, which=tuple(robust))
-                for i, t in enumerate(tests):
-                    if t in res:
-                        out[i, j] = res[t].pvalue < level
-            except FIT_ERRORS:
-                pass
-        if "wald" in tests:
-            i = tests.index("wald")
-            try:
-                out[i, j] = fit.wald(lam).pvalue < level
-            except FIT_ERRORS:
-                pass
-        if "sfar" in tests:
-            i = tests.index("sfar")
-            try:
-                h = SubsetHypothesis("row", 0, np.asarray(lam)[0])
-                out[i, j] = sfar_row(h, fit.stacked).pvalue_upper < level
-            except FIT_ERRORS:
-                pass
+def _evaluate_tests(fit: ModelFit, families, level, shape):
+    """Rejection indicators (tests, points), NaN where a test failed; one
+    ``scan_pvalues`` per family of (rows, tests, binding, parameter stack)."""
+    out = np.full(shape, np.nan)
+    for rows, tests, binding, params in families:
+        try:
+            pvalues, _ = scan_pvalues(tests, fit, binding, params)
+        except FIT_ERRORS:   # per-fit setup: Wald without a price of risk
+            continue
+        out[rows] = np.where(np.isnan(pvalues), np.nan, pvalues < level)
     return out
 
 
@@ -259,26 +243,42 @@ def power_curve(
 ) -> PowerTable:
     """Rejection frequencies of the chosen tests over a hypothesis grid.
 
-    ``h0_grid`` holds K x K matrices (scalars allowed when K = 1).  The sFAR
+    ``h0_grid`` holds finite K x K matrices (scalars allowed when K = 1); an
+    invalid one raises ValueError before any replicate is drawn.  The sFAR
     entry tests the first row of Lambda1 against the matrix's first row.
+    Each replicate's fit runs one ``confsets.scan_pvalues`` per test family
+    (far/klm/jklm together, wald, sfar) over the whole grid; ``failures``
+    counts, per test, the (replicate, hypothesis) pairs without a result.
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates for stable frequencies")
     tests = [t.lower() for t in tests]
+    if set(tests) - set(VALID_TESTS):
+        raise ValueError(f"unknown test in {tests}; expected any of {VALID_TESTS}")
     k = spec.n_factors
-    h0_mats = [np.asarray(h, dtype=float).reshape(k, k) for h in h0_grid]
+    h0_mats = np.array([np.asarray(h, dtype=float).reshape(k, k) for h in h0_grid])
+    if not np.isfinite(h0_mats).all():
+        raise ValueError("hypotheses must be finite")
+    params = h0_mats.swapaxes(-1, -2).reshape(-1, k * k)      # column-major vec
+    full, families = full_lambda_binding(k), []
+    for family, binding, stack in (
+        (TESTS, full, params), (("wald",), full, params), (("sfar",), row_binding(k, 0), h0_mats[:, 0])
+    ):
+        rows = [i for i, t in enumerate(tests) if t in family]
+        if rows:
+            families.append((rows, [tests[i] for i in rows], binding, stack))
+    shape = (len(tests), len(h0_mats))
     results = _replicates(
-        spec, reps, seed, lambda fit: _evaluate_tests(fit, tests, h0_mats, level)
+        spec, reps, seed, lambda fit: _evaluate_tests(fit, families, level, shape)
     )
-    failed = np.full((len(tests), len(h0_mats)), np.nan)
-    stack = np.stack([failed if r is None else r for r in results])  # (reps, tests, points)
+    stack = np.stack([np.full(shape, np.nan) if r is None else r for r in results])
     counts = np.sum(~np.isnan(stack), axis=0)
     freq = np.nansum(stack, axis=0) / np.maximum(counts, 1)
     se = np.sqrt(np.maximum(freq * (1 - freq), 0.0) / np.maximum(counts, 1))
     failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
     return PowerTable(
         tests=tuple(tests),
-        grid=np.array([m.reshape(-1, order="F") for m in h0_mats]),
+        grid=params,
         rejection=freq,
         std_error=se,
         failures=failures,
@@ -350,21 +350,23 @@ def power_surface(
 ) -> np.ndarray:
     """Rejection frequency of the row-subset test over a 2D hypothesis grid.
 
-    Requires K = 2: the tested row runs over (axis1 x axis2).
+    Requires K = 2: the tested row runs over (axis1 x axis2).  Each
+    replicate's fit runs one ``confsets.scan_pvalues`` of sFAR over the whole
+    mesh and rejects where p < level; a replicate with a failed point is
+    dropped.  Non-finite axis values raise ValueError before any replicate.
     """
     if spec.n_factors != 2:
         raise ValueError("power_surface is defined for two-factor models")
     if level >= 1.0:
         return np.ones((len(axis1), len(axis2)))
-    crit = chi2_ppf(1 - level, 2 * (spec.n_assets - 1))
+    points = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
+    if not np.isfinite(points).all() or row_index not in (0, 1):
+        raise ValueError("hypotheses must be finite and row_index 0 or 1")
+    binding = row_binding(2, row_index)
 
     def rejections(fit):
-        stat = [
-            [sfar_row(SubsetHypothesis("row", row_index, np.array([v1, v2])), fit.stacked).statistic
-             for v2 in axis2]
-            for v1 in axis1
-        ]
-        return np.array(stat) > crit
+        pvalues, failures = scan_pvalues(("sfar",), fit, binding, points)
+        return None if failures else (pvalues[0] < level).reshape(len(axis1), len(axis2))
 
     kept = [r for r in _replicates(spec, reps, seed, rejections) if r is not None]
     return sum(kept, np.zeros((len(axis1), len(axis2)))) / max(len(kept), 1)

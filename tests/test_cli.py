@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 import riskpremia
+from riskpremia import cli
 from riskpremia.cli import main
+from riskpremia.moments import robust_tests
 from riskpremia.panels import YieldPanel, save_yield_csv
+from riskpremia.pipeline import fit_model
+from riskpremia.subset import SubsetHypothesis, sfar_row
 
 
 @pytest.fixture()
@@ -100,6 +104,28 @@ def test_same_command_twice_is_byte_identical(tmp_path, yields_csv):
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
     assert (out1 / "tests.json").read_text() == (out2 / "tests.json").read_text()
+
+
+def test_test_command_matches_one_call_per_statistic(tmp_path, yields_csv):
+    # one call per statistic, rendered by the CLI's own writer: computing the
+    # robust statistics in one pass must not change tests.json by a byte
+    argv = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+            "--stat", "far,klm,jklm,wald,sfar", "--h0", "zeros", "--out", tmp_path / "t"]
+    assert run(argv) == 0
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    _, returns, factors = cli._build_panels(args)
+    fit = fit_model(returns, factors, cov=args.cov)
+    lam = np.zeros((2, 2))
+    results = [robust_tests(fit, lam, which=(s,))[s].to_dict() for s in ("far", "klm", "jklm")]
+    wald = fit.wald(lam)
+    results.append({"name": "Wald", "statistic": wald.statistic, "dof": wald.dof,
+                    "pvalue": wald.pvalue, "bound_only": False, "h0": lam.tolist()})
+    sfar = sfar_row(SubsetHypothesis("row", 0, np.zeros(2)), fit.stacked).to_dict()
+    sfar.update({"name": "sFAR", "bound_only": True, "h0": [0.0, 0.0],
+                 "pvalue": sfar.pop("pvalue_upper")})
+    results.append(sfar)
+    expected = cli._render_json({"results": results}) + "\n"
+    assert (tmp_path / "t" / "tests.json").read_text() == expected
 
 
 def test_test_command_far_dof(tmp_path, yields_csv):

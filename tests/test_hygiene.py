@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every imported name is used."""
+"""Source hygiene checks that need no linter: every imported name is used,
+and no handler catches every exception."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,44 @@ def test_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def broad_handlers(source: str) -> list[tuple[str, ast.ExceptHandler]]:
+    """(enclosing function, handler) for every handler that catches
+    Exception, BaseException or, bare, everything."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(c is None or getattr(c, "id", None) in ("Exception", "BaseException")
+                       for c in caught):
+                    found.append((func, child))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scanner_flags_every_catch_all_handler():
+    src = (
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+        "def f():\n    try:\n        pass\n    except (KeyError, Exception):\n        pass\n"
+        "    except:\n        pass\n"
+        "    def g():\n        try:\n            pass\n        except BaseException:\n            pass\n"
+    )
+    assert [(func, h.lineno) for func, h in broad_handlers(src)] == [("f", 8), ("f", 10), ("g", 15)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_catch_all_handlers(path):
+    # errors are typed and never swallowed; the one exception is the CLI's
+    # last resort, which reports an internal error as exit code 4
+    found = broad_handlers(path.read_text())
+    if path.name == "cli.py":
+        last_resort = [h for func, h in found if func == "main"]
+        assert len(last_resort) == 1 and ast.unparse(last_resort[0].body[-1]) == "return 4"
+        found = [(func, h) for func, h in found if func != "main"]
+    assert [f"{func} (line {h.lineno})" for func, h in found] == []

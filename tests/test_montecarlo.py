@@ -16,10 +16,12 @@ from riskpremia.montecarlo import (
     simulate,
     wishart_eigen_lab,
 )
-from riskpremia import montecarlo
+from riskpremia import confsets, moments, montecarlo, pipeline, subset, threestep
 from riskpremia._linalg import NumericalError
-from riskpremia.pipeline import fit_model
-from riskpremia.subset import SfarResult
+from riskpremia.moments import robust_tests
+from riskpremia.pipeline import FIT_ERRORS, fit_model
+from riskpremia.subset import SubsetHypothesis, sfar_row
+from riskpremia.varstage import RankError
 from riskpremia.threestep import asymptotic_covariance
 
 
@@ -143,6 +145,127 @@ def test_power_curve_wald_covariance_once_per_fit(monkeypatch):
     assert len(calls) == 100
 
 
+def per_hypothesis_tests(fit, tests, h0_mats, level):
+    """Oracle: each test at each hypothesis on its own, failures per point."""
+    out = np.full((len(tests), len(h0_mats)), np.nan)
+    robust = [t for t in tests if t in ("far", "klm", "jklm")]
+    for j, lam in enumerate(h0_mats):
+        if robust:
+            try:
+                res = robust_tests(fit, lam, which=tuple(robust))
+                for i, t in enumerate(tests):
+                    if t in res:
+                        out[i, j] = res[t].pvalue < level
+            except FIT_ERRORS:
+                pass
+        if "wald" in tests:
+            i = tests.index("wald")
+            try:
+                out[i, j] = fit.wald(lam).pvalue < level
+            except FIT_ERRORS:
+                pass
+        if "sfar" in tests:
+            i = tests.index("sfar")
+            try:
+                h = SubsetHypothesis("row", 0, np.asarray(lam)[0])
+                out[i, j] = sfar_row(h, fit.stacked).pvalue_upper < level
+            except FIT_ERRORS:
+                pass
+    return out
+
+
+def per_hypothesis_power_curve(tests, h0_mats, spec, reps, level, seed):
+    """(rejection, failures) of ``power_curve`` from the per-hypothesis oracle."""
+    results = montecarlo._replicates(
+        spec, reps, seed, lambda fit: per_hypothesis_tests(fit, tests, h0_mats, level)
+    )
+    failed = np.full((len(tests), len(h0_mats)), np.nan)
+    stack = np.stack([failed if r is None else r for r in results])
+    counts = np.sum(~np.isnan(stack), axis=0)
+    freq = np.nansum(stack, axis=0) / np.maximum(counts, 1)
+    failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
+    return freq, failures
+
+
+def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
+    spec = preset_dgp("strong", k=2, n=6, t=300)
+    tests = ["far", "klm", "jklm", "wald", "sfar"]
+    offsets = np.linspace(-0.3, 0.3, 5)
+    h0_mats = [spec.lambda1 + d for d in offsets]
+    # every third replicate fails: the robust tests at point 1, Wald at 3 and
+    # sFAR at 4, wherever a kernel meets such a hypothesis, alone or stacked
+    replicate = [-1]
+    fail_at = {name: spec.lambda1[0, 0] + offsets[j]
+               for name, j in (("robust", 1), ("wald", 3), ("sfar", 4))}
+
+    def counting_fit(*args, **kwargs):
+        replicate[0] += 1
+        return fit_model(*args, **kwargs)
+
+    def inject(real, name, pos, corner):
+        def flaky(*args):
+            values = np.asarray(args[pos])[corner]
+            if replicate[0] % 3 == 0 and np.any(values == fail_at[name]):
+                raise NumericalError(f"injected {name}")
+            return real(*args)
+        return flaky
+
+    robust = inject(moments._moment_system, "robust", 1, (..., 0, 0))
+    wald = inject(threestep.wald_statistics, "wald", 2, (..., 0, 0))
+    monkeypatch.setattr(montecarlo, "fit_model", counting_fit)
+    monkeypatch.setattr(moments, "_moment_system", robust)
+    monkeypatch.setattr(threestep, "wald_statistics", wald)
+    monkeypatch.setattr(confsets, "wald_statistics", wald)
+    monkeypatch.setattr(subset, "restriction_matrix",
+                        inject(subset.restriction_matrix, "sfar", 0, (..., 0)))
+
+    table = power_curve(tests, h0_mats, spec, reps=100, seed=3)
+    replicate[0] = -1
+    freq, failures = per_hypothesis_power_curve(tests, h0_mats, spec, 100, 0.05, 3)
+    assert table.failures == failures == {
+        "far": 34, "klm": 34, "jklm": 34, "wald": 34, "sfar": 34
+    }
+    np.testing.assert_array_equal(table.rejection, freq)
+    assert ((table.rejection > 0.0) & (table.rejection < 1.0)).any()
+
+
+def test_power_curve_keeps_failures_per_test(monkeypatch):
+    # a fit without a price of risk loses Wald only
+    spec = preset_dgp("strong", k=1, n=4, t=80)
+    before = power_curve(["far", "wald"], [spec.lambda1], spec, reps=100, seed=2)
+    assert before.failures == {"far": 0, "wald": 0}
+
+    def singular(*args):
+        raise RankError("beta'beta is singular")
+
+    monkeypatch.setattr(pipeline, "third_stage", singular)
+    table = power_curve(["far", "wald"], [spec.lambda1], spec, reps=100, seed=2)
+    assert table.failures == {"far": 0, "wald": 100}
+    assert table.rejection[0] == before.rejection[0]
+
+
+def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
+    spec = preset_dgp("strong", k=2, n=4, t=80)
+    calls = []
+
+    def recording_simulate(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
+    bad = spec.lambda1.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        power_curve(["far"], [spec.lambda1, bad], spec, reps=100)
+    with pytest.raises(ValueError):
+        power_curve(["far"], [np.zeros(3)], spec, reps=100)
+    with pytest.raises(ValueError, match="unknown test"):
+        power_curve(["far", "lm"], [spec.lambda1], spec, reps=100)
+    with pytest.raises(ValueError, match="finite"):
+        power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=3)
+    assert calls == []
+
+
 def test_power_surface_degenerate_level_and_minimum_location():
     spec = preset_dgp("strong", k=2, n=3, t=200)
     ax = spec.lambda1[0, 0] + np.linspace(-1.2, 1.2, 3)
@@ -160,23 +283,25 @@ def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
     ay = spec.lambda1[0, 1] + np.array([-0.5, 0.5])
     calls = []
 
-    def first_call_fails(h, sys):
-        calls.append(h)
-        if len(calls) == 1:
+    def first_point_fails(sys, values, index):
+        calls.append(len(values))
+        if len(calls) <= 2:
             raise NumericalError("matrix is not positive definite")
-        return SfarResult(np.inf, np.array([]), 4, 0.0, "eigen")
+        return np.full(len(values), np.inf)
 
-    # replicate 0 fails at its first grid point; every other replicate rejects
-    # everywhere, so a dropped replicate leaves the frequency at exactly one
-    monkeypatch.setattr(montecarlo, "sfar_row", first_call_fails)
+    # replicate 0 fails in its stacked call and again at its first point on
+    # the point-by-point retry; every other replicate rejects everywhere, so
+    # a dropped replicate leaves the frequency at exactly one
+    monkeypatch.setattr(confsets, "sfar_row_statistics", first_point_fails)
     surf = power_surface(spec, ax, ay, reps=3, seed=1)
     assert np.array_equal(surf, np.ones((2, 2)))
-    assert len(calls) == 1 + 2 * 4
+    # one stacked call over the 4-point mesh per replicate, plus the retry
+    assert calls == [4, 1, 1, 1, 1, 4, 4]
 
-    def bug(h, sys):
+    def bug(*args):
         raise TypeError("programming error")
 
-    monkeypatch.setattr(montecarlo, "sfar_row", bug)
+    monkeypatch.setattr(confsets, "sfar_row_statistics", bug)
     with pytest.raises(TypeError):
         power_surface(spec, ax, ay, reps=3, seed=1)
 
