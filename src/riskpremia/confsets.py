@@ -140,7 +140,7 @@ class ConfidenceSet:
         return self.accepted.shape[0] == 0
 
 
-def _chunk_evaluator(tests: tuple, fit: ModelFit, binding: ParameterBinding, mode=None):
+def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None):
     """(evaluator, chunk size): p-values (tests, B) of a stack of parameter vectors (B, P)."""
     k, n, t = fit.n_factors, fit.n_assets, fit.n_periods
     test = tests[0]
@@ -214,7 +214,6 @@ def scan_pvalues(
     carry NaN.  Any other exception propagates, as does a failed per-fit setup
     (Wald on a fit without a price of risk).
     """
-    tests = tuple(tests)
     ev, size = _chunk_evaluator(tests, fit, binding, mode)
     pvalues = np.full((len(tests), len(params)), np.nan)
     failures = []
