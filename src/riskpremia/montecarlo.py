@@ -220,16 +220,15 @@ class PowerTable:
     level: float
 
 
-def _evaluate_tests(fit: ModelFit, families, level, shape):
-    """Rejection indicators (tests, points), NaN where a test failed; one
-    ``scan_pvalues`` per family of (rows, tests, binding, parameter stack)."""
+def _evaluate_tests(fit: ModelFit, families, shape):
+    """P-values (tests, points), NaN where a test failed; one ``scan_pvalues``
+    per family of (rows, tests, binding, parameter stack)."""
     out = np.full(shape, np.nan)
     for rows, tests, binding, params in families:
         try:
-            pvalues, _ = scan_pvalues(tests, fit, binding, params)
+            out[rows] = scan_pvalues(tests, fit, binding, params)[0]
         except FIT_ERRORS:   # per-fit setup: Wald without a price of risk
             continue
-        out[rows] = np.where(np.isnan(pvalues), np.nan, pvalues < level)
     return out
 
 
@@ -268,12 +267,10 @@ def power_curve(
         if rows:
             families.append((rows, [tests[i] for i in rows], binding, stack))
     shape = (len(tests), len(h0_mats))
-    results = _replicates(
-        spec, reps, seed, lambda fit: _evaluate_tests(fit, families, level, shape)
-    )
-    stack = np.stack([np.full(shape, np.nan) if r is None else r for r in results])
-    counts = np.sum(~np.isnan(stack), axis=0)
-    freq = np.nansum(stack, axis=0) / np.maximum(counts, 1)
+    results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, shape))
+    pvalues = np.stack([np.full(shape, np.nan) if r is None else r for r in results])
+    counts = np.sum(~np.isnan(pvalues), axis=0)
+    freq = np.sum(pvalues < level, axis=0) / np.maximum(counts, 1)
     se = np.sqrt(np.maximum(freq * (1 - freq), 0.0) / np.maximum(counts, 1))
     failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
     return PowerTable(
