@@ -263,6 +263,8 @@ def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
         power_curve(["far", "lm"], [spec.lambda1], spec, reps=100)
     with pytest.raises(ValueError, match="finite"):
         power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=3)
+    with pytest.raises(ValueError, match="row_index"):
+        power_surface(spec, np.zeros(2), np.zeros(2), reps=3, row_index=2)
     assert calls == []
 
 
