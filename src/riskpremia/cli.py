@@ -1,7 +1,9 @@
 """Command-line front end: ingest, estimate, test, cs, mc, eigenlab.
 
-Every command writes a ``manifest.json`` with the resolved configuration,
-seed, and package versions, sufficient to re-run it to identical results.
+Each command computes its results and returns them as {file name: payload};
+``main`` writes them into ``--out``, then a ``manifest.json`` with the
+resolved configuration, seed, and package versions, sufficient to re-run it
+to identical results, and prints the path of every file but the manifest.
 Exit codes: 0 success, 2 configuration/validation, 3 numerical failure,
 4 internal error.  Human diagnostics go to stderr; machine output to files.
 """
@@ -28,15 +30,15 @@ from .montecarlo import (
     sfar_density_experiment,
     wishart_eigen_lab,
 )
-from .moments import robust_tests
+from .moments import TESTS, robust_tests
 from .panels import (
     FactorPanel,
     PanelError,
     excess_returns,
     load_yield_csv,
+    panel_table,
     pca_factors,
-    save_factor_csv,
-    save_return_csv,
+    save_matrix_csv,
 )
 from .pipeline import fit_model
 from .subset import SubsetHypothesis, kp_rank, sfar_column, sfar_row
@@ -77,10 +79,6 @@ def _render_json(o, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(o).__name__}")
 
 
-def _dump_json(path, payload):
-    Path(path).write_text(_render_json(payload) + "\n")
-
-
 def _versions():
     import scipy
 
@@ -90,16 +88,6 @@ def _versions():
         "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
-
-
-def _write_manifest(out: Path, command: str, config: dict):
-    out.mkdir(parents=True, exist_ok=True)
-    config = {k: v for k, v in config.items() if k != "func"}
-    _dump_json(out / "manifest.json", {
-        "command": command,
-        "config": config,
-        "versions": _versions(),
-    })
 
 
 def _parse_factor_spec(spec: str):
@@ -156,17 +144,32 @@ def _build_panels(args):
     return panel, returns, factors
 
 
-def _parse_h0(text: str, k: int, full: bool):
-    size = k * k if full else k
+def _parse_h0(text: str, k: int, sfar_only: bool) -> np.ndarray:
+    """``--h0`` as Lambda1 (K^2 values, column-major), or as the sFAR row or
+    column itself (K values, accepted only when sFAR is the only test)."""
     if text == "zeros":
-        vals = np.zeros(size)
+        vals = np.zeros(k * k)
     elif text.startswith("@"):
         vals = np.asarray(json.loads(Path(text[1:]).read_text()), dtype=float).reshape(-1)
     else:
         vals = np.asarray([float(x) for x in text.split(",")], dtype=float)
-    if vals.size != size:
-        raise PanelError(f"hypothesis needs {size} values, got {vals.size}")
-    return vals.reshape(k, k, order="F") if full else vals
+    if vals.size == k * k:
+        return vals.reshape(k, k, order="F")
+    if vals.size == k and sfar_only:
+        return vals
+    raise PanelError(
+        f"--h0 needs {k * k} values (vec of Lambda1), or {k} (the sFAR row or column) "
+        f"when sfar is the only statistic; got {vals.size}"
+    )
+
+
+def _subset_value(h0: np.ndarray, kind: str, index: int) -> np.ndarray:
+    """The sFAR values of a parsed ``--h0``: row or column ``index`` of Lambda1."""
+    if h0.ndim == 1:
+        return h0
+    if not 0 <= index < len(h0):
+        raise PanelError(f"--subset-index {index} out of range for K = {len(h0)}")
+    return h0[index] if kind == "row" else h0[:, index]
 
 
 def _parse_grid(text: str):
@@ -178,42 +181,31 @@ def _parse_grid(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns {file name: payload}; a dict is written as JSON and
+# a (header, rows) pair as CSV.
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    out = Path(args.out)
+def cmd_ingest(args) -> dict:
     _, returns, factors = _build_panels(args)
-    out.mkdir(parents=True, exist_ok=True)
-    save_return_csv(out / "returns.csv", returns)
-    save_factor_csv(out / "factors.csv", factors)
-    _write_manifest(out, "ingest", vars(args))
-    print(str(out / "returns.csv"))
-    print(str(out / "factors.csv"))
-    return 0
+    return {"returns.csv": panel_table(returns), "factors.csv": panel_table(factors)}
 
 
-def cmd_estimate(args) -> int:
-    out = Path(args.out)
+def cmd_estimate(args) -> dict:
     _, returns, factors = _build_panels(args)
     fit = fit_model(returns, factors, variant=args.variant, cov=args.cov)
     if fit.por is None:
         raise RankError("near-singular beta'beta: (nearly) unspanned factors present")
-    n, k = fit.n_assets, fit.n_factors
-    t = fit.n_periods
-    sig_inv = np.linalg.inv(fit.var.sigma_v)
-    se = np.sqrt(fit.reg.sigma_e2 * np.diag(sig_inv) / t)
-    tstats = fit.reg.beta_hat / se[None, :]
-    col_stats = t * np.einsum("nj,nj->j", fit.reg.beta_hat, fit.reg.beta_hat) / (
-        fit.reg.sigma_e2 * np.diag(sig_inv)
-    )
-    col_pvalues = [chi2_sf(s, n) for s in col_stats]
+    n, t = fit.n_assets, fit.n_periods
+    beta = fit.reg.beta_hat
+    # var of vec(beta_hat) is Sigma_v^-1 kron sigma_e^2 I_N: one variance per column
+    var_beta = np.diag(fit.asymptotic_cov.v_beta).reshape(-1, n).T
+    col_stats = t * np.einsum("nj,nj->j", beta, beta) / var_beta[0]
     rank = kp_rank(fit.stacked)
-    payload = {
-        "beta": fit.reg.beta_hat.tolist(),
-        "beta_tstats": tstats.tolist(),
-        "column_joint_pvalues": col_pvalues,
+    return {"estimates.json": {
+        "beta": beta.tolist(),
+        "beta_tstats": (beta / np.sqrt(var_beta / t)).tolist(),
+        "column_joint_pvalues": [chi2_sf(s, n) for s in col_stats],
         "rank_test": {"statistic": rank.statistic, "dof": rank.dof, "pvalue": rank.pvalue},
         "lambda0": fit.por.lambda0.tolist(),
         "lambda1": fit.por.lambda1.tolist(),
@@ -228,215 +220,122 @@ def cmd_estimate(args) -> int:
         "cov_mode": fit.cov_mode,
         "kps_diagnostic": fit.kps_diag.to_dict(),
         "kps_spectrum": fit.stacked.kps.spectrum.tolist(),
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "estimates.json", payload)
-    _write_manifest(out, "estimate", vars(args))
-    print(str(out / "estimates.json"))
-    return 0
+    }}
 
 
-def cmd_test(args) -> int:
-    out = Path(args.out)
+def cmd_test(args) -> dict:
     _, returns, factors = _build_panels(args)
     fit = fit_model(returns, factors, cov=args.cov)
-    k = fit.n_factors
     stats = [stat.strip().lower() for stat in args.stat.split(",")]
-    robust = [stat for stat in stats if stat in ("far", "klm", "jklm")]
-    if robust or "wald" in stats:
-        lam = _parse_h0(args.h0, k, full=True)
-    robust = robust_tests(fit, lam, which=tuple(robust)) if robust else {}
-    if "sfar" in stats:
-        value = _parse_h0(args.h0, k, full=False)
-        h = SubsetHypothesis(args.subset_kind, args.subset_index, value)
+    h0 = _parse_h0(args.h0, fit.n_factors, sfar_only=set(stats) == {"sfar"})
+    robust = [stat for stat in stats if stat in TESTS]
+    robust = robust_tests(fit, h0, which=tuple(robust)) if robust else {}
     results = []
     for stat in stats:
         if stat in robust:
             results.append(robust[stat].to_dict())
         elif stat == "wald":
-            res = fit.wald(lam)
+            res = fit.wald(h0)
             results.append({
                 "name": "Wald", "statistic": res.statistic, "dof": res.dof,
-                "pvalue": res.pvalue, "bound_only": False, "h0": lam.tolist(),
+                "pvalue": res.pvalue, "bound_only": False, "h0": h0.tolist(),
             })
         elif stat == "sfar":
+            value = _subset_value(h0, args.subset_kind, args.subset_index)
+            h = SubsetHypothesis(args.subset_kind, args.subset_index, value)
             res = sfar_row(h, fit.stacked) if args.subset_kind == "row" else sfar_column(h, fit.stacked)
             d = res.to_dict()
-            d.update({"name": "sFAR", "bound_only": True, "h0": value.tolist(),
+            d.update({"name": "sFAR", "bound_only": True, "h0": h.value.tolist(),
                       "pvalue": d.pop("pvalue_upper")})
             results.append(d)
         else:
             raise PanelError(f"unknown statistic {stat!r}")
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "tests.json", {"results": results})
-    _write_manifest(out, "test", vars(args))
-    print(str(out / "tests.json"))
-    return 0
+    return {"tests.json": {"results": results}}
 
 
-def cmd_cs(args) -> int:
-    out = Path(args.out)
+def cmd_cs(args) -> dict:
     _, returns, factors = _build_panels(args)
     fit = fit_model(returns, factors, cov=args.cov)
     k = fit.n_factors
     axes = _parse_grid(args.grid)
     stat = args.stat.lower()
+    h0 = _parse_h0(args.h0 or "zeros", k, sfar_only=stat == "sfar")
     if stat == "sfar":
-        base = _parse_h0(args.h0, k, full=False) if args.h0 else np.zeros(k)
+        base = _subset_value(h0, "row", args.subset_index)
         binding = row_binding(k, index=args.subset_index, base=base, vary=range(len(axes)))
     else:
-        base = _parse_h0(args.h0, k, full=True).reshape(-1, order="F") if args.h0 else np.zeros(k * k)
-        binding = full_lambda_binding(k, base=base, vary=range(len(axes)))
+        binding = full_lambda_binding(k, base=h0.reshape(-1, order="F"), vary=range(len(axes)))
     grid = GridSpec(axes=tuple(axes), binding=binding)
     cs = joint_confidence_set(stat, grid, args.level, fit, seed=args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    pts = grid.points()
-    with open(out / "surface.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(len(axes))] + ["pvalue"])
-        for point, p in zip(pts, cs.pvalues.reshape(-1)):
-            writer.writerow([format_float(v) for v in point] + [format_float(p)])
-    summary = {
-        "test": stat,
-        "level": args.level,
-        "bounded": cs.bounded,
-        "n_accepted": int(cs.accepted.shape[0]),
-        "projections": {
-            f"axis{i + 1}": project_cs(cs, i) for i in range(len(axes))
+    surface = [[*point, p] for point, p in zip(grid.points(), cs.pvalues.reshape(-1))]
+    return {
+        "surface.csv": ([f"x{i + 1}" for i in range(len(axes))] + ["pvalue"], surface),
+        "set.json": {
+            "test": stat,
+            "level": args.level,
+            "bounded": cs.bounded,
+            "n_accepted": int(cs.accepted.shape[0]),
+            "projections": {f"axis{i + 1}": project_cs(cs, i) for i in range(len(axes))},
         },
     }
-    _dump_json(out / "set.json", summary)
-    _write_manifest(out, "cs", vars(args))
-    print(str(out / "set.json"))
-    return 0
 
 
-_FIGURE_PRESETS = {
-    "2": {"kind": "both", "k": 1, "n": 11, "t": 300, "tests": "far,klm,jklm,wald",
-          "grid_radius": 1.0, "grid_steps": 21},
-    "4": {"kind": "both", "k": 2, "n": 6, "t": 300},
-    "6": {"kind": "both", "k": 2, "n": 3, "t": 300},
-}
-
-
-def _mc_power(args, spec, kind, out):
-    lam = spec.lambda1
-    radius = args.grid_radius
-    offsets = np.linspace(-radius, radius, args.grid_steps)
-    h0_grid = []
-    for off in offsets:
-        shifted = lam.copy()
-        shifted[0, 0] += off
-        h0_grid.append(shifted)
-    table = power_curve(
-        [t.strip() for t in args.tests.split(",")], h0_grid, spec,
-        reps=args.reps, level=args.level, seed=args.seed,
-    )
-    path = out / f"power_{kind}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset"] + [f"{t}_{w}" for t in table.tests for w in ("freq", "se")])
-        for j, off in enumerate(offsets):
-            row = [format_float(off)]
-            for i in range(len(table.tests)):
-                row += [format_float(table.rejection[i, j]), format_float(table.std_error[i, j])]
-            writer.writerow(row)
-    return path
-
-
-def cmd_mc(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.figure:
-        preset = _FIGURE_PRESETS.get(args.figure)
-        if preset is None:
-            raise PanelError(f"unknown figure preset {args.figure!r}")
-        for key, val in preset.items():
-            if key != "kind" and getattr(args, key, None) in (None,):
-                setattr(args, key, val)
-        kinds = ("strong", "weak")
-    else:
-        kinds = (args.dgp,)
-    args.k = args.k or 1
-    args.n = args.n or 11
-    args.t = args.t or 300
-    args.grid_radius = args.grid_radius or 1.0
-    args.grid_steps = args.grid_steps or 21
-    written = []
-    for kind in kinds:
-        spec = preset_dgp(kind, k=args.k, n=args.n, t=args.t)
-        if args.figure == "4" or args.experiment == "sfar-density":
-            res = sfar_density_experiment(spec, reps=args.reps, seed=args.seed)
-            path = out / f"sfar_density_{kind}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["statistic"])
-                for s in res.statistics:
-                    writer.writerow([format_float(s)])
-            _dump_json(out / f"sfar_density_{kind}_summary.json", {
+def cmd_mc(args) -> dict:
+    kind = args.dgp
+    spec = preset_dgp(kind, k=args.k, n=args.n, t=args.t)
+    if args.experiment == "sfar-density":
+        res = sfar_density_experiment(spec, reps=args.reps, seed=args.seed)
+        return {
+            f"sfar_density_{kind}.csv": (["statistic"], [[s] for s in res.statistics]),
+            f"sfar_density_{kind}_summary.json": {
                 "dof_bound": res.dof_bound,
                 "ks_pvalue": res.ks_pvalue,
                 "quantile_levels": list(res.quantile_levels),
                 "empirical_quantiles": res.empirical_quantiles.tolist(),
                 "chi2_quantiles": res.chi2_quantiles.tolist(),
                 "failures": res.failures,
-            })
-        elif args.figure == "6" or args.experiment == "power-surface":
-            lam = spec.lambda1[0]
-            axis1 = lam[0] + np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
-            axis2 = lam[1] + np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
-            surf = power_surface(spec, axis1, axis2, reps=args.reps,
-                                 level=args.level, seed=args.seed)
-            path = out / f"power_surface_{kind}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y", "rejection"])
-                for i, v1 in enumerate(axis1):
-                    for j, v2 in enumerate(axis2):
-                        writer.writerow([format_float(v1), format_float(v2),
-                                         format_float(surf[i, j])])
-        else:
-            path = _mc_power(args, spec, kind, out)
-        written.append(str(path))
-    _write_manifest(out, "mc", vars(args))
-    for p in written:
-        print(p)
-    return 0
+            },
+        }
+    offsets = np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
+    if args.experiment == "power-surface":
+        lam = spec.lambda1[0]
+        axis1, axis2 = lam[0] + offsets, lam[1] + offsets
+        surf = power_surface(spec, axis1, axis2, reps=args.reps, level=args.level, seed=args.seed)
+        rows = [[v1, v2, surf[i, j]] for i, v1 in enumerate(axis1) for j, v2 in enumerate(axis2)]
+        return {f"power_surface_{kind}.csv": (["x", "y", "rejection"], rows)}
+    h0_grid = np.repeat(spec.lambda1[None], len(offsets), axis=0)
+    h0_grid[:, 0, 0] += offsets
+    tests = [t.strip() for t in args.tests.split(",")]
+    table = power_curve(tests, h0_grid, spec, reps=args.reps, level=args.level, seed=args.seed)
+    cells = np.stack([table.rejection, table.std_error], axis=1).reshape(-1, len(offsets))
+    header = ["offset"] + [f"{t}_{w}" for t in table.tests for w in ("freq", "se")]
+    return {f"power_{kind}.csv": (header, [[off, *col] for off, col in zip(offsets, cells.T)])}
 
 
-def cmd_eigenlab(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    m = None
-    if args.kappa:
-        m = rank_one_noncentrality(args.n, args.dim, float(args.kappa))
+def cmd_eigenlab(args) -> dict:
+    import scipy.stats
+
+    m = rank_one_noncentrality(args.n, args.dim, float(args.kappa)) if args.kappa else None
     spec = EigenLabSpec(
         n_rows=args.n, dim=args.dim, k=args.k, noncentrality=m,
         reps=args.reps, seed=args.seed,
     )
     res = wishart_eigen_lab(spec)
-    qs = (0.5, 0.9, 0.95, 0.99)
-    with open(out / "eigen.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantile", "small_sum", "large_sum"])
-        for p in qs:
-            writer.writerow([
-                format_float(p),
-                format_float(np.quantile(res.small_sums, p)),
-                format_float(np.quantile(res.large_sums, p)) if res.large_sums.size else "",
-            ])
-    import scipy.stats
-
+    rows = [
+        [p, np.quantile(res.small_sums, p),
+         np.quantile(res.large_sums, p) if res.large_sums.size else ""]
+        for p in (0.5, 0.9, 0.95, 0.99)
+    ]
     ks = scipy.stats.kstest(res.small_sums, scipy.stats.chi2(res.central_dof).cdf)
-    _dump_json(out / "eigen_summary.json", {
-        "central_dof": res.central_dof,
-        "ks_pvalue_vs_central": float(ks.pvalue),
-        "reps": args.reps,
-        "kappa": args.kappa,
-    })
-    _write_manifest(out, "eigenlab", vars(args))
-    print(str(out / "eigen.csv"))
-    return 0
+    return {
+        "eigen.csv": (["quantile", "small_sum", "large_sum"], rows),
+        "eigen_summary.json": {
+            "central_dof": res.central_dof,
+            "ks_pvalue_vs_central": float(ks.pvalue),
+            "reps": args.reps,
+            "kappa": args.kappa,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +396,17 @@ def build_parser():
 
     p = sub.add_parser("mc", help="Monte Carlo experiments on preset DGPs")
     _add_common(p)
-    p.add_argument("--figure", default=None, help="preset: 2, 4, or 6")
     p.add_argument("--experiment", default="power",
                    choices=["power", "sfar-density", "power-surface"])
     p.add_argument("--dgp", choices=["strong", "weak"], default="strong")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=int, default=11)
+    p.add_argument("--t", type=int, default=300)
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--tests", default="far,klm,jklm,wald")
-    p.add_argument("--grid-radius", type=float, default=None)
-    p.add_argument("--grid-steps", type=int, default=None)
+    p.add_argument("--grid-radius", type=float, default=1.0)
+    p.add_argument("--grid-steps", type=int, default=21)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("eigenlab", help="noncentral Wishart eigenvalue sampling")
@@ -522,25 +420,30 @@ def build_parser():
     return parser
 
 
-def _apply_config(args, argv):
-    """Fill unset flags from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config(parser, args, argv):
+    """Re-parse with a JSON config file's values as the subcommand's defaults.
+
+    Explicit flags, abbreviated ones included, win, and string values go
+    through each flag's ``type=`` like typed flags.
+    """
     try:
         overrides = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise PanelError(f"cannot read config file: {exc}") from exc
-    given = set()
-    for a in argv:
-        if a.startswith("--"):
-            given.add(a.split("=", 1)[0][2:].replace("-", "_"))
-    for key, val in overrides.items():
-        key = key.replace("-", "_")
+    overrides = {key.replace("-", "_"): val for key, val in overrides.items()}
+    for key in overrides:
         if not hasattr(args, key):
             raise PanelError(f"unknown config key {key!r}")
-        if key not in given:
-            setattr(args, key, val)
-    return args
+    (commands,) = parser._subparsers._group_actions
+    commands.choices[args.command].set_defaults(**overrides)
+    return parser.parse_args(argv)
+
+
+def _write(path: Path, payload) -> None:
+    if isinstance(payload, dict):
+        path.write_text(_render_json(payload) + "\n")
+    else:
+        save_matrix_csv(path, *payload)
 
 
 def main(argv=None) -> int:
@@ -548,8 +451,19 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
-        return args.func(args)
+        if args.config:
+            args = _apply_config(parser, args, argv)
+        outputs = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in outputs.items():
+            _write(out / name, payload)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        _write(out / "manifest.json", {"command": args.command, "config": config,
+                                       "versions": _versions()})
+        for name in outputs:
+            print(str(out / name))
+        return 0
     except (PanelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -273,14 +273,3 @@ def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=TESTS):
         for name, stat in stats.items()
     }
 
-
-def far(fit_or_sys, lam1_0, mode: str | None = None) -> RobustTestResult:
-    return robust_tests(fit_or_sys, lam1_0, mode, which=("far",))["far"]
-
-
-def klm(fit_or_sys, lam1_0, mode: str | None = None) -> RobustTestResult:
-    return robust_tests(fit_or_sys, lam1_0, mode, which=("klm",))["klm"]
-
-
-def jklm(fit_or_sys, lam1_0, mode: str | None = None) -> RobustTestResult:
-    return robust_tests(fit_or_sys, lam1_0, mode, which=("jklm",))["jklm"]

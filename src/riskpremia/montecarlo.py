@@ -50,6 +50,8 @@ class DgpSpec:
     def __post_init__(self):
         for name in ("c", "beta", "lambda1", "mu", "phi1", "sigma_v"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if min(self.beta.shape) < 1:
+            raise ValueError("need at least one asset and one factor")
         ws = np.ones(self.beta.shape[1]) if self.weak_scale is None else np.asarray(
             self.weak_scale, dtype=float
         )

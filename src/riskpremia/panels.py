@@ -204,28 +204,39 @@ def load_yield_csv(
     )
 
 
-def save_matrix_csv(path, dates, col_names, matrix_by_date: np.ndarray) -> None:
-    """Write `date,<cols...>` rows; floats carry 17 significant digits."""
-    matrix_by_date = np.asarray(matrix_by_date, dtype=float)
+def save_matrix_csv(path, header, rows) -> None:
+    """Write a header and rows; numbers carry 17 significant digits, strings pass through."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", *map(str, col_names)])
-        for d, row in zip(dates, matrix_by_date):
-            writer.writerow([d, *(format_float(x) for x in row)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else format_float(v) for v in row])
+
+
+def panel_table(panel) -> tuple[list[str], list[list]]:
+    """The `date,<cols...>` header and rows of a yield, return or factor panel."""
+    if isinstance(panel, YieldPanel):
+        cols, by_date = panel.maturities, panel.yields
+    elif isinstance(panel, ReturnPanel):
+        cols, by_date = panel.maturities_held, panel.returns.T
+    elif isinstance(panel, FactorPanel):
+        cols, by_date = panel.labels, panel.factors.T
+    else:
+        raise TypeError(f"cannot tabulate {type(panel).__name__}")
+    dates = panel.dates or tuple(str(t) for t in range(len(by_date)))
+    return ["date", *map(str, cols)], [[d, *row] for d, row in zip(dates, by_date)]
 
 
 def save_yield_csv(path, panel: YieldPanel) -> None:
-    save_matrix_csv(path, panel.dates, panel.maturities, panel.yields)
+    save_matrix_csv(path, *panel_table(panel))
 
 
 def save_return_csv(path, panel: ReturnPanel) -> None:
-    dates = panel.dates or tuple(str(t) for t in range(panel.n_periods))
-    save_matrix_csv(path, dates, panel.maturities_held, panel.returns.T)
+    save_matrix_csv(path, *panel_table(panel))
 
 
 def save_factor_csv(path, panel: FactorPanel) -> None:
-    dates = panel.dates or tuple(str(t) for t in range(panel.n_periods))
-    save_matrix_csv(path, dates, panel.labels, panel.factors.T)
+    save_matrix_csv(path, *panel_table(panel))
 
 
 # ---------------------------------------------------------------------------

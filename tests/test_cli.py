@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -108,24 +109,37 @@ def test_same_command_twice_is_byte_identical(tmp_path, yields_csv):
 
 def test_test_command_matches_one_call_per_statistic(tmp_path, yields_csv):
     # one call per statistic, rendered by the CLI's own writer: computing the
-    # robust statistics in one pass must not change tests.json by a byte
-    argv = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
-            "--stat", "far,klm,jklm,wald,sfar", "--h0", "zeros", "--out", tmp_path / "t"]
-    assert run(argv) == 0
-    args = cli.build_parser().parse_args([str(a) for a in argv])
-    _, returns, factors = cli._build_panels(args)
-    fit = fit_model(returns, factors, cov=args.cov)
-    lam = np.zeros((2, 2))
-    results = [robust_tests(fit, lam, which=(s,))[s].to_dict() for s in ("far", "klm", "jklm")]
-    wald = fit.wald(lam)
-    results.append({"name": "Wald", "statistic": wald.statistic, "dof": wald.dof,
-                    "pvalue": wald.pvalue, "bound_only": False, "h0": lam.tolist()})
-    sfar = sfar_row(SubsetHypothesis("row", 0, np.zeros(2)), fit.stacked).to_dict()
-    sfar.update({"name": "sFAR", "bound_only": True, "h0": [0.0, 0.0],
-                 "pvalue": sfar.pop("pvalue_upper")})
-    results.append(sfar)
-    expected = cli._render_json({"results": results}) + "\n"
-    assert (tmp_path / "t" / "tests.json").read_text() == expected
+    # robust statistics in one pass must not change tests.json by a byte; a
+    # K^2 --h0 is Lambda1 (column-major) and sFAR tests its first row
+    for h0, lam in (("zeros", np.zeros((2, 2))), ("0.1,0,0,0.2", np.diag([0.1, 0.2]))):
+        out = tmp_path / h0
+        argv = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+                "--stat", "far,klm,jklm,wald,sfar", "--h0", h0, "--out", out]
+        assert run(argv) == 0
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        _, returns, factors = cli._build_panels(args)
+        fit = fit_model(returns, factors, cov=args.cov)
+        results = [robust_tests(fit, lam, which=(s,))[s].to_dict() for s in ("far", "klm", "jklm")]
+        wald = fit.wald(lam)
+        results.append({"name": "Wald", "statistic": wald.statistic, "dof": wald.dof,
+                        "pvalue": wald.pvalue, "bound_only": False, "h0": lam.tolist()})
+        sfar = sfar_row(SubsetHypothesis("row", 0, lam[0]), fit.stacked).to_dict()
+        sfar.update({"name": "sFAR", "bound_only": True, "h0": lam[0].tolist(),
+                     "pvalue": sfar.pop("pvalue_upper")})
+        results.append(sfar)
+        expected = cli._render_json({"results": results}) + "\n"
+        assert (out / "tests.json").read_text() == expected
+
+
+def test_test_command_h0_sizes(tmp_path, yields_csv, capsys):
+    base = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+            "--out", tmp_path / "h"]
+    # K values only when sfar is the only statistic; any other count names both sizes
+    assert run(base + ["--stat", "sfar", "--h0", "0.1,0"]) == 0
+    for stat, h0 in (("far,sfar", "0.1,0"), ("sfar", "0.1,0,0")):
+        assert run(base + ["--stat", stat, "--h0", h0]) == 2
+        err = capsys.readouterr().err
+        assert "4 values" in err and "or 2" in err
 
 
 def test_test_command_far_dof(tmp_path, yields_csv):
@@ -164,6 +178,9 @@ def test_mc_smoke_and_determinism(tmp_path):
     assert (out1 / "power_strong.csv").read_text() == (out2 / "power_strong.csv").read_text()
     header = (out1 / "power_strong.csv").read_text().splitlines()[0]
     assert header == "offset,far_freq,far_se"
+    # a zero count is taken as given and rejected, not replaced by a default
+    assert run(["mc", "--k", "0", "--reps", "100", "--grid-steps", "3",
+                "--out", tmp_path / "m0"]) == 2
 
 
 def test_mc_sfar_density_experiment(tmp_path):
@@ -198,14 +215,23 @@ def test_eigenlab_command(tmp_path):
 def test_config_file_merging(tmp_path, yields_csv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"maturities": "12,24", "factors": "pca:1"}))
-    out = tmp_path / "c"
-    code = run(["test", "--input", yields_csv, "--maturities", "12",
-                "--config", cfg, "--stat", "far", "--out", out])
-    # explicit --maturities wins; config supplies factors
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["maturities"] == "12"
-    assert manifest["config"]["factors"] == "pca:1"
+    # explicit --maturities wins, spelled out or abbreviated; config supplies factors
+    for flag in ("--maturities", "--mat"):
+        out = tmp_path / f"c{flag}"
+        code = run(["test", "--input", yields_csv, flag, "12",
+                    "--config", cfg, "--stat", "far", "--out", out])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["maturities"] == "12"
+        assert manifest["config"]["factors"] == "pca:1"
+        assert json.loads((out / "tests.json").read_text())["results"][0]["dof"] == 1
+
+    # config values go through the flag's type, like the flag itself
+    cfg.write_text(json.dumps({"reps": "100", "tests": "far"}))
+    out = tmp_path / "mc"
+    assert run(["mc", "--config", cfg, "--k", "1", "--n", "4", "--t", "80",
+                "--grid-steps", "3", "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["reps"] == 100
 
     # unknown keys, including the removed 'threads', are configuration errors
     for bad in ({"not_a_flag": 1}, {"threads": 2}):
@@ -222,3 +248,14 @@ def test_config_file_merging(tmp_path, yields_csv):
 def test_unknown_stat_exit_2(tmp_path, yields_csv):
     assert run(["test", "--input", yields_csv, "--maturities", "12,24",
                 "--factors", "pca:1", "--stat", "bogus", "--out", tmp_path / "x"]) == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("riskpremia ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -17,7 +17,7 @@ from riskpremia.confsets import (
     row_binding,
 )
 from riskpremia._linalg import NumericalError
-from riskpremia.moments import far, robust_tests
+from riskpremia.moments import robust_tests
 from riskpremia.panels import ReturnPanel
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import SubsetHypothesis, sfar_row
@@ -91,7 +91,7 @@ def test_surface_matches_pointwise_invocation():
     grid = GridSpec(axes=(GridAxis(-1, 1, 7),), binding=full_lambda_binding(1))
     surface = pvalue_curve("far", grid, fit)
     for i, v in enumerate(grid.axes[0].values):
-        direct = far(fit, np.array([[v]])).pvalue
+        direct = robust_tests(fit, np.array([[v]]), which=("far",))["far"].pvalue
         assert surface.pvalues[i] == pytest.approx(direct, rel=1e-12)
 
 

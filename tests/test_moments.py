@@ -11,9 +11,6 @@ from riskpremia.moments import (
     MomentSystem,
     _decompose,
     build_moment_system,
-    far,
-    jklm,
-    klm,
     moment_vector,
     robust_tests,
     vff_estimator,
@@ -277,11 +274,12 @@ def test_far_zero_when_moment_vanishes():
     r = beta @ (lam1 @ factors.factors[:, :-1] + var.residuals)
     returns = ReturnPanel(tuple(range(5)), r, tuple(f"t{i}" for i in range(60)))
     sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
-    res = far(sys, lam1, mode="kps")
+    res = robust_tests(sys, lam1, mode="kps", which=("far",))["far"]
     assert res.statistic == pytest.approx(0.0, abs=1e-9)
     assert res.pvalue == pytest.approx(1.0)
     assert res.dof == 10
-    assert jklm(sys, lam1, mode="kps").statistic == pytest.approx(0.0, abs=1e-9)
+    jklm = robust_tests(sys, lam1, mode="kps", which=("jklm",))["jklm"]
+    assert jklm.statistic == pytest.approx(0.0, abs=1e-9)
 
 
 def test_far_equals_klm_plus_jklm():
@@ -299,7 +297,7 @@ def test_far_equals_klm_plus_jklm():
 
 def test_far_scalar_quadratic_oracle():
     sys, lam1 = fitted_system(k=1, n=2, t=40, seed=57)
-    res = far(sys, lam1, mode="hc0")
+    res = robust_tests(sys, lam1, mode="hc0", which=("far",))["far"]
     f = moment_vector(sys, lam1)
     v = vff_estimator(sys, lam1, "hc0")
     oracle = sys.n_periods * f @ np.linalg.solve(v, f)
@@ -314,7 +312,8 @@ def test_klm_matches_projector_oracle():
     dw = np.linalg.solve(low, ms.d_ortho)
     p = dw @ np.linalg.pinv(dw)
     oracle = ms.n_periods * fw @ p @ fw
-    assert klm(sys, lam1, mode="kps").statistic == pytest.approx(oracle, rel=1e-8)
+    klm = robust_tests(sys, lam1, mode="kps", which=("klm",))["klm"]
+    assert klm.statistic == pytest.approx(oracle, rel=1e-8)
 
 
 def synthetic_moment_system(f, d, vff, t=100):
@@ -375,7 +374,8 @@ def test_far_minimum_over_lambda_equals_pencil_value():
 def test_far_kps_equals_trace_form():
     sys, lam1 = fitted_system(k=2, n=5, t=90, seed=61)
     h0 = lam1 + 0.1
-    assert far(sys, h0, mode="kps").statistic == pytest.approx(far_trace(sys, h0), rel=1e-9)
+    far = robust_tests(sys, h0, mode="kps", which=("far",))["far"]
+    assert far.statistic == pytest.approx(far_trace(sys, h0), rel=1e-9)
 
 
 def test_far_null_distribution_ks_strong_dgp():
@@ -391,7 +391,7 @@ def test_far_null_distribution_ks_strong_dgp():
             np.array([[0.4]]), np.array([[1.0]]), 1.0, 250,
         )
         fit = fit_model(returns, factors)
-        stats.append(far(fit, lam1).statistic)
+        stats.append(robust_tests(fit, lam1, which=("far",))["far"].statistic)
     ks = scipy.stats.kstest(stats, scipy.stats.chi2(4).cdf)
     assert ks.pvalue > 0.01
 
@@ -409,6 +409,6 @@ def test_jklm_accepts_distant_values_weak_dgp():
             np.array([[0.5]]), np.array([[1.0]]), 1.0, 250,
         )
         fit = fit_model(returns, factors)
-        res = jklm(fit, np.array([[25.0]]))
+        res = robust_tests(fit, np.array([[25.0]]), which=("jklm",))["jklm"]
         accept += res.pvalue >= 0.05
     assert accept / reps > 0.05
