@@ -106,8 +106,16 @@ def _parse_factor_spec(spec: str):
     return k, macro
 
 
+def _open_user_file(path):
+    """Open a file named on the command line; one that cannot be read is a PanelError."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise PanelError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_macro_columns(path, names, dates):
-    with open(path, newline="") as fh:
+    with _open_user_file(path) as fh:
         reader = csv.DictReader(fh)
         rows = {row[reader.fieldnames[0]].strip(): row for row in reader}
     series = []
@@ -150,7 +158,8 @@ def _parse_h0(text: str, k: int, sfar_only: bool) -> np.ndarray:
     if text == "zeros":
         vals = np.zeros(k * k)
     elif text.startswith("@"):
-        vals = np.asarray(json.loads(Path(text[1:]).read_text()), dtype=float).reshape(-1)
+        with _open_user_file(text[1:]) as fh:
+            vals = np.asarray(json.load(fh), dtype=float).reshape(-1)
     else:
         vals = np.asarray([float(x) for x in text.split(",")], dtype=float)
     if vals.size == k * k:
@@ -298,6 +307,8 @@ def cmd_mc(args) -> dict:
         }
     offsets = np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
     if args.experiment == "power-surface":
+        if spec.n_factors != 2:
+            raise PanelError("power-surface is defined for two-factor models (--k 2)")
         lam = spec.lambda1[0]
         axis1, axis2 = lam[0] + offsets, lam[1] + offsets
         surf = power_surface(spec, axis1, axis2, reps=args.reps, level=args.level, seed=args.seed)

@@ -2,12 +2,19 @@
 
 Reproducibility contract: every replicate draws from a counter-based
 generator keyed by (seed, replicate, stream), so replicate r's draws and
-result do not depend on ``reps``: a longer run extends a shorter one.
+result do not depend on ``reps``: a longer run extends a shorter one, and the
+draws are bit-identical per (seed, replicate).  ``simulate`` gets the factor
+path from one banded forward substitution of the stacked VAR(1) recursion,
+equal to the step-by-step recursion up to rounding; the quantities that
+depend on the spec alone (stationary law, shock factor, band) are computed
+once per ``DgpSpec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -29,12 +36,23 @@ def replicate_rng(seed: int, replicate: int = 0, stream: int = 0) -> np.random.G
     return np.random.Generator(np.random.Philox(ss))
 
 
+class _FactorLaw(NamedTuple):
+    """What ``simulate`` needs of a spec's factor VAR, computed once per spec."""
+
+    radius: float                # spectral radius of phi1
+    mean: np.ndarray | None      # stationary mean; None when radius >= 1
+    half: np.ndarray | None      # square root of the stationary covariance
+    shock_factor: np.ndarray     # Cholesky factor of sigma_v (zeros if sigma_v = 0)
+    band: np.ndarray             # recursion band over the spec's T periods
+
+
 @dataclass(frozen=True)
 class DgpSpec:
     """Return-and-factor generating process R_t = c + beta (L1 X_{t-1} + v_t) + e_t.
 
     ``weak_scale`` multiplies beta column-wise; values of order 1/sqrt(T)
-    emulate nearly unspanned factors.
+    emulate nearly unspanned factors.  The arrays are copied and made
+    read-only, so the law ``simulate`` caches on the spec cannot go stale.
     """
 
     c: np.ndarray            # (N,)
@@ -48,15 +66,15 @@ class DgpSpec:
     weak_scale: np.ndarray = None  # (K,), defaults to ones
 
     def __post_init__(self):
-        for name in ("c", "beta", "lambda1", "mu", "phi1", "sigma_v"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.weak_scale is None:
+            object.__setattr__(self, "weak_scale", np.ones(np.shape(self.beta)[1]))
+        for name in ("c", "beta", "lambda1", "mu", "phi1", "sigma_v", "weak_scale"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if min(self.beta.shape) < 1:
             raise ValueError("need at least one asset and one factor")
-        ws = np.ones(self.beta.shape[1]) if self.weak_scale is None else np.asarray(
-            self.weak_scale, dtype=float
-        )
-        object.__setattr__(self, "weak_scale", ws)
-        if np.any(ws < 0):
+        if np.any(self.weak_scale < 0):
             raise ValueError("weak_scale must be nonnegative")
         if self.t < self.beta.shape[1] + 2:
             raise ValueError("sample length too short for the factor count")
@@ -74,6 +92,19 @@ class DgpSpec:
     @property
     def effective_beta(self) -> np.ndarray:
         return self.beta * self.weak_scale[None, :]
+
+    @cached_property
+    def _law(self) -> _FactorLaw:
+        k, phi1, sigma_v = self.n_factors, self.phi1, self.sigma_v
+        radius = float(np.abs(np.linalg.eigvals(phi1)).max())
+        mean = half = None
+        if radius < 1.0:
+            mean = np.linalg.solve(np.eye(k) - phi1, self.mu)
+            gamma = scipy.linalg.solve_discrete_lyapunov(phi1, sigma_v)
+            w, q = np.linalg.eigh(0.5 * (gamma + gamma.T))
+            half = q * np.sqrt(np.maximum(w, 0.0))
+        shock_factor = np.linalg.cholesky(sigma_v + 1e-300 * np.eye(k)) if np.any(sigma_v) else np.zeros((k, k))
+        return _FactorLaw(radius, mean, half, shock_factor, _recursion_band(phi1, self.t))
 
     def to_dict(self) -> dict:
         return {
@@ -158,34 +189,53 @@ def preset_dgp(kind: str = "strong", k: int = 1, n: int = 11, t: int = 300) -> D
     raise ValueError("kind must be 'strong' or 'weak'")
 
 
+def _recursion_band(phi1: np.ndarray, periods: int) -> np.ndarray:
+    """LAPACK lower band storage of the stacked recursion x_0 = x0,
+    x_{s+1} - phi1 x_s = mu + v_s (s < periods).
+
+    The system is unit lower-triangular with (periods + 1) K unknowns, ordered
+    by period then factor, and lower bandwidth 2K - 1: entry (i, j) is stored
+    at ``band[i - j, j]``, and -phi1[a, b] sits at i - j = K + a - b.
+    """
+    k = phi1.shape[0]
+    band = np.zeros((2 * k, (periods + 1) * k))
+    band[0] = 1.0
+    for a in range(k):
+        for b in range(k):
+            band[k + a - b, b : periods * k : k] = -phi1[a, b]
+    return band
+
+
 def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationary"):
-    """Draw one panel pair; bit-identical for identical (spec, seed, replicate)."""
+    """Draw one panel pair; bit-identical for identical (spec, seed, replicate).
+
+    The draws are x_0 (stationary init only), the factor shocks, then the
+    return noise, all from ``replicate_rng(seed, replicate)``.  The factor path
+    solves the stacked recursion x_{s+1} = mu + phi1 x_s + v_s in one banded
+    forward substitution (LAPACK ``dtbtrs``), equal to stepping the recursion
+    up to rounding.  ``init="burnin"`` starts at mu and drops 200 periods.
+    """
     k, n, t = spec.n_factors, spec.n_assets, spec.t
+    law = spec._law
     rng = replicate_rng(seed, replicate)
-    eigmax = np.abs(np.linalg.eigvals(spec.phi1)).max()
     if init == "stationary":
-        if eigmax >= 1.0:
-            raise ValueError(f"phi1 spectral radius {eigmax:.3f} >= 1; no stationary law")
-        mean = np.linalg.solve(np.eye(k) - spec.phi1, spec.mu)
-        gamma = scipy.linalg.solve_discrete_lyapunov(spec.phi1, spec.sigma_v)
-        w, q = np.linalg.eigh(0.5 * (gamma + gamma.T))
-        half = q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
-        x0 = mean + half @ rng.standard_normal(k)
-        burn = 0
+        if law.mean is None:
+            raise ValueError(f"phi1 spectral radius {law.radius:.3f} >= 1; no stationary law")
+        x0 = law.mean + law.half @ rng.standard_normal(k)
+        burn, band = 0, law.band
     elif init == "burnin":
-        x0 = spec.mu.copy()
-        burn = 200
+        x0, burn = spec.mu, 200
+        band = _recursion_band(spec.phi1, t + burn)
     else:
         raise ValueError("init must be 'stationary' or 'burnin'")
 
-    lv = np.linalg.cholesky(spec.sigma_v + 1e-300 * np.eye(k)) if np.any(spec.sigma_v) else np.zeros((k, k))
     total = t + burn
-    shocks = lv @ rng.standard_normal((k, total))
-    x = np.empty((k, total + 1))
-    x[:, 0] = x0
-    for s in range(total):
-        x[:, s + 1] = spec.mu + spec.phi1 @ x[:, s] + shocks[:, s]
-    x = x[:, burn:]
+    shocks = law.shock_factor @ rng.standard_normal((k, total))
+    rhs = np.empty((total + 1, k))
+    rhs[0] = x0
+    rhs[1:] = spec.mu + shocks.T
+    path, _ = scipy.linalg.lapack.dtbtrs(band, rhs.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
+    x = np.ascontiguousarray(path.reshape(total + 1, k)[burn:].T)
     v = shocks[:, burn:]
     e = np.sqrt(spec.sigma_e2) * rng.standard_normal((n, t))
     beta = spec.effective_beta

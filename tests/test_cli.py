@@ -62,6 +62,18 @@ def test_ingest_missing_file_exit_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+
+def test_missing_user_files_exit_2(tmp_path, yields_csv, capsys):
+    missing_h0 = tmp_path / "missing.json"
+    assert run(["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
+                "--stat", "far", "--h0", f"@{missing_h0}", "--out", tmp_path / "t"]) == 2
+    assert str(missing_h0) in capsys.readouterr().err
+    missing_macro = tmp_path / "missing.csv"
+    assert run(["ingest", "--input", yields_csv, "--maturities", "12,24",
+                "--factors", "pca:2,macro:m1", "--macro-input", missing_macro,
+                "--out", tmp_path / "i"]) == 2
+    assert str(missing_macro) in capsys.readouterr().err
+
 def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
     outs = {}
     for variant in ("I", "II"):
@@ -201,6 +213,13 @@ def test_mc_power_surface_experiment(tmp_path):
     assert rows[0] == "x,y,rejection"
     assert len(rows) == 1 + 3 * 3
 
+
+
+def test_mc_power_surface_needs_two_factors(tmp_path, capsys):
+    code = run(["mc", "--experiment", "power-surface", "--k", "1", "--n", "3",
+                "--reps", "100", "--grid-steps", "3", "--out", tmp_path / "ps"])
+    assert code == 2
+    assert "two-factor" in capsys.readouterr().err
 
 def test_eigenlab_command(tmp_path):
     out = tmp_path / "e"

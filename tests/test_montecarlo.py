@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskpremia.montecarlo import (
     DgpSpec,
@@ -77,17 +82,134 @@ def test_nonstationary_phi_rejected_and_burnin_allowed():
         c=spec.c, beta=spec.beta, lambda1=spec.lambda1, mu=spec.mu,
         phi1=np.array([[1.01]]), sigma_v=spec.sigma_v, sigma_e2=1.0, t=30,
     )
-    with pytest.raises(ValueError, match="spectral radius"):
-        simulate(bad, seed=0)
+    for replicate in range(3):   # the cached law keeps raising, call after call
+        with pytest.raises(ValueError, match="spectral radius"):
+            simulate(bad, seed=0, replicate=replicate)
     r, f = simulate(spec, seed=0, init="burnin")
     assert f.n_periods == 31
+    assert simulate(bad, seed=0, init="burnin")[1].n_periods == 31
+
+
+def simulate_by_steps(spec, seed, replicate=0, init="stationary"):
+    """Oracle: ``simulate`` stepping x_{s+1} = mu + phi1 x_s + v_s one period at a time."""
+    k, n, t = spec.n_factors, spec.n_assets, spec.t
+    rng = montecarlo.replicate_rng(seed, replicate)
+    if init == "stationary":
+        mean = np.linalg.solve(np.eye(k) - spec.phi1, spec.mu)
+        gamma = scipy.linalg.solve_discrete_lyapunov(spec.phi1, spec.sigma_v)
+        w, q = np.linalg.eigh(0.5 * (gamma + gamma.T))
+        x0 = mean + q @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ rng.standard_normal(k)
+        burn = 0
+    else:
+        x0, burn = spec.mu.copy(), 200
+    lv = np.linalg.cholesky(spec.sigma_v + 1e-300 * np.eye(k)) if np.any(spec.sigma_v) else np.zeros((k, k))
+    total = t + burn
+    shocks = lv @ rng.standard_normal((k, total))
+    x = np.empty((k, total + 1))
+    x[:, 0] = x0
+    for s in range(total):
+        x[:, s + 1] = spec.mu + spec.phi1 @ x[:, s] + shocks[:, s]
+    x, v = x[:, burn:], shocks[:, burn:]
+    e = np.sqrt(spec.sigma_e2) * rng.standard_normal((n, t))
+    r = spec.c[:, None] + spec.effective_beta @ (spec.lambda1 @ x[:, :-1] + v) + e
+    return r, x
+
+
+def stable_phi(rng, k, radius):
+    """Non-symmetric K x K matrix with spectral radius ``radius``: complex pairs
+    (rotation-scaling blocks) in a random basis of condition number at most 4."""
+    d = np.zeros((k, k))
+    for i in range(0, k - 1, 2):
+        rho = radius * (1.0 if i == 0 else rng.uniform(0.3, 1.0))
+        angle = rng.uniform(0.1, np.pi - 0.1)
+        d[i : i + 2, i : i + 2] = rho * np.array(
+            [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        )
+    if k % 2:
+        d[-1, -1] = radius * rng.uniform(-1.0, 1.0) if k > 1 else radius
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    basis = q * rng.uniform(0.5, 2.0, k)
+    return basis @ d @ np.linalg.inv(basis)
+
+
+class RecordingRng:
+    """Generator wrapper that keeps a copy of every standard-normal draw."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def standard_normal(self, size=None):
+        z = self.rng.standard_normal(size)
+        self.log.append(np.copy(z))
+        return z
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.floats(0.0, 0.99),
+    st.booleans(),
+    st.sampled_from(["stationary", "burnin"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_banded_path_matches_the_step_loop(k, radius, zero_shocks, init, seed):
+    rng = np.random.default_rng(seed)
+    n, t = 3, 40
+    root = rng.standard_normal((k, k))
+    spec = DgpSpec(
+        c=rng.standard_normal(n), beta=rng.standard_normal((n, k)),
+        lambda1=rng.standard_normal((k, k)), mu=rng.standard_normal(k),
+        phi1=stable_phi(rng, k, radius),
+        sigma_v=np.zeros((k, k)) if zero_shocks else root @ root.T + 0.1 * np.eye(k),
+        sigma_e2=0.5, t=t,
+    )
+    draws = {}
+    with pytest.MonkeyPatch.context() as mp:
+        real_rng = montecarlo.replicate_rng
+        mp.setattr(montecarlo, "replicate_rng",
+                   lambda *a: RecordingRng(real_rng(*a), draws.setdefault(len(draws), [])))
+        returns, factors = simulate(spec, seed=seed % 1000, replicate=3, init=init)
+        r_ref, x_ref = simulate_by_steps(spec, seed % 1000, 3, init)
+    # the same generator calls in the same order, bit for bit
+    assert [z.shape for z in draws[0]] == [z.shape for z in draws[1]]
+    assert all(np.array_equal(a, b) for a, b in zip(draws[0], draws[1]))
+    x, r = factors.factors, returns.returns
+    assert x.shape == x_ref.shape == (k, t + 1) and r.shape == r_ref.shape == (n, t)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert np.abs(r - r_ref).max() <= 1e-12 * np.abs(r_ref).max()
+    # deterministic per (seed, replicate), with the law cached or computed afresh
+    again_r, again_f = simulate(spec, seed=seed % 1000, replicate=3, init=init)
+    fresh_r, fresh_f = simulate(dataclasses.replace(spec), seed=seed % 1000, replicate=3, init=init)
+    for other_r, other_f in ((again_r, again_f), (fresh_r, fresh_f)):
+        assert np.array_equal(other_r.returns, r) and np.array_equal(other_f.factors, x)
+
+
+def test_simulate_computes_the_law_once_per_spec(monkeypatch):
+    calls = []
+    real = scipy.linalg.solve_discrete_lyapunov
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    spec = preset_dgp("strong", k=1, n=4, t=40)
+    power_curve(["far"], [spec.lambda1], spec, reps=100, seed=1)
+    assert len(calls) == 1
+
+
+def test_spec_arrays_are_private_read_only_copies():
+    base = preset_dgp("strong", k=2, n=4, t=40)
+    phi1 = base.phi1.copy()
+    spec = dataclasses.replace(base, phi1=phi1)
+    before = simulate(spec, seed=2)[1].factors
+    phi1[0, 0] = 0.9                     # the caller's array is not the spec's
+    with pytest.raises(ValueError, match="read-only"):
+        spec.phi1[0, 0] = 0.9
+    for name in ("c", "beta", "lambda1", "mu", "phi1", "sigma_v", "weak_scale"):
+        assert not getattr(spec, name).flags.writeable
+    assert np.array_equal(simulate(spec, seed=2)[1].factors, before)
 
 
 def test_weak_scale_zero_column():
     spec = preset_dgp("strong", k=2, n=4, t=40)
     spec = DgpSpec(**{**spec.to_dict()})
-    import dataclasses
-
     spec = dataclasses.replace(spec, weak_scale=np.array([1.0, 0.0]))
     assert np.allclose(spec.effective_beta[:, 1], 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
