@@ -127,52 +127,25 @@ def chi2_ppf(p: float, dof: int) -> float:
     return float(stats.chi2.ppf(p, dof))
 
 
-def _pencil_chol(b: np.ndarray) -> np.ndarray:
-    """Cholesky factor of one pencil matrix, SPD-projected if jitter fails."""
-    try:
-        return chol_spd(b)
-    except NumericalError:
-        return chol_spd(spd_project(b))
-
-
 def gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric-definite pencil (a, b).
 
-    Solved by Cholesky-reducing ``b`` to standard symmetric form.  Both
-    matrices may be given as congruences ``g' M g`` whose columns are first
-    rescaled to unit norm (the roots are invariant to column scaling), which
-    keeps the reduction stable for hypotheses with very large entries.
-    ``a`` and ``b`` may be stacks (..., m, m); the stack is factored in one
-    call and, only if that fails, each matrix is repaired on its own.
+    Solved by Cholesky-reducing ``b`` to standard symmetric form, after
+    rescaling both matrices so that ``b`` has a unit diagonal (the roots are
+    invariant to that congruence); ``b`` is SPD-projected if jitter does not
+    make it factor.
     """
     a = sym(np.asarray(a, dtype=float))
     b = sym(np.asarray(b, dtype=float))
-    d = np.sqrt(np.maximum(np.diagonal(b, axis1=-2, axis2=-1), np.finfo(float).tiny))
-    a = a / d[..., :, None] / d[..., None, :]
-    b = b / d[..., :, None] / d[..., None, :]
+    d = np.sqrt(np.maximum(np.diagonal(b), np.finfo(float).tiny))
+    a = a / d[:, None] / d[None, :]
+    b = b / d[:, None] / d[None, :]
     try:
-        low = np.linalg.cholesky(sym(b))
-    except np.linalg.LinAlgError:
-        low = per_matrix(_pencil_chol, b)
-    c = whiten(low, whiten(low, a).swapaxes(-1, -2))
-    return np.sort(np.linalg.eigvalsh(sym(c)), axis=-1)
-
-
-def orthonormal_completion(direction: np.ndarray) -> np.ndarray:
-    """K x (K-1) orthonormal basis of the complement of a unit K-vector.
-
-    Built from the full QR of [direction | I_K]; column signs are fixed so the
-    largest-magnitude entry of each column is positive.  A stack of
-    directions (..., K) gives a stack of bases (..., K, K-1).
-    """
-    lam = np.asarray(direction, dtype=float)
-    lam = lam.reshape(-1) if lam.ndim < 2 else lam
-    k = lam.shape[-1]
-    eye = np.broadcast_to(np.eye(k), (*lam.shape[:-1], k, k))
-    q, _ = np.linalg.qr(np.concatenate([lam[..., None], eye], axis=-1))
-    comp = q[..., 1:k]
-    top = np.take_along_axis(comp, np.abs(comp).argmax(axis=-2)[..., None, :], axis=-2)
-    return np.where(top < 0, -comp, comp)
+        low = chol_spd(b)
+    except NumericalError:
+        low = chol_spd(spd_project(b))
+    c = whiten(low, whiten(low, a).T)
+    return np.sort(np.linalg.eigvalsh(sym(c)))
 
 
 def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

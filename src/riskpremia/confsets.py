@@ -25,8 +25,8 @@ from .threestep import wald_statistics
 VALID_TESTS = ("far", "klm", "jklm", "wald", "sfar")
 
 #: Working-set budget of one chunk of grid points.  Chunks are sized from the
-#: bytes each point's arrays take (hc0 scores, V_ff, V_qf, pencil matrices),
-#: so a scan's memory does not grow with the grid.
+#: bytes each point's arrays take (K-sized blocks, the hc0 V_ff, projected
+#: sFAR matrices), so a scan's memory does not grow with the grid.
 CHUNK_BYTES = 1 << 20
 
 
@@ -156,11 +156,12 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
         mode = mode or fit.cov_mode
         dof = dofs(k, n)
         nk = n * k
-        floats = 3 * nk * nk                  # V_ff, its symmetrized copy, its factor
-        if mode == "hc0":
-            floats += t * nk                  # hc0 scores
-        if {"klm", "jklm"} & set(tests):
-            floats += 2 * nk * nk * k * k     # V_qf and its product
+        if mode == "kps":
+            floats = 16 * k * k               # 2K x K and K x K blocks
+        else:
+            floats = 6 * nk * nk              # V_ff, its parts and its factor
+            if {"klm", "jklm"} & set(tests):
+                floats += 2 * nk * k * k      # V_qf V_ff^-1 f and the Jacobian
 
         def ev(params):
             stats = robust_statistics(fit.stacked, lambdas(params), mode, tests)
@@ -186,7 +187,7 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
                 return np.array([[sfar_column(h, fit.stacked).pvalue_upper for h in hypotheses]])
 
             return ev, 1
-        floats = 4 * (2 * k) ** 2   # restriction matrices, congruences, factors
+        floats = 2 * (2 * k) ** 2   # projected matrices and their eigenvalues
 
         def ev(params):
             stat = sfar_row_statistics(fit.stacked, params, binding.index)
@@ -205,7 +206,7 @@ def scan_pvalues(
     mode: str | None = None,
 ) -> tuple[np.ndarray, tuple]:
     """P-values (len(tests), B) of one test family at a parameter stack (B, P),
-    and the failed points as (index, repr of the exception).
+    and the failed points as (index, exception).
 
     The family is any of far/klm/jklm (one pass of the robust statistics), or
     wald, or sfar.  Points are evaluated in stacked chunks; a chunk that raises
@@ -226,7 +227,7 @@ def scan_pvalues(
                 try:
                     pvalues[:, i] = ev(params[i : i + 1])[:, 0]
                 except FIT_ERRORS + (ValueError,) as exc:
-                    failures.append((i, repr(exc)))
+                    failures.append((i, exc))
     return pvalues, tuple(failures)
 
 
@@ -237,14 +238,15 @@ def pvalue_curve(
     mode: str | None = None,
 ) -> PvalueSurface:
     """P-value at every grid point: ``scan_pvalues`` of the one test over
-    the grid's parameter vectors, failed points NaN and recorded."""
+    the grid's parameter vectors, failed points NaN and recorded as
+    (index, repr of the exception)."""
     params = grid.binding.assemble(grid.points())
     pvalues, failures = scan_pvalues((test,), fit, grid.binding, params, mode)
     return PvalueSurface(
         grid=grid,
         test=test,
         pvalues=pvalues[0].reshape(grid.shape),
-        failures=failures,
+        failures=tuple((i, repr(exc)) for i, exc in failures),
     )
 
 

@@ -11,18 +11,37 @@ from the factorized score covariance, and an outer-product ('hc0') form whose
 per-period scores carry the plug-in corrections for beta and the first-stage
 innovations.  The score statistic projects onto the orthogonalized Jacobian,
 whose limit is independent of the moment vector under the null.
+
+``build_moment_system``, ``vff_estimator`` and ``vqf_estimator`` form these
+dense NK-sized arrays at each hypothesis; they are the reference.
+``robust_statistics`` evaluates a hypothesis from quantities fixed per fit
+instead.  By the OLS orthogonality of the second stage the moment vector is
+vec(Phi B Qxx) with B = (I_K ; -Lambda1), so under 'kps' every statistic is
+a function of the 2K x 2K matrices H = Phi' Sigma^-1 Phi and Psi: with
+D = B' Psi B,
+
+    FAR = T tr(D^-1 B'HB),    KLM = T tr(D^-1 X (G'HG)^+ X'),
+
+where G = (I - B D^-1 B' Psi) e_v, e_v = (0 ; I_K), and X = B'HG; the
+orthogonalized Jacobian is -(Qxx kron Phi G).  Under 'hc0' the score at
+Lambda1 is a_t - (M kron I_N) z_t with M = Qxx Lambda1' and a_t, z_t free of
+the hypothesis, so V_ff and V_qf are fixed quadratic and linear forms in the
+per-fit Grams of (a_t, z_t) and of the Jacobian scores with them
+(``StackedSystem.hc0_grams``, ``hc0_psi_q_grams``); no work per hypothesis
+grows with T.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
 from .pipeline import ModelFit
-from .subset import StackedSystem
+from .subset import StackedSystem, far_trace
 
 TESTS = ("far", "klm", "jklm")
 _LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
@@ -58,7 +77,8 @@ class MomentSystem:
     """Moment vector, Jacobian, variance blocks, and orthogonalized Jacobian.
 
     Every per-hypothesis array may carry leading batch axes, one entry per
-    hypothesis; ``vqf`` and ``d_ortho`` are None when only FAR was asked for.
+    hypothesis; ``d_ortho`` is None when only FAR was asked for, and ``vqf``
+    is None unless the system was built densely (``build_moment_system``).
     """
 
     f: np.ndarray          # (..., NK)
@@ -165,21 +185,16 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
     return _vqf(sys, lam1_0, mode, scores)
 
 
-def _moment_system(sys: StackedSystem, lam1_0, mode: str, which) -> MomentSystem:
-    """The moment system at one hypothesis or a stack; the Jacobian blocks
-    only when KLM or JKLM is in ``which``."""
-    _check_mode(mode)
+def _moment_system(sys: StackedSystem, lam1_0, mode: str, vff, vqf_apply, vqf=None) -> MomentSystem:
+    """The moment system at one hypothesis or a stack from its V_ff and the
+    map x -> V_qf x; the orthogonalized Jacobian only when ``vqf_apply`` is given."""
     k = sys.n_factors
-    lam1_0 = square_stack(lam1_0, k)
     f = moment_vector(sys, lam1_0)
-    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
-    vff = _vff(sys, lam1_0, mode, scores)
     low = chol_spd(vff)
-    vqf = d_ortho = None
-    if "klm" in which or "jklm" in which:
-        vqf = _vqf(sys, lam1_0, mode, scores)
+    d_ortho = None
+    if vqf_apply is not None:
         vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
-        shift = (vqf @ vff_inv_f[..., None])[..., 0]
+        shift = vqf_apply(vff_inv_f[..., None])[..., 0]
         d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
     return MomentSystem(
         f=f,
@@ -197,7 +212,13 @@ def _moment_system(sys: StackedSystem, lam1_0, mode: str, which) -> MomentSystem
 
 
 def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> MomentSystem:
-    return _moment_system(sys, lam1_0, mode, TESTS)
+    """The dense moment system at one hypothesis or a stack, every block
+    formed; the reference for ``robust_statistics``."""
+    _check_mode(mode)
+    lam1_0 = square_stack(lam1_0, sys.n_factors)
+    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
+    vqf = _vqf(sys, lam1_0, mode, scores)
+    return _moment_system(sys, lam1_0, mode, _vff(sys, lam1_0, mode, scores), lambda x: vqf @ x, vqf)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +241,7 @@ def _decompose(ms: MomentSystem):
     full = min(dw.shape[-2:])
     tol = max(dw.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     rank = np.sum(s > tol, axis=-1)
-    if (rank < full).any():
-        warnings.warn(
-            f"orthogonalized Jacobian rank {rank.min()} below {full}; "
-            "projection uses the realized rank",
-            RuntimeWarning,
-        )
+    _warn_rank(rank, full)
     proj = (u.swapaxes(-1, -2) @ fw[..., None])[..., 0]
     proj = np.where(np.arange(full) < rank[..., None], proj, 0.0)
     klm_stat = ms.n_periods * sumsq(proj)
@@ -237,14 +253,95 @@ def dofs(k: int, n: int) -> dict:
     return {"far": k * n, "klm": k * k, "jklm": k * (n - k)}
 
 
+def _warn_rank(rank: np.ndarray, full: int) -> None:
+    if (rank < full).any():
+        warnings.warn(
+            f"orthogonalized Jacobian rank {rank.min()} below {full}; "
+            "projection uses the realized rank",
+            RuntimeWarning,
+        )
+
+
+def _kps_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
+    """(FAR, KLM) under the Kronecker variance from the per-fit H and Psi.
+
+    KLM is None unless ``klm``.  D_o' V_ff^-1 D_o = D^-1 kron G'HG, so the
+    rank of the orthogonalized Jacobian is K times the rank of G'HG, read
+    from its eigenvalues; the pseudo-inverse keeps the realized rank.
+    """
+    far_stat = far_trace(sys, lam1_0)
+    if not klm:
+        return far_stat, None
+    k, nk = sys.n_factors, sys.n_factors * sys.n_assets
+    b = np.concatenate([np.broadcast_to(np.eye(k), lam1_0.shape), -lam1_0], axis=-2)
+    bt = b.swapaxes(-1, -2)
+    d = sym(bt @ sys.psi_hat @ b)
+    g = -(b @ np.linalg.solve(d, bt @ sys.psi_hat[:, k:]))
+    g[..., k:, :] += np.eye(k)
+    hg = sys.h_hat @ g
+    w, q = np.linalg.eigh(sym(g.swapaxes(-1, -2) @ hg))
+    keep = w > max(nk, k * k) * np.finfo(float).eps * w[..., -1:]
+    _warn_rank(k * keep.sum(axis=-1), k * k)
+    scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    y = (bt @ hg) @ q * scale[..., None, :]
+    klm_stat = sys.n_periods * np.sum(y * np.linalg.solve(d, y), axis=(-2, -1))
+    return far_stat, klm_stat
+
+
+def _kron_eye(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(m kron I_N) x for a stack of K x K ``m`` and x (..., NK, P)."""
+    k = m.shape[-1]
+    out = m @ x.reshape(*x.shape[:-2], k, -1)
+    return out.reshape(*out.shape[:-2], x.shape[-2], -1)
+
+
+def _hc0_vff(sys: StackedSystem, m: np.ndarray) -> np.ndarray:
+    """hc0 V_ff at a stack of M = Qxx Lambda1' from the per-fit Grams.
+
+    With the blocks A, C, Z of ``hc0_grams``, V_ff = A + R + R' where
+    R = (M kron I)(Z (M kron I)' / 2 - C').
+    """
+    nk = sys.n_factors * sys.n_assets
+    gram = sys.hc0_grams
+    u = _kron_eye(m, gram[nk:, nk:])
+    r = _kron_eye(m, 0.5 * u.swapaxes(-1, -2) - gram[nk:, :nk])
+    return sym(gram[:nk, :nk] + r + r.swapaxes(-1, -2))
+
+
+def _hc0_vqf_apply(sys: StackedSystem, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """hc0 V_qf x at a stack of M = Qxx Lambda1', for x (..., NK, P).
+
+    V_qf = Q'a/T - (Q'z/T)(M kron I)', the blocks of ``hc0_psi_q_grams``.
+    """
+    shifted = _kron_eye(m.swapaxes(-1, -2), x)
+    x = np.broadcast_to(x, shifted.shape)
+    return sys.hc0_psi_q_grams @ np.concatenate([x, -shifted], axis=-2)
+
+
+def _hc0_system(sys: StackedSystem, lam1_0: np.ndarray, klm: bool) -> MomentSystem:
+    """The hc0 moment system from the per-fit Grams, with the orthogonalized
+    Jacobian only if ``klm``.  V_qf is applied to V_ff^-1 f without being
+    formed, so ``vqf`` is None."""
+    m = sys.q_xx @ lam1_0.swapaxes(-1, -2)
+    apply = partial(_hc0_vqf_apply, sys, m) if klm else None
+    return _moment_system(sys, lam1_0, "hc0", _hc0_vff(sys, m), apply)
+
+
 def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dict:
     """The requested robust statistics at a stack of hypotheses (..., K, K).
 
     One array per name in ``which``, shaped like the stack; JKLM is
-    FAR - KLM, clipped at zero.  ``robust_tests`` is the single-hypothesis
-    form of the same computation.
+    FAR - KLM, clipped at zero.  Only per-fit quantities and K-sized ('kps')
+    or NK-sized ('hc0') algebra are used per hypothesis; ``robust_tests`` is
+    the single-hypothesis form of the same computation.
     """
-    far_stat, klm_stat = _decompose(_moment_system(sys, lam1_0, mode, which))
+    _check_mode(mode)
+    lam1_0 = square_stack(lam1_0, sys.n_factors)
+    klm = "klm" in which or "jklm" in which
+    if mode == "kps":
+        far_stat, klm_stat = _kps_statistics(sys, lam1_0, klm)
+    else:
+        far_stat, klm_stat = _decompose(_hc0_system(sys, lam1_0, klm))
     stats = {"far": far_stat, "klm": klm_stat}
     if "jklm" in which:
         stats["jklm"] = np.maximum(far_stat - klm_stat, 0.0)

@@ -12,6 +12,7 @@ once per ``DgpSpec``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -250,14 +251,15 @@ def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationa
 
 
 def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
-    """``evaluate(fit)`` on replicates 0..reps-1; None where a FIT_ERRORS was raised."""
+    """``evaluate(fit)`` on replicates 0..reps-1; the exception where one of
+    FIT_ERRORS was raised."""
     out = []
     for rep in range(reps):
         returns, factors = simulate(spec, seed, rep)
         try:
             out.append(evaluate(fit_model(returns, factors)))
-        except FIT_ERRORS:
-            out.append(None)
+        except FIT_ERRORS as exc:
+            out.append(exc)
     return out
 
 
@@ -268,20 +270,24 @@ class PowerTable:
     rejection: np.ndarray        # (n_tests, n_points)
     std_error: np.ndarray        # (n_tests, n_points) binomial
     failures: dict
+    failure_kinds: dict          # test -> {exception class name: failed pairs}
     reps: int
     level: float
 
 
 def _evaluate_tests(fit: ModelFit, families, shape):
-    """P-values (tests, points), NaN where a test failed; one ``scan_pvalues``
+    """P-values (tests, points), NaN where a test failed, and a Counter of
+    the failures by (test row, exception class name); one ``scan_pvalues``
     per family of (rows, tests, binding, parameter stack)."""
     out = np.full(shape, np.nan)
+    kinds = Counter()
     for rows, tests, binding, params in families:
         try:
-            out[rows] = scan_pvalues(tests, fit, binding, params)[0]
-        except FIT_ERRORS:   # per-fit setup: Wald without a price of risk
-            continue
-    return out
+            out[rows], failures = scan_pvalues(tests, fit, binding, params)
+        except FIT_ERRORS as exc:   # per-fit setup: Wald without a price of risk
+            failures = [(i, exc) for i in range(len(params))]
+        kinds.update((row, type(exc).__name__) for _, exc in failures for row in rows)
+    return out, kinds
 
 
 def power_curve(
@@ -299,7 +305,9 @@ def power_curve(
     entry tests the first row of Lambda1 against the matrix's first row.
     Each replicate's fit runs one ``confsets.scan_pvalues`` per test family
     (far/klm/jklm together, wald, sfar) over the whole grid; ``failures``
-    counts, per test, the (replicate, hypothesis) pairs without a result.
+    counts, per test, the (replicate, hypothesis) pairs without a result, and
+    ``failure_kinds`` splits that count by the exception raised: by the fit,
+    by a family's per-fit setup, or at a point.
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates for stable frequencies")
@@ -320,17 +328,29 @@ def power_curve(
             families.append((rows, [tests[i] for i in rows], binding, stack))
     shape = (len(tests), len(h0_mats))
     results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, shape))
-    pvalues = np.stack([np.full(shape, np.nan) if r is None else r for r in results])
+    pvalues = np.full((reps, *shape), np.nan)
+    kinds = Counter()
+    for rep, res in enumerate(results):
+        if isinstance(res, Exception):    # the fit failed: every test, every point
+            kinds.update({(row, type(res).__name__): len(h0_mats) for row in range(len(tests))})
+        else:
+            pvalues[rep], fails = res
+            kinds.update(fails)
     counts = np.sum(~np.isnan(pvalues), axis=0)
     freq = np.sum(pvalues < level, axis=0) / np.maximum(counts, 1)
     se = np.sqrt(np.maximum(freq * (1 - freq), 0.0) / np.maximum(counts, 1))
     failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
+    failure_kinds = {
+        t: {name: n for (row, name), n in sorted(kinds.items()) if row == i}
+        for i, t in enumerate(tests)
+    }
     return PowerTable(
         tests=tuple(tests),
         grid=params,
         rejection=freq,
         std_error=se,
         failures=failures,
+        failure_kinds=failure_kinds,
         reps=reps,
         level=level,
     )
@@ -361,7 +381,7 @@ def sfar_density_experiment(
     k, n = spec.n_factors, spec.n_assets
     h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
     results = _replicates(spec, reps, seed, lambda fit: sfar_row(h, fit.stacked).statistic)
-    stats = np.asarray([s for s in results if s is not None])
+    stats = np.asarray([s for s in results if not isinstance(s, Exception)])
     failures = len(results) - stats.size
     dof = k * (n - k + 1)
     if stats.size == 0:
@@ -417,7 +437,7 @@ def power_surface(
         pvalues, failures = scan_pvalues(("sfar",), fit, binding, points)
         return None if failures else (pvalues[0] < level).reshape(len(axis1), len(axis2))
 
-    kept = [r for r in _replicates(spec, reps, seed, rejections) if r is not None]
+    kept = [r for r in _replicates(spec, reps, seed, rejections) if isinstance(r, np.ndarray)]
     return sum(kept, np.zeros((len(axis1), len(axis2)))) / max(len(kept), 1)
 
 
@@ -497,7 +517,7 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
 def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
     """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T."""
     por = _replicates(spec, reps, seed, lambda fit: fit.por)
-    draws = np.asarray([p.lambda1.reshape(-1, order="F") for p in por if p is not None])
+    draws = np.asarray([p.lambda1.reshape(-1, order="F") for p in por if isinstance(p, PriceOfRisk)])
     return np.cov(draws.T, ddof=1).reshape(
         (spec.n_factors**2, spec.n_factors**2)
     ) * spec.t

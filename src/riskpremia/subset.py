@@ -2,18 +2,23 @@
 
 The stacked regression of demeaned returns on (xbar_{t-1}; vhat_t) has an
 N x 2K coefficient matrix Phi = (d : beta) of rank K under the model.  A row
-hypothesis lambda_1 = lambda_1^0 reduces its rank to K-1 after multiplying by
-the restriction matrix A(lambda_1^0), so the subset statistic is T times the
-sum of the K smallest roots of the symmetric-definite pencil
+hypothesis lambda_1 = lambda_1^0 restricts the pencil
 
-    | mu * A' Psi A  -  A' Phi' Sigma^-1 Phi A | = 0,
+    | mu * Psi  -  Phi' Sigma^-1 Phi | = 0
 
-which equals the infimum of the full-vector FAR statistic over the nuisance
-rows (tested against that definition numerically).  H = Phi' Sigma^-1 Phi is
-fixed once the model is fit (``StackedSystem.h_hat``); only the restriction
-matrix carries the hypothesis, so a stack of hypotheses is one stack of
-restriction matrices pushed through one pencil computation
-(``_pencil_result``); a single hypothesis is a stack of one.
+to the hyperplane orthogonal to w = (lambda_1^0 ; e_i), i the tested row,
+and the subset statistic is T times the sum of the K smallest roots of the
+restricted pencil, which equals the infimum of the full-vector FAR statistic
+over the nuisance rows (tested against that definition numerically).  The
+roots of a pencil restricted to a hyperplane are the eigenvalues of the
+projected matrix: with Psi = L L' and M = L^-1 H L^-T, H = Phi' Sigma^-1 Phi,
+they are the eigenvalues of (I - u u') M (I - u u') other than the zero that
+belongs to u = L^-1 w / |L^-1 w| (Golub 1973).  H, L and M are fixed once the
+model is fit (``StackedSystem.h_hat``, ``psi_whitener``, ``h_whitened``); only the
+normal w carries the hypothesis, so a stack of hypotheses is one stacked
+2K x 2K ``eigvalsh`` (``_projected_roots``); a single hypothesis is a stack
+of one.  A distant value along direction d has the normal (d ; 0) at every
+row index.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from ._linalg import (
@@ -31,8 +37,8 @@ from ._linalg import (
     chol_spd,
     gen_eigvals,
     inv_from_chol,
-    orthonormal_completion,
     spd_project,
+    square_stack,
     sym,
     vec_kron,
 )
@@ -85,6 +91,17 @@ class StackedSystem:
         return self.phi_hat.T @ inv_from_chol(chol_spd(self.sigma_hat)) @ self.phi_hat
 
     @cached_property
+    def psi_whitener(self) -> np.ndarray:
+        """(2K, 2K) L^-1 for the lower Cholesky factor L of Psi = L L'."""
+        low = chol_spd(self.psi_hat)
+        return scipy.linalg.solve_triangular(low, np.eye(low.shape[0]), lower=True)
+
+    @cached_property
+    def h_whitened(self) -> np.ndarray:
+        """(2K, 2K) M = L^-1 H L^-T: the pencil (H, Psi) in standard form."""
+        return sym(self.psi_whitener @ self.h_hat @ self.psi_whitener.T)
+
+    @cached_property
     def jacobian(self) -> np.ndarray:
         """(NK, K^2) Jacobian -(Qxx kron beta) of the moment vector in vec(Lambda1)."""
         return -np.kron(self.q_xx, self.beta_hat)
@@ -94,6 +111,32 @@ class StackedSystem:
         """(K, T) Sigma_v^-1 vhat, read by every hc0 score."""
         k = self.n_factors
         return np.linalg.solve(self.w_hat[k:, k:], self.vhat)
+
+    @cached_property
+    def hc0_parts(self) -> np.ndarray:
+        """(T, 2NK) hypothesis-free parts [a | z] of the hc0 moment scores.
+
+        a_t = xbar_t kron (e_t + beta v_t) and z_t = (Sigma_v^-1 v_t) kron e_t;
+        the score at Lambda1 is a_t - (Qxx Lambda1' kron I_N) z_t.
+        """
+        t = self.n_periods
+        upper = self.residuals + self.beta_hat @ self.vhat
+        a = np.einsum("it,nt->tin", self.xbar_lagged, upper).reshape(t, -1)
+        z = np.einsum("it,nt->tin", self.sigma_v_inv_vhat, self.residuals).reshape(t, -1)
+        return np.hstack([a, z])
+
+    @cached_property
+    def hc0_grams(self) -> np.ndarray:
+        """(2NK, 2NK) Gram [a | z]' [a | z] / T of ``hc0_parts``; every hc0
+        V_ff is a fixed quadratic form in its blocks."""
+        parts = self.hc0_parts
+        return parts.T @ parts / self.n_periods
+
+    @cached_property
+    def hc0_psi_q_grams(self) -> np.ndarray:
+        """(NK^3, 2NK) cross-moments of ``hc0_psi_q`` with ``hc0_parts``; every
+        hc0 V_qf is a fixed linear form in its blocks."""
+        return self.hc0_psi_q.T @ self.hc0_parts / self.n_periods
 
     @cached_property
     def hc0_psi_q(self) -> np.ndarray:
@@ -247,27 +290,17 @@ class RankTestResult:
     pvalue: float
 
 
-def restriction_matrix(lam0: np.ndarray) -> np.ndarray:
-    """A(lambda_1^0): 2K x (2K-1) with the tested row folded into the pencil.
+def _row_normals(values: np.ndarray, index: int) -> np.ndarray:
+    """(..., 2K) normals (lambda_1^0 ; e_index) of a stack of row values (..., K).
 
-    A stack of rows (..., K) gives a stack of matrices (..., 2K, 2K-1).
+    The restricted pencil of a row hypothesis acts on the hyperplane of
+    vectors (x ; y) with lambda_1^0' x + y_index = 0.
     """
-    lam0 = np.asarray(lam0, dtype=float)
-    lam0 = lam0.reshape(-1) if lam0.ndim < 2 else lam0
-    k = lam0.shape[-1]
-    a = np.zeros((*lam0.shape[:-1], 2 * k, 2 * k - 1))
-    a[..., :k, :k] = np.eye(k)
-    a[..., k, :k] = -lam0
-    a[..., k + 1 :, k:] = np.eye(k - 1)
-    return a
-
-
-def _row_permuted(sys: StackedSystem, index: int):
-    """H and Psi with innovation slot ``index`` moved to the front."""
-    k = sys.n_factors
-    order = [*range(k), k + index, *(k + i for i in range(k) if i != index)]
-    rows = np.ix_(order, order)
-    return sys.h_hat[rows], sys.psi_hat[rows]
+    k = values.shape[-1]
+    normals = np.zeros((*values.shape[:-1], 2 * k))
+    normals[..., :k] = values
+    normals[..., k + index] = 1.0
+    return normals
 
 
 def sfar_dof(sys: StackedSystem) -> int:
@@ -276,23 +309,29 @@ def sfar_dof(sys: StackedSystem) -> int:
     return k * (sys.n_assets - k + 1)
 
 
-def _pencil_result(sys: StackedSystem, index: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T times the sum of the K smallest roots of the pencil (g' H g, g' Psi g).
+def _projected_roots(sys: StackedSystem, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T times the sum of the K smallest roots of the pencil (H, Psi) on the
+    hyperplanes orthogonal to a stack of ``normals`` (B, 2K).
 
-    H = Phi' Sigma^-1 Phi and Psi are taken with innovation slot ``index``
-    moved to the front; each matrix of the stack ``g`` (B, 2K, 2K-1) carries
-    one hypothesis.  Returns the statistics (B,) and the ascending roots
-    (B, 2K-1).
+    With u = L^-1 w / |L^-1 w| and P = I - u u', the roots are the
+    eigenvalues of P M P without its smallest, the zero that belongs to u.
+    Returns the statistics (B,) and the ascending roots (B, 2K-1).
     """
-    hmat, psi = _row_permuted(sys, index)
-    gt = g.swapaxes(-1, -2)
-    roots = np.maximum(gen_eigvals(gt @ hmat @ g, gt @ psi @ g), 0.0)
-    return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
+    # one matrix-vector product per hypothesis, so a stack of one gives the
+    # same numbers as any stack
+    m = sys.h_whitened
+    u = (sys.psi_whitener @ normals[..., None])[..., 0]
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    mu = (m @ u[..., None])[..., 0]
+    # P M P = M - S - S' with S = u (Mu - (u'Mu) u / 2)'; eigvalsh reads one triangle
+    outer = u[:, :, None] * (mu - 0.5 * np.sum(u * mu, axis=-1, keepdims=True) * u)[:, None, :]
+    roots = np.maximum(np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))[:, 1:], 0.0)
+    return sys.n_periods * roots[:, : sys.n_factors].sum(axis=-1), roots
 
 
-def _single_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
-    """The stack-of-one case of ``_pencil_result`` as an SfarResult."""
-    stats, roots = _pencil_result(sys, index, g[None])
+def _single_result(sys: StackedSystem, normal: np.ndarray) -> SfarResult:
+    """The stack-of-one case of ``_projected_roots`` as an SfarResult."""
+    stats, roots = _projected_roots(sys, normal[None])
     stat, dof = float(stats[0]), sfar_dof(sys)
     return SfarResult(
         statistic=stat,
@@ -304,30 +343,35 @@ def _single_result(sys: StackedSystem, index: int, g: np.ndarray) -> SfarResult:
 
 
 def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
-    """Subset statistic for one row of Lambda1 via the characteristic pencil."""
+    """Subset statistic for one row of Lambda1 via the projected pencil."""
     if h.kind != "row":
         raise ValueError("sfar_row requires a row hypothesis")
-    return _single_result(sys, h.index, restriction_matrix(h.value))
+    return _single_result(sys, _row_normals(h.value, h.index))
 
 
 def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
     """Row statistics of ``sfar_row`` at a stack of values (B, K) of row ``index``."""
     values = np.asarray(values, dtype=float)
     _check_subset_values(index, values)
-    return _pencil_result(sys, index, restriction_matrix(values))[0]
+    return _projected_roots(sys, _row_normals(values, index))[0]
 
 
-def far_trace(sys: StackedSystem, lam1: np.ndarray) -> float:
+def far_trace(sys: StackedSystem, lam1: np.ndarray):
     """Full-vector FAR under the Kronecker weighting, as a trace form.
 
-    Equals T tr(B' H B (B' Psi B)^-1) with B = (I_K ; -Lambda1); the lag
-    second-moment matrix cancels against the weighting.
+    Equals T tr((B' Psi B)^-1 B' H B) with B = (I_K ; -Lambda1); the lag
+    second-moment matrix cancels against the weighting.  A stack of
+    hypotheses (..., K, K) gives an array of statistics; one hypothesis, in
+    any shape with K^2 entries, gives a float.
     """
     k = sys.n_factors
-    b = np.vstack([np.eye(k), -np.asarray(lam1, dtype=float).reshape(k, k)])
-    num = b.T @ sys.h_hat @ b
-    den = b.T @ sys.psi_hat @ b
-    return float(sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num))))
+    lam1 = square_stack(lam1, k)
+    b = np.concatenate([np.broadcast_to(np.eye(k), lam1.shape), -lam1], axis=-2)
+    bt = b.swapaxes(-1, -2)
+    num = bt @ sys.h_hat @ b
+    den = bt @ sys.psi_hat @ b
+    far = sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num)), axis1=-2, axis2=-1)
+    return float(far) if far.ndim == 0 else far
 
 
 def _assemble_lambda1(h: SubsetHypothesis, free: np.ndarray, k: int) -> np.ndarray:
@@ -412,25 +456,21 @@ def sfar_column(h: SubsetHypothesis, sys: StackedSystem, n_starts: int = 20, see
     return sfar_minimized(h, sys, n_starts=n_starts, seed=seed)
 
 
-def _distant_restriction(directions: np.ndarray) -> np.ndarray:
-    """(B, 2K, 2K-1) distant-value restriction matrices of nonzero directions (B, K)."""
-    b, k = directions.shape
-    unit = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
-    g = np.zeros((b, 2 * k, 2 * k - 1))
-    g[:, :k, : k - 1] = orthonormal_completion(unit)
-    g[:, k:, k - 1 :] = np.eye(k)
-    return g
-
-
 def sfar_distant(
     direction: np.ndarray, sys: StackedSystem, index: int = 0
 ) -> SfarResult:
-    """Limit of the row statistic along lambda_1 = c * direction as c grows."""
+    """Limit of the row statistic along lambda_1 = c * direction as c grows.
+
+    The normal (c d ; e_index) of the restricted pencil turns into (d ; 0) as
+    c grows, so the limit is the same for every ``index``; the argument is
+    accepted for symmetry with ``sfar_row``.
+    """
     lam = np.asarray(direction, dtype=float).reshape(-1)
     norm = np.linalg.norm(lam)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
-    return _single_result(sys, index, _distant_restriction(lam[None])[0])
+    _check_subset_values(index, lam)
+    return _single_result(sys, np.concatenate([lam, np.zeros_like(lam)]))
 
 
 def kp_rank(sys: StackedSystem) -> RankTestResult:
@@ -487,7 +527,7 @@ def boundedness_diagnostic(
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((n_directions, sys.n_factors))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        stats, _ = _pencil_result(sys, index, _distant_restriction(dirs))
+        stats, _ = _projected_roots(sys, np.hstack([dirs, np.zeros_like(dirs)]))
         unbounded = [d.copy() for d, stat in zip(dirs, stats) if stat <= crit]
     return BoundednessReport(
         bounded_all=len(unbounded) == 0,

@@ -154,8 +154,9 @@ def test_scan_failures_match_a_point_by_point_loop(monkeypatch, test):
         return real(sys, arg, *rest)
 
     monkeypatch.setattr(confsets, name, flaky)
-    # about four points per chunk (bytes per point as counted by the scan)
-    per_point = 8 * 4 * 4**2 if test == "sfar" else 8 * (3 * 10**2 + 2 * 10**2 * 2**2)
+    # about four points per chunk (bytes per point as counted by the scan:
+    # 2 (2K)^2 floats for sFAR, 16 K^2 for the kps robust tests)
+    per_point = 8 * 2 * 4**2 if test == "sfar" else 8 * 16 * 2**2
     monkeypatch.setattr(confsets, "CHUNK_BYTES", 4 * per_point)
     surface = pvalue_curve(test, grid, fit, mode="kps")
 

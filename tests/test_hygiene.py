@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every imported name is used,
-and no handler catches every exception."""
+every private module-level helper of the package has a caller, and no
+handler catches every exception."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,43 @@ def test_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions and classes (not dunders) that no
+    code of ``sources`` (name -> text) reads outside their own body."""
+    defined, reads = [], []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((name, node.name, set(ast.walk(node))))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.append((node, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(node, alias.name) for alias in node.names]
+    return sorted(
+        f"{module}: {helper}" for module, helper, body in defined
+        if not any(read == helper and node not in body for node, read in reads)
+    )
+
+
+def test_scanner_flags_unreferenced_private_helpers():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _recursive():\n    return _recursive()\n"
+                "class _Orphan:\n    pass\ndef __dunder__():\n    pass\n",
+        "b.py": "from a import _used\nx = 1\n",
+    }
+    assert unreferenced_private(sources) == ["a.py: _Orphan", "a.py: _recursive"]
+
+
+def test_no_unreferenced_private_helpers():
+    package = sorted((ROOT / "src" / "riskpremia").glob("*.py"))
+    assert unreferenced_private({p.name: p.read_text() for p in package}) == []
 
 
 def broad_handlers(source: str) -> list[tuple[str, ast.ExceptHandler]]:

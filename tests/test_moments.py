@@ -1,4 +1,5 @@
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from riskpremia.moments import (
 )
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import fit_model
-from riskpremia.subset import build_stacked, far_trace
+from riskpremia.subset import StackedSystem, build_stacked, far_trace
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
@@ -207,27 +208,38 @@ def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):
 
     monkeypatch.setattr(moments, "chol_spd", counting_chol)
     hypotheses = [lam1, lam1 + 0.1, lam1 - 0.3]
+    per_mode = {}
     for mode in ("kps", "hc0"):
+        before = len(factored)
         for lam in hypotheses:
             robust_tests(sys, lam, mode=mode)
-    assert len(factored) == 2 * len(hypotheses)
+        per_mode[mode] = len(factored) - before
+    # kps works with K x K blocks of the per-fit H and Psi: no NK x NK factor
+    assert per_mode == {"kps": 0, "hc0": len(hypotheses)}
     assert build_moment_system(sys, lam1).q is sys.jacobian
     np.testing.assert_array_equal(sys.jacobian, -np.kron(sys.q_xx, sys.beta_hat))
 
 
-def test_hc0_scores_computed_once_per_hypothesis(monkeypatch):
+def test_hc0_grams_built_once_per_system(monkeypatch):
     sys, lam1 = fitted_system(k=2, n=5, t=80, seed=52)
-    hc0_scores = moments._hc0_scores
+    parts = StackedSystem.hc0_parts.func
     calls = []
 
-    def counting_scores(s, lam):
+    def counting_parts(s):
         calls.append(1)
-        return hc0_scores(s, lam)
+        return parts(s)
 
-    monkeypatch.setattr(moments, "_hc0_scores", counting_scores)
+    counted = cached_property(counting_parts)
+    counted.__set_name__(StackedSystem, "hc0_parts")
+    monkeypatch.setattr(StackedSystem, "hc0_parts", counted)
+
+    def no_scores(*args):
+        raise AssertionError("a (T, NK) score matrix was formed at a hypothesis")
+
+    monkeypatch.setattr(moments, "_hc0_scores", no_scores)
     for lam in (lam1, lam1 + 0.1, lam1 - 0.3):
         robust_tests(sys, lam, mode="hc0")
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_sigma_v_inv_vhat_solved_once_per_system(monkeypatch):

@@ -302,7 +302,7 @@ def per_hypothesis_power_curve(tests, h0_mats, spec, reps, level, seed):
         spec, reps, seed, lambda fit: per_hypothesis_tests(fit, tests, h0_mats, level)
     )
     failed = np.full((len(tests), len(h0_mats)), np.nan)
-    stack = np.stack([failed if r is None else r for r in results])
+    stack = np.stack([failed if isinstance(r, Exception) else r for r in results])
     counts = np.sum(~np.isnan(stack), axis=0)
     freq = np.nansum(stack, axis=0) / np.maximum(counts, 1)
     failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
@@ -332,14 +332,14 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
             return real(*args)
         return flaky
 
-    robust = inject(moments._moment_system, "robust", 1, (..., 0, 0))
+    robust = inject(moments.robust_statistics, "robust", 1, (..., 0, 0))
     wald = inject(threestep.wald_statistics, "wald", 2, (..., 0, 0))
     monkeypatch.setattr(montecarlo, "fit_model", counting_fit)
-    monkeypatch.setattr(moments, "_moment_system", robust)
+    monkeypatch.setattr(moments, "robust_statistics", robust)
+    monkeypatch.setattr(confsets, "robust_statistics", robust)
     monkeypatch.setattr(threestep, "wald_statistics", wald)
     monkeypatch.setattr(confsets, "wald_statistics", wald)
-    monkeypatch.setattr(subset, "restriction_matrix",
-                        inject(subset.restriction_matrix, "sfar", 0, (..., 0)))
+    monkeypatch.setattr(subset, "_row_normals", inject(subset._row_normals, "sfar", 0, (..., 0)))
 
     table = power_curve(tests, h0_mats, spec, reps=100, seed=3)
     replicate[0] = -1
@@ -347,6 +347,7 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
     assert table.failures == failures == {
         "far": 34, "klm": 34, "jklm": 34, "wald": 34, "sfar": 34
     }
+    assert table.failure_kinds == {t: {"NumericalError": 34} for t in tests}
     np.testing.assert_array_equal(table.rejection, freq)
     assert ((table.rejection > 0.0) & (table.rejection < 1.0)).any()
 
@@ -356,6 +357,7 @@ def test_power_curve_keeps_failures_per_test(monkeypatch):
     spec = preset_dgp("strong", k=1, n=4, t=80)
     before = power_curve(["far", "wald"], [spec.lambda1], spec, reps=100, seed=2)
     assert before.failures == {"far": 0, "wald": 0}
+    assert before.failure_kinds == {"far": {}, "wald": {}}
 
     def singular(*args):
         raise RankError("beta'beta is singular")
@@ -363,7 +365,24 @@ def test_power_curve_keeps_failures_per_test(monkeypatch):
     monkeypatch.setattr(pipeline, "third_stage", singular)
     table = power_curve(["far", "wald"], [spec.lambda1], spec, reps=100, seed=2)
     assert table.failures == {"far": 0, "wald": 100}
+    assert table.failure_kinds == {"far": {}, "wald": {"RankError": 100}}
     assert table.rejection[0] == before.rejection[0]
+
+    # a failed fit loses every test at every hypothesis
+    fits = []
+
+    def flaky_fit(*args):
+        fits.append(1)
+        if len(fits) % 4 == 0:
+            raise NumericalError("injected fit failure")
+        return fit_model(*args)
+
+    monkeypatch.setattr(montecarlo, "fit_model", flaky_fit)
+    table = power_curve(["far", "wald"], [spec.lambda1, 2 * spec.lambda1], spec, reps=100, seed=2)
+    assert table.failures == {"far": 50, "wald": 200}
+    assert table.failure_kinds == {
+        "far": {"NumericalError": 50}, "wald": {"NumericalError": 50, "RankError": 150}
+    }
 
 
 def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia import subset
-from riskpremia._linalg import chi2_ppf, chol_spd, gen_eigvals, inv_from_chol, orthonormal_completion
+from riskpremia._linalg import chi2_ppf, chol_spd, gen_eigvals, inv_from_chol
 from riskpremia.kronecker import kps_factorize, kps_residual_report
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import fit_model
@@ -16,7 +16,6 @@ from riskpremia.subset import (
     build_stacked,
     far_trace,
     kp_rank,
-    restriction_matrix,
     sfar_column,
     sfar_distant,
     sfar_minimized,
@@ -27,6 +26,35 @@ from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
 from test_threestep import make_dataset, default_params
+
+
+def restriction_matrix(lam0: np.ndarray) -> np.ndarray:
+    """Oracle A(lambda_1^0): 2K x (2K-1), columns spanning the hyperplane
+    orthogonal to (lambda_1^0 ; e_0), the pencil's row restriction."""
+    lam0 = np.asarray(lam0, dtype=float).reshape(-1)
+    k = lam0.shape[-1]
+    a = np.zeros((2 * k, 2 * k - 1))
+    a[:k, :k] = np.eye(k)
+    a[k, :k] = -lam0
+    a[k + 1 :, k:] = np.eye(k - 1)
+    return a
+
+
+def orthonormal_completion(direction: np.ndarray) -> np.ndarray:
+    """Oracle K x (K-1) orthonormal basis of the complement of a unit K-vector,
+    from the full QR of [direction | I_K]."""
+    k = direction.shape[-1]
+    q, _ = np.linalg.qr(np.column_stack([direction, np.eye(k)]))
+    return q[:, 1:k]
+
+
+def distant_restriction(direction: np.ndarray) -> np.ndarray:
+    """Oracle 2K x (2K-1) restriction of the distant-value pencil."""
+    k = direction.shape[-1]
+    g = np.zeros((2 * k, 2 * k - 1))
+    g[:k, : k - 1] = orthonormal_completion(direction / np.linalg.norm(direction))
+    g[k:, k - 1 :] = np.eye(k)
+    return g
 
 
 def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
@@ -228,12 +256,44 @@ def test_sfar_every_index_matches_permutation_matrix_oracle(k, extra, seed):
         assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
         np.testing.assert_allclose(res.roots, roots, rtol=1e-12, atol=1e-12 * roots.max())
         dist = sfar_distant(value, sys, index=index)
-        g = np.zeros((2 * k, 2 * k - 1))
-        g[:k, : k - 1] = orthonormal_completion(value / np.linalg.norm(value))
-        g[k:, k - 1 :] = np.eye(k)
-        stat, roots = _pencil_by_permutation_matrix(sys, index, g)
+        stat, roots = _pencil_by_permutation_matrix(sys, index, distant_restriction(value))
         scale = sys.n_periods * roots.max()
         assert dist.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
+
+
+def mp_row_statistic(mp, sys, index, value):
+    """Subset statistic of a row hypothesis in the working precision of
+    ``mp``: the pencil (H, Psi), taken exactly from the float system, on a
+    basis of the hyperplane orthogonal to (value ; e_index)."""
+    k = sys.n_factors
+    basis = mp.zeros(2 * k, 2 * k - 1)
+    for j in range(k):
+        basis[j, j] = 1
+        basis[k + index, j] = -mp.mpf(float(value[j]))
+    for col, m in enumerate(i for i in range(k) if i != index):
+        basis[k + m, k + col] = 1
+    h = mp.matrix(sys.h_hat.tolist())
+    psi = mp.matrix(sys.psi_hat.tolist())
+    low_inv = mp.inverse(mp.cholesky(basis.T * psi * basis))
+    std = low_inv * (basis.T * h * basis) * low_inv.T
+    roots, _ = mp.eigsy((std + std.T) / 2)
+    return sys.n_periods * sum(sorted(roots)[:k])
+
+
+def test_far_out_rows_match_a_high_precision_oracle():
+    # |lambda| near 1e6: the restricted pencil must stay accurate far out,
+    # where the distant-value limit is read
+    mpmath = pytest.importorskip("mpmath")
+    sys, _ = fitted_system(k=3, n=6, t=120, seed=24)
+    rng = np.random.default_rng(24)
+    with mpmath.workdps(40):
+        for index in range(3):
+            for _ in range(3):
+                d = rng.standard_normal(3)
+                value = 1e6 * d / np.linalg.norm(d)
+                stat = sfar_row(SubsetHypothesis("row", index, value), sys).statistic
+                oracle = float(mp_row_statistic(mpmath.mp, sys, index, value))
+                assert abs(stat - oracle) <= 1e-12 * oracle
 
 
 def test_sigma_factored_once_per_system(monkeypatch):
@@ -348,12 +408,7 @@ def test_interlacing_of_distant_pencil_roots():
     # standardized pencil via reverse-order Cholesky keeps the lower-right
     # K x K block equal to the standardized rank matrix; Cauchy interlacing
     # then bounds root[j + K - 1] >= block eigenvalue j
-    from riskpremia._linalg import orthonormal_completion
-
-    comp = orthonormal_completion(d)
-    g = np.zeros((2 * k, 2 * k - 1))
-    g[:k, : k - 1] = comp
-    g[k:, k - 1 :] = np.eye(k)
+    g = distant_restriction(d)
     hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
     big_a, big_b = g.T @ hm @ g, g.T @ sys.psi_hat @ g
     rev = lambda m: m[::-1, ::-1]
