@@ -8,13 +8,19 @@ Conventions used throughout the package:
 * matrix square roots are lower-triangular Cholesky factors; ``M^{-1/2}``
   means the inverse of that factor.
 * the matrix helpers below also take stacks of matrices (leading batch
-  axes); a single matrix is the same computation with no batch axis.
+  axes); a single matrix is the same computation with no batch axis.  The
+  same rule holds one level up: a stack of fitted systems is one system
+  whose arrays carry leading axes (``stack_fields``), its sizes are read
+  from the trailing axes, and per-fit arrays broadcast against a stack of
+  hypotheses placed in front of them.  Stacked solves go through NumPy:
+  SciPy's triangular solve loops over a stack in Python.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
-import scipy.linalg
 from scipy import special, stats
 
 
@@ -83,10 +89,36 @@ def spd_project(m: np.ndarray, floor_rel: float = 1e-12) -> np.ndarray:
     return sym(q @ (w[:, None] * q.T))
 
 
+def inv_lower(low: np.ndarray) -> np.ndarray:
+    """L^-1 for lower-triangular factors L, possibly stacked."""
+    return np.linalg.solve(low, np.broadcast_to(np.eye(low.shape[-1]), low.shape))
+
+
 def inv_from_chol(low: np.ndarray) -> np.ndarray:
-    """Inverse of L L' given its lower factor L."""
-    linv = scipy.linalg.solve_triangular(low, np.eye(low.shape[0]), lower=True)
-    return linv.T @ linv
+    """Inverse of L L' given its lower factor L, possibly stacked."""
+    linv = inv_lower(low)
+    return linv.swapaxes(-1, -2) @ linv
+
+
+def stack_fields(items, **fixed):
+    """One dataclass of the type of ``items[0]`` whose fields stack those of
+    ``items`` on a new leading axis; the fields named in ``fixed`` take the
+    given values instead."""
+    cls = type(items[0])
+    return cls(**{
+        f.name: fixed[f.name] if f.name in fixed else np.array([getattr(x, f.name) for x in items])
+        for f in fields(cls)
+    })
+
+
+def take_fields(stack, index: int, **fixed):
+    """Entry ``index`` of a dataclass built by ``stack_fields``: every array
+    field indexed on its leading axis, the fields in ``fixed`` set as given."""
+    cls = type(stack)
+    return cls(**{
+        f.name: fixed[f.name] if f.name in fixed else getattr(stack, f.name)[index]
+        for f in fields(cls)
+    })
 
 
 def whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -146,6 +178,12 @@ def gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         low = chol_spd(spd_project(b))
     c = whiten(low, whiten(low, a).T)
     return np.sort(np.linalg.eigvalsh(sym(c)))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a kron b, broadcast over leading batch axes of ``a`` and ``b``."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -303,6 +303,7 @@ def cmd_mc(args) -> dict:
                 "empirical_quantiles": res.empirical_quantiles.tolist(),
                 "chi2_quantiles": res.chi2_quantiles.tolist(),
                 "failures": res.failures,
+                "failure_kinds": res.failure_kinds,
             },
         }
     offsets = np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)

@@ -1,7 +1,8 @@
 """Confidence sets by test inversion over parameter grids.
 
 A grid scan evaluates its points in chunks, each one stacked array pass
-through the same kernels that evaluate a single hypothesis (a stack of one).
+through the same kernels that evaluate a single hypothesis (a stack of one),
+on one fit or on a stack of fits at once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from ._linalg import chi2_sf
 from .moments import TESTS, dofs, robust_statistics
-from .pipeline import FIT_ERRORS, ModelFit
+from .pipeline import FIT_ERRORS, ModelFit, fit_at
 from .subset import (
     SubsetHypothesis,
     boundedness_diagnostic,
@@ -141,8 +142,10 @@ class ConfidenceSet:
 
 
 def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None):
-    """(evaluator, chunk size): p-values (tests, B) of a stack of parameter vectors (B, P)."""
+    """(evaluator, chunk size): p-values (tests, B, *stack) of a stack of
+    parameter vectors (B, P) on a fit or a stack of fits."""
     k, n, t = fit.n_factors, fit.n_assets, fit.n_periods
+    stack = fit.stacked.batch_shape
     test = tests[0]
     if len(tests) > 1 and not set(tests) <= set(TESTS):
         raise ValueError(f"{tests!r} is not one family: any of far/klm/jklm, wald, or sfar")
@@ -150,7 +153,8 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
         raise ValueError(f"{test} requires a 'full' binding over vec(Lambda1)")
 
     def lambdas(params):
-        return params.reshape(-1, k, k).swapaxes(-1, -2)   # column-major vec
+        # column-major vec; the hypothesis axis goes in front of the stack axes
+        return params.reshape(len(params), *(1,) * len(stack), k, k).swapaxes(-1, -2)
 
     if test in TESTS:
         mode = mode or fit.cov_mode
@@ -181,6 +185,8 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
         if binding.kind == "full":
             raise ValueError("sfar requires a 'row' or 'column' binding")
         if binding.kind == "column":
+            if stack:
+                raise ValueError("column sFAR runs one fit at a time")
             # each point runs its own numerical minimization: nothing to stack
             def ev(params):
                 hypotheses = [SubsetHypothesis("column", binding.index, p) for p in params]
@@ -190,12 +196,13 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
         floats = 2 * (2 * k) ** 2   # projected matrices and their eigenvalues
 
         def ev(params):
-            stat = sfar_row_statistics(fit.stacked, params, binding.index)
+            values = params.reshape(len(params), *(1,) * len(stack), k)
+            stat = sfar_row_statistics(fit.stacked, values, binding.index)
             return chi2_sf(stat, sfar_dof(fit.stacked))[None]
 
     else:
         raise ValueError(f"unknown test {test!r}; expected one of {VALID_TESTS}")
-    return ev, max(1, CHUNK_BYTES // (8 * floats))
+    return ev, max(1, CHUNK_BYTES // (8 * floats * int(np.prod(stack))))
 
 
 def scan_pvalues(
@@ -214,21 +221,50 @@ def scan_pvalues(
     of range) is evaluated again point by point, and the points that raise one
     carry NaN.  Any other exception propagates, as does a failed per-fit setup
     (Wald on a fit without a price of risk).
+
+    ``fit`` may be a stack of R fits (``pipeline.stack_fits``): then every
+    chunk is one pass over all of them, the p-values are (len(tests), R, B)
+    and a failure is ((fit, point), exception).  A stacked chunk or setup
+    that raises is evaluated again fit by fit, each fit as above, so the
+    failures are exactly those of scanning each fit on its own.
     """
-    ev, size = _chunk_evaluator(tests, fit, binding, mode)
-    pvalues = np.full((len(tests), len(params)), np.nan)
+    stack = fit.stacked.batch_shape
+    pvalues = np.full((len(tests), *stack, len(params)), np.nan)
     failures = []
+    try:
+        ev, size = _chunk_evaluator(tests, fit, binding, mode)
+    except FIT_ERRORS:
+        if not stack:
+            raise
+        return pvalues, tuple(_scan_fit_by_fit(tests, fit, binding, params, mode, pvalues, 0))
     for start in range(0, len(params), size):
         chunk = slice(start, start + size)
         try:
-            pvalues[:, chunk] = ev(params[chunk])
+            pvalues[..., chunk] = np.moveaxis(ev(params[chunk]), 1, -1)
         except FIT_ERRORS + (ValueError,):
+            if stack:
+                failures += _scan_fit_by_fit(tests, fit, binding, params[chunk], mode,
+                                             pvalues[..., chunk], start)
+                continue
             for i in range(start, min(start + size, len(params))):
                 try:
                     pvalues[:, i] = ev(params[i : i + 1])[:, 0]
                 except FIT_ERRORS + (ValueError,) as exc:
                     failures.append((i, exc))
     return pvalues, tuple(failures)
+
+
+def _scan_fit_by_fit(tests, stack: ModelFit, binding, params, mode, out, start: int) -> list:
+    """``scan_pvalues`` of each fit of a stack in turn, written into ``out``
+    (tests, R, B); a fit whose setup fails fails at every point."""
+    failures = []
+    for r in range(stack.stacked.batch_shape[0]):
+        try:
+            out[:, r], fails = scan_pvalues(tests, fit_at(stack, r), binding, params, mode)
+        except FIT_ERRORS as exc:
+            fails = [(i, exc) for i in range(len(params))]
+        failures += [((r, start + i), exc) for i, exc in fails]
+    return failures
 
 
 def pvalue_curve(

@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
+from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec_kron, whiten, whiten_vec
 from .pipeline import ModelFit
 from .subset import StackedSystem, far_trace
 
@@ -100,11 +100,12 @@ def _vec_stack(m: np.ndarray) -> np.ndarray:
 
 
 def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
-    """The stacked sample moment vector at the hypothesized Lambda1 (or a stack)."""
+    """The stacked sample moment vector at the hypothesized Lambda1 (or a
+    stack, broadcast against the stack axes of ``sys``)."""
     t = sys.n_periods
     lam1_0 = square_stack(lam1_0, sys.n_factors)
     u = sys.rbar - sys.beta_hat @ sys.vhat
-    raw = vec(u @ sys.xbar_lagged.T / t)
+    raw = _vec_stack(u @ sys.xbar_lagged.swapaxes(-1, -2) / t)
     return raw + (sys.jacobian @ _vec_stack(lam1_0)[..., None])[..., 0]
 
 
@@ -276,7 +277,7 @@ def _kps_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
     b = np.concatenate([np.broadcast_to(np.eye(k), lam1_0.shape), -lam1_0], axis=-2)
     bt = b.swapaxes(-1, -2)
     d = sym(bt @ sys.psi_hat @ b)
-    g = -(b @ np.linalg.solve(d, bt @ sys.psi_hat[:, k:]))
+    g = -(b @ np.linalg.solve(d, bt @ sys.psi_hat[..., k:]))
     g[..., k:, :] += np.eye(k)
     hg = sys.h_hat @ g
     w, q = np.linalg.eigh(sym(g.swapaxes(-1, -2) @ hg))
@@ -303,9 +304,9 @@ def _hc0_vff(sys: StackedSystem, m: np.ndarray) -> np.ndarray:
     """
     nk = sys.n_factors * sys.n_assets
     gram = sys.hc0_grams
-    u = _kron_eye(m, gram[nk:, nk:])
-    r = _kron_eye(m, 0.5 * u.swapaxes(-1, -2) - gram[nk:, :nk])
-    return sym(gram[:nk, :nk] + r + r.swapaxes(-1, -2))
+    u = _kron_eye(m, gram[..., nk:, nk:])
+    r = _kron_eye(m, 0.5 * u.swapaxes(-1, -2) - gram[..., nk:, :nk])
+    return sym(gram[..., :nk, :nk] + r + r.swapaxes(-1, -2))
 
 
 def _hc0_vqf_apply(sys: StackedSystem, m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -330,7 +331,9 @@ def _hc0_system(sys: StackedSystem, lam1_0: np.ndarray, klm: bool) -> MomentSyst
 def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dict:
     """The requested robust statistics at a stack of hypotheses (..., K, K).
 
-    One array per name in ``which``, shaped like the stack; JKLM is
+    The hypotheses broadcast against the stack axes of ``sys`` (a stack of
+    fits takes them as (B, 1, K, K) for B hypotheses on every fit).  One
+    array per name in ``which``, shaped like the broadcast stack; JKLM is
     FAR - KLM, clipped at zero.  Only per-fit quantities and K-sized ('kps')
     or NK-sized ('hc0') algebra are used per hypothesis; ``robust_tests`` is
     the single-hypothesis form of the same computation.

@@ -21,12 +21,13 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
+from . import confsets
 from ._linalg import chi2_ppf
 from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalues
 from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
-from .pipeline import FIT_ERRORS, ModelFit, fit_model
-from .subset import SubsetHypothesis, sfar_row
+from .pipeline import FIT_ERRORS, fit_model, stack_fits
+from .subset import SubsetHypothesis, sfar_row_statistics, stack_systems
 from .threestep import PriceOfRisk, ReturnRegression
 from .varstage import VarEstimate
 
@@ -251,13 +252,49 @@ def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationa
 
 
 def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
-    """``evaluate(fit)`` on replicates 0..reps-1; the exception where one of
-    FIT_ERRORS was raised."""
-    out = []
+    """Results of replicates 0..reps-1, evaluated a chunk of fits at a time.
+
+    Each replicate is simulated and fitted on its own; ``evaluate(fits)``
+    then takes a chunk of fits, as many as ``confsets.CHUNK_BYTES`` holds of
+    their stacked systems, and returns one result per fit.  A chunk whose
+    evaluation raises one of FIT_ERRORS or a ValueError is evaluated again
+    fit by fit.  A replicate whose fit or evaluation raised one of
+    FIT_ERRORS has that exception in place of its result, as evaluating each
+    fit on its own would give.
+    """
+    out, chunk, size = [None] * reps, [], 1
     for rep in range(reps):
         returns, factors = simulate(spec, seed, rep)
         try:
-            out.append(evaluate(fit_model(returns, factors)))
+            fit = fit_model(returns, factors)
+        except FIT_ERRORS as exc:
+            out[rep] = exc
+        else:
+            if not chunk:
+                size = max(1, confsets.CHUNK_BYTES // _nbytes(fit.stacked))
+            chunk.append((rep, fit))
+        if chunk and (len(chunk) >= size or rep == reps - 1):
+            for (r, _), res in zip(chunk, _evaluate_chunk([fit for _, fit in chunk], evaluate)):
+                out[r] = res
+            chunk = []
+    return out
+
+
+def _nbytes(obj) -> int:
+    """Bytes of the array fields of a dataclass."""
+    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
+
+
+def _evaluate_chunk(fits, evaluate) -> list:
+    """``evaluate(fits)``, or ``evaluate`` of each fit on its own if that raises."""
+    try:
+        return evaluate(fits)
+    except FIT_ERRORS + (ValueError,):
+        pass
+    out = []
+    for fit in fits:
+        try:
+            out.append(evaluate([fit])[0])
         except FIT_ERRORS as exc:
             out.append(exc)
     return out
@@ -275,19 +312,37 @@ class PowerTable:
     level: float
 
 
-def _evaluate_tests(fit: ModelFit, families, shape):
-    """P-values (tests, points), NaN where a test failed, and a Counter of
-    the failures by (test row, exception class name); one ``scan_pvalues``
-    per family of (rows, tests, binding, parameter stack)."""
-    out = np.full(shape, np.nan)
-    kinds = Counter()
-    for rows, tests, binding, params in families:
-        try:
-            out[rows], failures = scan_pvalues(tests, fit, binding, params)
-        except FIT_ERRORS as exc:   # per-fit setup: Wald without a price of risk
-            failures = [(i, exc) for i in range(len(params))]
-        kinds.update((row, type(exc).__name__) for _, exc in failures for row in rows)
-    return out, kinds
+def _evaluate_tests(fits, families, shape) -> list:
+    """Per fit: p-values (tests, points), NaN where a test failed, and a
+    Counter of the failures by (test row, exception class name).
+
+    The fits are grouped by covariance mode and each group is stacked once;
+    each family of (rows, tests, binding, parameter stack) is one
+    ``scan_pvalues`` over the group.  Fits without a price of risk leave the
+    Wald stack, each failing every point with the error its own setup raises.
+    """
+    pvalues = np.full((len(fits), *shape), np.nan)
+    kinds = [Counter() for _ in fits]
+    for mode in dict.fromkeys(fit.cov_mode for fit in fits):
+        group = [r for r, fit in enumerate(fits) if fit.cov_mode == mode]
+        stack = stack_fits([fits[r] for r in group])
+        for rows, tests, binding, params in families:
+            members, sub = group, stack
+            if tests == ["wald"] and stack.por is None:
+                members = [r for r in group if fits[r].por is not None]
+                sub = stack_fits([fits[r] for r in members]) if members else None
+                for r in set(group) - set(members):
+                    try:
+                        fits[r].asymptotic_cov
+                    except FIT_ERRORS as exc:
+                        kinds[r].update({(row, type(exc).__name__): len(params) for row in rows})
+            if sub is None:
+                continue
+            values, failures = scan_pvalues(tests, sub, binding, params)
+            pvalues[np.ix_(members, rows)] = values.swapaxes(0, 1)
+            for (j, _), exc in failures:
+                kinds[members[j]].update((row, type(exc).__name__) for row in rows)
+    return list(zip(pvalues, kinds))
 
 
 def power_curve(
@@ -303,9 +358,11 @@ def power_curve(
     ``h0_grid`` holds finite K x K matrices (scalars allowed when K = 1); an
     invalid one raises ValueError before any replicate is drawn.  The sFAR
     entry tests the first row of Lambda1 against the matrix's first row.
-    Each replicate's fit runs one ``confsets.scan_pvalues`` per test family
-    (far/klm/jklm together, wald, sfar) over the whole grid; ``failures``
-    counts, per test, the (replicate, hypothesis) pairs without a result, and
+    Each chunk of replicates (``_replicates``) runs one ``confsets.scan_pvalues``
+    per test family (far/klm/jklm together, wald, sfar) and covariance mode
+    over the whole grid, its fits stacked on a replicate axis; the numbers
+    are those of scanning each fit on its own.  ``failures`` counts, per
+    test, the (replicate, hypothesis) pairs without a result, and
     ``failure_kinds`` splits that count by the exception raised: by the fit,
     by a family's per-fit setup, or at a point.
     """
@@ -327,7 +384,7 @@ def power_curve(
         if rows:
             families.append((rows, [tests[i] for i in rows], binding, stack))
     shape = (len(tests), len(h0_mats))
-    results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, shape))
+    results = _replicates(spec, reps, seed, lambda fits: _evaluate_tests(fits, families, shape))
     pvalues = np.full((reps, *shape), np.nan)
     kinds = Counter()
     for rep, res in enumerate(results):
@@ -366,6 +423,7 @@ class SfarDensityResult:
     chi2_quantiles: np.ndarray
     quantile_se: np.ndarray
     failures: int
+    failure_kinds: dict          # {exception class name: failed replicates}
 
 
 def sfar_density_experiment(
@@ -375,21 +433,32 @@ def sfar_density_experiment(
     row_index: int = 0,
     quantile_levels=(0.90, 0.95, 0.99),
 ) -> SfarDensityResult:
-    """Null distribution of the subset statistic at the true row of Lambda1."""
+    """Null distribution of the subset statistic at the true row of Lambda1.
+
+    Each chunk of replicates is one stacked ``sfar_row_statistics`` call over
+    its fits' systems (``_replicates``); ``failure_kinds`` counts the failed
+    replicates by the exception class that the fit or the statistic raised.
+    """
     if reps < 0:
         raise ValueError("reps must be nonnegative")
     k, n = spec.n_factors, spec.n_assets
     h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
-    results = _replicates(spec, reps, seed, lambda fit: sfar_row(h, fit.stacked).statistic)
+
+    def statistics(fits):
+        return sfar_row_statistics(stack_systems([fit.stacked for fit in fits]), h.value, h.index)
+
+    results = _replicates(spec, reps, seed, statistics)
     stats = np.asarray([s for s in results if not isinstance(s, Exception)])
     failures = len(results) - stats.size
+    failed = Counter(type(s).__name__ for s in results if isinstance(s, Exception))
+    failure_kinds = dict(sorted(failed.items()))
     dof = k * (n - k + 1)
     if stats.size == 0:
         return SfarDensityResult(
             statistics=stats, dof_bound=dof, ks_pvalue=float("nan"),
             quantile_levels=tuple(quantile_levels),
             empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
-            quantile_se=np.array([]), failures=failures,
+            quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
         )
     ks = scipy.stats.kstest(stats, scipy.stats.chi2(dof).cdf)
     qs = np.quantile(stats, quantile_levels)
@@ -405,6 +474,7 @@ def sfar_density_experiment(
         chi2_quantiles=chi_qs,
         quantile_se=q_se,
         failures=failures,
+        failure_kinds=failure_kinds,
     )
 
 
@@ -419,10 +489,11 @@ def power_surface(
 ) -> np.ndarray:
     """Rejection frequency of the row-subset test over a 2D hypothesis grid.
 
-    Requires K = 2: the tested row runs over (axis1 x axis2).  Each
-    replicate's fit runs one ``confsets.scan_pvalues`` of sFAR over the whole
-    mesh and rejects where p < level; a replicate with a failed point is
-    dropped.  Non-finite axis values raise ValueError before any replicate.
+    Requires K = 2: the tested row runs over (axis1 x axis2).  Each chunk
+    of replicates runs one ``confsets.scan_pvalues`` of sFAR over the whole
+    mesh, its fits stacked, and each replicate rejects where p < level; a
+    replicate with a failed point is dropped.  Non-finite axis values raise
+    ValueError before any replicate.
     """
     if spec.n_factors != 2:
         raise ValueError("power_surface is defined for two-factor models")
@@ -431,13 +502,13 @@ def power_surface(
     points = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     if not np.isfinite(points).all() or row_index not in (0, 1):
         raise ValueError("hypotheses must be finite and row_index 0 or 1")
-    binding = row_binding(2, row_index)
-
-    def rejections(fit):
-        pvalues, failures = scan_pvalues(("sfar",), fit, binding, points)
-        return None if failures else (pvalues[0] < level).reshape(len(axis1), len(axis2))
-
-    kept = [r for r in _replicates(spec, reps, seed, rejections) if isinstance(r, np.ndarray)]
+    families = [([0], ["sfar"], row_binding(2, row_index), points)]
+    results = _replicates(spec, reps, seed, lambda fits: _evaluate_tests(fits, families, (1, len(points))))
+    kept = [
+        (pvalues[0] < level).reshape(len(axis1), len(axis2))
+        for pvalues, failures in (r for r in results if not isinstance(r, Exception))
+        if not failures
+    ]
     return sum(kept, np.zeros((len(axis1), len(axis2)))) / max(len(kept), 1)
 
 
@@ -516,7 +587,7 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
 
 def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
     """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T."""
-    por = _replicates(spec, reps, seed, lambda fit: fit.por)
+    por = _replicates(spec, reps, seed, lambda fits: [fit.por for fit in fits])
     draws = np.asarray([p.lambda1.reshape(-1, order="F") for p in por if isinstance(p, PriceOfRisk)])
     return np.cov(draws.T, ddof=1).reshape(
         (spec.n_factors**2, spec.n_factors**2)

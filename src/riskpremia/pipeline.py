@@ -7,10 +7,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import NumericalError
+from ._linalg import NumericalError, stack_fields, take_fields
 from .kronecker import KpsDiagnostic, kps_residual_report
 from .panels import FactorPanel, ReturnPanel
-from .subset import StackedSystem, build_stacked
+from .subset import StackedSystem, build_stacked, stack_systems
 from .threestep import (
     AsymptoticCovariance,
     PriceOfRisk,
@@ -36,13 +36,15 @@ class ModelFit:
     the stacked system.  ``por`` is None when beta'beta is numerically
     singular (the unspanned factor pathology); the identification-robust
     tests remain available.  ``asymptotic_cov`` is computed on first use and
-    kept for the fit.
+    kept for the fit.  A stack of fits (``stack_fits``) is one ModelFit
+    whose arrays carry a leading replicate axis and whose ``kps_diag`` is
+    None; ``fit_at`` takes one fit back out.
     """
 
     var: VarEstimate
     reg: ReturnRegression
     stacked: StackedSystem
-    kps_diag: KpsDiagnostic
+    kps_diag: KpsDiagnostic | None
     cov_mode: str                       # 'kps' or 'hc0'
     por: PriceOfRisk | None
 
@@ -66,6 +68,41 @@ class ModelFit:
 
     def wald(self, h0_lambda1: np.ndarray) -> WaldResult:
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
+
+
+def stack_fits(fits) -> ModelFit:
+    """Fits of one covariance mode as one stack on a new leading axis.
+
+    ``por`` is stacked when every fit has one and None otherwise.  The VAR
+    and second-stage residuals are the stacked system's ``vhat`` and
+    ``residuals``, as they are in a single fit.
+    """
+    modes = {fit.cov_mode for fit in fits}
+    if len(modes) != 1:
+        raise ValueError(f"a stack of fits needs one covariance mode, got {sorted(modes)}")
+    pors = [fit.por for fit in fits]
+    stacked = stack_systems([fit.stacked for fit in fits])
+    return ModelFit(
+        # the residual panels are the system's own, stacked once
+        var=stack_fields([fit.var for fit in fits], residuals=stacked.vhat),
+        reg=stack_fields([fit.reg for fit in fits], residuals=stacked.residuals),
+        stacked=stacked,
+        kps_diag=None,
+        cov_mode=modes.pop(),
+        por=None if None in pors else stack_fields(pors),
+    )
+
+
+def fit_at(stack: ModelFit, index: int) -> ModelFit:
+    """Fit ``index`` of a stack built by ``stack_fits``."""
+    return ModelFit(
+        var=take_fields(stack.var, index),
+        reg=take_fields(stack.reg, index),
+        stacked=take_fields(stack.stacked, index, kps=None),
+        kps_diag=None,
+        cov_mode=stack.cov_mode,
+        por=None if stack.por is None else take_fields(stack.por, index),
+    )
 
 
 def fit_model(

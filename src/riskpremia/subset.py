@@ -15,10 +15,10 @@ projected matrix: with Psi = L L' and M = L^-1 H L^-T, H = Phi' Sigma^-1 Phi,
 they are the eigenvalues of (I - u u') M (I - u u') other than the zero that
 belongs to u = L^-1 w / |L^-1 w| (Golub 1973).  H, L and M are fixed once the
 model is fit (``StackedSystem.h_hat``, ``psi_whitener``, ``h_whitened``); only the
-normal w carries the hypothesis, so a stack of hypotheses is one stacked
-2K x 2K ``eigvalsh`` (``_projected_roots``); a single hypothesis is a stack
-of one.  A distant value along direction d has the normal (d ; 0) at every
-row index.
+normal w carries the hypothesis, so a stack of hypotheses, over one fit or
+a stack of fits, is one stacked 2K x 2K ``eigvalsh`` (``_projected_roots``);
+a single hypothesis is a stack of one.  A distant value along direction d
+has the normal (d ; 0) at every row index.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from ._linalg import (
@@ -36,11 +35,14 @@ from ._linalg import (
     chi2_sf,
     chol_spd,
     gen_eigvals,
-    inv_from_chol,
+    inv_lower,
+    kron,
     spd_project,
     square_stack,
+    stack_fields,
     sym,
     vec_kron,
+    whiten,
 )
 from .kronecker import KpsFactorization, kps_factorize_terms
 from .panels import FactorPanel, ReturnPanel
@@ -50,67 +52,81 @@ from .varstage import VarEstimate
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Joint-regression view of the model plus its KPS covariance pieces."""
+    """Joint-regression view of the model plus its KPS covariance pieces.
+
+    A stack of systems (``stack_systems``) is one system whose arrays carry
+    leading axes; its sizes are read from the trailing axes, its per-fit
+    invariants below are stacked too, and ``kps`` is None.
+    """
 
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
     w_hat: np.ndarray        # (2K, 2K) regressor second moments
     psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD-projected
     sigma_hat: np.ndarray    # (N, N) KPS residual covariance factor
     q_xx: np.ndarray         # (K, K) upper-left block of w_hat
-    kps: KpsFactorization
+    kps: KpsFactorization | None
     xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
     rbar: np.ndarray         # (N, T)
     residuals: np.ndarray    # (N, T) second-stage residuals
-    n_periods: int
 
     @property
     def n_assets(self) -> int:
-        return self.phi_hat.shape[0]
+        return self.phi_hat.shape[-2]
 
     @property
     def n_factors(self) -> int:
-        return self.phi_hat.shape[1] // 2
+        return self.phi_hat.shape[-1] // 2
+
+    @property
+    def n_periods(self) -> int:
+        return self.vhat.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading axes of a stack of systems; () for one fit."""
+        return self.phi_hat.shape[:-2]
 
     @property
     def d_hat(self) -> np.ndarray:
-        return self.phi_hat[:, : self.n_factors]
+        return self.phi_hat[..., : self.n_factors]
 
     @property
     def beta_hat(self) -> np.ndarray:
-        return self.phi_hat[:, self.n_factors :]
+        return self.phi_hat[..., self.n_factors :]
 
     @property
     def psi_v(self) -> np.ndarray:
         k = self.n_factors
-        return self.psi_hat[k:, k:]
+        return self.psi_hat[..., k:, k:]
 
     @cached_property
     def h_hat(self) -> np.ndarray:
         """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and trace form."""
-        return self.phi_hat.T @ inv_from_chol(chol_spd(self.sigma_hat)) @ self.phi_hat
+        half = whiten(chol_spd(self.sigma_hat), self.phi_hat)     # L^-1 Phi, Sigma = L L'
+        return half.swapaxes(-1, -2) @ half
 
     @cached_property
     def psi_whitener(self) -> np.ndarray:
         """(2K, 2K) L^-1 for the lower Cholesky factor L of Psi = L L'."""
-        low = chol_spd(self.psi_hat)
-        return scipy.linalg.solve_triangular(low, np.eye(low.shape[0]), lower=True)
+        return inv_lower(chol_spd(self.psi_hat))
 
     @cached_property
     def h_whitened(self) -> np.ndarray:
         """(2K, 2K) M = L^-1 H L^-T: the pencil (H, Psi) in standard form."""
-        return sym(self.psi_whitener @ self.h_hat @ self.psi_whitener.T)
+        lw = self.psi_whitener
+        return sym(lw @ self.h_hat @ lw.swapaxes(-1, -2))
 
     @cached_property
     def jacobian(self) -> np.ndarray:
         """(NK, K^2) Jacobian -(Qxx kron beta) of the moment vector in vec(Lambda1)."""
-        return -np.kron(self.q_xx, self.beta_hat)
+        return -kron(self.q_xx, self.beta_hat)
 
     @cached_property
     def sigma_v_inv_vhat(self) -> np.ndarray:
         """(K, T) Sigma_v^-1 vhat, read by every hc0 score."""
         k = self.n_factors
-        return np.linalg.solve(self.w_hat[k:, k:], self.vhat)
+        return np.linalg.solve(self.w_hat[..., k:, k:], self.vhat)
 
     @cached_property
     def hc0_parts(self) -> np.ndarray:
@@ -119,24 +135,24 @@ class StackedSystem:
         a_t = xbar_t kron (e_t + beta v_t) and z_t = (Sigma_v^-1 v_t) kron e_t;
         the score at Lambda1 is a_t - (Qxx Lambda1' kron I_N) z_t.
         """
-        t = self.n_periods
+        lead, t = self.batch_shape, self.n_periods
         upper = self.residuals + self.beta_hat @ self.vhat
-        a = np.einsum("it,nt->tin", self.xbar_lagged, upper).reshape(t, -1)
-        z = np.einsum("it,nt->tin", self.sigma_v_inv_vhat, self.residuals).reshape(t, -1)
-        return np.hstack([a, z])
+        a = np.einsum("...it,...nt->...tin", self.xbar_lagged, upper).reshape(*lead, t, -1)
+        z = np.einsum("...it,...nt->...tin", self.sigma_v_inv_vhat, self.residuals)
+        return np.concatenate([a, z.reshape(*lead, t, -1)], axis=-1)
 
     @cached_property
     def hc0_grams(self) -> np.ndarray:
         """(2NK, 2NK) Gram [a | z]' [a | z] / T of ``hc0_parts``; every hc0
         V_ff is a fixed quadratic form in its blocks."""
         parts = self.hc0_parts
-        return parts.T @ parts / self.n_periods
+        return parts.swapaxes(-1, -2) @ parts / self.n_periods
 
     @cached_property
     def hc0_psi_q_grams(self) -> np.ndarray:
         """(NK^3, 2NK) cross-moments of ``hc0_psi_q`` with ``hc0_parts``; every
         hc0 V_qf is a fixed linear form in its blocks."""
-        return self.hc0_psi_q.T @ self.hc0_parts / self.n_periods
+        return self.hc0_psi_q.swapaxes(-1, -2) @ self.hc0_parts / self.n_periods
 
     @cached_property
     def hc0_psi_q(self) -> np.ndarray:
@@ -146,9 +162,16 @@ class StackedSystem:
         B_t = e_t (Sigma_v^-1 v_t)' and X_t = xbar_t xbar_t' - Qxx; none of it
         depends on the hypothesis.
         """
-        b_t = np.einsum("jt,nt->tnj", self.sigma_v_inv_vhat, self.residuals)
-        x_t = np.einsum("it,jt->tij", self.xbar_lagged, self.xbar_lagged) - self.q_xx
-        return -(vec_kron(self.q_xx, b_t) + vec_kron(x_t, self.beta_hat))
+        # the period axis leads, so the per-fit arrays broadcast against it
+        b_t = np.einsum("...jt,...nt->t...nj", self.sigma_v_inv_vhat, self.residuals)
+        x_t = np.einsum("...it,...jt->t...ij", self.xbar_lagged, self.xbar_lagged) - self.q_xx
+        scores = vec_kron(self.q_xx, b_t) + vec_kron(x_t, self.beta_hat)
+        return -np.moveaxis(scores, 0, -2)
+
+
+def stack_systems(systems) -> StackedSystem:
+    """The systems of ``systems`` as one stack on a new leading axis."""
+    return stack_fields(systems, kps=None)
 
 
 def model_score_terms(
@@ -233,7 +256,6 @@ def build_stacked(
         vhat=vhat,
         rbar=returns.returns - returns.returns.mean(axis=1, keepdims=True),
         residuals=reg.residuals,
-        n_periods=t,
     )
 
 
@@ -311,11 +333,14 @@ def sfar_dof(sys: StackedSystem) -> int:
 
 def _projected_roots(sys: StackedSystem, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T times the sum of the K smallest roots of the pencil (H, Psi) on the
-    hyperplanes orthogonal to a stack of ``normals`` (B, 2K).
+    hyperplanes orthogonal to a stack of ``normals`` (..., 2K).
 
-    With u = L^-1 w / |L^-1 w| and P = I - u u', the roots are the
-    eigenvalues of P M P without its smallest, the zero that belongs to u.
-    Returns the statistics (B,) and the ascending roots (B, 2K-1).
+    With u = L^-1 w / |L^-1 w| the roots are the eigenvalues of
+    M - u (Mu)' - (Mu) u' without its smallest: that matrix acts as
+    (I - u u') M (I - u u') orthogonal to u and maps u to -(u'Mu) u, a root
+    at most zero, which is dropped.  The normals broadcast against the
+    stack axes of ``sys``.  Returns the statistics (...) and the ascending
+    roots (..., 2K-1).
     """
     # one matrix-vector product per hypothesis, so a stack of one gives the
     # same numbers as any stack
@@ -323,10 +348,9 @@ def _projected_roots(sys: StackedSystem, normals: np.ndarray) -> tuple[np.ndarra
     u = (sys.psi_whitener @ normals[..., None])[..., 0]
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     mu = (m @ u[..., None])[..., 0]
-    # P M P = M - S - S' with S = u (Mu - (u'Mu) u / 2)'; eigvalsh reads one triangle
-    outer = u[:, :, None] * (mu - 0.5 * np.sum(u * mu, axis=-1, keepdims=True) * u)[:, None, :]
-    roots = np.maximum(np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))[:, 1:], 0.0)
-    return sys.n_periods * roots[:, : sys.n_factors].sum(axis=-1), roots
+    outer = u[..., :, None] * mu[..., None, :]
+    roots = np.maximum(np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))[..., 1:], 0.0)
+    return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
 
 
 def _single_result(sys: StackedSystem, normal: np.ndarray) -> SfarResult:
@@ -350,7 +374,8 @@ def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
 
 
 def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
-    """Row statistics of ``sfar_row`` at a stack of values (B, K) of row ``index``."""
+    """Row statistics of ``sfar_row`` at a stack of values (..., K) of row
+    ``index``; the values broadcast against the stack axes of ``sys``."""
     values = np.asarray(values, dtype=float)
     _check_subset_values(index, values)
     return _projected_roots(sys, _row_normals(values, index))[0]
@@ -361,8 +386,9 @@ def far_trace(sys: StackedSystem, lam1: np.ndarray):
 
     Equals T tr((B' Psi B)^-1 B' H B) with B = (I_K ; -Lambda1); the lag
     second-moment matrix cancels against the weighting.  A stack of
-    hypotheses (..., K, K) gives an array of statistics; one hypothesis, in
-    any shape with K^2 entries, gives a float.
+    hypotheses (..., K, K), broadcast against the stack axes of ``sys``,
+    gives an array of statistics; one hypothesis on one fit, in any shape
+    with K^2 entries, gives a float.
     """
     k = sys.n_factors
     lam1 = square_stack(lam1, k)

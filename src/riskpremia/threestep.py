@@ -16,10 +16,11 @@ both yield the same fit; coefficients are stored in the lag parameterization
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, square_stack, sym
+from ._linalg import chi2_sf, chol_spd, kron, square_stack, sym
 from .panels import FactorPanel, PanelError, ReturnPanel
 from .varstage import COND_CAP, RankError, VarEstimate, _ols_qr
 
@@ -56,11 +57,11 @@ class ReturnRegression:
 
     @property
     def n_assets(self) -> int:
-        return self.beta_hat.shape[0]
+        return self.beta_hat.shape[-2]
 
     @property
     def n_factors(self) -> int:
-        return self.beta_hat.shape[1]
+        return self.beta_hat.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,43 @@ class AsymptoticCovariance:
     """Joint large-sample covariance blocks of (vec(beta), vec(Lambda)).
 
     ``v_lambda`` is ordered as vec([lambda0, Lambda1]) column-major, so the
-    trailing K^2 block ``v_lambda1`` covers vec(Lambda1).
+    trailing K^2 block ``v_lambda1`` covers vec(Lambda1).  The NK-sized
+    blocks ``v_beta`` and ``c_lambda_beta`` are derived on first read from
+    the K-sized inputs kept here.  Every array may carry leading stack axes.
     """
 
-    v_beta: np.ndarray          # (NK, NK)
-    c_lambda_beta: np.ndarray   # (K(K+1), NK)
     v_lambda: np.ndarray        # (K(K+1), K(K+1))
+    p_beta: np.ndarray          # (K, N) = (beta'beta)^-1 beta'
+    beta: np.ndarray            # (N, K)
+    sigma_v_inv: np.ndarray     # (K, K)
+    sigma_e2: np.ndarray        # ()
+    lam: np.ndarray             # (K, K+1) = [lambda0, Lambda1]
 
     @property
     def v_lambda1(self) -> np.ndarray:
-        k = int(np.sqrt(self.v_lambda.shape[0] + 0.25) - 0.5)
-        return self.v_lambda[k:, k:]
+        k = self.beta.shape[-1]
+        return self.v_lambda[..., k:, k:]
+
+    @cached_property
+    def v_beta(self) -> np.ndarray:
+        """(NK, NK) variance Sigma_v^-1 kron sigma_e^2 I_N of vec(beta_hat)."""
+        s2 = np.asarray(self.sigma_e2)[..., None, None]
+        return kron(self.sigma_v_inv, s2 * np.eye(self.beta.shape[-2]))
+
+    @cached_property
+    def c_lambda_beta(self) -> np.ndarray:
+        """(K(K+1), NK) covariance of vec(Lambda) with vec(beta_hat).
+
+        Block (c, j) is sigma_e^2 (delta_c0 P diag(beta_j) - (Lambda' Sigma_v^-1)_cj P),
+        P = (beta'beta)^-1 beta': the convexity term moves lambda0 only.
+        """
+        k, n = self.beta.shape[-1], self.beta.shape[-2]
+        s2 = np.asarray(self.sigma_e2)[..., None, None, None, None]
+        p = self.p_beta[..., None, :, None, :]                       # (1, K, 1, N)
+        coef = -(self.lam.swapaxes(-1, -2) @ self.sigma_v_inv)       # (K+1, K)
+        blocks = coef[..., :, None, :, None] * p                     # (K+1, K, K, N)
+        blocks[..., 0, :, :, :] += p[..., 0, :, :, :] * self.beta.swapaxes(-1, -2)[..., None, :, :]
+        return (s2 * blocks).reshape(*blocks.shape[:-4], (k + 1) * k, k * n)
 
 
 def asymptotic_covariance(
@@ -178,51 +205,63 @@ def asymptotic_covariance(
     por: PriceOfRisk,
     q_xx: np.ndarray,
 ) -> AsymptoticCovariance:
-    """Assemble the full-rank asymptotic covariance blocks term by term.
+    """The full-rank asymptotic covariance in closed form, K-sized blocks only.
 
     The estimator noise decomposes into three asymptotically orthogonal
     pieces: second-stage coefficient noise on (1, X_t), beta noise entering
-    both directly and through the convexity recomputation, and the variance
-    of the plug-in (Sigma_v, sigma_e^2) inside the convexity term.  The
-    second moments of (1, X_t) come from the lagged mean m and the centred
-    second moments ``q_xx``: Gamma_zz = [[1, m'], [m, Qxx + m m']].
+    both directly (m3) and through the convexity recomputation (m2), and the
+    variance of the plug-in (Sigma_v, sigma_e^2) inside the convexity term.
+    With G = beta'beta, P = G^-1 beta' and Lambda = [lambda0, Lambda1]:
+
+    * coefficient noise: Gamma_zz^-1 kron (Sigma_v + s2 G^-1), where
+      Gamma_zz = [[1, m'], [m, Qxx + m m']] for the lagged mean m, so
+      Gamma_zz^-1 = [[1 + m'Qxx^-1 m, -m'Qxx^-1], [-Qxx^-1 m, Qxx^-1]];
+    * m3 V_b m3' = (Lambda' Sigma_v^-1 Lambda) kron s2 G^-1;
+    * m2 V_b m2' = s2 P diag(beta Sigma_v beta') P' in the lambda0 block;
+    * m2 V_b m3' = -s2 P diag(beta Lambda_c) P' in block (lambda0, column c);
+    * plug-in noise of g = 0.5 (diag(beta Sigma_v beta') + s2): Gaussian
+      innovations give Cov(b_i' Sigma_v b_i, b_j' Sigma_v b_j) = 2 (b_i' Sigma_v b_j)^2
+      per period, so the lambda0 block gains P (0.5 (B o B) + s2^2 / (2N) 11') P'
+      with B = beta Sigma_v beta'.
+
+    V_b = Sigma_v^-1 kron s2 I_N is the variance of vec(beta_hat).  Every
+    input may carry leading stack axes (one covariance per fit of a stack).
     """
     beta = reg.beta_hat
-    n, k = beta.shape
+    n, k = beta.shape[-2:]
     sigma_v = var.sigma_v
-    sigma2 = reg.sigma_e2
-    m = var.x_lagged_mean
-    gamma_zz = np.block([[np.ones((1, 1)), m[None, :]], [m[:, None], q_xx + np.outer(m, m)]])
-    gamma_inv = np.linalg.inv(gamma_zz)
+    sigma2 = np.asarray(reg.sigma_e2, dtype=float)
+    s2 = sigma2[..., None, None]
+    m = var.x_lagged_mean[..., :, None]                              # (K, 1)
+    qinv_m = np.linalg.solve(q_xx, m)
+    gamma_inv = np.empty((*qinv_m.shape[:-2], k + 1, k + 1))
+    gamma_inv[..., 0, 0] = 1.0 + (m.swapaxes(-1, -2) @ qinv_m)[..., 0, 0]
+    gamma_inv[..., 1:, :1] = -qinv_m
+    gamma_inv[..., :1, 1:] = -qinv_m.swapaxes(-1, -2)
+    gamma_inv[..., 1:, 1:] = np.linalg.inv(q_xx)
 
-    pbeta = np.linalg.solve(beta.T @ beta, beta.T)          # (K, N)
-    sigma_u = beta @ sigma_v @ beta.T + sigma2 * np.eye(n)
-    term1 = np.kron(gamma_inv, pbeta @ sigma_u @ pbeta.T)
-
+    beta_t = beta.swapaxes(-1, -2)
+    gram_inv = np.linalg.inv(beta_t @ beta)
+    p = gram_inv @ beta_t                                            # (K, N)
     sigma_v_inv = np.linalg.inv(sigma_v)
-    v_b = np.kron(sigma_v_inv, sigma2 * np.eye(n))          # var of vec(beta_hat)
+    lam = np.concatenate([por.lambda0[..., :, None], por.lambda1], axis=-1)   # (K, K+1)
+    v = kron(gamma_inv, sigma_v + s2 * gram_inv)
+    v += kron(lam.swapaxes(-1, -2) @ sigma_v_inv @ lam, s2 * gram_inv)
 
-    # convexity sensitivity to beta: dg_n = (beta Sigma_v)_n,: d(beta)_n,:
-    bsv = beta @ sigma_v
-    dmat = (bsv[:, :, None] * np.eye(n)[:, None, :]).reshape(n, k * n)
-
-    lam = np.column_stack([por.lambda0, por.lambda1])       # (K, K+1)
-    e1 = np.zeros(k + 1)
-    e1[0] = 1.0
-    m2 = np.kron(e1[:, None], pbeta @ dmat)                 # (K(K+1), NK)
-    m3 = -np.kron(lam.T, pbeta)
-    m23 = m2 + m3
-    mid = m23 @ v_b @ m23.T
-
-    # plug-in noise of g = 0.5 (diag(beta Sigma_v beta') + sigma_e^2): Gaussian
-    # innovations give Var(vec Sigma_v) = (I + K_KK)(Sigma_v kron Sigma_v), so
-    # Cov(b_i' Sigma_v b_i, b_j' Sigma_v b_j) = 2 (b_i' Sigma_v b_j)^2 per period
-    bsb = bsv @ beta.T
-    g_core = 0.5 * bsb * bsb + sigma2**2 / (2.0 * n)
-    g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
-
-    v_lambda = sym(term1 + mid + g_extra)
-    return AsymptoticCovariance(v_beta=v_b, c_lambda_beta=m23 @ v_b, v_lambda=v_lambda)
+    bsb = beta @ sigma_v @ beta_t                                    # (N, N)
+    diag_bsb = np.diagonal(bsb, axis1=-2, axis2=-1)
+    core = 0.5 * bsb * bsb + (sigma2**2 / (2.0 * n))[..., None, None]
+    core += sigma2[..., None, None] * (diag_bsb[..., :, None] * np.eye(n))
+    v[..., :k, :k] += p @ core @ p.swapaxes(-1, -2)
+    # cross blocks: -s2 P diag(beta Lambda_c) P' at (lambda0, column c) and its transpose
+    blam = beta @ lam                                                # (N, K+1)
+    cross = -s2[..., None] * np.einsum("...in,...nc,...jn->...cij", p, blam, p)
+    cross = cross.swapaxes(-3, -2).reshape(*cross.shape[:-3], k, (k + 1) * k)
+    v[..., :k, :] += cross
+    v[..., :, :k] += cross.swapaxes(-1, -2)
+    return AsymptoticCovariance(
+        v_lambda=sym(v), p_beta=p, beta=beta, sigma_v_inv=sigma_v_inv, sigma_e2=sigma2, lam=lam
+    )
 
 
 def wald_statistics(
@@ -231,10 +270,12 @@ def wald_statistics(
     h0_lambda1: np.ndarray,
     t: int,
 ) -> np.ndarray:
-    """T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) at one hypothesis or a stack (..., K, K)."""
-    k = por.lambda1.shape[0]
+    """T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) at one hypothesis or a stack
+    (..., K, K), broadcast against the stack axes of ``por`` and ``cov``."""
+    k = por.lambda1.shape[-1]
     h0 = square_stack(h0_lambda1, k)
-    diff = (por.lambda1 - h0).swapaxes(-1, -2).reshape(*h0.shape[:-2], k * k, 1)
+    diff = (por.lambda1 - h0).swapaxes(-1, -2)
+    diff = diff.reshape(*diff.shape[:-2], k * k, 1)
     low = chol_spd(cov.v_lambda1, jitters=(0.0,))
     half = np.linalg.solve(low, diff)
     return ((t * half).swapaxes(-1, -2) @ half)[..., 0, 0]
@@ -247,7 +288,7 @@ def wald_test(
     t: int,
 ) -> WaldResult:
     """Wald statistic T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) ~ chi^2(K^2)."""
-    k = por.lambda1.shape[0]
+    k = por.lambda1.shape[-1]
     stat = float(wald_statistics(por, cov, h0_lambda1, t))
     return WaldResult(
         statistic=stat, dof=k * k, pvalue=chi2_sf(stat, k * k), covariance=cov.v_lambda1

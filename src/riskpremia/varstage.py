@@ -35,11 +35,11 @@ class VarEstimate:
 
     @property
     def n_factors(self) -> int:
-        return self.mu.size
+        return self.mu.shape[-1]
 
     @property
     def n_periods(self) -> int:
-        return self.residuals.shape[1]
+        return self.residuals.shape[-1]
 
 
 def _ols_qr(design: np.ndarray, targets: np.ndarray):

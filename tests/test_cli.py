@@ -202,6 +202,7 @@ def test_mc_sfar_density_experiment(tmp_path):
     assert code == 0
     summary = json.loads((out / "sfar_density_weak_summary.json").read_text())
     assert summary["dof_bound"] == 2 * (4 - 2 + 1)
+    assert sum(summary["failure_kinds"].values()) == summary["failures"]
 
 
 def test_mc_power_surface_experiment(tmp_path):

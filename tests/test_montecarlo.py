@@ -246,25 +246,28 @@ def test_power_curve_validation_and_degenerate_level():
 def test_power_curve_wald_covariance_once_per_fit(monkeypatch):
     from riskpremia import pipeline
 
-    fits, calls = [], []
+    fits, evaluated = [], []
 
     def recording_fit(*args, **kwargs):
         fits.append(fit_model(*args, **kwargs))
         return fits[-1]
 
-    def counting_cov(*args):
-        calls.append(1)
-        return asymptotic_covariance(*args)
+    def recording_cov(var, reg, por, q_xx):
+        evaluated.append(por.lambda1.reshape(-1))   # one entry per fit of the stack
+        return asymptotic_covariance(var, reg, por, q_xx)
 
     monkeypatch.setattr(montecarlo, "fit_model", recording_fit)
-    monkeypatch.setattr(pipeline, "asymptotic_covariance", counting_cov)
+    monkeypatch.setattr(pipeline, "asymptotic_covariance", recording_cov)
     spec = preset_dgp("strong", k=1, n=4, t=80)
     table = power_curve(["wald"], [0.0, 0.5, 1.0], spec, reps=100, seed=3)
     assert table.failures["wald"] == 0
-    assert len(calls) == sum(f.por is not None for f in fits) == 100
-    # each fit keeps the covariance its scan used: reading it computes nothing
-    assert all(f.asymptotic_cov.v_lambda1.shape == (1, 1) for f in fits)
-    assert len(calls) == 100
+    # every fit with a price of risk enters exactly one covariance evaluation,
+    # stacked with others of its chunk, and none is made per hypothesis
+    entered = np.sort(np.concatenate(evaluated))
+    expected = np.sort([f.por.lambda1[0, 0] for f in fits if f.por is not None])
+    assert len(expected) == 100
+    np.testing.assert_array_equal(entered, expected)
+    assert len(evaluated) < 100
 
 
 def per_hypothesis_tests(fit, tests, h0_mats, level):
@@ -299,7 +302,7 @@ def per_hypothesis_tests(fit, tests, h0_mats, level):
 def per_hypothesis_power_curve(tests, h0_mats, spec, reps, level, seed):
     """(rejection, failures) of ``power_curve`` from the per-hypothesis oracle."""
     results = montecarlo._replicates(
-        spec, reps, seed, lambda fit: per_hypothesis_tests(fit, tests, h0_mats, level)
+        spec, reps, seed, lambda fits: [per_hypothesis_tests(f, tests, h0_mats, level) for f in fits]
     )
     failed = np.full((len(tests), len(h0_mats)), np.nan)
     stack = np.stack([failed if isinstance(r, Exception) else r for r in results])
@@ -314,32 +317,45 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
     tests = ["far", "klm", "jklm", "wald", "sfar"]
     offsets = np.linspace(-0.3, 0.3, 5)
     h0_mats = [spec.lambda1 + d for d in offsets]
-    # every third replicate fails: the robust tests at point 1, Wald at 3 and
-    # sFAR at 4, wherever a kernel meets such a hypothesis, alone or stacked
-    replicate = [-1]
+    # every third replicate's fit fails: the robust tests at point 1, Wald at
+    # 3 and sFAR at 4, wherever a kernel meets that fit and such a
+    # hypothesis, alone or stacked with other fits and hypotheses.  A fit is
+    # known by its phi_hat[0, 0] (robust tests, sFAR) or Lambda1[0, 0] (Wald)
+    replicate, flaky_fits = [-1], {"system": set(), "por": set()}
     fail_at = {name: spec.lambda1[0, 0] + offsets[j]
                for name, j in (("robust", 1), ("wald", 3), ("sfar", 4))}
 
     def counting_fit(*args, **kwargs):
         replicate[0] += 1
-        return fit_model(*args, **kwargs)
+        fit = fit_model(*args, **kwargs)
+        if replicate[0] % 3 == 0:
+            flaky_fits["system"].add(fit.stacked.phi_hat[0, 0])
+            flaky_fits["por"].add(fit.por.lambda1[0, 0])
+        return fit
 
-    def inject(real, name, pos, corner):
-        def flaky(*args):
+    def inject(real, name, flaky, key, pos, corner):
+        def wrapped(*args):
             values = np.asarray(args[pos])[corner]
-            if replicate[0] % 3 == 0 and np.any(values == fail_at[name]):
+            if np.isin(key(args[0]), list(flaky)).any() and np.any(values == fail_at[name]):
                 raise NumericalError(f"injected {name}")
             return real(*args)
-        return flaky
+        return wrapped
 
-    robust = inject(moments.robust_statistics, "robust", 1, (..., 0, 0))
-    wald = inject(threestep.wald_statistics, "wald", 2, (..., 0, 0))
+    def system_key(sys):
+        return sys.phi_hat[..., 0, 0]
+
+    def por_key(por):
+        return por.lambda1[..., 0, 0]
+
+    robust = inject(moments.robust_statistics, "robust", flaky_fits["system"], system_key, 1, (..., 0, 0))
+    wald = inject(threestep.wald_statistics, "wald", flaky_fits["por"], por_key, 2, (..., 0, 0))
     monkeypatch.setattr(montecarlo, "fit_model", counting_fit)
     monkeypatch.setattr(moments, "robust_statistics", robust)
     monkeypatch.setattr(confsets, "robust_statistics", robust)
     monkeypatch.setattr(threestep, "wald_statistics", wald)
     monkeypatch.setattr(confsets, "wald_statistics", wald)
-    monkeypatch.setattr(subset, "_row_normals", inject(subset._row_normals, "sfar", 0, (..., 0)))
+    monkeypatch.setattr(subset, "_projected_roots", inject(
+        subset._projected_roots, "sfar", flaky_fits["system"], system_key, 1, (..., 0)))
 
     table = power_curve(tests, h0_mats, spec, reps=100, seed=3)
     replicate[0] = -1
@@ -350,6 +366,54 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
     assert table.failure_kinds == {t: {"NumericalError": 34} for t in tests}
     np.testing.assert_array_equal(table.rejection, freq)
     assert ((table.rejection > 0.0) & (table.rejection < 1.0)).any()
+
+
+def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
+    # replicate 3 picks the hc0 variance and replicates 5 and 6 have no price
+    # of risk; a one-byte budget makes every chunk one fit (and one point)
+    spec = preset_dgp("strong", k=2, n=6, t=300)
+    calls, per_replicate = [0], []
+    evaluate_tests = montecarlo._evaluate_tests
+
+    def mixed_fit(*args, **kwargs):
+        calls[0] += 1
+        fit = fit_model(*args, cov="hc0" if calls[0] == 4 else "auto")
+        return dataclasses.replace(fit, por=None) if calls[0] in (6, 7) else fit
+
+    def recording(fits, families, shape):
+        out = evaluate_tests(fits, families, shape)
+        per_replicate.extend(out)
+        return out
+
+    def runs():
+        per_replicate.clear()
+        calls[0] = 0
+        table = power_curve(["far", "klm", "jklm", "wald", "sfar"],
+                            [spec.lambda1 + d for d in (-0.2, 0.0, 0.2)], spec, reps=100, seed=5)
+        calls[0] = 0
+        surface = power_surface(spec, spec.lambda1[0, 0] + np.array([-0.4, 0.0, 0.4]),
+                                spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=30, seed=5)
+        calls[0] = 0
+        density = sfar_density_experiment(spec, reps=30, seed=5)
+        return table, surface, density, list(per_replicate)
+
+    monkeypatch.setattr(montecarlo, "fit_model", mixed_fit)
+    monkeypatch.setattr(montecarlo, "_evaluate_tests", recording)
+    table, surface, density, chunked = runs()
+    assert table.failure_kinds["wald"] == {"RankError": 6}
+    monkeypatch.setattr(confsets, "CHUNK_BYTES", 1)
+    one_table, one_surface, one_density, one_by_one = runs()
+    np.testing.assert_array_equal(one_table.rejection, table.rejection)
+    assert one_table.failures == table.failures
+    assert one_table.failure_kinds == table.failure_kinds
+    np.testing.assert_array_equal(one_surface, surface)
+    assert (one_density.failures, one_density.failure_kinds) == (density.failures, density.failure_kinds)
+    np.testing.assert_allclose(one_density.statistics, density.statistics, rtol=1e-12, atol=0)
+    # replicate by replicate: the same p-values and failures
+    assert len(chunked) == len(one_by_one) == 130
+    for (pvalues, kinds), (one_pvalues, one_kinds) in zip(chunked, one_by_one):
+        np.testing.assert_allclose(pvalues, one_pvalues, rtol=1e-12, atol=0)
+        assert kinds == one_kinds
 
 
 def test_power_curve_keeps_failures_per_test(monkeypatch):
@@ -428,18 +492,20 @@ def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
 
     def first_point_fails(sys, values, index):
         calls.append(len(values))
-        if len(calls) <= 2:
+        if len(calls) <= 3:
             raise NumericalError("matrix is not positive definite")
-        return np.full(len(values), np.inf)
+        return np.full(np.broadcast_shapes(values.shape[:-1], sys.batch_shape), np.inf)
 
-    # replicate 0 fails in its stacked call and again at its first point on
-    # the point-by-point retry; every other replicate rejects everywhere, so
-    # a dropped replicate leaves the frequency at exactly one
+    # the call over the three stacked fits fails, so does replicate 0 on its
+    # own, and so does its first point on the point-by-point retry; every
+    # other replicate rejects everywhere, so a dropped replicate leaves the
+    # frequency at exactly one
     monkeypatch.setattr(confsets, "sfar_row_statistics", first_point_fails)
     surf = power_surface(spec, ax, ay, reps=3, seed=1)
     assert np.array_equal(surf, np.ones((2, 2)))
-    # one stacked call over the 4-point mesh per replicate, plus the retry
-    assert calls == [4, 1, 1, 1, 1, 4, 4]
+    # one call over the 4-point mesh for the chunk of three fits, then one
+    # per fit, with the point-by-point retry of replicate 0
+    assert calls == [4, 4, 1, 1, 1, 1, 4, 4]
 
     def bug(*args):
         raise TypeError("programming error")
@@ -483,6 +549,26 @@ def test_sfar_density_counts_numerical_failures_and_raises_bugs(monkeypatch):
     res = sfar_density_experiment(spec, reps=3)
     assert res.failures == 3
     assert res.statistics.size == 0
+    assert res.failure_kinds == {"NumericalError": 3}
+
+    # a statistic that fails on one fit of a stacked chunk fails that
+    # replicate alone, with its exception class
+    monkeypatch.setattr(montecarlo, "fit_model", fit_model)
+    clean = sfar_density_experiment(spec, reps=6, seed=4)
+    assert clean.failure_kinds == {}
+    bad = set(clean.statistics[[1, 4]])
+    real = montecarlo.sfar_row_statistics
+
+    def flaky(sys, values, index):
+        stats = real(sys, values, index)
+        if np.isin(stats, list(bad)).any():
+            raise RankError("injected")
+        return stats
+
+    monkeypatch.setattr(montecarlo, "sfar_row_statistics", flaky)
+    res = sfar_density_experiment(spec, reps=6, seed=4)
+    assert res.failures == 2 and res.failure_kinds == {"RankError": 2}
+    np.testing.assert_array_equal(res.statistics, clean.statistics[[0, 2, 3, 5]])
 
     def bug(*args, **kwargs):
         raise TypeError("programming error")

@@ -88,7 +88,6 @@ def synthetic_system(rng, k, n, t=100):
         vhat=np.zeros((k, t)),
         rbar=np.zeros((n, t)),
         residuals=np.zeros((n, t)),
-        n_periods=t,
     )
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from riskpremia._linalg import sym, vec
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.threestep import (
-    AsymptoticCovariance,
     PriceOfRisk,
     ReturnRegression,
     asymptotic_covariance,
@@ -243,9 +244,7 @@ def term_by_term_covariance(factors, var, reg, por):
     iota = np.ones((n, 1))
     g_core = 0.25 * bstar @ var_vec_sigma @ bstar.T + (sigma2**2 / (2.0 * n)) * (iota @ iota.T)
     g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
-    return AsymptoticCovariance(
-        v_beta=v_b, c_lambda_beta=m23 @ v_b, v_lambda=sym(term1 + mid + g_extra)
-    )
+    return SimpleNamespace(v_beta=v_b, c_lambda_beta=m23 @ v_b, v_lambda=sym(term1 + mid + g_extra))
 
 
 def test_v_beta_identity_case():
@@ -264,12 +263,9 @@ def test_commutation_matrix():
     assert np.allclose(k @ a.reshape(-1, order="F"), a.T.reshape(-1, order="F"))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_covariance_matches_term_by_term_oracle(k, extra, seed):
-    rng = np.random.default_rng(seed)
-    n, t = k + extra, 40
-    # factors with a nonzero mean, so Gamma_zz is not block diagonal
+def random_estimates(rng, k, n, t=40):
+    """Factor panel, VAR, second stage and price of risk with arbitrary values;
+    the factors have a nonzero mean, so Gamma_zz is not block diagonal."""
     x = rng.uniform(-3.0, 3.0, (k, 1)) + rng.standard_normal((k, t + 1))
     factors = FactorPanel(x, tuple(f"f{i}" for i in range(k)))
     a = rng.standard_normal((k, k))
@@ -284,11 +280,49 @@ def test_covariance_matches_term_by_term_oracle(k, extra, seed):
         g_hat=rng.standard_normal(n), residuals=np.zeros((n, t)),
     )
     por = PriceOfRisk(lambda0=rng.standard_normal(k), lambda1=rng.standard_normal((k, k)))
-    got = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
-    ref = term_by_term_covariance(factors, var, reg, por)
+    return factors, var, reg, por
+
+
+def assert_matches_oracle(got, ref):
     for name in ("v_beta", "c_lambda_beta", "v_lambda"):
         a_, b_ = getattr(got, name), getattr(ref, name)
         assert np.linalg.norm(a_ - b_) <= 1e-12 * np.linalg.norm(b_), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_covariance_matches_term_by_term_oracle(k, extra, seed):
+    factors, var, reg, por = random_estimates(np.random.default_rng(seed), k, k + extra)
+    got = asymptotic_covariance(var, reg, por, lagged_q_xx(factors))
+    assert_matches_oracle(got, term_by_term_covariance(factors, var, reg, por))
+
+
+def test_covariance_needs_no_kronecker_product(monkeypatch):
+    # the closed form builds every block from K-sized pieces; only the
+    # oracle forms Kronecker products
+    factors, var, reg, por = random_estimates(np.random.default_rng(12), 3, 7)
+    ref = term_by_term_covariance(factors, var, reg, por)
+
+    def no_kron(*args):
+        raise AssertionError("numpy.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    assert_matches_oracle(asymptotic_covariance(var, reg, por, lagged_q_xx(factors)), ref)
+
+
+def test_covariance_of_a_stack_equals_each_fit():
+    from riskpremia._linalg import stack_fields
+
+    rng = np.random.default_rng(13)
+    fits = [random_estimates(rng, 2, 5) for _ in range(3)]
+    single = [asymptotic_covariance(var, reg, por, lagged_q_xx(f)) for f, var, reg, por in fits]
+    stacked = asymptotic_covariance(
+        *(stack_fields([fit[i] for fit in fits]) for i in (1, 2, 3)),
+        np.stack([lagged_q_xx(f) for f, *_ in fits]),
+    )
+    for i, cov in enumerate(single):
+        for name in ("v_beta", "c_lambda_beta", "v_lambda"):
+            np.testing.assert_allclose(getattr(stacked, name)[i], getattr(cov, name), rtol=1e-13, atol=0)
 
 
 def test_covariance_scalar_oracle_k1_n2():
