@@ -9,11 +9,12 @@ Conventions used throughout the package:
   means the inverse of that factor.
 * the matrix helpers below also take stacks of matrices (leading batch
   axes); a single matrix is the same computation with no batch axis.  The
-  same rule holds one level up: a stack of fitted systems is one system
-  whose arrays carry leading axes (``stack_fields``), its sizes are read
-  from the trailing axes, and per-fit arrays broadcast against a stack of
-  hypotheses placed in front of them.  Stacked solves go through NumPy:
-  SciPy's triangular solve loops over a stack in Python.
+  same rule holds one level up: panels may carry a leading replicate axis,
+  every fit stage maps a stack of panels to a stack of fits whose arrays
+  carry that axis, sizes are read from the trailing axes, and per-fit
+  arrays broadcast against a stack of hypotheses placed in front of them.
+  Stacked solves go through NumPy: SciPy's triangular solve loops over a
+  stack in Python.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ class NumericalError(RuntimeError):
 
 
 def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=float).reshape(-1, order="F")
+    """Column-major vec of the last two axes."""
+    m = np.asarray(m, dtype=float)
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(shape, order="F")
+    """Inverse of ``vec`` for vectors (..., rows * cols)."""
+    v = np.asarray(v, dtype=float)
+    return v.reshape(*v.shape[:-1], shape[1], shape[0]).swapaxes(-1, -2)
 
 
 def square_stack(x, k: int) -> np.ndarray:
@@ -81,12 +86,14 @@ def chol_spd(m: np.ndarray, jitters=(0.0, 1e-12, 1e-10)) -> np.ndarray:
 
 
 def spd_project(m: np.ndarray, floor_rel: float = 1e-12) -> np.ndarray:
-    """Nearest-in-spirit SPD projection: symmetrize and clip eigenvalues."""
+    """Nearest-in-spirit SPD projection: symmetrize and clip eigenvalues,
+    each matrix of a stack against its own floor."""
     m = sym(np.asarray(m, dtype=float))
     w, q = np.linalg.eigh(m)
-    floor = floor_rel * max(np.trace(m) / m.shape[0], np.finfo(float).tiny)
-    w = np.maximum(w, floor)
-    return sym(q @ (w[:, None] * q.T))
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    floor = floor_rel * np.maximum(trace / m.shape[-1], np.finfo(float).tiny)
+    w = np.maximum(w, floor[..., None])
+    return sym(q @ (w[..., :, None] * q.swapaxes(-1, -2)))
 
 
 def inv_lower(low: np.ndarray) -> np.ndarray:
@@ -100,20 +107,10 @@ def inv_from_chol(low: np.ndarray) -> np.ndarray:
     return linv.swapaxes(-1, -2) @ linv
 
 
-def stack_fields(items, **fixed):
-    """One dataclass of the type of ``items[0]`` whose fields stack those of
-    ``items`` on a new leading axis; the fields named in ``fixed`` take the
-    given values instead."""
-    cls = type(items[0])
-    return cls(**{
-        f.name: fixed[f.name] if f.name in fixed else np.array([getattr(x, f.name) for x in items])
-        for f in fields(cls)
-    })
-
-
 def take_fields(stack, index: int, **fixed):
-    """Entry ``index`` of a dataclass built by ``stack_fields``: every array
-    field indexed on its leading axis, the fields in ``fixed`` set as given."""
+    """Entry ``index`` of a dataclass whose array fields carry a leading
+    stack axis: every field indexed on that axis, the fields in ``fixed``
+    set as given."""
     cls = type(stack)
     return cls(**{
         f.name: fixed[f.name] if f.name in fixed else getattr(stack, f.name)[index]

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,17 @@ def cmd_cs(args) -> dict:
 
 
 def cmd_mc(args) -> dict:
+    """The experiment's outputs; its replicate rate goes to stderr only, so
+    the files of a run do not depend on its speed."""
+    start = time.perf_counter()
+    outputs = _mc_outputs(args)
+    elapsed = time.perf_counter() - start
+    print(f"mc: {args.reps} replicates in {elapsed:.2f} s "
+          f"({args.reps / max(elapsed, 1e-9):.1f} replicates/s)", file=sys.stderr)
+    return outputs
+
+
+def _mc_outputs(args) -> dict:
     kind = args.dgp
     spec = preset_dgp(kind, k=args.k, n=args.n, t=args.t)
     if args.experiment == "sfar-density":

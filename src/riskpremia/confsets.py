@@ -222,7 +222,7 @@ def scan_pvalues(
     carry NaN.  Any other exception propagates, as does a failed per-fit setup
     (Wald on a fit without a price of risk).
 
-    ``fit`` may be a stack of R fits (``pipeline.stack_fits``): then every
+    ``fit`` may be a stack of R fits (``fit_model`` of stacked panels): then every
     chunk is one pass over all of them, the p-values are (len(tests), R, B)
     and a failure is ((fit, point), exception).  A stacked chunk or setup
     that raises is evaluated again fit by fit, each fit as above, so the

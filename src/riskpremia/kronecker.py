@@ -50,7 +50,7 @@ class KpsFactorization:
     sigma: np.ndarray               # k x k, SPD-projected
     residual_rel: float             # ||S - omega kron sigma||_F / ||S||_F, pre-projection
     spectrum: np.ndarray            # singular values of R(S), descending
-    normalization: str              # which convention fixed the scalar split
+    normalization: str              # which convention fixed the scalar split (array of them on a stack)
 
     @property
     def product(self) -> np.ndarray:
@@ -86,52 +86,50 @@ def kps_factorize_terms(terms) -> KpsFactorization:
     L = Q_L R_L and M = Q_M R_M reduce the SVD of R(S) to that of the small
     core R_L R_M'.  The spectrum is padded with exact zeros past the number
     of terms; factors, residual and the default normalization and SPD floor
-    follow :func:`kps_factorize`.
+    follow :func:`kps_factorize`.  Stacked terms (leading axes on every
+    A_j and B_j) give one factorization per stack entry, every field stacked.
     """
-    p, k = terms[0][0].shape[0], terms[0][1].shape[0]
-    q_l, r_l = np.linalg.qr(np.column_stack([vec(a) for a, _ in terms]))
-    q_m, r_m = np.linalg.qr(np.column_stack([vec(b) for _, b in terms]))
-    u, core_sv, vt = np.linalg.svd(r_l @ r_m.T)
-    sv = np.zeros(min(p * p, k * k))
-    sv[: core_sv.size] = core_sv
+    p, k = terms[0][0].shape[-1], terms[0][1].shape[-1]
+    q_l, r_l = np.linalg.qr(np.stack([vec(a) for a, _ in terms], axis=-1))
+    q_m, r_m = np.linalg.qr(np.stack([vec(b) for _, b in terms], axis=-1))
+    u, core_sv, vt = np.linalg.svd(r_l @ r_m.swapaxes(-1, -2))
+    sv = np.zeros((*core_sv.shape[:-1], min(p * p, k * k)))
+    sv[..., : core_sv.shape[-1]] = core_sv
     return _from_leading_pair(
-        q_l @ u[:, 0], sv, q_m @ vt[0, :], p, k, DEFAULT_NORMALIZE, SPD_FLOOR
+        (q_l @ u[..., :, :1])[..., 0], sv, (q_m @ vt[..., 0, :, None])[..., 0],
+        p, k, DEFAULT_NORMALIZE, SPD_FLOOR,
     )
 
 
 def _from_leading_pair(l1, sv, n1, p, k, normalize, spd_floor):
     """Split the leading singular triplet (sv[0], l1, n1) of R(S) into
     SPD-clipped factors; the residual follows from the spectrum by
-    Eckart-Young."""
-    s1 = sv[0]
-    if s1 == 0.0:
+    Eckart-Young.  Every input may carry stack axes; the pivot is chosen
+    per stack entry."""
+    s1 = sv[..., :1]
+    if np.any(s1 == 0.0):
         raise ValueError("zero matrix has no Kronecker factorization")
-    # sign: both factors of a PSD Kronecker product have positive trace
-    if np.trace(unvec(l1, (p, p))) < 0:
-        l1, n1 = -l1, -n1
+    # every split below divides a sign flip of (l1, n1) out exactly, so their
+    # signs need no fixing; a numerically zero (1,1) pivot falls back to the
+    # largest-magnitude entry
+    lead = n1 if normalize == "sigma11" else l1
+    small = np.abs(lead[..., 0]) < 1e-10 * np.linalg.norm(lead, axis=-1)
+    used = np.where(small & (normalize != "maxabs"), "maxabs", normalize)
 
-    used = normalize
-    if used == "sigma11" and abs(n1[0]) < 1e-10 * np.linalg.norm(n1):
-        used = "maxabs"
-    if used == "omega11" and abs(l1[0]) < 1e-10 * np.linalg.norm(l1):
-        used = "maxabs"
-
-    if used == "sigma11":
-        sigma_raw = unvec(n1 / n1[0], (k, k))
-        omega_raw = unvec(l1 * (s1 * n1[0]), (p, p))
-    else:
-        if used == "maxabs":
-            pivot = l1[int(np.argmax(np.abs(l1)))]
-        else:
-            pivot = l1[0]
-        omega_raw = unvec(l1 / pivot, (p, p))
-        sigma_raw = unvec(pivot * s1 * n1, (k, k))
+    maxabs = np.take_along_axis(l1, np.argmax(np.abs(l1), axis=-1)[..., None], axis=-1)
+    pivot = np.where(used[..., None] == "maxabs", maxabs, l1[..., :1])
+    omega_raw = unvec(l1 / pivot, (p, p))
+    sigma_raw = unvec(pivot * s1 * n1, (k, k))
+    if normalize == "sigma11":
+        keep = (used == "sigma11")[..., None, None]
+        sigma_raw = np.where(keep, unvec(n1 / n1[..., :1], (k, k)), sigma_raw)
+        omega_raw = np.where(keep, unvec(l1 * (s1 * n1[..., :1]), (p, p)), omega_raw)
     return KpsFactorization(
         omega=spd_project(omega_raw, spd_floor),
         sigma=spd_project(sigma_raw, spd_floor),
-        residual_rel=float(np.linalg.norm(sv[1:]) / np.linalg.norm(sv)),
+        residual_rel=np.linalg.norm(sv[..., 1:], axis=-1) / np.linalg.norm(sv, axis=-1),
         spectrum=sv.copy(),
-        normalization=used,
+        normalization=used if used.ndim else str(used),
     )
 
 
@@ -154,8 +152,13 @@ class KpsDiagnostic:
 
 
 def kps_residual_report(fact: KpsFactorization, threshold: float = 0.10) -> KpsDiagnostic:
+    """The residual report of a factorization; of a stacked one, every
+    field but ``threshold`` is an array over the stack."""
     sv = fact.spectrum
-    ratio = float(sv[1] / sv[0]) if sv.size > 1 and sv[0] > 0 else 0.0
+    ratio = 0.0
+    if sv.shape[-1] > 1:
+        # sigma_1 = 0 leaves sigma_2 = 0, so the ratio is 0 there
+        ratio = sv[..., 1] / np.where(sv[..., 0] > 0, sv[..., 0], np.inf)
     return KpsDiagnostic(
         residual_rel=fact.residual_rel,
         singular_ratio=ratio,

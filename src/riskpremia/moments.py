@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec_kron, whiten, whiten_vec
+from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
 from .pipeline import ModelFit
 from .subset import StackedSystem, far_trace
 
@@ -94,19 +94,14 @@ class MomentSystem:
     n_factors: int
 
 
-def _vec_stack(m: np.ndarray) -> np.ndarray:
-    """Column-major vec of the last two axes."""
-    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
-
-
 def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     """The stacked sample moment vector at the hypothesized Lambda1 (or a
     stack, broadcast against the stack axes of ``sys``)."""
     t = sys.n_periods
     lam1_0 = square_stack(lam1_0, sys.n_factors)
     u = sys.rbar - sys.beta_hat @ sys.vhat
-    raw = _vec_stack(u @ sys.xbar_lagged.swapaxes(-1, -2) / t)
-    return raw + (sys.jacobian @ _vec_stack(lam1_0)[..., None])[..., 0]
+    raw = vec(u @ sys.xbar_lagged.swapaxes(-1, -2) / t)
+    return raw + (sys.jacobian @ vec(lam1_0)[..., None])[..., 0]
 
 
 def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:

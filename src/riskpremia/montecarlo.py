@@ -7,7 +7,8 @@ draws are bit-identical per (seed, replicate).  ``simulate`` gets the factor
 path from one banded forward substitution of the stacked VAR(1) recursion,
 equal to the step-by-step recursion up to rounding; the quantities that
 depend on the spec alone (stationary law, shock factor, band) are computed
-once per ``DgpSpec``.
+once per ``DgpSpec``.  The experiments simulate, fit and evaluate a block of
+replicates at a time over a leading replicate axis (``_replicates``).
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import scipy.linalg
 import scipy.stats
 
 from . import confsets
-from ._linalg import chi2_ppf
+from ._linalg import chi2_ppf, vec
 from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalues
 from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
-from .pipeline import FIT_ERRORS, fit_model, stack_fits
-from .subset import SubsetHypothesis, sfar_row_statistics, stack_systems
+from .pipeline import FIT_ERRORS, fit_model
+from .subset import SubsetHypothesis, sfar_row_statistics
 from .threestep import PriceOfRisk, ReturnRegression
 from .varstage import VarEstimate
 
@@ -208,7 +209,7 @@ def _recursion_band(phi1: np.ndarray, periods: int) -> np.ndarray:
     return band
 
 
-def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationary"):
+def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     """Draw one panel pair; bit-identical for identical (spec, seed, replicate).
 
     The draws are x_0 (stationary init only), the factor shocks, then the
@@ -216,32 +217,48 @@ def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationa
     solves the stacked recursion x_{s+1} = mu + phi1 x_s + v_s in one banded
     forward substitution (LAPACK ``dtbtrs``), equal to stepping the recursion
     up to rounding.  ``init="burnin"`` starts at mu and drops 200 periods.
+
+    ``replicate`` may be a range: the panels then carry a leading replicate
+    axis, each replicate drawn from its own generator as above, and every
+    factor path comes from the one ``dtbtrs`` call, one right-hand side per
+    replicate; each entry equals ``simulate`` of its replicate bit for bit.
     """
     k, n, t = spec.n_factors, spec.n_assets, spec.t
     law = spec._law
-    rng = replicate_rng(seed, replicate)
+    reps = replicate if isinstance(replicate, range) else range(replicate, replicate + 1)
     if init == "stationary":
         if law.mean is None:
             raise ValueError(f"phi1 spectral radius {law.radius:.3f} >= 1; no stationary law")
-        x0 = law.mean + law.half @ rng.standard_normal(k)
         burn, band = 0, law.band
     elif init == "burnin":
-        x0, burn = spec.mu, 200
+        burn = 200
         band = _recursion_band(spec.phi1, t + burn)
     else:
         raise ValueError("init must be 'stationary' or 'burnin'")
 
     total = t + burn
-    shocks = law.shock_factor @ rng.standard_normal((k, total))
-    rhs = np.empty((total + 1, k))
-    rhs[0] = x0
-    rhs[1:] = spec.mu + shocks.T
-    path, _ = scipy.linalg.lapack.dtbtrs(band, rhs.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
-    x = np.ascontiguousarray(path.reshape(total + 1, k)[burn:].T)
-    v = shocks[:, burn:]
-    e = np.sqrt(spec.sigma_e2) * rng.standard_normal((n, t))
-    beta = spec.effective_beta
-    r = spec.c[:, None] + beta @ (spec.lambda1 @ x[:, :-1] + v) + e
+    rhs = np.empty((total + 1, k, len(reps)))
+    shocks = np.empty((len(reps), k, total))
+    noise = np.empty((len(reps), n, t))
+    for b, rep in enumerate(reps):
+        rng = replicate_rng(seed, rep)
+        rhs[0, :, b] = spec.mu if burn else law.mean + law.half @ rng.standard_normal(k)
+        shocks[b] = rng.standard_normal((k, total))
+        noise[b] = rng.standard_normal((n, t))
+    shocks = law.shock_factor @ shocks
+    rhs[1:] = spec.mu[:, None] + shocks.transpose(2, 1, 0)
+    path, _ = scipy.linalg.lapack.dtbtrs(
+        band, rhs.reshape(-1, len(reps)), uplo="L", diag="U", overwrite_b=1
+    )
+    x = np.ascontiguousarray(path.reshape(total + 1, k, -1)[burn:].transpose(2, 1, 0))
+    v = shocks[..., burn:]
+    noise *= np.sqrt(spec.sigma_e2)
+    # c + beta (L1 x + v) + e, summed in that order without temporaries
+    r = spec.effective_beta @ (spec.lambda1 @ x[..., :-1] + v)
+    r += spec.c[:, None]
+    r += noise
+    if not isinstance(replicate, range):
+        x, r = x[0], r[0]
     factors = FactorPanel(x, tuple(f"f{i + 1}" for i in range(k)))
     return ReturnPanel(tuple(range(1, n + 1)), r), factors
 
@@ -251,53 +268,54 @@ def simulate(spec: DgpSpec, seed: int, replicate: int = 0, init: str = "stationa
 # ---------------------------------------------------------------------------
 
 
+def _block_size(spec: DgpSpec) -> int:
+    """Replicates per block: as many as ``confsets.CHUNK_BYTES`` holds of
+    their fitted systems' arrays, from the spec's (K, N, T) alone."""
+    k, n, t = spec.n_factors, spec.n_assets, spec.t
+    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); xbar, vhat, rbar, residuals
+    floats = 2 * n * k + 9 * k * k + n * n + 2 * (k + n) * t
+    return max(1, confsets.CHUNK_BYTES // (8 * floats))
+
+
 def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
-    """Results of replicates 0..reps-1, evaluated a chunk of fits at a time.
+    """Results of replicates 0..reps-1, simulated, fitted and evaluated a
+    block at a time.
 
-    Each replicate is simulated and fitted on its own; ``evaluate(fits)``
-    then takes a chunk of fits, as many as ``confsets.CHUNK_BYTES`` holds of
-    their stacked systems, and returns one result per fit.  A chunk whose
-    evaluation raises one of FIT_ERRORS or a ValueError is evaluated again
-    fit by fit.  A replicate whose fit or evaluation raised one of
-    FIT_ERRORS has that exception in place of its result, as evaluating each
-    fit on its own would give.
+    Each block of ``_block_size(spec)`` replicates is one ``simulate`` and one
+    ``fit_model`` call on stacked panels; ``evaluate(fit)`` takes the stacked
+    fit and returns one result per replicate.  A replicate's draws, fit and
+    result do not depend on the block it is in, so a block whose fit or
+    evaluation raises one of FIT_ERRORS or a ValueError (its fits split on
+    the covariance mode or on the price of risk, say) is fitted again as two
+    halves of its panels, down to single replicates.  A replicate that
+    raises one of FIT_ERRORS on its own has that exception in place of its
+    result, as fitting and evaluating it alone gives.
     """
-    out, chunk, size = [None] * reps, [], 1
-    for rep in range(reps):
-        returns, factors = simulate(spec, seed, rep)
-        try:
-            fit = fit_model(returns, factors)
-        except FIT_ERRORS as exc:
-            out[rep] = exc
-        else:
-            if not chunk:
-                size = max(1, confsets.CHUNK_BYTES // _nbytes(fit.stacked))
-            chunk.append((rep, fit))
-        if chunk and (len(chunk) >= size or rep == reps - 1):
-            for (r, _), res in zip(chunk, _evaluate_chunk([fit for _, fit in chunk], evaluate)):
-                out[r] = res
-            chunk = []
-    return out
+    size = _block_size(spec)
+    return [
+        res for start in range(0, reps, size)
+        for res in _run_block(*simulate(spec, seed, range(start, min(start + size, reps))), evaluate)
+    ]
 
 
-def _nbytes(obj) -> int:
-    """Bytes of the array fields of a dataclass."""
-    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
-
-
-def _evaluate_chunk(fits, evaluate) -> list:
-    """``evaluate(fits)``, or ``evaluate`` of each fit on its own if that raises."""
+def _run_block(returns: ReturnPanel, factors: FactorPanel, evaluate) -> list:
+    """``evaluate`` of the fit of stacked panels, or of their halves if that raises."""
     try:
-        return evaluate(fits)
-    except FIT_ERRORS + (ValueError,):
-        pass
-    out = []
-    for fit in fits:
-        try:
-            out.append(evaluate([fit])[0])
-        except FIT_ERRORS as exc:
-            out.append(exc)
-    return out
+        return list(evaluate(fit_model(returns, factors)))
+    except FIT_ERRORS + (ValueError,) as exc:
+        n = len(returns.returns)
+        if n == 1:
+            if isinstance(exc, ValueError):
+                raise
+            return [exc]
+        return [
+            res for half in (slice(None, n // 2), slice(n // 2, None))
+            for res in _run_block(
+                replace(returns, returns=returns.returns[half]),
+                replace(factors, factors=factors.factors[half]),
+                evaluate,
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -312,37 +330,28 @@ class PowerTable:
     level: float
 
 
-def _evaluate_tests(fits, families, shape) -> list:
-    """Per fit: p-values (tests, points), NaN where a test failed, and a
-    Counter of the failures by (test row, exception class name).
+def _evaluate_tests(fit, families, shape) -> list:
+    """Per fit of a stacked fit: p-values (tests, points), NaN where a test
+    failed, and a Counter of the failures by (test row, exception class name).
 
-    The fits are grouped by covariance mode and each group is stacked once;
-    each family of (rows, tests, binding, parameter stack) is one
-    ``scan_pvalues`` over the group.  Fits without a price of risk leave the
-    Wald stack, each failing every point with the error its own setup raises.
+    Each family of (rows, tests, binding, parameter stack) is one
+    ``scan_pvalues`` over the stack; a stack without a price of risk fails
+    its Wald setup, so every fit fails every Wald point with that error.
     """
-    pvalues = np.full((len(fits), *shape), np.nan)
-    kinds = [Counter() for _ in fits]
-    for mode in dict.fromkeys(fit.cov_mode for fit in fits):
-        group = [r for r, fit in enumerate(fits) if fit.cov_mode == mode]
-        stack = stack_fits([fits[r] for r in group])
-        for rows, tests, binding, params in families:
-            members, sub = group, stack
-            if tests == ["wald"] and stack.por is None:
-                members = [r for r in group if fits[r].por is not None]
-                sub = stack_fits([fits[r] for r in members]) if members else None
-                for r in set(group) - set(members):
-                    try:
-                        fits[r].asymptotic_cov
-                    except FIT_ERRORS as exc:
-                        kinds[r].update({(row, type(exc).__name__): len(params) for row in rows})
-            if sub is None:
-                continue
-            values, failures = scan_pvalues(tests, sub, binding, params)
-            pvalues[np.ix_(members, rows)] = values.swapaxes(0, 1)
-            for (j, _), exc in failures:
-                kinds[members[j]].update((row, type(exc).__name__) for row in rows)
+    reps = fit.stacked.batch_shape[0]
+    pvalues = np.full((reps, *shape), np.nan)
+    kinds = [Counter() for _ in range(reps)]
+    for rows, tests, binding, params in families:
+        values, failures = scan_pvalues(tests, fit, binding, params)
+        pvalues[:, rows] = values.swapaxes(0, 1)
+        for (j, _), exc in failures:
+            kinds[j].update((row, type(exc).__name__) for row in rows)
     return list(zip(pvalues, kinds))
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"level must lie in (0, 1], got {level!r}")
 
 
 def power_curve(
@@ -356,18 +365,19 @@ def power_curve(
     """Rejection frequencies of the chosen tests over a hypothesis grid.
 
     ``h0_grid`` holds finite K x K matrices (scalars allowed when K = 1); an
-    invalid one raises ValueError before any replicate is drawn.  The sFAR
-    entry tests the first row of Lambda1 against the matrix's first row.
-    Each chunk of replicates (``_replicates``) runs one ``confsets.scan_pvalues``
-    per test family (far/klm/jklm together, wald, sfar) and covariance mode
-    over the whole grid, its fits stacked on a replicate axis; the numbers
-    are those of scanning each fit on its own.  ``failures`` counts, per
+    invalid one, or a level outside (0, 1], raises ValueError before any
+    replicate is drawn.  The sFAR entry tests the first row of Lambda1
+    against the matrix's first row.  Each block of replicates
+    (``_replicates``) is one stacked fit and runs one ``confsets.scan_pvalues``
+    per test family (far/klm/jklm together, wald, sfar) over the whole grid;
+    the numbers are those of scanning each fit on its own.  ``failures`` counts, per
     test, the (replicate, hypothesis) pairs without a result, and
     ``failure_kinds`` splits that count by the exception raised: by the fit,
     by a family's per-fit setup, or at a point.
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates for stable frequencies")
+    _check_level(level)
     tests = [t.lower() for t in tests]
     if set(tests) - set(VALID_TESTS):
         raise ValueError(f"unknown test in {tests}; expected any of {VALID_TESTS}")
@@ -384,7 +394,7 @@ def power_curve(
         if rows:
             families.append((rows, [tests[i] for i in rows], binding, stack))
     shape = (len(tests), len(h0_mats))
-    results = _replicates(spec, reps, seed, lambda fits: _evaluate_tests(fits, families, shape))
+    results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, shape))
     pvalues = np.full((reps, *shape), np.nan)
     kinds = Counter()
     for rep, res in enumerate(results):
@@ -435,19 +445,19 @@ def sfar_density_experiment(
 ) -> SfarDensityResult:
     """Null distribution of the subset statistic at the true row of Lambda1.
 
-    Each chunk of replicates is one stacked ``sfar_row_statistics`` call over
-    its fits' systems (``_replicates``); ``failure_kinds`` counts the failed
-    replicates by the exception class that the fit or the statistic raised.
+    Each block of replicates is one stacked fit and one stacked
+    ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
+    the failed replicates by the exception class that the fit or the
+    statistic raised.
     """
     if reps < 0:
         raise ValueError("reps must be nonnegative")
     k, n = spec.n_factors, spec.n_assets
     h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
 
-    def statistics(fits):
-        return sfar_row_statistics(stack_systems([fit.stacked for fit in fits]), h.value, h.index)
-
-    results = _replicates(spec, reps, seed, statistics)
+    results = _replicates(
+        spec, reps, seed, lambda fit: sfar_row_statistics(fit.stacked, h.value, h.index)
+    )
     stats = np.asarray([s for s in results if not isinstance(s, Exception)])
     failures = len(results) - stats.size
     failed = Counter(type(s).__name__ for s in results if isinstance(s, Exception))
@@ -460,10 +470,11 @@ def sfar_density_experiment(
             empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
             quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
         )
-    ks = scipy.stats.kstest(stats, scipy.stats.chi2(dof).cdf)
+    # the distribution's own methods: freezing one costs about a millisecond
+    ks = scipy.stats.kstest(stats, scipy.stats.chi2.cdf, args=(dof,))
     qs = np.quantile(stats, quantile_levels)
     chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])
-    dens = scipy.stats.chi2(dof).pdf(chi_qs)
+    dens = scipy.stats.chi2.pdf(chi_qs, dof)
     q_se = np.sqrt(np.array(quantile_levels) * (1 - np.array(quantile_levels)) / stats.size) / np.maximum(dens, 1e-12)
     return SfarDensityResult(
         statistics=stats,
@@ -489,21 +500,23 @@ def power_surface(
 ) -> np.ndarray:
     """Rejection frequency of the row-subset test over a 2D hypothesis grid.
 
-    Requires K = 2: the tested row runs over (axis1 x axis2).  Each chunk
-    of replicates runs one ``confsets.scan_pvalues`` of sFAR over the whole
-    mesh, its fits stacked, and each replicate rejects where p < level; a
-    replicate with a failed point is dropped.  Non-finite axis values raise
-    ValueError before any replicate.
+    Requires K = 2: the tested row runs over (axis1 x axis2).  Each block
+    of replicates is one stacked fit and one ``confsets.scan_pvalues`` of
+    sFAR over the whole mesh, and each replicate rejects where p < level; a
+    replicate with a failed point is dropped.  Non-finite axis values, a
+    row index other than 0 or 1 and a level outside (0, 1] raise ValueError
+    before any replicate; at level 1 every point rejects.
     """
     if spec.n_factors != 2:
         raise ValueError("power_surface is defined for two-factor models")
-    if level >= 1.0:
-        return np.ones((len(axis1), len(axis2)))
     points = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     if not np.isfinite(points).all() or row_index not in (0, 1):
         raise ValueError("hypotheses must be finite and row_index 0 or 1")
+    _check_level(level)
+    if level == 1.0:
+        return np.ones((len(axis1), len(axis2)))
     families = [([0], ["sfar"], row_binding(2, row_index), points)]
-    results = _replicates(spec, reps, seed, lambda fits: _evaluate_tests(fits, families, (1, len(points))))
+    results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, (1, len(points))))
     kept = [
         (pvalues[0] < level).reshape(len(axis1), len(axis2))
         for pvalues, failures in (r for r in results if not isinstance(r, Exception))
@@ -587,8 +600,11 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
 
 def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
     """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T."""
-    por = _replicates(spec, reps, seed, lambda fits: [fit.por for fit in fits])
-    draws = np.asarray([p.lambda1.reshape(-1, order="F") for p in por if isinstance(p, PriceOfRisk)])
+    def lambda1(fit):
+        return [None] * fit.stacked.batch_shape[0] if fit.por is None else fit.por.lambda1
+
+    lams = _replicates(spec, reps, seed, lambda1)
+    draws = np.asarray([vec(lam) for lam in lams if isinstance(lam, np.ndarray)])
     return np.cov(draws.T, ddof=1).reshape(
         (spec.n_factors**2, spec.n_factors**2)
     ) * spec.t

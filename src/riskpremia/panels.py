@@ -67,10 +67,15 @@ class YieldPanel:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """One-period log excess holding returns: N series by T periods."""
+    """One-period log excess holding returns: N series by T periods.
+
+    ``returns`` may carry one leading replicate axis, (R, N, T): a stack of
+    R panels over the same maturities and dates, as ``simulate`` draws a
+    block of replicates.  Sizes are read from the trailing axes.
+    """
 
     maturities_held: tuple[int, ...]
-    returns: np.ndarray  # (N, T)
+    returns: np.ndarray  # (N, T) or (R, N, T)
     dates: tuple[str, ...] | None = None  # holding-period end dates, length T
 
     def __post_init__(self):
@@ -81,28 +86,32 @@ class ReturnPanel:
         )
         r = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", r)
-        if r.ndim != 2 or r.shape[0] < 1:
-            raise PanelError("returns must be a non-empty N x T matrix")
-        t = r.shape[1] if self.dates is None else len(self.dates)
-        if r.shape != (len(self.maturities_held), t):
+        if r.ndim not in (2, 3) or r.shape[-2] < 1:
+            raise PanelError("returns must be a non-empty N x T matrix or a stack of them")
+        t = r.shape[-1] if self.dates is None else len(self.dates)
+        if r.shape[-2:] != (len(self.maturities_held), t):
             raise PanelError("returns shape does not match maturities/dates")
         if not np.isfinite(r).all():
             raise PanelError("non-finite excess return")
 
     @property
     def n_assets(self) -> int:
-        return self.returns.shape[0]
+        return self.returns.shape[-2]
 
     @property
     def n_periods(self) -> int:
-        return self.returns.shape[1]
+        return self.returns.shape[-1]
 
 
 @dataclass(frozen=True)
 class FactorPanel:
-    """Observed factors: K series by T dates, time-ordered columns."""
+    """Observed factors: K series by T dates, time-ordered columns.
 
-    factors: np.ndarray  # (K, T)
+    ``factors`` may carry one leading replicate axis, (R, K, T), like
+    ``ReturnPanel.returns``; sizes are read from the trailing axes.
+    """
+
+    factors: np.ndarray  # (K, T) or (R, K, T)
     labels: tuple[str, ...]
     demeaned: bool = False
     dates: tuple[str, ...] | None = None
@@ -111,28 +120,28 @@ class FactorPanel:
         x = np.asarray(self.factors, dtype=float)
         object.__setattr__(self, "factors", x)
         object.__setattr__(self, "labels", tuple(self.labels))
+        if x.ndim not in (2, 3) or x.shape[-2] < 1:
+            raise PanelError("factors must be a non-empty K x T matrix or a stack of them")
         if self.dates is not None:
             object.__setattr__(self, "dates", _validate_dates(self.dates))
-            if len(self.dates) != x.shape[1]:
+            if len(self.dates) != x.shape[-1]:
                 raise PanelError("factor dates length does not match columns")
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise PanelError("factors must be a non-empty K x T matrix")
-        if len(self.labels) != x.shape[0]:
+        if len(self.labels) != x.shape[-2]:
             raise PanelError("labels length does not match factor rows")
         if not np.isfinite(x).all():
             raise PanelError("non-finite factor value")
         if self.demeaned:
-            scale = np.maximum(np.abs(x).max(axis=1), 1.0)
-            if np.any(np.abs(x.sum(axis=1)) > 1e-10 * x.shape[1] * scale):
+            scale = np.maximum(np.abs(x).max(axis=-1), 1.0)
+            if np.any(np.abs(x.sum(axis=-1)) > 1e-10 * x.shape[-1] * scale):
                 raise PanelError("demeaned flag set but rows do not sum to zero")
 
     @property
     def n_factors(self) -> int:
-        return self.factors.shape[0]
+        return self.factors.shape[-2]
 
     @property
     def n_periods(self) -> int:
-        return self.factors.shape[1]
+        return self.factors.shape[-1]
 
 
 # ---------------------------------------------------------------------------

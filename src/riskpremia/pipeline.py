@@ -7,10 +7,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import NumericalError, stack_fields, take_fields
+from ._linalg import NumericalError, take_fields
 from .kronecker import KpsDiagnostic, kps_residual_report
 from .panels import FactorPanel, ReturnPanel
-from .subset import StackedSystem, build_stacked, stack_systems
+from .subset import StackedSystem, build_stacked
 from .threestep import (
     AsymptoticCovariance,
     PriceOfRisk,
@@ -36,9 +36,10 @@ class ModelFit:
     the stacked system.  ``por`` is None when beta'beta is numerically
     singular (the unspanned factor pathology); the identification-robust
     tests remain available.  ``asymptotic_cov`` is computed on first use and
-    kept for the fit.  A stack of fits (``stack_fits``) is one ModelFit
-    whose arrays carry a leading replicate axis and whose ``kps_diag`` is
-    None; ``fit_at`` takes one fit back out.
+    kept for the fit.  The fit of stacked panels is one ModelFit whose
+    arrays carry a leading replicate axis, with one ``cov_mode`` and either
+    a stacked ``por`` or None for all of its fits; ``fit_at`` takes one fit
+    back out.
     """
 
     var: VarEstimate
@@ -70,31 +71,8 @@ class ModelFit:
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
 
 
-def stack_fits(fits) -> ModelFit:
-    """Fits of one covariance mode as one stack on a new leading axis.
-
-    ``por`` is stacked when every fit has one and None otherwise.  The VAR
-    and second-stage residuals are the stacked system's ``vhat`` and
-    ``residuals``, as they are in a single fit.
-    """
-    modes = {fit.cov_mode for fit in fits}
-    if len(modes) != 1:
-        raise ValueError(f"a stack of fits needs one covariance mode, got {sorted(modes)}")
-    pors = [fit.por for fit in fits]
-    stacked = stack_systems([fit.stacked for fit in fits])
-    return ModelFit(
-        # the residual panels are the system's own, stacked once
-        var=stack_fields([fit.var for fit in fits], residuals=stacked.vhat),
-        reg=stack_fields([fit.reg for fit in fits], residuals=stacked.residuals),
-        stacked=stacked,
-        kps_diag=None,
-        cov_mode=modes.pop(),
-        por=None if None in pors else stack_fields(pors),
-    )
-
-
 def fit_at(stack: ModelFit, index: int) -> ModelFit:
-    """Fit ``index`` of a stack built by ``stack_fits``."""
+    """Fit ``index`` of a stack of fits."""
     return ModelFit(
         var=take_fields(stack.var, index),
         reg=take_fields(stack.reg, index),
@@ -115,7 +93,11 @@ def fit_model(
 
     ``cov='auto'`` selects the Kronecker form when the factorization residual
     passes the default threshold of ``kps_residual_report`` and the
-    outer-product (HC0) form otherwise.
+    outer-product (HC0) form otherwise.  Panels with a leading replicate
+    axis give one stacked fit in one pass of every stage.  Its fits share
+    one covariance mode and either all have a price of risk or none does;
+    a stack that splits on either raises ValueError, and a stack with one
+    failing fit raises that fit's error.
     """
     if cov not in ("auto", "kps", "hc0"):
         raise ValueError(f"unknown covariance mode {cov!r}")
@@ -123,7 +105,12 @@ def fit_model(
     reg = second_stage(returns, factors, var, variant=variant)
     stacked = build_stacked(returns, factors, var, reg)
     diag = kps_residual_report(stacked.kps)
-    mode = cov if cov != "auto" else ("kps" if diag.passed else "hc0")
+    mode = cov
+    if cov == "auto":
+        passed = np.unique(diag.passed)
+        if passed.size > 1:
+            raise ValueError("a stack of fits needs one covariance mode, got kps and hc0")
+        mode = "kps" if passed[0] else "hc0"
     try:
         por = third_stage(reg, var)
     except RankError:

@@ -39,7 +39,6 @@ from ._linalg import (
     kron,
     spd_project,
     square_stack,
-    stack_fields,
     sym,
     vec_kron,
     whiten,
@@ -54,9 +53,9 @@ from .varstage import VarEstimate
 class StackedSystem:
     """Joint-regression view of the model plus its KPS covariance pieces.
 
-    A stack of systems (``stack_systems``) is one system whose arrays carry
-    leading axes; its sizes are read from the trailing axes, its per-fit
-    invariants below are stacked too, and ``kps`` is None.
+    The system of a stack of fits (``build_stacked`` on stacked panels) is
+    one system whose arrays carry leading axes; its sizes are read from the
+    trailing axes and its per-fit invariants below are stacked too.
     """
 
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
@@ -169,11 +168,6 @@ class StackedSystem:
         return -np.moveaxis(scores, 0, -2)
 
 
-def stack_systems(systems) -> StackedSystem:
-    """The systems of ``systems`` as one stack on a new leading axis."""
-    return stack_fields(systems, kps=None)
-
-
 def model_score_terms(
     q_xx: np.ndarray,
     sigma_v: np.ndarray,
@@ -185,15 +179,17 @@ def model_score_terms(
     Returns [(diag(Qxx, 0), s2 I + beta Sigma_v beta'), (diag(0, Sigma_v), s2 I)],
     whose Kronecker sum is
 
-        S = diag( Qxx kron (s2 I + beta Sigma_v beta'),  Sigma_v kron s2 I ).
+        S = diag( Qxx kron (s2 I + beta Sigma_v beta'),  Sigma_v kron s2 I ),
+
+    one pair of stacked terms for stacked inputs.
     """
-    k, n = q_xx.shape[0], beta.shape[0]
-    a_x = np.zeros((2 * k, 2 * k))
-    a_x[:k, :k] = q_xx
-    a_v = np.zeros((2 * k, 2 * k))
-    a_v[k:, k:] = sigma_v
-    s2_i = sigma_e2 * np.eye(n)
-    return [(a_x, s2_i + beta @ sigma_v @ beta.T), (a_v, s2_i)]
+    k, n = q_xx.shape[-1], beta.shape[-2]
+    a_x = np.zeros((*q_xx.shape[:-2], 2 * k, 2 * k))
+    a_x[..., :k, :k] = q_xx
+    a_v = np.zeros_like(a_x)
+    a_v[..., k:, k:] = sigma_v
+    s2_i = np.asarray(sigma_e2)[..., None, None] * np.eye(n)
+    return [(a_x, s2_i + beta @ sigma_v @ beta.swapaxes(-1, -2)), (a_v, s2_i)]
 
 
 def stacked_score_covariance(
@@ -231,30 +227,33 @@ def build_stacked(
     second stage in the parameterization Phi = (d + beta phi1 : beta), so its
     coefficients and residuals are read off ``reg``.  Unless ``kps`` is given,
     the model score covariance is factored from its Kronecker terms without
-    forming the dense matrix.
+    forming the dense matrix.  Stacked panels and fits give one stacked system.
     """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
-    xbar = factors.factors[:, :-1] - var.x_lagged_mean[:, None]
+    xbar = factors.factors[..., :, :-1] - var.x_lagged_mean[..., None]
     vhat = var.residuals
-    w_rows = np.vstack([xbar, vhat])
-    w_hat = w_rows @ w_rows.T / t
+    w_rows = np.concatenate([xbar, vhat], axis=-2)
+    w_hat = w_rows @ w_rows.swapaxes(-1, -2) / t
     beta = reg.beta_hat
-    phi_hat = np.column_stack([reg.d_hat + beta @ var.phi1, beta])
+    phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
     if kps is None:
-        kps = kps_factorize_terms(model_score_terms(w_hat[:k, :k], w_hat[k:, k:], reg.sigma_e2, beta))
+        kps = kps_factorize_terms(
+            model_score_terms(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
+        )
     w_inv = np.linalg.inv(w_hat)
     psi_hat = spd_project(w_inv @ kps.omega @ w_inv)
+    r = returns.returns
     return StackedSystem(
         phi_hat=phi_hat,
         w_hat=w_hat,
         psi_hat=psi_hat,
         sigma_hat=kps.sigma,
-        q_xx=w_hat[:k, :k],
+        q_xx=w_hat[..., :k, :k],
         kps=kps,
         xbar_lagged=xbar,
         vhat=vhat,
-        rbar=returns.returns - returns.returns.mean(axis=1, keepdims=True),
+        rbar=r - r.mean(axis=-1, keepdims=True),
         residuals=reg.residuals,
     )
 

@@ -32,6 +32,8 @@ def check_alignment(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate
             f"factors must have one more observation than returns "
             f"({factors.n_periods} vs {t})"
         )
+    if returns.returns.shape[:-2] != factors.factors.shape[:-2]:
+        raise PanelError("returns and factors must stack the same number of panels")
     if var.n_periods != t:
         raise PanelError("VAR estimate does not match the return sample length")
     if var.n_factors != factors.n_factors:
@@ -45,7 +47,9 @@ class ReturnRegression:
 
     Row n of ``beta_hat`` is the innovation loading of asset n.  The
     contemporaneous-regressor parameterization is recovered as
-    ``a + beta mu`` and ``d + beta phi1``.
+    ``a + beta mu`` and ``d + beta phi1``.  The regression of a stack of
+    panels carries the stack axis in front of each field (``sigma_e2`` is
+    then an array).
     """
 
     a_hat: np.ndarray       # (N,)
@@ -83,10 +87,11 @@ class WaldResult:
 
 
 def convexity_adjustment(beta_hat: np.ndarray, sigma_v: np.ndarray, sigma_e2) -> np.ndarray:
-    """Per-asset convexity terms 0.5 (beta_n' Sigma_v beta_n + sigma_e^2)."""
+    """Per-asset convexity terms 0.5 (beta_n' Sigma_v beta_n + sigma_e^2),
+    per fit of a stack."""
     beta_hat = np.atleast_2d(np.asarray(beta_hat, dtype=float))
-    quad = np.einsum("nj,jk,nk->n", beta_hat, np.asarray(sigma_v, dtype=float), beta_hat)
-    return 0.5 * (quad + np.asarray(sigma_e2, dtype=float))
+    quad = np.einsum("...nj,...jk,...nk->...n", beta_hat, np.asarray(sigma_v, dtype=float), beta_hat)
+    return 0.5 * (quad + np.asarray(sigma_e2, dtype=float)[..., None])
 
 
 def second_stage(
@@ -97,32 +102,34 @@ def second_stage(
 ) -> ReturnRegression:
     """Per-maturity OLS of returns on a constant, lagged factors, and either
     first-stage innovations (variant II) or contemporaneous factors (variant I).
+
+    Stacked panels give one regression per panel, with sigma_e^2 per fit.
     """
     if variant not in ("I", "II"):
         raise ValueError(f"variant must be 'I' or 'II', got {variant!r}")
     t = check_alignment(returns, factors, var)
     x = factors.factors
     r = returns.returns
-    lagged = x[:, :-1].T
+    lagged = x[..., :, :-1].swapaxes(-1, -2)
     if variant == "II":
-        third = var.residuals.T
+        third = var.residuals.swapaxes(-1, -2)
     else:
-        third = x[:, 1:].T
-    design = np.column_stack([np.ones(t), lagged, third])
-    coef = _ols_qr(design, r.T)                     # (1 + 2K, N)
+        third = x[..., :, 1:].swapaxes(-1, -2)
+    design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged, third], axis=-1)
+    coef = _ols_qr(design, r.swapaxes(-1, -2))      # (1 + 2K, N)
     k = var.n_factors
-    a0 = coef[0]
-    d0 = coef[1 : 1 + k].T
-    beta = coef[1 + k :].T
+    a0 = coef[..., 0, :]
+    d0 = coef[..., 1 : 1 + k, :].swapaxes(-1, -2)
+    beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
     if variant == "II":
         # map to the lag parameterization used by the third stage
-        a = a0 - beta @ var.mu
+        a = a0 - (beta @ var.mu[..., None])[..., 0]
         d = d0 - beta @ var.phi1
     else:
         a, d = a0, d0
-    resid = r - (design @ coef).T
-    n = r.shape[0]
-    sigma_e2 = float(np.trace(resid @ resid.T) / (n * t))
+    resid = r - (design @ coef).swapaxes(-1, -2)
+    n = r.shape[-2]
+    sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (n * t)
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
     return ReturnRegression(
         a_hat=a,
@@ -135,19 +142,28 @@ def second_stage(
 
 
 def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:
-    """Closed-form price-of-risk estimates from the stacked regressions."""
+    """Closed-form price-of-risk estimates from the stacked regressions.
+
+    Raises RankError when beta'beta is numerically singular.  A stack of
+    fits keeps one answer for all of them: it raises RankError when every
+    beta'beta is singular and ValueError when only some are.
+    """
     beta = reg.beta_hat
-    gram = beta.T @ beta
+    beta_t = beta.swapaxes(-1, -2)
+    gram = beta_t @ beta
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_CAP:
+    bad = ~np.isfinite(cond) | (cond > COND_CAP)
+    if np.all(bad):
         raise RankError(
-            f"beta'beta condition number {cond:.3e} exceeds cap {COND_CAP:.1e}; "
+            f"beta'beta condition number {np.max(cond):.3e} exceeds cap {COND_CAP:.1e}; "
             "factors appear (nearly) unspanned"
         )
-    target0 = reg.a_hat + reg.g_hat + beta @ var.mu
+    if np.any(bad):
+        raise ValueError("a stack of fits needs a price of risk for every fit or for none")
+    target0 = reg.a_hat + reg.g_hat + (beta @ var.mu[..., None])[..., 0]
     target1 = reg.d_hat + beta @ var.phi1
-    sol = np.linalg.solve(gram, beta.T @ np.column_stack([target0, target1]))
-    return PriceOfRisk(lambda0=sol[:, 0], lambda1=sol[:, 1:])
+    sol = np.linalg.solve(gram, beta_t @ np.concatenate([target0[..., None], target1], axis=-1))
+    return PriceOfRisk(lambda0=sol[..., :, 0], lambda1=sol[..., :, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .panels import FactorPanel, PanelError
 
@@ -24,7 +23,8 @@ class VarEstimate:
     """OLS fit of X_t = mu + phi1 X_{t-1} + v_t.
 
     ``residuals`` spans t = 1..T; ``sigma_v`` uses the 1/T divisor;
-    ``x_lagged_mean`` is the mean of the lagged factors X_0..X_{T-1}.
+    ``x_lagged_mean`` is the mean of the lagged factors X_0..X_{T-1}.  The
+    fit of a stack of panels carries the stack axis in front of each field.
     """
 
     mu: np.ndarray          # (K,)
@@ -43,35 +43,42 @@ class VarEstimate:
 
 
 def _ols_qr(design: np.ndarray, targets: np.ndarray):
-    """Least squares via QR; raises RankError with the condition number."""
+    """Least squares via QR, per fit of a stack; raises RankError with the
+    worst condition number if any design is rank deficient.
+
+    R is solved with ``np.linalg.solve``: its LU step keeps the triangle as
+    is, and SciPy's triangular solve would loop over a stack in Python.
+    """
     q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if diag.min() == 0.0 or diag.max() / diag.min() > COND_CAP:
-        cond = np.inf if diag.min() == 0.0 else diag.max() / diag.min()
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    low, high = diag.min(axis=-1), diag.max(axis=-1)
+    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
+    if np.any(cond > COND_CAP):
         raise RankError(
-            f"design matrix is rank deficient (R-diagonal condition {cond:.3e})"
+            f"design matrix is rank deficient (R-diagonal condition {cond.max():.3e})"
         )
-    return scipy.linalg.solve_triangular(r, q.T @ targets, lower=False)
+    return np.linalg.solve(r, q.swapaxes(-1, -2) @ targets)
 
 
 def fit_var1(factors: FactorPanel) -> VarEstimate:
-    """Least-squares VAR(1) on a K x (T+1) factor panel."""
+    """Least-squares VAR(1) on a K x (T+1) factor panel, or one VAR per
+    panel of a stack (every field then carries the stack axis)."""
     x = np.asarray(factors.factors, dtype=float)
-    k, n_obs = x.shape
+    k, n_obs = x.shape[-2:]
     t = n_obs - 1
     if t < k + 2:
         raise PanelError(f"need at least K+3 factor observations, got {n_obs}")
-    lagged = x[:, :-1].T                      # (T, K)
-    current = x[:, 1:].T                      # (T, K)
-    design = np.column_stack([np.ones(t), lagged])
-    coef = _ols_qr(design, current)           # (1+K, K)
-    mu = coef[0]
-    phi1 = coef[1:].T
-    resid = (current - design @ coef).T       # (K, T)
+    lagged = x[..., :, :-1].swapaxes(-1, -2)      # (T, K)
+    current = x[..., :, 1:].swapaxes(-1, -2)      # (T, K)
+    design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged], axis=-1)
+    coef = _ols_qr(design, current)               # (1+K, K)
+    mu = coef[..., 0, :]
+    phi1 = coef[..., 1:, :].swapaxes(-1, -2)
+    resid = (current - design @ coef).swapaxes(-1, -2)   # (K, T)
     return VarEstimate(
         mu=mu,
         phi1=phi1,
         residuals=resid,
-        sigma_v=resid @ resid.T / t,
-        x_lagged_mean=lagged.mean(axis=0),
+        sigma_v=resid @ resid.swapaxes(-1, -2) / t,
+        x_lagged_mean=lagged.mean(axis=-2),
     )

@@ -195,6 +195,27 @@ def test_mc_smoke_and_determinism(tmp_path):
                 "--out", tmp_path / "m0"]) == 2
 
 
+def test_mc_reports_its_replicate_rate_on_stderr_only(tmp_path, capsys):
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    args = ["mc", "--k", "1", "--n", "4", "--t", "80", "--reps", "100", "--tests", "far",
+            "--grid-steps", "3", "--seed", "3"]
+    for out in (out1, out2):
+        assert run(args + ["--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "mc: 100 replicates in " in err and "replicates/s)" in err
+    assert (out1 / "power_strong.csv").read_bytes() == (out2 / "power_strong.csv").read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
+    for manifest in manifests:
+        del manifest["config"]["out"]
+    assert manifests[0] == manifests[1]
+    # an invalid level is a validation error, before any replicate
+    for level in ("nan", "-0.5", "0", "1.5"):
+        assert run(args + ["--level", level, "--out", tmp_path / "bad"]) == 2
+        assert "level" in capsys.readouterr().err
+    assert run(["mc", "--experiment", "power-surface", "--k", "2", "--n", "3", "--reps", "100",
+                "--grid-steps", "3", "--level", "nan", "--out", tmp_path / "bad"]) == 2
+
+
 def test_mc_sfar_density_experiment(tmp_path):
     out = tmp_path / "md"
     code = run(["mc", "--experiment", "sfar-density", "--dgp", "weak", "--k", "2",

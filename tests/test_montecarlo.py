@@ -262,9 +262,10 @@ def test_power_curve_wald_covariance_once_per_fit(monkeypatch):
     table = power_curve(["wald"], [0.0, 0.5, 1.0], spec, reps=100, seed=3)
     assert table.failures["wald"] == 0
     # every fit with a price of risk enters exactly one covariance evaluation,
-    # stacked with others of its chunk, and none is made per hypothesis
+    # stacked with the others of its block, and none is made per hypothesis;
+    # each fit_model call fits a block of replicates
     entered = np.sort(np.concatenate(evaluated))
-    expected = np.sort([f.por.lambda1[0, 0] for f in fits if f.por is not None])
+    expected = np.sort(np.concatenate([f.por.lambda1.reshape(-1) for f in fits if f.por is not None]))
     assert len(expected) == 100
     np.testing.assert_array_equal(entered, expected)
     assert len(evaluated) < 100
@@ -301,9 +302,11 @@ def per_hypothesis_tests(fit, tests, h0_mats, level):
 
 def per_hypothesis_power_curve(tests, h0_mats, spec, reps, level, seed):
     """(rejection, failures) of ``power_curve`` from the per-hypothesis oracle."""
-    results = montecarlo._replicates(
-        spec, reps, seed, lambda fits: [per_hypothesis_tests(f, tests, h0_mats, level) for f in fits]
-    )
+    def evaluate(stack):
+        fits = [pipeline.fit_at(stack, j) for j in range(stack.stacked.batch_shape[0])]
+        return [per_hypothesis_tests(f, tests, h0_mats, level) for f in fits]
+
+    results = montecarlo._replicates(spec, reps, seed, evaluate)
     failed = np.full((len(tests), len(h0_mats)), np.nan)
     stack = np.stack([failed if isinstance(r, Exception) else r for r in results])
     counts = np.sum(~np.isnan(stack), axis=0)
@@ -320,18 +323,13 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
     # every third replicate's fit fails: the robust tests at point 1, Wald at
     # 3 and sFAR at 4, wherever a kernel meets that fit and such a
     # hypothesis, alone or stacked with other fits and hypotheses.  A fit is
-    # known by its phi_hat[0, 0] (robust tests, sFAR) or Lambda1[0, 0] (Wald)
-    replicate, flaky_fits = [-1], {"system": set(), "por": set()}
+    # known by its phi_hat[0, 0] (robust tests, sFAR) or Lambda1[0, 0] (Wald),
+    # read off the replicate fitted on its own: a block's fit equals it
+    flaky = [fit_model(*simulate(spec, 3, rep)) for rep in range(0, 100, 3)]
+    flaky_fits = {"system": {fit.stacked.phi_hat[0, 0] for fit in flaky},
+                  "por": {fit.por.lambda1[0, 0] for fit in flaky}}
     fail_at = {name: spec.lambda1[0, 0] + offsets[j]
                for name, j in (("robust", 1), ("wald", 3), ("sfar", 4))}
-
-    def counting_fit(*args, **kwargs):
-        replicate[0] += 1
-        fit = fit_model(*args, **kwargs)
-        if replicate[0] % 3 == 0:
-            flaky_fits["system"].add(fit.stacked.phi_hat[0, 0])
-            flaky_fits["por"].add(fit.por.lambda1[0, 0])
-        return fit
 
     def inject(real, name, flaky, key, pos, corner):
         def wrapped(*args):
@@ -349,7 +347,6 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
 
     robust = inject(moments.robust_statistics, "robust", flaky_fits["system"], system_key, 1, (..., 0, 0))
     wald = inject(threestep.wald_statistics, "wald", flaky_fits["por"], por_key, 2, (..., 0, 0))
-    monkeypatch.setattr(montecarlo, "fit_model", counting_fit)
     monkeypatch.setattr(moments, "robust_statistics", robust)
     monkeypatch.setattr(confsets, "robust_statistics", robust)
     monkeypatch.setattr(threestep, "wald_statistics", wald)
@@ -358,7 +355,6 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
         subset._projected_roots, "sfar", flaky_fits["system"], system_key, 1, (..., 0)))
 
     table = power_curve(tests, h0_mats, spec, reps=100, seed=3)
-    replicate[0] = -1
     freq, failures = per_hypothesis_power_curve(tests, h0_mats, spec, 100, 0.05, 3)
     assert table.failures == failures == {
         "far": 34, "klm": 34, "jklm": 34, "wald": 34, "sfar": 34
@@ -370,30 +366,33 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
 
 def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
     # replicate 3 picks the hc0 variance and replicates 5 and 6 have no price
-    # of risk; a one-byte budget makes every chunk one fit (and one point)
+    # of risk; a one-byte budget makes every block one replicate (and every
+    # chunk one point).  A replicate is known by its first return; a block
+    # holding one of them with other replicates splits the stack, so its fit
+    # raises ValueError, as fit_model does when its fits split
     spec = preset_dgp("strong", k=2, n=6, t=300)
-    calls, per_replicate = [0], []
+    per_replicate = []
     evaluate_tests = montecarlo._evaluate_tests
+    special = {simulate(spec, 5, rep)[0].returns[0, 0]: rep for rep in (3, 5, 6)}
 
-    def mixed_fit(*args, **kwargs):
-        calls[0] += 1
-        fit = fit_model(*args, cov="hc0" if calls[0] == 4 else "auto")
-        return dataclasses.replace(fit, por=None) if calls[0] in (6, 7) else fit
+    def mixed_fit(returns, factors):
+        hits = [special[x] for x in returns.returns[:, 0, 0] if x in special]
+        if hits and len(returns.returns) > 1:
+            raise ValueError("a stack of fits needs one covariance mode")
+        fit = fit_model(returns, factors, cov="hc0" if hits == [3] else "auto")
+        return dataclasses.replace(fit, por=None) if hits in ([5], [6]) else fit
 
-    def recording(fits, families, shape):
-        out = evaluate_tests(fits, families, shape)
+    def recording(fit, families, shape):
+        out = evaluate_tests(fit, families, shape)
         per_replicate.extend(out)
         return out
 
     def runs():
         per_replicate.clear()
-        calls[0] = 0
         table = power_curve(["far", "klm", "jklm", "wald", "sfar"],
                             [spec.lambda1 + d for d in (-0.2, 0.0, 0.2)], spec, reps=100, seed=5)
-        calls[0] = 0
         surface = power_surface(spec, spec.lambda1[0, 0] + np.array([-0.4, 0.0, 0.4]),
                                 spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=30, seed=5)
-        calls[0] = 0
         density = sfar_density_experiment(spec, reps=30, seed=5)
         return table, surface, density, list(per_replicate)
 
@@ -416,6 +415,91 @@ def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
         assert kinds == one_kinds
 
 
+def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
+    # replicate 4's VAR design is rank deficient and replicate 30 fails the
+    # KPS residual check, both known by their data; their blocks fail (a
+    # RankError, a split covariance mode) and are run again in halves.  At a
+    # one-byte budget every block is one replicate, so the two runs must
+    # agree on every result, failure and failure kind
+    spec = preset_dgp("weak", k=2, n=6, t=300)
+    seed, outcomes = 5, []
+    bad_x0 = simulate(spec, seed, 4)[1].factors[0, 0]
+    hc0_residual = fit_model(*simulate(spec, seed, 30)).kps_diag.residual_rel
+    real_var1, real_report = pipeline.fit_var1, pipeline.kps_residual_report
+
+    def rank_deficient(factors):
+        if np.isin(factors.factors[..., 0, 0], bad_x0).any():
+            raise RankError("injected rank-deficient design")
+        return real_var1(factors)
+
+    def failing_report(fact):
+        diag = real_report(fact)
+        return dataclasses.replace(diag, passed=diag.passed & ~np.isin(fact.residual_rel, hc0_residual))
+
+    def recording_fit(returns, factors):
+        try:
+            fit = fit_model(returns, factors)
+        except (ValueError,) + FIT_ERRORS as exc:
+            outcomes.append(type(exc).__name__)
+            raise
+        outcomes.append((len(returns.returns), fit.cov_mode))
+        return fit
+
+    monkeypatch.setattr(pipeline, "fit_var1", rank_deficient)
+    monkeypatch.setattr(pipeline, "kps_residual_report", failing_report)
+    monkeypatch.setattr(montecarlo, "fit_model", recording_fit)
+
+    def runs():
+        outcomes.clear()
+        h0 = [spec.lambda1 + d for d in (-0.2, 0.0, 0.2)]
+        table = power_curve(["far", "klm", "jklm", "wald", "sfar"], h0, spec, reps=100, seed=seed)
+        surface = power_surface(spec, spec.lambda1[0, 0] + np.array([-0.4, 0.4]),
+                                spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=40, seed=seed)
+        density = sfar_density_experiment(spec, reps=40, seed=seed)
+        boot = bootstrap_lambda1_cov(spec, reps=40, seed=seed)
+        return table, surface, density, boot, list(outcomes)
+
+    table, surface, density, boot, blocked = runs()
+    assert table.failure_kinds["far"] == {"RankError": 3}
+    assert density.failure_kinds == {"RankError": 1}
+    # both blocks failed and were split; replicate 30 was fitted alone, with hc0
+    assert {"RankError", "ValueError"} <= set(blocked) and (1, "hc0") in blocked
+    monkeypatch.setattr(confsets, "CHUNK_BYTES", 1)
+    one_table, one_surface, one_density, one_boot, single = runs()
+    assert all(outcome == "RankError" or outcome[0] == 1 for outcome in single)
+    np.testing.assert_array_equal(one_table.rejection, table.rejection)
+    assert one_table.failures == table.failures
+    assert one_table.failure_kinds == table.failure_kinds
+    np.testing.assert_array_equal(one_surface, surface)
+    np.testing.assert_array_equal(one_density.statistics, density.statistics)
+    assert (one_density.failures, one_density.failure_kinds) == (density.failures, density.failure_kinds)
+    np.testing.assert_array_equal(one_boot, boot)
+
+
+def test_fit_model_is_called_once_per_block_with_the_observed_fields(monkeypatch):
+    # the benchmark's trace wraps fit_model in every module that binds it and
+    # reads cov_mode and por off each result
+    results = []
+    real = pipeline.fit_model
+
+    def observed(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    for module in (pipeline, montecarlo):
+        monkeypatch.setattr(module, "fit_model", observed)
+    size = preset_dgp("strong", k=1, n=11, t=300)
+    power_curve(["far", "klm", "jklm", "wald"], [size.lambda1], size, reps=100, seed=7)
+    assert 0 < len(results) < 100
+    calls = len(results)
+    sfar = preset_dgp("strong", k=5, n=20, t=300)
+    sfar_density_experiment(sfar, reps=20, seed=2024)
+    assert 0 < len(results) - calls < 20
+    for fit in results:
+        assert type(fit.cov_mode) is str and fit.cov_mode in ("kps", "hc0")
+        assert fit.por is None or isinstance(fit.por, threestep.PriceOfRisk)
+
+
 def test_power_curve_keeps_failures_per_test(monkeypatch):
     # a fit without a price of risk loses Wald only
     spec = preset_dgp("strong", k=1, n=4, t=80)
@@ -432,14 +516,15 @@ def test_power_curve_keeps_failures_per_test(monkeypatch):
     assert table.failure_kinds == {"far": {}, "wald": {"RankError": 100}}
     assert table.rejection[0] == before.rejection[0]
 
-    # a failed fit loses every test at every hypothesis
-    fits = []
+    # a failed fit loses every test at every hypothesis: every fourth
+    # replicate's fit raises, known by its first return, and so does the fit
+    # of any block that holds one of them
+    bad = {simulate(spec, 2, rep)[0].returns[0, 0] for rep in range(3, 100, 4)}
 
-    def flaky_fit(*args):
-        fits.append(1)
-        if len(fits) % 4 == 0:
+    def flaky_fit(returns, factors):
+        if np.isin(returns.returns[:, 0, 0], list(bad)).any():
             raise NumericalError("injected fit failure")
-        return fit_model(*args)
+        return fit_model(returns, factors)
 
     monkeypatch.setattr(montecarlo, "fit_model", flaky_fit)
     table = power_curve(["far", "wald"], [spec.lambda1, 2 * spec.lambda1], spec, reps=100, seed=2)
@@ -471,6 +556,30 @@ def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
     with pytest.raises(ValueError, match="row_index"):
         power_surface(spec, np.zeros(2), np.zeros(2), reps=3, row_index=2)
     assert calls == []
+
+
+def test_invalid_levels_and_surfaces_raise_before_simulating(monkeypatch):
+    spec = preset_dgp("strong", k=2, n=4, t=80)
+    calls = []
+
+    def recording_simulate(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
+    axis = np.zeros(2)
+    # the level-one shortcut comes after the hypotheses are checked
+    with pytest.raises(ValueError, match="finite"):
+        power_surface(spec, np.full(2, np.nan), axis, reps=3, level=1.0, row_index=5)
+    with pytest.raises(ValueError, match="row_index"):
+        power_surface(spec, axis, axis, reps=3, level=1.0, row_index=5)
+    for level in (np.nan, -0.5, 0.0, 1.5):
+        with pytest.raises(ValueError, match="level"):
+            power_surface(spec, axis, axis, reps=3, level=level)
+        with pytest.raises(ValueError, match="level"):
+            power_curve(["far"], [spec.lambda1], spec, reps=100, level=level)
+    assert calls == []
+    assert np.array_equal(power_surface(spec, axis, axis + 1.0, reps=3, level=1.0), np.ones((2, 2)))
 
 
 def test_power_surface_degenerate_level_and_minimum_location():

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,14 +311,19 @@ def test_covariance_needs_no_kronecker_product(monkeypatch):
     assert_matches_oracle(asymptotic_covariance(var, reg, por, lagged_q_xx(factors)), ref)
 
 
-def test_covariance_of_a_stack_equals_each_fit():
-    from riskpremia._linalg import stack_fields
+def stack_estimates(items):
+    """One dataclass of the type of ``items[0]`` whose fields stack theirs."""
+    return type(items[0])(**{
+        f.name: np.array([getattr(x, f.name) for x in items]) for f in fields(items[0])
+    })
 
+
+def test_covariance_of_a_stack_equals_each_fit():
     rng = np.random.default_rng(13)
     fits = [random_estimates(rng, 2, 5) for _ in range(3)]
     single = [asymptotic_covariance(var, reg, por, lagged_q_xx(f)) for f, var, reg, por in fits]
     stacked = asymptotic_covariance(
-        *(stack_fields([fit[i] for fit in fits]) for i in (1, 2, 3)),
+        *(stack_estimates([fit[i] for fit in fits]) for i in (1, 2, 3)),
         np.stack([lagged_q_xx(f) for f, *_ in fits]),
     )
     for i, cov in enumerate(single):
