@@ -19,8 +19,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 from scipy import special, stats
 
@@ -105,17 +103,6 @@ def inv_from_chol(low: np.ndarray) -> np.ndarray:
     """Inverse of L L' given its lower factor L, possibly stacked."""
     linv = inv_lower(low)
     return linv.swapaxes(-1, -2) @ linv
-
-
-def take_fields(stack, index: int, **fixed):
-    """Entry ``index`` of a dataclass whose array fields carry a leading
-    stack axis: every field indexed on that axis, the fields in ``fixed``
-    set as given."""
-    cls = type(stack)
-    return cls(**{
-        f.name: fixed[f.name] if f.name in fixed else getattr(stack, f.name)[index]
-        for f in fields(cls)
-    })
 
 
 def whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:

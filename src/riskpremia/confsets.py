@@ -2,7 +2,9 @@
 
 A grid scan evaluates its points in chunks, each one stacked array pass
 through the same kernels that evaluate a single hypothesis (a stack of one),
-on one fit or on a stack of fits at once.
+on one fit or on a stack of fits at once.  Failed points are told apart on
+one fit only: its failing chunk is retried point by point, while a failing
+chunk of a stack of fits raises.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from ._linalg import chi2_sf
 from .moments import TESTS, dofs, robust_statistics
-from .pipeline import FIT_ERRORS, ModelFit, fit_at
+from .pipeline import FIT_ERRORS, ModelFit
 from .subset import (
     SubsetHypothesis,
     boundedness_diagnostic,
@@ -223,48 +225,28 @@ def scan_pvalues(
     (Wald on a fit without a price of risk).
 
     ``fit`` may be a stack of R fits (``fit_model`` of stacked panels): then every
-    chunk is one pass over all of them, the p-values are (len(tests), R, B)
-    and a failure is ((fit, point), exception).  A stacked chunk or setup
-    that raises is evaluated again fit by fit, each fit as above, so the
-    failures are exactly those of scanning each fit on its own.
+    chunk is one pass over all of them and the p-values are (len(tests), R, B).
+    A stack of one fit is retried point by point as above; on a stack of
+    several fits a failing chunk raises, and the caller tells its fits apart
+    (the Monte Carlo runner refits the block in halves).
     """
     stack = fit.stacked.batch_shape
     pvalues = np.full((len(tests), *stack, len(params)), np.nan)
     failures = []
-    try:
-        ev, size = _chunk_evaluator(tests, fit, binding, mode)
-    except FIT_ERRORS:
-        if not stack:
-            raise
-        return pvalues, tuple(_scan_fit_by_fit(tests, fit, binding, params, mode, pvalues, 0))
+    ev, size = _chunk_evaluator(tests, fit, binding, mode)
     for start in range(0, len(params), size):
         chunk = slice(start, start + size)
         try:
             pvalues[..., chunk] = np.moveaxis(ev(params[chunk]), 1, -1)
         except FIT_ERRORS + (ValueError,):
-            if stack:
-                failures += _scan_fit_by_fit(tests, fit, binding, params[chunk], mode,
-                                             pvalues[..., chunk], start)
-                continue
+            if np.prod(stack) > 1:
+                raise
             for i in range(start, min(start + size, len(params))):
                 try:
-                    pvalues[:, i] = ev(params[i : i + 1])[:, 0]
+                    pvalues[..., i] = ev(params[i : i + 1])[:, 0]
                 except FIT_ERRORS + (ValueError,) as exc:
                     failures.append((i, exc))
     return pvalues, tuple(failures)
-
-
-def _scan_fit_by_fit(tests, stack: ModelFit, binding, params, mode, out, start: int) -> list:
-    """``scan_pvalues`` of each fit of a stack in turn, written into ``out``
-    (tests, R, B); a fit whose setup fails fails at every point."""
-    failures = []
-    for r in range(stack.stacked.batch_shape[0]):
-        try:
-            out[:, r], fails = scan_pvalues(tests, fit_at(stack, r), binding, params, mode)
-        except FIT_ERRORS as exc:
-            fails = [(i, exc) for i in range(len(params))]
-        failures += [((r, start + i), exc) for i, exc in fails]
-    return failures
 
 
 def pvalue_curve(
@@ -324,11 +306,7 @@ def invert_surface(
         bounded = "bounded"
     elif surface.test == "sfar":
         rep = boundedness_diagnostic(
-            fit.stacked,
-            alpha=alpha,
-            n_directions=n_directions,
-            index=grid.binding.index,
-            seed=seed,
+            fit.stacked, alpha=alpha, n_directions=n_directions, seed=seed
         )
         bounded = "bounded" if rep.bounded_all else "unbounded"
     else:

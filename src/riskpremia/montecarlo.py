@@ -286,10 +286,11 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
     fit and returns one result per replicate.  A replicate's draws, fit and
     result do not depend on the block it is in, so a block whose fit or
     evaluation raises one of FIT_ERRORS or a ValueError (its fits split on
-    the covariance mode or on the price of risk, say) is fitted again as two
-    halves of its panels, down to single replicates.  A replicate that
-    raises one of FIT_ERRORS on its own has that exception in place of its
-    result, as fitting and evaluating it alone gives.
+    the covariance mode or on the price of risk, or a scan fails on one of
+    them, say) is fitted again as two halves of its panels, down to single
+    replicates; no other code traces a failure back to its replicate.  A
+    replicate that raises one of FIT_ERRORS on its own has that exception in
+    place of its result, as fitting and evaluating it alone gives.
     """
     size = _block_size(spec)
     return [
@@ -335,17 +336,27 @@ def _evaluate_tests(fit, families, shape) -> list:
     failed, and a Counter of the failures by (test row, exception class name).
 
     Each family of (rows, tests, binding, parameter stack) is one
-    ``scan_pvalues`` over the stack; a stack without a price of risk fails
-    its Wald setup, so every fit fails every Wald point with that error.
+    ``scan_pvalues`` over the stack.  A failure on a stack of several fits
+    propagates, so ``_run_block`` refits the block in halves; on one fit a
+    family whose setup fails fails at every point.  A stack has a price of
+    risk for every fit or for none, so a stack without one fails every fit's
+    Wald points with the setup's error and needs no split.
     """
     reps = fit.stacked.batch_shape[0]
     pvalues = np.full((reps, *shape), np.nan)
     kinds = [Counter() for _ in range(reps)]
     for rows, tests, binding, params in families:
-        values, failures = scan_pvalues(tests, fit, binding, params)
+        try:
+            values, failures = scan_pvalues(tests, fit, binding, params)
+        except FIT_ERRORS as exc:
+            if reps > 1 and not (tests == ["wald"] and fit.por is None):
+                raise
+            for fails in kinds:
+                fails.update({(row, type(exc).__name__): len(params) for row in rows})
+            continue
         pvalues[:, rows] = values.swapaxes(0, 1)
-        for (j, _), exc in failures:
-            kinds[j].update((row, type(exc).__name__) for row in rows)
+        for _, exc in failures:    # failed points come from a stack of one fit
+            kinds[0].update((row, type(exc).__name__) for row in rows)
     return list(zip(pvalues, kinds))
 
 
@@ -448,11 +459,14 @@ def sfar_density_experiment(
     Each block of replicates is one stacked fit and one stacked
     ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
-    statistic raised.
+    statistic raised.  Negative ``reps`` and a row index outside [0, K)
+    raise ValueError before any draw.
     """
+    k, n = spec.n_factors, spec.n_assets
     if reps < 0:
         raise ValueError("reps must be nonnegative")
-    k, n = spec.n_factors, spec.n_assets
+    if not 0 <= row_index < k:
+        raise ValueError(f"row_index must lie in [0, {k}), got {row_index!r}")
     h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
 
     results = _replicates(
@@ -503,12 +517,15 @@ def power_surface(
     Requires K = 2: the tested row runs over (axis1 x axis2).  Each block
     of replicates is one stacked fit and one ``confsets.scan_pvalues`` of
     sFAR over the whole mesh, and each replicate rejects where p < level; a
-    replicate with a failed point is dropped.  Non-finite axis values, a
-    row index other than 0 or 1 and a level outside (0, 1] raise ValueError
-    before any replicate; at level 1 every point rejects.
+    replicate with a failed point is dropped.  Fewer than one replicate,
+    non-finite axis values, a row index other than 0 or 1 and a level outside
+    (0, 1] raise ValueError before any replicate; at level 1 every point
+    rejects.
     """
     if spec.n_factors != 2:
         raise ValueError("power_surface is defined for two-factor models")
+    if reps < 1:
+        raise ValueError(f"need at least one replicate, got reps={reps!r}")
     points = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     if not np.isfinite(points).all() or row_index not in (0, 1):
         raise ValueError("hypotheses must be finite and row_index 0 or 1")
@@ -599,7 +616,11 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
 
 
 def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
-    """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T."""
+    """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T;
+    fewer than two replicates raise ValueError before any draw."""
+    if reps < 2:
+        raise ValueError(f"a covariance needs at least two replicates, got reps={reps!r}")
+
     def lambda1(fit):
         return [None] * fit.stacked.batch_shape[0] if fit.por is None else fit.por.lambda1
 

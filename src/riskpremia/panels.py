@@ -236,15 +236,8 @@ def panel_table(panel) -> tuple[list[str], list[list]]:
     return ["date", *map(str, cols)], [[d, *row] for d, row in zip(dates, by_date)]
 
 
-def save_yield_csv(path, panel: YieldPanel) -> None:
-    save_matrix_csv(path, *panel_table(panel))
-
-
-def save_return_csv(path, panel: ReturnPanel) -> None:
-    save_matrix_csv(path, *panel_table(panel))
-
-
-def save_factor_csv(path, panel: FactorPanel) -> None:
+def save_panel_csv(path, panel) -> None:
+    """Write a yield, return or factor panel as its ``panel_table``."""
     save_matrix_csv(path, *panel_table(panel))
 
 

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import NumericalError, take_fields
+from ._linalg import NumericalError
 from .kronecker import KpsDiagnostic, kps_residual_report
 from .panels import FactorPanel, ReturnPanel
 from .subset import StackedSystem, build_stacked
@@ -38,8 +38,9 @@ class ModelFit:
     tests remain available.  ``asymptotic_cov`` is computed on first use and
     kept for the fit.  The fit of stacked panels is one ModelFit whose
     arrays carry a leading replicate axis, with one ``cov_mode`` and either
-    a stacked ``por`` or None for all of its fits; ``fit_at`` takes one fit
-    back out.
+    a stacked ``por`` or None for all of its fits.  Nothing takes one fit
+    back out: a stack whose evaluation fails is refitted in parts
+    (``montecarlo._run_block``).
     """
 
     var: VarEstimate
@@ -69,18 +70,6 @@ class ModelFit:
 
     def wald(self, h0_lambda1: np.ndarray) -> WaldResult:
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
-
-
-def fit_at(stack: ModelFit, index: int) -> ModelFit:
-    """Fit ``index`` of a stack of fits."""
-    return ModelFit(
-        var=take_fields(stack.var, index),
-        reg=take_fields(stack.reg, index),
-        stacked=take_fields(stack.stacked, index, kps=None),
-        kps_diag=None,
-        cov_mode=stack.cov_mode,
-        por=None if stack.por is None else take_fields(stack.por, index),
-    )
 
 
 def fit_model(

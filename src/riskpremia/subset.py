@@ -481,20 +481,16 @@ def sfar_column(h: SubsetHypothesis, sys: StackedSystem, n_starts: int = 20, see
     return sfar_minimized(h, sys, n_starts=n_starts, seed=seed)
 
 
-def sfar_distant(
-    direction: np.ndarray, sys: StackedSystem, index: int = 0
-) -> SfarResult:
+def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> SfarResult:
     """Limit of the row statistic along lambda_1 = c * direction as c grows.
 
     The normal (c d ; e_index) of the restricted pencil turns into (d ; 0) as
-    c grows, so the limit is the same for every ``index``; the argument is
-    accepted for symmetry with ``sfar_row``.
+    c grows, so the limit is the same for every row index.
     """
     lam = np.asarray(direction, dtype=float).reshape(-1)
     norm = np.linalg.norm(lam)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
-    _check_subset_values(index, lam)
     return _single_result(sys, np.concatenate([lam, np.zeros_like(lam)]))
 
 
@@ -522,14 +518,12 @@ class BoundednessReport:
     rank_shortcut: bool = False
     critical_value: float = float("nan")
     alpha: float = 0.05
-    index: int = 0
 
 
 def boundedness_diagnostic(
     sys: StackedSystem,
     alpha: float = 0.05,
     n_directions: int = 64,
-    index: int = 0,
     seed: int = 0,
 ) -> BoundednessReport:
     """Classify boundedness by the rank certificate or a direction scan.
@@ -560,5 +554,4 @@ def boundedness_diagnostic(
         rank_shortcut=shortcut,
         critical_value=crit,
         alpha=alpha,
-        index=index,
     )

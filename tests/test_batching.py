@@ -139,7 +139,6 @@ def test_stacked_hypotheses_equal_single_calls(k, extra, beta_scale, r, b, seed)
     for index in range(k):
         normals = _row_normals(values, index)
         rows, row_roots = _projected_roots(stack, normals[:, None])
-        limits, limit_roots = _projected_roots(stack, distant[:, None])
         assert_same(sfar_row_statistics(stack, values[:, None], index), rows)
         for j, sys in enumerate(systems):
             singles = [sfar_row(SubsetHypothesis("row", index, v), sys) for v in values]
@@ -147,9 +146,11 @@ def test_stacked_hypotheses_equal_single_calls(k, extra, beta_scale, r, b, seed)
             assert_results(rows[:, j], row_roots[:, j], singles)
             assert_same(sfar_row_statistics(sys, values, index), rows[:, j])
 
-            singles = [sfar_distant(d, sys, index=index) for d in directions]
-            assert_results(*_projected_roots(sys, distant), singles)
-            assert_results(limits[:, j], limit_roots[:, j], singles)
+    limits, limit_roots = _projected_roots(stack, distant[:, None])
+    for j, sys in enumerate(systems):
+        singles = [sfar_distant(d, sys) for d in directions]
+        assert_results(*_projected_roots(sys, distant), singles)
+        assert_results(limits[:, j], limit_roots[:, j], singles)
 
 
 def test_stacked_statistics_are_bitwise_equal_at_one_shape():
@@ -191,27 +192,36 @@ def test_one_failing_system_fails_alone():
 
     fits[1] = break_fit(fits[1], ...)
     stack = break_fit(fit_model(*stack_panels(panels)), 1)
+    others = fit_model(*stack_panels([panels[j] for j in (0, 2, 3)]))
+    stack_of_one = break_fit(fit_model(*stack_panels(panels[1:2])), 0)
     lams = lam1 + 0.3 * rng.standard_normal((3, k, k))
     params = lams.swapaxes(-1, -2).reshape(3, -1)
     full = full_lambda_binding(k)
     cases = [(("far", "klm", "jklm"), full, params, "kps"), (("far", "klm", "jklm"), full, params, "hc0"),
              (("wald",), full, params, None), (("sfar",), row_binding(k, 1), lams[:, 1] * 2.0, None)]
     for tests, binding, points, mode in cases:
-        pvalues, failures = scan_pvalues(tests, stack, binding, points, mode)
-        assert pvalues.shape == (len(tests), 4, 3)
-        for j, fit in enumerate(fits):
-            if j != 1:
-                single, none = scan_pvalues(tests, fit, binding, points, mode)
-                assert none == ()
-                assert_same(pvalues[:, j], single)
-        # the failing fit on its own: a failed setup (Wald) or every point
-        try:
-            single, alone = scan_pvalues(tests, fits[1], binding, points, mode)
-        except FIT_ERRORS as exc:
-            alone = [(i, exc) for i in range(3)]
-        assert np.isnan(pvalues[:, 1]).all()
-        assert len(alone) == 3
-        assert [(idx, type(exc)) for idx, exc in failures] == [((1, i), type(exc)) for i, exc in alone]
+        # a stack of several fits does not tell its fits apart: it raises
+        with pytest.raises(FIT_ERRORS):
+            scan_pvalues(tests, stack, binding, points, mode)
+        pvalues, none = scan_pvalues(tests, others, binding, points, mode)
+        assert none == ()
+        assert pvalues.shape == (len(tests), 3, 3)
+        for j, fit in enumerate(fits[j] for j in (0, 2, 3)):
+            single, none = scan_pvalues(tests, fit, binding, points, mode)
+            assert none == ()
+            assert_same(pvalues[:, j], single)
+        # the failing fit on its own, as a stack of one or not: a failed setup
+        # (Wald) or every point
+        failed = []
+        for fit, shape in ((fits[1], (len(tests), 3)), (stack_of_one, (len(tests), 1, 3))):
+            try:
+                pvalues, alone = scan_pvalues(tests, fit, binding, points, mode)
+                assert pvalues.shape == shape and np.isnan(pvalues).all()
+            except FIT_ERRORS as exc:
+                alone = [(i, exc) for i in range(3)]
+            assert len(alone) == 3
+            failed.append([(idx, type(exc)) for idx, exc in alone])
+        assert failed[0] == failed[1]
 
 
 def test_stack_validates_like_a_single_hypothesis():
@@ -274,10 +284,6 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
             assert abs(stat - ref) <= REF_RTOL * far
             # the subset statistic is the minimum of FAR over the other rows
             assert stat <= far * (1 + REF_RTOL)
-
-    direction = rng.standard_normal(k)
-    limits = {sfar_distant(direction, sys, index=i).statistic for i in range(k)}
-    assert len(limits) == 1
 
 
 def random_spec(rng, k, n, beta_scale, t):

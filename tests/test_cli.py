@@ -9,7 +9,7 @@ import riskpremia
 from riskpremia import cli
 from riskpremia.cli import main
 from riskpremia.moments import robust_tests
-from riskpremia.panels import YieldPanel, save_yield_csv
+from riskpremia.panels import YieldPanel, save_panel_csv
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import SubsetHypothesis, sfar_row
 
@@ -27,7 +27,7 @@ def yields_csv(tmp_path):
         yields=curve,
     )
     path = tmp_path / "yields.csv"
-    save_yield_csv(path, panel)
+    save_panel_csv(path, panel)
     return path
 
 
@@ -214,6 +214,14 @@ def test_mc_reports_its_replicate_rate_on_stderr_only(tmp_path, capsys):
         assert "level" in capsys.readouterr().err
     assert run(["mc", "--experiment", "power-surface", "--k", "2", "--n", "3", "--reps", "100",
                 "--grid-steps", "3", "--level", "nan", "--out", tmp_path / "bad"]) == 2
+    assert "level" in capsys.readouterr().err
+    # so is a replicate count below one, and no rate is printed
+    for reps in ("0", "-3"):
+        assert run(["mc", "--experiment", "power-surface", "--k", "2", "--n", "3", "--reps", reps,
+                    "--grid-steps", "3", "--out", tmp_path / "bad"]) == 2
+        err = capsys.readouterr().err
+        assert "replicate" in err and "replicates/s" not in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_mc_sfar_density_experiment(tmp_path):

@@ -1,8 +1,10 @@
 """Source hygiene checks that need no linter: every imported name is used,
-every private module-level helper of the package has a caller, and no
-handler catches every exception."""
+every private module-level helper of the package has a caller, every public
+function of the package is named somewhere in the repository, and no handler
+catches every exception."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -38,27 +40,40 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_private(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_private`` functions and classes (not dunders) that no
-    code of ``sources`` (name -> text) reads outside their own body."""
-    defined, reads = [], []
+def unreferenced(sources: dict[str, str], wanted) -> list[str]:
+    """Module-level functions and classes that ``wanted(module, node)``
+    selects and that no code of ``sources`` (module name -> text) reads
+    outside their own body."""
+    defined, reads = [], defaultdict(list)
     for name, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if is_def and node.name.startswith("_") and not node.name.startswith("__"):
+            if is_def and wanted(name, node):
                 defined.append((name, node.name, set(ast.walk(node))))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                reads.append((node, node.id))
+                reads[node.id].append(node)
             elif isinstance(node, ast.Attribute):
-                reads.append((node, node.attr))
+                reads[node.attr].append(node)
             elif isinstance(node, ast.ImportFrom):
-                reads += [(node, alias.name) for alias in node.names]
+                for alias in node.names:
+                    reads[alias.name].append(node)
     return sorted(
         f"{module}: {helper}" for module, helper, body in defined
-        if not any(read == helper and node not in body for node, read in reads)
+        if not any(node not in body for node in reads[helper])
     )
+
+
+def private(module, node) -> bool:
+    """A ``_private`` definition (not a dunder)."""
+    return node.name.startswith("_") and not node.name.startswith("__")
+
+
+def public_package_function(module, node) -> bool:
+    """A public function of the package itself."""
+    is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    return module.startswith("src/") and is_function and not node.name.startswith("_")
 
 
 def test_scanner_flags_unreferenced_private_helpers():
@@ -67,12 +82,33 @@ def test_scanner_flags_unreferenced_private_helpers():
                 "class _Orphan:\n    pass\ndef __dunder__():\n    pass\n",
         "b.py": "from a import _used\nx = 1\n",
     }
-    assert unreferenced_private(sources) == ["a.py: _Orphan", "a.py: _recursive"]
+    assert unreferenced(sources, private) == ["a.py: _Orphan", "a.py: _recursive"]
 
 
 def test_no_unreferenced_private_helpers():
     package = sorted((ROOT / "src" / "riskpremia").glob("*.py"))
-    assert unreferenced_private({p.name: p.read_text() for p in package}) == []
+    assert unreferenced({p.name: p.read_text() for p in package}, private) == []
+
+
+def test_scanner_flags_unreferenced_public_functions():
+    sources = {
+        "src/a.py": "def used():\n    pass\ndef orphan():\n    pass\n"
+                    "def recursive():\n    return recursive()\nclass Unread:\n    pass\n"
+                    "def _private():\n    pass\n",
+        "tests/b.py": "import a\na.used()\n",
+        "scripts/c.py": "def main():\n    pass\n",
+    }
+    assert unreferenced(sources, public_package_function) == ["src/a.py: orphan", "src/a.py: recursive"]
+
+
+def test_every_public_function_is_named_somewhere():
+    # a public function that no module, script, benchmark or test names is
+    # dead code, however public its name
+    files = sorted(
+        p for folder in ("src", "scripts", "perfbench", "tests") for p in (ROOT / folder).rglob("*.py")
+    )
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in files}
+    assert unreferenced(sources, public_package_function) == []
 
 
 def broad_handlers(source: str) -> list[tuple[str, ast.ExceptHandler]]:

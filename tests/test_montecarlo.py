@@ -301,14 +301,18 @@ def per_hypothesis_tests(fit, tests, h0_mats, level):
 
 
 def per_hypothesis_power_curve(tests, h0_mats, spec, reps, level, seed):
-    """(rejection, failures) of ``power_curve`` from the per-hypothesis oracle."""
-    def evaluate(stack):
-        fits = [pipeline.fit_at(stack, j) for j in range(stack.stacked.batch_shape[0])]
-        return [per_hypothesis_tests(f, tests, h0_mats, level) for f in fits]
-
-    results = montecarlo._replicates(spec, reps, seed, evaluate)
+    """(rejection, failures) of ``power_curve`` from the per-hypothesis oracle,
+    each replicate simulated and fitted on its own."""
     failed = np.full((len(tests), len(h0_mats)), np.nan)
-    stack = np.stack([failed if isinstance(r, Exception) else r for r in results])
+    results = []
+    for rep in range(reps):
+        try:
+            fit = fit_model(*simulate(spec, seed, rep))
+        except FIT_ERRORS:
+            results.append(failed)
+            continue
+        results.append(per_hypothesis_tests(fit, tests, h0_mats, level))
+    stack = np.stack(results)
     counts = np.sum(~np.isnan(stack), axis=0)
     freq = np.nansum(stack, axis=0) / np.maximum(counts, 1)
     failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
@@ -534,6 +538,48 @@ def test_power_curve_keeps_failures_per_test(monkeypatch):
     }
 
 
+def test_a_block_without_a_price_of_risk_is_not_split(monkeypatch):
+    # no fit has a price of risk: Wald fails its setup on every block alike, so
+    # each block is fitted once (the variance mode is pinned, so no block
+    # splits on it) and every (replicate, hypothesis) pair fails Wald alone
+    spec = preset_dgp("strong", k=1, n=11, t=300)
+    calls = []
+
+    def kps_fit(returns, factors):
+        calls.append(len(returns.returns))
+        return fit_model(returns, factors, cov="kps")
+
+    def singular(*args):
+        raise RankError("beta'beta is singular")
+
+    monkeypatch.setattr(montecarlo, "fit_model", kps_fit)
+    monkeypatch.setattr(pipeline, "third_stage", singular)
+    tests = ["far", "klm", "jklm", "wald"]
+    table = power_curve(tests, [spec.lambda1], spec, reps=1000, seed=3)
+    size = montecarlo._block_size(spec)
+    assert len(calls) == -(-1000 // size) and sum(calls) == 1000
+    assert table.failures == {"far": 0, "klm": 0, "jklm": 0, "wald": 1000}
+    assert table.failure_kinds == {"far": {}, "klm": {}, "jklm": {}, "wald": {"RankError": 1000}}
+
+    # a robust-test failure on such a block still splits it down to the
+    # replicate that raised, known by its phi_hat[0, 0] fitted on its own
+    bad = kps_fit(*simulate(spec, 3, 5)).stacked.phi_hat[0, 0]
+    real = confsets.robust_statistics
+
+    def flaky(sys, lams, *args):
+        if np.isin(sys.phi_hat[..., 0, 0], bad).any():
+            raise NumericalError("injected robust failure")
+        return real(sys, lams, *args)
+
+    calls.clear()
+    monkeypatch.setattr(confsets, "robust_statistics", flaky)
+    table = power_curve(tests, [spec.lambda1], spec, reps=100, seed=3)
+    assert len(calls) > -(-100 // size) and 1 in calls
+    assert table.failure_kinds == {t: {"NumericalError": 1} for t in tests[:3]} | {
+        "wald": {"RankError": 100}
+    }
+
+
 def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
     spec = preset_dgp("strong", k=2, n=4, t=80)
     calls = []
@@ -578,6 +624,18 @@ def test_invalid_levels_and_surfaces_raise_before_simulating(monkeypatch):
             power_surface(spec, axis, axis, reps=3, level=level)
         with pytest.raises(ValueError, match="level"):
             power_curve(["far"], [spec.lambda1], spec, reps=100, level=level)
+    # replicate counts and row indices are checked before any draw as well
+    for reps in (0, -3):
+        with pytest.raises(ValueError, match="replicate"):
+            power_surface(spec, axis, axis, reps=reps)
+        with pytest.raises(ValueError, match="replicate"):
+            power_surface(spec, axis, axis, reps=reps, level=1.0)
+    for reps in (1, 0, -3):
+        with pytest.raises(ValueError, match="replicates"):
+            bootstrap_lambda1_cov(spec, reps=reps)
+    for row_index in (2, 5, -1):
+        with pytest.raises(ValueError, match="row_index"):
+            sfar_density_experiment(spec, reps=3, row_index=row_index)
     assert calls == []
     assert np.array_equal(power_surface(spec, axis, axis + 1.0, reps=3, level=1.0), np.ones((2, 2)))
 
@@ -612,9 +670,10 @@ def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
     monkeypatch.setattr(confsets, "sfar_row_statistics", first_point_fails)
     surf = power_surface(spec, ax, ay, reps=3, seed=1)
     assert np.array_equal(surf, np.ones((2, 2)))
-    # one call over the 4-point mesh for the chunk of three fits, then one
-    # per fit, with the point-by-point retry of replicate 0
-    assert calls == [4, 4, 1, 1, 1, 1, 4, 4]
+    # one call over the 4-point mesh for the block of three fits; the block is
+    # refitted in halves: replicate 0 alone, with its point-by-point retry,
+    # then replicates 1 and 2 as one stack
+    assert calls == [4, 4, 1, 1, 1, 1, 4]
 
     def bug(*args):
         raise TypeError("programming error")

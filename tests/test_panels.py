@@ -12,8 +12,7 @@ from riskpremia.panels import (
     excess_returns,
     load_yield_csv,
     pca_factors,
-    save_return_csv,
-    save_yield_csv,
+    save_panel_csv,
 )
 
 
@@ -66,12 +65,12 @@ def test_load_csv_missing_file_and_duplicate_date(tmp_path):
 def test_csv_roundtrip_bit_identical(tmp_path):
     panel = toy_panel()
     f1 = tmp_path / "out.csv"
-    save_yield_csv(f1, panel)
+    save_panel_csv(f1, panel)
     again = load_yield_csv(f1)
     assert again.dates == panel.dates
     assert np.array_equal(again.yields, panel.yields)
     f2 = tmp_path / "out2.csv"
-    save_yield_csv(f2, again)
+    save_panel_csv(f2, again)
     assert f1.read_text() == f2.read_text()
 
 
@@ -104,7 +103,7 @@ def test_return_dates_optional_and_validated_when_given(tmp_path):
     with pytest.raises(PanelError, match="duplicate"):
         ReturnPanel((12,), r, ("a", "a", "b"))
     path = tmp_path / "returns.csv"
-    save_return_csv(path, ReturnPanel((12,), r))
+    save_panel_csv(path, ReturnPanel((12,), r))
     assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["0", "1", "2"]
 
 

@@ -254,7 +254,7 @@ def test_sfar_every_index_matches_permutation_matrix_oracle(k, extra, seed):
         scale = sys.n_periods * roots.max()
         assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
         np.testing.assert_allclose(res.roots, roots, rtol=1e-12, atol=1e-12 * roots.max())
-        dist = sfar_distant(value, sys, index=index)
+        dist = sfar_distant(value, sys)
         stat, roots = _pencil_by_permutation_matrix(sys, index, distant_restriction(value))
         scale = sys.n_periods * roots.max()
         assert dist.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
@@ -307,7 +307,7 @@ def test_sigma_factored_once_per_system(monkeypatch):
     monkeypatch.setattr(subset, "chol_spd", counting_chol)
     for index in range(3):
         sfar_row(SubsetHypothesis("row", index, lam1[index]), sys)
-        sfar_distant(lam1[index], sys, index=index)
+        sfar_distant(lam1[index], sys)
     far_trace(sys, lam1)
     kp_rank(sys)
     boundedness_diagnostic(sys, n_directions=4)
