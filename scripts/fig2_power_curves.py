@@ -46,7 +46,7 @@ def main():
                 for i in range(len(table.tests)):
                     row += [f"{table.rejection[i, j]:.17g}", f"{table.std_error[i, j]:.17g}"]
                 writer.writerow(row)
-        at_truth = {t: table.rejection[i, args.steps // 2] for i, t in enumerate(table.tests)}
+        at_truth = {t: float(table.rejection[i, args.steps // 2]) for i, t in enumerate(table.tests)}
         print(f"{kind}: size at truth {at_truth} -> {path}")
 
 

@@ -99,12 +99,6 @@ def inv_lower(low: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low, np.broadcast_to(np.eye(low.shape[-1]), low.shape))
 
 
-def inv_from_chol(low: np.ndarray) -> np.ndarray:
-    """Inverse of L L' given its lower factor L, possibly stacked."""
-    linv = inv_lower(low)
-    return linv.swapaxes(-1, -2) @ linv
-
-
 def whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L^{-1} x for lower-triangular L and matrices x, both possibly stacked.
 
@@ -141,27 +135,6 @@ def chi2_ppf(p: float, dof: int) -> float:
     if dof == 0:
         return 0.0
     return float(stats.chi2.ppf(p, dof))
-
-
-def gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric-definite pencil (a, b).
-
-    Solved by Cholesky-reducing ``b`` to standard symmetric form, after
-    rescaling both matrices so that ``b`` has a unit diagonal (the roots are
-    invariant to that congruence); ``b`` is SPD-projected if jitter does not
-    make it factor.
-    """
-    a = sym(np.asarray(a, dtype=float))
-    b = sym(np.asarray(b, dtype=float))
-    d = np.sqrt(np.maximum(np.diagonal(b), np.finfo(float).tiny))
-    a = a / d[:, None] / d[None, :]
-    b = b / d[:, None] / d[None, :]
-    try:
-        low = chol_spd(b)
-    except NumericalError:
-        low = chol_spd(spd_project(b))
-    c = whiten(low, whiten(low, a).T)
-    return np.sort(np.linalg.eigvalsh(sym(c)))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .panels import FactorPanel, ReturnPanel
 from .pipeline import FIT_ERRORS, fit_model
 from .subset import SubsetHypothesis, sfar_row_statistics
 from .threestep import PriceOfRisk, ReturnRegression
-from .varstage import VarEstimate
+from .varstage import RankError, VarEstimate
 
 
 def replicate_rng(seed: int, replicate: int = 0, stream: int = 0) -> np.random.Generator:
@@ -616,8 +616,11 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
 
 
 def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
-    """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T;
-    fewer than two replicates raise ValueError before any draw."""
+    """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T.
+
+    Replicates whose fit fails or has no price of risk are dropped.  Fewer
+    than two replicates raise ValueError before any draw, fewer than two
+    with a price of risk RankError."""
     if reps < 2:
         raise ValueError(f"a covariance needs at least two replicates, got reps={reps!r}")
 
@@ -626,6 +629,9 @@ def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.
 
     lams = _replicates(spec, reps, seed, lambda1)
     draws = np.asarray([vec(lam) for lam in lams if isinstance(lam, np.ndarray)])
+    if len(draws) < 2:
+        raise RankError(f"a covariance needs two replicates with a price of risk, "
+                        f"{len(draws)} of {reps} had one")
     return np.cov(draws.T, ddof=1).reshape(
         (spec.n_factors**2, spec.n_factors**2)
     ) * spec.t

@@ -9,16 +9,16 @@ hypothesis lambda_1 = lambda_1^0 restricts the pencil
 to the hyperplane orthogonal to w = (lambda_1^0 ; e_i), i the tested row,
 and the subset statistic is T times the sum of the K smallest roots of the
 restricted pencil, which equals the infimum of the full-vector FAR statistic
-over the nuisance rows (tested against that definition numerically).  The
-roots of a pencil restricted to a hyperplane are the eigenvalues of the
-projected matrix: with Psi = L L' and M = L^-1 H L^-T, H = Phi' Sigma^-1 Phi,
-they are the eigenvalues of (I - u u') M (I - u u') other than the zero that
-belongs to u = L^-1 w / |L^-1 w| (Golub 1973).  H, L and M are fixed once the
-model is fit (``StackedSystem.h_hat``, ``psi_whitener``, ``h_whitened``); only the
-normal w carries the hypothesis, so a stack of hypotheses, over one fit or
-a stack of fits, is one stacked 2K x 2K ``eigvalsh`` (``_projected_roots``);
-a single hypothesis is a stack of one.  A distant value along direction d
-has the normal (d ; 0) at every row index.
+over the nuisance rows (tested against that definition numerically).  A
+distant value along direction d has the normal (d ; 0) at every row index;
+the rank test restricts the pencil to the vectors (0 ; y).  Every such root
+comes from one routine (``_pencil_roots``): with Psi = L L', M = L^-1 H L^-T
+and H = Phi' Sigma^-1 Phi, the roots orthogonal to normals W are the
+eigenvalues of (I - QQ') M (I - QQ') off span(Q), Q an orthonormal basis of
+L^-1 W (Golub 1973).  H, L and M are fixed once the model is fit
+(``StackedSystem.h_hat``, ``psi_whitener``, ``h_whitened``) and only the
+normals carry the hypothesis, so a stack of hypotheses, over one fit or a
+stack of fits, is one stacked 2K x 2K ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from ._linalg import (
     chi2_ppf,
     chi2_sf,
     chol_spd,
-    gen_eigvals,
     inv_lower,
     kron,
     spd_project,
@@ -311,16 +310,23 @@ class RankTestResult:
     pvalue: float
 
 
-def _row_normals(values: np.ndarray, index: int) -> np.ndarray:
-    """(..., 2K) normals (lambda_1^0 ; e_index) of a stack of row values (..., K).
+def _check_length(sys: StackedSystem, values: np.ndarray) -> None:
+    """Raise unless subset values (..., K) have the K entries of ``sys``."""
+    if values.shape[-1:] != (sys.n_factors,):
+        got = np.atleast_1d(values).shape[-1]
+        raise ValueError(f"subset hypothesis needs {sys.n_factors} values, got {got}")
 
-    The restricted pencil of a row hypothesis acts on the hyperplane of
-    vectors (x ; y) with lambda_1^0' x + y_index = 0.
-    """
-    k = values.shape[-1]
+
+def _normals(sys: StackedSystem, values: np.ndarray, index: int | None = None) -> np.ndarray:
+    """(..., 2K) normals of the restricted pencil at values (..., K): row
+    values of row ``index`` give (lambda_1^0 ; e_index), distant directions
+    (no index) give (d ; 0)."""
+    _check_length(sys, values)
+    k = sys.n_factors
     normals = np.zeros((*values.shape[:-1], 2 * k))
     normals[..., :k] = values
-    normals[..., k + index] = 1.0
+    if index is not None:
+        normals[..., k + index] = 1.0
     return normals
 
 
@@ -330,25 +336,30 @@ def sfar_dof(sys: StackedSystem) -> int:
     return k * (sys.n_assets - k + 1)
 
 
+def _pencil_roots(sys: StackedSystem, q: np.ndarray) -> np.ndarray:
+    """Ascending roots (..., 2K-r) of the pencil (H, Psi) on the vectors x
+    with L'x orthogonal to orthonormal bases q (..., 2K, r): the eigenvalues
+    of M - q (Mq)' - (Mq) q' without its r smallest.  That matrix acts as
+    (I - qq') M (I - qq') off span(q) and as -q'Mq <= 0 on it."""
+    m = sys.h_whitened
+    outer = q @ (m @ q).swapaxes(-1, -2)
+    roots = np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))
+    return np.maximum(roots[..., q.shape[-1] :], 0.0)
+
+
 def _projected_roots(sys: StackedSystem, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T times the sum of the K smallest roots of the pencil (H, Psi) on the
     hyperplanes orthogonal to a stack of ``normals`` (..., 2K).
 
-    With u = L^-1 w / |L^-1 w| the roots are the eigenvalues of
-    M - u (Mu)' - (Mu) u' without its smallest: that matrix acts as
-    (I - u u') M (I - u u') orthogonal to u and maps u to -(u'Mu) u, a root
-    at most zero, which is dropped.  The normals broadcast against the
-    stack axes of ``sys``.  Returns the statistics (...) and the ascending
-    roots (..., 2K-1).
+    The roots are ``_pencil_roots`` on u = L^-1 w / |L^-1 w|; the normals
+    broadcast against the stack axes of ``sys``.  Returns the statistics
+    (...) and the ascending roots (..., 2K-1).
     """
     # one matrix-vector product per hypothesis, so a stack of one gives the
     # same numbers as any stack
-    m = sys.h_whitened
     u = (sys.psi_whitener @ normals[..., None])[..., 0]
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    mu = (m @ u[..., None])[..., 0]
-    outer = u[..., :, None] * mu[..., None, :]
-    roots = np.maximum(np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))[..., 1:], 0.0)
+    roots = _pencil_roots(sys, u[..., None])
     return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
 
 
@@ -369,7 +380,7 @@ def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
     """Subset statistic for one row of Lambda1 via the projected pencil."""
     if h.kind != "row":
         raise ValueError("sfar_row requires a row hypothesis")
-    return _single_result(sys, _row_normals(h.value, h.index))
+    return _single_result(sys, _normals(sys, h.value, h.index))
 
 
 def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
@@ -377,7 +388,7 @@ def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> n
     ``index``; the values broadcast against the stack axes of ``sys``."""
     values = np.asarray(values, dtype=float)
     _check_subset_values(index, values)
-    return _projected_roots(sys, _row_normals(values, index))[0]
+    return _projected_roots(sys, _normals(sys, values, index))[0]
 
 
 def far_trace(sys: StackedSystem, lam1: np.ndarray):
@@ -421,6 +432,7 @@ def sfar_minimized(
 ) -> SfarResult:
     """Subset statistic as a direct minimization of FAR over the nuisance
     entries of Lambda1 (quasi-Newton, deterministic multi-start)."""
+    _check_length(sys, h.value)
     k, dof = sys.n_factors, sfar_dof(sys)
     n_free = k * (k - 1)
     if n_free == 0:
@@ -491,20 +503,23 @@ def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> SfarResult:
     norm = np.linalg.norm(lam)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
-    return _single_result(sys, np.concatenate([lam, np.zeros_like(lam)]))
+    return _single_result(sys, _normals(sys, lam))
 
 
 def kp_rank(sys: StackedSystem) -> RankTestResult:
     """Reduced-rank test of the factor loadings (H0: rank(beta) = K-1).
 
-    The statistic is the smallest eigenvalue of
-    T Psi_V^{-1/2}' beta' Sigma^-1 beta Psi_V^{-1/2}, computed as a
-    symmetric-definite pencil; it is also the lower bound of the distant-value
-    subset statistic, with equality at K = 1.
+    T times the smallest root of the pencil (H, Psi) on the vectors (0 ; y),
+    i.e. of (H_vv, Psi_v); they are orthogonal to e_1..e_K, whose whitened
+    normals are the first K columns of L^-1.  The statistic certifies
+    boundedness: {x = 0} lies inside every distant-value hyperplane
+    {d'x = 0}, and every K-dimensional subspace of that hyperplane meets it,
+    so the smallest root on {x = 0} is at most the sum of the K smallest
+    roots on the hyperplane, with equality at K = 1.
     """
-    k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
-    roots = gen_eigvals(sys.h_hat[k:, k:], sys.psi_v)
-    stat = float(t * max(roots[0], 0.0))
+    k, n = sys.n_factors, sys.n_assets
+    q = np.linalg.qr(sys.psi_whitener[..., :k])[0]
+    stat = float(sys.n_periods * _pencil_roots(sys, q)[..., 0])
     dof = n - k + 1
     return RankTestResult(statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof))
 
@@ -546,7 +561,7 @@ def boundedness_diagnostic(
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((n_directions, sys.n_factors))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        stats, _ = _projected_roots(sys, np.hstack([dirs, np.zeros_like(dirs)]))
+        stats, _ = _projected_roots(sys, _normals(sys, dirs))
         unbounded = [d.copy() for d, stat in zip(dirs, stats) if stat <= crit]
     return BoundednessReport(
         bounded_all=len(unbounded) == 0,

@@ -36,8 +36,8 @@ from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.subset import (
     SubsetHypothesis,
+    _normals,
     _projected_roots,
-    _row_normals,
     build_stacked,
     far_trace,
     sfar_distant,
@@ -137,7 +137,7 @@ def test_stacked_hypotheses_equal_single_calls(k, extra, beta_scale, r, b, seed)
     directions = rng.standard_normal((b, k))
     distant = np.hstack([directions, np.zeros_like(directions)])
     for index in range(k):
-        normals = _row_normals(values, index)
+        normals = _normals(stack, values, index)
         rows, row_roots = _projected_roots(stack, normals[:, None])
         assert_same(sfar_row_statistics(stack, values[:, None], index), rows)
         for j, sys in enumerate(systems):

@@ -20,7 +20,8 @@ from riskpremia._linalg import NumericalError
 from riskpremia.moments import robust_tests
 from riskpremia.panels import ReturnPanel
 from riskpremia.pipeline import fit_model
-from riskpremia.subset import SubsetHypothesis, sfar_row
+from riskpremia.montecarlo import preset_dgp, simulate
+from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
 from riskpremia.threestep import asymptotic_covariance
 from riskpremia.varstage import RankError, fit_var1
 
@@ -234,6 +235,21 @@ def test_sfar_set_on_strong_two_factor_fit():
     truth = lam1[0]
     dists = np.abs(cs.accepted - truth[None, :]).max(axis=1) if not cs.is_empty else []
     assert min(dists) < 0.3
+
+
+def test_column_binding_scan_matches_sfar_column_at_every_point():
+    fit, lam1 = fitted(seed=7, k=2, n=5, t=250, sigma_e=1.0, beta_scale=0.2)
+    binding = ParameterBinding("column", lam1[:, 1], vary=(0,), index=1)
+    grid = GridSpec(axes=(GridAxis(lam1[0, 1] - 0.5, lam1[0, 1] + 0.5, 3),), binding=binding)
+    surface = pvalue_curve("sfar", grid, fit)
+    assert surface.failures == ()
+    for i, value in enumerate(binding.assemble(grid.points())):
+        h = SubsetHypothesis("column", 1, value)
+        assert surface.at(i) == sfar_column(h, fit.stacked).pvalue_upper
+    spec = preset_dgp("strong", k=2, n=4, t=200)
+    stack = fit_model(*simulate(spec, 3, range(2)))
+    with pytest.raises(ValueError, match="column sFAR runs one fit at a time"):
+        confsets.scan_pvalues(("sfar",), stack, binding, binding.assemble(grid.points()))
 
 
 def test_one_surface_inverts_at_every_level():

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -815,3 +816,16 @@ def test_replicate_rng_bit_stability():
     c = replicate_rng(1, 2, 4).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_bootstrap_without_two_prices_of_risk_raises_rank_error(monkeypatch):
+    def no_price_of_risk(*args, **kwargs):
+        raise RankError("singular beta'beta")
+
+    monkeypatch.setattr(pipeline, "third_stage", no_price_of_risk)
+    spec = preset_dgp("strong", k=2, n=4, t=80)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RankError, match="0 of 20 had one"):
+            bootstrap_lambda1_cov(spec, reps=20)
+    assert [str(w.message) for w in caught] == []

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia import subset
-from riskpremia._linalg import chi2_ppf, chol_spd, gen_eigvals, inv_from_chol
+from riskpremia._linalg import chi2_ppf, chol_spd
 from riskpremia.kronecker import kps_factorize, kps_residual_report
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import fit_model
@@ -20,6 +23,7 @@ from riskpremia.subset import (
     sfar_distant,
     sfar_minimized,
     sfar_row,
+    sfar_row_statistics,
     stacked_score_covariance,
 )
 from riskpremia.threestep import second_stage
@@ -236,8 +240,8 @@ def _pencil_by_permutation_matrix(sys, index, g):
     perm = np.eye(k)[order]
     tp = np.block([[np.eye(k), np.zeros((k, k))], [np.zeros((k, k)), perm]])
     phi, psi = sys.phi_hat @ tp.T, tp @ sys.psi_hat @ tp.T
-    hmat = phi.T @ inv_from_chol(chol_spd(sys.sigma_hat)) @ phi
-    roots = np.maximum(gen_eigvals(g.T @ hmat @ g, g.T @ psi @ g), 0.0)
+    hmat = phi.T @ np.linalg.inv(sys.sigma_hat) @ phi
+    roots = np.maximum(scipy.linalg.eigh(g.T @ hmat @ g, g.T @ psi @ g, eigvals_only=True), 0.0)
     return sys.n_periods * roots[:k].sum(), roots
 
 
@@ -333,13 +337,25 @@ def test_sfar_invariant_to_asset_rotation():
     lam0 = rng.standard_normal(2)
     stat = sfar_row(SubsetHypothesis("row", 0, lam0), sys).statistic
     rot = np.linalg.qr(rng.standard_normal((5, 5)))[0]
-    import dataclasses
-
     sys_rot = dataclasses.replace(
         sys, phi_hat=rot @ sys.phi_hat, sigma_hat=rot @ sys.sigma_hat @ rot.T
     )
     stat_rot = sfar_row(SubsetHypothesis("row", 0, lam0), sys_rot).statistic
     assert stat_rot == pytest.approx(stat, rel=1e-8)
+
+
+def test_subset_values_of_the_wrong_length_raise_a_located_error():
+    sys = fit_model(*simulate(preset_dgp("strong", k=2, n=4, t=80), 0)).stacked
+    calls = [
+        lambda: sfar_distant(np.ones(3), sys),
+        lambda: sfar_distant(np.ones(1), sys),
+        lambda: sfar_row_statistics(sys, np.ones((2, 3)), 0),
+        lambda: sfar_row(SubsetHypothesis("row", 0, np.ones(3)), sys),
+        lambda: sfar_column(SubsetHypothesis("column", 0, np.ones(3)), sys),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="needs 2 values, got [13]$"):
+            call()
 
 
 # -- columns ----------------------------------------------------------------------
@@ -424,7 +440,6 @@ def test_interlacing_of_distant_pencil_roots():
 def test_kp_rank_zero_column_and_eigen_oracle():
     rng = np.random.default_rng(18)
     sys = synthetic_system(rng, k=2, n=5)
-    import dataclasses
 
     beta = rng.standard_normal((5, 2))
     beta[:, 1] = 0.0
@@ -442,6 +457,28 @@ def test_kp_rank_zero_column_and_eigen_oracle():
     oracle = sys.n_periods * np.linalg.eigvalsh(m).min()
     assert res.statistic == pytest.approx(oracle, rel=1e-8)
     assert res.dof == 5 - 2 + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_kp_rank_matches_the_rank_pencil_oracle(k, extra, weak_last, seed):
+    # N = K+1 when extra = 1; a last beta column scaled by 1e-6 when weak_last;
+    # factor rows scaled over 8 decades
+    rng = np.random.default_rng(seed)
+    scale = np.ones(k)
+    scale[-1] = 1e-6 if weak_last else 1.0
+    spec = dataclasses.replace(preset_dgp("strong", k=k, n=k + extra, t=120), weak_scale=scale)
+    returns, factors = simulate(spec, seed)
+    rows = 10.0 ** rng.uniform(-4.0, 4.0, k)
+    factors = dataclasses.replace(factors, factors=factors.factors * rows[:, None])
+    sys = fit_model(returns, factors).stacked
+    oracle = sys.n_periods * scipy.linalg.eigh(sys.h_hat[k:, k:], sys.psi_v, eigvals_only=True)[0]
+    # absolute floor near zero: rounding of the whitened pencil's largest root
+    floor = 1e-12 * sys.n_periods * np.linalg.eigvalsh(sys.h_whitened)[-1]
+    rank = kp_rank(sys).statistic
+    assert rank == pytest.approx(max(oracle, 0.0), rel=1e-9, abs=floor)
+    if k == 1:
+        assert sfar_distant(rng.standard_normal(1), sys).statistic == pytest.approx(rank, rel=1e-12)
 
 
 # -- boundedness ------------------------------------------------------------------
