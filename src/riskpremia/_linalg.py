@@ -20,7 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 class NumericalError(RuntimeError):
@@ -132,9 +132,14 @@ def chi2_sf(x, dof: int):
 
 
 def chi2_ppf(p: float, dof: int) -> float:
+    """Quantile of chi^2(dof) via the inverse regularized incomplete gamma.
+
+    The same expression as ``scipy.stats.chi2.ppf`` evaluates, so the same
+    bits (0 at p = 0, inf at p = 1), without importing ``scipy.stats``.
+    """
     if dof == 0:
         return 0.0
-    return float(stats.chi2.ppf(p, dof))
+    return float(2.0 * special.gammaincinv(dof / 2.0, p))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

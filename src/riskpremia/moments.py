@@ -41,7 +41,7 @@ import numpy as np
 
 from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
 from .pipeline import ModelFit
-from .subset import StackedSystem, far_trace
+from .subset import StackedSystem, _require_one_fit, far_trace
 
 TESTS = ("far", "klm", "jklm")
 _LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
@@ -350,7 +350,8 @@ def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=TESTS):
     """Evaluate the requested robust statistics at one hypothesis.
 
     Accepts either a ModelFit (mode defaults to its covariance mode) or a
-    bare StackedSystem (mode defaults to 'kps').
+    bare StackedSystem (mode defaults to 'kps') of one fit; a stack of fits
+    raises TypeError (``robust_statistics`` takes stacks).
     """
     if isinstance(fit_or_sys, ModelFit):
         sys_ = fit_or_sys.stacked
@@ -358,6 +359,7 @@ def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=TESTS):
     else:
         sys_ = fit_or_sys
         mode = mode or "kps"
+    _require_one_fit(sys_, "robust_tests")
     h0 = square_stack(lam1_0, sys_.n_factors)
     stats = robust_statistics(sys_, h0, mode, which)
     dof = dofs(sys_.n_factors, sys_.n_assets)

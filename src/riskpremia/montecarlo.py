@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
 from . import confsets
 from ._linalg import chi2_ppf, vec
@@ -484,7 +483,10 @@ def sfar_density_experiment(
             empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
             quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
         )
-    # the distribution's own methods: freezing one costs about a millisecond
+    # imported here: only the exact KS test needs scipy.stats, about a second
+    # to import; the distribution's own methods avoid freezing one
+    import scipy.stats
+
     ks = scipy.stats.kstest(stats, scipy.stats.chi2.cdf, args=(dof,))
     qs = np.quantile(stats, quantile_levels)
     chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])

@@ -10,7 +10,7 @@ import numpy as np
 from ._linalg import NumericalError
 from .kronecker import KpsDiagnostic, kps_residual_report
 from .panels import FactorPanel, ReturnPanel
-from .subset import StackedSystem, build_stacked
+from .subset import StackedSystem, _require_one_fit, build_stacked
 from .threestep import (
     AsymptoticCovariance,
     PriceOfRisk,
@@ -69,6 +69,7 @@ class ModelFit:
         return asymptotic_covariance(self.var, self.reg, self.por, self.stacked.q_xx)
 
     def wald(self, h0_lambda1: np.ndarray) -> WaldResult:
+        _require_one_fit(self.stacked, "ModelFit.wald")
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 
 from ._linalg import (
     chi2_ppf,
@@ -310,6 +309,12 @@ class RankTestResult:
     pvalue: float
 
 
+def _require_one_fit(sys: StackedSystem, caller: str) -> None:
+    """Raise TypeError when a single-fit entry point gets a stack of fits."""
+    if sys.batch_shape:
+        raise TypeError(f"{caller} takes one fit, got a stack of {int(np.prod(sys.batch_shape))}")
+
+
 def _check_length(sys: StackedSystem, values: np.ndarray) -> None:
     """Raise unless subset values (..., K) have the K entries of ``sys``."""
     if values.shape[-1:] != (sys.n_factors,):
@@ -378,6 +383,7 @@ def _single_result(sys: StackedSystem, normal: np.ndarray) -> SfarResult:
 
 def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
     """Subset statistic for one row of Lambda1 via the projected pencil."""
+    _require_one_fit(sys, "sfar_row")
     if h.kind != "row":
         raise ValueError("sfar_row requires a row hypothesis")
     return _single_result(sys, _normals(sys, h.value, h.index))
@@ -432,6 +438,7 @@ def sfar_minimized(
 ) -> SfarResult:
     """Subset statistic as a direct minimization of FAR over the nuisance
     entries of Lambda1 (quasi-Newton, deterministic multi-start)."""
+    _require_one_fit(sys, "sfar_minimized")
     _check_length(sys, h.value)
     k, dof = sys.n_factors, sfar_dof(sys)
     n_free = k * (k - 1)
@@ -462,6 +469,9 @@ def sfar_minimized(
     rng = np.random.default_rng(seed)
     starts = [anchor, np.zeros(n_free)]
     starts += [anchor + scale * rng.standard_normal(n_free) for _ in range(n_starts - 2)]
+
+    # imported here: scipy.optimize loads scipy.stats, about a second
+    import scipy.optimize
 
     best, converged = np.inf, False
     for x0 in starts:
@@ -499,6 +509,7 @@ def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> SfarResult:
     The normal (c d ; e_index) of the restricted pencil turns into (d ; 0) as
     c grows, so the limit is the same for every row index.
     """
+    _require_one_fit(sys, "sfar_distant")
     lam = np.asarray(direction, dtype=float).reshape(-1)
     norm = np.linalg.norm(lam)
     if not np.isfinite(norm) or norm == 0.0:
@@ -517,6 +528,7 @@ def kp_rank(sys: StackedSystem) -> RankTestResult:
     so the smallest root on {x = 0} is at most the sum of the K smallest
     roots on the hyperplane, with equality at K = 1.
     """
+    _require_one_fit(sys, "kp_rank")
     k, n = sys.n_factors, sys.n_assets
     q = np.linalg.qr(sys.psi_whitener[..., :k])[0]
     stat = float(sys.n_periods * _pencil_roots(sys, q)[..., 0])
@@ -550,6 +562,7 @@ def boundedness_diagnostic(
     direction whose limit statistic stays below the critical value is
     accepted arbitrarily far out, so the confidence set is unbounded there.
     """
+    _require_one_fit(sys, "boundedness_diagnostic")
     if n_directions < 1:
         raise ValueError("need at least one direction")
     # degenerate level: a size-one test accepts nothing anywhere, so every

@@ -31,15 +31,18 @@ from riskpremia.moments import (
 from riskpremia._linalg import spd_project
 from riskpremia.confsets import full_lambda_binding, row_binding, scan_pvalues
 from riskpremia.kronecker import kps_factorize_terms, kps_residual_report
-from riskpremia.montecarlo import DgpSpec, simulate
+from riskpremia.montecarlo import DgpSpec, preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.subset import (
     SubsetHypothesis,
     _normals,
     _projected_roots,
+    boundedness_diagnostic,
     build_stacked,
     far_trace,
+    kp_rank,
+    sfar_column,
     sfar_distant,
     sfar_row,
     sfar_row_statistics,
@@ -417,3 +420,26 @@ def test_a_stack_has_a_price_of_risk_for_every_fit_or_none():
     beta[:, :, -1] = 0.0
     with pytest.raises(RankError, match="unspanned"):
         third_stage(dataclasses.replace(reg, beta_hat=beta), var)
+
+
+def test_single_fit_entry_points_reject_a_stack():
+    spec = preset_dgp("strong", k=2, n=6, t=300)
+    stack = fit_model(*simulate(spec, 0, range(3)))
+    sys = stack.stacked
+    row = SubsetHypothesis("row", 0, spec.lambda1[0])
+    calls = {
+        "sfar_row": lambda: sfar_row(row, sys),
+        "sfar_distant": lambda: sfar_distant(np.array([1.0, 0.0]), sys),
+        "sfar_minimized": lambda: sfar_column(SubsetHypothesis("column", 0, spec.lambda1[:, 0]), sys),
+        "kp_rank": lambda: kp_rank(sys),
+        "boundedness_diagnostic": lambda: boundedness_diagnostic(sys),
+        "robust_tests": lambda: robust_tests(stack, spec.lambda1),
+        "ModelFit.wald": lambda: stack.wald(spec.lambda1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match=f"^{name} takes one fit, got a stack of 3$"):
+            call()
+    # the stacked kernel gives each fit its own value: fit 1's, not fit 0's
+    stats = sfar_row_statistics(sys, row.value, row.index)
+    assert_close(sfar_row(row, fit_model(*simulate(spec, 0, 1)).stacked).statistic, stats[1])
+    assert not np.isclose(stats[0], stats[1])
