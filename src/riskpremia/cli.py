@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from ._linalg import NumericalError, chi2_sf, format_float
 from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
+from .kronecker import kps_residual_report
 from .montecarlo import (
     EigenLabSpec,
     preset_dgp,
@@ -42,7 +43,7 @@ from .panels import (
     save_matrix_csv,
 )
 from .pipeline import fit_model
-from .subset import SubsetHypothesis, kp_rank, sfar_column, sfar_row
+from .subset import VARIANCE_MODES, SubsetHypothesis, kp_rank, sfar_column, sfar_row
 from .varstage import RankError
 
 
@@ -228,7 +229,7 @@ def cmd_estimate(args) -> dict:
         "sigma_v": fit.var.sigma_v.tolist(),
         "variant": args.variant,
         "cov_mode": fit.cov_mode,
-        "kps_diagnostic": fit.kps_diag.to_dict(),
+        "kps_diagnostic": kps_residual_report(fit.stacked.kps).to_dict(),
         "kps_spectrum": fit.stacked.kps.spectrum.tolist(),
     }}
 
@@ -380,7 +381,6 @@ def _add_data_flags(p):
 def _add_common(p):
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cov", choices=["auto", "kps", "hc0"], default="auto")
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 
 
@@ -441,6 +441,11 @@ def build_parser():
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--kappa", type=float, default=None)
     p.set_defaults(func=cmd_eigenlab)
+    for name in ("estimate", "test", "cs"):
+        sub.choices[name].add_argument(
+            "--cov", choices=VARIANCE_MODES, default="kps",
+            help="variance of FAR/KLM/JKLM; hc0 over-rejects: at T = 300 its FAR size is "
+                 "11.8 %% at (K, N) = (1, 11) and 97.5 %% at (5, 20) (see fit_model)")
     return parser
 
 

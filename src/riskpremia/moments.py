@@ -41,7 +41,7 @@ import numpy as np
 
 from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
 from .pipeline import ModelFit
-from .subset import StackedSystem, _require_one_fit, far_trace
+from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit, far_trace
 
 TESTS = ("far", "klm", "jklm")
 _LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
@@ -122,8 +122,8 @@ def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("kps", "hc0"):
-        raise ValueError(f"unknown variance mode {mode!r}")
+    if mode not in VARIANCE_MODES:
+        raise ValueError(f"unknown variance mode {mode!r}; expected one of {VARIANCE_MODES}")
 
 
 def _kron_sigma(sys: StackedSystem, core: np.ndarray) -> np.ndarray:

@@ -285,11 +285,11 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
     fit and returns one result per replicate.  A replicate's draws, fit and
     result do not depend on the block it is in, so a block whose fit or
     evaluation raises one of FIT_ERRORS or a ValueError (its fits split on
-    the covariance mode or on the price of risk, or a scan fails on one of
-    them, say) is fitted again as two halves of its panels, down to single
-    replicates; no other code traces a failure back to its replicate.  A
-    replicate that raises one of FIT_ERRORS on its own has that exception in
-    place of its result, as fitting and evaluating it alone gives.
+    the price of risk, or a scan fails on one of them, say) is fitted again
+    as two halves of its panels, down to single replicates; no other code
+    traces a failure back to its replicate.  A replicate that raises one of
+    FIT_ERRORS on its own has that exception in place of its result, as
+    fitting and evaluating it alone gives.
     """
     size = _block_size(spec)
     return [

@@ -8,9 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import NumericalError
-from .kronecker import KpsDiagnostic, kps_residual_report
 from .panels import FactorPanel, ReturnPanel
-from .subset import StackedSystem, _require_one_fit, build_stacked
+from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit, build_stacked
 from .threestep import (
     AsymptoticCovariance,
     PriceOfRisk,
@@ -36,18 +35,18 @@ class ModelFit:
     the stacked system.  ``por`` is None when beta'beta is numerically
     singular (the unspanned factor pathology); the identification-robust
     tests remain available.  ``asymptotic_cov`` is computed on first use and
-    kept for the fit.  The fit of stacked panels is one ModelFit whose
-    arrays carry a leading replicate axis, with one ``cov_mode`` and either
-    a stacked ``por`` or None for all of its fits.  Nothing takes one fit
-    back out: a stack whose evaluation fails is refitted in parts
-    (``montecarlo._run_block``).
+    kept for the fit.  ``cov_mode`` is the variance mode ``fit_model`` was
+    given, the default of the full-vector tests on this fit.  The fit of
+    stacked panels is one ModelFit whose arrays carry a leading replicate
+    axis, with either a stacked ``por`` or None for all of its fits.  Nothing
+    takes one fit back out: a stack whose evaluation fails is refitted in
+    parts (``montecarlo._run_block``).
     """
 
     var: VarEstimate
     reg: ReturnRegression
     stacked: StackedSystem
-    kps_diag: KpsDiagnostic | None
-    cov_mode: str                       # 'kps' or 'hc0'
+    cov_mode: str                       # one of VARIANCE_MODES
     por: PriceOfRisk | None
 
     @property
@@ -77,39 +76,28 @@ def fit_model(
     returns: ReturnPanel,
     factors: FactorPanel,
     variant: str = "II",
-    cov: str = "auto",
+    cov: str = "kps",
 ) -> ModelFit:
-    """Run steps 1-3 plus the stacked system and pick the covariance mode.
+    """Run steps 1-3 plus the stacked system; ``cov`` is the variance mode
+    of the full-vector tests on the fit, one of ``VARIANCE_MODES``.
 
-    ``cov='auto'`` selects the Kronecker form when the factorization residual
-    passes the default threshold of ``kps_residual_report`` and the
-    outer-product (HC0) form otherwise.  Panels with a leading replicate
-    axis give one stacked fit in one pass of every stage.  Its fits share
-    one covariance mode and either all have a price of risk or none does;
-    a stack that splits on either raises ValueError, and a stack with one
-    failing fit raises that fit's error.
+    ``'kps'`` is the Kronecker form of the score covariance.  ``'hc0'`` is
+    the per-period outer product, an NK x NK matrix estimated from T periods:
+    at T = 300 (``preset_dgp``, seed 7, 1000 replicates, 5 % level) its FAR
+    rejects a true Lambda1 in 11.8 % of replicates at (K, N) = (1, 11),
+    17.6 % at (2, 11), 23.7 % at (3, 10) and 97.5 % at (5, 20).  Panels with
+    a leading replicate axis give one stacked fit in one pass of every
+    stage.  Its fits either all have a price of risk or none does; a stack
+    that splits on it raises ValueError, and a stack with one failing fit
+    raises that fit's error.
     """
-    if cov not in ("auto", "kps", "hc0"):
-        raise ValueError(f"unknown covariance mode {cov!r}")
+    if cov not in VARIANCE_MODES:
+        raise ValueError(f"unknown covariance mode {cov!r}; expected one of {VARIANCE_MODES}")
     var = fit_var1(factors)
     reg = second_stage(returns, factors, var, variant=variant)
     stacked = build_stacked(returns, factors, var, reg)
-    diag = kps_residual_report(stacked.kps)
-    mode = cov
-    if cov == "auto":
-        passed = np.unique(diag.passed)
-        if passed.size > 1:
-            raise ValueError("a stack of fits needs one covariance mode, got kps and hc0")
-        mode = "kps" if passed[0] else "hc0"
     try:
         por = third_stage(reg, var)
     except RankError:
         por = None
-    return ModelFit(
-        var=var,
-        reg=reg,
-        stacked=stacked,
-        kps_diag=diag,
-        cov_mode=mode,
-        por=por,
-    )
+    return ModelFit(var=var, reg=reg, stacked=stacked, cov_mode=cov, por=por)

@@ -46,6 +46,8 @@ from .panels import FactorPanel, ReturnPanel
 from .threestep import ReturnRegression, check_alignment
 from .varstage import VarEstimate
 
+VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` parts
+
 
 @dataclass(frozen=True)
 class StackedSystem:

@@ -103,9 +103,7 @@ def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
     est = json.loads((out / "estimates.json").read_text())
     panel = load_yield_csv(yields_csv)
     fit = fit_model(excess_returns(panel, [12, 24]), pca_factors(panel, 2))
-    # the diagnostic the fit chose its mode by, equal to a fresh report
-    # of its factorization to the last digit written
-    assert est["kps_diagnostic"] == fit.kps_diag.to_dict()
+    # a report of the fit's factorization, to the last digit written
     assert est["kps_diagnostic"] == kps_residual_report(fit.stacked.kps).to_dict()
     assert est["kps_spectrum"] == fit.stacked.kps.spectrum.tolist()
 
@@ -292,6 +290,30 @@ def test_config_file_merging(tmp_path, yields_csv):
         run(["test", "--input", yields_csv, "--maturities", "12", "--threads", "2",
              "--out", tmp_path / "c3"])
     assert exc.value.code == 2
+
+
+def test_cov_is_a_flag_of_the_fitting_commands_only(tmp_path, yields_csv, capsys):
+    # estimate, test and cs fit with --cov (kps by default, as in the manifest);
+    # mc fits with the library default, so --cov or a "cov" config key is an error
+    out = tmp_path / "t"
+    assert run(["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
+                "--cov", "hc0", "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["cov"] == "hc0"
+    parser, data = cli.build_parser(), ["--input", "y.csv", "--maturities", "12", "--out", "o"]
+    assert parser.parse_args(["estimate", *data]).cov == "kps"
+    assert parser.parse_args(["cs", *data, "--grid", "0:1:2"]).cov == "kps"
+    assert not hasattr(parser.parse_args(["ingest", *data]), "cov")
+    assert not hasattr(parser.parse_args(["eigenlab", "--n", "3", "--dim", "2", "--out", "o"]), "cov")
+    mc = ["mc", "--k", "1", "--n", "4", "--t", "80", "--reps", "100", "--grid-steps", "3"]
+    with pytest.raises(SystemExit) as exc:
+        run(mc + ["--cov", "hc0", "--out", tmp_path / "m1"])
+    assert exc.value.code == 2
+    assert "--cov" in capsys.readouterr().err
+    cfg = tmp_path / "cov.json"
+    cfg.write_text(json.dumps({"cov": "hc0"}))
+    assert run(mc + ["--config", cfg, "--out", tmp_path / "m2"]) == 2
+    assert "'cov'" in capsys.readouterr().err
+    assert not (tmp_path / "m1").exists() and not (tmp_path / "m2").exists()
 
 
 def test_unknown_stat_exit_2(tmp_path, yields_csv):

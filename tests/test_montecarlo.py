@@ -370,22 +370,22 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
 
 
 def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
-    # replicate 3 picks the hc0 variance and replicates 5 and 6 have no price
-    # of risk; a one-byte budget makes every block one replicate (and every
-    # chunk one point).  A replicate is known by its first return; a block
-    # holding one of them with other replicates splits the stack, so its fit
-    # raises ValueError, as fit_model does when its fits split
+    # replicates 5 and 6 have no price of risk; a one-byte budget makes every
+    # block one replicate (and every chunk one point).  A replicate is known
+    # by its first return; a block holding one of them with other replicates
+    # splits on the price of risk, so its fit raises ValueError, as
+    # fit_model does when its fits split
     spec = preset_dgp("strong", k=2, n=6, t=300)
     per_replicate = []
     evaluate_tests = montecarlo._evaluate_tests
-    special = {simulate(spec, 5, rep)[0].returns[0, 0]: rep for rep in (3, 5, 6)}
+    special = {simulate(spec, 5, rep)[0].returns[0, 0] for rep in (5, 6)}
 
     def mixed_fit(returns, factors):
-        hits = [special[x] for x in returns.returns[:, 0, 0] if x in special]
-        if hits and len(returns.returns) > 1:
-            raise ValueError("a stack of fits needs one covariance mode")
-        fit = fit_model(returns, factors, cov="hc0" if hits == [3] else "auto")
-        return dataclasses.replace(fit, por=None) if hits in ([5], [6]) else fit
+        hits = np.isin(returns.returns[:, 0, 0], list(special))
+        if hits.any() and len(returns.returns) > 1:
+            raise ValueError("a stack of fits needs a price of risk for every fit or for none")
+        fit = fit_model(returns, factors)
+        return dataclasses.replace(fit, por=None) if hits.any() else fit
 
     def recording(fit, families, shape):
         out = evaluate_tests(fit, families, shape)
@@ -421,25 +421,27 @@ def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
 
 
 def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
-    # replicate 4's VAR design is rank deficient and replicate 30 fails the
-    # KPS residual check, both known by their data; their blocks fail (a
-    # RankError, a split covariance mode) and are run again in halves.  At a
-    # one-byte budget every block is one replicate, so the two runs must
-    # agree on every result, failure and failure kind
+    # replicate 4's VAR design is rank deficient and replicate 30's last
+    # factor is unspanned in the third stage, both known by their data; their
+    # blocks fail (a RankError, a price-of-risk split raised by the real
+    # third_stage) and are run again in halves.  At a one-byte budget every
+    # block is one replicate, so the two runs must agree on every result,
+    # failure and failure kind
     spec = preset_dgp("weak", k=2, n=6, t=300)
     seed, outcomes = 5, []
     bad_x0 = simulate(spec, seed, 4)[1].factors[0, 0]
-    hc0_residual = fit_model(*simulate(spec, seed, 30)).kps_diag.residual_rel
-    real_var1, real_report = pipeline.fit_var1, pipeline.kps_residual_report
+    unspanned_beta = fit_model(*simulate(spec, seed, 30)).reg.beta_hat[0, 0]
+    real_var1, real_third = pipeline.fit_var1, pipeline.third_stage
 
     def rank_deficient(factors):
         if np.isin(factors.factors[..., 0, 0], bad_x0).any():
             raise RankError("injected rank-deficient design")
         return real_var1(factors)
 
-    def failing_report(fact):
-        diag = real_report(fact)
-        return dataclasses.replace(diag, passed=diag.passed & ~np.isin(fact.residual_rel, hc0_residual))
+    def unspanned(reg, var):
+        beta = reg.beta_hat.copy()
+        beta[np.isin(beta[:, 0, 0], unspanned_beta), :, -1] = 0.0
+        return real_third(dataclasses.replace(reg, beta_hat=beta), var)
 
     def recording_fit(returns, factors):
         try:
@@ -447,11 +449,11 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
         except (ValueError,) + FIT_ERRORS as exc:
             outcomes.append(type(exc).__name__)
             raise
-        outcomes.append((len(returns.returns), fit.cov_mode))
+        outcomes.append((len(returns.returns), fit.por is None))
         return fit
 
     monkeypatch.setattr(pipeline, "fit_var1", rank_deficient)
-    monkeypatch.setattr(pipeline, "kps_residual_report", failing_report)
+    monkeypatch.setattr(pipeline, "third_stage", unspanned)
     monkeypatch.setattr(montecarlo, "fit_model", recording_fit)
 
     def runs():
@@ -466,9 +468,11 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
 
     table, surface, density, boot, blocked = runs()
     assert table.failure_kinds["far"] == {"RankError": 3}
+    assert table.failure_kinds["wald"] == {"RankError": 6}
     assert density.failure_kinds == {"RankError": 1}
-    # both blocks failed and were split; replicate 30 was fitted alone, with hc0
-    assert {"RankError", "ValueError"} <= set(blocked) and (1, "hc0") in blocked
+    # both blocks failed and were split; replicate 30 was fitted alone,
+    # without a price of risk
+    assert {"RankError", "ValueError"} <= set(blocked) and (1, True) in blocked
     monkeypatch.setattr(confsets, "CHUNK_BYTES", 1)
     one_table, one_surface, one_density, one_boot, single = runs()
     assert all(outcome == "RankError" or outcome[0] == 1 for outcome in single)
@@ -495,14 +499,34 @@ def test_fit_model_is_called_once_per_block_with_the_observed_fields(monkeypatch
         monkeypatch.setattr(module, "fit_model", observed)
     size = preset_dgp("strong", k=1, n=11, t=300)
     power_curve(["far", "klm", "jklm", "wald"], [size.lambda1], size, reps=100, seed=7)
-    assert 0 < len(results) < 100
-    calls = len(results)
+    assert len(results) == -(-100 // montecarlo._block_size(size)) == 6
     sfar = preset_dgp("strong", k=5, n=20, t=300)
     sfar_density_experiment(sfar, reps=20, seed=2024)
-    assert 0 < len(results) - calls < 20
+    assert len(results) - 6 == -(-20 // montecarlo._block_size(sfar)) == 3
     for fit in results:
-        assert type(fit.cov_mode) is str and fit.cov_mode in ("kps", "hc0")
+        assert fit.cov_mode == "kps"
         assert fit.por is None or isinstance(fit.por, threestep.PriceOfRisk)
+
+
+def test_the_variance_mode_is_an_argument_and_blocks_do_not_split_on_it(monkeypatch):
+    # at (1, 4, T = 80) some fits' KPS residuals are large, but no fit picks
+    # its own variance mode, so every block is fitted once
+    spec = preset_dgp("strong", k=1, n=4, t=80)
+    panels = simulate(spec, 3, range(2))
+    with pytest.raises(ValueError, match="unknown covariance mode 'auto'"):
+        fit_model(*panels, cov="auto")
+    assert fit_model(*panels, cov="hc0").cov_mode == "hc0"
+    assert not hasattr(fit_model(*panels), "kps_diag")
+    calls = []
+
+    def counted(returns, factors):
+        calls.append(len(returns.returns))
+        return fit_model(returns, factors)
+
+    monkeypatch.setattr(montecarlo, "fit_model", counted)
+    power_curve(["far", "wald"], [spec.lambda1], spec, reps=1000, seed=3)
+    assert len(calls) == -(-1000 // montecarlo._block_size(spec)) == 7
+    assert sum(calls) == 1000
 
 
 def test_power_curve_keeps_failures_per_test(monkeypatch):
