@@ -35,13 +35,12 @@ from ._linalg import (
     chol_spd,
     inv_lower,
     kron,
-    spd_project,
     square_stack,
     sym,
     vec_kron,
     whiten,
 )
-from .kronecker import KpsFactorization, kps_factorize_terms
+from .kronecker import KpsFactorization, kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
 from .threestep import ReturnRegression, check_alignment
 from .varstage import VarEstimate
@@ -60,7 +59,7 @@ class StackedSystem:
 
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
     w_hat: np.ndarray        # (2K, 2K) regressor second moments
-    psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD-projected
+    psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD as Omega is
     sigma_hat: np.ndarray    # (N, N) KPS residual covariance factor
     q_xx: np.ndarray         # (K, K) upper-left block of w_hat
     kps: KpsFactorization | None
@@ -201,10 +200,10 @@ def stacked_score_covariance(
     """Dense score covariance of the joint regression under the model.
 
     The Kronecker sum of :func:`model_score_terms`, formed as a (2KN)^2
-    matrix from the sample moments of its own inputs; the fit factors those
-    terms without forming it.  The lagged-factor
-    block pairs with ``resid + beta vhat`` rather than the raw residual:
-    first-stage innovation estimation feeds back into the stacked
+    matrix from the sample moments of its own inputs; the fit factors it in
+    closed form (``kps_factorize_model``) without forming it.  The
+    lagged-factor block pairs with ``resid + beta vhat`` rather than the raw
+    residual: first-stage innovation estimation feeds back into the stacked
     coefficients, and dropping it loses the factor-risk component.
     """
     k, t = xbar.shape
@@ -226,8 +225,9 @@ def build_stacked(
     The joint regression of demeaned returns on (xbar_{t-1}; vhat_t) is the
     second stage in the parameterization Phi = (d + beta phi1 : beta), so its
     coefficients and residuals are read off ``reg``.  Unless ``kps`` is given,
-    the model score covariance is factored from its Kronecker terms without
-    forming the dense matrix.  Stacked panels and fits give one stacked system.
+    the model score covariance is factored in closed form from its two
+    Kronecker terms, with no dense matrix, decomposition or projection.
+    Stacked panels and fits give one stacked system.
     """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
@@ -238,11 +238,9 @@ def build_stacked(
     beta = reg.beta_hat
     phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
     if kps is None:
-        kps = kps_factorize_terms(
-            model_score_terms(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
-        )
+        kps = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
     w_inv = np.linalg.inv(w_hat)
-    psi_hat = spd_project(w_inv @ kps.omega @ w_inv)
+    psi_hat = sym(w_inv @ kps.omega @ w_inv)
     r = returns.returns
     return StackedSystem(
         phi_hat=phi_hat,

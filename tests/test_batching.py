@@ -30,7 +30,7 @@ from riskpremia.moments import (
 )
 from riskpremia._linalg import spd_project
 from riskpremia.confsets import full_lambda_binding, row_binding, scan_pvalues
-from riskpremia.kronecker import kps_factorize_terms, kps_residual_report
+from riskpremia.kronecker import kps_factorize, kps_factorize_model, kps_residual_report
 from riskpremia.montecarlo import DgpSpec, preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import FIT_ERRORS, fit_model
@@ -42,6 +42,7 @@ from riskpremia.subset import (
     build_stacked,
     far_trace,
     kp_rank,
+    model_score_terms,
     sfar_column,
     sfar_distant,
     sfar_row,
@@ -385,22 +386,19 @@ def test_stacked_spd_projection_and_kps_terms_equal_single_calls(k, n, r, seed):
     beta = rng.standard_normal((r, n, k))
     s2 = rng.uniform(0.1, 2.0, r)
 
-    def terms(j):
-        """The two Kronecker terms of the model score covariance of fit j."""
-        return [
-            (np.pad(q_xx[j], ((0, k), (0, k))), s2[j] * np.eye(n) + beta[j] @ sigma_v[j] @ beta[j].T),
-            (np.pad(sigma_v[j], ((k, 0), (k, 0))), s2[j] * np.eye(n)),
-        ]
-
-    stacked_terms = [tuple(np.stack(parts) for parts in zip(*pair)) for pair in zip(*(terms(j) for j in range(r)))]
-    fact = kps_factorize_terms(stacked_terms)
+    fact = kps_factorize_model(q_xx, sigma_v, s2, beta)
     diag = kps_residual_report(fact)
     for j in range(r):
-        one = kps_factorize_terms(terms(j))
+        one = kps_factorize_model(q_xx[j], sigma_v[j], s2[j], beta[j])
         for name in ("omega", "sigma", "spectrum", "residual_rel"):
             assert_close(getattr(fact, name)[j], getattr(one, name))
-        assert fact.normalization[j] == one.normalization
-        assert diag.passed[j] == kps_residual_report(one).passed
+        assert fact.normalization == one.normalization
+        for name in ("residual_rel", "singular_ratio"):
+            assert_close(getattr(diag, name)[j], getattr(kps_residual_report(one), name))
+        # the dense factorization of the two model terms of fit j is the oracle
+        terms = model_score_terms(q_xx[j], sigma_v[j], s2[j], beta[j])
+        dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), 2 * k, n)
+        assert np.linalg.norm(one.product - dense.product) <= 1e-12 * np.linalg.norm(dense.product)
 
 
 def test_a_stack_has_a_price_of_risk_for_every_fit_or_none():

@@ -103,8 +103,10 @@ def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
     est = json.loads((out / "estimates.json").read_text())
     panel = load_yield_csv(yields_csv)
     fit = fit_model(excess_returns(panel, [12, 24]), pca_factors(panel, 2))
-    # a report of the fit's factorization, to the last digit written
+    # a report of the fit's factorization, to the last digit written; the
+    # residual does not predict size, so no verdict on it is written
     assert est["kps_diagnostic"] == kps_residual_report(fit.stacked.kps).to_dict()
+    assert set(est["kps_diagnostic"]) == {"residual_rel", "singular_ratio"}
     assert est["kps_spectrum"] == fit.stacked.kps.spectrum.tolist()
 
 

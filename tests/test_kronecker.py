@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpremia._linalg import vec, vec_kron
+from riskpremia._linalg import NumericalError, vec, vec_kron
 from riskpremia.kronecker import (
     kps_factorize,
-    kps_factorize_terms,
+    kps_factorize_model,
     kps_residual_report,
     rearrange,
     rearrange_inverse,
@@ -152,44 +152,35 @@ def test_zero_matrix_rejected():
         kps_factorize(np.zeros((6, 6)), 2, 3)
 
 
-def test_residual_report_flags():
+def test_residual_report_has_no_flag():
     rng = np.random.default_rng(8)
     s = np.kron(random_spd(rng, 2), random_spd(rng, 4))
-    fact = kps_factorize(s, 2, 4)
-    rep = kps_residual_report(fact)
-    assert rep.passed and rep.singular_ratio < 1e-12
+    rep = kps_residual_report(kps_factorize(s, 2, 4))
+    assert rep.residual_rel < 1e-12 and rep.singular_ratio < 1e-12
 
     g = rng.standard_normal((8, 40))
     wish = g @ g.T / 40
     noisy = kps_residual_report(kps_factorize(wish, 2, 4))
     assert noisy.singular_ratio > 0.02
-
-    forced = kps_residual_report(fact, threshold=0.10)
-    assert forced.to_dict()["flag"] == "pass"
-    # warn branch on a synthetic residual
-    from riskpremia.kronecker import KpsDiagnostic
-
-    warn = KpsDiagnostic(residual_rel=0.25, singular_ratio=0.3, threshold=0.10, passed=False)
-    assert warn.to_dict()["flag"] == "warn"
+    # the residual does not predict the size of the tests, so the report
+    # passes no verdict on it
+    assert noisy.to_dict() == {"residual_rel": noisy.residual_rel, "singular_ratio": noisy.singular_ratio}
 
 
 @st.composite
-def kronecker_terms(draw):
-    """Model score terms on random data (N = 1, N = K+1, near-unspanned beta,
-    s2 = 0) or a single exact product."""
+def model_moments(draw):
+    """(Qxx, Sigma_v, s2, beta) of random data: N = 1, N = K+1 or any N,
+    strong, weak or near-unspanned beta."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        p, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-        return [(random_spd(rng, p), random_spd(rng, k))]
     k = draw(st.integers(1, 4))
     n = draw(st.one_of(st.just(1), st.just(k + 1), st.integers(1, 8)))
     t = 3 * (n + k) + 5
     xbar = rng.standard_normal((k, t))
     vhat = rng.standard_normal((k, t))
-    resid = draw(st.sampled_from([0.0, 0.3, 1.0])) * rng.standard_normal((n, t))
+    resid = draw(st.sampled_from([1e-3, 0.3, 1.0])) * rng.standard_normal((n, t))
     beta = draw(st.sampled_from([1.0, 1e-3, 1e-6])) * rng.standard_normal((n, k))
     sig2 = float(np.einsum("nt,nt->", resid, resid) / resid.size)
-    return model_score_terms(xbar @ xbar.T / t, vhat @ vhat.T / t, sig2, beta)
+    return xbar @ xbar.T / t, vhat @ vhat.T / t, sig2, beta
 
 
 def _rel(a, b):
@@ -197,33 +188,59 @@ def _rel(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(kronecker_terms())
-def test_terms_route_matches_dense_factorization(terms):
+@given(model_moments())
+def test_terms_route_matches_dense_factorization(moments):
+    terms = model_score_terms(*moments)
     p, k = terms[0][0].shape[0], terms[0][1].shape[0]
-    s = sum(np.kron(a, b) for a, b in terms)
-    dense = kps_factorize(s, p, k)
+    dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), p, k)
     sv = dense.spectrum
-    # a near-tied leading pair leaves the factors ill-posed on both routes
-    assume(sv.size == 1 or sv[1] < 0.9 * sv[0])
-    fact = kps_factorize_terms(terms)
-    r = len(terms)
-    assert fact.normalization == dense.normalization
+    fact = kps_factorize_model(*moments)
+    assert fact.normalization == dense.normalization == "omega11"
+    assert fact.omega[0, 0] == 1.0
     assert _rel(fact.omega, dense.omega) <= 1e-10
     assert _rel(fact.sigma, dense.sigma) <= 1e-10
     assert abs(fact.residual_rel - dense.residual_rel) <= 1e-12
     assert fact.spectrum.shape == sv.shape
-    assert np.allclose(fact.spectrum[:r], sv[:r], rtol=1e-10, atol=1e-12 * sv[0])
-    assert np.all(fact.spectrum[r:] == 0.0)
+    assert np.allclose(fact.spectrum[:2], sv[:2], rtol=1e-10, atol=1e-12 * sv[0])
+    assert np.all(fact.spectrum[2:] == 0.0)
+    # SPD by construction: no clipping, no jitter
+    np.linalg.cholesky(fact.omega)
+    np.linalg.cholesky(fact.sigma)
 
 
 def test_terms_route_exact_product_and_zero():
+    # one asset: every B_j is a scalar, so S is exactly one Kronecker product
     rng = np.random.default_rng(9)
-    omega, sigma = random_spd(rng, 4), random_spd(rng, 3)
-    fact = kps_factorize_terms([(omega, sigma)])
-    assert fact.residual_rel == 0.0
-    assert np.allclose(fact.product, np.kron(omega, sigma), rtol=1e-12)
-    with pytest.raises(ValueError):
-        kps_factorize_terms([(np.zeros((2, 2)), np.eye(3))])
+    q_xx, sigma_v = random_spd(rng, 3), random_spd(rng, 3)
+    beta = rng.standard_normal((1, 3))
+    fact = kps_factorize_model(q_xx, sigma_v, 0.7, beta)
+    s = sum(np.kron(a, b) for a, b in model_score_terms(q_xx, sigma_v, 0.7, beta))
+    assert fact.spectrum.shape == (1,) and fact.residual_rel == 0.0
+    assert np.allclose(fact.product, s, rtol=1e-12, atol=1e-14 * np.abs(s).max())
+    with pytest.raises(NumericalError, match="Qxx"):
+        kps_factorize_model(np.zeros((3, 3)), sigma_v, 0.7, beta)
+
+
+@pytest.mark.parametrize("term", ["Qxx", "Sigma_v", "sigma_e2"])
+def test_degenerate_model_terms_raise_naming_the_term(term):
+    # s2 = 0 or Sigma_v = 0 leaves u2 = 0, and Qxx_11 = 0 leaves no pivot: one
+    # factor would be singular, so the factorization refuses instead
+    rng = np.random.default_rng(10)
+    k, n, r = 2, 5, 4
+    args = {
+        "q_xx": np.stack([random_spd(rng, k) for _ in range(r)]),
+        "sigma_v": np.stack([random_spd(rng, k) for _ in range(r)]),
+        "sigma_e2": rng.uniform(0.1, 1.0, r),
+        "beta": rng.standard_normal((r, n, k)),
+    }
+    zeroed = {"Qxx": "q_xx", "Sigma_v": "sigma_v", "sigma_e2": "sigma_e2"}[term]
+    args[zeroed] = args[zeroed].copy()
+    args[zeroed][2] = 0.0
+    with pytest.raises(NumericalError, match=rf"{term}.* at stack entry \(2,\)"):
+        kps_factorize_model(**args)
+    single = {name: value[2] for name, value in args.items()}
+    with pytest.raises(NumericalError, match=rf"{term}.*not positive$"):
+        kps_factorize_model(**single)
 
 
 @settings(max_examples=100, deadline=None)

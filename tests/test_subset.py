@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia import subset
-from riskpremia._linalg import chi2_ppf, chol_spd
+from riskpremia._linalg import NumericalError, chi2_ppf, chol_spd
 from riskpremia.kronecker import kps_factorize
 from riskpremia.montecarlo import preset_dgp, simulate
-from riskpremia.pipeline import fit_model
+from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.subset import (
     BoundednessReport,
@@ -177,6 +177,73 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     got = sfar_row(h, stacked).statistic
     ref = sfar_row(h, dense_sys).statistic
     assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(st.just(k), st.sampled_from([1, k + 1]) | st.integers(k + 1, 20))
+    ),
+    st.sampled_from(["strong", "weak", "unspanned"]),
+    st.sampled_from([0, 3]),
+    st.integers(0, 1000),
+)
+def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, seed):
+    # a single fit (reps = 0) or a stack of three; the unspanned kind puts the
+    # last factor's loadings far below the sampling noise
+    k, n = shape
+    spec = preset_dgp("strong" if kind == "strong" else "weak", k=k, n=n, t=120)
+    if kind == "unspanned":
+        spec = dataclasses.replace(spec, weak_scale=np.r_[np.full(k - 1, 0.06), 1e-6])
+    returns, factors = simulate(spec, seed, range(reps) if reps else 0)
+    var = fit_var1(factors)
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
+    assert sys.batch_shape == ((reps,) if reps else ())
+    for j in np.ndindex(sys.batch_shape):
+        s = stacked_score_covariance(sys.rbar[j], sys.xbar_lagged[j], sys.vhat[j], sys.phi_hat[j])
+        dense = kps_factorize(s, 2 * k, n)
+        product = np.kron(sys.kps.omega[j], sys.kps.sigma[j])
+        assert np.linalg.norm(product - dense.product) <= 1e-12 * np.linalg.norm(dense.product)
+        sv, ref = sys.kps.spectrum[j], dense.spectrum
+        assert sv.shape == ref.shape
+        assert np.allclose(sv[:2], ref[:2], rtol=1e-12, atol=1e-12 * ref[0])
+        # SPD with no clipping and no jitter
+        for m in (sys.kps.omega[j], sys.kps.sigma[j], sys.psi_hat[j]):
+            np.linalg.cholesky(m)
+
+
+def test_build_stacked_makes_no_decomposition(monkeypatch):
+    # the fit's covariance factors are closed forms: an eigenvalue projection,
+    # SVD or QR creeping back into build_stacked fails this count
+    returns, factors = simulate(preset_dgp("strong", k=3, n=10, t=120), 5, range(4))
+    var = fit_var1(factors)
+    reg = second_stage(returns, factors, var)
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"np.linalg.{name} called by build_stacked")
+        return call
+
+    for name in ("eig", "eigh", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    sys = build_stacked(returns, factors, var, reg)
+    assert calls == []
+    assert sys.kps.omega.shape == (4, 6, 6) and sys.psi_hat.shape == (4, 6, 6)
+
+
+def test_a_fit_with_zero_residual_variance_raises_naming_it():
+    # s2 = 0 leaves the Sigma_v block of Omega zero: the fit refuses with a
+    # NumericalError, which a Monte Carlo run counts as a failed replicate
+    returns, factors = simulate(preset_dgp("strong", k=2, n=6, t=120), 5, range(3))
+    var = fit_var1(factors)
+    reg = second_stage(returns, factors, var)
+    s2 = reg.sigma_e2.copy()
+    s2[1] = 0.0
+    with pytest.raises(NumericalError, match=r"sigma_e2 is not positive at stack entry \(1,\)"):
+        build_stacked(returns, factors, var, dataclasses.replace(reg, sigma_e2=s2))
+    assert NumericalError in FIT_ERRORS
 
 
 # -- sFAR row ---------------------------------------------------------------------
