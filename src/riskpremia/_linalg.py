@@ -142,6 +142,21 @@ def chi2_ppf(p: float, dof: int) -> float:
     return float(2.0 * special.gammaincinv(dof / 2.0, p))
 
 
+def chi2_pdf(x, dof: int):
+    """Density of chi^2(dof) at x > 0: the expression ``scipy.stats.chi2.pdf``
+    evaluates there, so the same bits, without importing ``scipy.stats``."""
+    log_pdf = special.xlogy(dof / 2.0 - 1, x) - x / 2.0 - special.gammaln(dof / 2.0)
+    return np.exp(log_pdf - (np.log(2) * dof) / 2.0)
+
+
+def ks_chi2_pvalue(sample, dof: int) -> float:
+    """Exact KS p-value of ``sample`` against chi^2(dof): the package's one use
+    of ``scipy.stats``, imported here since it costs about a second and 40 MB."""
+    import scipy.stats
+
+    return float(scipy.stats.kstest(sample, scipy.stats.chi2.cdf, args=(dof,)).pvalue)
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a kron b, broadcast over leading batch axes of ``a`` and ``b``."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]

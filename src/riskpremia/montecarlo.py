@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import confsets
-from ._linalg import chi2_ppf, vec
+from ._linalg import chi2_pdf, chi2_ppf, ks_chi2_pvalue, vec
 from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalues
 from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
@@ -435,15 +435,26 @@ def power_curve(
 
 @dataclass(frozen=True)
 class SfarDensityResult:
+    """sFAR draws at the true row against their chi^2(K(N-K+1)) bound;
+    ``quantile_se`` takes the bound's density at each of its quantiles."""
+
     statistics: np.ndarray
     dof_bound: int
-    ks_pvalue: float
     quantile_levels: tuple[float, ...]
     empirical_quantiles: np.ndarray
     chi2_quantiles: np.ndarray
     quantile_se: np.ndarray
     failures: int
     failure_kinds: dict          # {exception class name: failed replicates}
+
+    @cached_property
+    def ks_pvalue(self) -> float:
+        """Exact KS p-value of ``statistics`` against chi^2(``dof_bound``),
+        computed on first read, which loads ``scipy.stats``; NaN when no
+        replicate succeeded."""
+        if self.statistics.size == 0:
+            return float("nan")
+        return ks_chi2_pvalue(self.statistics, self.dof_bound)
 
 
 def sfar_density_experiment(
@@ -459,7 +470,8 @@ def sfar_density_experiment(
     ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
     statistic raised.  Negative ``reps`` and a row index outside [0, K)
-    raise ValueError before any draw.
+    raise ValueError before any draw.  The chi^2 quantiles and densities come
+    from ``scipy.special``, so the experiment does not load ``scipy.stats``.
     """
     k, n = spec.n_factors, spec.n_assets
     if reps < 0:
@@ -478,24 +490,18 @@ def sfar_density_experiment(
     dof = k * (n - k + 1)
     if stats.size == 0:
         return SfarDensityResult(
-            statistics=stats, dof_bound=dof, ks_pvalue=float("nan"),
+            statistics=stats, dof_bound=dof,
             quantile_levels=tuple(quantile_levels),
             empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
             quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
         )
-    # imported here: only the exact KS test needs scipy.stats, about a second
-    # to import; the distribution's own methods avoid freezing one
-    import scipy.stats
-
-    ks = scipy.stats.kstest(stats, scipy.stats.chi2.cdf, args=(dof,))
     qs = np.quantile(stats, quantile_levels)
     chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])
-    dens = scipy.stats.chi2.pdf(chi_qs, dof)
+    dens = chi2_pdf(chi_qs, dof)
     q_se = np.sqrt(np.array(quantile_levels) * (1 - np.array(quantile_levels)) / stats.size) / np.maximum(dens, 1e-12)
     return SfarDensityResult(
         statistics=stats,
         dof_bound=dof,
-        ks_pvalue=float(ks.pvalue),
         quantile_levels=tuple(quantile_levels),
         empirical_quantiles=qs,
         chi2_quantiles=chi_qs,

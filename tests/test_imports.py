@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.stats
 
-from riskpremia._linalg import chi2_ppf
+from riskpremia._linalg import chi2_pdf, chi2_ppf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,7 +52,10 @@ FRESH = textwrap.dedent(
     assert cs.accepted_mask.all() and cs.bounded in ("bounded", "unbounded"), cs.bounded
     assert loaded() == [], f"the light entry points load {loaded()}"
 
-    assert sfar_density_experiment(preset_dgp("strong", k=2, n=4, t=80), reps=2).failures == 0
+    res = sfar_density_experiment(preset_dgp("strong", k=2, n=4, t=80), reps=2)
+    assert res.failures == 0
+    assert loaded() == [], f"the sFAR density experiment loads {loaded()}"
+    assert 0.0 <= res.ks_pvalue <= 1.0
     assert "scipy.stats" in sys.modules
     h = SubsetHypothesis("column", 0, spec.lambda1[:, 0])
     assert np.isfinite(sfar_column(h, fit.stacked, n_starts=2).statistic)
@@ -76,3 +79,10 @@ def test_chi2_ppf_equals_scipy_stats_bit_for_bit():
         np.testing.assert_array_equal(got, scipy.stats.chi2.ppf(p, dof), err_msg=f"dof {dof}")
     assert chi2_ppf(0.0, 3) == 0.0 and chi2_ppf(1.0, 3) == np.inf
     assert chi2_ppf(0.95, 0) == 0.0
+
+
+def test_chi2_pdf_equals_scipy_stats_bit_for_bit():
+    grid = np.concatenate([np.geomspace(1e-6, 1.0, 60), np.linspace(1.0, 400.0, 400)])
+    for dof in range(1, 201):
+        x = np.concatenate([grid, [chi2_ppf(p, dof) for p in (0.90, 0.95, 0.99)]])
+        np.testing.assert_array_equal(chi2_pdf(x, dof), scipy.stats.chi2.pdf(x, dof), err_msg=f"dof {dof}")

@@ -724,6 +724,17 @@ def test_sfar_density_zero_reps_edge():
     assert np.isnan(res.ks_pvalue)
 
 
+def test_sfar_density_ks_pvalue_and_quantile_se_equal_scipy_stats():
+    res = sfar_density_experiment(preset_dgp("strong", k=2, n=4, t=80), reps=12, seed=3)
+    assert res.statistics.size == 12
+    ks = scipy.stats.kstest(res.statistics, scipy.stats.chi2.cdf, args=(res.dof_bound,))
+    assert res.ks_pvalue == ks.pvalue
+    levels = np.array(res.quantile_levels)
+    dens = scipy.stats.chi2.pdf(res.chi2_quantiles, res.dof_bound)
+    old_se = np.sqrt(levels * (1 - levels) / res.statistics.size) / np.maximum(dens, 1e-12)
+    np.testing.assert_array_equal(res.quantile_se, old_se)
+
+
 def test_sfar_density_statistics_nonnegative_finite():
     spec = preset_dgp("weak", k=2, n=4, t=100)
     res = sfar_density_experiment(spec, reps=80, seed=5)
