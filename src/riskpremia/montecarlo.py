@@ -436,7 +436,9 @@ def power_curve(
 @dataclass(frozen=True)
 class SfarDensityResult:
     """sFAR draws at the true row against their chi^2(K(N-K+1)) bound;
-    ``quantile_se`` takes the bound's density at each of its quantiles."""
+    ``quantile_se`` takes the bound's density at each of its quantiles.
+    ``ks_pvalue`` is a property, not a field: the constructor, ``fields``,
+    ``asdict``, ``replace``, ``repr`` and ``==`` leave it out."""
 
     statistics: np.ndarray
     dof_bound: int
@@ -449,9 +451,10 @@ class SfarDensityResult:
 
     @cached_property
     def ks_pvalue(self) -> float:
-        """Exact KS p-value of ``statistics`` against chi^2(``dof_bound``),
-        computed on first read, which loads ``scipy.stats``; NaN when no
-        replicate succeeded."""
+        """Exact KS p-value of ``statistics`` against chi^2(``dof_bound``), NaN
+        when no replicate succeeded.  The first read loads ``scipy.stats``
+        (about 40 MB and 1 s); only callers that never read it skip that, and
+        the ``mc`` CLI summary and ``scripts/fig4_sfar_density.py`` read it."""
         if self.statistics.size == 0:
             return float("nan")
         return ks_chi2_pvalue(self.statistics, self.dof_bound)
@@ -470,8 +473,7 @@ def sfar_density_experiment(
     ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
     statistic raised.  Negative ``reps`` and a row index outside [0, K)
-    raise ValueError before any draw.  The chi^2 quantiles and densities come
-    from ``scipy.special``, so the experiment does not load ``scipy.stats``.
+    raise ValueError before any draw.  It loads no ``scipy.stats``.
     """
     k, n = spec.n_factors, spec.n_assets
     if reps < 0:
