@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import confsets
 from ._linalg import chi2_pdf, chi2_ppf, ks_chi2_pvalue, vec
@@ -101,6 +100,9 @@ class DgpSpec:
         radius = float(np.abs(np.linalg.eigvals(phi1)).max())
         mean = half = None
         if radius < 1.0:
+            # SciPy's solve: at K >= 3 the preset gamma has a repeated eigenvalue, so
+            # a last-bit change in it rotates the eigh root and every stationary draw
+            import scipy.linalg
             mean = np.linalg.solve(np.eye(k) - phi1, self.mu)
             gamma = scipy.linalg.solve_discrete_lyapunov(phi1, sigma_v)
             w, q = np.linalg.eigh(0.5 * (gamma + gamma.T))
@@ -246,6 +248,9 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
         noise[b] = rng.standard_normal((n, t))
     shocks = law.shock_factor @ shocks
     rhs[1:] = spec.mu[:, None] + shocks.transpose(2, 1, 0)
+    # loaded at the first draw, so runs that never simulate go without
+    # scipy.linalg; a NumPy solve would change the paths' rounding
+    import scipy.linalg
     path, _ = scipy.linalg.lapack.dtbtrs(
         band, rhs.reshape(-1, len(reps)), uplo="L", diag="U", overwrite_b=1
     )
@@ -472,14 +477,16 @@ def sfar_density_experiment(
     Each block of replicates is one stacked fit and one stacked
     ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
-    statistic raised.  Negative ``reps`` and a row index outside [0, K)
-    raise ValueError before any draw.  It loads no ``scipy.stats``.
-    """
+    statistic raised.  Negative ``reps``, a row index outside [0, K) and a
+    quantile level outside (0, 1) raise ValueError before any draw.  It loads
+    no ``scipy.stats``."""
     k, n = spec.n_factors, spec.n_assets
     if reps < 0:
         raise ValueError("reps must be nonnegative")
     if not 0 <= row_index < k:
         raise ValueError(f"row_index must lie in [0, {k}), got {row_index!r}")
+    if not all(0.0 < p < 1.0 for p in quantile_levels):
+        raise ValueError(f"quantile levels must lie in (0, 1), got {quantile_levels!r}")
     h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
 
     results = _replicates(
@@ -527,7 +534,8 @@ def power_surface(
     Requires K = 2: the tested row runs over (axis1 x axis2).  Each block
     of replicates is one stacked fit and one ``confsets.scan_pvalues`` of
     sFAR over the whole mesh, and each replicate rejects where p < level; a
-    replicate with a failed point is dropped.  Fewer than one replicate,
+    replicate with a failed point is dropped, and the surface is NaN
+    everywhere when every replicate is.  Fewer than one replicate,
     non-finite axis values, a row index other than 0 or 1 and a level outside
     (0, 1] raise ValueError before any replicate; at level 1 every point
     rejects.
@@ -549,7 +557,7 @@ def power_surface(
         for pvalues, failures in (r for r in results if not isinstance(r, Exception))
         if not failures
     ]
-    return sum(kept, np.zeros((len(axis1), len(axis2)))) / max(len(kept), 1)
+    return sum(kept) / len(kept) if kept else np.full((len(axis1), len(axis2)), np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -708,6 +708,16 @@ def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
         power_surface(spec, ax, ay, reps=3, seed=1)
 
 
+def test_power_surface_is_nan_when_every_replicate_fails(monkeypatch):
+    def numerical(*args, **kwargs):
+        raise NumericalError("matrix is not positive definite")
+
+    monkeypatch.setattr(montecarlo, "fit_model", numerical)
+    surf = power_surface(preset_dgp("strong", k=2, n=4, t=60), np.array([0.0, 0.25]),
+                         np.array([0.0, 0.05]), reps=5)
+    assert surf.shape == (2, 2) and np.isnan(surf).all()
+
+
 def test_sfar_density_replicates_independent_of_reps():
     spec = preset_dgp("strong", k=2, n=4, t=60)
     for seed in (0, 11):
@@ -729,10 +739,28 @@ def test_sfar_density_ks_pvalue_and_quantile_se_equal_scipy_stats():
     assert res.statistics.size == 12
     ks = scipy.stats.kstest(res.statistics, scipy.stats.chi2.cdf, args=(res.dof_bound,))
     assert res.ks_pvalue == ks.pvalue
+    # the chi-square quantiles and density are closed forms, SciPy's to 1e-12
     levels = np.array(res.quantile_levels)
+    np.testing.assert_allclose(res.chi2_quantiles, scipy.stats.chi2.ppf(levels, res.dof_bound),
+                               rtol=1e-12, atol=0)
     dens = scipy.stats.chi2.pdf(res.chi2_quantiles, res.dof_bound)
     old_se = np.sqrt(levels * (1 - levels) / res.statistics.size) / np.maximum(dens, 1e-12)
-    np.testing.assert_array_equal(res.quantile_se, old_se)
+    np.testing.assert_allclose(res.quantile_se, old_se, rtol=1e-12, atol=0)
+
+
+def test_sfar_density_rejects_quantile_levels_outside_the_unit_interval(monkeypatch):
+    spec = preset_dgp("strong", k=2, n=4, t=60)
+    calls = []
+
+    def recording_simulate(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
+    for levels in ((0.5, 1.5), (0.0, 0.9), (0.9, 1.0), (np.nan,), (-0.1,)):
+        with pytest.raises(ValueError, match="quantile levels"):
+            sfar_density_experiment(spec, reps=3, quantile_levels=levels)
+    assert calls == []
 
 
 def test_sfar_density_statistics_nonnegative_finite():
