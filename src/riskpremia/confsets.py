@@ -16,13 +16,7 @@ import numpy as np
 from ._linalg import chi2_sf
 from .moments import TESTS, dofs, robust_statistics
 from .pipeline import FIT_ERRORS, ModelFit
-from .subset import (
-    SubsetHypothesis,
-    boundedness_diagnostic,
-    sfar_column,
-    sfar_dof,
-    sfar_row_statistics,
-)
+from .subset import boundedness_diagnostic, sfar_column_statistics, sfar_dof, sfar_row_statistics
 from .threestep import wald_statistics
 
 VALID_TESTS = ("far", "klm", "jklm", "wald", "sfar")
@@ -55,9 +49,9 @@ class ParameterBinding:
     """Maps grid dimensions onto entries of the tested parameter.
 
     ``kind='full'`` targets vec(Lambda1) (column-major) for the full-vector
-    tests; 'row'/'column' target the K-vector of a subset hypothesis.  ``base``
-    holds values for the non-varying positions; ``vary`` lists the flat
-    positions driven by the grid axes, in axis order.
+    tests; 'row'/'column' target the K-vector of row or column ``index``.
+    ``base`` holds values for the non-varying positions; ``vary`` lists the
+    flat positions driven by the grid axes, in axis order.
     """
 
     kind: str
@@ -74,6 +68,8 @@ class ParameterBinding:
             raise ValueError("vary positions outside the parameter vector")
         if len(set(self.vary)) != len(self.vary):
             raise ValueError("duplicate vary positions")
+        if self.kind != "full" and not 0 <= self.index < self.base.size:
+            raise ValueError(f"{self.kind} index {self.index} out of range for K = {self.base.size}")
 
     def assemble(self, points) -> np.ndarray:
         """Parameter vectors (..., P) from grid points (..., dims)."""
@@ -186,20 +182,12 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
     elif test == "sfar":
         if binding.kind == "full":
             raise ValueError("sfar requires a 'row' or 'column' binding")
-        if binding.kind == "column":
-            if stack:
-                raise ValueError("column sFAR runs one fit at a time")
-            # each point runs its own numerical minimization: nothing to stack
-            def ev(params):
-                hypotheses = [SubsetHypothesis("column", binding.index, p) for p in params]
-                return np.array([[sfar_column(h, fit.stacked).pvalue_upper for h in hypotheses]])
-
-            return ev, 1
+        statistics = sfar_row_statistics if binding.kind == "row" else sfar_column_statistics
         floats = 2 * (2 * k) ** 2   # projected matrices and their eigenvalues
 
         def ev(params):
             values = params.reshape(len(params), *(1,) * len(stack), k)
-            stat = sfar_row_statistics(fit.stacked, values, binding.index)
+            stat = statistics(fit.stacked, values, binding.index)
             return chi2_sf(stat, sfar_dof(fit.stacked))[None]
 
     else:

@@ -10,20 +10,22 @@ to the hyperplane orthogonal to w = (lambda_1^0 ; e_i), i the tested row,
 and the subset statistic is T times the sum of the K smallest roots of the
 restricted pencil, which equals the infimum of the full-vector FAR statistic
 over the nuisance rows (tested against that definition numerically).  A
-distant value along direction d has the normal (d ; 0) at every row index;
+column hypothesis fixes the column b = (e_j ; -lambda) of B = (I ; -Lambda1);
+FAR depends on Lambda1 through span(B) only, so by Ky Fan's trace minimum the
+statistic is T (b'Hb / b'Psi b + the K-1 smallest roots on {x : b'Psi x = 0}).
+A distant value along direction d has the normal (d ; 0) at every row index;
 the rank test restricts the pencil to the vectors (0 ; y).  Every such root
 comes from one routine (``_pencil_roots``): with Psi = L L', M = L^-1 H L^-T
 and H = Phi' Sigma^-1 Phi, the roots orthogonal to normals W are the
 eigenvalues of (I - QQ') M (I - QQ') off span(Q), Q an orthonormal basis of
-L^-1 W (Golub 1973).  H, L and M are fixed once the model is fit
-(``StackedSystem.h_hat``, ``psi_whitener``, ``h_whitened``) and only the
-normals carry the hypothesis, so a stack of hypotheses, over one fit or a
+L^-1 W, or of L'W for columns (Golub 1973).  H, L and M are fixed once the
+model is fit (``StackedSystem.h_hat``, ``psi_chol``, ``h_whitened``) and only
+the normals carry the hypothesis, so a stack of hypotheses, over one fit or a
 stack of fits, is one stacked 2K x 2K ``eigvalsh``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,9 +107,14 @@ class StackedSystem:
         return half.swapaxes(-1, -2) @ half
 
     @cached_property
+    def psi_chol(self) -> np.ndarray:
+        """(2K, 2K) lower Cholesky factor L of Psi = L L'."""
+        return chol_spd(self.psi_hat)
+
+    @cached_property
     def psi_whitener(self) -> np.ndarray:
         """(2K, 2K) L^-1 for the lower Cholesky factor L of Psi = L L'."""
-        return inv_lower(chol_spd(self.psi_hat))
+        return inv_lower(self.psi_chol)
 
     @cached_property
     def h_whitened(self) -> np.ndarray:
@@ -285,21 +292,12 @@ def _check_subset_values(index: int, values: np.ndarray) -> None:
 @dataclass(frozen=True)
 class SfarResult:
     statistic: float
-    roots: np.ndarray        # ascending pencil roots (empty for numeric route)
+    roots: np.ndarray        # ascending pencil roots off the hypothesis
     dof_bound: int
     pvalue_upper: float
-    method: str              # 'eigen' or 'numeric'
-    converged: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "roots": list(self.roots),
-            "dof_bound": self.dof_bound,
-            "pvalue_upper": self.pvalue_upper,
-            "method": self.method,
-            "converged": self.converged,
-        }
+        return {**vars(self), "roots": list(self.roots)}
 
 
 @dataclass(frozen=True)
@@ -322,13 +320,16 @@ def _check_length(sys: StackedSystem, values: np.ndarray) -> None:
         raise ValueError(f"subset hypothesis needs {sys.n_factors} values, got {got}")
 
 
-def _normals(sys: StackedSystem, values: np.ndarray, index: int | None = None) -> np.ndarray:
-    """(..., 2K) normals of the restricted pencil at values (..., K): row
-    values of row ``index`` give (lambda_1^0 ; e_index), distant directions
-    (no index) give (d ; 0)."""
+def _normals(sys: StackedSystem, values: np.ndarray, index: int | None = None, kind: str = "row"):
+    """(..., 2K) vectors of a subset hypothesis at values (..., K): the normal
+    (lambda_1^0 ; e_index) of a row value, (d ; 0) of a distant direction (no
+    index), and the column (e_index ; -lambda) of B of a column value."""
     _check_length(sys, values)
     k = sys.n_factors
     normals = np.zeros((*values.shape[:-1], 2 * k))
+    if kind == "column":
+        normals[..., k:], normals[..., index] = -values, 1.0
+        return normals
     normals[..., :k] = values
     if index is not None:
         normals[..., k + index] = 1.0
@@ -352,49 +353,67 @@ def _pencil_roots(sys: StackedSystem, q: np.ndarray) -> np.ndarray:
     return np.maximum(roots[..., q.shape[-1] :], 0.0)
 
 
-def _projected_roots(sys: StackedSystem, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T times the sum of the K smallest roots of the pencil (H, Psi) on the
-    hyperplanes orthogonal to a stack of ``normals`` (..., 2K).
+def _projected_roots(sys: StackedSystem, normals: np.ndarray, kind: str = "row"):
+    """Subset statistics (...) at a stack of ``_normals`` (..., 2K), and the
+    ascending roots (..., 2K-1) of the pencil (H, Psi) off them.
 
-    The roots are ``_pencil_roots`` on u = L^-1 w / |L^-1 w|; the normals
-    broadcast against the stack axes of ``sys``.  Returns the statistics
-    (...) and the ascending roots (..., 2K-1).
+    The roots are ``_pencil_roots`` on u, the unit L^-1 w of a row normal w or
+    L'b of a column b.  A row statistic is T times the K smallest roots, a
+    column one T (u'Mu + the K-1 smallest).  The normals broadcast against
+    the stack axes of ``sys``.
     """
     # one matrix-vector product per hypothesis, so a stack of one gives the
     # same numbers as any stack
-    u = (sys.psi_whitener @ normals[..., None])[..., 0]
+    column = kind == "column"
+    factor = sys.psi_chol.swapaxes(-1, -2) if column else sys.psi_whitener
+    u = (factor @ normals[..., None])[..., 0]
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     roots = _pencil_roots(sys, u[..., None])
-    return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
+    if not column:
+        return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
+    rayleigh = np.einsum("...i,...ij,...j->...", u, sys.h_whitened, u)
+    return sys.n_periods * (rayleigh + roots[..., : sys.n_factors - 1].sum(axis=-1)), roots
 
 
-def _single_result(sys: StackedSystem, normal: np.ndarray) -> SfarResult:
+def _single_result(sys: StackedSystem, normal: np.ndarray, kind: str = "row") -> SfarResult:
     """The stack-of-one case of ``_projected_roots`` as an SfarResult."""
-    stats, roots = _projected_roots(sys, normal[None])
+    stats, roots = _projected_roots(sys, normal[None], kind)
     stat, dof = float(stats[0]), sfar_dof(sys)
-    return SfarResult(
-        statistic=stat,
-        roots=roots[0],
-        dof_bound=dof,
-        pvalue_upper=chi2_sf(stat, dof),
-        method="eigen",
-    )
+    return SfarResult(statistic=stat, roots=roots[0], dof_bound=dof, pvalue_upper=chi2_sf(stat, dof))
+
+
+def _subset_result(h: SubsetHypothesis, sys: StackedSystem, kind: str) -> SfarResult:
+    _require_one_fit(sys, f"sfar_{kind}")
+    if h.kind != kind:
+        raise ValueError(f"sfar_{kind} requires a {kind} hypothesis")
+    return _single_result(sys, _normals(sys, h.value, h.index, kind), kind)
 
 
 def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
     """Subset statistic for one row of Lambda1 via the projected pencil."""
-    _require_one_fit(sys, "sfar_row")
-    if h.kind != "row":
-        raise ValueError("sfar_row requires a row hypothesis")
-    return _single_result(sys, _normals(sys, h.value, h.index))
+    return _subset_result(h, sys, "row")
+
+
+def sfar_column(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
+    """Subset statistic for one column of Lambda1 via the projected pencil."""
+    return _subset_result(h, sys, "column")
+
+
+def _subset_statistics(sys: StackedSystem, values: np.ndarray, index: int, kind: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    _check_subset_values(index, values)
+    return _projected_roots(sys, _normals(sys, values, index, kind), kind)[0]
 
 
 def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
     """Row statistics of ``sfar_row`` at a stack of values (..., K) of row
     ``index``; the values broadcast against the stack axes of ``sys``."""
-    values = np.asarray(values, dtype=float)
-    _check_subset_values(index, values)
-    return _projected_roots(sys, _normals(sys, values, index))[0]
+    return _subset_statistics(sys, values, index, "row")
+
+
+def sfar_column_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
+    """``sfar_row_statistics`` for the values of column ``index``."""
+    return _subset_statistics(sys, values, index, "column")
 
 
 def far_trace(sys: StackedSystem, lam1: np.ndarray):
@@ -414,93 +433,6 @@ def far_trace(sys: StackedSystem, lam1: np.ndarray):
     den = bt @ sys.psi_hat @ b
     far = sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num)), axis1=-2, axis2=-1)
     return float(far) if far.ndim == 0 else far
-
-
-def _assemble_lambda1(h: SubsetHypothesis, free: np.ndarray, k: int) -> np.ndarray:
-    lam = np.empty((k, k))
-    if h.kind == "row":
-        rest = np.delete(np.arange(k), h.index)
-        lam[h.index, :] = h.value
-        lam[rest, :] = free.reshape(k - 1, k)
-    else:
-        rest = np.delete(np.arange(k), h.index)
-        lam[:, h.index] = h.value
-        lam[:, rest] = free.reshape(k, k - 1)
-    return lam
-
-
-def sfar_minimized(
-    h: SubsetHypothesis,
-    sys: StackedSystem,
-    n_starts: int = 20,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> SfarResult:
-    """Subset statistic as a direct minimization of FAR over the nuisance
-    entries of Lambda1 (quasi-Newton, deterministic multi-start)."""
-    _require_one_fit(sys, "sfar_minimized")
-    _check_length(sys, h.value)
-    k, dof = sys.n_factors, sfar_dof(sys)
-    n_free = k * (k - 1)
-    if n_free == 0:
-        stat = far_trace(sys, h.value.reshape(1, 1))
-        return SfarResult(
-            statistic=float(stat),
-            roots=np.array([]),
-            dof_bound=dof,
-            pvalue_upper=chi2_sf(stat, dof),
-            method="numeric",
-        )
-
-    def objective(free):
-        try:
-            return far_trace(sys, _assemble_lambda1(h, free, k))
-        except np.linalg.LinAlgError:
-            return np.inf
-
-    # anchor starts: GLS-implied Lambda1 and zeros, then seeded random spread
-    hmat = sys.h_hat
-    gls = np.linalg.solve(hmat[k:, k:], hmat[k:, :k])
-    if h.kind == "row":
-        anchor = gls[np.delete(np.arange(k), h.index), :].reshape(-1)
-    else:
-        anchor = gls[:, np.delete(np.arange(k), h.index)].reshape(-1)
-    scale = max(1.0, np.abs(anchor).max(), np.abs(h.value).max())
-    rng = np.random.default_rng(seed)
-    starts = [anchor, np.zeros(n_free)]
-    starts += [anchor + scale * rng.standard_normal(n_free) for _ in range(n_starts - 2)]
-
-    # imported here: scipy.optimize loads scipy.stats, about a second
-    import scipy.optimize
-
-    best, converged = np.inf, False
-    for x0 in starts:
-        res = scipy.optimize.minimize(
-            objective, x0, method="L-BFGS-B",
-            options={"ftol": tol, "gtol": 1e-12, "maxiter": 500},
-        )
-        if res.fun < best:
-            best = float(res.fun)
-            converged = bool(res.success)
-        elif res.success and abs(res.fun - best) <= 1e-8 * max(1.0, abs(best)):
-            converged = True
-    if not converged:
-        warnings.warn("sFAR nuisance minimization did not report convergence", RuntimeWarning)
-    return SfarResult(
-        statistic=best,
-        roots=np.array([]),
-        dof_bound=dof,
-        pvalue_upper=chi2_sf(best, dof),
-        method="numeric",
-        converged=converged,
-    )
-
-
-def sfar_column(h: SubsetHypothesis, sys: StackedSystem, n_starts: int = 20, seed: int = 0) -> SfarResult:
-    """Column hypothesis: FAR minimized over all other entries of Lambda1."""
-    if h.kind != "column":
-        raise ValueError("sfar_column requires a column hypothesis")
-    return sfar_minimized(h, sys, n_starts=n_starts, seed=seed)
 
 
 def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> SfarResult:

@@ -44,6 +44,7 @@ from riskpremia.subset import (
     kp_rank,
     model_score_terms,
     sfar_column,
+    sfar_column_statistics,
     sfar_distant,
     sfar_row,
     sfar_row_statistics,
@@ -144,11 +145,14 @@ def test_stacked_hypotheses_equal_single_calls(k, extra, beta_scale, r, b, seed)
         normals = _normals(stack, values, index)
         rows, row_roots = _projected_roots(stack, normals[:, None])
         assert_same(sfar_row_statistics(stack, values[:, None], index), rows)
+        columns = sfar_column_statistics(stack, values[:, None], index)
         for j, sys in enumerate(systems):
             singles = [sfar_row(SubsetHypothesis("row", index, v), sys) for v in values]
             assert_results(*_projected_roots(sys, normals), singles)
             assert_results(rows[:, j], row_roots[:, j], singles)
             assert_same(sfar_row_statistics(sys, values, index), rows[:, j])
+            singles = [sfar_column(SubsetHypothesis("column", index, v), sys) for v in values]
+            assert_same(columns[:, j], [res.statistic for res in singles])
 
     limits, limit_roots = _projected_roots(stack, distant[:, None])
     for j, sys in enumerate(systems):
@@ -425,7 +429,7 @@ def test_single_fit_entry_points_reject_a_stack():
     calls = {
         "sfar_row": lambda: sfar_row(row, sys),
         "sfar_distant": lambda: sfar_distant(np.array([1.0, 0.0]), sys),
-        "sfar_minimized": lambda: sfar_column(SubsetHypothesis("column", 0, spec.lambda1[:, 0]), sys),
+        "sfar_column": lambda: sfar_column(SubsetHypothesis("column", 0, spec.lambda1[:, 0]), sys),
         "kp_rank": lambda: kp_rank(sys),
         "boundedness_diagnostic": lambda: boundedness_diagnostic(sys),
         "robust_tests": lambda: robust_tests(stack, spec.lambda1),

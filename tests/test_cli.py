@@ -11,7 +11,7 @@ from riskpremia.cli import main
 from riskpremia.moments import robust_tests
 from riskpremia.panels import YieldPanel, save_panel_csv
 from riskpremia.pipeline import fit_model
-from riskpremia.subset import SubsetHypothesis, sfar_row
+from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
 
 
 @pytest.fixture()
@@ -122,11 +122,14 @@ def test_same_command_twice_is_byte_identical(tmp_path, yields_csv):
 def test_test_command_matches_one_call_per_statistic(tmp_path, yields_csv):
     # one call per statistic, rendered by the CLI's own writer: computing the
     # robust statistics in one pass must not change tests.json by a byte; a
-    # K^2 --h0 is Lambda1 (column-major) and sFAR tests its first row
-    for h0, lam in (("zeros", np.zeros((2, 2))), ("0.1,0,0,0.2", np.diag([0.1, 0.2]))):
+    # K^2 --h0 is Lambda1 (column-major) and sFAR tests its first row or its
+    # second column
+    for h0, lam, kind, index in (("zeros", np.zeros((2, 2)), "row", 0),
+                                 ("0.1,0,0,0.2", np.diag([0.1, 0.2]), "column", 1)):
         out = tmp_path / h0
         argv = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
-                "--stat", "far,klm,jklm,wald,sfar", "--h0", h0, "--out", out]
+                "--stat", "far,klm,jklm,wald,sfar", "--h0", h0, "--subset-kind", kind,
+                "--subset-index", index, "--out", out]
         assert run(argv) == 0
         args = cli.build_parser().parse_args([str(a) for a in argv])
         _, returns, factors = cli._build_panels(args)
@@ -135,12 +138,24 @@ def test_test_command_matches_one_call_per_statistic(tmp_path, yields_csv):
         wald = fit.wald(lam)
         results.append({"name": "Wald", "statistic": wald.statistic, "dof": wald.dof,
                         "pvalue": wald.pvalue, "bound_only": False, "h0": lam.tolist()})
-        sfar = sfar_row(SubsetHypothesis("row", 0, lam[0]), fit.stacked).to_dict()
-        sfar.update({"name": "sFAR", "bound_only": True, "h0": lam[0].tolist(),
+        value = lam[index] if kind == "row" else lam[:, index]
+        subset_test = sfar_row if kind == "row" else sfar_column
+        sfar = subset_test(SubsetHypothesis(kind, index, value), fit.stacked).to_dict()
+        assert "method" not in sfar and "converged" not in sfar
+        sfar.update({"name": "sFAR", "bound_only": True, "h0": value.tolist(),
                      "pvalue": sfar.pop("pvalue_upper")})
         results.append(sfar)
         expected = cli._render_json({"results": results}) + "\n"
         assert (out / "tests.json").read_text() == expected
+
+
+def test_cs_subset_index_out_of_range_exit_2(tmp_path, yields_csv, capsys):
+    out = tmp_path / "cs"
+    assert run(["cs", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+                "--stat", "sfar", "--h0", "0.1,0.2", "--subset-index", "5",
+                "--grid=-1:1:3,-1:1:3", "--out", out]) == 2
+    assert "row index 5 out of range for K = 2" in capsys.readouterr().err
+    assert not (out / "set.json").exists()
 
 
 def test_test_command_h0_sizes(tmp_path, yields_csv, capsys):

@@ -51,6 +51,10 @@ def test_grid_validation():
         GridSpec(axes=(GridAxis(0, 1, 3), GridAxis(0, 1, 3)), binding=b)
     with pytest.raises(ValueError, match="vary"):
         ParameterBinding(kind="full", base=np.zeros(2), vary=(5,))
+    # an out-of-range subset index used to pass, and every grid point failed
+    for kind, index in (("row", 2), ("column", -1)):
+        with pytest.raises(ValueError, match=f"{kind} index {index} out of range for K = 2"):
+            ParameterBinding(kind, np.zeros(2), vary=(0,), index=index)
 
 
 def test_grid_points_ordering():
@@ -243,13 +247,16 @@ def test_column_binding_scan_matches_sfar_column_at_every_point():
     grid = GridSpec(axes=(GridAxis(lam1[0, 1] - 0.5, lam1[0, 1] + 0.5, 3),), binding=binding)
     surface = pvalue_curve("sfar", grid, fit)
     assert surface.failures == ()
-    for i, value in enumerate(binding.assemble(grid.points())):
+    params = binding.assemble(grid.points())
+    for i, value in enumerate(params):
         h = SubsetHypothesis("column", 1, value)
         assert surface.at(i) == sfar_column(h, fit.stacked).pvalue_upper
+    # a stack of fits is scanned in one pass, equal to the single-fit scans
     spec = preset_dgp("strong", k=2, n=4, t=200)
-    stack = fit_model(*simulate(spec, 3, range(2)))
-    with pytest.raises(ValueError, match="column sFAR runs one fit at a time"):
-        confsets.scan_pvalues(("sfar",), stack, binding, binding.assemble(grid.points()))
+    pvalues, _ = confsets.scan_pvalues(("sfar",), fit_model(*simulate(spec, 3, range(2))), binding, params)
+    for j in range(2):
+        single = confsets.scan_pvalues(("sfar",), fit_model(*simulate(spec, 3, j)), binding, params)
+        np.testing.assert_allclose(pvalues[:, j], single[0], rtol=1e-12, atol=0)
 
 
 def test_one_surface_inverts_at_every_level():

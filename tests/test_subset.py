@@ -21,7 +21,6 @@ from riskpremia.subset import (
     kp_rank,
     sfar_column,
     sfar_distant,
-    sfar_minimized,
     sfar_row,
     sfar_row_statistics,
     stacked_score_covariance,
@@ -29,6 +28,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
+from oracles import sfar_minimized
 from test_threestep import make_dataset, default_params
 
 
@@ -93,6 +93,17 @@ def synthetic_system(rng, k, n, t=100):
         rbar=np.zeros((n, t)),
         residuals=np.zeros((n, t)),
     )
+
+
+def preset_system(k, n, kind, seed, replicates=0):
+    """The system and spec of ``preset_dgp`` data; "unspanned" puts the last
+    factor's loadings far below the sampling noise."""
+    spec = preset_dgp("strong" if kind == "strong" else "weak", k=k, n=n, t=120)
+    if kind == "unspanned":
+        spec = dataclasses.replace(spec, weak_scale=np.r_[np.full(k - 1, 0.06), 1e-6])
+    returns, factors = simulate(spec, seed, replicates)
+    var = fit_var1(factors)
+    return build_stacked(returns, factors, var, second_stage(returns, factors, var)), spec
 
 
 # -- stacked system ---------------------------------------------------------------
@@ -189,15 +200,9 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     st.integers(0, 1000),
 )
 def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, seed):
-    # a single fit (reps = 0) or a stack of three; the unspanned kind puts the
-    # last factor's loadings far below the sampling noise
+    # a single fit (reps = 0) or a stack of three
     k, n = shape
-    spec = preset_dgp("strong" if kind == "strong" else "weak", k=k, n=n, t=120)
-    if kind == "unspanned":
-        spec = dataclasses.replace(spec, weak_scale=np.r_[np.full(k - 1, 0.06), 1e-6])
-    returns, factors = simulate(spec, seed, range(reps) if reps else 0)
-    var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
+    sys = preset_system(k, n, kind, seed, range(reps) if reps else 0)[0]
     assert sys.batch_shape == ((reps,) if reps else ())
     for j in np.ndindex(sys.batch_shape):
         s = stacked_score_covariance(sys.rbar[j], sys.xbar_lagged[j], sys.vhat[j], sys.phi_hat[j])
@@ -275,8 +280,8 @@ def test_sfar_row_equals_numeric_min_over_nuisance():
         sys, lam1 = fitted_system(k=2, n=5, t=100, seed=seed)
         h = SubsetHypothesis("row", 0, lam1[0])
         eig = sfar_row(h, sys)
-        num = sfar_minimized(h, sys, n_starts=20, seed=seed)
-        assert num.statistic == pytest.approx(eig.statistic, rel=1e-6)
+        num = sfar_minimized(h, sys, seed=seed)
+        assert num == pytest.approx(eig.statistic, rel=1e-6)
 
 
 def test_sfar_row_lower_bounds_far_over_nuisance_draws():
@@ -294,8 +299,8 @@ def test_sfar_row_nonzero_index_matches_explicit_permutation():
     h = SubsetHypothesis("row", 1, lam1[1])
     stat = sfar_row(h, sys).statistic
     # oracle: minimize FAR over the other row numerically
-    num = sfar_minimized(h, sys, n_starts=20, seed=1)
-    assert num.statistic == pytest.approx(stat, rel=1e-6)
+    num = sfar_minimized(h, sys, seed=1)
+    assert num == pytest.approx(stat, rel=1e-6)
 
 
 def _pencil_by_permutation_matrix(sys, index, g):
@@ -427,23 +432,25 @@ def test_subset_values_of_the_wrong_length_raise_a_located_error():
 # -- columns ----------------------------------------------------------------------
 
 
-def test_sfar_column_k1_equals_row():
-    sys, lam1 = fitted_system(k=1, n=4, t=90, seed=12)
-    val = np.array([lam1[0, 0] + 0.1])
-    row = sfar_row(SubsetHypothesis("row", 0, val), sys)
-    col = sfar_column(SubsetHypothesis("column", 0, val), sys)
-    assert col.statistic == pytest.approx(row.statistic, rel=1e-8)
-    assert col.method == "numeric"
-
-
-def test_sfar_column_multistart_stability_and_dominance():
-    sys, lam1 = fitted_system(k=2, n=5, t=100, seed=13)
-    h = SubsetHypothesis("column", 0, lam1[:, 0])
-    r1 = sfar_column(h, sys, n_starts=20, seed=0)
-    r2 = sfar_column(h, sys, n_starts=20, seed=42)
-    assert r2.statistic == pytest.approx(r1.statistic, rel=1e-6)
-    # fixing the column at any value dominates the unrestricted-FAR minimum
-    assert r1.statistic <= far_trace(sys, lam1) + 1e-8
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, 12))),
+    st.sampled_from(["strong", "weak", "unspanned"]),
+    st.integers(0, 1000),
+)
+def test_sfar_column_lower_bounds_far_and_is_the_row_at_k1(shape, kind, seed):
+    k, n = shape
+    sys, spec = preset_system(k, n, kind, seed)
+    rng = np.random.default_rng(seed)
+    index = int(rng.integers(k))
+    value = spec.lambda1[:, index] + rng.standard_normal(k)
+    stat = sfar_column(SubsetHypothesis("column", index, value), sys).statistic
+    # FAR with the column fixed, at random nuisance columns of three scales
+    lams = rng.standard_normal((60, k, k)) * np.repeat([0.1, 1.0, 10.0], 20)[:, None, None]
+    lams[:, :, index] = value
+    assert (stat <= far_trace(sys, lams) + 1e-10 * max(1.0, stat)).all()
+    if k == 1:
+        assert stat == pytest.approx(sfar_row(SubsetHypothesis("row", 0, value), sys).statistic, rel=1e-10)
 
 
 # -- distant values and rank ------------------------------------------------------
