@@ -432,6 +432,27 @@ def test_subset_values_of_the_wrong_length_raise_a_located_error():
 # -- columns ----------------------------------------------------------------------
 
 
+def test_sfar_column_k1_equals_row():
+    sys, lam1 = fitted_system(k=1, n=4, t=90, seed=12)
+    val = np.array([lam1[0, 0] + 0.1])
+    row = sfar_row(SubsetHypothesis("row", 0, val), sys)
+    col = sfar_column(SubsetHypothesis("column", 0, val), sys)
+    assert col.statistic == pytest.approx(row.statistic, rel=1e-8)
+
+
+def test_sfar_column_multistart_stability_and_dominance():
+    sys, lam1 = fitted_system(k=2, n=5, t=100, seed=13)
+    h = SubsetHypothesis("column", 0, lam1[:, 0])
+    stat = sfar_column(h, sys).statistic
+    # the oracle's multi-start minimum agrees across seeds and with the closed form
+    r1 = sfar_minimized(h, sys, seed=0)
+    r2 = sfar_minimized(h, sys, seed=42)
+    assert r2 == pytest.approx(r1, rel=1e-6)
+    assert stat == pytest.approx(r1, rel=1e-6)
+    # fixing the column at any value dominates the unrestricted-FAR minimum
+    assert stat <= far_trace(sys, lam1) + 1e-8
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, 12))),
