@@ -96,12 +96,13 @@ class MomentSystem:
 
 def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     """The stacked sample moment vector at the hypothesized Lambda1 (or a
-    stack, broadcast against the stack axes of ``sys``)."""
-    t = sys.n_periods
+    stack, broadcast against the stack axes of ``sys``).
+
+    The demeaned returns are Phi_x xbar + beta vhat + ehat, and ehat is
+    orthogonal to xbar, so (rbar - beta vhat) xbar'/T is Phi_x Qxx and the
+    moment vector is vec((Phi_x - beta Lambda1) Qxx), read off the fit."""
     lam1_0 = square_stack(lam1_0, sys.n_factors)
-    u = sys.rbar - sys.beta_hat @ sys.vhat
-    raw = vec(u @ sys.xbar_lagged.swapaxes(-1, -2) / t)
-    return raw + (sys.jacobian @ vec(lam1_0)[..., None])[..., 0]
+    return vec((sys.d_hat - sys.beta_hat @ lam1_0) @ sys.q_xx)
 
 
 def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:

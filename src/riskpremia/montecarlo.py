@@ -223,6 +223,9 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     axis, each replicate drawn from its own generator as above, and every
     factor path comes from the one ``dtbtrs`` call, one right-hand side per
     replicate; each entry equals ``simulate`` of its replicate bit for bit.
+    The draws go straight into the block's buffers, and the returns are
+    summed as (beta f + c) + sigma e in the noise buffer, one replicate's
+    beta f at a time, so the one block-sized N x T array is the one returned.
     """
     k, n, t = spec.n_factors, spec.n_assets, spec.t
     law = spec._law
@@ -244,8 +247,8 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     for b, rep in enumerate(reps):
         rng = replicate_rng(seed, rep)
         rhs[0, :, b] = spec.mu if burn else law.mean + law.half @ rng.standard_normal(k)
-        shocks[b] = rng.standard_normal((k, total))
-        noise[b] = rng.standard_normal((n, t))
+        rng.standard_normal(out=shocks[b])
+        rng.standard_normal(out=noise[b])
     shocks = law.shock_factor @ shocks
     rhs[1:] = spec.mu[:, None] + shocks.transpose(2, 1, 0)
     # loaded at the first draw, so runs that never simulate go without
@@ -255,12 +258,15 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
         band, rhs.reshape(-1, len(reps)), uplo="L", diag="U", overwrite_b=1
     )
     x = np.ascontiguousarray(path.reshape(total + 1, k, -1)[burn:].transpose(2, 1, 0))
-    v = shocks[..., burn:]
+    f = spec.lambda1 @ x[..., :-1]
+    f += shocks[..., burn:]
     noise *= np.sqrt(spec.sigma_e2)
-    # c + beta (L1 x + v) + e, summed in that order without temporaries
-    r = spec.effective_beta @ (spec.lambda1 @ x[..., :-1] + v)
-    r += spec.c[:, None]
-    r += noise
+    beta = spec.effective_beta
+    for b in range(len(reps)):
+        fitted = beta @ f[b]
+        fitted += spec.c[:, None]
+        noise[b] += fitted
+    r = noise
     if not isinstance(replicate, range):
         x, r = x[0], r[0]
     factors = FactorPanel(x, tuple(f"f{i + 1}" for i in range(k)))
@@ -274,18 +280,31 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
 
 def _block_size(spec: DgpSpec) -> int:
     """Replicates per block: as many as ``confsets.CHUNK_BYTES`` holds of
-    their fitted systems' arrays, from the spec's (K, N, T) alone."""
+    their stacked systems' arrays, from the spec's (K, N, T) alone.
+
+    A fitted replicate holds one N x T array, its second-stage residuals;
+    the panels, the VAR's QR factors and the simulation buffers are not
+    counted."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); xbar, vhat, rbar, residuals
-    floats = 2 * n * k + 9 * k * k + n * n + 2 * (k + n) * t
+    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); xbar, vhat, residuals
+    floats = 2 * n * k + 9 * k * k + n * n + (2 * k + n) * t
     return max(1, confsets.CHUNK_BYTES // (8 * floats))
+
+
+def _blocks(reps: int, size: int) -> list[range]:
+    """0..reps-1 cut into ceil(reps / size) ranges whose sizes differ by at
+    most one, so no block is a runt."""
+    count = -(-reps // size)
+    edges = [reps * i // max(count, 1) for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
     """Results of replicates 0..reps-1, simulated, fitted and evaluated a
     block at a time.
 
-    Each block of ``_block_size(spec)`` replicates is one ``simulate`` and one
+    The replicates are cut into blocks of at most ``_block_size(spec)``,
+    balanced by ``_blocks``.  Each block is one ``simulate`` and one
     ``fit_model`` call on stacked panels; ``evaluate(fit)`` takes the stacked
     fit and returns one result per replicate.  A replicate's draws, fit and
     result do not depend on the block it is in, so a block whose fit or
@@ -296,10 +315,9 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
     FIT_ERRORS on its own has that exception in place of its result, as
     fitting and evaluating it alone gives.
     """
-    size = _block_size(spec)
     return [
-        res for start in range(0, reps, size)
-        for res in _run_block(*simulate(spec, seed, range(start, min(start + size, reps))), evaluate)
+        res for block in _blocks(reps, _block_size(spec))
+        for res in _run_block(*simulate(spec, seed, block), evaluate)
     ]
 
 

@@ -54,6 +54,8 @@ VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` 
 class StackedSystem:
     """Joint-regression view of the model plus its KPS covariance pieces.
 
+    It holds no demeaned returns: the residuals and vhat are orthogonal to
+    xbar, so the moment vector needs only Phi and Qxx (``moments.moment_vector``).
     The system of a stack of fits (``build_stacked`` on stacked panels) is
     one system whose arrays carry leading axes; its sizes are read from the
     trailing axes and its per-fit invariants below are stacked too.
@@ -67,7 +69,6 @@ class StackedSystem:
     kps: KpsFactorization | None
     xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
-    rbar: np.ndarray         # (N, T)
     residuals: np.ndarray    # (N, T) second-stage residuals
 
     @property
@@ -248,7 +249,6 @@ def build_stacked(
         kps = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
     w_inv = np.linalg.inv(w_hat)
     psi_hat = sym(w_inv @ kps.omega @ w_inv)
-    r = returns.returns
     return StackedSystem(
         phi_hat=phi_hat,
         w_hat=w_hat,
@@ -258,7 +258,6 @@ def build_stacked(
         kps=kps,
         xbar_lagged=xbar,
         vhat=vhat,
-        rbar=r - r.mean(axis=-1, keepdims=True),
         residuals=reg.residuals,
     )
 

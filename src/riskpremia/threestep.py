@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import chi2_sf, chol_spd, kron, square_stack, sym
 from .panels import FactorPanel, PanelError, ReturnPanel
-from .varstage import COND_CAP, RankError, VarEstimate, _ols_qr
+from .varstage import COND_CAP, RankError, VarEstimate, _check_r_diagonal, _ols_qr
 
 
 def check_alignment(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -> int:
@@ -103,21 +103,33 @@ def second_stage(
     """Per-maturity OLS of returns on a constant, lagged factors, and either
     first-stage innovations (variant II) or contemporaneous factors (variant I).
 
+    Variant II reuses the VAR's QR factors Q R of (1, X_{t-1}): the
+    innovations are orthogonal to that design by construction, so with
+    vhat' = Q_v R_v the joint design (1, X_{t-1}, vhat) has the QR factors
+    [Q, Q_v] diag(R, R_v).  The coefficients are R^-1 Q'r' and
+    beta' = R_v^-1 Q_v'r', and the residuals are r less the one product
+    [rQ, rQ_v][Q, Q_v]'.  The rank check reads the condition of that R
+    diagonal, as the dense QR does; a Cholesky factor of vhat vhat' would
+    square it and miss innovations that are collinear to rounding.  Only
+    the T x K QR of vhat' is run, and no T x (2K+1) design is formed; a VAR
+    estimate without its QR factors raises ValueError.  Variant I runs one
+    dense QR of (1, X_{t-1}, X_t).
+
     Stacked panels give one regression per panel, with sigma_e^2 per fit.
     """
     if variant not in ("I", "II"):
         raise ValueError(f"variant must be 'I' or 'II', got {variant!r}")
     t = check_alignment(returns, factors, var)
-    x = factors.factors
     r = returns.returns
-    lagged = x[..., :, :-1].swapaxes(-1, -2)
-    if variant == "II":
-        third = var.residuals.swapaxes(-1, -2)
-    else:
-        third = x[..., :, 1:].swapaxes(-1, -2)
-    design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged, third], axis=-1)
-    coef = _ols_qr(design, r.swapaxes(-1, -2))      # (1 + 2K, N)
     k = var.n_factors
+    if variant == "II":
+        coef, resid = _innovation_fit(r, var)
+    else:
+        x = factors.factors
+        lagged, current = x[..., :, :-1].swapaxes(-1, -2), x[..., :, 1:].swapaxes(-1, -2)
+        design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged, current], axis=-1)
+        coef, *_ = _ols_qr(design, r.swapaxes(-1, -2))      # (1 + 2K, N)
+        resid = r - (design @ coef).swapaxes(-1, -2)
     a0 = coef[..., 0, :]
     d0 = coef[..., 1 : 1 + k, :].swapaxes(-1, -2)
     beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
@@ -127,7 +139,6 @@ def second_stage(
         d = d0 - beta @ var.phi1
     else:
         a, d = a0, d0
-    resid = r - (design @ coef).swapaxes(-1, -2)
     n = r.shape[-2]
     sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (n * t)
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
@@ -139,6 +150,26 @@ def second_stage(
         g_hat=g,
         residuals=resid,
     )
+
+
+def _innovation_fit(r: np.ndarray, var: VarEstimate):
+    """Coefficients (1 + 2K, N) on (1, X_{t-1}, vhat) and residuals (N, T) of
+    variant II from the VAR's QR factors, with one N x T array formed."""
+    if var.design_q is None:
+        raise ValueError("variant II reuses the VAR's QR factors; fit the VAR with fit_var1")
+    k = var.n_factors
+    q_v, r_v = np.linalg.qr(var.residuals.swapaxes(-1, -2))
+    _check_r_diagonal(np.concatenate([
+        np.diagonal(var.design_r, axis1=-2, axis2=-1), np.diagonal(r_v, axis1=-2, axis2=-1)
+    ], axis=-1))
+    basis = np.concatenate([var.design_q, q_v], axis=-1)       # (T, 1 + 2K), orthonormal
+    proj = r @ basis                                            # (N, 1 + 2K) = [rQ, rQ_v]
+    coef = np.concatenate([
+        np.linalg.solve(var.design_r, proj[..., : k + 1].swapaxes(-1, -2)),
+        np.linalg.solve(r_v, proj[..., k + 1 :].swapaxes(-1, -2)),
+    ], axis=-2)
+    fitted = proj @ basis.swapaxes(-1, -2)
+    return coef, np.subtract(r, fitted, out=fitted)
 
 
 def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:

@@ -6,6 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskpremia import moments
 from riskpremia._linalg import chol_spd, vec
@@ -24,7 +26,7 @@ from riskpremia.subset import StackedSystem, build_stacked, far_trace
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
-from test_subset import fitted_system, synthetic_system
+from test_subset import demeaned, fitted_data, fitted_system, preset_system, synthetic_system
 from test_threestep import default_params, make_dataset
 
 
@@ -42,16 +44,41 @@ def vqf_discrepancy(sys, lam1_0) -> float:
 
 
 def test_moment_vector_matches_double_loop_oracle():
-    sys, lam1 = fitted_system(k=2, n=3, t=8, seed=40)
+    sys, lam1, rbar = fitted_data(k=2, n=3, t=8, seed=40)
     lam0 = lam1 + 0.1
     f = moment_vector(sys, lam0)
     k, n, t = 2, 3, 8
     oracle = np.zeros(n * k)
-    u = sys.rbar - sys.beta_hat @ sys.vhat
+    u = rbar - sys.beta_hat @ sys.vhat
     for s in range(t):
         oracle += np.kron(sys.xbar_lagged[:, s], u[:, s]) / t
     oracle -= np.kron(sys.q_xx, sys.beta_hat) @ lam0.reshape(-1, order="F")
     assert np.allclose(f, oracle, rtol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, 20))),
+    st.sampled_from(["strong", "weak", "unspanned"]),
+    st.sampled_from([0, 3]),
+    st.integers(0, 1000),
+)
+def test_moment_vector_matches_the_panel_oracle_over_random_shapes(shape, kind, reps, seed):
+    # a single fit (reps = 0) or a stack of three, at a stack of two hypotheses
+    k, n = shape
+    sys, spec, rbar = preset_system(k, n, kind, seed, range(reps) if reps else 0)
+    hyps = spec.lambda1 + 0.1 * np.random.default_rng(seed).standard_normal((2, 1, k, k))
+    f = moment_vector(sys, hyps if reps else hyps[:, 0])
+    assert f.shape == (2, *sys.batch_shape, n * k)
+    t = sys.n_periods
+    for j in np.ndindex(sys.batch_shape):
+        u = rbar[j] - sys.beta_hat[j] @ sys.vhat[j]
+        for h in range(2):
+            oracle = -np.kron(sys.q_xx[j], sys.beta_hat[j]) @ hyps[h, 0].reshape(-1, order="F")
+            for s in range(t):
+                oracle += np.kron(sys.xbar_lagged[j][:, s], u[:, s]) / t
+            got = f[(h, *j)]
+            assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_moment_vector_zero_on_noiseless_fit():
@@ -63,7 +90,7 @@ def test_moment_vector_zero_on_noiseless_fit():
     returns = ReturnPanel(tuple(range(5)), r, tuple(f"t{i}" for i in range(60)))
     sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
     f = moment_vector(sys, lam1)
-    assert np.abs(f).max() < 1e-12 * max(1.0, np.abs(sys.rbar).max())
+    assert np.abs(f).max() < 1e-12 * max(1.0, np.abs(demeaned(returns)).max())
 
 
 def test_moment_vector_regression_identity():
@@ -74,8 +101,8 @@ def test_moment_vector_regression_identity():
 
 
 def test_moment_vector_least_squares_geometry():
-    sys, _ = fitted_system(k=2, n=4, t=70, seed=43)
-    u = sys.rbar - sys.beta_hat @ sys.vhat
+    sys, _, rbar = fitted_data(k=2, n=4, t=70, seed=43)
+    u = rbar - sys.beta_hat @ sys.vhat
     raw = vec(u @ sys.xbar_lagged.T / sys.n_periods)
     design = np.kron(sys.q_xx, sys.beta_hat)
     lam_ols = np.linalg.pinv(design) @ raw

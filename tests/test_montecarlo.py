@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,13 +135,14 @@ def stable_phi(rng, k, radius):
 
 
 class RecordingRng:
-    """Generator wrapper that keeps a copy of every standard-normal draw."""
+    """Generator wrapper that keeps a copy of every standard-normal draw,
+    whether returned or written into ``out``."""
 
     def __init__(self, rng, log):
         self.rng, self.log = rng, log
 
-    def standard_normal(self, size=None):
-        z = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
         self.log.append(np.copy(z))
         return z
 
@@ -485,6 +487,109 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
     np.testing.assert_array_equal(one_boot, boot)
 
 
+@pytest.mark.parametrize("k, n", [(1, 11), (2, 6)])
+def test_results_are_bitwise_equal_at_every_block_budget(monkeypatch, k, n):
+    # one replicate per block (and per scan chunk), the default blocks, and
+    # every replicate in one block: the same p-values, statistics and failures
+    spec = preset_dgp("weak", k=k, n=n, t=300)
+    h0 = [spec.lambda1 + d for d in (-0.2, 0.0)]
+    per_replicate = []
+    real = montecarlo._replicates
+
+    def recording(*args):
+        per_replicate.append(real(*args))
+        return per_replicate[-1]
+
+    monkeypatch.setattr(montecarlo, "_replicates", recording)
+    runs = []
+    for budget in (1, confsets.CHUNK_BYTES, 1 << 30):
+        monkeypatch.setattr(confsets, "CHUNK_BYTES", budget)
+        per_replicate.clear()
+        table = power_curve(["far", "klm", "jklm", "wald", "sfar"], h0, spec, reps=100, seed=4)
+        density = sfar_density_experiment(spec, reps=40, seed=4)
+        runs.append((table, density, list(per_replicate)))
+    (table, density, results), others = runs[0], runs[1:]
+    pvalues = np.array([res[0] for res in results[0]])
+    assert pvalues.shape == (100, 5, 2) and np.isfinite(pvalues).all()
+    for other_table, other_density, other_results in others:
+        np.testing.assert_array_equal(np.array([res[0] for res in other_results[0]]), pvalues)
+        assert [res[1] for res in other_results[0]] == [res[1] for res in results[0]]
+        np.testing.assert_array_equal(other_table.rejection, table.rejection)
+        assert other_table.failures == table.failures
+        assert other_table.failure_kinds == table.failure_kinds
+        np.testing.assert_array_equal(other_density.statistics, density.statistics)
+        assert other_density.statistics.shape == (40,)
+        assert other_density.failures == density.failures
+        assert other_density.failure_kinds == density.failure_kinds
+
+
+@given(st.integers(0, 500), st.integers(1, 64))
+def test_blocks_cover_the_replicates_in_balanced_ranges(reps, size):
+    blocks = montecarlo._blocks(reps, size)
+    assert [rep for block in blocks for rep in block] == list(range(reps))
+    assert len(blocks) == -(-reps // size)
+    sizes = [len(block) for block in blocks]
+    assert all(1 <= s <= size for s in sizes)
+    assert not sizes or max(sizes) - min(sizes) <= 1
+
+
+def test_a_block_traces_an_innovation_rank_error_to_its_replicate():
+    # replicate 2's second factor is half the first one lagged, so its
+    # innovations are rank deficient: the block's fit raises RankError, and
+    # its halves trace the error to that replicate alone
+    spec = preset_dgp("strong", k=2, n=6, t=120)
+    returns, factors = simulate(spec, 3, range(5))
+    x = factors.factors.copy()
+    x[2, 1, 1:] = 0.5 * x[2, 0, :-1]
+    factors = dataclasses.replace(factors, factors=x)
+    with pytest.raises(RankError, match="R-diagonal condition"):
+        fit_model(returns, factors)
+    value = spec.lambda1[0]
+
+    def evaluate(fit):
+        return subset.sfar_row_statistics(fit.stacked, value, 0)
+
+    results = montecarlo._run_block(returns, factors, evaluate)
+    assert isinstance(results[2], RankError)
+    for rep in (0, 1, 3, 4):
+        one = fit_model(dataclasses.replace(returns, returns=returns.returns[rep]),
+                        dataclasses.replace(factors, factors=x[rep]))
+        assert results[rep] == evaluate(one)
+
+
+@pytest.mark.parametrize("k, n, size, bound_kb", [(1, 11, 32, 80), (5, 20, 13, 206)])
+def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, bound_kb):
+    # one block as the benchmark's mc workloads run it: simulate, fit, then
+    # FAR/KLM/JKLM/Wald at (1, 11) or row sFAR at (5, 20); the bounds sit 5 %
+    # above the peaks measured when the block-sized copies were removed
+    # (75.8 and 196.0 KB per replicate), which were 95.1 KB at blocks of 17
+    # and 220.1 KB at blocks of 8 before
+    spec = preset_dgp("strong", k=k, n=n, t=300)
+    assert montecarlo._block_size(spec) == size
+    if k == 1:
+        full, h0 = confsets.full_lambda_binding(1), spec.lambda1.reshape(1, 1)
+        families = [([0, 1, 2], list(moments.TESTS), full, h0), ([3], ["wald"], full, h0)]
+
+        def evaluate(fit):
+            return montecarlo._evaluate_tests(fit, families, (4, 1))
+    else:
+        def evaluate(fit):
+            return subset.sfar_row_statistics(fit.stacked, spec.lambda1[0], 0)
+
+    # a first block loads what a run loads once; the traced block follows it
+    montecarlo._run_block(*simulate(spec, 0, range(size)), evaluate)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        results = montecarlo._run_block(*simulate(spec, 1, range(size)), evaluate)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(results) == size and not any(isinstance(res, Exception) for res in results)
+    assert peak / size < bound_kb * 1024
+
+
 def test_fit_model_is_called_once_per_block_with_the_observed_fields(monkeypatch):
     # the benchmark's trace wraps fit_model in every module that binds it and
     # reads cov_mode and por off each result
@@ -499,10 +604,10 @@ def test_fit_model_is_called_once_per_block_with_the_observed_fields(monkeypatch
         monkeypatch.setattr(module, "fit_model", observed)
     size = preset_dgp("strong", k=1, n=11, t=300)
     power_curve(["far", "klm", "jklm", "wald"], [size.lambda1], size, reps=100, seed=7)
-    assert len(results) == -(-100 // montecarlo._block_size(size)) == 6
+    assert len(results) == -(-100 // montecarlo._block_size(size)) == 4
     sfar = preset_dgp("strong", k=5, n=20, t=300)
     sfar_density_experiment(sfar, reps=20, seed=2024)
-    assert len(results) - 6 == -(-20 // montecarlo._block_size(sfar)) == 3
+    assert len(results) - 4 == -(-20 // montecarlo._block_size(sfar)) == 2
     for fit in results:
         assert fit.cov_mode == "kps"
         assert fit.por is None or isinstance(fit.por, threestep.PriceOfRisk)
@@ -525,7 +630,7 @@ def test_the_variance_mode_is_an_argument_and_blocks_do_not_split_on_it(monkeypa
 
     monkeypatch.setattr(montecarlo, "fit_model", counted)
     power_curve(["far", "wald"], [spec.lambda1], spec, reps=1000, seed=3)
-    assert len(calls) == -(-1000 // montecarlo._block_size(spec)) == 7
+    assert len(calls) == -(-1000 // montecarlo._block_size(spec)) == 4
     assert sum(calls) == 1000
 
 

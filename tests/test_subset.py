@@ -61,14 +61,27 @@ def distant_restriction(direction: np.ndarray) -> np.ndarray:
     return g
 
 
-def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
+def demeaned(returns):
+    """rbar: the returns less each asset's sample mean, (N, T) per panel."""
+    r = returns.returns
+    return r - r.mean(axis=-1, keepdims=True)
+
+
+def fitted_data(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
+    """``fitted_system`` and the demeaned returns rbar it was fitted on."""
     rng = rng or np.random.default_rng(seed)
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=k, n=n)
     if beta_scale is not None:
         beta = beta * np.asarray(beta_scale)[None, :]
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t)
     var = fit_var1(factors)
-    return build_stacked(returns, factors, var, second_stage(returns, factors, var)), lam1
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
+    return sys, lam1, demeaned(returns)
+
+
+def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
+    sys, lam1, _ = fitted_data(rng, k, n, t, sigma_e, beta_scale, seed)
+    return sys, lam1
 
 
 def synthetic_system(rng, k, n, t=100):
@@ -90,20 +103,20 @@ def synthetic_system(rng, k, n, t=100):
         kps=kps,
         xbar_lagged=np.zeros((k, t)),
         vhat=np.zeros((k, t)),
-        rbar=np.zeros((n, t)),
         residuals=np.zeros((n, t)),
     )
 
 
 def preset_system(k, n, kind, seed, replicates=0):
-    """The system and spec of ``preset_dgp`` data; "unspanned" puts the last
-    factor's loadings far below the sampling noise."""
+    """The system, spec and demeaned returns of ``preset_dgp`` data;
+    "unspanned" puts the last factor's loadings far below the sampling noise."""
     spec = preset_dgp("strong" if kind == "strong" else "weak", k=k, n=n, t=120)
     if kind == "unspanned":
         spec = dataclasses.replace(spec, weak_scale=np.r_[np.full(k - 1, 0.06), 1e-6])
     returns, factors = simulate(spec, seed, replicates)
     var = fit_var1(factors)
-    return build_stacked(returns, factors, var, second_stage(returns, factors, var)), spec
+    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
+    return sys, spec, demeaned(returns)
 
 
 # -- stacked system ---------------------------------------------------------------
@@ -178,11 +191,10 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     returns, factors = simulate(spec, seed)
     fit = fit_model(returns, factors)
     stacked = fit.stacked
-    dense = kps_factorize(
-        stacked_score_covariance(stacked.rbar, stacked.xbar_lagged, stacked.vhat, stacked.phi_hat),
-        2 * k,
-        n,
+    score = stacked_score_covariance(
+        demeaned(returns), stacked.xbar_lagged, stacked.vhat, stacked.phi_hat
     )
+    dense = kps_factorize(score, 2 * k, n)
     dense_sys = build_stacked(returns, factors, fit.var, fit.reg, kps=dense)
     h = SubsetHypothesis("row", 0, spec.lambda1[0])
     got = sfar_row(h, stacked).statistic
@@ -202,10 +214,10 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
 def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, seed):
     # a single fit (reps = 0) or a stack of three
     k, n = shape
-    sys = preset_system(k, n, kind, seed, range(reps) if reps else 0)[0]
+    sys, _, rbar = preset_system(k, n, kind, seed, range(reps) if reps else 0)
     assert sys.batch_shape == ((reps,) if reps else ())
     for j in np.ndindex(sys.batch_shape):
-        s = stacked_score_covariance(sys.rbar[j], sys.xbar_lagged[j], sys.vhat[j], sys.phi_hat[j])
+        s = stacked_score_covariance(rbar[j], sys.xbar_lagged[j], sys.vhat[j], sys.phi_hat[j])
         dense = kps_factorize(s, 2 * k, n)
         product = np.kron(sys.kps.omega[j], sys.kps.sigma[j])
         assert np.linalg.norm(product - dense.product) <= 1e-12 * np.linalg.norm(dense.product)
@@ -461,7 +473,7 @@ def test_sfar_column_multistart_stability_and_dominance():
 )
 def test_sfar_column_lower_bounds_far_and_is_the_row_at_k1(shape, kind, seed):
     k, n = shape
-    sys, spec = preset_system(k, n, kind, seed)
+    sys, spec, _ = preset_system(k, n, kind, seed)
     rng = np.random.default_rng(seed)
     index = int(rng.integers(k))
     value = spec.lambda1[:, index] + rng.standard_normal(k)

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +67,37 @@ def test_variant_identity_on_random_data():
             assert np.allclose(f1, f2, rtol=1e-10, atol=1e-12 * np.abs(f1).max())
         assert np.allclose(r1.residuals, r2.residuals, atol=1e-10)
         assert r1.sigma_e2 == pytest.approx(r2.sigma_e2, rel=1e-10)
+
+
+def test_variant_ii_reuses_the_var_qr_factors():
+    rng = np.random.default_rng(5)
+    beta, lam0, lam1, mu, phi, sigma_v = default_params(k=3, n=6)
+    returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 60)
+    var = fit_var1(factors)
+    assert var.design_q.shape == (60, 4) and var.design_r.shape == (4, 4)
+    design = np.column_stack([np.ones(60), factors.factors[:, :-1].T])
+    assert np.allclose(var.design_q @ var.design_r, design, rtol=0, atol=1e-12)
+    bare = replace(var, design_q=None, design_r=None)
+    with pytest.raises(ValueError, match="QR factors"):
+        second_stage(returns, factors, bare)
+    assert second_stage(returns, factors, bare, variant="I").beta_hat.shape == (6, 3)
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+@pytest.mark.parametrize("second", ["lagged", "same innovations"])
+def test_second_stage_raises_rank_error_on_rank_deficient_innovations(variant, second):
+    # x2_t = 0.5 x1_{t-1} has no innovation, and x2_t = x1_t + 0.5 x1_{t-1}
+    # has x1's; the VAR fits, but (1, X_{t-1}, vhat) is rank deficient
+    rng = np.random.default_rng(6)
+    x1 = np.zeros(122)
+    for s in range(1, 122):
+        x1[s] = 0.5 * x1[s - 1] + rng.standard_normal()
+    x2 = 0.5 * x1[:-1] if second == "lagged" else x1[1:] + 0.5 * x1[:-1]
+    factors = FactorPanel(np.vstack([x1[1:], x2]), ("f1", "f2"))
+    returns = ReturnPanel(tuple(range(4)), rng.standard_normal((4, 120)))
+    var = fit_var1(factors)
+    with pytest.raises(RankError, match="R-diagonal condition"):
+        second_stage(returns, factors, var, variant=variant)
 
 
 def test_noiseless_beta_recovery():
