@@ -20,7 +20,7 @@ from .confsets import (
     row_binding,
 )
 from .kronecker import KpsFactorization, kps_factorize, kps_residual_report, rearrange
-from .moments import RobustTestResult, build_moment_system, moment_vector, robust_tests
+from .moments import RobustTestResult, moment_vector, robust_tests
 from .montecarlo import (
     DgpSpec,
     EigenLabSpec,

@@ -216,12 +216,21 @@ def scan_pvalues(
     chunk is one pass over all of them and the p-values are (len(tests), R, B).
     A stack of one fit is retried point by point as above; on a stack of
     several fits a failing chunk raises, and the caller tells its fits apart
-    (the Monte Carlo runner refits the block in halves).
+    (the Monte Carlo runner refits the block in halves).  A parameter length
+    other than K^2 (full binding) or K (row or column) raises ValueError
+    before any point is evaluated.
     """
     stack = fit.stacked.batch_shape
     pvalues = np.full((len(tests), *stack, len(params)), np.nan)
     failures = []
     ev, size = _chunk_evaluator(tests, fit, binding, mode)
+    k = fit.n_factors
+    want = k * k if binding.kind == "full" else k
+    if params.shape[-1] != want:
+        raise ValueError(
+            f"{binding.kind} binding has {params.shape[-1]} parameters, "
+            f"the fit needs {want} (K = {k})"
+        )
     for start in range(0, len(params), size):
         chunk = slice(start, start + size)
         try:

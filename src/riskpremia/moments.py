@@ -12,13 +12,13 @@ per-period scores carry the plug-in corrections for beta and the first-stage
 innovations.  The score statistic projects onto the orthogonalized Jacobian,
 whose limit is independent of the moment vector under the null.
 
-``build_moment_system``, ``vff_estimator`` and ``vqf_estimator`` form these
-dense NK-sized arrays at each hypothesis; they are the reference.
-``robust_statistics`` evaluates a hypothesis from quantities fixed per fit
-instead.  By the OLS orthogonality of the second stage the moment vector is
-vec(Phi B Qxx) with B = (I_K ; -Lambda1), so under 'kps' every statistic is
-a function of the 2K x 2K matrices H = Phi' Sigma^-1 Phi and Psi: with
-D = B' Psi B,
+``robust_statistics`` evaluates a hypothesis from quantities fixed per fit;
+the dense NK-sized arrays at each hypothesis are formed only by the test
+references (``tests/oracles.py``).  By the OLS orthogonality of the second
+stage the moment vector is vec(Phi B Qxx) with B = (I_K ; -Lambda1), so under
+'kps' every statistic is a function of the 2K x 2K matrices
+H = Phi' Sigma^-1 Phi and Psi: with D = B' Psi B, formed once per stack of
+hypotheses by ``subset``'s trace form,
 
     FAR = T tr(D^-1 B'HB),    KLM = T tr(D^-1 X (G'HG)^+ X'),
 
@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, vec_kron, whiten, whiten_vec
+from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, whiten, whiten_vec
 from .pipeline import ModelFit
-from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit, far_trace
+from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit, _trace_form
 
 TESTS = ("far", "klm", "jklm")
 _LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
@@ -72,28 +71,6 @@ class RobustTestResult:
         }
 
 
-@dataclass(frozen=True)
-class MomentSystem:
-    """Moment vector, Jacobian, variance blocks, and orthogonalized Jacobian.
-
-    Every per-hypothesis array may carry leading batch axes, one entry per
-    hypothesis; ``d_ortho`` is None when only FAR was asked for, and ``vqf``
-    is None unless the system was built densely (``build_moment_system``).
-    """
-
-    f: np.ndarray          # (..., NK)
-    q: np.ndarray          # (NK, K^2) Jacobian -(Qxx kron beta), fixed per fit
-    vff: np.ndarray        # (..., NK, NK)
-    vff_chol: np.ndarray   # (..., NK, NK) lower Cholesky factor of vff
-    vqf: np.ndarray | None       # (..., NK^3, NK)
-    d_ortho: np.ndarray | None   # (..., NK, K^2)
-    h0: np.ndarray         # (..., K, K)
-    mode: str
-    n_periods: int
-    n_assets: int
-    n_factors: int
-
-
 def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     """The stacked sample moment vector at the hypothesized Lambda1 (or a
     stack, broadcast against the stack axes of ``sys``).
@@ -105,135 +82,21 @@ def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     return vec((sys.d_hat - sys.beta_hat @ lam1_0) @ sys.q_xx)
 
 
-def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
-    """Per-period influence of the moment vector, (..., T, NK).
-
-    The naive score xbar kron residual misses two first-order effects: the
-    estimated innovation loadings and the estimated innovations themselves.
-    Both corrections are linear in vhat and enter through the residual and
-    the hypothesized Lambda1.
-    """
-    t = sys.n_periods
-    ehat = sys.residuals
-    upper = ehat + sys.beta_hat @ sys.vhat
-    a_part = np.einsum("it,nt->tin", sys.xbar_lagged, upper).reshape(t, -1)
-    w2 = (sys.q_xx @ lam1_0.swapaxes(-1, -2)) @ sys.sigma_v_inv_vhat
-    scores = np.einsum("...it,nt->...tin", w2, ehat).reshape(*w2.shape[:-2], t, -1)
-    return np.subtract(a_part, scores, out=scores)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in VARIANCE_MODES:
-        raise ValueError(f"unknown variance mode {mode!r}; expected one of {VARIANCE_MODES}")
-
-
-def _kron_sigma(sys: StackedSystem, core: np.ndarray) -> np.ndarray:
-    """core kron Sigma for a stack of K x K cores, as (..., K, N, K, N)."""
-    return core[..., :, None, :, None] * sys.sigma_hat[:, None, :]
-
-
-def _vff(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
-    """V_ff at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
-    if mode == "hc0":
-        return sym(scores.swapaxes(-1, -2) @ scores / sys.n_periods)
-    nk = sys.n_factors * sys.n_assets
-    eye = np.broadcast_to(np.eye(sys.n_factors), lam1_0.shape)
-    b = np.concatenate([eye, -lam1_0], axis=-2)
-    mid = b.swapaxes(-1, -2) @ sys.psi_hat @ b
-    return sym(_kron_sigma(sys, sys.q_xx @ mid @ sys.q_xx).reshape(*mid.shape[:-2], nk, nk))
-
-
-def _vqf(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
-    """V_qf at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
-    if mode == "hc0":
-        return sys.hc0_psi_q.T @ scores / sys.n_periods
-    k, n = sys.n_factors, sys.n_assets
-    psi_vx = sys.psi_hat[k:, :k]
-    core = (psi_vx - sys.psi_v @ lam1_0) @ sys.q_xx
-    cov_bf = _kron_sigma(sys, core).reshape(*core.shape[:-2], n * k, n * k)
-    # column c of cov_bf is vec of an N x K matrix M_c; column c of the
-    # result is -vec(Qxx kron M_c); kept C-contiguous, since a transposed
-    # view sends vqf @ x through another BLAS path and changes its rounding
-    m = cov_bf.swapaxes(-1, -2).reshape(*core.shape[:-2], n * k, k, n).swapaxes(-1, -2)
-    return np.ascontiguousarray(-vec_kron(sys.q_xx, m).swapaxes(-1, -2))
-
-
-def vff_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> np.ndarray:
-    """Variance estimator of sqrt(T) f_T under the chosen mode."""
-    _check_mode(mode)
-    lam1_0 = square_stack(lam1_0, sys.n_factors)
-    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
-    return _vff(sys, lam1_0, mode, scores)
-
-
-def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> np.ndarray:
-    """Covariance between the Jacobian estimator and the moment vector.
-
-    The Jacobian -(Qxx kron beta) co-moves with f only through beta to first
-    order (the Qxx part is uncorrelated under conditionally symmetric errors),
-    so the Kronecker form maps the beta/moment covariance through the linear
-    embedding vec(Qxx kron .); the outer-product form keeps both pieces and
-    reads its per-period Jacobian scores, fixed per fit, from
-    ``StackedSystem.hc0_psi_q``.
-    """
-    _check_mode(mode)
-    lam1_0 = square_stack(lam1_0, sys.n_factors)
-    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
-    return _vqf(sys, lam1_0, mode, scores)
-
-
-def _moment_system(sys: StackedSystem, lam1_0, mode: str, vff, vqf_apply, vqf=None) -> MomentSystem:
-    """The moment system at one hypothesis or a stack from its V_ff and the
-    map x -> V_qf x; the orthogonalized Jacobian only when ``vqf_apply`` is given."""
-    k = sys.n_factors
-    f = moment_vector(sys, lam1_0)
-    low = chol_spd(vff)
-    d_ortho = None
-    if vqf_apply is not None:
-        vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
-        shift = vqf_apply(vff_inv_f[..., None])[..., 0]
-        d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
-    return MomentSystem(
-        f=f,
-        q=sys.jacobian,
-        vff=vff,
-        vff_chol=low,
-        vqf=vqf,
-        d_ortho=d_ortho,
-        h0=lam1_0,
-        mode=mode,
-        n_periods=sys.n_periods,
-        n_assets=sys.n_assets,
-        n_factors=k,
-    )
-
-
-def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> MomentSystem:
-    """The dense moment system at one hypothesis or a stack, every block
-    formed; the reference for ``robust_statistics``."""
-    _check_mode(mode)
-    lam1_0 = square_stack(lam1_0, sys.n_factors)
-    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
-    vqf = _vqf(sys, lam1_0, mode, scores)
-    return _moment_system(sys, lam1_0, mode, _vff(sys, lam1_0, mode, scores), lambda x: vqf @ x, vqf)
-
-
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
 
 
-def _decompose(ms: MomentSystem):
-    """(FAR, KLM) from whitened moment and Jacobian; JKLM is the difference.
-
-    KLM is None when the system carries no Jacobian.
+def _decompose(low: np.ndarray, f: np.ndarray, d_ortho: np.ndarray | None, t: int):
+    """(FAR, KLM) from the moment vector ``f`` and the orthogonalized Jacobian
+    ``d_ortho``, both whitened by the lower Cholesky factor ``low`` of V_ff;
+    JKLM is the difference.  KLM is None when ``d_ortho`` is.
     """
-    low = ms.vff_chol
-    fw = whiten_vec(low, ms.f)
-    far_stat = ms.n_periods * sumsq(fw)
-    if ms.d_ortho is None:
+    fw = whiten_vec(low, f)
+    far_stat = t * sumsq(fw)
+    if d_ortho is None:
         return far_stat, None
-    dw = whiten(low, ms.d_ortho)
+    dw = whiten(low, d_ortho)
     u, s, _ = np.linalg.svd(dw, full_matrices=False)
     full = min(dw.shape[-2:])
     tol = max(dw.shape[-2:]) * np.finfo(float).eps * s[..., :1]
@@ -241,7 +104,7 @@ def _decompose(ms: MomentSystem):
     _warn_rank(rank, full)
     proj = (u.swapaxes(-1, -2) @ fw[..., None])[..., 0]
     proj = np.where(np.arange(full) < rank[..., None], proj, 0.0)
-    klm_stat = ms.n_periods * sumsq(proj)
+    klm_stat = t * sumsq(proj)
     return far_stat, klm_stat
 
 
@@ -262,17 +125,16 @@ def _warn_rank(rank: np.ndarray, full: int) -> None:
 def _kps_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
     """(FAR, KLM) under the Kronecker variance from the per-fit H and Psi.
 
-    KLM is None unless ``klm``.  D_o' V_ff^-1 D_o = D^-1 kron G'HG, so the
+    FAR and the B and D of KLM come from one ``subset._trace_form``; KLM is
+    None unless ``klm``.  D_o' V_ff^-1 D_o = D^-1 kron G'HG, so the
     rank of the orthogonalized Jacobian is K times the rank of G'HG, read
     from its eigenvalues; the pseudo-inverse keeps the realized rank.
     """
-    far_stat = far_trace(sys, lam1_0)
+    far_stat, b, d = _trace_form(sys, lam1_0)
     if not klm:
         return far_stat, None
     k, nk = sys.n_factors, sys.n_factors * sys.n_assets
-    b = np.concatenate([np.broadcast_to(np.eye(k), lam1_0.shape), -lam1_0], axis=-2)
     bt = b.swapaxes(-1, -2)
-    d = sym(bt @ sys.psi_hat @ b)
     g = -(b @ np.linalg.solve(d, bt @ sys.psi_hat[..., k:]))
     g[..., k:, :] += np.eye(k)
     hg = sys.h_hat @ g
@@ -315,13 +177,19 @@ def _hc0_vqf_apply(sys: StackedSystem, m: np.ndarray, x: np.ndarray) -> np.ndarr
     return sys.hc0_psi_q_grams @ np.concatenate([x, -shifted], axis=-2)
 
 
-def _hc0_system(sys: StackedSystem, lam1_0: np.ndarray, klm: bool) -> MomentSystem:
-    """The hc0 moment system from the per-fit Grams, with the orthogonalized
-    Jacobian only if ``klm``.  V_qf is applied to V_ff^-1 f without being
-    formed, so ``vqf`` is None."""
+def _hc0_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
+    """(FAR, KLM) under hc0 from the per-fit Grams, KLM only if ``klm``.
+    V_qf is applied to V_ff^-1 f without being formed."""
+    k = sys.n_factors
     m = sys.q_xx @ lam1_0.swapaxes(-1, -2)
-    apply = partial(_hc0_vqf_apply, sys, m) if klm else None
-    return _moment_system(sys, lam1_0, "hc0", _hc0_vff(sys, m), apply)
+    f = moment_vector(sys, lam1_0)
+    low = chol_spd(_hc0_vff(sys, m))
+    d_ortho = None
+    if klm:
+        vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
+        shift = _hc0_vqf_apply(sys, m, vff_inv_f[..., None])[..., 0]
+        d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
+    return _decompose(low, f, d_ortho, sys.n_periods)
 
 
 def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dict:
@@ -334,35 +202,30 @@ def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dic
     or NK-sized ('hc0') algebra are used per hypothesis; ``robust_tests`` is
     the single-hypothesis form of the same computation.
     """
-    _check_mode(mode)
+    if mode not in VARIANCE_MODES:
+        raise ValueError(f"unknown variance mode {mode!r}; expected one of {VARIANCE_MODES}")
     lam1_0 = square_stack(lam1_0, sys.n_factors)
     klm = "klm" in which or "jklm" in which
     if mode == "kps":
         far_stat, klm_stat = _kps_statistics(sys, lam1_0, klm)
     else:
-        far_stat, klm_stat = _decompose(_hc0_system(sys, lam1_0, klm))
+        far_stat, klm_stat = _hc0_statistics(sys, lam1_0, klm)
     stats = {"far": far_stat, "klm": klm_stat}
     if "jklm" in which:
         stats["jklm"] = np.maximum(far_stat - klm_stat, 0.0)
     return {name: stats[name] for name in TESTS if name in which}
 
 
-def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=TESTS):
-    """Evaluate the requested robust statistics at one hypothesis.
+def robust_tests(fit: ModelFit, lam1_0, mode: str | None = None, which=TESTS):
+    """Evaluate the requested robust statistics at one hypothesis on one fit.
 
-    Accepts either a ModelFit (mode defaults to its covariance mode) or a
-    bare StackedSystem (mode defaults to 'kps') of one fit; a stack of fits
-    raises TypeError (``robust_statistics`` takes stacks).
+    ``mode`` defaults to the fit's covariance mode; a stack of fits raises
+    TypeError (``robust_statistics`` takes stacks).
     """
-    if isinstance(fit_or_sys, ModelFit):
-        sys_ = fit_or_sys.stacked
-        mode = mode or fit_or_sys.cov_mode
-    else:
-        sys_ = fit_or_sys
-        mode = mode or "kps"
+    sys_ = fit.stacked
     _require_one_fit(sys_, "robust_tests")
     h0 = square_stack(lam1_0, sys_.n_factors)
-    stats = robust_statistics(sys_, h0, mode, which)
+    stats = robust_statistics(sys_, h0, mode or fit.cov_mode, which)
     dof = dofs(sys_.n_factors, sys_.n_assets)
     return {
         name: RobustTestResult(
@@ -370,4 +233,3 @@ def robust_tests(fit_or_sys, lam1_0, mode: str | None = None, which=TESTS):
         )
         for name, stat in stats.items()
     }
-

@@ -241,7 +241,9 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
         raise ValueError("init must be 'stationary' or 'burnin'")
 
     total = t + burn
-    rhs = np.empty((total + 1, k, len(reps)))
+    # Fortran-ordered, so dtbtrs solves in place; rhs is a view of it
+    columns = np.empty(((total + 1) * k, len(reps)), order="F")
+    rhs = columns.reshape(total + 1, k, len(reps))
     shocks = np.empty((len(reps), k, total))
     noise = np.empty((len(reps), n, t))
     for b, rep in enumerate(reps):
@@ -254,9 +256,7 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     # loaded at the first draw, so runs that never simulate go without
     # scipy.linalg; a NumPy solve would change the paths' rounding
     import scipy.linalg
-    path, _ = scipy.linalg.lapack.dtbtrs(
-        band, rhs.reshape(-1, len(reps)), uplo="L", diag="U", overwrite_b=1
-    )
+    path, _ = scipy.linalg.lapack.dtbtrs(band, columns, uplo="L", diag="U", overwrite_b=1)
     x = np.ascontiguousarray(path.reshape(total + 1, k, -1)[burn:].transpose(2, 1, 0))
     f = spec.lambda1 @ x[..., :-1]
     f += shocks[..., burn:]

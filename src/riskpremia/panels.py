@@ -324,14 +324,15 @@ def pca_factors(panel: YieldPanel, k: int) -> FactorPanel:
 
 
 def demean(panel):
-    """Subtract each row's time-series mean; returns the same panel type."""
+    """Subtract each row's time-series mean; returns the same panel type.
+    A stacked panel is demeaned one panel at a time (over its last axis)."""
     if isinstance(panel, FactorPanel):
-        x = panel.factors - panel.factors.mean(axis=1, keepdims=True)
+        x = panel.factors - panel.factors.mean(axis=-1, keepdims=True)
         # second pass removes the rounding left by a large row mean, so the
         # rows sum to zero at the scale of the centered values
-        x -= x.mean(axis=1, keepdims=True)
+        x -= x.mean(axis=-1, keepdims=True)
         return replace(panel, factors=x, demeaned=True)
     if isinstance(panel, ReturnPanel):
-        r = panel.returns - panel.returns.mean(axis=1, keepdims=True)
+        r = panel.returns - panel.returns.mean(axis=-1, keepdims=True)
         return replace(panel, returns=r)
     raise TypeError(f"cannot demean {type(panel).__name__}")

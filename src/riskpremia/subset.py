@@ -226,15 +226,14 @@ def build_stacked(
     factors: FactorPanel,
     var: VarEstimate,
     reg: ReturnRegression,
-    kps: KpsFactorization | None = None,
 ) -> StackedSystem:
     """Attach the KPS covariance factorization to the second-stage regression.
 
     The joint regression of demeaned returns on (xbar_{t-1}; vhat_t) is the
     second stage in the parameterization Phi = (d + beta phi1 : beta), so its
-    coefficients and residuals are read off ``reg``.  Unless ``kps`` is given,
-    the model score covariance is factored in closed form from its two
-    Kronecker terms, with no dense matrix, decomposition or projection.
+    coefficients and residuals are read off ``reg``.  The model score
+    covariance is factored in closed form from its two Kronecker terms, with
+    no dense matrix, decomposition or projection.
     Stacked panels and fits give one stacked system.
     """
     t = check_alignment(returns, factors, var)
@@ -245,8 +244,7 @@ def build_stacked(
     w_hat = w_rows @ w_rows.swapaxes(-1, -2) / t
     beta = reg.beta_hat
     phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
-    if kps is None:
-        kps = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
+    kps = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
     w_inv = np.linalg.inv(w_hat)
     psi_hat = sym(w_inv @ kps.omega @ w_inv)
     return StackedSystem(
@@ -415,22 +413,28 @@ def sfar_column_statistics(sys: StackedSystem, values: np.ndarray, index: int) -
     return _subset_statistics(sys, values, index, "column")
 
 
+def _trace_form(sys: StackedSystem, lam1: np.ndarray):
+    """(FAR, B, D) at a stack of hypotheses (..., K, K): B = (I_K ; -Lambda1),
+    D = sym(B' Psi B) and the Kronecker-weighted FAR T tr(D^-1 B'HB), so the
+    KLM under 'kps' (``moments._kps_statistics``) reuses B and D."""
+    k = sys.n_factors
+    b = np.concatenate([np.broadcast_to(np.eye(k), lam1.shape), -lam1], axis=-2)
+    bt = b.swapaxes(-1, -2)
+    d = sym(bt @ sys.psi_hat @ b)
+    num = sym(bt @ sys.h_hat @ b)
+    return sys.n_periods * np.trace(np.linalg.solve(d, num), axis1=-2, axis2=-1), b, d
+
+
 def far_trace(sys: StackedSystem, lam1: np.ndarray):
     """Full-vector FAR under the Kronecker weighting, as a trace form.
 
-    Equals T tr((B' Psi B)^-1 B' H B) with B = (I_K ; -Lambda1); the lag
-    second-moment matrix cancels against the weighting.  A stack of
-    hypotheses (..., K, K), broadcast against the stack axes of ``sys``,
-    gives an array of statistics; one hypothesis on one fit, in any shape
-    with K^2 entries, gives a float.
+    Equals T tr((B' Psi B)^-1 B' H B) with B = (I_K ; -Lambda1), the FAR of
+    ``_trace_form``; the lag second-moment matrix cancels against the
+    weighting.  A stack of hypotheses (..., K, K), broadcast against the
+    stack axes of ``sys``, gives an array of statistics; one hypothesis on
+    one fit, in any shape with K^2 entries, gives a float.
     """
-    k = sys.n_factors
-    lam1 = square_stack(lam1, k)
-    b = np.concatenate([np.broadcast_to(np.eye(k), lam1.shape), -lam1], axis=-2)
-    bt = b.swapaxes(-1, -2)
-    num = bt @ sys.h_hat @ b
-    den = bt @ sys.psi_hat @ b
-    far = sys.n_periods * np.trace(np.linalg.solve(sym(den), sym(num)), axis1=-2, axis2=-1)
+    far = _trace_form(sys, square_stack(lam1, sys.n_factors))[0]
     return float(far) if far.ndim == 0 else far
 
 

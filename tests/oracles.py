@@ -1,9 +1,13 @@
 """Independent references for the closed forms of the package."""
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.optimize
 
-from riskpremia.subset import far_trace
+from riskpremia._linalg import chol_spd, square_stack, sym, vec_kron, whiten_vec
+from riskpremia.moments import moment_vector
+from riskpremia.subset import VARIANCE_MODES, StackedSystem, far_trace
 
 
 def sfar_minimized(h, sys, seed):
@@ -35,3 +39,105 @@ def sfar_minimized(h, sys, seed):
         float(scipy.optimize.minimize(objective, x0, method="L-BFGS-B", options=options).fun)
         for x0 in starts
     )
+
+
+# -- dense moment system ----------------------------------------------------------
+#
+# Every block of the full-vector tests formed as an NK-sized array at each
+# hypothesis; the package evaluates the same statistics from per-fit
+# invariants (``moments.robust_statistics``).
+
+
+def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
+    """Per-period influence of the moment vector, (..., T, NK).
+
+    The naive score xbar kron residual misses two first-order effects: the
+    estimated innovation loadings and the estimated innovations themselves.
+    Both corrections are linear in vhat and enter through the residual and
+    the hypothesized Lambda1.
+    """
+    t = sys.n_periods
+    ehat = sys.residuals
+    upper = ehat + sys.beta_hat @ sys.vhat
+    a_part = np.einsum("it,nt->tin", sys.xbar_lagged, upper).reshape(t, -1)
+    w2 = (sys.q_xx @ lam1_0.swapaxes(-1, -2)) @ sys.sigma_v_inv_vhat
+    scores = np.einsum("...it,nt->...tin", w2, ehat).reshape(*w2.shape[:-2], t, -1)
+    return np.subtract(a_part, scores, out=scores)
+
+
+def _kron_sigma(sys: StackedSystem, core: np.ndarray) -> np.ndarray:
+    """core kron Sigma for a stack of K x K cores, as (..., K, N, K, N)."""
+    return core[..., :, None, :, None] * sys.sigma_hat[:, None, :]
+
+
+def _vff(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
+    """V_ff at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
+    if mode == "hc0":
+        return sym(scores.swapaxes(-1, -2) @ scores / sys.n_periods)
+    nk = sys.n_factors * sys.n_assets
+    eye = np.broadcast_to(np.eye(sys.n_factors), lam1_0.shape)
+    b = np.concatenate([eye, -lam1_0], axis=-2)
+    mid = b.swapaxes(-1, -2) @ sys.psi_hat @ b
+    return sym(_kron_sigma(sys, sys.q_xx @ mid @ sys.q_xx).reshape(*mid.shape[:-2], nk, nk))
+
+
+def _vqf(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
+    """V_qf at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
+    if mode == "hc0":
+        return sys.hc0_psi_q.T @ scores / sys.n_periods
+    k, n = sys.n_factors, sys.n_assets
+    psi_vx = sys.psi_hat[k:, :k]
+    core = (psi_vx - sys.psi_v @ lam1_0) @ sys.q_xx
+    cov_bf = _kron_sigma(sys, core).reshape(*core.shape[:-2], n * k, n * k)
+    # column c of cov_bf is vec of an N x K matrix M_c; column c of the
+    # result is -vec(Qxx kron M_c); kept C-contiguous, since a transposed
+    # view sends vqf @ x through another BLAS path and changes its rounding
+    m = cov_bf.swapaxes(-1, -2).reshape(*core.shape[:-2], n * k, k, n).swapaxes(-1, -2)
+    return np.ascontiguousarray(-vec_kron(sys.q_xx, m).swapaxes(-1, -2))
+
+
+def _dense_blocks(sys: StackedSystem, lam1_0, mode: str):
+    """The hypotheses as (..., K, K), and V_ff and V_qf at them."""
+    if mode not in VARIANCE_MODES:
+        raise ValueError(f"unknown variance mode {mode!r}; expected one of {VARIANCE_MODES}")
+    lam1_0 = square_stack(lam1_0, sys.n_factors)
+    scores = _hc0_scores(sys, lam1_0) if mode == "hc0" else None
+    return lam1_0, _vff(sys, lam1_0, mode, scores), _vqf(sys, lam1_0, mode, scores)
+
+
+def vff_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> np.ndarray:
+    """Variance estimator of sqrt(T) f_T under the chosen mode."""
+    return _dense_blocks(sys, lam1_0, mode)[1]
+
+
+def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> np.ndarray:
+    """Covariance between the Jacobian estimator and the moment vector.
+
+    The Jacobian -(Qxx kron beta) co-moves with f only through beta to first
+    order (the Qxx part is uncorrelated under conditionally symmetric errors),
+    so the Kronecker form maps the beta/moment covariance through the linear
+    embedding vec(Qxx kron .); the outer-product form keeps both pieces and
+    reads its per-period Jacobian scores, fixed per fit, from
+    ``StackedSystem.hc0_psi_q``.
+    """
+    return _dense_blocks(sys, lam1_0, mode)[2]
+
+
+#: every block at a hypothesis: f (..., NK), V_ff and its lower Cholesky
+#: factor (..., NK, NK), V_qf (..., NK^3, NK) and the orthogonalized
+#: Jacobian (..., NK, K^2)
+DenseMoments = namedtuple("DenseMoments", "f vff vff_chol vqf d_ortho")
+
+
+def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> DenseMoments:
+    """The dense moment system at one hypothesis or a stack; the reference
+    for ``moments.robust_statistics`` (FAR and KLM by ``moments._decompose``
+    of ``vff_chol``, ``f`` and ``d_ortho``)."""
+    lam1_0, vff, vqf = _dense_blocks(sys, lam1_0, mode)
+    f = moment_vector(sys, lam1_0)
+    low = chol_spd(vff)
+    vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
+    shift = (vqf @ vff_inv_f[..., None])[..., 0]
+    k = sys.n_factors
+    d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
+    return DenseMoments(f, vff, low, vqf, d_ortho)

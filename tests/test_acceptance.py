@@ -69,10 +69,10 @@ def test_criterion_1_far_decomposition():
         n = int(rng.integers(4, 13))
         k = int(rng.integers(1, 5))
         k = min(k, n - 2)
-        sys, lam1, _ = random_instance(rng, k, n, t=40 + 4 * k)
+        _, lam1, (returns, factors, _) = random_instance(rng, k, n, t=40 + 4 * k)
         h0 = lam1 + 0.1 * rng.standard_normal((k, k))
         mode = "kps" if i % 2 == 0 else "hc0"
-        out = robust_tests(sys, h0, mode=mode)
+        out = robust_tests(fit_model(returns, factors), h0, mode=mode)
         total = out["klm"].statistic + out["jklm"].statistic
         rel = abs(total - out["far"].statistic) / max(out["far"].statistic, 1e-12)
         worst = max(worst, rel)

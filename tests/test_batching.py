@@ -18,16 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpremia.moments import (
-    _decompose,
-    _hc0_vff,
-    _hc0_vqf_apply,
-    build_moment_system,
-    robust_statistics,
-    robust_tests,
-    vff_estimator,
-    vqf_estimator,
-)
+from riskpremia.moments import _decompose, _hc0_vff, _hc0_vqf_apply, robust_statistics, robust_tests
 from riskpremia._linalg import spd_project
 from riskpremia.confsets import full_lambda_binding, row_binding, scan_pvalues
 from riskpremia.kronecker import kps_factorize, kps_factorize_model, kps_residual_report
@@ -52,6 +43,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import asymptotic_covariance, second_stage, third_stage, wald_statistics
 from riskpremia.varstage import RankError, fit_var1
 
+from oracles import build_moment_system, vff_estimator, vqf_estimator
 from test_subset import _pencil_by_permutation_matrix, restriction_matrix
 from test_threestep import default_params, make_dataset
 
@@ -118,9 +110,9 @@ def test_stacked_hypotheses_equal_single_calls(k, extra, beta_scale, r, b, seed)
 
     for mode in ("kps", "hc0"):
         on_stack = robust_statistics(stack, lams[:, None], mode)
-        for j, sys in enumerate(systems):
+        for j, (fit, sys) in enumerate(zip(fits, systems)):
             stacked = robust_statistics(sys, lams, mode)
-            singles = [robust_tests(sys, lam, mode=mode) for lam in lams]
+            singles = [robust_tests(fit, lam, mode=mode) for lam in lams]
             for name in ("far", "klm", "jklm"):
                 assert_same(stacked[name], [res[name].statistic for res in singles])
                 assert_same(on_stack[name][:, j], stacked[name])
@@ -170,7 +162,7 @@ def test_stacked_statistics_are_bitwise_equal_at_one_shape():
     for mode in ("kps", "hc0"):
         stacked = robust_statistics(fit.stacked, lams, mode)
         for i, lam in enumerate(lams):
-            single = robust_tests(fit.stacked, lam, mode=mode)
+            single = robust_tests(fit, lam, mode=mode)
             assert [single[t].statistic for t in ("far", "klm", "jklm")] == [
                 float(stacked[t][i]) for t in ("far", "klm", "jklm")
             ]
@@ -268,7 +260,8 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
     for mode in ("kps", "hc0"):
         stats = robust_statistics(sys, lams, mode)
         for i, lam in enumerate(lams):
-            far, klm = _decompose(build_moment_system(sys, lam, mode))
+            ms = build_moment_system(sys, lam, mode)
+            far, klm = _decompose(ms.vff_chol, ms.f, ms.d_ortho, sys.n_periods)
             assert abs(stats["far"][i] - far) <= REF_RTOL * far
             assert abs(stats["klm"][i] - klm) <= REF_RTOL * far
             assert abs(stats["klm"][i] + stats["jklm"][i] - stats["far"][i]) <= REF_RTOL * far

@@ -259,6 +259,24 @@ def test_column_binding_scan_matches_sfar_column_at_every_point():
         np.testing.assert_allclose(pvalues[:, j], single[0], rtol=1e-12, atol=0)
 
 
+def test_a_binding_sized_for_another_k_raises_before_any_point():
+    # a K = 3 grid on a K = 2 fit is an error, not a surface of failed points
+    # (which joint_confidence_set would report as an empty set)
+    fit, _ = fitted(seed=7, k=2, n=5)
+    axis = (GridAxis(-1.0, 1.0, 3),)
+    for test, binding in (
+        ("far", full_lambda_binding(3, vary=(0,))),
+        ("sfar", row_binding(3, index=2)),
+    ):
+        grid = GridSpec(axes=axis * len(binding.vary), binding=binding)
+        want = 4 if binding.kind == "full" else 2
+        message = f"{binding.kind} binding has {binding.base.size} parameters, the fit needs {want}"
+        with pytest.raises(ValueError, match=message):
+            pvalue_curve(test, grid, fit)
+        with pytest.raises(ValueError, match=message):
+            joint_confidence_set(test, grid, 0.95, fit)
+
+
 def test_one_surface_inverts_at_every_level():
     fit, lam1 = fitted(seed=7, k=2, n=5, t=250, sigma_e=1.0, beta_scale=0.2)
     grid = GridSpec(

@@ -230,3 +230,18 @@ def test_demean_returns_type():
     assert np.allclose(demean(rp).returns, [[-1, 1]])
     with pytest.raises(TypeError):
         demean(object())
+
+
+def test_demean_of_a_stack_equals_the_stacked_demeans():
+    # (R, N, T) returns and (R, K, T) factors: each panel over its own dates
+    rng = np.random.default_rng(7)
+    returns = 3.0 + rng.standard_normal((4, 3, 6))
+    factors = 2.0 + rng.standard_normal((4, 2, 6))
+    stacked = demean(ReturnPanel((1, 2, 3), returns)).returns
+    singles = [demean(ReturnPanel((1, 2, 3), r)).returns for r in returns]
+    np.testing.assert_array_equal(stacked, np.stack(singles))
+    assert np.abs(stacked.sum(axis=-1)).max() < 1e-12
+    stacked = demean(FactorPanel(factors, ("f1", "f2")))
+    singles = [demean(FactorPanel(x, ("f1", "f2"))).factors for x in factors]
+    assert stacked.demeaned
+    np.testing.assert_array_equal(stacked.factors, np.stack(singles))

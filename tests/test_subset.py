@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia import subset
-from riskpremia._linalg import NumericalError, chi2_ppf, chol_spd
+from riskpremia._linalg import NumericalError, chi2_ppf, chol_spd, sym
 from riskpremia.kronecker import kps_factorize
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import FIT_ERRORS, fit_model
-from riskpremia.panels import FactorPanel, ReturnPanel
+from riskpremia.panels import ReturnPanel, demean
 from riskpremia.subset import (
     BoundednessReport,
     SubsetHypothesis,
@@ -61,22 +61,22 @@ def distant_restriction(direction: np.ndarray) -> np.ndarray:
     return g
 
 
-def demeaned(returns):
-    """rbar: the returns less each asset's sample mean, (N, T) per panel."""
-    r = returns.returns
-    return r - r.mean(axis=-1, keepdims=True)
-
-
-def fitted_data(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
-    """``fitted_system`` and the demeaned returns rbar it was fitted on."""
+def fitted_model(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
+    """``fit_model`` of ``make_dataset`` panels at the default parameters
+    (``beta_scale`` scales the loadings' columns), the true Lambda1 and the
+    demeaned returns rbar."""
     rng = rng or np.random.default_rng(seed)
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=k, n=n)
     if beta_scale is not None:
         beta = beta * np.asarray(beta_scale)[None, :]
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t)
-    var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
-    return sys, lam1, demeaned(returns)
+    return fit_model(returns, factors), lam1, demean(returns).returns
+
+
+def fitted_data(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
+    """``fitted_system`` and the demeaned returns rbar it was fitted on."""
+    fit, lam1, rbar = fitted_model(rng, k, n, t, sigma_e, beta_scale, seed)
+    return fit.stacked, lam1, rbar
 
 
 def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=0):
@@ -116,7 +116,7 @@ def preset_system(k, n, kind, seed, replicates=0):
     returns, factors = simulate(spec, seed, replicates)
     var = fit_var1(factors)
     sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
-    return sys, spec, demeaned(returns)
+    return sys, spec, demean(returns).returns
 
 
 # -- stacked system ---------------------------------------------------------------
@@ -192,10 +192,13 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     fit = fit_model(returns, factors)
     stacked = fit.stacked
     score = stacked_score_covariance(
-        demeaned(returns), stacked.xbar_lagged, stacked.vhat, stacked.phi_hat
+        demean(returns).returns, stacked.xbar_lagged, stacked.vhat, stacked.phi_hat
     )
     dense = kps_factorize(score, 2 * k, n)
-    dense_sys = build_stacked(returns, factors, fit.var, fit.reg, kps=dense)
+    w_inv = np.linalg.inv(stacked.w_hat)
+    dense_sys = dataclasses.replace(
+        stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv), sigma_hat=dense.sigma, kps=dense
+    )
     h = SubsetHypothesis("row", 0, spec.lambda1[0])
     got = sfar_row(h, stacked).statistic
     ref = sfar_row(h, dense_sys).statistic
