@@ -13,8 +13,10 @@ Conventions used throughout the package:
   every fit stage maps a stack of panels to a stack of fits whose arrays
   carry that axis, sizes are read from the trailing axes, and per-fit
   arrays broadcast against a stack of hypotheses placed in front of them.
-  Stacked solves go through NumPy: SciPy's triangular solve loops over a
-  stack in Python.
+  A triangular solve is a Cholesky factorization of a bordered matrix
+  (``chol_whiten``): one LAPACK call per matrix of a stack, with no LU
+  solve against a triangular factor, where SciPy's triangular solve loops
+  over a stack in Python.
 """
 
 from __future__ import annotations
@@ -60,29 +62,59 @@ def per_matrix(fn, m: np.ndarray) -> np.ndarray:
     return np.stack(out).reshape(*m.shape[:-2], *out[0].shape)
 
 
-def chol_spd(m: np.ndarray, jitters=(0.0, 1e-12, 1e-10)) -> np.ndarray:
-    """Lower Cholesky factor of a symmetrized matrix, with jitter escalation.
+def bordered(lead: tuple, n: int, m: int) -> np.ndarray:
+    """Buffer (*lead, n+m, n+m) for ``chol_bordered``, zero but for inf on
+    the diagonal of its trailing m x m block; the caller writes V into the
+    leading n x n block (its lower triangle suffices) and X' below it."""
+    buf = np.zeros((*lead, n + m, n + m))
+    tail = np.arange(n, n + m)
+    buf[..., tail, tail] = np.inf
+    return buf
 
-    Jitter levels are relative to ``trace/dim``; raises NumericalError if the
-    matrix stays indefinite at the largest level.  A stack is factored in one
-    call; only if that fails is each of its matrices escalated on its own.
+
+def chol_bordered(buf: np.ndarray, n: int, jitters=(0.0, 1e-12, 1e-10)):
+    """(L, L^-1 X) for SPD V = L L' from one Cholesky factorization of the
+    bordered [[V, X], [X', inf I]] held in ``buf`` (``bordered``).
+
+    Forward substitution leaves (L^-1 X)' in the factor's bottom rows, and
+    the infinite diagonal keeps the trailing block positive whatever X is.
+    Only the lower triangle is read.  A stack is factored in one call; only
+    if that fails is each of its matrices retried with jitter on the
+    diagonal of V, relative to trace(V)/n, raising NumericalError if V stays
+    indefinite at the largest level.
     """
-    m = sym(np.asarray(m, dtype=float))
-    if m.ndim > 2:
-        try:
-            return np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return per_matrix(lambda x: chol_spd(x, jitters), m)
-    n = m.shape[0]
-    scale = max(np.trace(m) / n, np.finfo(float).tiny)
+    try:
+        low = np.linalg.cholesky(buf)
+    except np.linalg.LinAlgError:
+        low = per_matrix(lambda b: _chol_jittered(b, n, jitters), buf)
+    return low[..., :n, :n], low[..., n:, :n].swapaxes(-1, -2)
+
+
+def _chol_jittered(buf: np.ndarray, n: int, jitters) -> np.ndarray:
+    head = np.arange(n)
+    scale = max(np.trace(buf[:n, :n]) / n, np.finfo(float).tiny)
     for j in jitters:
+        trial = buf.copy()
+        trial[head, head] += j * scale
         try:
-            return np.linalg.cholesky(m + (j * scale) * np.eye(n))
+            return np.linalg.cholesky(trial)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
         f"matrix of dim {n} is not positive definite (trace/dim={scale:.3e})"
     )
+
+
+def chol_whiten(v: np.ndarray, x: np.ndarray, jitters=(0.0, 1e-12, 1e-10)):
+    """(L, L^-1 X) for SPD V = L L' (..., n, n) and X (..., n, m), both
+    possibly stacked, from one factorization of [[V, X], [X', inf I]]
+    (``chol_bordered``, whose jitter rule applies); X = I gives L^-1."""
+    v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
+    n = v.shape[-1]
+    buf = bordered(np.broadcast_shapes(v.shape[:-2], x.shape[:-2]), n, x.shape[-1])
+    buf[..., :n, :n] = v
+    buf[..., n:, :n] = x.swapaxes(-1, -2)
+    return chol_bordered(buf, n, jitters)
 
 
 def spd_project(m: np.ndarray, floor_rel: float = 1e-12) -> np.ndarray:
@@ -94,25 +126,6 @@ def spd_project(m: np.ndarray, floor_rel: float = 1e-12) -> np.ndarray:
     floor = floor_rel * np.maximum(trace / m.shape[-1], np.finfo(float).tiny)
     w = np.maximum(w, floor[..., None])
     return sym(q @ (w[..., :, None] * q.swapaxes(-1, -2)))
-
-
-def inv_lower(low: np.ndarray) -> np.ndarray:
-    """L^-1 for lower-triangular factors L, possibly stacked."""
-    return np.linalg.solve(low, np.broadcast_to(np.eye(low.shape[-1]), low.shape))
-
-
-def whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^{-1} x for lower-triangular L and matrices x, both possibly stacked.
-
-    One LAPACK solve per matrix of the stack; forming L^{-1} instead loses
-    accuracy on ill-conditioned factors.
-    """
-    return np.linalg.solve(low, x)
-
-
-def whiten_vec(low: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^{-1} x for vectors x (..., n) against factors L (..., n, n)."""
-    return whiten(low, x[..., None])[..., 0]
 
 
 def sumsq(x: np.ndarray) -> np.ndarray:
@@ -138,8 +151,17 @@ def chi2_sf(x, dof: int):
     dof 1-200 and x in [1e-8, 600]; 1 at x <= 0, 0 at x = inf, NaN at NaN, the
     point mass at 0 for dof = 0.  A float for a scalar ``x``, else an array.
     """
-    x = np.asarray(x, dtype=float)
     powers, log_den = _chi2_terms(dof)
+    if np.ndim(x) == 0:
+        # the array path's operations on one element, so a scalar gets the
+        # same bits as any array, without its array set-up
+        x = float(x)
+        if dof == 0 or x != x:
+            return (1.0 if x <= 1e-12 else 0.0) if dof == 0 else math.nan
+        y = min(max(0.5 * x, 1e-300), 1e300)
+        out = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+        return out + float(np.exp(np.log(y) * powers - y - log_den).sum()) if dof > 1 else out
+    x = np.asarray(x, dtype=float)
     # y >= 1e-300 gives 1 at x <= 0, y <= 1e300 gives 0 at x = inf
     y = np.minimum(np.maximum(0.5 * x, 1e-300), 1e300)
     out = np.where(x <= 1e-12, 1.0, 0.0) if dof == 0 else 0.0
@@ -148,7 +170,7 @@ def chi2_sf(x, dof: int):
     if dof > 1:
         y = y[..., None]
         out = out + np.exp(np.log(y) * powers - y - log_den).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def chi2_ppf(p: float, dof: int) -> float:
@@ -163,18 +185,44 @@ def chi2_ppf(p: float, dof: int) -> float:
     return _chi2_isf(1.0 - p, dof)
 
 
+def _chi2_start(q: float, dof: int) -> float:
+    """Wilson-Hilferty's quantile of the upper tail q, with the normal quantile
+    of Abramowitz & Stegun 26.2.23 (error below 4.5e-4); where its cube is
+    not positive, the small-x limit q' = (x/2)^(dof/2) / Gamma(dof/2 + 1) of
+    the lower tail q' = 1 - q."""
+    t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
+        1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t**3)
+    z = z if q < 0.5 else -z
+    h = 2.0 / (9.0 * dof)
+    cube = 1.0 - h + z * math.sqrt(h)
+    if cube > 0.0:
+        return dof * cube**3
+    return 2.0 * math.exp((math.log1p(-q) + math.lgamma(dof / 2.0 + 1.0)) * 2.0 / dof)
+
+
 @functools.cache
 def _chi2_isf(q: float, dof: int) -> float:
-    """Newton's method on chi2_sf(x) = q inside a bracket that every step
-    narrows, bisecting (doubling while unbounded) where Newton leaves it."""
+    """Halley's method on chi2_sf(x) = q from ``_chi2_start``, inside a
+    bracket that every step narrows, bisecting (doubling while unbounded)
+    where a step leaves it; it stops at a step below 1e-7 x or a bracket
+    narrower than 4 eps x.  With the Newton step r = (Q(x) - q)/pdf(x) and
+    pdf'/pdf = (dof/2 - 1)/x - 1/2, Halley's step is r / (1 + r pdf'/(2 pdf));
+    the density is ``chi2_pdf``'s expression on floats."""
     tol = 4 * np.finfo(float).eps
-    lo, hi, x = 0.0, math.inf, float(dof)
+    log_norm = math.lgamma(dof / 2.0) + math.log(2) * dof / 2.0
+    lo, hi, x = 0.0, math.inf, _chi2_start(q, dof)
     while hi - lo > tol * x:
         tail = chi2_sf(x, dof)
         lo, hi = (x, hi) if tail > q else (lo, x)
-        dens = float(chi2_pdf(x, dof))
-        step = x + (tail - q) / dens if dens > 0.0 else math.nan
-        if abs(step - x) <= tol * x:
+        dens = math.exp((dof / 2.0 - 1) * math.log(x) - x / 2.0 - log_norm)
+        newton = (tail - q) / dens if dens > 0.0 else math.nan
+        halley = 1.0 + 0.5 * newton * ((dof / 2.0 - 1) / x - 0.5)
+        step = x + newton / halley if halley > 0.0 else math.nan
+        # Halley's error is cubic, so after a step below 1e-7 x the error
+        # left is far under the 1e-13 noise of chi2_sf, and more steps only
+        # follow that noise
+        if abs(step - x) <= 1e-7 * x:
             return step
         x = step if lo < step < hi else 2.0 * x if hi == math.inf else 0.5 * (lo + hi)
     return x

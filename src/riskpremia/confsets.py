@@ -286,9 +286,10 @@ def invert_surface(
     """The confidence set of a p-value surface at the given confidence level.
 
     Sets touching the grid boundary cannot be classified by the finite grid;
-    for the subset statistic the rank certificate or the distant-value scan
-    decides boundedness, for the other tests a boundary-touching set is
-    reported unbounded.  One surface serves any number of levels.
+    for the subset statistic the rank certificate or the scan of the row or
+    column limits, as the binding is, decides boundedness; for the other
+    tests a boundary-touching set is reported unbounded.  One surface serves
+    any number of levels.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -303,7 +304,7 @@ def invert_surface(
         bounded = "bounded"
     elif surface.test == "sfar":
         rep = boundedness_diagnostic(
-            fit.stacked, alpha=alpha, n_directions=n_directions, seed=seed
+            fit.stacked, alpha=alpha, n_directions=n_directions, seed=seed, kind=grid.binding.kind
         )
         bounded = "bounded" if rep.bounded_all else "unbounded"
     else:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, square_stack, sumsq, sym, vec, whiten, whiten_vec
+from ._linalg import bordered, chi2_sf, chol_bordered, square_stack, sumsq, sym, vec
 from .pipeline import ModelFit
 from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit, _trace_form
 
@@ -87,16 +87,15 @@ def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _decompose(low: np.ndarray, f: np.ndarray, d_ortho: np.ndarray | None, t: int):
-    """(FAR, KLM) from the moment vector ``f`` and the orthogonalized Jacobian
-    ``d_ortho``, both whitened by the lower Cholesky factor ``low`` of V_ff;
-    JKLM is the difference.  KLM is None when ``d_ortho`` is.
+def _decompose(fw: np.ndarray, dw: np.ndarray | None, t: int):
+    """(FAR, KLM) from the moment vector ``fw`` (..., NK) and the
+    orthogonalized Jacobian ``dw`` (..., NK, K^2), both whitened by the lower
+    Cholesky factor L of V_ff (L^-1 f and L^-1 D_o); JKLM is the difference.
+    KLM is None when ``dw`` is.
     """
-    fw = whiten_vec(low, f)
     far_stat = t * sumsq(fw)
-    if d_ortho is None:
+    if dw is None:
         return far_stat, None
-    dw = whiten(low, d_ortho)
     u, s, _ = np.linalg.svd(dw, full_matrices=False)
     full = min(dw.shape[-2:])
     tol = max(dw.shape[-2:]) * np.finfo(float).eps * s[..., :1]
@@ -154,17 +153,20 @@ def _kron_eye(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-2], x.shape[-2], -1)
 
 
-def _hc0_vff(sys: StackedSystem, m: np.ndarray) -> np.ndarray:
-    """hc0 V_ff at a stack of M = Qxx Lambda1' from the per-fit Grams.
+def _hc0_vff(sys: StackedSystem, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """hc0 V_ff at a stack of M = Qxx Lambda1' from the per-fit Grams,
+    written into ``out`` when given.
 
     With the blocks A, C, Z of ``hc0_grams``, V_ff = A + R + R' where
-    R = (M kron I)(Z (M kron I)' / 2 - C').
+    R = (M kron I)(Z (M kron I)' / 2 - C'); it is symmetric up to rounding.
     """
     nk = sys.n_factors * sys.n_assets
     gram = sys.hc0_grams
     u = _kron_eye(m, gram[..., nk:, nk:])
     r = _kron_eye(m, 0.5 * u.swapaxes(-1, -2) - gram[..., nk:, :nk])
-    return sym(gram[..., :nk, :nk] + r + r.swapaxes(-1, -2))
+    out = np.add(gram[..., :nk, :nk], r, out=out)
+    out += r.swapaxes(-1, -2)
+    return out
 
 
 def _hc0_vqf_apply(sys: StackedSystem, m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,17 +181,24 @@ def _hc0_vqf_apply(sys: StackedSystem, m: np.ndarray, x: np.ndarray) -> np.ndarr
 
 def _hc0_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
     """(FAR, KLM) under hc0 from the per-fit Grams, KLM only if ``klm``.
-    V_qf is applied to V_ff^-1 f without being formed."""
-    k = sys.n_factors
+
+    V_ff is written straight into the bordered buffer next to f (and, for
+    KLM, the orthogonalized Jacobian), so one Cholesky factorization per
+    hypothesis whitens them all.  V_qf is applied to V_ff^-1 f, one LU
+    solve, without being formed.
+    """
+    k, nk = sys.n_factors, sys.n_factors * sys.n_assets
     m = sys.q_xx @ lam1_0.swapaxes(-1, -2)
     f = moment_vector(sys, lam1_0)
-    low = chol_spd(_hc0_vff(sys, m))
-    d_ortho = None
+    buf = bordered(f.shape[:-1], nk, 1 + k * k if klm else 1)
+    vff = _hc0_vff(sys, m, out=buf[..., :nk, :nk])
+    buf[..., nk, :nk] = f
     if klm:
-        vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
-        shift = _hc0_vqf_apply(sys, m, vff_inv_f[..., None])[..., 0]
+        shift = _hc0_vqf_apply(sys, m, np.linalg.solve(vff, f[..., None]))[..., 0]
         d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
-    return _decompose(low, f, d_ortho, sys.n_periods)
+        buf[..., nk + 1 :, :nk] = d_ortho.swapaxes(-1, -2)
+    white = chol_bordered(buf, nk)[1]
+    return _decompose(white[..., 0], white[..., 1:] if klm else None, sys.n_periods)
 
 
 def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dict:

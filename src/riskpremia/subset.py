@@ -16,12 +16,14 @@ statistic is T (b'Hb / b'Psi b + the K-1 smallest roots on {x : b'Psi x = 0}).
 A distant value along direction d has the normal (d ; 0) at every row index;
 the rank test restricts the pencil to the vectors (0 ; y).  Every such root
 comes from one routine (``_pencil_roots``): with Psi = L L', M = L^-1 H L^-T
-and H = Phi' Sigma^-1 Phi, the roots orthogonal to normals W are the
-eigenvalues of (I - QQ') M (I - QQ') off span(Q), Q an orthonormal basis of
-L^-1 W, or of L'W for columns (Golub 1973).  H, L and M are fixed once the
-model is fit (``StackedSystem.h_hat``, ``psi_chol``, ``h_whitened``) and only
-the normals carry the hypothesis, so a stack of hypotheses, over one fit or a
-stack of fits, is one stacked 2K x 2K ``eigvalsh``.
+and H = Phi' Sigma^-1 Phi, the roots orthogonal to r normals W are the
+eigenvalues of M compressed onto the orthogonal complement of L^-1 W, or of
+L'W for columns (Golub 1973).  Householder reflections P that take those r
+vectors onto the leading axes give the compression as the trailing
+(2K-r) x (2K-r) block of P M P.  H, L and M are fixed once the model is fit
+(``StackedSystem.h_hat``, ``psi_chol``, ``h_whitened``) and only the normals
+carry the hypothesis, so a stack of hypotheses, over one fit or a stack of
+fits, is one stacked (2K-r) x (2K-r) ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ import numpy as np
 from ._linalg import (
     chi2_ppf,
     chi2_sf,
-    chol_spd,
-    inv_lower,
+    chol_whiten,
     kron,
     square_stack,
     sym,
     vec_kron,
-    whiten,
 )
 from .kronecker import KpsFactorization, kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
@@ -104,18 +104,23 @@ class StackedSystem:
     @cached_property
     def h_hat(self) -> np.ndarray:
         """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and trace form."""
-        half = whiten(chol_spd(self.sigma_hat), self.phi_hat)     # L^-1 Phi, Sigma = L L'
+        half = chol_whiten(self.sigma_hat, self.phi_hat)[1]     # L^-1 Phi, Sigma = L L'
         return half.swapaxes(-1, -2) @ half
 
     @cached_property
+    def _psi_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, L^-1) of Psi = L L' from one factorization, Psi bordered by I."""
+        return chol_whiten(self.psi_hat, np.eye(self.psi_hat.shape[-1]))
+
+    @property
     def psi_chol(self) -> np.ndarray:
         """(2K, 2K) lower Cholesky factor L of Psi = L L'."""
-        return chol_spd(self.psi_hat)
+        return self._psi_factors[0]
 
-    @cached_property
+    @property
     def psi_whitener(self) -> np.ndarray:
         """(2K, 2K) L^-1 for the lower Cholesky factor L of Psi = L L'."""
-        return inv_lower(self.psi_chol)
+        return self._psi_factors[1]
 
     @cached_property
     def h_whitened(self) -> np.ndarray:
@@ -319,17 +324,19 @@ def _check_length(sys: StackedSystem, values: np.ndarray) -> None:
 
 def _normals(sys: StackedSystem, values: np.ndarray, index: int | None = None, kind: str = "row"):
     """(..., 2K) vectors of a subset hypothesis at values (..., K): the normal
-    (lambda_1^0 ; e_index) of a row value, (d ; 0) of a distant direction (no
-    index), and the column (e_index ; -lambda) of B of a column value."""
+    (lambda_1^0 ; e_index) of a row value and the column (e_index ; -lambda)
+    of B of a column value; with no index, the limits (d ; 0) and (0 ; -d)
+    of either along the direction d."""
     _check_length(sys, values)
     k = sys.n_factors
     normals = np.zeros((*values.shape[:-1], 2 * k))
-    if kind == "column":
-        normals[..., k:], normals[..., index] = -values, 1.0
-        return normals
-    normals[..., :k] = values
+    column = kind == "column"
+    if column:
+        normals[..., k:] = -values
+    else:
+        normals[..., :k] = values
     if index is not None:
-        normals[..., k + index] = 1.0
+        normals[..., index if column else k + index] = 1.0
     return normals
 
 
@@ -341,13 +348,31 @@ def sfar_dof(sys: StackedSystem) -> int:
 
 def _pencil_roots(sys: StackedSystem, q: np.ndarray) -> np.ndarray:
     """Ascending roots (..., 2K-r) of the pencil (H, Psi) on the vectors x
-    with L'x orthogonal to orthonormal bases q (..., 2K, r): the eigenvalues
-    of M - q (Mq)' - (Mq) q' without its r smallest.  That matrix acts as
-    (I - qq') M (I - qq') off span(q) and as -q'Mq <= 0 on it."""
-    m = sys.h_whitened
-    outer = q @ (m @ q).swapaxes(-1, -2)
-    roots = np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))
-    return np.maximum(roots[..., q.shape[-1] :], 0.0)
+    with L'x orthogonal to the columns of q (..., 2K, r), of full rank: the
+    eigenvalues of M compressed onto the orthogonal complement of span(q).
+
+    Column j, with the j-1 axes already reflected away dropped, goes onto
+    the leading axis by a Householder reflection P = I - vv'/c, and the
+    trailing block of P M P = M - vw' - wv' is the compression one dimension
+    down; r reflections leave a (2K-r) x (2K-r) eigenproblem.  Every product
+    over the hypothesis axis is elementwise, so a stack of one gives the
+    same numbers as any stack.
+    """
+    m, rows = sys.h_whitened, q.swapaxes(-1, -2)
+    for _ in range(q.shape[-1]):
+        x, rows = rows[..., 0, :], rows[..., 1:, :]
+        norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        v = x.copy()
+        v[..., :1] += np.where(x[..., :1] < 0.0, -norm, norm)
+        c = norm * (norm + np.abs(x[..., :1]))                   # v'v / 2
+        p = (m * v[..., None, :]).sum(axis=-1) / c
+        w = p - (v * p).sum(axis=-1, keepdims=True) / (2.0 * c) * v
+        if rows.shape[-2]:
+            dots = (rows * v[..., None, :]).sum(axis=-1, keepdims=True) / c[..., None]
+            rows = (rows - dots * v[..., None, :])[..., 1:]
+        v, w = v[..., 1:], w[..., 1:]
+        m = m[..., 1:, 1:] - v[..., :, None] * w[..., None, :] - w[..., :, None] * v[..., None, :]
+    return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
 def _projected_roots(sys: StackedSystem, normals: np.ndarray, kind: str = "row"):
@@ -359,11 +384,11 @@ def _projected_roots(sys: StackedSystem, normals: np.ndarray, kind: str = "row")
     column one T (u'Mu + the K-1 smallest).  The normals broadcast against
     the stack axes of ``sys``.
     """
-    # one matrix-vector product per hypothesis, so a stack of one gives the
-    # same numbers as any stack
+    # elementwise products per hypothesis, so a stack of one gives the same
+    # numbers as any stack
     column = kind == "column"
     factor = sys.psi_chol.swapaxes(-1, -2) if column else sys.psi_whitener
-    u = (factor @ normals[..., None])[..., 0]
+    u = (factor * normals[..., None, :]).sum(axis=-1)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     roots = _pencil_roots(sys, u[..., None])
     if not column:
@@ -461,12 +486,12 @@ def kp_rank(sys: StackedSystem) -> RankTestResult:
     boundedness: {x = 0} lies inside every distant-value hyperplane
     {d'x = 0}, and every K-dimensional subspace of that hyperplane meets it,
     so the smallest root on {x = 0} is at most the sum of the K smallest
-    roots on the hyperplane, with equality at K = 1.
+    roots on the hyperplane, with equality at K = 1.  The K reflections of
+    ``_pencil_roots`` leave a K x K eigenproblem.
     """
     _require_one_fit(sys, "kp_rank")
     k, n = sys.n_factors, sys.n_assets
-    q = np.linalg.qr(sys.psi_whitener[..., :k])[0]
-    stat = float(sys.n_periods * _pencil_roots(sys, q)[..., 0])
+    stat = float(sys.n_periods * _pencil_roots(sys, sys.psi_whitener[..., :k])[..., 0])
     dof = n - k + 1
     return RankTestResult(statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof))
 
@@ -487,17 +512,26 @@ def boundedness_diagnostic(
     alpha: float = 0.05,
     n_directions: int = 64,
     seed: int = 0,
+    kind: str = "row",
 ) -> BoundednessReport:
-    """Classify boundedness by the rank certificate or a direction scan.
+    """Classify the boundedness of a row or column set by the rank
+    certificate or a direction scan.
 
-    The rank statistic lower-bounds the distant-value statistic in every
-    direction, at every K; when it exceeds the chi^2 critical value no
-    direction is accepted far out and the set is bounded without a scan.
-    Otherwise distant-value statistics are scanned over random directions: a
-    direction whose limit statistic stays below the critical value is
-    accepted arbitrarily far out, so the confidence set is unbounded there.
+    Along lambda = c d the row statistic tends to the distant value, the
+    pencil off (d ; 0), and the column statistic to the column statistic at
+    b = (0 ; -d).  The rank statistic lower-bounds both limits in every
+    direction, at every K: the distant value as ``kp_rank`` shows, and the
+    column limit since its Rayleigh term b'Hb / b'Psi b on {(0 ; y)} is at
+    least that pencil's smallest root (Courant-Fischer).  When it exceeds
+    the chi^2 critical value no direction is accepted far out and the set
+    is bounded without a scan.  Otherwise the limits of ``kind`` are
+    scanned over random directions: a direction whose limit statistic stays
+    below the critical value is accepted arbitrarily far out, so the
+    confidence set is unbounded there.
     """
     _require_one_fit(sys, "boundedness_diagnostic")
+    if kind not in ("row", "column"):
+        raise ValueError("boundedness kind must be 'row' or 'column'")
     if n_directions < 1:
         raise ValueError("need at least one direction")
     # degenerate level: a size-one test accepts nothing anywhere, so every
@@ -509,7 +543,7 @@ def boundedness_diagnostic(
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((n_directions, sys.n_factors))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        stats, _ = _projected_roots(sys, _normals(sys, dirs))
+        stats, _ = _projected_roots(sys, _normals(sys, dirs, kind=kind), kind)
         unbounded = [d.copy() for d, stat in zip(dirs, stats) if stat <= crit]
     return BoundednessReport(
         bounded_all=len(unbounded) == 0,

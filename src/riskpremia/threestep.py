@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import chi2_sf, chol_spd, kron, square_stack, sym
+from ._linalg import chi2_sf, chol_whiten, kron, square_stack, sumsq, sym
 from .panels import FactorPanel, PanelError, ReturnPanel
 from .varstage import COND_CAP, RankError, VarEstimate, _check_r_diagonal, _ols_qr
 
@@ -225,6 +225,14 @@ class AsymptoticCovariance:
         return self.v_lambda[..., k:, k:]
 
     @cached_property
+    def v_lambda1_whitener(self) -> np.ndarray:
+        """(K^2, K^2) L^-1 for the lower Cholesky factor L of ``v_lambda1``,
+        one factorization per fit, without jitter: a covariance that is not
+        positive definite raises NumericalError."""
+        eye = np.eye(self.v_lambda1.shape[-1])
+        return chol_whiten(self.v_lambda1, eye, jitters=(0.0,))[1]
+
+    @cached_property
     def v_beta(self) -> np.ndarray:
         """(NK, NK) variance Sigma_v^-1 kron sigma_e^2 I_N of vec(beta_hat)."""
         s2 = np.asarray(self.sigma_e2)[..., None, None]
@@ -318,14 +326,16 @@ def wald_statistics(
     t: int,
 ) -> np.ndarray:
     """T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) at one hypothesis or a stack
-    (..., K, K), broadcast against the stack axes of ``por`` and ``cov``."""
+    (..., K, K), broadcast against the stack axes of ``por`` and ``cov``.
+    Each hypothesis is whitened by elementwise products with the per-fit
+    ``v_lambda1_whitener``, so a stack of one gives the same numbers as any
+    stack."""
     k = por.lambda1.shape[-1]
     h0 = square_stack(h0_lambda1, k)
     diff = (por.lambda1 - h0).swapaxes(-1, -2)
-    diff = diff.reshape(*diff.shape[:-2], k * k, 1)
-    low = chol_spd(cov.v_lambda1, jitters=(0.0,))
-    half = np.linalg.solve(low, diff)
-    return ((t * half).swapaxes(-1, -2) @ half)[..., 0, 0]
+    diff = diff.reshape(*diff.shape[:-2], k * k)
+    half = (cov.v_lambda1_whitener * diff[..., None, :]).sum(axis=-1)
+    return t * sumsq(half)
 
 
 def wald_test(

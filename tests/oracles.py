@@ -5,7 +5,7 @@ from collections import namedtuple
 import numpy as np
 import scipy.optimize
 
-from riskpremia._linalg import chol_spd, square_stack, sym, vec_kron, whiten_vec
+from riskpremia._linalg import square_stack, sym, vec_kron
 from riskpremia.moments import moment_vector
 from riskpremia.subset import VARIANCE_MODES, StackedSystem, far_trace
 
@@ -39,6 +39,32 @@ def sfar_minimized(h, sys, seed):
         float(scipy.optimize.minimize(objective, x0, method="L-BFGS-B", options=options).fun)
         for x0 in starts
     )
+
+
+# -- routes the package replaced ----------------------------------------------
+
+
+def chol_solve(v, x):
+    """(L, L^-1 X): NumPy's Cholesky factor of V, then an LU solve against it;
+    the reference for ``_linalg.chol_whiten``."""
+    low = np.linalg.cholesky(v)
+    return low, np.linalg.solve(low, x)
+
+
+def pencil_roots(m, q):
+    """Ascending eigenvalues (..., 2K-r) of M on the orthogonal complement of
+    orthonormal bases q (..., 2K, r): those of M - q(Mq)' - (Mq)q' without its
+    r smallest, since that matrix acts as (I - qq') M (I - qq') off span(q)
+    and as -q'Mq <= 0 on it; the reference for ``subset._pencil_roots``."""
+    outer = q @ (m @ q).swapaxes(-1, -2)
+    roots = np.linalg.eigvalsh(m - outer - outer.swapaxes(-1, -2))
+    return np.maximum(roots[..., q.shape[-1] :], 0.0)
+
+
+def whitened(ms):
+    """The arguments (L^-1 f, L^-1 D_o) of ``moments._decompose`` from a
+    ``build_moment_system``, by LU solves against its Cholesky factor."""
+    return np.linalg.solve(ms.vff_chol, ms.f[..., None])[..., 0], np.linalg.solve(ms.vff_chol, ms.d_ortho)
 
 
 # -- dense moment system ----------------------------------------------------------
@@ -132,12 +158,12 @@ DenseMoments = namedtuple("DenseMoments", "f vff vff_chol vqf d_ortho")
 def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> DenseMoments:
     """The dense moment system at one hypothesis or a stack; the reference
     for ``moments.robust_statistics`` (FAR and KLM by ``moments._decompose``
-    of ``vff_chol``, ``f`` and ``d_ortho``)."""
+    of ``whitened``)."""
     lam1_0, vff, vqf = _dense_blocks(sys, lam1_0, mode)
     f = moment_vector(sys, lam1_0)
-    low = chol_spd(vff)
-    vff_inv_f = whiten_vec(low.swapaxes(-1, -2), whiten_vec(low, f))
-    shift = (vqf @ vff_inv_f[..., None])[..., 0]
+    low = np.linalg.cholesky(vff)
+    vff_inv_f = np.linalg.solve(vff, f[..., None])
+    shift = (vqf @ vff_inv_f)[..., 0]
     k = sys.n_factors
     d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
     return DenseMoments(f, vff, low, vqf, d_ortho)

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia.moments import _decompose, _hc0_vff, _hc0_vqf_apply, robust_statistics, robust_tests
-from riskpremia._linalg import spd_project
-from riskpremia.confsets import full_lambda_binding, row_binding, scan_pvalues
+from riskpremia._linalg import chol_whiten, spd_project
+from riskpremia.confsets import GridAxis, GridSpec, full_lambda_binding, pvalue_curve, row_binding, scan_pvalues
 from riskpremia.kronecker import kps_factorize, kps_factorize_model, kps_residual_report
 from riskpremia.montecarlo import DgpSpec, preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
@@ -28,6 +28,7 @@ from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.subset import (
     SubsetHypothesis,
     _normals,
+    _pencil_roots,
     _projected_roots,
     boundedness_diagnostic,
     build_stacked,
@@ -43,7 +44,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import asymptotic_covariance, second_stage, third_stage, wald_statistics
 from riskpremia.varstage import RankError, fit_var1
 
-from oracles import build_moment_system, vff_estimator, vqf_estimator
+from oracles import build_moment_system, chol_solve, pencil_roots, vff_estimator, vqf_estimator, whitened
 from test_subset import _pencil_by_permutation_matrix, restriction_matrix
 from test_threestep import default_params, make_dataset
 
@@ -261,7 +262,7 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
         stats = robust_statistics(sys, lams, mode)
         for i, lam in enumerate(lams):
             ms = build_moment_system(sys, lam, mode)
-            far, klm = _decompose(ms.vff_chol, ms.f, ms.d_ortho, sys.n_periods)
+            far, klm = _decompose(*whitened(ms), sys.n_periods)
             assert abs(stats["far"][i] - far) <= REF_RTOL * far
             assert abs(stats["klm"][i] - klm) <= REF_RTOL * far
             assert abs(stats["klm"][i] + stats["jklm"][i] - stats["far"][i]) <= REF_RTOL * far
@@ -285,6 +286,87 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
             assert abs(stat - ref) <= REF_RTOL * far
             # the subset statistic is the minimum of FAR over the other rows
             assert stat <= far * (1 + REF_RTOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.sampled_from([(), (3,)]),
+    st.sampled_from([1.0, 1e4, 1e10]),
+    st.integers(0, 2**32 - 1),
+)
+def test_bordered_factor_matches_cholesky_and_the_solve_oracle(n, m, lead, cond, seed):
+    # random SPD V of condition ``cond`` at a random scale, one or a stack
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((*lead, n, n)))[0]
+    eig = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    v = (q * eig) @ q.swapaxes(-1, -2)
+    x = rng.standard_normal((*lead, n, m))
+    low, white = chol_whiten(v, x)
+    assert not np.isnan(white).any()
+
+    def assert_close(got, ref, rtol):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=rtol * np.abs(ref).max())
+
+    # two Cholesky routines differ by a forward error that grows like
+    # eps sqrt(cond), and L^-1 X amplifies it by up to sqrt(cond) again
+    ref_low, ref_white = chol_solve(v, x)
+    assert_close(low, ref_low, 1e-12 * max(1.0, np.sqrt(cond / 1e4)))
+    assert_close(white, np.linalg.solve(low, x), 1e-12)
+    if cond <= 1e4:
+        assert_close(white, ref_white, 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 1e-3, 1e-6]),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_factors_and_compressed_roots_match_the_oracles(k, extra, beta_scale, r, seed):
+    # N = K+1 when extra = 1; beta_scale 1e-6 leaves beta nearly unspanned
+    n = k + extra
+    panels = fits_of_one_shape(seed, k, n, r, beta_scale)[1]
+    sys = fit_stages(*(stack_panels(panels) if r > 1 else panels[0]))[2]
+    white = chol_solve(sys.sigma_hat, sys.phi_hat)[1]
+    ref_h = white.swapaxes(-1, -2) @ white
+    np.testing.assert_allclose(sys.h_hat, ref_h, rtol=0, atol=1e-12 * np.abs(ref_h).max())
+    ref_low, ref_inv = chol_solve(sys.psi_hat, np.eye(2 * k))
+    np.testing.assert_allclose(sys.psi_chol, ref_low, rtol=0, atol=1e-12 * np.abs(ref_low).max())
+    np.testing.assert_allclose(sys.psi_whitener, ref_inv, rtol=0, atol=1e-12 * np.abs(ref_inv).max())
+
+    rng = np.random.default_rng(seed)
+    norm = np.linalg.eigvalsh(sys.h_whitened)[..., -1:]
+    for cols in range(1, k + 1):
+        q = rng.standard_normal((5, *sys.batch_shape, 2 * k, cols))
+        got = _pencil_roots(sys, q)
+        ref = pencil_roots(sys.h_whitened, np.linalg.qr(q)[0])
+        assert got.shape == ref.shape == (5, *sys.batch_shape, 2 * k - cols)
+        assert np.all(np.abs(got - ref) <= REF_RTOL * norm)
+
+
+def test_no_solve_against_a_triangular_factor(monkeypatch):
+    solve = np.linalg.solve
+    seen = []
+
+    def recording(a, b):
+        triangular = not np.triu(a, 1).any() or not np.tril(a, -1).any()
+        seen.append(triangular)
+        return solve(a, b)
+
+    fits, panels, lam1, _ = fits_of_one_shape(61, 2, 5, 3)
+    fit = fit_model(*stack_panels(panels))
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    fit.stacked.h_hat, fit.stacked.psi_whitener
+    grid = GridSpec(
+        (GridAxis(lam1[0, 0] - 0.5, lam1[0, 0] + 0.5, 4), GridAxis(lam1[1, 1] - 0.5, lam1[1, 1] + 0.5, 4)),
+        full_lambda_binding(2, base=lam1.reshape(-1, order="F"), vary=(0, 3)),
+    )
+    pvalue_curve("far", grid, fits[0], mode="hc0")
+    assert not any(seen)
 
 
 def random_spec(rng, k, n, beta_scale, t):

@@ -241,6 +241,26 @@ def test_sfar_set_on_strong_two_factor_fit():
     assert min(dists) < 0.3
 
 
+@pytest.mark.parametrize("kind", ["row", "column"])
+def test_boundedness_scan_takes_the_binding_kind(kind, monkeypatch):
+    fit, lam1 = fitted(seed=7, k=2, n=5, t=250, sigma_e=1.0, beta_scale=0.2)
+    value = lam1[0] if kind == "row" else lam1[:, 1]
+    binding = ParameterBinding(kind, value, vary=(0,), index=1 if kind == "column" else 0)
+    grid = GridSpec(axes=(GridAxis(value[0] - 50.0, value[0] + 50.0, 5),), binding=binding)
+    surface = pvalue_curve("sfar", grid, fit)
+    surface = dataclasses.replace(surface, pvalues=np.ones_like(surface.pvalues))
+    seen = []
+    real = confsets.boundedness_diagnostic
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["kind"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(confsets, "boundedness_diagnostic", recording)
+    invert_surface(surface, 0.95, fit)
+    assert seen == [kind]
+
+
 def test_column_binding_scan_matches_sfar_column_at_every_point():
     fit, lam1 = fitted(seed=7, k=2, n=5, t=250, sigma_e=1.0, beta_scale=0.2)
     binding = ParameterBinding("column", lam1[:, 1], vary=(0,), index=1)

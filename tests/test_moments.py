@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia import _linalg, moments, subset
-from riskpremia._linalg import chol_spd, vec
+from riskpremia._linalg import chol_bordered, vec
 from riskpremia.moments import _decompose, moment_vector, robust_tests
 from riskpremia.panels import ReturnPanel, demean
 from riskpremia.pipeline import fit_model
@@ -208,12 +208,12 @@ def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):
     sys = fit.stacked
     factored = []
 
-    def counting_chol(m, *args, **kwargs):
-        if m.shape[-1] == 10:            # V_ff is NK x NK
+    def counting_chol(buf, n, *args, **kwargs):
+        if n == 10:                      # V_ff is NK x NK
             factored.append(1)
-        return chol_spd(m, *args, **kwargs)
+        return chol_bordered(buf, n, *args, **kwargs)
 
-    monkeypatch.setattr(moments, "chol_spd", counting_chol)
+    monkeypatch.setattr(moments, "chol_bordered", counting_chol)
     formed = []
     monkeypatch.setattr(subset, "kron", lambda a, b: formed.append(1) or _linalg.kron(a, b))
     hypotheses = [lam1, lam1 + 0.1, lam1 - 0.3]
@@ -336,9 +336,10 @@ def test_klm_matches_projector_oracle():
 
 
 def synthetic_moment_system(f, d, vff, t=100):
-    """The arguments of ``_decompose``: V_ff's Cholesky factor, f, the
-    orthogonalized Jacobian d and T."""
-    return np.linalg.cholesky(vff), f, d, t
+    """The arguments of ``_decompose``: f and the orthogonalized Jacobian d,
+    both whitened by V_ff's Cholesky factor, and T."""
+    low = np.linalg.cholesky(vff)
+    return np.linalg.solve(low, f), np.linalg.solve(low, d), t
 
 
 def test_klm_projection_identities():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia import subset
-from riskpremia._linalg import NumericalError, chi2_ppf, chol_spd, sym
+from riskpremia._linalg import NumericalError, chi2_ppf, chol_whiten, sym
 from riskpremia.kronecker import kps_factorize
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import FIT_ERRORS, fit_model
@@ -20,6 +20,7 @@ from riskpremia.subset import (
     far_trace,
     kp_rank,
     sfar_column,
+    sfar_column_statistics,
     sfar_distant,
     sfar_row,
     sfar_row_statistics,
@@ -389,12 +390,12 @@ def test_sigma_factored_once_per_system(monkeypatch):
     sys, lam1 = fitted_system(k=3, n=6, t=120, seed=23)
     calls = []
 
-    def counting_chol(m, *args, **kwargs):
-        if np.array_equal(m, sys.sigma_hat):
+    def counting_chol(v, *args, **kwargs):
+        if np.array_equal(v, sys.sigma_hat):
             calls.append(1)
-        return chol_spd(m, *args, **kwargs)
+        return chol_whiten(v, *args, **kwargs)
 
-    monkeypatch.setattr(subset, "chol_spd", counting_chol)
+    monkeypatch.setattr(subset, "chol_whiten", counting_chol)
     for index in range(3):
         sfar_row(SubsetHypothesis("row", index, lam1[index]), sys)
         sfar_distant(lam1[index], sys)
@@ -636,6 +637,51 @@ def test_rank_certificate_bounds_every_direction(k, extra, t, seed):
         dirs = rng.standard_normal((200, k))
     for d in dirs:
         assert sfar_distant(d, sys).statistic > rep.critical_value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([3, 10, 30, 100]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_statistic_bounds_every_column_limit(k, extra, t, seed):
+    # Courant-Fischer on {(0 ; y)}: the Rayleigh term T b'Hb / b'Psi b of the
+    # column limit at b = (0 ; -d) is at least T times that pencil's smallest
+    # root, the rank statistic, and the column limit adds nonnegative roots
+    rng = np.random.default_rng(seed)
+    sys = synthetic_system(rng, k, k + extra, t=t)
+    rank = kp_rank(sys).statistic
+    dirs = rng.standard_normal((50, k))
+    b = np.concatenate([np.zeros((50, k)), -dirs], axis=1)
+    rayleigh = t * np.einsum("pi,ij,pj->p", b, sys.h_hat, b) / np.einsum("pi,ij,pj->p", b, sys.psi_hat, b)
+    limits = sfar_column_statistics(sys, 1e12 * dirs, 0)
+    floor = 1e-9 * t * np.linalg.eigvalsh(sys.h_whitened)[-1]
+    assert np.all(rayleigh >= rank - floor)
+    assert np.all(limits >= rayleigh - floor)
+    rep = boundedness_diagnostic(sys, alpha=0.05, n_directions=16, seed=seed % 7, kind="column")
+    assert rep.rank_shortcut == (rank > rep.critical_value)
+    if rep.rank_shortcut:
+        assert rep.bounded_all and np.all(limits > rep.critical_value)
+
+
+def test_column_scan_takes_column_limits_direction_by_direction():
+    # weak (2, 6), seed 3: the row limits accept all 64 directions, the
+    # column limits about half of them
+    sys = fit_model(*simulate(preset_dgp("weak", k=2, n=6, t=300), 3)).stacked
+    rows = boundedness_diagnostic(sys, n_directions=64, seed=0)
+    cols = boundedness_diagnostic(sys, n_directions=64, seed=0, kind="column")
+    assert not cols.rank_shortcut
+    dirs = np.random.default_rng(0).standard_normal((64, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    limits = sfar_column_statistics(sys, 1e12 * dirs, 1)
+    clear = np.abs(limits - cols.critical_value) > 1e-6 * cols.critical_value
+    accepted = {tuple(d) for d in cols.unbounded_directions}
+    assert [tuple(d) in accepted for d in dirs[clear]] == list(limits[clear] <= cols.critical_value)
+    assert 0 < len(accepted) < len(rows.unbounded_directions) == 64
+    with pytest.raises(ValueError, match="kind"):
+        boundedness_diagnostic(sys, kind="full")
 
 
 def test_boundedness_rank_shortcut_k1():
