@@ -204,7 +204,7 @@ def cmd_ingest(args) -> dict:
 
 def cmd_estimate(args) -> dict:
     _, returns, factors = _build_panels(args)
-    fit = fit_model(returns, factors, variant=args.variant, cov=args.cov)
+    fit = fit_model(returns, factors, cov=args.cov)
     if fit.por is None:
         raise RankError("near-singular beta'beta: (nearly) unspanned factors present")
     n, t = fit.n_assets, fit.n_periods
@@ -227,7 +227,6 @@ def cmd_estimate(args) -> dict:
         "mu": fit.var.mu.tolist(),
         "phi1": fit.var.phi1.tolist(),
         "sigma_v": fit.var.sigma_v.tolist(),
-        "variant": args.variant,
         "cov_mode": fit.cov_mode,
         "kps_diagnostic": kps_residual_report(fit.stacked.kps).to_dict(),
         "kps_spectrum": fit.stacked.kps.spectrum.tolist(),
@@ -393,7 +392,6 @@ def build_parser():
     p = sub.add_parser("estimate", help="three-step estimates with diagnostics")
     _add_data_flags(p)
     _add_common(p)
-    p.add_argument("--variant", choices=["I", "II"], default="II")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("test", help="evaluate statistics at a hypothesis")

@@ -280,14 +280,14 @@ def invert_surface(
     surface: PvalueSurface,
     level: float,
     fit: ModelFit,
-    n_directions: int = 64,
     seed: int = 0,
 ) -> ConfidenceSet:
     """The confidence set of a p-value surface at the given confidence level.
 
     Sets touching the grid boundary cannot be classified by the finite grid;
     for the subset statistic the rank certificate or the scan of the row or
-    column limits, as the binding is, decides boundedness; for the other
+    column limits, as the binding is, decides boundedness (the scan's
+    directions are drawn from ``seed``); for the other
     tests a boundary-touching set is reported unbounded.  One surface serves
     any number of levels.
     """
@@ -303,9 +303,7 @@ def invert_surface(
     elif not _touches_boundary(mask):
         bounded = "bounded"
     elif surface.test == "sfar":
-        rep = boundedness_diagnostic(
-            fit.stacked, alpha=alpha, n_directions=n_directions, seed=seed, kind=grid.binding.kind
-        )
+        rep = boundedness_diagnostic(fit.stacked, alpha=alpha, seed=seed, kind=grid.binding.kind)
         bounded = "bounded" if rep.bounded_all else "unbounded"
     else:
         bounded = "unbounded"
@@ -326,7 +324,6 @@ def joint_confidence_set(
     level: float,
     fit: ModelFit,
     mode: str | None = None,
-    n_directions: int = 64,
     seed: int = 0,
 ) -> ConfidenceSet:
     """Invert the chosen test over the grid at the given confidence level:
@@ -334,7 +331,7 @@ def joint_confidence_set(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     surface = pvalue_curve(test, grid, fit, mode=mode)
-    return invert_surface(surface, level, fit, n_directions=n_directions, seed=seed)
+    return invert_surface(surface, level, fit, seed=seed)
 
 
 def project_cs(cs: ConfidenceSet, axis: int) -> list[tuple[float, float]]:

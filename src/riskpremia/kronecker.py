@@ -35,14 +35,6 @@ def rearrange(s: np.ndarray, p: int, k: int) -> np.ndarray:
     return blocks.transpose(2, 0, 3, 1).reshape(p * p, k * k)
 
 
-def rearrange_inverse(r: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Inverse of :func:`rearrange` for a (p^2 x k^2) matrix."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (p * p, k * k):
-        raise ValueError(f"expected a {p * p}x{k * k} matrix, got {r.shape}")
-    return r.reshape(p, p, k, k).transpose(1, 3, 0, 2).reshape(p * k, p * k)
-
-
 @dataclass(frozen=True)
 class KpsFactorization:
     """Kronecker factorization of a symmetric PSD matrix S: the leading
@@ -70,7 +62,6 @@ def kps_factorize(
     p: int,
     k: int,
     normalize: str = DEFAULT_NORMALIZE,
-    spd_floor: float = SPD_FLOOR,
 ) -> KpsFactorization:
     """Factor a symmetric PSD (kp x kp) matrix as Omega kron Sigma.
 
@@ -97,8 +88,8 @@ def kps_factorize(
         pivot = l1[np.argmax(np.abs(l1))] if used == "maxabs" else l1[0]
         omega_raw, sigma_raw = l1 / pivot, pivot * sv[0] * n1
     return KpsFactorization(
-        omega=spd_project(unvec(omega_raw, (p, p)), spd_floor),
-        sigma=spd_project(unvec(sigma_raw, (k, k)), spd_floor),
+        omega=spd_project(unvec(omega_raw, (p, p)), SPD_FLOOR),
+        sigma=spd_project(unvec(sigma_raw, (k, k)), SPD_FLOOR),
         residual_rel=np.linalg.norm(sv[1:]) / np.linalg.norm(sv),
         spectrum=sv,
         normalization=used,

@@ -18,7 +18,7 @@ references (``tests/oracles.py``).  By the OLS orthogonality of the second
 stage the moment vector is vec(Phi B Qxx) with B = (I_K ; -Lambda1), so under
 'kps' every statistic is a function of the 2K x 2K matrices
 H = Phi' Sigma^-1 Phi and Psi: with D = B' Psi B, formed once per stack of
-hypotheses by ``subset``'s trace form,
+hypotheses,
 
     FAR = T tr(D^-1 B'HB),    KLM = T tr(D^-1 X (G'HG)^+ X'),
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from ._linalg import bordered, chi2_sf, chol_bordered, square_stack, sumsq, sym, vec
 from .pipeline import ModelFit
-from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit, _trace_form
+from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit
 
 TESTS = ("far", "klm", "jklm")
 _LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
@@ -124,16 +124,21 @@ def _warn_rank(rank: np.ndarray, full: int) -> None:
 def _kps_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
     """(FAR, KLM) under the Kronecker variance from the per-fit H and Psi.
 
-    FAR and the B and D of KLM come from one ``subset._trace_form``; KLM is
-    None unless ``klm``.  D_o' V_ff^-1 D_o = D^-1 kron G'HG, so the
-    rank of the orthogonalized Jacobian is K times the rank of G'HG, read
-    from its eigenvalues; the pseudo-inverse keeps the realized rank.
+    FAR is the trace form T tr(D^-1 B'HB) with B = (I_K ; -Lambda1) and
+    D = B' Psi B, the lag second-moment matrix cancelling against the
+    weighting; KLM, None unless ``klm``, reuses B and D.
+    D_o' V_ff^-1 D_o = D^-1 kron G'HG, so the rank of the orthogonalized
+    Jacobian is K times the rank of G'HG, read from its eigenvalues; the
+    pseudo-inverse keeps the realized rank.
     """
-    far_stat, b, d = _trace_form(sys, lam1_0)
+    k, nk = sys.n_factors, sys.n_factors * sys.n_assets
+    b = np.concatenate([np.broadcast_to(np.eye(k), lam1_0.shape), -lam1_0], axis=-2)
+    bt = b.swapaxes(-1, -2)
+    d = sym(bt @ sys.psi_hat @ b)
+    num = sym(bt @ sys.h_hat @ b)
+    far_stat = sys.n_periods * np.trace(np.linalg.solve(d, num), axis1=-2, axis2=-1)
     if not klm:
         return far_stat, None
-    k, nk = sys.n_factors, sys.n_factors * sys.n_assets
-    bt = b.swapaxes(-1, -2)
     g = -(b @ np.linalg.solve(d, bt @ sys.psi_hat[..., k:]))
     g[..., k:, :] += np.eye(k)
     hg = sys.h_hat @ g

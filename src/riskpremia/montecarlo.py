@@ -129,13 +129,14 @@ def calibrate(
     reg: ReturnRegression,
     por: PriceOfRisk | None = None,
     t: int = 300,
-    weak_scale=None,
 ) -> DgpSpec:
     """Populate a DGP from three-step estimation output.
 
     The intercept is chosen so that re-estimation recovers the fitted
     lambda0; Lambda1 comes from the third stage when available and from the
-    least-squares ratio of the stacked coefficients otherwise.
+    least-squares ratio of the stacked coefficients otherwise.  A weak
+    design scales the loadings with ``dataclasses.replace(spec,
+    weak_scale=...)``, as ``preset_dgp`` does.
     """
     beta = reg.beta_hat
     if por is not None:
@@ -154,7 +155,6 @@ def calibrate(
         sigma_v=var.sigma_v,
         sigma_e2=reg.sigma_e2,
         t=t,
-        weak_scale=weak_scale,
     )
 
 
@@ -483,29 +483,24 @@ class SfarDensityResult:
         return ks_chi2_pvalue(self.statistics, self.dof_bound)
 
 
-def sfar_density_experiment(
-    spec: DgpSpec,
-    reps: int,
-    seed: int = 0,
-    row_index: int = 0,
-    quantile_levels=(0.90, 0.95, 0.99),
-) -> SfarDensityResult:
-    """Null distribution of the subset statistic at the true row of Lambda1.
+# levels of the empirical and chi-square quantiles of the sFAR density
+SFAR_QUANTILE_LEVELS = (0.90, 0.95, 0.99)
+
+
+def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDensityResult:
+    """Null distribution of the subset statistic at the true first row of
+    Lambda1, with its quantiles at ``SFAR_QUANTILE_LEVELS``.
 
     Each block of replicates is one stacked fit and one stacked
     ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
-    statistic raised.  Negative ``reps``, a row index outside [0, K) and a
-    quantile level outside (0, 1) raise ValueError before any draw.  It loads
-    no ``scipy.stats``."""
+    statistic raised.  Negative ``reps`` raise ValueError before any draw.
+    It loads no ``scipy.stats``."""
     k, n = spec.n_factors, spec.n_assets
     if reps < 0:
         raise ValueError("reps must be nonnegative")
-    if not 0 <= row_index < k:
-        raise ValueError(f"row_index must lie in [0, {k}), got {row_index!r}")
-    if not all(0.0 < p < 1.0 for p in quantile_levels):
-        raise ValueError(f"quantile levels must lie in (0, 1), got {quantile_levels!r}")
-    h = SubsetHypothesis("row", row_index, spec.lambda1[row_index])
+    quantile_levels = SFAR_QUANTILE_LEVELS
+    h = SubsetHypothesis("row", 0, spec.lambda1[0])
 
     results = _replicates(
         spec, reps, seed, lambda fit: sfar_row_statistics(fit.stacked, h.value, h.index)
@@ -518,7 +513,7 @@ def sfar_density_experiment(
     if stats.size == 0:
         return SfarDensityResult(
             statistics=stats, dof_bound=dof,
-            quantile_levels=tuple(quantile_levels),
+            quantile_levels=quantile_levels,
             empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
             quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
         )
@@ -529,7 +524,7 @@ def sfar_density_experiment(
     return SfarDensityResult(
         statistics=stats,
         dof_bound=dof,
-        quantile_levels=tuple(quantile_levels),
+        quantile_levels=quantile_levels,
         empirical_quantiles=qs,
         chi2_quantiles=chi_qs,
         quantile_se=q_se,
@@ -545,30 +540,28 @@ def power_surface(
     reps: int,
     level: float = 0.05,
     seed: int = 0,
-    row_index: int = 0,
 ) -> np.ndarray:
     """Rejection frequency of the row-subset test over a 2D hypothesis grid.
 
-    Requires K = 2: the tested row runs over (axis1 x axis2).  Each block
-    of replicates is one stacked fit and one ``confsets.scan_pvalues`` of
-    sFAR over the whole mesh, and each replicate rejects where p < level; a
-    replicate with a failed point is dropped, and the surface is NaN
+    Requires K = 2: the tested first row runs over (axis1 x axis2).  Each
+    block of replicates is one stacked fit and one ``confsets.scan_pvalues``
+    of sFAR over the whole mesh, and each replicate rejects where p < level;
+    a replicate with a failed point is dropped, and the surface is NaN
     everywhere when every replicate is.  Fewer than one replicate,
-    non-finite axis values, a row index other than 0 or 1 and a level outside
-    (0, 1] raise ValueError before any replicate; at level 1 every point
-    rejects.
+    non-finite axis values and a level outside (0, 1] raise ValueError
+    before any replicate; at level 1 every point rejects.
     """
     if spec.n_factors != 2:
         raise ValueError("power_surface is defined for two-factor models")
     if reps < 1:
         raise ValueError(f"need at least one replicate, got reps={reps!r}")
     points = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
-    if not np.isfinite(points).all() or row_index not in (0, 1):
-        raise ValueError("hypotheses must be finite and row_index 0 or 1")
+    if not np.isfinite(points).all():
+        raise ValueError("hypotheses must be finite")
     _check_level(level)
     if level == 1.0:
         return np.ones((len(axis1), len(axis2)))
-    families = [([0], ["sfar"], row_binding(2, row_index), points)]
+    families = [([0], ["sfar"], row_binding(2), points)]
     results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, (1, len(points))))
     kept = [
         (pvalues[0] < level).reshape(len(axis1), len(axis2))
@@ -595,6 +588,10 @@ class EigenLabSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"need at least one replicate, got {self.reps}")
+        if not 1 <= self.k <= self.dim:
+            raise ValueError(f"need 1 <= K <= L, got K = {self.k}, L = {self.dim}")
         if self.noncentrality is not None:
             m = np.asarray(self.noncentrality, dtype=float)
             if m.shape != (self.n_rows, self.dim):
@@ -614,21 +611,25 @@ class WishartLabResult:
     central_dof: int              # (L-K+1)(N-K+1)
 
 
-def wishart_eigen_lab(spec: EigenLabSpec, batch: int = 20_000) -> WishartLabResult:
+# replicates drawn per batch of the lab, which bounds its working set
+EIGEN_LAB_BATCH = 20_000
+
+
+def wishart_eigen_lab(spec: EigenLabSpec) -> WishartLabResult:
     """Sample eigenvalues of Xi'Xi with Xi = Z + M, Z standard normal."""
     rng = replicate_rng(spec.seed)
     n, l, k = spec.n_rows, spec.dim, spec.k
     chunks = []
     done = 0
     while done < spec.reps:
-        b = min(batch, spec.reps - done)
+        b = min(EIGEN_LAB_BATCH, spec.reps - done)
         z = rng.standard_normal((b, n, l))
         if spec.noncentrality is not None:
             z += spec.noncentrality[None]
         gram = np.einsum("bij,bik->bjk", z, z)
         chunks.append(np.linalg.eigvalsh(gram))
         done += b
-    eig = np.vstack(chunks) if chunks else np.empty((0, l))
+    eig = np.vstack(chunks)
     small = eig[:, : l - k + 1].sum(axis=1)
     large = eig[:, l - k + 1 :].sum(axis=1)
     return WishartLabResult(

@@ -149,11 +149,7 @@ class FactorPanel:
 # ---------------------------------------------------------------------------
 
 
-def load_yield_csv(
-    path,
-    date_column: str = "date",
-    annualized_percent: bool = False,
-) -> YieldPanel:
+def load_yield_csv(path, annualized_percent: bool = False) -> YieldPanel:
     """Load a `date,<m1>,<m2>,...` CSV into a YieldPanel, sorted by date.
 
     With ``annualized_percent`` the cells are read as annualized percentage
@@ -169,10 +165,8 @@ def load_yield_csv(
         except StopIteration:
             raise PanelError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if not header or header[0].lower() != date_column.lower():
-            raise PanelError(
-                f"{path}: first column must be {date_column!r}, got {header[:1]}"
-            )
+        if not header or header[0].lower() != "date":
+            raise PanelError(f"{path}: first column must be 'date', got {header[:1]}")
         maturities = []
         for j, name in enumerate(header[1:], start=2):
             try:

@@ -72,12 +72,7 @@ class ModelFit:
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
 
 
-def fit_model(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    variant: str = "II",
-    cov: str = "kps",
-) -> ModelFit:
+def fit_model(returns: ReturnPanel, factors: FactorPanel, cov: str = "kps") -> ModelFit:
     """Run steps 1-3 plus the stacked system; ``cov`` is the variance mode
     of the full-vector tests on the fit, one of ``VARIANCE_MODES``.
 
@@ -94,7 +89,7 @@ def fit_model(
     if cov not in VARIANCE_MODES:
         raise ValueError(f"unknown covariance mode {cov!r}; expected one of {VARIANCE_MODES}")
     var = fit_var1(factors)
-    reg = second_stage(returns, factors, var, variant=variant)
+    reg = second_stage(returns, factors, var)
     stacked = build_stacked(returns, factors, var, reg)
     try:
         por = third_stage(reg, var)

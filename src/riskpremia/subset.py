@@ -38,7 +38,6 @@ from ._linalg import (
     chi2_sf,
     chol_whiten,
     kron,
-    square_stack,
     sym,
     vec_kron,
 )
@@ -96,14 +95,10 @@ class StackedSystem:
     def beta_hat(self) -> np.ndarray:
         return self.phi_hat[..., self.n_factors :]
 
-    @property
-    def psi_v(self) -> np.ndarray:
-        k = self.n_factors
-        return self.psi_hat[..., k:, k:]
-
     @cached_property
     def h_hat(self) -> np.ndarray:
-        """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and trace form."""
+        """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and by the
+        Kronecker-weighted FAR/KLM (``moments``)."""
         half = chol_whiten(self.sigma_hat, self.phi_hat)[1]     # L^-1 Phi, Sigma = L L'
         return half.swapaxes(-1, -2) @ half
 
@@ -438,31 +433,6 @@ def sfar_column_statistics(sys: StackedSystem, values: np.ndarray, index: int) -
     return _subset_statistics(sys, values, index, "column")
 
 
-def _trace_form(sys: StackedSystem, lam1: np.ndarray):
-    """(FAR, B, D) at a stack of hypotheses (..., K, K): B = (I_K ; -Lambda1),
-    D = sym(B' Psi B) and the Kronecker-weighted FAR T tr(D^-1 B'HB), so the
-    KLM under 'kps' (``moments._kps_statistics``) reuses B and D."""
-    k = sys.n_factors
-    b = np.concatenate([np.broadcast_to(np.eye(k), lam1.shape), -lam1], axis=-2)
-    bt = b.swapaxes(-1, -2)
-    d = sym(bt @ sys.psi_hat @ b)
-    num = sym(bt @ sys.h_hat @ b)
-    return sys.n_periods * np.trace(np.linalg.solve(d, num), axis1=-2, axis2=-1), b, d
-
-
-def far_trace(sys: StackedSystem, lam1: np.ndarray):
-    """Full-vector FAR under the Kronecker weighting, as a trace form.
-
-    Equals T tr((B' Psi B)^-1 B' H B) with B = (I_K ; -Lambda1), the FAR of
-    ``_trace_form``; the lag second-moment matrix cancels against the
-    weighting.  A stack of hypotheses (..., K, K), broadcast against the
-    stack axes of ``sys``, gives an array of statistics; one hypothesis on
-    one fit, in any shape with K^2 entries, gives a float.
-    """
-    far = _trace_form(sys, square_stack(lam1, sys.n_factors))[0]
-    return float(far) if far.ndim == 0 else far
-
-
 def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> SfarResult:
     """Limit of the row statistic along lambda_1 = c * direction as c grows.
 
@@ -532,6 +502,8 @@ def boundedness_diagnostic(
     _require_one_fit(sys, "boundedness_diagnostic")
     if kind not in ("row", "column"):
         raise ValueError("boundedness kind must be 'row' or 'column'")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if n_directions < 1:
         raise ValueError("need at least one direction")
     # degenerate level: a size-one test accepts nothing anywhere, so every

@@ -1,12 +1,11 @@
 """Steps 2-3 of the three-step price-of-risk estimator, plus Wald inference.
 
-The second-stage regression comes in two numerically identical variants:
-
-* variant I regresses excess returns on (1, X_t, X_{t+1});
-* variant II regresses on (1, X_t, vhat_{t+1}) with first-stage residuals.
-
-Since (1, X_t, X_{t+1}) and (1, X_t, vhat_{t+1}) span the same column space,
-both yield the same fit; coefficients are stored in the lag parameterization
+The second stage regresses excess returns on (1, X_t, vhat_{t+1}), the lagged
+factors and the first-stage innovations (variant II of Adrian, Crump and
+Moench).  Regressing on the contemporaneous factors (1, X_t, X_{t+1}) instead
+(variant I) gives the same fit: X_{t+1} = mu + phi1 X_t + vhat_{t+1}, so both
+designs span the same column space, and only the coefficients on (1, X_t)
+move, by beta mu and beta phi1.  They are stored in the lag parameterization
 (a, d, beta) consumed by the third-stage closed forms
 
     lambda0 = (beta'beta)^-1 beta' (a + g + beta mu)
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._linalg import chi2_sf, chol_whiten, kron, square_stack, sumsq, sym
 from .panels import FactorPanel, PanelError, ReturnPanel
-from .varstage import COND_CAP, RankError, VarEstimate, _check_r_diagonal, _ols_qr
+from .varstage import COND_CAP, RankError, VarEstimate, _check_r_diagonal
 
 
 def check_alignment(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -> int:
@@ -94,51 +93,44 @@ def convexity_adjustment(beta_hat: np.ndarray, sigma_v: np.ndarray, sigma_e2) ->
     return 0.5 * (quad + np.asarray(sigma_e2, dtype=float)[..., None])
 
 
-def second_stage(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    var: VarEstimate,
-    variant: str = "II",
-) -> ReturnRegression:
-    """Per-maturity OLS of returns on a constant, lagged factors, and either
-    first-stage innovations (variant II) or contemporaneous factors (variant I).
+def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -> ReturnRegression:
+    """Per-maturity OLS of returns on a constant, lagged factors and the
+    first-stage innovations.
 
-    Variant II reuses the VAR's QR factors Q R of (1, X_{t-1}): the
-    innovations are orthogonal to that design by construction, so with
-    vhat' = Q_v R_v the joint design (1, X_{t-1}, vhat) has the QR factors
-    [Q, Q_v] diag(R, R_v).  The coefficients are R^-1 Q'r' and
-    beta' = R_v^-1 Q_v'r', and the residuals are r less the one product
-    [rQ, rQ_v][Q, Q_v]'.  The rank check reads the condition of that R
-    diagonal, as the dense QR does; a Cholesky factor of vhat vhat' would
-    square it and miss innovations that are collinear to rounding.  Only
-    the T x K QR of vhat' is run, and no T x (2K+1) design is formed; a VAR
-    estimate without its QR factors raises ValueError.  Variant I runs one
-    dense QR of (1, X_{t-1}, X_t).
+    It reuses the VAR's QR factors Q R of (1, X_{t-1}): the innovations are
+    orthogonal to that design by construction, so with vhat' = Q_v R_v the
+    joint design (1, X_{t-1}, vhat) has the QR factors [Q, Q_v] diag(R, R_v).
+    The coefficients are R^-1 Q'r' and beta' = R_v^-1 Q_v'r', and the
+    residuals are r less the one product [rQ, rQ_v][Q, Q_v]'.  The rank
+    check reads the condition of that R diagonal, as a dense QR does; a
+    Cholesky factor of vhat vhat' would square it and miss innovations that
+    are collinear to rounding.  Only the T x K QR of vhat' is run, and no
+    T x (2K+1) design is formed; a VAR estimate without its QR factors
+    raises ValueError.
 
     Stacked panels give one regression per panel, with sigma_e^2 per fit.
     """
-    if variant not in ("I", "II"):
-        raise ValueError(f"variant must be 'I' or 'II', got {variant!r}")
     t = check_alignment(returns, factors, var)
+    if var.design_q is None:
+        raise ValueError("the second stage reuses the VAR's QR factors; fit the VAR with fit_var1")
     r = returns.returns
     k = var.n_factors
-    if variant == "II":
-        coef, resid = _innovation_fit(r, var)
-    else:
-        x = factors.factors
-        lagged, current = x[..., :, :-1].swapaxes(-1, -2), x[..., :, 1:].swapaxes(-1, -2)
-        design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged, current], axis=-1)
-        coef, *_ = _ols_qr(design, r.swapaxes(-1, -2))      # (1 + 2K, N)
-        resid = r - (design @ coef).swapaxes(-1, -2)
-    a0 = coef[..., 0, :]
-    d0 = coef[..., 1 : 1 + k, :].swapaxes(-1, -2)
+    q_v, r_v = np.linalg.qr(var.residuals.swapaxes(-1, -2))
+    _check_r_diagonal(np.concatenate([
+        np.diagonal(var.design_r, axis1=-2, axis2=-1), np.diagonal(r_v, axis1=-2, axis2=-1)
+    ], axis=-1))
+    basis = np.concatenate([var.design_q, q_v], axis=-1)       # (T, 1 + 2K), orthonormal
+    proj = r @ basis                                            # (N, 1 + 2K) = [rQ, rQ_v]
+    coef = np.concatenate([
+        np.linalg.solve(var.design_r, proj[..., : k + 1].swapaxes(-1, -2)),
+        np.linalg.solve(r_v, proj[..., k + 1 :].swapaxes(-1, -2)),
+    ], axis=-2)                                                 # (1 + 2K, N)
+    fitted = proj @ basis.swapaxes(-1, -2)
+    resid = np.subtract(r, fitted, out=fitted)                  # (N, T), the one N x T array
     beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
-    if variant == "II":
-        # map to the lag parameterization used by the third stage
-        a = a0 - (beta @ var.mu[..., None])[..., 0]
-        d = d0 - beta @ var.phi1
-    else:
-        a, d = a0, d0
+    # map to the lag parameterization used by the third stage
+    a = coef[..., 0, :] - (beta @ var.mu[..., None])[..., 0]
+    d = coef[..., 1 : 1 + k, :].swapaxes(-1, -2) - beta @ var.phi1
     n = r.shape[-2]
     sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (n * t)
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
@@ -150,26 +142,6 @@ def second_stage(
         g_hat=g,
         residuals=resid,
     )
-
-
-def _innovation_fit(r: np.ndarray, var: VarEstimate):
-    """Coefficients (1 + 2K, N) on (1, X_{t-1}, vhat) and residuals (N, T) of
-    variant II from the VAR's QR factors, with one N x T array formed."""
-    if var.design_q is None:
-        raise ValueError("variant II reuses the VAR's QR factors; fit the VAR with fit_var1")
-    k = var.n_factors
-    q_v, r_v = np.linalg.qr(var.residuals.swapaxes(-1, -2))
-    _check_r_diagonal(np.concatenate([
-        np.diagonal(var.design_r, axis1=-2, axis2=-1), np.diagonal(r_v, axis1=-2, axis2=-1)
-    ], axis=-1))
-    basis = np.concatenate([var.design_q, q_v], axis=-1)       # (T, 1 + 2K), orthonormal
-    proj = r @ basis                                            # (N, 1 + 2K) = [rQ, rQ_v]
-    coef = np.concatenate([
-        np.linalg.solve(var.design_r, proj[..., : k + 1].swapaxes(-1, -2)),
-        np.linalg.solve(r_v, proj[..., k + 1 :].swapaxes(-1, -2)),
-    ], axis=-2)
-    fitted = proj @ basis.swapaxes(-1, -2)
-    return coef, np.subtract(r, fitted, out=fitted)
 
 
 def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:
@@ -208,16 +180,14 @@ class AsymptoticCovariance:
 
     ``v_lambda`` is ordered as vec([lambda0, Lambda1]) column-major, so the
     trailing K^2 block ``v_lambda1`` covers vec(Lambda1).  The NK-sized
-    blocks ``v_beta`` and ``c_lambda_beta`` are derived on first read from
-    the K-sized inputs kept here.  Every array may carry leading stack axes.
+    block ``v_beta`` is derived on first read from the K-sized inputs kept
+    here.  Every array may carry leading stack axes.
     """
 
     v_lambda: np.ndarray        # (K(K+1), K(K+1))
-    p_beta: np.ndarray          # (K, N) = (beta'beta)^-1 beta'
     beta: np.ndarray            # (N, K)
     sigma_v_inv: np.ndarray     # (K, K)
     sigma_e2: np.ndarray        # ()
-    lam: np.ndarray             # (K, K+1) = [lambda0, Lambda1]
 
     @property
     def v_lambda1(self) -> np.ndarray:
@@ -237,21 +207,6 @@ class AsymptoticCovariance:
         """(NK, NK) variance Sigma_v^-1 kron sigma_e^2 I_N of vec(beta_hat)."""
         s2 = np.asarray(self.sigma_e2)[..., None, None]
         return kron(self.sigma_v_inv, s2 * np.eye(self.beta.shape[-2]))
-
-    @cached_property
-    def c_lambda_beta(self) -> np.ndarray:
-        """(K(K+1), NK) covariance of vec(Lambda) with vec(beta_hat).
-
-        Block (c, j) is sigma_e^2 (delta_c0 P diag(beta_j) - (Lambda' Sigma_v^-1)_cj P),
-        P = (beta'beta)^-1 beta': the convexity term moves lambda0 only.
-        """
-        k, n = self.beta.shape[-1], self.beta.shape[-2]
-        s2 = np.asarray(self.sigma_e2)[..., None, None, None, None]
-        p = self.p_beta[..., None, :, None, :]                       # (1, K, 1, N)
-        coef = -(self.lam.swapaxes(-1, -2) @ self.sigma_v_inv)       # (K+1, K)
-        blocks = coef[..., :, None, :, None] * p                     # (K+1, K, K, N)
-        blocks[..., 0, :, :, :] += p[..., 0, :, :, :] * self.beta.swapaxes(-1, -2)[..., None, :, :]
-        return (s2 * blocks).reshape(*blocks.shape[:-4], (k + 1) * k, k * n)
 
 
 def asymptotic_covariance(
@@ -315,7 +270,7 @@ def asymptotic_covariance(
     v[..., :k, :] += cross
     v[..., :, :k] += cross.swapaxes(-1, -2)
     return AsymptoticCovariance(
-        v_lambda=sym(v), p_beta=p, beta=beta, sigma_v_inv=sigma_v_inv, sigma_e2=sigma2, lam=lam
+        v_lambda=sym(v), beta=beta, sigma_v_inv=sigma_v_inv, sigma_e2=sigma2
     )
 
 

@@ -25,8 +25,9 @@ class VarEstimate:
     ``residuals`` spans t = 1..T; ``sigma_v`` uses the 1/T divisor;
     ``x_lagged_mean`` is the mean of the lagged factors X_0..X_{T-1}.
     ``design_q`` and ``design_r`` are the QR factors of the design
-    (1, X_{t-1}); variant II of the second stage reuses them, and an
-    estimate built by hand without them serves every other stage.  The fit
+    (1, X_{t-1}); the second stage reuses them and raises ValueError
+    without them, and an estimate built by hand without them serves every
+    later stage.  The fit
     of a stack of panels carries the stack axis in front of each field.
     """
 

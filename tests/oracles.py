@@ -6,8 +6,9 @@ import numpy as np
 import scipy.optimize
 
 from riskpremia._linalg import square_stack, sym, vec_kron
-from riskpremia.moments import moment_vector
-from riskpremia.subset import VARIANCE_MODES, StackedSystem, far_trace
+from riskpremia.moments import moment_vector, robust_statistics
+from riskpremia.subset import VARIANCE_MODES, StackedSystem
+from riskpremia.threestep import ReturnRegression, convexity_adjustment
 
 
 def sfar_minimized(h, sys, seed):
@@ -24,7 +25,7 @@ def sfar_minimized(h, sys, seed):
         else:
             lam[:, h.index], lam[:, rest] = h.value, free.reshape(k, k - 1)
         try:
-            return far_trace(sys, lam)
+            return robust_statistics(sys, lam, "kps", ("far",))["far"]
         except np.linalg.LinAlgError:
             return np.inf
 
@@ -42,6 +43,41 @@ def sfar_minimized(h, sys, seed):
 
 
 # -- routes the package replaced ----------------------------------------------
+
+
+def second_stage_contemporaneous(returns, factors, var) -> ReturnRegression:
+    """Variant I of the second stage: one dense QR least squares of the
+    returns on (1, X_{t-1}, X_t).  Since X_t = mu + phi1 X_{t-1} + vhat_t,
+    its coefficients on (1, X_{t-1}) are already those of the lag
+    parameterization; the reference for ``threestep.second_stage``."""
+    x, r = factors.factors, returns.returns
+    k, t = var.n_factors, returns.n_periods
+    lagged, current = x[..., :, :-1].swapaxes(-1, -2), x[..., :, 1:].swapaxes(-1, -2)
+    design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged, current], axis=-1)
+    q, upper = np.linalg.qr(design)
+    coef = np.linalg.solve(upper, q.swapaxes(-1, -2) @ r.swapaxes(-1, -2))     # (1 + 2K, N)
+    resid = r - (design @ coef).swapaxes(-1, -2)
+    beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
+    sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (r.shape[-2] * t)
+    return ReturnRegression(
+        a_hat=coef[..., 0, :],
+        d_hat=coef[..., 1 : 1 + k, :].swapaxes(-1, -2),
+        beta_hat=beta,
+        sigma_e2=sigma_e2,
+        g_hat=convexity_adjustment(beta, var.sigma_v, sigma_e2),
+        residuals=resid,
+    )
+
+
+def rearrange_inverse(r, p, k):
+    """The (kp x kp) S with block rearrangement R(S) = r (p^2 x k^2), block by
+    block: block (i, j) of S is row j*p + i of r, unvectorized column-major;
+    the inverse of ``kronecker.rearrange``."""
+    s = np.zeros((p * k, p * k))
+    for j in range(p):
+        for i in range(p):
+            s[i * k : (i + 1) * k, j * k : (j + 1) * k] = r[j * p + i].reshape(k, k, order="F")
+    return s
 
 
 def chol_solve(v, x):
@@ -113,7 +149,7 @@ def _vqf(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarra
         return sys.hc0_psi_q.T @ scores / sys.n_periods
     k, n = sys.n_factors, sys.n_assets
     psi_vx = sys.psi_hat[k:, :k]
-    core = (psi_vx - sys.psi_v @ lam1_0) @ sys.q_xx
+    core = (psi_vx - sys.psi_hat[..., k:, k:] @ lam1_0) @ sys.q_xx
     cov_bf = _kron_sigma(sys, core).reshape(*core.shape[:-2], n * k, n * k)
     # column c of cov_bf is vec of an N x K matrix M_c; column c of the
     # result is -vec(Qxx kron M_c); kept C-contiguous, since a transposed

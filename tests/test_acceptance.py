@@ -37,7 +37,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
-from oracles import sfar_minimized
+from oracles import second_stage_contemporaneous, sfar_minimized
 from test_threestep import make_dataset
 
 
@@ -92,8 +92,8 @@ def test_criterion_2_variant_identity():
         n = int(rng.integers(3, 8))
         k = int(rng.integers(1, 4))
         sys, lam1, (returns, factors, var) = random_instance(rng, k, n, t=50)
-        r1 = second_stage(returns, factors, var, variant="I")
-        r2 = second_stage(returns, factors, var, variant="II")
+        r1 = second_stage_contemporaneous(returns, factors, var)
+        r2 = second_stage(returns, factors, var)
         for a, b in ((r1.a_hat, r2.a_hat), (r1.d_hat, r2.d_hat), (r1.beta_hat, r2.beta_hat)):
             scale = max(np.abs(b).max(), 1e-12)
             worst = max(worst, np.abs(a - b).max() / scale)
@@ -288,7 +288,7 @@ def test_criterion_9_coverage():
             ),
             binding=row_binding(2, index=0),
         )
-        cs = joint_confidence_set("sfar", grid, 0.95, fit, n_directions=8, seed=rep)
+        cs = joint_confidence_set("sfar", grid, 0.95, fit, seed=rep)
         if not cs.is_empty and np.any(
             np.all(np.isclose(cs.accepted, truth[None, :], atol=1e-9), axis=1)
         ):

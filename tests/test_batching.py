@@ -32,7 +32,6 @@ from riskpremia.subset import (
     _projected_roots,
     boundedness_diagnostic,
     build_stacked,
-    far_trace,
     kp_rank,
     model_score_terms,
     sfar_column,
@@ -282,7 +281,7 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
             ref, _ = _pencil_by_permutation_matrix(sys, index, restriction_matrix(value))
             rows = lam.copy()
             rows[index] = value
-            far = far_trace(sys, rows)
+            far = robust_statistics(sys, rows, "kps", ("far",))["far"]
             assert abs(stat - ref) <= REF_RTOL * far
             # the subset statistic is the minimum of FAR over the other rows
             assert stat <= far * (1 + REF_RTOL)

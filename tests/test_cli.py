@@ -75,21 +75,23 @@ def test_missing_user_files_exit_2(tmp_path, yields_csv, capsys):
     assert str(missing_macro) in capsys.readouterr().err
 
 def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
-    outs = {}
-    for variant in ("I", "II"):
-        out = tmp_path / f"est{variant}"
-        code = run(["estimate", "--input", yields_csv, "--maturities", "12,24",
-                    "--factors", "pca:2", "--variant", variant, "--out", out])
-        assert code == 0
-        outs[variant] = json.loads((out / "estimates.json").read_text())
-    a = np.asarray(outs["I"]["beta"])
-    b = np.asarray(outs["II"]["beta"])
-    assert np.allclose(a, b, rtol=1e-10)
-    assert np.allclose(outs["I"]["lambda1"], outs["II"]["lambda1"], rtol=1e-8, atol=1e-12)
-    est = outs["II"]
+    # one second-stage route: the variant I reparameterization agrees with it
+    # to rounding (criterion 2), and --variant or a "variant" key is an error
+    data = ["--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2"]
+    out = tmp_path / "est"
+    assert run(["estimate", *data, "--out", out]) == 0
+    est = json.loads((out / "estimates.json").read_text())
+    assert "variant" not in est
+    assert "variant" not in json.loads((out / "manifest.json").read_text())["config"]
     assert len(est["beta"]) == 2 and len(est["beta"][0]) == 2
     assert 0.0 <= est["rank_test"]["pvalue"] <= 1.0
     assert est["cov_mode"] in ("kps", "hc0")
+    cfg = tmp_path / "variant.json"
+    cfg.write_text(json.dumps({"variant": "I"}))
+    assert run(["estimate", *data, "--config", cfg, "--out", tmp_path / "c"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["estimate", *data, "--variant", "II", "--out", tmp_path / "v"])
+    assert exc.value.code == 2
 
 
 def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
@@ -274,6 +276,14 @@ def test_eigenlab_command(tmp_path):
     summary = json.loads((out / "eigen_summary.json").read_text())
     assert summary["central_dof"] == (3 - 2 + 1) * (5 - 2 + 1)
     assert (out / "eigen.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [["--reps", "0"], ["--k", "5"], ["--k", "0"]])
+def test_eigenlab_rejects_no_replicates_and_k_above_dim(tmp_path, capsys, bad):
+    out = tmp_path / "e"
+    assert run(["eigenlab", "--n", "6", "--dim", "3", *bad, "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_merging(tmp_path, yields_csv):

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private module-level helper of the package has a caller, every public
-function of the package is named somewhere in the repository, and no handler
-catches every exception."""
+function of the package is named somewhere in the repository, every
+defaulted parameter of one is passed by shipped code or kept on purpose, and
+no handler catches every exception."""
 
 import ast
 from collections import defaultdict
@@ -109,6 +110,85 @@ def test_every_public_function_is_named_somewhere():
     )
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in files}
     assert unreferenced(sources, public_package_function) == []
+
+
+def unset_defaults(sources: dict[str, str], wanted) -> list[str]:
+    """``module: function(parameter)`` for every defaulted parameter of a
+    module-level function that ``wanted(module, node)`` selects and that no
+    call in ``sources`` (module name -> text) passes, by keyword or by
+    position.  Calls are matched by name, ``f(...)`` or ``x.f(...)``; one
+    that unpacks ``*args`` or ``**kwargs`` passes every parameter it reaches."""
+    defined, calls = [], defaultdict(list)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and wanted(module, node)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)].append(node)
+
+    def passes(call, position, name):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        return position is not None and (
+            position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    found = []
+    for module, node in defined:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found += [
+            f"{module}: {node.name}({name})" for position, name in defaulted
+            if not any(passes(call, position, name) for call in calls[node.name])
+        ]
+    return sorted(found)
+
+
+def test_scanner_flags_defaulted_parameters_no_call_passes():
+    sources = {
+        "src/a.py": "def f(x, y=1, z=2, *, w=3, v=None):\n    pass\n"
+                    "def g(a=1, b=2):\n    pass\ndef h(c=1):\n    pass\ndef _p(d=1):\n    pass\n",
+        "scripts/b.py": "import a\na.f(0, 5)\nf(0, v=1)\ng(*rest)\n",
+        "perfbench/c.py": "h(**opts)\n",
+    }
+    assert unset_defaults(sources, public_package_function) == ["src/a.py: f(w)", "src/a.py: f(z)"]
+
+
+# Defaulted parameters that no module, script or benchmark passes, each kept
+# on purpose; every other defaulted parameter of a public function has a
+# shipped caller that sets it.
+KEPT_DEFAULTS = {
+    "src/riskpremia/cli.py: main(argv)":
+        "the console entry point reads sys.argv; programs pass an argument list",
+    "src/riskpremia/kronecker.py: kps_factorize(normalize)":
+        "the scalar split of the factors, whose product it leaves alone (criterion 8)",
+    "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov(reps)":
+        "library capability: the bootstrap cross-check of the Lambda1 covariance",
+    "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov(seed)":
+        "library capability: the bootstrap cross-check of the Lambda1 covariance",
+    "src/riskpremia/montecarlo.py: calibrate(por)":
+        "library capability: a DGP from a fit, with or without a price of risk",
+    "src/riskpremia/montecarlo.py: calibrate(t)":
+        "library capability: the sample length of a DGP from a fit",
+    "src/riskpremia/montecarlo.py: replicate_rng(stream)":
+        "part of the key of a replicate's random generator",
+    "src/riskpremia/montecarlo.py: simulate(init)":
+        "library capability: a burn-in start in place of the stationary law",
+}
+
+
+def test_every_defaulted_parameter_is_passed_by_shipped_code():
+    # an option that only tests set is code no run reaches; tests are not callers
+    files = sorted(p for folder in ("src", "scripts", "perfbench") for p in (ROOT / folder).rglob("*.py"))
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in files}
+    assert unset_defaults(sources, public_package_function) == sorted(KEPT_DEFAULTS)
 
 
 def broad_handlers(source: str) -> list[tuple[str, ast.ExceptHandler]]:

@@ -9,9 +9,10 @@ from riskpremia.kronecker import (
     kps_factorize_model,
     kps_residual_report,
     rearrange,
-    rearrange_inverse,
 )
 from riskpremia.subset import model_score_terms
+
+from oracles import rearrange_inverse
 
 
 def random_spd(rng, n, scale=1.0):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from riskpremia import _linalg, moments, subset
 from riskpremia._linalg import chol_bordered, vec
-from riskpremia.moments import _decompose, moment_vector, robust_tests
+from riskpremia.moments import _decompose, moment_vector, robust_statistics, robust_tests
 from riskpremia.panels import ReturnPanel, demean
 from riskpremia.pipeline import fit_model
-from riskpremia.subset import StackedSystem, build_stacked, far_trace
+from riskpremia.subset import StackedSystem, build_stacked
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
@@ -174,7 +174,7 @@ def test_vqf_matches_loop_built_kronecker_oracle(k, n):
     g_q = kron_map_right(sys.q_xx, (n, k))
 
     psi_vx = sys.psi_hat[k:, :k]
-    cov_bf = np.kron((psi_vx - sys.psi_v @ lam0) @ sys.q_xx, sys.sigma_hat)
+    cov_bf = np.kron((psi_vx - sys.psi_hat[k:, k:] @ lam0) @ sys.q_xx, sys.sigma_hat)
     np.testing.assert_allclose(vqf_estimator(sys, lam0, "kps"), -g_q @ cov_bf, rtol=1e-15, atol=0)
 
     t = sys.n_periods
@@ -380,18 +380,23 @@ def test_far_minimum_over_lambda_equals_pencil_value():
     beta, d = sys.beta_hat, sys.d_hat
     ols = np.linalg.solve(beta.T @ beta, beta.T @ d)
     res = scipy.optimize.minimize(
-        lambda x: far_trace(sys, x.reshape(2, 2)), ols.ravel(), method="Nelder-Mead",
+        lambda x: robust_statistics(sys, x, "kps", ("far",))["far"], ols.ravel(), method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000},
     )
     assert res.fun == pytest.approx(pencil, rel=1e-8)
-    assert far_trace(sys, ols) >= pencil - 1e-10
+    assert robust_statistics(sys, ols, "kps", ("far",))["far"] >= pencil - 1e-10
 
 
 def test_far_kps_equals_trace_form():
     fit, lam1, _ = fitted_model(k=2, n=5, t=90, seed=61)
     h0 = lam1 + 0.1
     far = robust_tests(fit, h0, mode="kps", which=("far",))["far"]
-    assert far.statistic == pytest.approx(far_trace(fit.stacked, h0), rel=1e-9)
+    # T tr((B' Psi B)^-1 B' H B) with B = (I ; -Lambda1) and H = Phi' Sigma^-1 Phi
+    sys = fit.stacked
+    b = np.vstack([np.eye(2), -h0])
+    hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
+    trace = sys.n_periods * np.trace(np.linalg.solve(b.T @ sys.psi_hat @ b, b.T @ hm @ b))
+    assert far.statistic == pytest.approx(trace, rel=1e-9)
 
 
 def test_far_null_distribution_ks_strong_dgp():

@@ -729,8 +729,6 @@ def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
         power_curve(["far", "lm"], [spec.lambda1], spec, reps=100)
     with pytest.raises(ValueError, match="finite"):
         power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=3)
-    with pytest.raises(ValueError, match="row_index"):
-        power_surface(spec, np.zeros(2), np.zeros(2), reps=3, row_index=2)
     assert calls == []
 
 
@@ -746,15 +744,13 @@ def test_invalid_levels_and_surfaces_raise_before_simulating(monkeypatch):
     axis = np.zeros(2)
     # the level-one shortcut comes after the hypotheses are checked
     with pytest.raises(ValueError, match="finite"):
-        power_surface(spec, np.full(2, np.nan), axis, reps=3, level=1.0, row_index=5)
-    with pytest.raises(ValueError, match="row_index"):
-        power_surface(spec, axis, axis, reps=3, level=1.0, row_index=5)
+        power_surface(spec, np.full(2, np.nan), axis, reps=3, level=1.0)
     for level in (np.nan, -0.5, 0.0, 1.5):
         with pytest.raises(ValueError, match="level"):
             power_surface(spec, axis, axis, reps=3, level=level)
         with pytest.raises(ValueError, match="level"):
             power_curve(["far"], [spec.lambda1], spec, reps=100, level=level)
-    # replicate counts and row indices are checked before any draw as well
+    # replicate counts are checked before any draw as well
     for reps in (0, -3):
         with pytest.raises(ValueError, match="replicate"):
             power_surface(spec, axis, axis, reps=reps)
@@ -763,9 +759,6 @@ def test_invalid_levels_and_surfaces_raise_before_simulating(monkeypatch):
     for reps in (1, 0, -3):
         with pytest.raises(ValueError, match="replicates"):
             bootstrap_lambda1_cov(spec, reps=reps)
-    for row_index in (2, 5, -1):
-        with pytest.raises(ValueError, match="row_index"):
-            sfar_density_experiment(spec, reps=3, row_index=row_index)
     assert calls == []
     assert np.array_equal(power_surface(spec, axis, axis + 1.0, reps=3, level=1.0), np.ones((2, 2)))
 
@@ -853,21 +846,6 @@ def test_sfar_density_ks_pvalue_and_quantile_se_equal_scipy_stats():
     np.testing.assert_allclose(res.quantile_se, old_se, rtol=1e-12, atol=0)
 
 
-def test_sfar_density_rejects_quantile_levels_outside_the_unit_interval(monkeypatch):
-    spec = preset_dgp("strong", k=2, n=4, t=60)
-    calls = []
-
-    def recording_simulate(*args, **kwargs):
-        calls.append(1)
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
-    for levels in ((0.5, 1.5), (0.0, 0.9), (0.9, 1.0), (np.nan,), (-0.1,)):
-        with pytest.raises(ValueError, match="quantile levels"):
-            sfar_density_experiment(spec, reps=3, quantile_levels=levels)
-    assert calls == []
-
-
 def test_sfar_density_statistics_nonnegative_finite():
     spec = preset_dgp("weak", k=2, n=4, t=100)
     res = sfar_density_experiment(spec, reps=80, seed=5)
@@ -923,6 +901,15 @@ def test_eigenlab_spec_validation():
         EigenLabSpec(n_rows=5, dim=3, k=2, noncentrality=np.ones((5, 3)) + np.eye(5, 3))
     with pytest.raises(ValueError, match="N x L"):
         EigenLabSpec(n_rows=5, dim=3, k=2, noncentrality=np.ones((3, 5)))
+
+
+@pytest.mark.parametrize("field", [{"reps": 0}, {"reps": -3}, {"k": 0}, {"k": 4}, {"k": 5}])
+def test_eigenlab_spec_rejects_empty_draws_and_k_outside_1_to_l(field):
+    # no replicate leaves no quantile to read, and K > L gives a negative dof
+    args = {"n_rows": 6, "dim": 3, "k": 1, "reps": 10, **field}
+    with pytest.raises(ValueError, match="replicate|K <= L"):
+        EigenLabSpec(**args)
+    assert EigenLabSpec(n_rows=6, dim=3, k=3, reps=1).k == 3
 
 
 def test_central_trace_is_chi_square():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from riskpremia import subset
 from riskpremia._linalg import NumericalError, chi2_ppf, chol_whiten, sym
 from riskpremia.kronecker import kps_factorize
+from riskpremia.moments import robust_statistics
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.panels import ReturnPanel, demean
@@ -17,7 +18,6 @@ from riskpremia.subset import (
     SubsetHypothesis,
     boundedness_diagnostic,
     build_stacked,
-    far_trace,
     kp_rank,
     sfar_column,
     sfar_column_statistics,
@@ -29,7 +29,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
-from oracles import sfar_minimized
+from oracles import second_stage_contemporaneous, sfar_minimized
 from test_threestep import make_dataset, default_params
 
 
@@ -170,7 +170,9 @@ def test_stacked_system_reuses_second_stage(variant):
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=2, n=5)
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 90)
     var = fit_var1(factors)
-    reg = second_stage(returns, factors, var, variant=variant)
+    # variant I, the regression on contemporaneous factors, is the dense reference
+    route = second_stage if variant == "II" else second_stage_contemporaneous
+    reg = route(returns, factors, var)
     sys = build_stacked(returns, factors, var, reg)
     # Phi = (d + beta phi1 : beta) is the second stage itself, not a re-fit
     assert sys.residuals is reg.residuals
@@ -287,7 +289,7 @@ def test_k1_scalar_reduction_matches_far():
     hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
     expected = sys.n_periods * ((a.T @ hm @ a) / (a.T @ sys.psi_hat @ a)).item()
     assert res.statistic == pytest.approx(expected, rel=1e-8)
-    assert res.statistic == pytest.approx(far_trace(sys, lam1[:1, :1].reshape(1, 1)), rel=1e-8)
+    assert res.statistic == pytest.approx(robust_statistics(sys, lam1[:1, :1], "kps", ("far",))["far"], rel=1e-8)
     assert res.statistic == pytest.approx(sys.n_periods * res.roots[:1].sum(), rel=1e-10)
 
 
@@ -307,7 +309,7 @@ def test_sfar_row_lower_bounds_far_over_nuisance_draws():
     stat = sfar_row(h, sys).statistic
     for _ in range(100):
         lam = np.vstack([lam1[0], rng.standard_normal((1, 2))])
-        assert stat <= far_trace(sys, lam) + 1e-8 * max(1.0, stat)
+        assert stat <= robust_statistics(sys, lam, "kps", ("far",))["far"] + 1e-8 * max(1.0, stat)
 
 
 def test_sfar_row_nonzero_index_matches_explicit_permutation():
@@ -399,7 +401,7 @@ def test_sigma_factored_once_per_system(monkeypatch):
     for index in range(3):
         sfar_row(SubsetHypothesis("row", index, lam1[index]), sys)
         sfar_distant(lam1[index], sys)
-    far_trace(sys, lam1)
+    robust_statistics(sys, lam1, "kps", ("far",))
     kp_rank(sys)
     boundedness_diagnostic(sys, n_directions=4)
     assert len(calls) == 1
@@ -466,7 +468,7 @@ def test_sfar_column_multistart_stability_and_dominance():
     assert r2 == pytest.approx(r1, rel=1e-6)
     assert stat == pytest.approx(r1, rel=1e-6)
     # fixing the column at any value dominates the unrestricted-FAR minimum
-    assert stat <= far_trace(sys, lam1) + 1e-8
+    assert stat <= robust_statistics(sys, lam1, "kps", ("far",))["far"] + 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +487,7 @@ def test_sfar_column_lower_bounds_far_and_is_the_row_at_k1(shape, kind, seed):
     # FAR with the column fixed, at random nuisance columns of three scales
     lams = rng.standard_normal((60, k, k)) * np.repeat([0.1, 1.0, 10.0], 20)[:, None, None]
     lams[:, :, index] = value
-    assert (stat <= far_trace(sys, lams) + 1e-10 * max(1.0, stat)).all()
+    assert (stat <= robust_statistics(sys, lams, "kps", ("far",))["far"] + 1e-10 * max(1.0, stat)).all()
     if k == 1:
         assert stat == pytest.approx(sfar_row(SubsetHypothesis("row", 0, value), sys).statistic, rel=1e-10)
 
@@ -560,7 +562,7 @@ def test_kp_rank_zero_column_and_eigen_oracle():
     assert kp_rank(sys0).statistic == pytest.approx(0.0, abs=1e-10)
 
     res = kp_rank(sys)
-    pv = sys.psi_v
+    pv = sys.psi_hat[2:, 2:]
     w, q = np.linalg.eigh(pv)
     pv_half_inv = q @ np.diag(w**-0.5) @ q.T
     m = pv_half_inv @ sys.beta_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.beta_hat @ pv_half_inv
@@ -582,7 +584,7 @@ def test_kp_rank_matches_the_rank_pencil_oracle(k, extra, weak_last, seed):
     rows = 10.0 ** rng.uniform(-4.0, 4.0, k)
     factors = dataclasses.replace(factors, factors=factors.factors * rows[:, None])
     sys = fit_model(returns, factors).stacked
-    oracle = sys.n_periods * scipy.linalg.eigh(sys.h_hat[k:, k:], sys.psi_v, eigvals_only=True)[0]
+    oracle = sys.n_periods * scipy.linalg.eigh(sys.h_hat[k:, k:], sys.psi_hat[k:, k:], eigvals_only=True)[0]
     # absolute floor near zero: rounding of the whitened pencil's largest root
     floor = 1e-12 * sys.n_periods * np.linalg.eigvalsh(sys.h_whitened)[-1]
     rank = kp_rank(sys).statistic
@@ -605,6 +607,16 @@ def test_boundedness_strong_vs_weak():
     rep_w = boundedness_diagnostic(weak_sys, alpha=0.05, n_directions=16, seed=0)
     assert not rep_w.bounded_all
     assert len(rep_w.unbounded_directions) >= 1
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 1.5, np.nan])
+def test_boundedness_rejects_a_level_outside_0_1(alpha):
+    # at weak (2, 6) every scanned direction is unbounded at the 5 % level, so
+    # a level that yields no critical value must not certify the set bounded
+    sys = fit_model(*simulate(preset_dgp("weak", k=2, n=6, t=300), 3)).stacked
+    assert not boundedness_diagnostic(sys, alpha=0.05, n_directions=8).bounded_all
+    with pytest.raises(ValueError, match="alpha"):
+        boundedness_diagnostic(sys, alpha=alpha, n_directions=8)
 
 
 def test_boundedness_degenerate_level():

@@ -20,6 +20,8 @@ from riskpremia.threestep import (
 )
 from riskpremia.varstage import RankError, VarEstimate, fit_var1
 
+from oracles import second_stage_contemporaneous
+
 
 def make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t):
     """Simulate returns r_t = c + beta (Lambda1 x_{t-1} + v_t) + e_t with the
@@ -61,8 +63,8 @@ def test_variant_identity_on_random_data():
     for trial in range(5):
         returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 60)
         var = fit_var1(factors)
-        r1 = second_stage(returns, factors, var, variant="I")
-        r2 = second_stage(returns, factors, var, variant="II")
+        r1 = second_stage_contemporaneous(returns, factors, var)
+        r2 = second_stage(returns, factors, var)
         for f1, f2 in [(r1.a_hat, r2.a_hat), (r1.d_hat, r2.d_hat), (r1.beta_hat, r2.beta_hat)]:
             assert np.allclose(f1, f2, rtol=1e-10, atol=1e-12 * np.abs(f1).max())
         assert np.allclose(r1.residuals, r2.residuals, atol=1e-10)
@@ -80,12 +82,10 @@ def test_variant_ii_reuses_the_var_qr_factors():
     bare = replace(var, design_q=None, design_r=None)
     with pytest.raises(ValueError, match="QR factors"):
         second_stage(returns, factors, bare)
-    assert second_stage(returns, factors, bare, variant="I").beta_hat.shape == (6, 3)
 
 
-@pytest.mark.parametrize("variant", ["I", "II"])
 @pytest.mark.parametrize("second", ["lagged", "same innovations"])
-def test_second_stage_raises_rank_error_on_rank_deficient_innovations(variant, second):
+def test_second_stage_raises_rank_error_on_rank_deficient_innovations(second):
     # x2_t = 0.5 x1_{t-1} has no innovation, and x2_t = x1_t + 0.5 x1_{t-1}
     # has x1's; the VAR fits, but (1, X_{t-1}, vhat) is rank deficient
     rng = np.random.default_rng(6)
@@ -97,7 +97,7 @@ def test_second_stage_raises_rank_error_on_rank_deficient_innovations(variant, s
     returns = ReturnPanel(tuple(range(4)), rng.standard_normal((4, 120)))
     var = fit_var1(factors)
     with pytest.raises(RankError, match="R-diagonal condition"):
-        second_stage(returns, factors, var, variant=variant)
+        second_stage(returns, factors, var)
 
 
 def test_noiseless_beta_recovery():
@@ -117,7 +117,7 @@ def test_single_asset_single_factor_ols_oracle():
     factors = FactorPanel(x, ("f0",))
     returns = ReturnPanel((1,), r, tuple("abcde"))
     var = fit_var1(factors)
-    reg = second_stage(returns, factors, var, variant="II")
+    reg = second_stage(returns, factors, var)
     design = np.column_stack([np.ones(5), x[0, :-1], var.residuals[0]])
     coef, *_ = np.linalg.lstsq(design, r[0], rcond=None)
     assert reg.beta_hat[0, 0] == pytest.approx(coef[2], rel=1e-9)
@@ -276,7 +276,7 @@ def term_by_term_covariance(factors, var, reg, por):
     iota = np.ones((n, 1))
     g_core = 0.25 * bstar @ var_vec_sigma @ bstar.T + (sigma2**2 / (2.0 * n)) * (iota @ iota.T)
     g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
-    return SimpleNamespace(v_beta=v_b, c_lambda_beta=m23 @ v_b, v_lambda=sym(term1 + mid + g_extra))
+    return SimpleNamespace(v_beta=v_b, v_lambda=sym(term1 + mid + g_extra))
 
 
 def test_v_beta_identity_case():
@@ -316,7 +316,7 @@ def random_estimates(rng, k, n, t=40):
 
 
 def assert_matches_oracle(got, ref):
-    for name in ("v_beta", "c_lambda_beta", "v_lambda"):
+    for name in ("v_beta", "v_lambda"):
         a_, b_ = getattr(got, name), getattr(ref, name)
         assert np.linalg.norm(a_ - b_) <= 1e-12 * np.linalg.norm(b_), name
 
@@ -358,7 +358,7 @@ def test_covariance_of_a_stack_equals_each_fit():
         np.stack([lagged_q_xx(f) for f, *_ in fits]),
     )
     for i, cov in enumerate(single):
-        for name in ("v_beta", "c_lambda_beta", "v_lambda"):
+        for name in ("v_beta", "v_lambda"):
             np.testing.assert_allclose(getattr(stacked, name)[i], getattr(cov, name), rtol=1e-13, atol=0)
 
 
@@ -393,7 +393,6 @@ def test_covariance_scalar_oracle_k1_n2():
     extra[0, 0] = pb @ core @ pb
     oracle = term1 + mid + extra
     assert np.allclose(cov.v_lambda, 0.5 * (oracle + oracle.T), rtol=1e-10)
-    assert np.allclose(cov.c_lambda_beta, (m2 + m3) @ vb, rtol=1e-10)
 
 
 def test_wald_zero_at_estimate_and_affine_invariance():
