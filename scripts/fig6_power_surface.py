@@ -31,7 +31,8 @@ def main():
         truth = spec.lambda1[0]
         ax1 = truth[0] + np.linspace(-args.radius, args.radius, args.steps)
         ax2 = truth[1] + np.linspace(-args.radius, args.radius, args.steps)
-        surf = power_surface(spec, ax1, ax2, reps=args.reps, seed=args.seed)
+        table = power_surface(spec, ax1, ax2, reps=args.reps, seed=args.seed)
+        surf = table.rejection[0].reshape(len(ax1), len(ax2))
         path = out / f"surface_{kind}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -324,7 +324,8 @@ def _mc_outputs(args) -> dict:
             raise PanelError("power-surface is defined for two-factor models (--k 2)")
         lam = spec.lambda1[0]
         axis1, axis2 = lam[0] + offsets, lam[1] + offsets
-        surf = power_surface(spec, axis1, axis2, reps=args.reps, level=args.level, seed=args.seed)
+        table = power_surface(spec, axis1, axis2, reps=args.reps, level=args.level, seed=args.seed)
+        surf = table.rejection[0].reshape(len(axis1), len(axis2))
         rows = [[v1, v2, surf[i, j]] for i, v1 in enumerate(axis1) for j, v2 in enumerate(axis2)]
         return {f"power_surface_{kind}.csv": (["x", "y", "rejection"], rows)}
     h0_grid = np.repeat(spec.lambda1[None], len(offsets), axis=0)

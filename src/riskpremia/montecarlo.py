@@ -382,11 +382,6 @@ def _evaluate_tests(fit, families, shape) -> list:
     return list(zip(pvalues, kinds))
 
 
-def _check_level(level: float) -> None:
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must lie in (0, 1], got {level!r}")
-
-
 def power_curve(
     tests,
     h0_grid,
@@ -406,11 +401,13 @@ def power_curve(
     the numbers are those of scanning each fit on its own.  ``failures`` counts, per
     test, the (replicate, hypothesis) pairs without a result, and
     ``failure_kinds`` splits that count by the exception raised: by the fit,
-    by a family's per-fit setup, or at a point.
+    by a family's per-fit setup, or at a point.  ``rejection`` and
+    ``std_error`` are NaN where no replicate has a result.
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates for stable frequencies")
-    _check_level(level)
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"level must lie in (0, 1], got {level!r}")
     tests = [t.lower() for t in tests]
     if set(tests) - set(VALID_TESTS):
         raise ValueError(f"unknown test in {tests}; expected any of {VALID_TESTS}")
@@ -437,8 +434,9 @@ def power_curve(
             pvalues[rep], fails = res
             kinds.update(fails)
     counts = np.sum(~np.isnan(pvalues), axis=0)
-    freq = np.sum(pvalues < level, axis=0) / np.maximum(counts, 1)
-    se = np.sqrt(np.maximum(freq * (1 - freq), 0.0) / np.maximum(counts, 1))
+    with np.errstate(invalid="ignore"):    # NaN where no replicate has a result
+        freq = np.sum(pvalues < level, axis=0) / counts
+    se = np.sqrt(freq * (1 - freq) / counts)
     failures = {t: int(reps * len(h0_mats) - counts[i].sum()) for i, t in enumerate(tests)}
     failure_kinds = {
         t: {name: n for (row, name), n in sorted(kinds.items()) if row == i}
@@ -540,35 +538,21 @@ def power_surface(
     reps: int,
     level: float = 0.05,
     seed: int = 0,
-) -> np.ndarray:
-    """Rejection frequency of the row-subset test over a 2D hypothesis grid.
+) -> PowerTable:
+    """``power_curve(["sfar"])`` over the mesh axis1 x axis2 of the first row
+    of Lambda1 (K = 2); ``rejection[0].reshape(len(axis1), len(axis2))`` is
+    the surface.
 
-    Requires K = 2: the tested first row runs over (axis1 x axis2).  Each
-    block of replicates is one stacked fit and one ``confsets.scan_pvalues``
-    of sFAR over the whole mesh, and each replicate rejects where p < level;
-    a replicate with a failed point is dropped, and the surface is NaN
-    everywhere when every replicate is.  Fewer than one replicate,
-    non-finite axis values and a level outside (0, 1] raise ValueError
-    before any replicate; at level 1 every point rejects.
+    The other rows of each hypothesis in ``grid`` are those of
+    ``spec.lambda1``; the row statistic does not read them.  Failures are
+    counted per (replicate, point) as in ``power_curve``, a point without a
+    result in any replicate is NaN, and validation is ``power_curve``'s.
     """
     if spec.n_factors != 2:
         raise ValueError("power_surface is defined for two-factor models")
-    if reps < 1:
-        raise ValueError(f"need at least one replicate, got reps={reps!r}")
-    points = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
-    if not np.isfinite(points).all():
-        raise ValueError("hypotheses must be finite")
-    _check_level(level)
-    if level == 1.0:
-        return np.ones((len(axis1), len(axis2)))
-    families = [([0], ["sfar"], row_binding(2), points)]
-    results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, (1, len(points))))
-    kept = [
-        (pvalues[0] < level).reshape(len(axis1), len(axis2))
-        for pvalues, failures in (r for r in results if not isinstance(r, Exception))
-        if not failures
-    ]
-    return sum(kept) / len(kept) if kept else np.full((len(axis1), len(axis2)), np.nan)
+    h0_mats = np.repeat(spec.lambda1[None], len(axis1) * len(axis2), axis=0)
+    h0_mats[:, 0] = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
+    return power_curve(["sfar"], h0_mats, spec, reps, level, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -399,7 +399,7 @@ def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
         table = power_curve(["far", "klm", "jklm", "wald", "sfar"],
                             [spec.lambda1 + d for d in (-0.2, 0.0, 0.2)], spec, reps=100, seed=5)
         surface = power_surface(spec, spec.lambda1[0, 0] + np.array([-0.4, 0.0, 0.4]),
-                                spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=30, seed=5)
+                                spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=100, seed=5)
         density = sfar_density_experiment(spec, reps=30, seed=5)
         return table, surface, density, list(per_replicate)
 
@@ -412,11 +412,13 @@ def test_chunked_runs_match_one_fit_at_a_time(monkeypatch):
     np.testing.assert_array_equal(one_table.rejection, table.rejection)
     assert one_table.failures == table.failures
     assert one_table.failure_kinds == table.failure_kinds
-    np.testing.assert_array_equal(one_surface, surface)
+    np.testing.assert_array_equal(one_surface.rejection, surface.rejection)
+    assert one_surface.failures == surface.failures
+    assert one_surface.failure_kinds == surface.failure_kinds
     assert (one_density.failures, one_density.failure_kinds) == (density.failures, density.failure_kinds)
     np.testing.assert_allclose(one_density.statistics, density.statistics, rtol=1e-12, atol=0)
     # replicate by replicate: the same p-values and failures
-    assert len(chunked) == len(one_by_one) == 130
+    assert len(chunked) == len(one_by_one) == 200
     for (pvalues, kinds), (one_pvalues, one_kinds) in zip(chunked, one_by_one):
         np.testing.assert_allclose(pvalues, one_pvalues, rtol=1e-12, atol=0)
         assert kinds == one_kinds
@@ -463,7 +465,7 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
         h0 = [spec.lambda1 + d for d in (-0.2, 0.0, 0.2)]
         table = power_curve(["far", "klm", "jklm", "wald", "sfar"], h0, spec, reps=100, seed=seed)
         surface = power_surface(spec, spec.lambda1[0, 0] + np.array([-0.4, 0.4]),
-                                spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=40, seed=seed)
+                                spec.lambda1[0, 1] + np.array([-0.4, 0.4]), reps=100, seed=seed)
         density = sfar_density_experiment(spec, reps=40, seed=seed)
         boot = bootstrap_lambda1_cov(spec, reps=40, seed=seed)
         return table, surface, density, boot, list(outcomes)
@@ -472,6 +474,7 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
     assert table.failure_kinds["far"] == {"RankError": 3}
     assert table.failure_kinds["wald"] == {"RankError": 6}
     assert density.failure_kinds == {"RankError": 1}
+    assert surface.failure_kinds == {"sfar": {"RankError": 4}}
     # both blocks failed and were split; replicate 30 was fitted alone,
     # without a price of risk
     assert {"RankError", "ValueError"} <= set(blocked) and (1, True) in blocked
@@ -481,7 +484,9 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
     np.testing.assert_array_equal(one_table.rejection, table.rejection)
     assert one_table.failures == table.failures
     assert one_table.failure_kinds == table.failure_kinds
-    np.testing.assert_array_equal(one_surface, surface)
+    np.testing.assert_array_equal(one_surface.rejection, surface.rejection)
+    assert one_surface.failures == surface.failures
+    assert one_surface.failure_kinds == surface.failure_kinds
     np.testing.assert_array_equal(one_density.statistics, density.statistics)
     assert (one_density.failures, one_density.failure_kinds) == (density.failures, density.failure_kinds)
     np.testing.assert_array_equal(one_boot, boot)
@@ -649,6 +654,9 @@ def test_power_curve_keeps_failures_per_test(monkeypatch):
     assert table.failures == {"far": 0, "wald": 100}
     assert table.failure_kinds == {"far": {}, "wald": {"RankError": 100}}
     assert table.rejection[0] == before.rejection[0]
+    # a test with no result at a point has no frequency there, not 0 +- 0
+    assert np.isnan(table.rejection[1]).all() and np.isnan(table.std_error[1]).all()
+    assert np.isfinite(table.std_error[0]).all()
 
     # a failed fit loses every test at every hypothesis: every fourth
     # replicate's fit raises, known by its first return, and so does the fit
@@ -728,7 +736,7 @@ def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
     with pytest.raises(ValueError, match="unknown test"):
         power_curve(["far", "lm"], [spec.lambda1], spec, reps=100)
     with pytest.raises(ValueError, match="finite"):
-        power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=3)
+        power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=100)
     assert calls == []
 
 
@@ -742,16 +750,16 @@ def test_invalid_levels_and_surfaces_raise_before_simulating(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
     axis = np.zeros(2)
-    # the level-one shortcut comes after the hypotheses are checked
     with pytest.raises(ValueError, match="finite"):
-        power_surface(spec, np.full(2, np.nan), axis, reps=3, level=1.0)
+        power_surface(spec, np.full(2, np.nan), axis, reps=100, level=1.0)
     for level in (np.nan, -0.5, 0.0, 1.5):
         with pytest.raises(ValueError, match="level"):
-            power_surface(spec, axis, axis, reps=3, level=level)
+            power_surface(spec, axis, axis, reps=100, level=level)
         with pytest.raises(ValueError, match="level"):
             power_curve(["far"], [spec.lambda1], spec, reps=100, level=level)
-    # replicate counts are checked before any draw as well
-    for reps in (0, -3):
+    # replicate counts are checked before any draw as well: the surface, a
+    # power_curve, needs at least 100
+    for reps in (99, 0, -3):
         with pytest.raises(ValueError, match="replicate"):
             power_surface(spec, axis, axis, reps=reps)
         with pytest.raises(ValueError, match="replicate"):
@@ -760,21 +768,21 @@ def test_invalid_levels_and_surfaces_raise_before_simulating(monkeypatch):
         with pytest.raises(ValueError, match="replicates"):
             bootstrap_lambda1_cov(spec, reps=reps)
     assert calls == []
-    assert np.array_equal(power_surface(spec, axis, axis + 1.0, reps=3, level=1.0), np.ones((2, 2)))
 
 
 def test_power_surface_degenerate_level_and_minimum_location():
     spec = preset_dgp("strong", k=2, n=3, t=200)
     ax = spec.lambda1[0, 0] + np.linspace(-1.2, 1.2, 3)
     ay = spec.lambda1[0, 1] + np.linspace(-1.2, 1.2, 3)
-    assert np.all(power_surface(spec, ax, ay, reps=5, level=1.0) == 1.0)
-    surf = power_surface(spec, ax, ay, reps=150, level=0.05, seed=2)
+    # at level one every point with a result rejects: no p-value is one
+    assert np.all(power_surface(spec, ax, ay, reps=100, level=1.0).rejection == 1.0)
+    surf = power_surface(spec, ax, ay, reps=150, level=0.05, seed=2).rejection[0].reshape(3, 3)
     center = surf[1, 1]
     assert center <= surf.min() + 0.05
     assert surf[0, 0] > center and surf[-1, -1] > center
 
 
-def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
+def test_power_surface_counts_failed_points_and_raises_bugs(monkeypatch):
     spec = preset_dgp("strong", k=2, n=3, t=80)
     ax = spec.lambda1[0, 0] + np.array([-0.5, 0.5])
     ay = spec.lambda1[0, 1] + np.array([-0.5, 0.5])
@@ -786,24 +794,28 @@ def test_power_surface_drops_failed_replicates_and_raises_bugs(monkeypatch):
             raise NumericalError("matrix is not positive definite")
         return np.full(np.broadcast_shapes(values.shape[:-1], sys.batch_shape), np.inf)
 
-    # the call over the three stacked fits fails, so does replicate 0 on its
-    # own, and so does its first point on the point-by-point retry; every
-    # other replicate rejects everywhere, so a dropped replicate leaves the
-    # frequency at exactly one
+    # in blocks of two replicates, the call over the first block's stacked
+    # fits fails, so does replicate 0 on its own, and so does its first point
+    # on the point-by-point retry; replicate 0 keeps its other three points,
+    # and every point with a result rejects, so the surface is exactly one
+    # with one failure recorded
     monkeypatch.setattr(confsets, "sfar_row_statistics", first_point_fails)
-    surf = power_surface(spec, ax, ay, reps=3, seed=1)
-    assert np.array_equal(surf, np.ones((2, 2)))
-    # one call over the 4-point mesh for the block of three fits; the block is
+    monkeypatch.setattr(montecarlo, "_block_size", lambda spec: 2)
+    table = power_surface(spec, ax, ay, reps=100, seed=1)
+    assert np.array_equal(table.rejection[0].reshape(2, 2), np.ones((2, 2)))
+    assert table.failures == {"sfar": 1}
+    assert table.failure_kinds == {"sfar": {"NumericalError": 1}}
+    # one call over the 4-point mesh for the first block; the block is
     # refitted in halves: replicate 0 alone, with its point-by-point retry,
-    # then replicates 1 and 2 as one stack
-    assert calls == [4, 4, 1, 1, 1, 1, 4]
+    # then replicate 1; then one call per later block
+    assert calls == [4, 4, 1, 1, 1, 1, 4] + [4] * 49
 
     def bug(*args):
         raise TypeError("programming error")
 
     monkeypatch.setattr(confsets, "sfar_row_statistics", bug)
     with pytest.raises(TypeError):
-        power_surface(spec, ax, ay, reps=3, seed=1)
+        power_surface(spec, ax, ay, reps=100, seed=1)
 
 
 def test_power_surface_is_nan_when_every_replicate_fails(monkeypatch):
@@ -811,9 +823,12 @@ def test_power_surface_is_nan_when_every_replicate_fails(monkeypatch):
         raise NumericalError("matrix is not positive definite")
 
     monkeypatch.setattr(montecarlo, "fit_model", numerical)
-    surf = power_surface(preset_dgp("strong", k=2, n=4, t=60), np.array([0.0, 0.25]),
-                         np.array([0.0, 0.05]), reps=5)
-    assert surf.shape == (2, 2) and np.isnan(surf).all()
+    table = power_surface(preset_dgp("strong", k=2, n=4, t=60), np.array([0.0, 0.25]),
+                          np.array([0.0, 0.05]), reps=100)
+    assert table.rejection.shape == (1, 4) and np.isnan(table.rejection).all()
+    assert np.isnan(table.std_error).all()
+    assert table.failures == {"sfar": 400}
+    assert table.failure_kinds == {"sfar": {"NumericalError": 400}}
 
 
 def test_sfar_density_replicates_independent_of_reps():

@@ -16,7 +16,7 @@ RUNS = {
     "fig4_sfar_density.py": (["--reps", "20"],
                              ["sfar_draws_strong.csv", "sfar_draws_weak.csv",
                               "summary_strong.json", "summary_weak.json"]),
-    "fig6_power_surface.py": (["--reps", "3", "--steps", "2"],
+    "fig6_power_surface.py": (["--reps", "100", "--steps", "2"],
                               ["surface_strong.csv", "surface_weak.csv"]),
     "fig7_confidence_sets.py": (["--steps", "3"],
                                 ["surface_strong.csv", "surface_weak.csv",

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskpremia import subset
@@ -658,17 +658,21 @@ def test_rank_certificate_bounds_every_direction(k, extra, t, seed):
     st.sampled_from([3, 10, 30, 100]),
     st.integers(0, 2**32 - 1),
 )
+@example(k=1, extra=4, t=3, seed=1425)
+@example(k=1, extra=3, t=3, seed=4804)
 def test_rank_statistic_bounds_every_column_limit(k, extra, t, seed):
     # Courant-Fischer on {(0 ; y)}: the Rayleigh term T b'Hb / b'Psi b of the
     # column limit at b = (0 ; -d) is at least T times that pencil's smallest
-    # root, the rank statistic, and the column limit adds nonnegative roots
+    # root, the rank statistic, and the column limit adds nonnegative roots.
+    # The limit is taken exactly, at the normals (0 ; -d): a statistic at a
+    # finite point c d sits O(1/c) away from it, more than the floor at T = 3
     rng = np.random.default_rng(seed)
     sys = synthetic_system(rng, k, k + extra, t=t)
     rank = kp_rank(sys).statistic
     dirs = rng.standard_normal((50, k))
     b = np.concatenate([np.zeros((50, k)), -dirs], axis=1)
     rayleigh = t * np.einsum("pi,ij,pj->p", b, sys.h_hat, b) / np.einsum("pi,ij,pj->p", b, sys.psi_hat, b)
-    limits = sfar_column_statistics(sys, 1e12 * dirs, 0)
+    limits = subset._projected_roots(sys, subset._normals(sys, dirs, kind="column"), "column")[0]
     floor = 1e-9 * t * np.linalg.eigvalsh(sys.h_whitened)[-1]
     assert np.all(rayleigh >= rank - floor)
     assert np.all(limits >= rayleigh - floor)
