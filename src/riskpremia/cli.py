@@ -314,8 +314,7 @@ def _mc_outputs(args) -> dict:
                 "quantile_levels": list(res.quantile_levels),
                 "empirical_quantiles": res.empirical_quantiles.tolist(),
                 "chi2_quantiles": res.chi2_quantiles.tolist(),
-                "failures": res.failures,
-                "failure_kinds": res.failure_kinds,
+                **_failure_record(res),
             },
         }
     offsets = np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
@@ -327,14 +326,30 @@ def _mc_outputs(args) -> dict:
         table = power_surface(spec, axis1, axis2, reps=args.reps, level=args.level, seed=args.seed)
         surf = table.rejection[0].reshape(len(axis1), len(axis2))
         rows = [[v1, v2, surf[i, j]] for i, v1 in enumerate(axis1) for j, v2 in enumerate(axis2)]
-        return {f"power_surface_{kind}.csv": (["x", "y", "rejection"], rows)}
+        return {
+            f"power_surface_{kind}.csv": (["x", "y", "rejection"], rows),
+            f"power_surface_{kind}_summary.json": _failure_record(table),
+        }
     h0_grid = np.repeat(spec.lambda1[None], len(offsets), axis=0)
     h0_grid[:, 0, 0] += offsets
     tests = [t.strip() for t in args.tests.split(",")]
     table = power_curve(tests, h0_grid, spec, reps=args.reps, level=args.level, seed=args.seed)
     cells = np.stack([table.rejection, table.std_error], axis=1).reshape(-1, len(offsets))
     header = ["offset"] + [f"{t}_{w}" for t in table.tests for w in ("freq", "se")]
-    return {f"power_{kind}.csv": (header, [[off, *col] for off, col in zip(offsets, cells.T)])}
+    return {
+        f"power_{kind}.csv": (header, [[off, *col] for off, col in zip(offsets, cells.T)]),
+        f"power_{kind}_summary.json": _failure_record(table),
+    }
+
+
+def _failure_record(res) -> dict:
+    """An experiment's failures, split by exception class, and its block
+    refits: what its CSV cannot show."""
+    return {
+        "failures": res.failures,
+        "failure_kinds": res.failure_kinds,
+        "block_refits": res.block_refits,
+    }
 
 
 def cmd_eigenlab(args) -> dict:

@@ -8,7 +8,11 @@ path from one banded forward substitution of the stacked VAR(1) recursion,
 equal to the step-by-step recursion up to rounding; the quantities that
 depend on the spec alone (stationary law, shock factor, band) are computed
 once per ``DgpSpec``.  The experiments simulate, fit and evaluate a block of
-replicates at a time over a leading replicate axis (``_replicates``).
+replicates at a time over a leading replicate axis (``_replicates``).  A
+block's size counts what its fits keep (``_block_size``): they keep no
+second-stage residuals, so the one block-sized N x T array is the returns
+``simulate`` draws, and a block holds 96 replicates at (K, N, T) = (1, 11,
+300) and 23 at (5, 20, 300).
 """
 
 from __future__ import annotations
@@ -280,14 +284,16 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
 
 def _block_size(spec: DgpSpec) -> int:
     """Replicates per block: as many as ``confsets.CHUNK_BYTES`` holds of
-    their stacked systems' arrays, from the spec's (K, N, T) alone.
+    what their fits keep, from the spec's (K, N, T) alone.
 
-    A fitted replicate holds one N x T array, its second-stage residuals;
-    the panels, the VAR's QR factors and the simulation buffers are not
-    counted."""
+    A fitted replicate keeps Phi, W, Psi, Qxx, Sigma, xbar, vhat and the
+    VAR's Q of (1, X_{t-1}), and no second-stage residual: the fit sums
+    sigma_e^2 one replicate at a time and forms the residuals only for hc0.
+    The panels, which the fit holds by reference, and the simulation
+    buffers are not counted."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); xbar, vhat, residuals
-    floats = 2 * n * k + 9 * k * k + n * n + (2 * k + n) * t
+    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); xbar, vhat (K x T); Q (T x (1 + K))
+    floats = 2 * n * k + 9 * k * k + n * n + (3 * k + 1) * t
     return max(1, confsets.CHUNK_BYTES // (8 * floats))
 
 
@@ -299,9 +305,9 @@ def _blocks(reps: int, size: int) -> list[range]:
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
+def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> tuple[list, int]:
     """Results of replicates 0..reps-1, simulated, fitted and evaluated a
-    block at a time.
+    block at a time, and the number of block refits.
 
     The replicates are cut into blocks of at most ``_block_size(spec)``,
     balanced by ``_blocks``.  Each block is one ``simulate`` and one
@@ -313,32 +319,38 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> list:
     as two halves of its panels, down to single replicates; no other code
     traces a failure back to its replicate.  A replicate that raises one of
     FIT_ERRORS on its own has that exception in place of its result, as
-    fitting and evaluating it alone gives.
+    fitting and evaluating it alone gives.  The refits are the ``fit_model``
+    calls made after a block raised, 0 when none did.
     """
-    return [
-        res for block in _blocks(reps, _block_size(spec))
-        for res in _run_block(*simulate(spec, seed, block), evaluate)
-    ]
+    results, refits = [], 0
+    for block in _blocks(reps, _block_size(spec)):
+        res, extra = _run_block(*simulate(spec, seed, block), evaluate)
+        results += res
+        refits += extra
+    return results, refits
 
 
-def _run_block(returns: ReturnPanel, factors: FactorPanel, evaluate) -> list:
-    """``evaluate`` of the fit of stacked panels, or of their halves if that raises."""
+def _run_block(returns: ReturnPanel, factors: FactorPanel, evaluate) -> tuple[list, int]:
+    """``evaluate`` of the fit of stacked panels, or of their halves if that
+    raises, and the number of ``fit_model`` calls made on halves."""
     try:
-        return list(evaluate(fit_model(returns, factors)))
+        return list(evaluate(fit_model(returns, factors))), 0
     except FIT_ERRORS + (ValueError,) as exc:
         n = len(returns.returns)
         if n == 1:
             if isinstance(exc, ValueError):
                 raise
-            return [exc]
-        return [
-            res for half in (slice(None, n // 2), slice(n // 2, None))
-            for res in _run_block(
+            return [exc], 0
+        results, refits = [], 0
+        for half in (slice(None, n // 2), slice(n // 2, None)):
+            res, extra = _run_block(
                 replace(returns, returns=returns.returns[half]),
                 replace(factors, factors=factors.factors[half]),
                 evaluate,
             )
-        ]
+            results += res
+            refits += 1 + extra
+        return results, refits
 
 
 @dataclass(frozen=True)
@@ -351,6 +363,7 @@ class PowerTable:
     failure_kinds: dict          # test -> {exception class name: failed pairs}
     reps: int
     level: float
+    block_refits: int            # fit_model calls made after a block raised
 
 
 def _evaluate_tests(fit, families, shape) -> list:
@@ -402,7 +415,8 @@ def power_curve(
     test, the (replicate, hypothesis) pairs without a result, and
     ``failure_kinds`` splits that count by the exception raised: by the fit,
     by a family's per-fit setup, or at a point.  ``rejection`` and
-    ``std_error`` are NaN where no replicate has a result.
+    ``std_error`` are NaN where no replicate has a result.  ``block_refits``
+    counts the ``fit_model`` calls made on halves of a block that raised.
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates for stable frequencies")
@@ -424,7 +438,7 @@ def power_curve(
         if rows:
             families.append((rows, [tests[i] for i in rows], binding, stack))
     shape = (len(tests), len(h0_mats))
-    results = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, shape))
+    results, refits = _replicates(spec, reps, seed, lambda fit: _evaluate_tests(fit, families, shape))
     pvalues = np.full((reps, *shape), np.nan)
     kinds = Counter()
     for rep, res in enumerate(results):
@@ -451,6 +465,7 @@ def power_curve(
         failure_kinds=failure_kinds,
         reps=reps,
         level=level,
+        block_refits=refits,
     )
 
 
@@ -469,6 +484,7 @@ class SfarDensityResult:
     quantile_se: np.ndarray
     failures: int
     failure_kinds: dict          # {exception class name: failed replicates}
+    block_refits: int            # fit_model calls made after a block raised
 
     @cached_property
     def ks_pvalue(self) -> float:
@@ -492,15 +508,16 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
     Each block of replicates is one stacked fit and one stacked
     ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
-    statistic raised.  Negative ``reps`` raise ValueError before any draw.
-    It loads no ``scipy.stats``."""
+    statistic raised, and ``block_refits`` the ``fit_model`` calls made on
+    halves of a block that raised.  Negative ``reps`` raise ValueError
+    before any draw.  It loads no ``scipy.stats``."""
     k, n = spec.n_factors, spec.n_assets
     if reps < 0:
         raise ValueError("reps must be nonnegative")
     quantile_levels = SFAR_QUANTILE_LEVELS
     h = SubsetHypothesis("row", 0, spec.lambda1[0])
 
-    results = _replicates(
+    results, refits = _replicates(
         spec, reps, seed, lambda fit: sfar_row_statistics(fit.stacked, h.value, h.index)
     )
     stats = np.asarray([s for s in results if not isinstance(s, Exception)])
@@ -514,6 +531,7 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
             quantile_levels=quantile_levels,
             empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
             quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
+            block_refits=refits,
         )
     qs = np.quantile(stats, quantile_levels)
     chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])
@@ -528,6 +546,7 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
         quantile_se=q_se,
         failures=failures,
         failure_kinds=failure_kinds,
+        block_refits=refits,
     )
 
 
@@ -648,7 +667,7 @@ def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.
     def lambda1(fit):
         return [None] * fit.stacked.batch_shape[0] if fit.por is None else fit.por.lambda1
 
-    lams = _replicates(spec, reps, seed, lambda1)
+    lams = _replicates(spec, reps, seed, lambda1)[0]
     draws = np.asarray([vec(lam) for lam in lams if isinstance(lam, np.ndarray)])
     if len(draws) < 2:
         raise RankError(f"a covariance needs two replicates with a price of risk, "

@@ -31,10 +31,12 @@ FIT_ERRORS = (NumericalError, RankError, np.linalg.LinAlgError)
 class ModelFit:
     """Immutable bundle of every estimation output the tests consume.
 
-    It keeps no input panels; ``n_assets`` and ``n_periods`` are read off
-    the stacked system.  ``por`` is None when beta'beta is numerically
-    singular (the unspanned factor pathology); the identification-robust
-    tests remain available.  ``asymptotic_cov`` is computed on first use and
+    It copies no input panel: ``stacked.returns`` is the returns array it was
+    given, held by reference for the hc0 variance alone, so writing to that
+    array afterwards changes what hc0 reads; ``n_assets`` and ``n_periods``
+    are read off the stacked system.  ``por`` is None when beta'beta is
+    numerically singular (the unspanned factor pathology); the
+    identification-robust tests remain available.  ``asymptotic_cov`` is computed on first use and
     kept for the fit.  ``cov_mode`` is the variance mode ``fit_model`` was
     given, the default of the full-vector tests on this fit.  The fit of
     stacked panels is one ModelFit whose arrays carry a leading replicate

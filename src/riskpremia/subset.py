@@ -39,11 +39,13 @@ from ._linalg import (
     chol_whiten,
     kron,
     sym,
+    unvec,
+    vec,
     vec_kron,
 )
 from .kronecker import KpsFactorization, kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
-from .threestep import ReturnRegression, check_alignment
+from .threestep import ReturnRegression, check_alignment, joint_basis, project_out
 from .varstage import VarEstimate
 
 VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` parts
@@ -55,9 +57,13 @@ class StackedSystem:
 
     It holds no demeaned returns: the residuals and vhat are orthogonal to
     xbar, so the moment vector needs only Phi and Qxx (``moments.moment_vector``).
-    The system of a stack of fits (``build_stacked`` on stacked panels) is
-    one system whose arrays carry leading axes; its sizes are read from the
-    trailing axes and its per-fit invariants below are stacked too.
+    ``returns`` is the array the fit was given, held by reference and read
+    only when the hc0 variance forms the residuals (``residuals``); writing
+    to that array afterwards changes what hc0 reads.  ``design_q`` is the
+    VAR's array, not a copy.  The system of a stack of fits
+    (``build_stacked`` on stacked panels) is one system whose arrays carry
+    leading axes; its sizes are read from the trailing axes and its per-fit
+    invariants below are stacked too.
     """
 
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
@@ -68,7 +74,8 @@ class StackedSystem:
     kps: KpsFactorization | None
     xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
-    residuals: np.ndarray    # (N, T) second-stage residuals
+    returns: np.ndarray      # (N, T) the fitted returns, by reference
+    design_q: np.ndarray     # (T, 1 + K) the VAR's Q of (1, X_{t-1})
 
     @property
     def n_assets(self) -> int:
@@ -129,6 +136,14 @@ class StackedSystem:
         return -kron(self.q_xx, self.beta_hat)
 
     @cached_property
+    def residuals(self) -> np.ndarray:
+        """(N, T) second-stage residuals, formed on first read by the
+        projection ``second_stage`` summed sigma_e^2 from, so they carry the
+        same bits; only the hc0 variance reads them."""
+        basis = joint_basis(self.design_q, self.vhat)[0]
+        return project_out(self.returns, self.returns @ basis, basis, np.empty(self.returns.shape))
+
+    @cached_property
     def sigma_v_inv_vhat(self) -> np.ndarray:
         """(K, T) Sigma_v^-1 vhat, read by every hc0 score."""
         k = self.n_factors
@@ -156,23 +171,28 @@ class StackedSystem:
 
     @cached_property
     def hc0_psi_q_grams(self) -> np.ndarray:
-        """(NK^3, 2NK) cross-moments of ``hc0_psi_q`` with ``hc0_parts``; every
-        hc0 V_qf is a fixed linear form in its blocks."""
-        return self.hc0_psi_q.swapaxes(-1, -2) @ self.hc0_parts / self.n_periods
+        """(NK^3, 2NK) cross-moments of the per-period Jacobian scores with
+        ``hc0_parts``; every hc0 V_qf is a fixed linear form in its blocks.
 
-    @cached_property
-    def hc0_psi_q(self) -> np.ndarray:
-        """(T, NK^3) per-period scores of the Jacobian -vec(Qxx kron beta).
-
-        Row t is -vec(Qxx kron B_t + X_t kron beta) with the beta score
-        B_t = e_t (Sigma_v^-1 v_t)' and X_t = xbar_t xbar_t' - Qxx; none of it
-        depends on the hypothesis.
+        The Jacobian score of period t is -vec(Qxx kron B_t + X_t kron beta),
+        with the beta score B_t = e_t (Sigma_v^-1 v_t)' and
+        X_t = xbar_t xbar_t' - Qxx; none of it depends on the hypothesis.
+        ``vec_kron`` is linear in each factor, so with p_t = [a_t | z_t] the
+        cross-moments are vec_kron(Qxx, .) of the third moments
+        sum_t vec(B_t) p_t' / T, which are the z rows of ``hc0_grams``, plus
+        vec_kron(., beta) of sum_t vec(X_t) p_t' / T, column by column; no
+        T x NK^3 array of scores is formed.
         """
-        # the period axis leads, so the per-fit arrays broadcast against it
-        b_t = np.einsum("...jt,...nt->t...nj", self.sigma_v_inv_vhat, self.residuals)
-        x_t = np.einsum("...it,...jt->t...ij", self.xbar_lagged, self.xbar_lagged) - self.q_xx
-        scores = vec_kron(self.q_xx, b_t) + vec_kron(x_t, self.beta_hat)
-        return -np.moveaxis(scores, 0, -2)
+        k, n, t = self.n_factors, self.n_assets, self.n_periods
+        parts = self.hc0_parts
+        xx = np.einsum("...it,...jt->...jit", self.xbar_lagged, self.xbar_lagged)
+        x_third = xx.reshape(*xx.shape[:-3], k * k, t) @ parts
+        x_third -= vec(self.q_xx)[..., :, None] * parts.sum(axis=-2)[..., None, :]
+        b_cols = unvec(self.hc0_grams[..., n * k :, :].swapaxes(-1, -2), (n, k))
+        x_cols = unvec(x_third.swapaxes(-1, -2), (k, k)) / t
+        scores = vec_kron(self.q_xx[..., None, :, :], b_cols)
+        scores += vec_kron(x_cols, self.beta_hat[..., None, :, :])
+        return -scores.swapaxes(-1, -2)
 
 
 def model_score_terms(
@@ -231,7 +251,8 @@ def build_stacked(
 
     The joint regression of demeaned returns on (xbar_{t-1}; vhat_t) is the
     second stage in the parameterization Phi = (d + beta phi1 : beta), so its
-    coefficients and residuals are read off ``reg``.  The model score
+    coefficients are read off ``reg``, and its residuals are formed from
+    the returns only if the hc0 variance reads them.  The model score
     covariance is factored in closed form from its two Kronecker terms, with
     no dense matrix, decomposition or projection.
     Stacked panels and fits give one stacked system.
@@ -256,7 +277,8 @@ def build_stacked(
         kps=kps,
         xbar_lagged=xbar,
         vhat=vhat,
-        residuals=reg.residuals,
+        returns=returns.returns,
+        design_q=var.design_q,
     )
 
 

@@ -48,7 +48,8 @@ class ReturnRegression:
     contemporaneous-regressor parameterization is recovered as
     ``a + beta mu`` and ``d + beta phi1``.  The regression of a stack of
     panels carries the stack axis in front of each field (``sigma_e2`` is
-    then an array).
+    then an array).  It keeps no residuals: ``StackedSystem.residuals``
+    forms them when the hc0 variance reads them.
     """
 
     a_hat: np.ndarray       # (N,)
@@ -56,7 +57,6 @@ class ReturnRegression:
     beta_hat: np.ndarray    # (N, K)
     sigma_e2: float
     g_hat: np.ndarray       # (N,)
-    residuals: np.ndarray   # (N, T)
 
     @property
     def n_assets(self) -> int:
@@ -93,55 +93,68 @@ def convexity_adjustment(beta_hat: np.ndarray, sigma_v: np.ndarray, sigma_e2) ->
     return 0.5 * (quad + np.asarray(sigma_e2, dtype=float)[..., None])
 
 
+def joint_basis(design_q: np.ndarray, vhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal basis [Q, Q_v] (T, 1 + 2K) of the second-stage design
+    (1, X_{t-1}, vhat) and R_v, per fit of a stack, from the VAR's Q and the
+    QR factors Q_v R_v of vhat'.  The same call gives the same bits, so the
+    residuals ``StackedSystem.residuals`` forms are those sigma_e^2 summed."""
+    q_v, r_v = np.linalg.qr(vhat.swapaxes(-1, -2))
+    return np.concatenate([design_q, q_v], axis=-1), r_v
+
+
+def project_out(r: np.ndarray, proj: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The residuals r - (rB) B' of returns r on the basis B, with rB given,
+    written into ``out``."""
+    np.matmul(proj, basis.swapaxes(-1, -2), out=out)
+    return np.subtract(r, out, out=out)
+
+
 def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -> ReturnRegression:
     """Per-maturity OLS of returns on a constant, lagged factors and the
     first-stage innovations.
 
     It reuses the VAR's QR factors Q R of (1, X_{t-1}): the innovations are
     orthogonal to that design by construction, so with vhat' = Q_v R_v the
-    joint design (1, X_{t-1}, vhat) has the QR factors [Q, Q_v] diag(R, R_v).
-    The coefficients are R^-1 Q'r' and beta' = R_v^-1 Q_v'r', and the
-    residuals are r less the one product [rQ, rQ_v][Q, Q_v]'.  The rank
-    check reads the condition of that R diagonal, as a dense QR does; a
-    Cholesky factor of vhat vhat' would square it and miss innovations that
-    are collinear to rounding.  Only the T x K QR of vhat' is run, and no
-    T x (2K+1) design is formed; a VAR estimate without its QR factors
-    raises ValueError.
+    joint design (1, X_{t-1}, vhat) has the QR factors [Q, Q_v] diag(R, R_v)
+    (``joint_basis``).  The coefficients are R^-1 Q'r' and
+    beta' = R_v^-1 Q_v'r', and the residuals are r less the one product
+    [rQ, rQ_v][Q, Q_v]'.  The rank check reads the condition of that R
+    diagonal, as a dense QR does; a Cholesky factor of vhat vhat' would
+    square it and miss innovations that are collinear to rounding.  Only the
+    T x K QR of vhat' is run, and no T x (2K+1) design is formed; a VAR
+    estimate without its QR factors raises ValueError.
 
     Stacked panels give one regression per panel, with sigma_e^2 per fit.
+    sigma_e^2 sums one fit's residuals at a time, formed in one reused
+    N x T buffer, and the residuals are not kept, so no stack-sized N x T
+    array is made.
     """
     t = check_alignment(returns, factors, var)
     if var.design_q is None:
         raise ValueError("the second stage reuses the VAR's QR factors; fit the VAR with fit_var1")
     r = returns.returns
     k = var.n_factors
-    q_v, r_v = np.linalg.qr(var.residuals.swapaxes(-1, -2))
+    basis, r_v = joint_basis(var.design_q, var.residuals)      # (T, 1 + 2K), orthonormal
     _check_r_diagonal(np.concatenate([
         np.diagonal(var.design_r, axis1=-2, axis2=-1), np.diagonal(r_v, axis1=-2, axis2=-1)
     ], axis=-1))
-    basis = np.concatenate([var.design_q, q_v], axis=-1)       # (T, 1 + 2K), orthonormal
     proj = r @ basis                                            # (N, 1 + 2K) = [rQ, rQ_v]
     coef = np.concatenate([
         np.linalg.solve(var.design_r, proj[..., : k + 1].swapaxes(-1, -2)),
         np.linalg.solve(r_v, proj[..., k + 1 :].swapaxes(-1, -2)),
     ], axis=-2)                                                 # (1 + 2K, N)
-    fitted = proj @ basis.swapaxes(-1, -2)
-    resid = np.subtract(r, fitted, out=fitted)                  # (N, T), the one N x T array
     beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
     # map to the lag parameterization used by the third stage
     a = coef[..., 0, :] - (beta @ var.mu[..., None])[..., 0]
     d = coef[..., 1 : 1 + k, :].swapaxes(-1, -2) - beta @ var.phi1
     n = r.shape[-2]
-    sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (n * t)
+    ssr, resid = np.empty(r.shape[:-2]), np.empty(r.shape[-2:])
+    for i in np.ndindex(ssr.shape):
+        project_out(r[i], proj[i], basis[i], resid)
+        ssr[i] = np.einsum("nt,nt->", resid, resid)
+    sigma_e2 = ssr / (n * t)
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
-    return ReturnRegression(
-        a_hat=a,
-        d_hat=d,
-        beta_hat=beta,
-        sigma_e2=sigma_e2,
-        g_hat=g,
-        residuals=resid,
-    )
+    return ReturnRegression(a_hat=a, d_hat=d, beta_hat=beta, sigma_e2=sigma_e2, g_hat=g)
 
 
 def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:

@@ -45,28 +45,40 @@ def sfar_minimized(h, sys, seed):
 # -- routes the package replaced ----------------------------------------------
 
 
-def second_stage_contemporaneous(returns, factors, var) -> ReturnRegression:
-    """Variant I of the second stage: one dense QR least squares of the
-    returns on (1, X_{t-1}, X_t).  Since X_t = mu + phi1 X_{t-1} + vhat_t,
-    its coefficients on (1, X_{t-1}) are already those of the lag
-    parameterization; the reference for ``threestep.second_stage``."""
+def _contemporaneous_ols(returns, factors):
+    """Coefficients (..., 1 + 2K, N) and residuals (..., N, T) of one dense
+    QR least squares of the returns on (1, X_{t-1}, X_t)."""
     x, r = factors.factors, returns.returns
-    k, t = var.n_factors, returns.n_periods
+    t = returns.n_periods
     lagged, current = x[..., :, :-1].swapaxes(-1, -2), x[..., :, 1:].swapaxes(-1, -2)
     design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged, current], axis=-1)
     q, upper = np.linalg.qr(design)
-    coef = np.linalg.solve(upper, q.swapaxes(-1, -2) @ r.swapaxes(-1, -2))     # (1 + 2K, N)
-    resid = r - (design @ coef).swapaxes(-1, -2)
+    coef = np.linalg.solve(upper, q.swapaxes(-1, -2) @ r.swapaxes(-1, -2))
+    return coef, r - (design @ coef).swapaxes(-1, -2)
+
+
+def second_stage_contemporaneous(returns, factors, var) -> ReturnRegression:
+    """Variant I of the second stage: the regression of ``_contemporaneous_ols``.
+    Since X_t = mu + phi1 X_{t-1} + vhat_t, its coefficients on (1, X_{t-1})
+    are already those of the lag parameterization; the reference for
+    ``threestep.second_stage``."""
+    coef, resid = _contemporaneous_ols(returns, factors)
+    k = var.n_factors
     beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
-    sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (r.shape[-2] * t)
+    sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (resid.shape[-2] * resid.shape[-1])
     return ReturnRegression(
         a_hat=coef[..., 0, :],
         d_hat=coef[..., 1 : 1 + k, :].swapaxes(-1, -2),
         beta_hat=beta,
         sigma_e2=sigma_e2,
         g_hat=convexity_adjustment(beta, var.sigma_v, sigma_e2),
-        residuals=resid,
     )
+
+
+def residuals_contemporaneous(returns, factors):
+    """(..., N, T) second-stage residuals of variant I; the reference for
+    ``StackedSystem.residuals``."""
+    return _contemporaneous_ols(returns, factors)[1]
 
 
 def rearrange_inverse(r, p, k):
@@ -127,6 +139,21 @@ def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     return np.subtract(a_part, scores, out=scores)
 
 
+def hc0_psi_q(sys: StackedSystem) -> np.ndarray:
+    """(..., T, NK^3) per-period scores of the Jacobian -vec(Qxx kron beta).
+
+    Row t is -vec(Qxx kron B_t + X_t kron beta) with the beta score
+    B_t = e_t (Sigma_v^-1 v_t)' and X_t = xbar_t xbar_t' - Qxx; none of it
+    depends on the hypothesis.  Their cross-moments with the hc0 parts are
+    the reference for ``StackedSystem.hc0_psi_q_grams``.
+    """
+    # the period axis leads, so the per-fit arrays broadcast against it
+    b_t = np.einsum("...jt,...nt->t...nj", sys.sigma_v_inv_vhat, sys.residuals)
+    x_t = np.einsum("...it,...jt->t...ij", sys.xbar_lagged, sys.xbar_lagged) - sys.q_xx
+    scores = vec_kron(sys.q_xx, b_t) + vec_kron(x_t, sys.beta_hat)
+    return -np.moveaxis(scores, 0, -2)
+
+
 def _kron_sigma(sys: StackedSystem, core: np.ndarray) -> np.ndarray:
     """core kron Sigma for a stack of K x K cores, as (..., K, N, K, N)."""
     return core[..., :, None, :, None] * sys.sigma_hat[:, None, :]
@@ -146,7 +173,7 @@ def _vff(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarra
 def _vqf(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:
     """V_qf at a stack of hypotheses; ``scores`` are their hc0 scores (hc0 mode)."""
     if mode == "hc0":
-        return sys.hc0_psi_q.T @ scores / sys.n_periods
+        return hc0_psi_q(sys).T @ scores / sys.n_periods
     k, n = sys.n_factors, sys.n_assets
     psi_vx = sys.psi_hat[k:, :k]
     core = (psi_vx - sys.psi_hat[..., k:, k:] @ lam1_0) @ sys.q_xx
@@ -179,8 +206,7 @@ def vqf_estimator(sys: StackedSystem, lam1_0: np.ndarray, mode: str = "kps") -> 
     order (the Qxx part is uncorrelated under conditionally symmetric errors),
     so the Kronecker form maps the beta/moment covariance through the linear
     embedding vec(Qxx kron .); the outer-product form keeps both pieces and
-    reads its per-period Jacobian scores, fixed per fit, from
-    ``StackedSystem.hc0_psi_q``.
+    reads its per-period Jacobian scores, fixed per fit, from ``hc0_psi_q``.
     """
     return _dense_blocks(sys, lam1_0, mode)[2]
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import riskpremia
-from riskpremia import cli
+from riskpremia import cli, pipeline
 from riskpremia.cli import main
 from riskpremia.moments import robust_tests
 from riskpremia.panels import YieldPanel, save_panel_csv
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
+from riskpremia.varstage import RankError
 
 
 @pytest.fixture()
@@ -249,6 +250,7 @@ def test_mc_sfar_density_experiment(tmp_path):
     summary = json.loads((out / "sfar_density_weak_summary.json").read_text())
     assert summary["dof_bound"] == 2 * (4 - 2 + 1)
     assert sum(summary["failure_kinds"].values()) == summary["failures"]
+    assert summary["block_refits"] == 0
 
 
 def test_mc_power_surface_experiment(tmp_path):
@@ -260,6 +262,28 @@ def test_mc_power_surface_experiment(tmp_path):
     assert rows[0] == "x,y,rejection"
     assert len(rows) == 1 + 3 * 3
 
+
+
+def test_mc_power_studies_write_their_failure_record(tmp_path, monkeypatch):
+    # no fit has a price of risk: Wald fails at every (replicate, point), and
+    # the summary says so where the CSV shows only NaN
+    def singular(*args):
+        raise RankError("beta'beta is singular")
+
+    monkeypatch.setattr(pipeline, "third_stage", singular)
+    out = tmp_path / "pw"
+    assert run(["mc", "--k", "1", "--n", "4", "--t", "80", "--reps", "100", "--tests", "far,wald",
+                "--grid-steps", "3", "--seed", "3", "--out", out]) == 0
+    summary = json.loads((out / "power_strong_summary.json").read_text())
+    assert summary == {
+        "failures": {"far": 0, "wald": 300},
+        "failure_kinds": {"far": {}, "wald": {"RankError": 300}},
+        "block_refits": 0,
+    }
+    assert run(["mc", "--experiment", "power-surface", "--k", "2", "--n", "3", "--reps", "100",
+                "--grid-steps", "2", "--out", out]) == 0
+    summary = json.loads((out / "power_surface_strong_summary.json").read_text())
+    assert summary == {"failures": {"sfar": 0}, "failure_kinds": {"sfar": {}}, "block_refits": 0}
 
 
 def test_mc_power_surface_needs_two_factors(tmp_path, capsys):

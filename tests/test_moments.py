@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from riskpremia import _linalg, moments, subset
 from riskpremia._linalg import chol_bordered, vec
 from riskpremia.moments import _decompose, moment_vector, robust_statistics, robust_tests
+from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.panels import ReturnPanel, demean
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import StackedSystem, build_stacked
@@ -189,18 +190,30 @@ def test_vqf_matches_loop_built_kronecker_oracle(k, n):
 
 
 def test_hc0_jacobian_scores_built_once_per_system(monkeypatch):
-    sys, lam1 = fitted_system(k=2, n=5, t=80, seed=50)
-    batched = []
+    fit, lam1, _ = fitted_model(k=2, n=5, t=80, seed=50)
+    mapped = []
 
     def counting_vec_kron(a, b):
-        if np.ndim(a) == 3:        # the per-period X_t kron beta term of psi_q
-            batched.append(1)
+        mapped.append(1)           # the Qxx kron B and X kron beta terms
         return _linalg.vec_kron(a, b)
 
     monkeypatch.setattr(subset, "vec_kron", counting_vec_kron)
     for shift in (0.0, 0.1, -0.3):
-        vqf_estimator(sys, lam1 + shift, "hc0")
-    assert len(batched) == 1
+        robust_tests(fit, lam1 + shift, mode="hc0")
+    assert len(mapped) == 2
+
+
+@pytest.mark.parametrize("k, n, t, reps", [(1, 11, 300, 0), (2, 6, 120, 3), (3, 10, 80, 0), (5, 20, 300, 0)])
+def test_hc0_psi_q_grams_equal_the_per_period_product(k, n, t, reps):
+    # the third moments give the cross-moments of the T x NK^3 Jacobian
+    # scores with the hc0 parts without forming the scores
+    spec = preset_dgp("strong", k=k, n=n, t=t)
+    returns, factors = simulate(spec, 11, range(reps) if reps else 0)
+    sys = fit_model(returns, factors).stacked
+    ref = oracles.hc0_psi_q(sys).swapaxes(-1, -2) @ sys.hc0_parts / t
+    got = sys.hc0_psi_q_grams
+    assert got.shape == (*sys.batch_shape, n * k**3, 2 * n * k)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -502,8 +503,9 @@ def test_results_are_bitwise_equal_at_every_block_budget(monkeypatch, k, n):
     real = montecarlo._replicates
 
     def recording(*args):
-        per_replicate.append(real(*args))
-        return per_replicate[-1]
+        results, refits = real(*args)
+        per_replicate.append(results)
+        return results, refits
 
     monkeypatch.setattr(montecarlo, "_replicates", recording)
     runs = []
@@ -554,21 +556,84 @@ def test_a_block_traces_an_innovation_rank_error_to_its_replicate():
     def evaluate(fit):
         return subset.sfar_row_statistics(fit.stacked, value, 0)
 
-    results = montecarlo._run_block(returns, factors, evaluate)
+    results, refits = montecarlo._run_block(returns, factors, evaluate)
     assert isinstance(results[2], RankError)
+    assert refits == 4         # halves (0, 1 | 2, 3, 4), then (2 | 3, 4)
     for rep in (0, 1, 3, 4):
         one = fit_model(dataclasses.replace(returns, returns=returns.returns[rep]),
                         dataclasses.replace(factors, factors=x[rep]))
         assert results[rep] == evaluate(one)
 
 
-@pytest.mark.parametrize("k, n, size, bound_kb", [(1, 11, 32, 80), (5, 20, 13, 206)])
+def test_block_refits_count_the_fits_made_after_a_block_raised(monkeypatch):
+    # replicate 2's innovations are rank deficient, as above: its block's fit
+    # raises and is refitted in halves, and ``block_refits`` is the count of
+    # fit_model calls beyond one per block
+    spec = preset_dgp("strong", k=2, n=6, t=120)
+    real_simulate, calls = montecarlo.simulate, []
+
+    def with_a_rank_deficient_replicate(spec, seed, block):
+        returns, factors = real_simulate(spec, seed, block)
+        if 2 in block:
+            x = factors.factors.copy()
+            x[block.index(2), 1, 1:] = 0.5 * x[block.index(2), 0, :-1]
+            factors = dataclasses.replace(factors, factors=x)
+        return returns, factors
+
+    def counted(returns, factors):
+        calls.append(len(returns.returns))
+        return fit_model(returns, factors)
+
+    def blocks(reps):
+        return len(montecarlo._blocks(reps, montecarlo._block_size(spec)))
+
+    monkeypatch.setattr(montecarlo, "fit_model", counted)
+    monkeypatch.setattr(montecarlo, "simulate", with_a_rank_deficient_replicate)
+    density = sfar_density_experiment(spec, reps=40, seed=3)
+    assert density.failure_kinds == {"RankError": 1}
+    assert density.block_refits == len(calls) - blocks(40) > 0
+    calls.clear()
+    table = power_curve(["far", "sfar"], [spec.lambda1], spec, reps=100, seed=3)
+    assert table.failure_kinds == {"far": {"RankError": 1}, "sfar": {"RankError": 1}}
+    assert table.block_refits == len(calls) - blocks(100) > 0
+    # no block raises: one fit per block and no refit
+    monkeypatch.setattr(montecarlo, "simulate", real_simulate)
+    calls.clear()
+    table = power_curve(["far", "sfar"], [spec.lambda1], spec, reps=100, seed=3)
+    assert table.block_refits == 0 and len(calls) == blocks(100)
+    assert sfar_density_experiment(spec, reps=40, seed=3).block_refits == 0
+
+
+def test_a_kps_run_never_forms_the_residuals(monkeypatch):
+    # the fits keep no residuals, and only the hc0 variance forms them
+    formed = []
+    real = subset.StackedSystem.residuals.func
+
+    def counting(sys):
+        formed.append(sys.batch_shape)
+        return real(sys)
+
+    counted = cached_property(counting)
+    counted.__set_name__(subset.StackedSystem, "residuals")
+    monkeypatch.setattr(subset.StackedSystem, "residuals", counted)
+    spec = preset_dgp("strong", k=2, n=6, t=300)
+    power_curve(["far", "klm", "jklm", "wald", "sfar"], [spec.lambda1], spec, reps=100, seed=1)
+    sfar_density_experiment(spec, reps=30, seed=1)
+    assert formed == []
+    fit = fit_model(*simulate(spec, 1, 0), cov="hc0")
+    robust_tests(fit, spec.lambda1)
+    robust_tests(fit, 2 * spec.lambda1)
+    assert formed == [()]
+
+
+@pytest.mark.parametrize("k, n, size, bound_kb", [(1, 11, 96, 52), (5, 20, 23, 156)])
 def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, bound_kb):
     # one block as the benchmark's mc workloads run it: simulate, fit, then
     # FAR/KLM/JKLM/Wald at (1, 11) or row sFAR at (5, 20); the bounds sit 5 %
-    # above the peaks measured when the block-sized copies were removed
-    # (75.8 and 196.0 KB per replicate), which were 95.1 KB at blocks of 17
-    # and 220.1 KB at blocks of 8 before
+    # above the peaks measured when the fits stopped keeping their residuals
+    # (49.3 and 147.9 KB per replicate), which were 75.8 KB at blocks of 32
+    # and 196.0 KB at blocks of 13 before, and 95.1 and 220.1 KB at blocks of
+    # 17 and 8 before that
     spec = preset_dgp("strong", k=k, n=n, t=300)
     assert montecarlo._block_size(spec) == size
     if k == 1:
@@ -587,7 +652,7 @@ def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, b
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        results = montecarlo._run_block(*simulate(spec, 1, range(size)), evaluate)
+        results, _ = montecarlo._run_block(*simulate(spec, 1, range(size)), evaluate)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -609,10 +674,10 @@ def test_fit_model_is_called_once_per_block_with_the_observed_fields(monkeypatch
         monkeypatch.setattr(module, "fit_model", observed)
     size = preset_dgp("strong", k=1, n=11, t=300)
     power_curve(["far", "klm", "jklm", "wald"], [size.lambda1], size, reps=100, seed=7)
-    assert len(results) == -(-100 // montecarlo._block_size(size)) == 4
+    assert len(results) == -(-100 // montecarlo._block_size(size)) == 2
     sfar = preset_dgp("strong", k=5, n=20, t=300)
     sfar_density_experiment(sfar, reps=20, seed=2024)
-    assert len(results) - 4 == -(-20 // montecarlo._block_size(sfar)) == 2
+    assert len(results) - 2 == -(-20 // montecarlo._block_size(sfar)) == 1
     for fit in results:
         assert fit.cov_mode == "kps"
         assert fit.por is None or isinstance(fit.por, threestep.PriceOfRisk)
@@ -635,7 +700,7 @@ def test_the_variance_mode_is_an_argument_and_blocks_do_not_split_on_it(monkeypa
 
     monkeypatch.setattr(montecarlo, "fit_model", counted)
     power_curve(["far", "wald"], [spec.lambda1], spec, reps=1000, seed=3)
-    assert len(calls) == -(-1000 // montecarlo._block_size(spec)) == 4
+    assert len(calls) == -(-1000 // montecarlo._block_size(spec)) == 3
     assert sum(calls) == 1000
 
 

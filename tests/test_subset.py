@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskpremia import subset
+from riskpremia import subset, threestep
 from riskpremia._linalg import NumericalError, chi2_ppf, chol_whiten, sym
 from riskpremia.kronecker import kps_factorize
 from riskpremia.moments import robust_statistics
@@ -29,7 +29,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
-from oracles import second_stage_contemporaneous, sfar_minimized
+from oracles import residuals_contemporaneous, second_stage_contemporaneous, sfar_minimized
 from test_threestep import make_dataset, default_params
 
 
@@ -104,7 +104,8 @@ def synthetic_system(rng, k, n, t=100):
         kps=kps,
         xbar_lagged=np.zeros((k, t)),
         vhat=np.zeros((k, t)),
-        residuals=np.zeros((n, t)),
+        returns=np.zeros((n, t)),
+        design_q=np.zeros((t, 1 + k)),
     )
 
 
@@ -174,10 +175,33 @@ def test_stacked_system_reuses_second_stage(variant):
     route = second_stage if variant == "II" else second_stage_contemporaneous
     reg = route(returns, factors, var)
     sys = build_stacked(returns, factors, var, reg)
-    # Phi = (d + beta phi1 : beta) is the second stage itself, not a re-fit
-    assert sys.residuals is reg.residuals
+    # Phi = (d + beta phi1 : beta) is the second stage itself, not a re-fit,
+    # and the system holds the returns and the VAR's Q by reference
+    assert sys.returns is returns.returns and sys.design_q is var.design_q
     assert np.array_equal(sys.d_hat, reg.d_hat + reg.beta_hat @ var.phi1)
     assert np.array_equal(sys.beta_hat, reg.beta_hat)
+
+
+@pytest.mark.parametrize("k, n, reps", [(1, 11, 0), (2, 6, 4), (5, 20, 3)])
+def test_residuals_are_formed_on_demand_from_the_returns(k, n, reps):
+    # the fit keeps no residuals: the first read forms them from the returns
+    # it holds by reference, within 1e-12 of the dense contemporaneous
+    # regression and bit for bit the block product that sigma_e^2 summed
+    spec = preset_dgp("strong", k=k, n=n, t=300)
+    returns, factors = simulate(spec, 8, range(reps) if reps else 0)
+    var = fit_var1(factors)
+    reg = second_stage(returns, factors, var)
+    assert not hasattr(reg, "residuals")
+    sys = build_stacked(returns, factors, var, reg)
+    assert "residuals" not in vars(sys) and sys.returns is returns.returns
+    resid = sys.residuals
+    assert sys.residuals is resid
+    ref = residuals_contemporaneous(returns, factors)
+    assert np.abs(resid - ref).max() <= 1e-12
+    r, basis = returns.returns, threestep.joint_basis(var.design_q, var.residuals)[0]
+    assert np.array_equal(resid, r - (r @ basis) @ basis.swapaxes(-1, -2))
+    sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (n * spec.t)
+    assert np.array_equal(sigma_e2, reg.sigma_e2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskpremia._linalg import sym, vec
+from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
+from riskpremia.subset import build_stacked
 from riskpremia.threestep import (
     PriceOfRisk,
     ReturnRegression,
@@ -20,7 +22,7 @@ from riskpremia.threestep import (
 )
 from riskpremia.varstage import RankError, VarEstimate, fit_var1
 
-from oracles import second_stage_contemporaneous
+from oracles import residuals_contemporaneous, second_stage_contemporaneous
 
 
 def make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t):
@@ -67,7 +69,8 @@ def test_variant_identity_on_random_data():
         r2 = second_stage(returns, factors, var)
         for f1, f2 in [(r1.a_hat, r2.a_hat), (r1.d_hat, r2.d_hat), (r1.beta_hat, r2.beta_hat)]:
             assert np.allclose(f1, f2, rtol=1e-10, atol=1e-12 * np.abs(f1).max())
-        assert np.allclose(r1.residuals, r2.residuals, atol=1e-10)
+        resid = build_stacked(returns, factors, var, r2).residuals
+        assert np.allclose(residuals_contemporaneous(returns, factors), resid, atol=1e-10)
         assert r1.sigma_e2 == pytest.approx(r2.sigma_e2, rel=1e-10)
 
 
@@ -82,6 +85,28 @@ def test_variant_ii_reuses_the_var_qr_factors():
     bare = replace(var, design_q=None, design_r=None)
     with pytest.raises(ValueError, match="QR factors"):
         second_stage(returns, factors, bare)
+
+
+def block_sigma_e2(returns, var):
+    """sigma_e^2 by the block formula: every replicate's residual formed in
+    one stack-sized product, then summed in one einsum."""
+    r = returns.returns
+    basis = np.concatenate([var.design_q, np.linalg.qr(var.residuals.swapaxes(-1, -2))[0]], axis=-1)
+    fitted = (r @ basis) @ basis.swapaxes(-1, -2)
+    resid = np.subtract(r, fitted, out=fitted)
+    return np.einsum("...nt,...nt->...", resid, resid) / (r.shape[-2] * r.shape[-1])
+
+
+@pytest.mark.parametrize("k, n, reps", [(1, 11, 96), (2, 6, 7), (5, 20, 23), (3, 10, 0)])
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_sigma_e2_is_bitwise_the_block_formula(k, n, reps, kind):
+    # one replicate's residual at a time in a reused buffer sums the same bits
+    spec = preset_dgp(kind, k=k, n=n, t=300)
+    returns, factors = simulate(spec, 5, range(reps) if reps else 0)
+    var = fit_var1(factors)
+    got = second_stage(returns, factors, var).sigma_e2
+    want = block_sigma_e2(returns, var)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("second", ["lagged", "same innovations"])
@@ -160,7 +185,7 @@ def test_third_stage_identity_projection():
     d = rng.standard_normal((n, k))
     reg = ReturnRegression(
         a_hat=a, d_hat=d, beta_hat=np.eye(n), sigma_e2=0.0,
-        g_hat=np.zeros(n), residuals=np.zeros((n, 4)),
+        g_hat=np.zeros(n),
     )
     var = VarEstimate(
         mu=np.zeros(k), phi1=np.zeros((k, k)), residuals=np.zeros((k, 4)),
@@ -205,7 +230,7 @@ def test_near_singular_beta_raises():
     beta = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14], [2.0, 2.0]])
     reg = ReturnRegression(
         a_hat=np.zeros(3), d_hat=np.zeros((3, 2)), beta_hat=beta, sigma_e2=0.0,
-        g_hat=np.zeros(3), residuals=np.zeros((3, 4)),
+        g_hat=np.zeros(3),
     )
     var = VarEstimate(
         mu=np.zeros(2), phi1=np.zeros((2, 2)), residuals=np.zeros((2, 4)),
@@ -309,7 +334,7 @@ def random_estimates(rng, k, n, t=40):
     reg = ReturnRegression(
         a_hat=rng.standard_normal(n), d_hat=rng.standard_normal((n, k)),
         beta_hat=rng.standard_normal((n, k)), sigma_e2=float(rng.uniform(0.1, 2.0)),
-        g_hat=rng.standard_normal(n), residuals=np.zeros((n, t)),
+        g_hat=rng.standard_normal(n),
     )
     por = PriceOfRisk(lambda0=rng.standard_normal(k), lambda1=rng.standard_normal((k, k)))
     return factors, var, reg, por
