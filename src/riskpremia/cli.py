@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +83,10 @@ def _render_json(o, indent=0) -> str:
 
 
 def _versions():
-    import scipy
-
     return {
         "riskpremia": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),
         "python": sys.version.split()[0],
     }
 

@@ -120,9 +120,6 @@ class PvalueSurface:
     pvalues: np.ndarray            # shape == grid.shape, NaN for failed points
     failures: tuple = ()
 
-    def at(self, flat_index: int) -> float:
-        return float(self.pvalues.reshape(-1)[flat_index])
-
 
 @dataclass(frozen=True)
 class ConfidenceSet:

@@ -52,10 +52,6 @@ class KpsFactorization:
     spectrum: np.ndarray            # singular values of R(S), descending
     normalization: str              # which convention fixed the scalar split
 
-    @property
-    def product(self) -> np.ndarray:
-        return np.kron(self.omega, self.sigma)
-
 
 def kps_factorize(
     s_hat: np.ndarray,

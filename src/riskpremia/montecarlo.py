@@ -491,7 +491,7 @@ class SfarDensityResult:
         """Exact KS p-value of ``statistics`` against chi^2(``dof_bound``), NaN
         when no replicate succeeded.  The first read loads ``scipy.stats``
         (about 40 MB and 1 s); only callers that never read it skip that, and
-        the ``mc`` CLI summary and ``scripts/fig4_sfar_density.py`` read it."""
+        the ``mc`` CLI summary reads it."""
         if self.statistics.size == 0:
             return float("nan")
         return ks_chi2_pvalue(self.statistics, self.dof_bound)

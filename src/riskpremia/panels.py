@@ -60,10 +60,6 @@ class YieldPanel:
                 f"missing/non-finite yield at date {self.dates[t]}, maturity {self.maturities[m]}"
             )
 
-    @property
-    def n_dates(self) -> int:
-        return len(self.dates)
-
 
 @dataclass(frozen=True)
 class ReturnPanel:

@@ -78,7 +78,6 @@ class WaldResult:
     statistic: float
     dof: int
     pvalue: float
-    covariance: np.ndarray
 
     def __post_init__(self):
         if not (self.statistic >= -1e-10):
@@ -315,6 +314,4 @@ def wald_test(
     """Wald statistic T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) ~ chi^2(K^2)."""
     k = por.lambda1.shape[-1]
     stat = float(wald_statistics(por, cov, h0_lambda1, t))
-    return WaldResult(
-        statistic=stat, dof=k * k, pvalue=chi2_sf(stat, k * k), covariance=cov.v_lambda1
-    )
+    return WaldResult(statistic=stat, dof=k * k, pvalue=chi2_sf(stat, k * k))

@@ -476,7 +476,8 @@ def test_stacked_spd_projection_and_kps_terms_equal_single_calls(k, n, r, seed):
         # the dense factorization of the two model terms of fit j is the oracle
         terms = model_score_terms(q_xx[j], sigma_v[j], s2[j], beta[j])
         dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), 2 * k, n)
-        assert np.linalg.norm(one.product - dense.product) <= 1e-12 * np.linalg.norm(dense.product)
+        ref = np.kron(dense.omega, dense.sigma)
+        assert np.linalg.norm(np.kron(one.omega, one.sigma) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_a_stack_has_a_price_of_risk_for_every_fit_or_none():

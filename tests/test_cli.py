@@ -9,10 +9,24 @@ import riskpremia
 from riskpremia import cli, pipeline
 from riskpremia.cli import main
 from riskpremia.moments import robust_tests
+from riskpremia.montecarlo import power_curve, power_surface, preset_dgp, sfar_density_experiment
 from riskpremia.panels import YieldPanel, save_panel_csv
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
 from riskpremia.varstage import RankError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(heading: str) -> list[list[str]]:
+    """The argument lists of the ``riskpremia`` lines in the first ``sh``
+    block under ``heading`` of the README."""
+    block = README.read_text().split(heading, 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("riskpremia ")]
+
+
+FIGURE_COMMANDS = readme_commands("## Reproducing the figures")
 
 
 @pytest.fixture()
@@ -373,11 +387,46 @@ def test_unknown_stat_exit_2(tmp_path, yields_csv):
 
 
 def test_readme_command_lines_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line)[1:] for line in lines if line.startswith("riskpremia ")]
-    assert len(commands) >= 6
+    commands = readme_commands("## Command line")
+    assert len(commands) >= 6 and len(FIGURE_COMMANDS) == 6
     parser = cli.build_parser()
-    for argv in commands:
+    for argv in commands + FIGURE_COMMANDS:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", FIGURE_COMMANDS, ids=lambda argv: argv[argv.index("--out") + 1][4:])
+def test_figure_commands_write_the_arrays_of_their_library_call(tmp_path, argv):
+    # each README figure command, at small sizes, writes bit for bit the
+    # arrays of the library call it stands for; a repeated flag's last value wins
+    small = argv + ["--reps", "20" if "sfar-density" in argv else "100", "--grid-steps", "3",
+                    "--out", str(tmp_path)]
+    args = cli.build_parser().parse_args(small)
+    assert run(small) == 0
+    spec = preset_dgp(args.dgp, k=args.k, n=args.n, t=args.t)
+    offsets = np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
+
+    def csv(name):
+        return np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2)
+
+    if args.experiment == "sfar-density":
+        res = sfar_density_experiment(spec, reps=args.reps, seed=args.seed)
+        summary = json.loads((tmp_path / f"sfar_density_{args.dgp}_summary.json").read_text())
+        assert np.array_equal(csv(f"sfar_density_{args.dgp}.csv")[:, 0], res.statistics)
+        assert summary["dof_bound"] == res.dof_bound and summary["ks_pvalue"] == res.ks_pvalue
+        for key in ("empirical_quantiles", "chi2_quantiles"):
+            assert np.array_equal(summary[key], getattr(res, key))
+    elif args.experiment == "power-surface":
+        axis1, axis2 = spec.lambda1[0, 0] + offsets, spec.lambda1[0, 1] + offsets
+        table = power_surface(spec, axis1, axis2, reps=args.reps, seed=args.seed)
+        got = csv(f"power_surface_{args.dgp}.csv")
+        assert np.array_equal(got[:, 0], np.repeat(axis1, len(axis2)))
+        assert np.array_equal(got[:, 1], np.tile(axis2, len(axis1)))
+        assert np.array_equal(got[:, 2], table.rejection[0])
+    else:
+        truth = spec.lambda1[0, 0]
+        grid = [np.array([[truth + off]]) for off in offsets]
+        table = power_curve(["wald", "far", "klm", "jklm"], grid, spec, reps=args.reps, seed=args.seed)
+        got = csv(f"power_{args.dgp}.csv")
+        assert np.array_equal(got[:, 0], offsets)
+        assert np.array_equal(got[:, 1::2], table.rejection.T)
+        assert np.array_equal(got[:, 2::2], table.std_error.T)

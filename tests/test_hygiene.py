@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private module-level helper of the package has a caller, every public
-function of the package is named somewhere in the repository, every
-defaulted parameter of one is passed by shipped code or kept on purpose, and
-no handler catches every exception."""
+function of the package is named somewhere in the repository, every public
+function, method and property of it is read by shipped code or kept on
+purpose, every defaulted parameter of one is passed by shipped code or kept
+on purpose, and no handler catches every exception."""
 
 import ast
 from collections import defaultdict
@@ -110,6 +111,76 @@ def test_every_public_function_is_named_somewhere():
     )
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in files}
     assert unreferenced(sources, public_package_function) == []
+
+
+def unread_public(sources: dict[str, str], read_names=frozenset()) -> list[str]:
+    """``module: name`` for every public function, and ``module: Class.name``
+    for every public method or property, that a ``src/`` module of
+    ``sources`` (module name -> text) defines and that no code of ``sources``
+    reads outside its own body.  Reads are matched by name: ``f``, ``x.f``
+    or ``from m import f``; a name in ``read_names`` counts as read."""
+    defined, reads = [], defaultdict(list)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module.startswith("src/"):
+            for node in tree.body:
+                owner, members = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+                for m in members:
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_"):
+                        defined.append((module, owner + m.name, m.name, set(ast.walk(m))))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr].append(node)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads[alias.name].append(node)
+    return sorted(
+        f"{module}: {label}" for module, label, name, body in defined
+        if name not in read_names and all(read in body for read in reads[name])
+    )
+
+
+def test_scanner_flags_unread_public_functions_methods_and_properties():
+    sources = {
+        "src/a.py": "class C:\n    def used(self):\n        pass\n    @property\n    def unread(self):\n"
+                    "        return self.unread\n    def _private(self):\n        pass\n"
+                    "    def traced(self):\n        pass\n"
+                    "def imported():\n    pass\ndef orphan():\n    pass\n",
+        "scripts/b.py": "from a import C, imported\nC().used()\n",
+    }
+    assert unread_public(sources, {"traced"}) == ["src/a.py: C.unread", "src/a.py: orphan"]
+
+
+# Public functions, methods and properties that no module, script or
+# benchmark reads, each kept on purpose; everything else public has a reader
+# in shipped code.
+KEPT_UNREAD = {
+    "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov":
+        "library capability: the parametric-bootstrap cross-check of the Wald covariance",
+    "src/riskpremia/montecarlo.py: calibrate":
+        "library capability: a DGP calibrated to an empirical fit",
+    "src/riskpremia/panels.py: demean":
+        "library capability: demeaning a return or factor panel, or a stack of them",
+    "src/riskpremia/panels.py: save_panel_csv":
+        "the writer of the yield CSV that load_yield_csv reads back",
+    "src/riskpremia/subset.py: sfar_distant":
+        "criterion 4: the distant-value limit of the row statistic along one direction",
+}
+
+
+def test_every_public_function_is_read_by_shipped_code():
+    # tests are not readers, and the package's __init__ only re-exports; a
+    # perfbench trace target is read by the tracer, which wraps it by name
+    files = sorted(p for folder in ("src", "scripts", "perfbench") for p in (ROOT / folder).rglob("*.py")
+                   if p.name != "__init__.py")
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in files}
+    run = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (targets,) = [ast.literal_eval(node.value) for node in run.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACE_TARGETS"]]
+    traced = {target.rsplit(".", 1)[1] for target in targets}
+    assert unread_public(sources, traced) == sorted(KEPT_UNREAD)
 
 
 def unset_defaults(sources: dict[str, str], wanted) -> list[str]:

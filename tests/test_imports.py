@@ -2,7 +2,8 @@
 robust tests, row and column sFAR, confidence sets) runs on NumPy alone: the
 chi-square laws are closed forms.  Monte Carlo loads scipy.linalg at its
 first draw and reading ``ks_pvalue`` loads scipy.stats; neither loads
-scipy.special.  SciPy is the oracle of the chi-square tests below."""
+scipy.special.  A command records SciPy's version without importing it.
+SciPy is the oracle of the chi-square tests below."""
 
 import math
 import os
@@ -57,6 +58,11 @@ FRESH = textwrap.dedent(
         path = Path(tmp) / "yields.csv"
         save_panel_csv(path, YieldPanel(dates, mats, curve))
         yields = load_yield_csv(path)
+        # a command reads SciPy's version from its metadata, not by importing it
+        code = riskpremia.cli.main(["test", "--input", str(path), "--maturities", "1,2,12,24",
+                                    "--factors", "pca:2", "--stat", "far,klm,jklm,wald,sfar",
+                                    "--out", str(Path(tmp) / "test")])
+        assert code == 0 and "scipy" not in sys.modules, (code, loaded())
     fit = fit_model(excess_returns(yields, (1, 2, 12, 24)), pca_factors(yields, 2))
     lam1 = fit.por.lambda1
     for mode in ("kps", "hc0"):

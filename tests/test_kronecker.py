@@ -89,7 +89,7 @@ def test_exact_kronecker_recovery():
     s = np.kron(omega, sigma)
     fact = kps_factorize(s, p, k)
     assert fact.residual_rel < 1e-12
-    assert np.allclose(fact.product, s, rtol=1e-10, atol=1e-10 * np.abs(s).max())
+    assert np.allclose(np.kron(fact.omega, fact.sigma), s, rtol=1e-10, atol=1e-10 * np.abs(s).max())
 
 
 def test_residual_matches_truncated_svd_oracle():
@@ -135,7 +135,8 @@ def test_product_invariant_to_normalization():
     f1 = kps_factorize(s, p, k, normalize="omega11")
     f2 = kps_factorize(s, p, k, normalize="sigma11")
     assert f2.sigma[0, 0] == pytest.approx(1.0)
-    assert np.allclose(f1.product, f2.product, rtol=1e-10, atol=1e-12)
+    products = [np.kron(f.omega, f.sigma) for f in (f1, f2)]
+    assert np.allclose(*products, rtol=1e-10, atol=1e-12)
     assert abs(f1.residual_rel - f2.residual_rel) < 1e-12
 
 
@@ -217,7 +218,7 @@ def test_terms_route_exact_product_and_zero():
     fact = kps_factorize_model(q_xx, sigma_v, 0.7, beta)
     s = sum(np.kron(a, b) for a, b in model_score_terms(q_xx, sigma_v, 0.7, beta))
     assert fact.spectrum.shape == (1,) and fact.residual_rel == 0.0
-    assert np.allclose(fact.product, s, rtol=1e-12, atol=1e-14 * np.abs(s).max())
+    assert np.allclose(np.kron(fact.omega, fact.sigma), s, rtol=1e-12, atol=1e-14 * np.abs(s).max())
     with pytest.raises(NumericalError, match="Qxx"):
         kps_factorize_model(np.zeros((3, 3)), sigma_v, 0.7, beta)
 

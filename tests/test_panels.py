@@ -30,7 +30,7 @@ def test_load_csv_basic(tmp_path):
     f = tmp_path / "y.csv"
     f.write_text("date,3,120\n2001-01,0.001,0.002\n2001-02,0.0015,0.0025\n2001-03,0.0012,0.0021\n")
     panel = load_yield_csv(f)
-    assert panel.n_dates == 3
+    assert len(panel.dates) == 3
     assert panel.maturities == (3, 120)
     assert panel.yields.shape == (3, 2)
 
@@ -167,7 +167,7 @@ def test_pca_scores_match_eigh_oracle_up_to_sign():
     panel = toy_panel(t=9, mats=(1, 2, 3, 4))
     fp = pca_factors(panel, 2)
     centered = panel.yields - panel.yields.mean(axis=0)
-    w, v = np.linalg.eigh(centered.T @ centered / panel.n_dates)
+    w, v = np.linalg.eigh(centered.T @ centered / len(panel.dates))
     order = np.argsort(w)[::-1]
     oracle = centered @ v[:, order[:2]]
     for j in range(2):
@@ -182,7 +182,7 @@ def test_pca_full_reconstruction_and_uncorrelated_scores():
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     recon = fp.factors.T @ np.diag(np.sign(vt[np.arange(4), np.abs(vt).argmax(axis=1)])) @ vt
     assert np.allclose(recon, centered, atol=1e-10)
-    cov = fp.factors @ fp.factors.T / panel.n_dates
+    cov = fp.factors @ fp.factors.T / len(panel.dates)
     off = cov - np.diag(np.diag(cov))
     assert np.abs(off).max() < 1e-10 * np.abs(cov).max()
 

@@ -11,13 +11,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # script -> (tiny-size arguments, files it writes)
 RUNS = {
     "eigenlab_bounds.py": (["--reps", "200"], ["quantiles.csv"]),
-    "fig2_power_curves.py": (["--reps", "100", "--steps", "3"],
-                             ["power_strong.csv", "power_weak.csv"]),
-    "fig4_sfar_density.py": (["--reps", "20"],
-                             ["sfar_draws_strong.csv", "sfar_draws_weak.csv",
-                              "summary_strong.json", "summary_weak.json"]),
-    "fig6_power_surface.py": (["--reps", "100", "--steps", "2"],
-                              ["surface_strong.csv", "surface_weak.csv"]),
     "fig7_confidence_sets.py": (["--steps", "3"],
                                 ["surface_strong.csv", "surface_weak.csv",
                                  "sets_strong.json", "sets_weak.json"]),
