@@ -19,8 +19,8 @@ from .confsets import (
     pvalue_curve,
     row_binding,
 )
-from .kronecker import KpsFactorization, kps_factorize, kps_residual_report, rearrange
-from .moments import RobustTestResult, moment_vector, robust_tests
+from .kronecker import KpsFactorization, kps_factorize, rearrange
+from .moments import moment_vector, robust_tests
 from .montecarlo import (
     DgpSpec,
     EigenLabSpec,
@@ -45,8 +45,6 @@ from .panels import (
 )
 from .pipeline import ModelFit, fit_model
 from .subset import (
-    RankTestResult,
-    SfarResult,
     StackedSystem,
     SubsetHypothesis,
     boundedness_diagnostic,
@@ -59,7 +57,7 @@ from .subset import (
 from .threestep import (
     PriceOfRisk,
     ReturnRegression,
-    WaldResult,
+    TestResult,
     asymptotic_covariance,
     convexity_adjustment,
     second_stage,

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from ._linalg import NumericalError, chi2_sf, format_float, ks_chi2_pvalue
 from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
-from .kronecker import kps_residual_report
 from .montecarlo import (
     EigenLabSpec,
     preset_dgp,
@@ -211,7 +210,7 @@ def cmd_estimate(args) -> dict:
     # var of vec(beta_hat) is Sigma_v^-1 kron sigma_e^2 I_N: one variance per column
     var_beta = np.diag(fit.asymptotic_cov.v_beta).reshape(-1, n).T
     col_stats = t * np.einsum("nj,nj->j", beta, beta) / var_beta[0]
-    rank = kp_rank(fit.stacked)
+    rank, kps = kp_rank(fit.stacked), fit.stacked.kps
     return {"estimates.json": {
         "beta": beta.tolist(),
         "beta_tstats": (beta / np.sqrt(var_beta / t)).tolist(),
@@ -227,7 +226,7 @@ def cmd_estimate(args) -> dict:
         "phi1": fit.var.phi1.tolist(),
         "sigma_v": fit.var.sigma_v.tolist(),
         "cov_mode": fit.cov_mode,
-        "kps_diagnostic": kps_residual_report(fit.stacked.kps).to_dict(),
+        "kps_diagnostic": {"residual_rel": kps.residual_rel, "singular_ratio": kps.singular_ratio},
         "kps_spectrum": fit.stacked.kps.spectrum.tolist(),
     }}
 
@@ -242,23 +241,16 @@ def cmd_test(args) -> dict:
     results = []
     for stat in stats:
         if stat in robust:
-            results.append(robust[stat].to_dict())
+            res = robust[stat]
         elif stat == "wald":
             res = fit.wald(h0)
-            results.append({
-                "name": "Wald", "statistic": res.statistic, "dof": res.dof,
-                "pvalue": res.pvalue, "bound_only": False, "h0": h0.tolist(),
-            })
         elif stat == "sfar":
             value = _subset_value(h0, args.subset_kind, args.subset_index)
             h = SubsetHypothesis(args.subset_kind, args.subset_index, value)
-            res = sfar_row(h, fit.stacked) if args.subset_kind == "row" else sfar_column(h, fit.stacked)
-            d = res.to_dict()
-            d.update({"name": "sFAR", "bound_only": True, "h0": h.value.tolist(),
-                      "pvalue": d.pop("pvalue_upper")})
-            results.append(d)
+            res = (sfar_row if args.subset_kind == "row" else sfar_column)(h, fit.stacked)
         else:
             raise PanelError(f"unknown statistic {stat!r}")
+        results.append(res.to_dict())
     return {"tests.json": {"results": results}}
 
 
@@ -503,12 +495,13 @@ def main(argv=None) -> int:
         for name in outputs:
             print(str(out / name))
         return 0
+    except (RankError, NumericalError, np.linalg.LinAlgError) as exc:
+        # first: LinAlgError is a ValueError, and a numerical failure exits 3
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except (PanelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RankError, NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except SystemExit:
         raise
     except Exception as exc:  # pragma: no cover - defensive

@@ -52,6 +52,18 @@ class KpsFactorization:
     spectrum: np.ndarray            # singular values of R(S), descending
     normalization: str              # which convention fixed the scalar split
 
+    @property
+    def singular_ratio(self):
+        """sigma_2 / sigma_1 of R(S), how far S is from one Kronecker
+        product, per stack entry of a stacked factorization.  A diagnostic
+        only: no decision reads it, and it does not predict the size of the
+        tests."""
+        sv = self.spectrum
+        if sv.shape[-1] < 2:
+            return 0.0
+        # sigma_1 = 0 leaves sigma_2 = 0, so the ratio is 0 there
+        return sv[..., 1] / np.where(sv[..., 0] > 0, sv[..., 0], np.inf)
+
 
 def kps_factorize(
     s_hat: np.ndarray,
@@ -155,30 +167,4 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> KpsFactorization:
         residual_rel=np.linalg.norm(sv[..., 1:], axis=-1) / np.linalg.norm(sv, axis=-1),
         spectrum=sv,
         normalization=DEFAULT_NORMALIZE,
-    )
-
-
-@dataclass(frozen=True)
-class KpsDiagnostic:
-    """How far S is from one Kronecker product.  A diagnostic only: no
-    decision reads it, and it does not predict the size of the tests."""
-
-    residual_rel: float
-    singular_ratio: float           # sigma_2 / sigma_1 of R(S)
-
-    def to_dict(self) -> dict:
-        return {"residual_rel": self.residual_rel, "singular_ratio": self.singular_ratio}
-
-
-def kps_residual_report(fact: KpsFactorization) -> KpsDiagnostic:
-    """The residual report of a factorization; of a stacked one, every
-    field is an array over the stack."""
-    sv = fact.spectrum
-    ratio = 0.0
-    if sv.shape[-1] > 1:
-        # sigma_1 = 0 leaves sigma_2 = 0, so the ratio is 0 there
-        ratio = sv[..., 1] / np.where(sv[..., 0] > 0, sv[..., 0], np.inf)
-    return KpsDiagnostic(
-        residual_rel=fact.residual_rel,
-        singular_ratio=ratio,
     )

@@ -34,41 +34,16 @@ grows with T.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import bordered, chi2_sf, chol_bordered, square_stack, sumsq, sym, vec
 from .pipeline import ModelFit
 from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit
+from .threestep import TestResult
 
 TESTS = ("far", "klm", "jklm")
 _LABELS = {"far": "FAR", "klm": "KLM", "jklm": "JKLM"}
-
-
-@dataclass(frozen=True)
-class RobustTestResult:
-    name: str
-    statistic: float
-    dof: int
-    pvalue: float
-    bound_only: bool = False
-    h0: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "statistic", float(max(self.statistic, 0.0)))
-        if not 0.0 <= self.pvalue <= 1.0:
-            raise ValueError("p-value outside [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "pvalue": self.pvalue,
-            "bound_only": self.bound_only,
-            "h0": None if self.h0 is None else np.asarray(self.h0).tolist(),
-        }
 
 
 def moment_vector(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
@@ -231,7 +206,8 @@ def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dic
 
 
 def robust_tests(fit: ModelFit, lam1_0, mode: str | None = None, which=TESTS):
-    """Evaluate the requested robust statistics at one hypothesis on one fit.
+    """Evaluate the requested robust statistics at one hypothesis on one fit,
+    one ``TestResult`` per name in ``which``.
 
     ``mode`` defaults to the fit's covariance mode; a stack of fits raises
     TypeError (``robust_statistics`` takes stacks).
@@ -242,8 +218,6 @@ def robust_tests(fit: ModelFit, lam1_0, mode: str | None = None, which=TESTS):
     stats = robust_statistics(sys_, h0, mode or fit.cov_mode, which)
     dof = dofs(sys_.n_factors, sys_.n_assets)
     return {
-        name: RobustTestResult(
-            _LABELS[name], stat, dof[name], chi2_sf(stat, dof[name]), h0=h0
-        )
+        name: TestResult(_LABELS[name], stat, dof[name], chi2_sf(stat, dof[name]), h0=h0)
         for name, stat in stats.items()
     }

@@ -114,19 +114,6 @@ class DgpSpec:
         shock_factor = np.linalg.cholesky(sigma_v + 1e-300 * np.eye(k)) if np.any(sigma_v) else np.zeros((k, k))
         return _FactorLaw(radius, mean, half, shock_factor, _recursion_band(phi1, self.t))
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c.tolist(),
-            "beta": self.beta.tolist(),
-            "lambda1": self.lambda1.tolist(),
-            "mu": self.mu.tolist(),
-            "phi1": self.phi1.tolist(),
-            "sigma_v": self.sigma_v.tolist(),
-            "sigma_e2": self.sigma_e2,
-            "t": self.t,
-            "weak_scale": self.weak_scale.tolist(),
-        }
-
 
 def calibrate(
     var: VarEstimate,
@@ -319,7 +306,8 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> tuple[list, in
     as two halves of its panels, down to single replicates; no other code
     traces a failure back to its replicate.  A replicate that raises one of
     FIT_ERRORS on its own has that exception in place of its result, as
-    fitting and evaluating it alone gives.  The refits are the ``fit_model``
+    fitting and evaluating it alone gives; any other exception of a single
+    replicate propagates.  The refits are the ``fit_model``
     calls made after a block raised, 0 when none did.
     """
     results, refits = [], 0
@@ -338,7 +326,7 @@ def _run_block(returns: ReturnPanel, factors: FactorPanel, evaluate) -> tuple[li
     except FIT_ERRORS + (ValueError,) as exc:
         n = len(returns.returns)
         if n == 1:
-            if isinstance(exc, ValueError):
+            if not isinstance(exc, FIT_ERRORS):     # LinAlgError is a ValueError too
                 raise
             return [exc], 0
         results, refits = [], 0
@@ -405,12 +393,12 @@ def power_curve(
 ) -> PowerTable:
     """Rejection frequencies of the chosen tests over a hypothesis grid.
 
-    ``h0_grid`` holds finite K x K matrices (scalars allowed when K = 1); an
-    invalid one, or a level outside (0, 1], raises ValueError before any
-    replicate is drawn.  The sFAR entry tests the first row of Lambda1
-    against the matrix's first row.  Each block of replicates
-    (``_replicates``) is one stacked fit and runs one ``confsets.scan_pvalues``
-    per test family (far/klm/jklm together, wald, sfar) over the whole grid;
+    ``h0_grid`` holds at least one finite K x K matrix (scalars allowed when
+    K = 1); an empty grid, an invalid matrix or a level outside (0, 1]
+    raises ValueError before any replicate is drawn.  The sFAR entry tests
+    the first row of Lambda1 against the matrix's first row.  Each block of
+    replicates (``_replicates``) is one stacked fit and runs one
+    ``confsets.scan_pvalues`` per test family (far/klm/jklm together, wald, sfar) over the whole grid;
     the numbers are those of scanning each fit on its own.  ``failures`` counts, per
     test, the (replicate, hypothesis) pairs without a result, and
     ``failure_kinds`` splits that count by the exception raised: by the fit,
@@ -425,6 +413,8 @@ def power_curve(
     tests = [t.lower() for t in tests]
     if set(tests) - set(VALID_TESTS):
         raise ValueError(f"unknown test in {tests}; expected any of {VALID_TESTS}")
+    if len(h0_grid) == 0:
+        raise ValueError("need at least one hypothesis")
     k = spec.n_factors
     h0_mats = np.array([np.asarray(h, dtype=float).reshape(k, k) for h in h0_grid])
     if not np.isfinite(h0_mats).all():
@@ -644,7 +634,10 @@ def wishart_eigen_lab(spec: EigenLabSpec) -> WishartLabResult:
 
 
 def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
-    """Rank-1 mean matrix with squared singular value kappa (K = 2 null)."""
+    """Rank-1 mean matrix with squared singular value kappa (K = 2 null);
+    a negative or non-finite kappa raises ValueError."""
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
     u = np.ones(n) / np.sqrt(n)
     v = np.ones(l) / np.sqrt(l)
     return np.sqrt(kappa) * np.outer(u, v)

@@ -14,7 +14,7 @@ from .threestep import (
     AsymptoticCovariance,
     PriceOfRisk,
     ReturnRegression,
-    WaldResult,
+    TestResult,
     asymptotic_covariance,
     second_stage,
     third_stage,
@@ -69,7 +69,8 @@ class ModelFit:
             raise RankError("price-of-risk estimates unavailable (singular beta'beta)")
         return asymptotic_covariance(self.var, self.reg, self.por, self.stacked.q_xx)
 
-    def wald(self, h0_lambda1: np.ndarray) -> WaldResult:
+    def wald(self, h0_lambda1: np.ndarray) -> TestResult:
+        """``wald_test`` at one hypothesis on one fit."""
         _require_one_fit(self.stacked, "ModelFit.wald")
         return wald_test(self.por, self.asymptotic_cov, h0_lambda1, self.n_periods)
 

@@ -45,7 +45,7 @@ from ._linalg import (
 )
 from .kronecker import KpsFactorization, kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
-from .threestep import ReturnRegression, check_alignment, joint_basis, project_out
+from .threestep import ReturnRegression, TestResult, check_alignment, joint_basis, project_out
 from .varstage import VarEstimate
 
 VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` parts
@@ -308,24 +308,6 @@ def _check_subset_values(index: int, values: np.ndarray) -> None:
         raise ValueError("hypothesis value must be finite")
 
 
-@dataclass(frozen=True)
-class SfarResult:
-    statistic: float
-    roots: np.ndarray        # ascending pencil roots off the hypothesis
-    dof_bound: int
-    pvalue_upper: float
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "roots": list(self.roots)}
-
-
-@dataclass(frozen=True)
-class RankTestResult:
-    statistic: float
-    dof: int
-    pvalue: float
-
-
 def _require_one_fit(sys: StackedSystem, caller: str) -> None:
     """Raise TypeError when a single-fit entry point gets a stack of fits."""
     if sys.batch_shape:
@@ -414,27 +396,34 @@ def _projected_roots(sys: StackedSystem, normals: np.ndarray, kind: str = "row")
     return sys.n_periods * (rayleigh + roots[..., : sys.n_factors - 1].sum(axis=-1)), roots
 
 
-def _single_result(sys: StackedSystem, normal: np.ndarray, kind: str = "row") -> SfarResult:
-    """The stack-of-one case of ``_projected_roots`` as an SfarResult."""
-    stats, roots = _projected_roots(sys, normal[None], kind)
+def _sfar_result(sys: StackedSystem, caller: str, values: np.ndarray, index: int | None = None,
+                 kind: str = "row") -> TestResult:
+    """The stack-of-one case of ``_projected_roots`` at the ``_normals`` of
+    ``values`` (K,) on one fit, as a ``TestResult`` named sFAR whose p-value
+    is the chi^2(K(N-K+1)) upper bound, with the pencil roots; ``h0`` is the
+    hypothesis value, None for a distant value (no ``index``)."""
+    _require_one_fit(sys, caller)
+    stats, roots = _projected_roots(sys, _normals(sys, values, index, kind)[None], kind)
     stat, dof = float(stats[0]), sfar_dof(sys)
-    return SfarResult(statistic=stat, roots=roots[0], dof_bound=dof, pvalue_upper=chi2_sf(stat, dof))
+    return TestResult("sFAR", stat, dof, chi2_sf(stat, dof), bound_only=True,
+                      h0=None if index is None else values, roots=roots[0])
 
 
-def _subset_result(h: SubsetHypothesis, sys: StackedSystem, kind: str) -> SfarResult:
-    _require_one_fit(sys, f"sfar_{kind}")
+def _subset_result(h: SubsetHypothesis, sys: StackedSystem, kind: str) -> TestResult:
     if h.kind != kind:
         raise ValueError(f"sfar_{kind} requires a {kind} hypothesis")
-    return _single_result(sys, _normals(sys, h.value, h.index, kind), kind)
+    return _sfar_result(sys, f"sfar_{kind}", h.value, h.index, kind)
 
 
-def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
-    """Subset statistic for one row of Lambda1 via the projected pencil."""
+def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> TestResult:
+    """Subset statistic for one row of Lambda1 via the projected pencil, an
+    sFAR ``TestResult``."""
     return _subset_result(h, sys, "row")
 
 
-def sfar_column(h: SubsetHypothesis, sys: StackedSystem) -> SfarResult:
-    """Subset statistic for one column of Lambda1 via the projected pencil."""
+def sfar_column(h: SubsetHypothesis, sys: StackedSystem) -> TestResult:
+    """Subset statistic for one column of Lambda1 via the projected pencil,
+    an sFAR ``TestResult``."""
     return _subset_result(h, sys, "column")
 
 
@@ -455,22 +444,23 @@ def sfar_column_statistics(sys: StackedSystem, values: np.ndarray, index: int) -
     return _subset_statistics(sys, values, index, "column")
 
 
-def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> SfarResult:
-    """Limit of the row statistic along lambda_1 = c * direction as c grows.
+def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> TestResult:
+    """Limit of the row statistic along lambda_1 = c * direction as c grows,
+    an sFAR ``TestResult`` with no ``h0``.
 
     The normal (c d ; e_index) of the restricted pencil turns into (d ; 0) as
     c grows, so the limit is the same for every row index.
     """
-    _require_one_fit(sys, "sfar_distant")
     lam = np.asarray(direction, dtype=float).reshape(-1)
     norm = np.linalg.norm(lam)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
-    return _single_result(sys, _normals(sys, lam))
+    return _sfar_result(sys, "sfar_distant", lam)
 
 
-def kp_rank(sys: StackedSystem) -> RankTestResult:
-    """Reduced-rank test of the factor loadings (H0: rank(beta) = K-1).
+def kp_rank(sys: StackedSystem) -> TestResult:
+    """Reduced-rank test of the factor loadings (H0: rank(beta) = K-1), a
+    ``TestResult`` named rank.
 
     T times the smallest root of the pencil (H, Psi) on the vectors (0 ; y),
     i.e. of (H_vv, Psi_v); they are orthogonal to e_1..e_K, whose whitened
@@ -485,7 +475,7 @@ def kp_rank(sys: StackedSystem) -> RankTestResult:
     k, n = sys.n_factors, sys.n_assets
     stat = float(sys.n_periods * _pencil_roots(sys, sys.psi_whitener[..., :k])[..., 0])
     dof = n - k + 1
-    return RankTestResult(statistic=stat, dof=dof, pvalue=chi2_sf(stat, dof))
+    return TestResult("rank", stat, dof, chi2_sf(stat, dof))
 
 
 @dataclass(frozen=True)

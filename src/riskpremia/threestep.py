@@ -74,14 +74,45 @@ class PriceOfRisk:
 
 
 @dataclass(frozen=True)
-class WaldResult:
+class TestResult:
+    """One test as the paper reports it: a statistic, its chi^2 degrees of
+    freedom and a p-value, which is only an upper bound when ``bound_only``
+    (sFAR).
+
+    Every test returns it: FAR/KLM/JKLM (``moments.robust_tests``), Wald
+    (``wald_test``), sFAR (``subset.sfar_row``, ``sfar_column``,
+    ``sfar_distant``, with the pencil roots in ``roots``) and the rank test
+    (``subset.kp_rank``).  The statistic is clipped at 0, and a p-value
+    outside [0, 1] raises ValueError.
+    """
+
+    __test__ = False        # a library class, not a pytest test class
+
+    name: str
     statistic: float
     dof: int
     pvalue: float
+    bound_only: bool = False
+    h0: np.ndarray | None = None
+    roots: np.ndarray | None = None     # ascending pencil roots off an sFAR hypothesis
 
     def __post_init__(self):
-        if not (self.statistic >= -1e-10):
-            raise ValueError("Wald statistic must be nonnegative")
+        object.__setattr__(self, "statistic", float(max(self.statistic, 0.0)))
+        if not 0.0 <= self.pvalue <= 1.0:
+            raise ValueError("p-value outside [0, 1]")
+
+    def to_dict(self) -> dict:
+        out = {
+            "name": self.name,
+            "statistic": self.statistic,
+            "dof": self.dof,
+            "pvalue": self.pvalue,
+            "bound_only": self.bound_only,
+            "h0": None if self.h0 is None else np.asarray(self.h0).tolist(),
+        }
+        if self.roots is not None:
+            out["roots"] = self.roots.tolist()
+        return out
 
 
 def convexity_adjustment(beta_hat: np.ndarray, sigma_v: np.ndarray, sigma_e2) -> np.ndarray:
@@ -310,8 +341,10 @@ def wald_test(
     cov: AsymptoticCovariance,
     h0_lambda1: np.ndarray,
     t: int,
-) -> WaldResult:
-    """Wald statistic T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) ~ chi^2(K^2)."""
+) -> TestResult:
+    """Wald statistic T vec(L1 - L1_0)' V^-1 vec(L1 - L1_0) ~ chi^2(K^2), as
+    a ``TestResult`` named Wald."""
     k = por.lambda1.shape[-1]
-    stat = float(wald_statistics(por, cov, h0_lambda1, t))
-    return WaldResult(statistic=stat, dof=k * k, pvalue=chi2_sf(stat, k * k))
+    h0 = square_stack(h0_lambda1, k)
+    stat = float(wald_statistics(por, cov, h0, t))
+    return TestResult("Wald", stat, k * k, chi2_sf(stat, k * k), h0=h0)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from riskpremia.moments import _decompose, _hc0_vff, _hc0_vqf_apply, robust_statistics, robust_tests
 from riskpremia._linalg import chol_whiten, spd_project
 from riskpremia.confsets import GridAxis, GridSpec, full_lambda_binding, pvalue_curve, row_binding, scan_pvalues
-from riskpremia.kronecker import kps_factorize, kps_factorize_model, kps_residual_report
+from riskpremia.kronecker import kps_factorize, kps_factorize_model
 from riskpremia.montecarlo import DgpSpec, preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import FIT_ERRORS, fit_model
@@ -465,14 +465,12 @@ def test_stacked_spd_projection_and_kps_terms_equal_single_calls(k, n, r, seed):
     s2 = rng.uniform(0.1, 2.0, r)
 
     fact = kps_factorize_model(q_xx, sigma_v, s2, beta)
-    diag = kps_residual_report(fact)
     for j in range(r):
         one = kps_factorize_model(q_xx[j], sigma_v[j], s2[j], beta[j])
         for name in ("omega", "sigma", "spectrum", "residual_rel"):
             assert_close(getattr(fact, name)[j], getattr(one, name))
         assert fact.normalization == one.normalization
-        for name in ("residual_rel", "singular_ratio"):
-            assert_close(getattr(diag, name)[j], getattr(kps_residual_report(one), name))
+        assert_close(fact.singular_ratio[j], one.singular_ratio)
         # the dense factorization of the two model terms of fit j is the oracle
         terms = model_score_terms(q_xx[j], sigma_v[j], s2[j], beta[j])
         dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), 2 * k, n)

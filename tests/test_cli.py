@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +111,6 @@ def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
 
 
 def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
-    from riskpremia.kronecker import kps_residual_report
     from riskpremia.panels import excess_returns, load_yield_csv, pca_factors
     from riskpremia.pipeline import fit_model
 
@@ -122,8 +122,8 @@ def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
     fit = fit_model(excess_returns(panel, [12, 24]), pca_factors(panel, 2))
     # a report of the fit's factorization, to the last digit written; the
     # residual does not predict size, so no verdict on it is written
-    assert est["kps_diagnostic"] == kps_residual_report(fit.stacked.kps).to_dict()
-    assert set(est["kps_diagnostic"]) == {"residual_rel", "singular_ratio"}
+    kps = fit.stacked.kps
+    assert est["kps_diagnostic"] == {"residual_rel": kps.residual_rel, "singular_ratio": kps.singular_ratio}
     assert est["kps_spectrum"] == fit.stacked.kps.spectrum.tolist()
 
 
@@ -152,18 +152,20 @@ def test_test_command_matches_one_call_per_statistic(tmp_path, yields_csv):
         _, returns, factors = cli._build_panels(args)
         fit = fit_model(returns, factors, cov=args.cov)
         results = [robust_tests(fit, lam, which=(s,))[s].to_dict() for s in ("far", "klm", "jklm")]
-        wald = fit.wald(lam)
-        results.append({"name": "Wald", "statistic": wald.statistic, "dof": wald.dof,
-                        "pvalue": wald.pvalue, "bound_only": False, "h0": lam.tolist()})
+        results.append(fit.wald(lam).to_dict())
         value = lam[index] if kind == "row" else lam[:, index]
         subset_test = sfar_row if kind == "row" else sfar_column
-        sfar = subset_test(SubsetHypothesis(kind, index, value), fit.stacked).to_dict()
-        assert "method" not in sfar and "converged" not in sfar
-        sfar.update({"name": "sFAR", "bound_only": True, "h0": value.tolist(),
-                     "pvalue": sfar.pop("pvalue_upper")})
-        results.append(sfar)
+        results.append(subset_test(SubsetHypothesis(kind, index, value), fit.stacked).to_dict())
         expected = cli._render_json({"results": results}) + "\n"
         assert (out / "tests.json").read_text() == expected
+        # one record: the common keys, and the sFAR pencil roots besides
+        written = json.loads(expected)["results"]
+        common = ["name", "statistic", "dof", "pvalue", "bound_only", "h0"]
+        assert [list(r) for r in written] == [common] * 4 + [common + ["roots"]]
+        assert [r["name"] for r in written] == ["FAR", "KLM", "JKLM", "Wald", "sFAR"]
+        assert [r["bound_only"] for r in written] == [False] * 4 + [True]
+        assert written[3]["h0"] == lam.tolist() and written[4]["h0"] == value.tolist()
+        assert written[4]["dof"] == 2 * (2 - 2 + 1)
 
 
 def test_cs_subset_index_out_of_range_exit_2(tmp_path, yields_csv, capsys):
@@ -253,6 +255,12 @@ def test_mc_reports_its_replicate_rate_on_stderr_only(tmp_path, capsys):
                     "--grid-steps", "3", "--out", tmp_path / "bad"]) == 2
         err = capsys.readouterr().err
         assert "replicate" in err and "replicates/s" not in err
+    # and so is a grid without points, in either power study
+    for experiment in ("power", "power-surface"):
+        assert run(["mc", "--experiment", experiment, "--k", "2", "--n", "3", "--reps", "100",
+                    "--grid-steps", "0", "--out", tmp_path / "bad"]) == 2
+        err = capsys.readouterr().err
+        assert "error: need at least one hypothesis" in err and "replicates/s" not in err
     assert not (tmp_path / "bad").exists()
 
 
@@ -314,6 +322,32 @@ def test_eigenlab_command(tmp_path):
     summary = json.loads((out / "eigen_summary.json").read_text())
     assert summary["central_dof"] == (3 - 2 + 1) * (5 - 2 + 1)
     assert (out / "eigen.csv").exists()
+
+
+@pytest.mark.parametrize("kappa", ["-1", "nan", "inf"])
+def test_eigenlab_rejects_a_negative_or_non_finite_kappa(tmp_path, capsys, kappa):
+    # a configuration error that names kappa, raised before any draw and
+    # without a warning from the square root
+    out = tmp_path / "e"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eigenlab", "--n", "6", "--dim", "3", "--k", "2", "--reps", "100",
+                    "--kappa", kappa, "--out", out]) == 2
+    assert "error: kappa must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_linalg_error_is_a_numerical_failure(tmp_path, yields_csv, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, yet it exits 3 as a numerical error
+    def failing_fit(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "fit_model", failing_fit)
+    out = tmp_path / "est"
+    assert run(["estimate", "--input", yields_csv, "--maturities", "12,24",
+                "--factors", "pca:2", "--out", out]) == 3
+    assert capsys.readouterr().err == "numerical error: SVD did not converge\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [["--reps", "0"], ["--k", "5"], ["--k", "0"]])

@@ -172,7 +172,7 @@ def test_scan_failures_match_a_point_by_point_loop(monkeypatch, test):
             failures.append((i, repr(injected(float(params[0])))))
             expected.append(np.nan)
         elif test == "sfar":
-            expected.append(sfar_row(SubsetHypothesis("row", 1, params), fit.stacked).pvalue_upper)
+            expected.append(sfar_row(SubsetHypothesis("row", 1, params), fit.stacked).pvalue)
         else:
             lam = params.reshape(2, 2, order="F")
             expected.append(robust_tests(fit, lam, mode="kps", which=("klm",))["klm"].pvalue)
@@ -270,7 +270,7 @@ def test_column_binding_scan_matches_sfar_column_at_every_point():
     params = binding.assemble(grid.points())
     for i, value in enumerate(params):
         h = SubsetHypothesis("column", 1, value)
-        assert surface.pvalues.reshape(-1)[i] == sfar_column(h, fit.stacked).pvalue_upper
+        assert surface.pvalues.reshape(-1)[i] == sfar_column(h, fit.stacked).pvalue
     # a stack of fits is scanned in one pass, equal to the single-fit scans
     spec = preset_dgp("strong", k=2, n=4, t=200)
     pvalues, _ = confsets.scan_pvalues(("sfar",), fit_model(*simulate(spec, 3, range(2))), binding, params)

@@ -2,8 +2,9 @@
 every private module-level helper of the package has a caller, every public
 function of the package is named somewhere in the repository, every public
 function, method and property of it is read by shipped code or kept on
-purpose, every defaulted parameter of one is passed by shipped code or kept
-on purpose, and no handler catches every exception."""
+purpose, so is every dataclass field, every defaulted parameter of one is
+passed by shipped code or kept on purpose, and no handler catches every
+exception."""
 
 import ast
 from collections import defaultdict
@@ -181,6 +182,68 @@ def test_every_public_function_is_read_by_shipped_code():
                   and [getattr(t, "id", None) for t in node.targets] == ["TRACE_TARGETS"]]
     traced = {target.rsplit(".", 1)[1] for target in targets}
     assert unread_public(sources, traced) == sorted(KEPT_UNREAD)
+
+
+def is_dataclass(decorator: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass(...)``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module: Class.field`` for every field of a dataclass that a ``src/``
+    module of ``sources`` (module name -> text) defines and that no code of
+    ``sources`` reads.  Reads are matched by name, ``x.field`` loaded
+    anywhere, a method of the class included; setting a field, by keyword
+    or by assignment, is not a read."""
+    defined, reads = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module.startswith("src/"):
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+                    defined += [(module, node.name, stmt.target.id) for stmt in node.body
+                                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        reads |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{module}: {cls}.{name}" for module, cls, name in defined if name not in reads)
+
+
+def test_scanner_flags_dataclass_fields_no_code_reads():
+    sources = {
+        "src/a.py": "from dataclasses import dataclass\nimport dataclasses\n"
+                    "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int = 0\n"
+                    "    by_method: int = 0\n    __test__ = False\n"
+                    "    def total(self):\n        return self.by_method\n"
+                    "@dataclasses.dataclass\nclass B:\n    stored: int\n"
+                    "class Plain:\n    annotated: int\n",
+        "scripts/b.py": "from a import A, B\nA(read=1, unread=2).read\nb = B(1)\nb.stored = 2\n",
+    }
+    assert unread_fields(sources) == ["src/a.py: A.unread", "src/a.py: B.stored"]
+
+
+# Dataclass fields that no module, script or benchmark reads, each kept on
+# purpose; every other field has a reader in shipped code.
+KEPT_FIELDS = {
+    "src/riskpremia/kronecker.py: KpsFactorization.normalization":
+        "which scalar split of the factors kps_factorize used, its maxabs fallback included (criterion 8)",
+    "src/riskpremia/montecarlo.py: SfarDensityResult.quantile_se":
+        "the standard errors criterion 5 compares the empirical sFAR quantiles with",
+    "src/riskpremia/montecarlo.py: WishartLabResult.eigenvalues":
+        "the draws behind small_sums and large_sums, for any other sum of them",
+    "src/riskpremia/subset.py: BoundednessReport.alpha":
+        "the level the classification was made at",
+    "src/riskpremia/subset.py: BoundednessReport.critical_value":
+        "the chi^2 critical value every scanned limit was compared with",
+    "src/riskpremia/subset.py: BoundednessReport.rank_shortcut":
+        "whether the rank certificate decided, so that no direction was scanned",
+}
+
+
+def test_every_dataclass_field_is_read_by_shipped_code():
+    # tests are not readers: a field only a test reads is kept on purpose or goes
+    files = sorted(p for folder in ("src", "scripts", "perfbench") for p in (ROOT / folder).rglob("*.py"))
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in files}
+    assert unread_fields(sources) == sorted(KEPT_FIELDS)
 
 
 def unset_defaults(sources: dict[str, str], wanted) -> list[str]:

@@ -70,7 +70,7 @@ FRESH = textwrap.dedent(
         assert all(0.0 <= r.pvalue <= 1.0 for r in res.values()), res
     assert 0.0 <= fit.wald(lam1 + 0.1).pvalue <= 1.0
     assert 0.0 <= kp_rank(fit.stacked).pvalue <= 1.0
-    assert 0.0 <= sfar_column(SubsetHypothesis("column", 1, lam1[:, 1]), fit.stacked).pvalue_upper <= 1.0
+    assert 0.0 <= sfar_column(SubsetHypothesis("column", 1, lam1[:, 1]), fit.stacked).pvalue <= 1.0
     # a grid of accepted points touches its boundary, so the boundedness
     # diagnostic decides (rank certificate or distant-value scan)
     axes = tuple(GridAxis(v - 1e-6, v + 1e-6, 3) for v in lam1[0])

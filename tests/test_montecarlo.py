@@ -213,7 +213,6 @@ def test_spec_arrays_are_private_read_only_copies():
 
 def test_weak_scale_zero_column():
     spec = preset_dgp("strong", k=2, n=4, t=40)
-    spec = DgpSpec(**{**spec.to_dict()})
     spec = dataclasses.replace(spec, weak_scale=np.array([1.0, 0.0]))
     assert np.allclose(spec.effective_beta[:, 1], 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -298,7 +297,7 @@ def per_hypothesis_tests(fit, tests, h0_mats, level):
             i = tests.index("sfar")
             try:
                 h = SubsetHypothesis("row", 0, np.asarray(lam)[0])
-                out[i, j] = sfar_row(h, fit.stacked).pvalue_upper < level
+                out[i, j] = sfar_row(h, fit.stacked).pvalue < level
             except FIT_ERRORS:
                 pass
     return out
@@ -565,6 +564,27 @@ def test_a_block_traces_an_innovation_rank_error_to_its_replicate():
         assert results[rep] == evaluate(one)
 
 
+def test_a_linalg_error_at_one_replicate_is_recorded_as_its_failure(monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is one of FIT_ERRORS: the
+    # replicate that raises it alone is a failure of its own, as a RankError
+    # is, and the experiment goes on
+    spec = preset_dgp("strong", k=1, n=4, t=80)
+    marker = simulate(spec, 0, 3)[0].returns[0, 0]
+
+    def failing_fit(returns, factors):
+        if np.isin(returns.returns[..., 0, 0], marker).any():
+            raise np.linalg.LinAlgError("injected failure at replicate 3")
+        return fit_model(returns, factors)
+
+    monkeypatch.setattr(montecarlo, "fit_model", failing_fit)
+    table = power_curve(["far"], [spec.lambda1], spec, reps=100, seed=0)
+    assert table.failures == {"far": 1}
+    assert table.failure_kinds == {"far": {"LinAlgError": 1}}
+    density = sfar_density_experiment(spec, reps=40, seed=0)
+    assert (density.failures, density.failure_kinds) == (1, {"LinAlgError": 1})
+    assert density.statistics.size == 39
+
+
 def test_block_refits_count_the_fits_made_after_a_block_raised(monkeypatch):
     # replicate 2's innovations are rank deficient, as above: its block's fit
     # raises and is refitted in halves, and ``block_refits`` is the count of
@@ -802,6 +822,12 @@ def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
         power_curve(["far", "lm"], [spec.lambda1], spec, reps=100)
     with pytest.raises(ValueError, match="finite"):
         power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=100)
+    # an empty grid, as ``mc --grid-steps 0`` gives, has nothing to test
+    for empty in ([], np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError, match="^need at least one hypothesis$"):
+            power_curve(["far"], empty, spec, reps=100)
+    with pytest.raises(ValueError, match="^need at least one hypothesis$"):
+        power_surface(spec, np.zeros(0), np.zeros(0), reps=100)
     assert calls == []
 
 
@@ -1036,9 +1062,7 @@ def test_large_eigenvalues_diverge_with_noncentrality():
 def test_bootstrap_covariance_agrees_with_analytic():
     spec = preset_dgp("strong", k=1, n=4, t=300)
     boot = bootstrap_lambda1_cov(spec, reps=1500, seed=6)
-    returns, factors = simulate(
-        DgpSpec(**{**spec.to_dict(), "t": 40_000}), seed=7
-    )
+    returns, factors = simulate(dataclasses.replace(spec, t=40_000), seed=7)
     fit = fit_model(returns, factors)
     ana = fit.asymptotic_cov.v_lambda1
     assert boot.shape == (1, 1)
