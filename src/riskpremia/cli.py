@@ -308,7 +308,9 @@ def _mc_outputs(args) -> dict:
                 **_failure_record(res),
             },
         }
-    offsets = np.linspace(-args.grid_radius, args.grid_radius, args.grid_steps)
+    # one step tests the truth; np.linspace would give the offset -radius
+    steps = args.grid_steps
+    offsets = np.linspace(-args.grid_radius, args.grid_radius, steps) if steps != 1 else np.zeros(1)
     if args.experiment == "power-surface":
         if spec.n_factors != 2:
             raise PanelError("power-surface is defined for two-factor models (--k 2)")

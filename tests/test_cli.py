@@ -308,6 +308,27 @@ def test_mc_power_studies_write_their_failure_record(tmp_path, monkeypatch):
     assert summary == {"failures": {"sfar": 0}, "failure_kinds": {"sfar": {}}, "block_refits": 0}
 
 
+def test_one_grid_step_tests_the_truth(tmp_path):
+    # a one-point curve or surface is a size study at the true Lambda1, not
+    # a power point at the offset -radius
+    out = tmp_path / "one"
+    assert run(["mc", "--k", "1", "--n", "4", "--t", "80", "--reps", "100", "--tests", "far",
+                "--grid-steps", "1", "--out", out]) == 0
+    spec = preset_dgp("strong", k=1, n=4, t=80)
+    table = power_curve(["far"], [spec.lambda1], spec, reps=100)
+    got = np.loadtxt(out / "power_strong.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(got, [[0.0, table.rejection[0, 0], table.std_error[0, 0]]])
+
+    assert run(["mc", "--experiment", "power-surface", "--k", "2", "--n", "3", "--reps", "100",
+                "--grid-steps", "1", "--out", out]) == 0
+    spec = preset_dgp("strong", k=2, n=3)
+    x, y = spec.lambda1[0]
+    table = power_surface(spec, [x], [y], reps=100)
+    got = np.loadtxt(out / "power_surface_strong.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(got, [[x, y, table.rejection[0, 0]]])
+    assert (x, y) == (0.25, 0.05)
+
+
 def test_mc_power_surface_needs_two_factors(tmp_path, capsys):
     code = run(["mc", "--experiment", "power-surface", "--k", "1", "--n", "3",
                 "--reps", "100", "--grid-steps", "3", "--out", tmp_path / "ps"])

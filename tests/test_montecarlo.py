@@ -1,7 +1,14 @@
+import ast
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +38,9 @@ from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.subset import SubsetHypothesis, sfar_row
 from riskpremia.varstage import RankError
 from riskpremia.threestep import asymptotic_covariance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # -- simulate -----------------------------------------------------------------
@@ -217,6 +227,17 @@ def test_weak_scale_zero_column():
     assert np.allclose(spec.effective_beta[:, 1], 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         dataclasses.replace(spec, weak_scale=np.array([1.0, -1.0]))
+    # every field is checked against (N, K) = (4, 2) of beta, before any draw
+    for name, bad in (
+        ("weak_scale", np.array([0.5])), ("lambda1", np.eye(3)), ("mu", np.zeros(3)),
+        ("c", np.zeros(5)), ("phi1", np.zeros((2, 3))), ("sigma_v", np.eye(1)),
+        ("beta", np.ones(4)), ("beta", np.ones((4, 0))),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            dataclasses.replace(spec, **{name: bad})
+    for value in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^sigma_e2 must be finite and nonnegative"):
+            dataclasses.replace(spec, sigma_e2=value)
 
 
 def test_calibrate_simulate_self_consistency():
@@ -678,6 +699,40 @@ def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, b
         tracemalloc.stop()
     assert len(results) == size and not any(isinstance(res, Exception) for res in results)
     assert peak / size < bound_kb * 1024
+
+
+# Runs in a fresh interpreter, so the test process's own heap does not decide
+# where glibc's mmap and trim thresholds stand.
+REPEAT_FAULTS = textwrap.dedent(
+    """
+    import resource
+
+    from riskpremia.montecarlo import preset_dgp, sfar_density_experiment
+
+    spec = preset_dgp("strong", k=5, n=20, t=300)
+    faults = []
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sfar_density_experiment(spec, reps=40, seed=2024)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(faults)
+    """
+)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_repeated_monte_carlo_call_reuses_its_heap_memory():
+    # the second 40-replicate call at (5, 20) reuses the heap the first one
+    # grew: it took 1,453-1,455 minor faults while glibc unmapped and trimmed
+    # each block's arrays, and takes about 1 once _replicates has raised the
+    # thresholds above a block
+    env = {**os.environ, "PYTHONPATH": str(SRC), **{v: "1" for v in BLAS_THREADS}}
+    run = subprocess.run(
+        [sys.executable, "-c", REPEAT_FAULTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    first, second = ast.literal_eval(run.stdout)
+    assert second < 100, (first, second)
 
 
 def test_fit_model_is_called_once_per_block_with_the_observed_fields(monkeypatch):
