@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._linalg import NumericalError, chi2_sf, format_float, ks_chi2_pvalue
+from ._linalg import NumericalError, chi2_ppf, chi2_sf, format_float, ks_chi2_pvalue
 from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
 from .montecarlo import (
     EigenLabSpec,
@@ -208,8 +208,9 @@ def cmd_estimate(args) -> dict:
     n, t = fit.n_assets, fit.n_periods
     beta = fit.reg.beta_hat
     # var of vec(beta_hat) is Sigma_v^-1 kron sigma_e^2 I_N: one variance per column
-    var_beta = np.diag(fit.asymptotic_cov.v_beta).reshape(-1, n).T
-    col_stats = t * np.einsum("nj,nj->j", beta, beta) / var_beta[0]
+    cov = fit.asymptotic_cov
+    var_beta = cov.sigma_e2 * np.diag(cov.sigma_v_inv)
+    col_stats = t * np.einsum("nj,nj->j", beta, beta) / var_beta
     rank, kps = kp_rank(fit.stacked), fit.stacked.kps
     return {"estimates.json": {
         "beta": beta.tolist(),
@@ -345,7 +346,12 @@ def _failure_record(res) -> dict:
     }
 
 
+EIGEN_QUANTILE_LEVELS = (0.5, 0.9, 0.95, 0.99)
+
+
 def cmd_eigenlab(args) -> dict:
+    """Quantiles of the eigenvalue sums at ``EIGEN_QUANTILE_LEVELS``, with
+    the central chi-square quantiles that bound the small sum."""
     m = rank_one_noncentrality(args.n, args.dim, float(args.kappa)) if args.kappa else None
     spec = EigenLabSpec(
         n_rows=args.n, dim=args.dim, k=args.k, noncentrality=m,
@@ -355,12 +361,14 @@ def cmd_eigenlab(args) -> dict:
     rows = [
         [p, np.quantile(res.small_sums, p),
          np.quantile(res.large_sums, p) if res.large_sums.size else ""]
-        for p in (0.5, 0.9, 0.95, 0.99)
+        for p in EIGEN_QUANTILE_LEVELS
     ]
     return {
         "eigen.csv": (["quantile", "small_sum", "large_sum"], rows),
         "eigen_summary.json": {
             "central_dof": res.central_dof,
+            "quantile_levels": list(EIGEN_QUANTILE_LEVELS),
+            "chi2_quantiles": [chi2_ppf(p, res.central_dof) for p in EIGEN_QUANTILE_LEVELS],
             "ks_pvalue_vs_central": ks_chi2_pvalue(res.small_sums, res.central_dof),
             "reps": args.reps,
             "kappa": args.kappa,

@@ -554,18 +554,13 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
     failed = Counter(type(s).__name__ for s in results if isinstance(s, Exception))
     failure_kinds = dict(sorted(failed.items()))
     dof = k * (n - k + 1)
-    if stats.size == 0:
-        return SfarDensityResult(
-            statistics=stats, dof_bound=dof,
-            quantile_levels=quantile_levels,
-            empirical_quantiles=np.array([]), chi2_quantiles=np.array([]),
-            quantile_se=np.array([]), failures=failures, failure_kinds=failure_kinds,
-            block_refits=refits,
-        )
-    qs = np.quantile(stats, quantile_levels)
-    chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])
-    dens = chi2_pdf(chi_qs, dof)
-    q_se = np.sqrt(np.array(quantile_levels) * (1 - np.array(quantile_levels)) / stats.size) / np.maximum(dens, 1e-12)
+    if stats.size:
+        qs = np.quantile(stats, quantile_levels)
+        chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])
+        dens = chi2_pdf(chi_qs, dof)
+        q_se = np.sqrt(np.array(quantile_levels) * (1 - np.array(quantile_levels)) / stats.size) / np.maximum(dens, 1e-12)
+    else:
+        qs = chi_qs = q_se = np.array([])
     return SfarDensityResult(
         statistics=stats,
         dof_bound=dof,

@@ -222,9 +222,8 @@ class AsymptoticCovariance:
     """Joint large-sample covariance blocks of (vec(beta), vec(Lambda)).
 
     ``v_lambda`` is ordered as vec([lambda0, Lambda1]) column-major, so the
-    trailing K^2 block ``v_lambda1`` covers vec(Lambda1).  The NK-sized
-    block ``v_beta`` is derived on first read from the K-sized inputs kept
-    here.  Every array may carry leading stack axes.
+    trailing K^2 block ``v_lambda1`` covers vec(Lambda1).  Every array may
+    carry leading stack axes.
     """
 
     v_lambda: np.ndarray        # (K(K+1), K(K+1))
@@ -244,12 +243,6 @@ class AsymptoticCovariance:
         positive definite raises NumericalError."""
         eye = np.eye(self.v_lambda1.shape[-1])
         return chol_whiten(self.v_lambda1, eye, jitters=(0.0,))[1]
-
-    @cached_property
-    def v_beta(self) -> np.ndarray:
-        """(NK, NK) variance Sigma_v^-1 kron sigma_e^2 I_N of vec(beta_hat)."""
-        s2 = np.asarray(self.sigma_e2)[..., None, None]
-        return kron(self.sigma_v_inv, s2 * np.eye(self.beta.shape[-2]))
 
 
 def asymptotic_covariance(

@@ -10,7 +10,16 @@ import riskpremia
 from riskpremia import cli, pipeline
 from riskpremia.cli import main
 from riskpremia.moments import robust_tests
-from riskpremia.montecarlo import power_curve, power_surface, preset_dgp, sfar_density_experiment
+from riskpremia._linalg import chi2_ppf, ks_chi2_pvalue
+from riskpremia.montecarlo import (
+    EigenLabSpec,
+    power_curve,
+    power_surface,
+    preset_dgp,
+    rank_one_noncentrality,
+    sfar_density_experiment,
+    wishart_eigen_lab,
+)
 from riskpremia.panels import YieldPanel, save_panel_csv
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
@@ -28,6 +37,7 @@ def readme_commands(heading: str) -> list[list[str]]:
 
 
 FIGURE_COMMANDS = readme_commands("## Reproducing the figures")
+EIGENLAB_COMMANDS = readme_commands("## The Wishart bound study")
 
 
 @pytest.fixture()
@@ -125,6 +135,25 @@ def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
     kps = fit.stacked.kps
     assert est["kps_diagnostic"] == {"residual_rel": kps.residual_rel, "singular_ratio": kps.singular_ratio}
     assert est["kps_spectrum"] == fit.stacked.kps.spectrum.tolist()
+
+
+def test_estimate_tstats_use_the_variance_of_vec_beta(tmp_path, yields_csv):
+    # the diagonal of Sigma_v^-1 kron sigma_e^2 I_N, the variance of vec(beta_hat)
+    from riskpremia._linalg import chi2_sf
+    from riskpremia.panels import excess_returns, load_yield_csv, pca_factors
+
+    out = tmp_path / "est"
+    assert run(["estimate", "--input", yields_csv, "--maturities", "2,12,24",
+                "--factors", "pca:2", "--out", out]) == 0
+    est = json.loads((out / "estimates.json").read_text())
+    panel = load_yield_csv(yields_csv)
+    fit = fit_model(excess_returns(panel, [2, 12, 24]), pca_factors(panel, 2))
+    beta, t = fit.reg.beta_hat, fit.n_periods
+    v_beta = np.kron(np.linalg.inv(fit.var.sigma_v), fit.reg.sigma_e2 * np.eye(3))
+    var_beta = np.diag(v_beta).reshape(2, 3).T
+    np.testing.assert_allclose(est["beta_tstats"], beta / np.sqrt(var_beta / t), rtol=1e-12)
+    stats = t * (beta**2 / var_beta).sum(axis=0)
+    np.testing.assert_allclose(est["column_joint_pvalues"], [chi2_sf(s, 3) for s in stats], rtol=1e-10)
 
 
 def test_same_command_twice_is_byte_identical(tmp_path, yields_csv):
@@ -443,9 +472,9 @@ def test_unknown_stat_exit_2(tmp_path, yields_csv):
 
 def test_readme_command_lines_parse():
     commands = readme_commands("## Command line")
-    assert len(commands) >= 6 and len(FIGURE_COMMANDS) == 6
+    assert len(commands) >= 6 and len(FIGURE_COMMANDS) == 6 and len(EIGENLAB_COMMANDS) == 6
     parser = cli.build_parser()
-    for argv in commands + FIGURE_COMMANDS:
+    for argv in commands + FIGURE_COMMANDS + EIGENLAB_COMMANDS:
         parser.parse_args(argv)
 
 
@@ -485,3 +514,24 @@ def test_figure_commands_write_the_arrays_of_their_library_call(tmp_path, argv):
         assert np.array_equal(got[:, 0], offsets)
         assert np.array_equal(got[:, 1::2], table.rejection.T)
         assert np.array_equal(got[:, 2::2], table.std_error.T)
+
+
+@pytest.mark.parametrize("argv", EIGENLAB_COMMANDS, ids=lambda argv: argv[argv.index("--out") + 1][4:])
+def test_eigenlab_commands_write_the_quantiles_of_their_library_call(tmp_path, argv):
+    # each README eigenlab line, at small sizes, writes bit for bit the
+    # quantiles and KS p-value of its lab and the chi-square quantiles of its dof
+    small = argv + ["--reps", "400", "--out", str(tmp_path)]
+    args = cli.build_parser().parse_args(small)
+    assert run(small) == 0
+    m = rank_one_noncentrality(args.n, args.dim, args.kappa) if args.kappa else None
+    lab = wishart_eigen_lab(EigenLabSpec(n_rows=args.n, dim=args.dim, k=args.k,
+                                         noncentrality=m, reps=args.reps, seed=args.seed))
+    levels = (0.5, 0.9, 0.95, 0.99)
+    got = np.loadtxt(tmp_path / "eigen.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(got[:, 0], levels)
+    assert np.array_equal(got[:, 1], [np.quantile(lab.small_sums, p) for p in levels])
+    summary = json.loads((tmp_path / "eigen_summary.json").read_text())
+    assert summary["central_dof"] == lab.central_dof
+    assert summary["quantile_levels"] == list(levels)
+    assert summary["chi2_quantiles"] == [chi2_ppf(p, lab.central_dof) for p in levels]
+    assert summary["ks_pvalue_vs_central"] == ks_chi2_pvalue(lab.small_sums, lab.central_dof)

@@ -10,7 +10,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # script -> (tiny-size arguments, files it writes)
 RUNS = {
-    "eigenlab_bounds.py": (["--reps", "200"], ["quantiles.csv"]),
     "fig7_confidence_sets.py": (["--steps", "3"],
                                 ["surface_strong.csv", "surface_weak.csv",
                                  "sets_strong.json", "sets_weak.json"]),
