@@ -211,7 +211,7 @@ def cmd_estimate(args) -> dict:
     cov = fit.asymptotic_cov
     var_beta = cov.sigma_e2 * np.diag(cov.sigma_v_inv)
     col_stats = t * np.einsum("nj,nj->j", beta, beta) / var_beta
-    rank, kps = kp_rank(fit.stacked), fit.stacked.kps
+    rank = kp_rank(fit.stacked)
     return {"estimates.json": {
         "beta": beta.tolist(),
         "beta_tstats": (beta / np.sqrt(var_beta / t)).tolist(),
@@ -227,8 +227,6 @@ def cmd_estimate(args) -> dict:
         "phi1": fit.var.phi1.tolist(),
         "sigma_v": fit.var.sigma_v.tolist(),
         "cov_mode": fit.cov_mode,
-        "kps_diagnostic": {"residual_rel": kps.residual_rel, "singular_ratio": kps.singular_ratio},
-        "kps_spectrum": fit.stacked.kps.spectrum.tolist(),
     }}
 
 
@@ -359,8 +357,7 @@ def cmd_eigenlab(args) -> dict:
     )
     res = wishart_eigen_lab(spec)
     rows = [
-        [p, np.quantile(res.small_sums, p),
-         np.quantile(res.large_sums, p) if res.large_sums.size else ""]
+        [p, np.quantile(res.small_sums, p), np.quantile(res.large_sums, p)]
         for p in EIGEN_QUANTILE_LEVELS
     ]
     return {
@@ -496,12 +493,16 @@ def main(argv=None) -> int:
             args = _apply_config(parser, args, argv)
         outputs = args.func(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, payload in outputs.items():
-            _write(out / name, payload)
         config = {k: v for k, v in vars(args).items() if k != "func"}
-        _write(out / "manifest.json", {"command": args.command, "config": config,
-                                       "versions": _versions()})
+        manifest = {"command": args.command, "config": config, "versions": _versions()}
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, payload in outputs.items():
+                _write(out / name, payload)
+            _write(out / "manifest.json", manifest)
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename or out}: {exc.strerror}", file=sys.stderr)
+            return 2
         for name in outputs:
             print(str(out / name))
         return 0

@@ -185,7 +185,7 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
         def ev(params):
             values = params.reshape(len(params), *(1,) * len(stack), k)
             stat = statistics(fit.stacked, values, binding.index)
-            return chi2_sf(stat, sfar_dof(fit.stacked))[None]
+            return chi2_sf(stat, sfar_dof(k, n))[None]
 
     else:
         raise ValueError(f"unknown test {test!r}; expected one of {VALID_TESTS}")

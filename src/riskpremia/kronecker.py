@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import NumericalError, spd_project, unvec
 
-# the split of both factorization routes, and the dense route's clipping floor
+# the dense route's default split, and its clipping floor
 DEFAULT_NORMALIZE = "omega11"
 SPD_FLOOR = 1e-12
 
@@ -37,32 +37,14 @@ def rearrange(s: np.ndarray, p: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KpsFactorization:
-    """Kronecker factorization of a symmetric PSD matrix S: the leading
-    singular pair of R(S), split into SPD factors.
-
-    :func:`kps_factorize` takes any S and eigenvalue-clips its factors;
-    :func:`kps_factorize_model` factors the model score covariance, whose
-    factors are SPD by construction, and may carry stack axes on every
-    array field.
-    """
+    """Kronecker factorization of a symmetric PSD matrix S by
+    :func:`kps_factorize`: the leading singular pair of R(S), split into
+    eigenvalue-clipped SPD factors."""
 
     omega: np.ndarray               # p x p, SPD
     sigma: np.ndarray               # k x k, SPD
     residual_rel: float             # ||S - omega kron sigma||_F / ||S||_F, before any clipping
-    spectrum: np.ndarray            # singular values of R(S), descending
     normalization: str              # which convention fixed the scalar split
-
-    @property
-    def singular_ratio(self):
-        """sigma_2 / sigma_1 of R(S), how far S is from one Kronecker
-        product, per stack entry of a stacked factorization.  A diagnostic
-        only: no decision reads it, and it does not predict the size of the
-        tests."""
-        sv = self.spectrum
-        if sv.shape[-1] < 2:
-            return 0.0
-        # sigma_1 = 0 leaves sigma_2 = 0, so the ratio is 0 there
-        return sv[..., 1] / np.where(sv[..., 0] > 0, sv[..., 0], np.inf)
 
 
 def kps_factorize(
@@ -99,13 +81,13 @@ def kps_factorize(
         omega=spd_project(unvec(omega_raw, (p, p)), SPD_FLOOR),
         sigma=spd_project(unvec(sigma_raw, (k, k)), SPD_FLOOR),
         residual_rel=np.linalg.norm(sv[1:]) / np.linalg.norm(sv),
-        spectrum=sv,
         normalization=used,
     )
 
 
-def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> KpsFactorization:
-    """:func:`kps_factorize` of the model score covariance, in closed form.
+def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (Omega, Sigma) of :func:`kps_factorize` of the model score
+    covariance, in closed form.
 
     S = A1 kron B1 + A2 kron B2 with A1 = diag(Qxx, 0), B1 = s2 I + P,
     P = beta Sigma_v beta', A2 = diag(0, Sigma_v) and B2 = s2 I (the terms of
@@ -119,12 +101,10 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> KpsFactorization:
         Sigma = p (u1 a1 B1 + u2 a2 B2),       p = u1 Qxx_11 / a1,
 
     are positive combinations of PSD terms with an SPD one: SPD with no
-    projection, and Omega_11 = 1.  sigma_2 comes from det C / sigma_1^2, and
-    det G = s2^2 N ||P - (tr P / N) I||_F^2 needs no subtraction of
-    near-equal terms.  Stacked inputs (leading axes on every argument) give
-    one factorization per stack entry, every array field stacked.  Raises
-    NumericalError when Qxx_11, Sigma_v or s2 vanishes: S is then singular
-    along a whole block and so is one of its factors.
+    projection, and Omega_11 = 1.  Stacked inputs (leading axes on every
+    argument) give stacked factors.  Raises NumericalError when Qxx_11,
+    Sigma_v or s2 vanishes: S is then singular along a whole block and so is
+    one of its factors.
     """
     q_xx, sigma_v, beta = (np.asarray(x, dtype=float) for x in (q_xx, sigma_v, beta))
     s2 = np.asarray(sigma_e2, dtype=float)
@@ -142,13 +122,9 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> KpsFactorization:
     load = beta @ sigma_v @ beta.swapaxes(-1, -2)
     tr_load = np.trace(load, axis1=-2, axis2=-1)
     b1 = s2[..., None, None] * eye + load
-    spread = load - (tr_load / n)[..., None, None] * eye
-    g22 = n * s2 * s2
     c11 = a1 * a1 * np.sum(b1 * b1, axis=(-2, -1))
     c12 = a1 * a2 * s2 * (n * s2 + tr_load)
-    c22 = a2 * a2 * g22
-    det_c = (a1 * a2) ** 2 * g22 * np.sum(spread * spread, axis=(-2, -1))
-    lam1 = 0.5 * (c11 + c22) + np.hypot(0.5 * (c11 - c22), c12)
+    c22 = a2 * a2 * (n * s2 * s2)
     angle = 0.5 * np.arctan2(2.0 * c12, c11 - c22)
     u1, u2 = np.cos(angle), np.sin(angle)
     pivot = u1 * q_xx[..., 0, 0] / a1
@@ -157,14 +133,4 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> KpsFactorization:
     omega[..., :k, :k] = q_xx / q_xx[..., :1, :1]
     omega[..., k:, k:] = (u2 / (a2 * pivot))[..., None, None] * sigma_v
     sigma = (pivot * u1 * a1)[..., None, None] * b1 + (pivot * u2 * a2 * s2)[..., None, None] * eye
-    sv = np.zeros((*q_xx.shape[:-2], min(4 * k * k, n * n)))
-    sv[..., 0] = np.sqrt(lam1)
-    if n > 1:
-        sv[..., 1] = np.sqrt(det_c / lam1)
-    return KpsFactorization(
-        omega=omega,
-        sigma=sigma,
-        residual_rel=np.linalg.norm(sv[..., 1:], axis=-1) / np.linalg.norm(sv, axis=-1),
-        spectrum=sv,
-        normalization=DEFAULT_NORMALIZE,
-    )
+    return omega, sigma

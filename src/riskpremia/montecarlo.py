@@ -36,7 +36,7 @@ from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalue
 from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
 from .pipeline import FIT_ERRORS, fit_model
-from .subset import SubsetHypothesis, sfar_row_statistics
+from .subset import SubsetHypothesis, sfar_dof, sfar_row_statistics
 from .threestep import PriceOfRisk, ReturnRegression
 from .varstage import RankError, VarEstimate
 
@@ -553,7 +553,7 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
     failures = len(results) - stats.size
     failed = Counter(type(s).__name__ for s in results if isinstance(s, Exception))
     failure_kinds = dict(sorted(failed.items()))
-    dof = k * (n - k + 1)
+    dof = sfar_dof(k, n)
     if stats.size:
         qs = np.quantile(stats, quantile_levels)
         chi_qs = np.array([chi2_ppf(p, dof) for p in quantile_levels])
@@ -634,7 +634,7 @@ class EigenLabSpec:
 class WishartLabResult:
     eigenvalues: np.ndarray       # (reps, L) ascending
     small_sums: np.ndarray        # sum of the L-K+1 smallest
-    large_sums: np.ndarray        # sum of the K-1 largest
+    large_sums: np.ndarray        # sum of the K-1 largest, 0 at K = 1
     central_dof: int              # (L-K+1)(N-K+1)
 
 

@@ -43,7 +43,7 @@ from ._linalg import (
     vec,
     vec_kron,
 )
-from .kronecker import KpsFactorization, kps_factorize_model
+from .kronecker import kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
 from .threestep import ReturnRegression, TestResult, check_alignment, joint_basis, project_out
 from .varstage import VarEstimate
@@ -71,7 +71,6 @@ class StackedSystem:
     psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD as Omega is
     sigma_hat: np.ndarray    # (N, N) KPS residual covariance factor
     q_xx: np.ndarray         # (K, K) upper-left block of w_hat
-    kps: KpsFactorization | None
     xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
     returns: np.ndarray      # (N, T) the fitted returns, by reference
@@ -265,16 +264,15 @@ def build_stacked(
     w_hat = w_rows @ w_rows.swapaxes(-1, -2) / t
     beta = reg.beta_hat
     phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
-    kps = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
+    omega, sigma = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
     w_inv = np.linalg.inv(w_hat)
-    psi_hat = sym(w_inv @ kps.omega @ w_inv)
+    psi_hat = sym(w_inv @ omega @ w_inv)
     return StackedSystem(
         phi_hat=phi_hat,
         w_hat=w_hat,
         psi_hat=psi_hat,
-        sigma_hat=kps.sigma,
+        sigma_hat=sigma,
         q_xx=w_hat[..., :k, :k],
-        kps=kps,
         xbar_lagged=xbar,
         vhat=vhat,
         returns=returns.returns,
@@ -339,10 +337,9 @@ def _normals(sys: StackedSystem, values: np.ndarray, index: int | None = None, k
     return normals
 
 
-def sfar_dof(sys: StackedSystem) -> int:
+def sfar_dof(k: int, n: int) -> int:
     """Degrees of freedom K(N-K+1) of the chi^2 bound on the subset statistic."""
-    k = sys.n_factors
-    return k * (sys.n_assets - k + 1)
+    return k * (n - k + 1)
 
 
 def _pencil_roots(sys: StackedSystem, q: np.ndarray) -> np.ndarray:
@@ -404,7 +401,7 @@ def _sfar_result(sys: StackedSystem, caller: str, values: np.ndarray, index: int
     hypothesis value, None for a distant value (no ``index``)."""
     _require_one_fit(sys, caller)
     stats, roots = _projected_roots(sys, _normals(sys, values, index, kind)[None], kind)
-    stat, dof = float(stats[0]), sfar_dof(sys)
+    stat, dof = float(stats[0]), sfar_dof(sys.n_factors, sys.n_assets)
     return TestResult("sFAR", stat, dof, chi2_sf(stat, dof), bound_only=True,
                       h0=None if index is None else values, roots=roots[0])
 
@@ -520,7 +517,7 @@ def boundedness_diagnostic(
         raise ValueError("need at least one direction")
     # degenerate level: a size-one test accepts nothing anywhere, so every
     # direction is classified unbounded (the p-value cutoff collapses to 0)
-    crit = np.inf if alpha >= 1.0 else chi2_ppf(1.0 - alpha, sfar_dof(sys))
+    crit = np.inf if alpha >= 1.0 else chi2_ppf(1.0 - alpha, sfar_dof(sys.n_factors, sys.n_assets))
     unbounded = []
     shortcut = kp_rank(sys).statistic > crit
     if not shortcut:

@@ -58,14 +58,6 @@ class ReturnRegression:
     sigma_e2: float
     g_hat: np.ndarray       # (N,)
 
-    @property
-    def n_assets(self) -> int:
-        return self.beta_hat.shape[-2]
-
-    @property
-    def n_factors(self) -> int:
-        return self.beta_hat.shape[-1]
-
 
 @dataclass(frozen=True)
 class PriceOfRisk:

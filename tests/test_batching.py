@@ -464,18 +464,16 @@ def test_stacked_spd_projection_and_kps_terms_equal_single_calls(k, n, r, seed):
     beta = rng.standard_normal((r, n, k))
     s2 = rng.uniform(0.1, 2.0, r)
 
-    fact = kps_factorize_model(q_xx, sigma_v, s2, beta)
+    omega, sigma = kps_factorize_model(q_xx, sigma_v, s2, beta)
     for j in range(r):
         one = kps_factorize_model(q_xx[j], sigma_v[j], s2[j], beta[j])
-        for name in ("omega", "sigma", "spectrum", "residual_rel"):
-            assert_close(getattr(fact, name)[j], getattr(one, name))
-        assert fact.normalization == one.normalization
-        assert_close(fact.singular_ratio[j], one.singular_ratio)
+        assert_close(omega[j], one[0])
+        assert_close(sigma[j], one[1])
         # the dense factorization of the two model terms of fit j is the oracle
         terms = model_score_terms(q_xx[j], sigma_v[j], s2[j], beta[j])
         dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), 2 * k, n)
         ref = np.kron(dense.omega, dense.sigma)
-        assert np.linalg.norm(np.kron(one.omega, one.sigma) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(np.kron(*one) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_a_stack_has_a_price_of_risk_for_every_fit_or_none():

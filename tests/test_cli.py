@@ -100,6 +100,19 @@ def test_missing_user_files_exit_2(tmp_path, yields_csv, capsys):
                 "--out", tmp_path / "i"]) == 2
     assert str(missing_macro) in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, under):
+    # --out names an existing file, or a folder below one: a configuration
+    # error, like any other unusable file named on the command line
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert run(["eigenlab", "--n", 5, "--dim", 2, "--reps", 10, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert blocker.read_text() == ""
+
+
 def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
     # one second-stage route: the variant I reparameterization agrees with it
     # to rounding (criterion 2), and --variant or a "variant" key is an error
@@ -120,21 +133,15 @@ def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
     assert exc.value.code == 2
 
 
-def test_estimate_reports_the_fit_kps_diagnostic(tmp_path, yields_csv):
-    from riskpremia.panels import excess_returns, load_yield_csv, pca_factors
-    from riskpremia.pipeline import fit_model
-
+def test_estimates_json_has_exactly_its_keys(tmp_path, yields_csv):
     out = tmp_path / "est"
     assert run(["estimate", "--input", yields_csv, "--maturities", "12,24",
                 "--factors", "pca:2", "--out", out]) == 0
     est = json.loads((out / "estimates.json").read_text())
-    panel = load_yield_csv(yields_csv)
-    fit = fit_model(excess_returns(panel, [12, 24]), pca_factors(panel, 2))
-    # a report of the fit's factorization, to the last digit written; the
-    # residual does not predict size, so no verdict on it is written
-    kps = fit.stacked.kps
-    assert est["kps_diagnostic"] == {"residual_rel": kps.residual_rel, "singular_ratio": kps.singular_ratio}
-    assert est["kps_spectrum"] == fit.stacked.kps.spectrum.tolist()
+    assert list(est) == [
+        "beta", "beta_tstats", "column_joint_pvalues", "rank_test", "lambda0", "lambda1",
+        "a_hat", "d_hat", "g_hat", "sigma_e2", "mu", "phi1", "sigma_v", "cov_mode",
+    ]
 
 
 def test_estimate_tstats_use_the_variance_of_vec_beta(tmp_path, yields_csv):
@@ -530,6 +537,8 @@ def test_eigenlab_commands_write_the_quantiles_of_their_library_call(tmp_path, a
     got = np.loadtxt(tmp_path / "eigen.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(got[:, 0], levels)
     assert np.array_equal(got[:, 1], [np.quantile(lab.small_sums, p) for p in levels])
+    # at --k 1 the large sum is the empty sum, so that column reads 0
+    assert np.array_equal(got[:, 2], [np.quantile(lab.large_sums, p) for p in levels])
     summary = json.loads((tmp_path / "eigen_summary.json").read_text())
     assert summary["central_dof"] == lab.central_dof
     assert summary["quantile_levels"] == list(levels)

@@ -226,6 +226,12 @@ def test_scanner_flags_dataclass_fields_no_code_reads():
 KEPT_FIELDS = {
     "src/riskpremia/kronecker.py: KpsFactorization.normalization":
         "which scalar split of the factors kps_factorize used, its maxabs fallback included (criterion 8)",
+    "src/riskpremia/kronecker.py: KpsFactorization.omega":
+        "the p x p factor kps_factorize recovers (criterion 8)",
+    "src/riskpremia/kronecker.py: KpsFactorization.residual_rel":
+        "the distance of S from the product of its factors, falling with T for Kronecker data (criterion 8)",
+    "src/riskpremia/kronecker.py: KpsFactorization.sigma":
+        "the k x k factor kps_factorize recovers (criterion 8)",
     "src/riskpremia/montecarlo.py: SfarDensityResult.quantile_se":
         "the standard errors criterion 5 compares the empirical sFAR quantiles with",
     "src/riskpremia/montecarlo.py: WishartLabResult.eigenvalues":

@@ -51,7 +51,7 @@ def test_moment_vector_matches_double_loop_oracle():
 def test_moment_vector_matches_the_panel_oracle_over_random_shapes(shape, kind, reps, seed):
     # a single fit (reps = 0) or a stack of three, at a stack of two hypotheses
     k, n = shape
-    sys, spec, rbar = preset_system(k, n, kind, seed, range(reps) if reps else 0)
+    sys, spec, rbar, _ = preset_system(k, n, kind, seed, range(reps) if reps else 0)
     hyps = spec.lambda1 + 0.1 * np.random.default_rng(seed).standard_normal((2, 1, k, k))
     f = moment_vector(sys, hyps if reps else hyps[:, 0])
     assert f.shape == (2, *sys.batch_shape, n * k)

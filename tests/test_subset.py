@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from riskpremia import subset, threestep
 from riskpremia._linalg import NumericalError, chi2_ppf, chol_whiten, sym
-from riskpremia.kronecker import kps_factorize
+from riskpremia.kronecker import kps_factorize, kps_factorize_model
 from riskpremia.moments import robust_statistics
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import FIT_ERRORS, fit_model
@@ -94,14 +94,12 @@ def synthetic_system(rng, k, n, t=100):
     psi = a @ a.T / (2 * k) + np.eye(2 * k)
     b = rng.standard_normal((n, n))
     sigma = b @ b.T / n + np.eye(n)
-    kps = kps_factorize(np.kron(psi, sigma), 2 * k, n)
     return StackedSystem(
         phi_hat=phi,
         w_hat=np.eye(2 * k),
         psi_hat=psi,
         sigma_hat=sigma,
         q_xx=np.eye(k),
-        kps=kps,
         xbar_lagged=np.zeros((k, t)),
         vhat=np.zeros((k, t)),
         returns=np.zeros((n, t)),
@@ -110,15 +108,16 @@ def synthetic_system(rng, k, n, t=100):
 
 
 def preset_system(k, n, kind, seed, replicates=0):
-    """The system, spec and demeaned returns of ``preset_dgp`` data;
-    "unspanned" puts the last factor's loadings far below the sampling noise."""
+    """The system, spec, demeaned returns and second-stage regression of
+    ``preset_dgp`` data; "unspanned" puts the last factor's loadings far
+    below the sampling noise."""
     spec = preset_dgp("strong" if kind == "strong" else "weak", k=k, n=n, t=120)
     if kind == "unspanned":
         spec = dataclasses.replace(spec, weak_scale=np.r_[np.full(k - 1, 0.06), 1e-6])
     returns, factors = simulate(spec, seed, replicates)
     var = fit_var1(factors)
-    sys = build_stacked(returns, factors, var, second_stage(returns, factors, var))
-    return sys, spec, demean(returns).returns
+    reg = second_stage(returns, factors, var)
+    return build_stacked(returns, factors, var, reg), spec, demean(returns).returns, reg
 
 
 # -- stacked system ---------------------------------------------------------------
@@ -224,7 +223,7 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     dense = kps_factorize(score, 2 * k, n)
     w_inv = np.linalg.inv(stacked.w_hat)
     dense_sys = dataclasses.replace(
-        stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv), sigma_hat=dense.sigma, kps=dense
+        stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv), sigma_hat=dense.sigma
     )
     h = SubsetHypothesis("row", 0, spec.lambda1[0])
     got = sfar_row(h, stacked).statistic
@@ -244,19 +243,21 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
 def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, seed):
     # a single fit (reps = 0) or a stack of three
     k, n = shape
-    sys, _, rbar = preset_system(k, n, kind, seed, range(reps) if reps else 0)
+    sys, _, rbar, reg = preset_system(k, n, kind, seed, range(reps) if reps else 0)
     assert sys.batch_shape == ((reps,) if reps else ())
+    # the pair the fit was built from: Sigma is sigma_hat, Omega is behind psi_hat
+    omega, sigma = kps_factorize_model(sys.q_xx, sys.w_hat[..., k:, k:], reg.sigma_e2, sys.beta_hat)
+    w_inv = np.linalg.inv(sys.w_hat)
+    assert np.array_equal(sigma, sys.sigma_hat)
+    assert np.array_equal(sym(w_inv @ omega @ w_inv), sys.psi_hat)
     for j in np.ndindex(sys.batch_shape):
         s = stacked_score_covariance(rbar[j], sys.xbar_lagged[j], sys.vhat[j], sys.phi_hat[j])
         dense = kps_factorize(s, 2 * k, n)
-        product = np.kron(sys.kps.omega[j], sys.kps.sigma[j])
+        product = np.kron(omega[j], sigma[j])
         expected = np.kron(dense.omega, dense.sigma)
         assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
-        sv, ref = sys.kps.spectrum[j], dense.spectrum
-        assert sv.shape == ref.shape
-        assert np.allclose(sv[:2], ref[:2], rtol=1e-12, atol=1e-12 * ref[0])
         # SPD with no clipping and no jitter
-        for m in (sys.kps.omega[j], sys.kps.sigma[j], sys.psi_hat[j]):
+        for m in (omega[j], sigma[j], sys.psi_hat[j]):
             np.linalg.cholesky(m)
 
 
@@ -278,7 +279,7 @@ def test_build_stacked_makes_no_decomposition(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse(name))
     sys = build_stacked(returns, factors, var, reg)
     assert calls == []
-    assert sys.kps.omega.shape == (4, 6, 6) and sys.psi_hat.shape == (4, 6, 6)
+    assert sys.sigma_hat.shape == (4, 10, 10) and sys.psi_hat.shape == (4, 6, 6)
 
 
 def test_a_fit_with_zero_residual_variance_raises_naming_it():
@@ -504,7 +505,7 @@ def test_sfar_column_multistart_stability_and_dominance():
 )
 def test_sfar_column_lower_bounds_far_and_is_the_row_at_k1(shape, kind, seed):
     k, n = shape
-    sys, spec, _ = preset_system(k, n, kind, seed)
+    sys, spec, _, _ = preset_system(k, n, kind, seed)
     rng = np.random.default_rng(seed)
     index = int(rng.integers(k))
     value = spec.lambda1[:, index] + rng.standard_normal(k)
