@@ -22,7 +22,15 @@ import numpy as np
 
 from . import __version__
 from ._linalg import NumericalError, chi2_ppf, chi2_sf, format_float, ks_chi2_pvalue
-from .confsets import GridAxis, GridSpec, full_lambda_binding, joint_confidence_set, project_cs, row_binding
+from .confsets import (
+    GridAxis,
+    GridSpec,
+    full_lambda_binding,
+    invert_surface,
+    project_cs,
+    pvalue_curve,
+    row_binding,
+)
 from .montecarlo import (
     EigenLabSpec,
     preset_dgp,
@@ -162,6 +170,8 @@ def _parse_h0(text: str, k: int, sfar_only: bool) -> np.ndarray:
             vals = np.asarray(json.load(fh), dtype=float).reshape(-1)
     else:
         vals = np.asarray([float(x) for x in text.split(",")], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise PanelError(f"--h0 values must be finite; got {vals.tolist()}")
     if vals.size == k * k:
         return vals.reshape(k, k, order="F")
     if vals.size == k and sfar_only:
@@ -202,14 +212,13 @@ def cmd_ingest(args) -> dict:
 
 def cmd_estimate(args) -> dict:
     _, returns, factors = _build_panels(args)
-    fit = fit_model(returns, factors, cov=args.cov)
+    fit = fit_model(returns, factors)
     if fit.por is None:
         raise RankError("near-singular beta'beta: (nearly) unspanned factors present")
     n, t = fit.n_assets, fit.n_periods
     beta = fit.reg.beta_hat
     # var of vec(beta_hat) is Sigma_v^-1 kron sigma_e^2 I_N: one variance per column
-    cov = fit.asymptotic_cov
-    var_beta = cov.sigma_e2 * np.diag(cov.sigma_v_inv)
+    var_beta = fit.reg.sigma_e2 * np.diag(np.linalg.inv(fit.var.sigma_v))
     col_stats = t * np.einsum("nj,nj->j", beta, beta) / var_beta
     rank = kp_rank(fit.stacked)
     return {"estimates.json": {
@@ -226,7 +235,6 @@ def cmd_estimate(args) -> dict:
         "mu": fit.var.mu.tolist(),
         "phi1": fit.var.phi1.tolist(),
         "sigma_v": fit.var.sigma_v.tolist(),
-        "cov_mode": fit.cov_mode,
     }}
 
 
@@ -266,16 +274,18 @@ def cmd_cs(args) -> dict:
     else:
         binding = full_lambda_binding(k, base=h0.reshape(-1, order="F"), vary=range(len(axes)))
     grid = GridSpec(axes=tuple(axes), binding=binding)
-    cs = joint_confidence_set(stat, grid, args.level, fit, seed=args.seed)
-    surface = [[*point, p] for point, p in zip(grid.points(), cs.pvalues.reshape(-1))]
+    surface = pvalue_curve(stat, grid, fit)
+    cs = invert_surface(surface, args.level, fit, seed=args.seed)
+    rows = [[*point, p] for point, p in zip(grid.points(), cs.pvalues.reshape(-1))]
     return {
-        "surface.csv": ([f"x{i + 1}" for i in range(len(axes))] + ["pvalue"], surface),
+        "surface.csv": ([f"x{i + 1}" for i in range(len(axes))] + ["pvalue"], rows),
         "set.json": {
             "test": stat,
             "level": args.level,
             "bounded": cs.bounded,
             "n_accepted": int(cs.accepted.shape[0]),
             "projections": {f"axis{i + 1}": project_cs(cs, i) for i in range(len(axes))},
+            "failures": surface.failures,
         },
     }
 
@@ -450,7 +460,7 @@ def build_parser():
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--kappa", type=float, default=None)
     p.set_defaults(func=cmd_eigenlab)
-    for name in ("estimate", "test", "cs"):
+    for name in ("test", "cs"):
         sub.choices[name].add_argument(
             "--cov", choices=VARIANCE_MODES, default="kps",
             help="variance of FAR/KLM/JKLM; hc0 over-rejects: at T = 300 its FAR size is "

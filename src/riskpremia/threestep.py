@@ -211,22 +211,10 @@ def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:
 
 @dataclass(frozen=True)
 class AsymptoticCovariance:
-    """Joint large-sample covariance blocks of (vec(beta), vec(Lambda)).
+    """Large-sample covariance of vec(Lambda1), column-major, the block the
+    Wald test reads.  It may carry leading stack axes."""
 
-    ``v_lambda`` is ordered as vec([lambda0, Lambda1]) column-major, so the
-    trailing K^2 block ``v_lambda1`` covers vec(Lambda1).  Every array may
-    carry leading stack axes.
-    """
-
-    v_lambda: np.ndarray        # (K(K+1), K(K+1))
-    beta: np.ndarray            # (N, K)
-    sigma_v_inv: np.ndarray     # (K, K)
-    sigma_e2: np.ndarray        # ()
-
-    @property
-    def v_lambda1(self) -> np.ndarray:
-        k = self.beta.shape[-1]
-        return self.v_lambda[..., k:, k:]
+    v_lambda1: np.ndarray       # (K^2, K^2)
 
     @cached_property
     def v_lambda1_whitener(self) -> np.ndarray:
@@ -243,63 +231,26 @@ def asymptotic_covariance(
     por: PriceOfRisk,
     q_xx: np.ndarray,
 ) -> AsymptoticCovariance:
-    """The full-rank asymptotic covariance in closed form, K-sized blocks only.
+    """The full-rank asymptotic covariance of vec(Lambda1) in closed form,
+    K-sized blocks only.
 
-    The estimator noise decomposes into three asymptotically orthogonal
-    pieces: second-stage coefficient noise on (1, X_t), beta noise entering
-    both directly (m3) and through the convexity recomputation (m2), and the
-    variance of the plug-in (Sigma_v, sigma_e^2) inside the convexity term.
-    With G = beta'beta, P = G^-1 beta' and Lambda = [lambda0, Lambda1]:
+    With G = beta'beta, the Lambda1 estimator noise has two asymptotically
+    orthogonal pieces:
 
-    * coefficient noise: Gamma_zz^-1 kron (Sigma_v + s2 G^-1), where
-      Gamma_zz = [[1, m'], [m, Qxx + m m']] for the lagged mean m, so
-      Gamma_zz^-1 = [[1 + m'Qxx^-1 m, -m'Qxx^-1], [-Qxx^-1 m, Qxx^-1]];
-    * m3 V_b m3' = (Lambda' Sigma_v^-1 Lambda) kron s2 G^-1;
-    * m2 V_b m2' = s2 P diag(beta Sigma_v beta') P' in the lambda0 block;
-    * m2 V_b m3' = -s2 P diag(beta Lambda_c) P' in block (lambda0, column c);
-    * plug-in noise of g = 0.5 (diag(beta Sigma_v beta') + s2): Gaussian
-      innovations give Cov(b_i' Sigma_v b_i, b_j' Sigma_v b_j) = 2 (b_i' Sigma_v b_j)^2
-      per period, so the lambda0 block gains P (0.5 (B o B) + s2^2 / (2N) 11') P'
-      with B = beta Sigma_v beta'.
+    * second-stage coefficient noise on X_t: Qxx^-1 kron (Sigma_v + s2 G^-1);
+    * beta noise, with V_b = Sigma_v^-1 kron s2 I_N the variance of
+      vec(beta_hat): (Lambda1' Sigma_v^-1 Lambda1) kron s2 G^-1.
 
-    V_b = Sigma_v^-1 kron s2 I_N is the variance of vec(beta_hat).  Every
+    The convexity term and its plug-in noise move lambda0 alone.  Every
     input may carry leading stack axes (one covariance per fit of a stack).
     """
     beta = reg.beta_hat
-    n, k = beta.shape[-2:]
-    sigma_v = var.sigma_v
-    sigma2 = np.asarray(reg.sigma_e2, dtype=float)
-    s2 = sigma2[..., None, None]
-    m = var.x_lagged_mean[..., :, None]                              # (K, 1)
-    qinv_m = np.linalg.solve(q_xx, m)
-    gamma_inv = np.empty((*qinv_m.shape[:-2], k + 1, k + 1))
-    gamma_inv[..., 0, 0] = 1.0 + (m.swapaxes(-1, -2) @ qinv_m)[..., 0, 0]
-    gamma_inv[..., 1:, :1] = -qinv_m
-    gamma_inv[..., :1, 1:] = -qinv_m.swapaxes(-1, -2)
-    gamma_inv[..., 1:, 1:] = np.linalg.inv(q_xx)
-
-    beta_t = beta.swapaxes(-1, -2)
-    gram_inv = np.linalg.inv(beta_t @ beta)
-    p = gram_inv @ beta_t                                            # (K, N)
-    sigma_v_inv = np.linalg.inv(sigma_v)
-    lam = np.concatenate([por.lambda0[..., :, None], por.lambda1], axis=-1)   # (K, K+1)
-    v = kron(gamma_inv, sigma_v + s2 * gram_inv)
-    v += kron(lam.swapaxes(-1, -2) @ sigma_v_inv @ lam, s2 * gram_inv)
-
-    bsb = beta @ sigma_v @ beta_t                                    # (N, N)
-    diag_bsb = np.diagonal(bsb, axis1=-2, axis2=-1)
-    core = 0.5 * bsb * bsb + (sigma2**2 / (2.0 * n))[..., None, None]
-    core += sigma2[..., None, None] * (diag_bsb[..., :, None] * np.eye(n))
-    v[..., :k, :k] += p @ core @ p.swapaxes(-1, -2)
-    # cross blocks: -s2 P diag(beta Lambda_c) P' at (lambda0, column c) and its transpose
-    blam = beta @ lam                                                # (N, K+1)
-    cross = -s2[..., None] * np.einsum("...in,...nc,...jn->...cij", p, blam, p)
-    cross = cross.swapaxes(-3, -2).reshape(*cross.shape[:-3], k, (k + 1) * k)
-    v[..., :k, :] += cross
-    v[..., :, :k] += cross.swapaxes(-1, -2)
-    return AsymptoticCovariance(
-        v_lambda=sym(v), beta=beta, sigma_v_inv=sigma_v_inv, sigma_e2=sigma2
-    )
+    s2 = np.asarray(reg.sigma_e2, dtype=float)[..., None, None]
+    gram_inv = np.linalg.inv(beta.swapaxes(-1, -2) @ beta)
+    lam1 = por.lambda1
+    v = kron(np.linalg.inv(q_xx), var.sigma_v + s2 * gram_inv)
+    v += kron(lam1.swapaxes(-1, -2) @ np.linalg.inv(var.sigma_v) @ lam1, s2 * gram_inv)
+    return AsymptoticCovariance(v_lambda1=sym(v))
 
 
 def wald_statistics(

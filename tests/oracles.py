@@ -5,7 +5,7 @@ from collections import namedtuple
 import numpy as np
 import scipy.optimize
 
-from riskpremia._linalg import square_stack, sym, vec_kron
+from riskpremia._linalg import square_stack, sym, vec, vec_kron
 from riskpremia.moments import moment_vector, robust_statistics
 from riskpremia.subset import VARIANCE_MODES, StackedSystem
 from riskpremia.threestep import ReturnRegression, convexity_adjustment
@@ -79,6 +79,54 @@ def residuals_contemporaneous(returns, factors):
     """(..., N, T) second-stage residuals of variant I; the reference for
     ``StackedSystem.residuals``."""
     return _contemporaneous_ols(returns, factors)[1]
+
+
+def commutation(m, n):
+    """K_{m,n} with K vec(A) = vec(A') for m x n matrices A."""
+    k = np.zeros((m * n, m * n))
+    for i in range(m):
+        for j in range(n):
+            k[j + i * n, i + j * m] = 1.0
+    return k
+
+
+def term_by_term_covariance(factors, var, reg, por):
+    """The joint (K(K+1))^2 covariance of vec([lambda0, Lambda1]) built from
+    the factor panel, with the Gaussian variance of vec(Sigma_v) as
+    (I + K_{K,K})(Sigma_v kron Sigma_v) and a loop-built convexity
+    sensitivity; its trailing K^2 block is the reference for
+    ``threestep.asymptotic_covariance``."""
+    beta = reg.beta_hat
+    n, k = beta.shape
+    sigma_v = var.sigma_v
+    sigma2 = reg.sigma_e2
+    x = factors.factors
+    t = var.n_periods
+    z = np.column_stack([np.ones(t), x[:, :-1].T])
+    gamma_inv = np.linalg.inv(z.T @ z / t)
+
+    pbeta = np.linalg.solve(beta.T @ beta, beta.T)
+    sigma_u = beta @ sigma_v @ beta.T + sigma2 * np.eye(n)
+    term1 = np.kron(gamma_inv, pbeta @ sigma_u @ pbeta.T)
+    v_b = np.kron(np.linalg.inv(sigma_v), sigma2 * np.eye(n))
+
+    dmat = np.zeros((n, n * k))
+    bsv = beta @ sigma_v
+    for j in range(k):
+        dmat[np.arange(n), j * n + np.arange(n)] = bsv[:, j]
+
+    lam = np.column_stack([por.lambda0, por.lambda1])
+    e1 = np.zeros(k + 1)
+    e1[0] = 1.0
+    m23 = np.kron(e1[:, None], pbeta @ dmat) - np.kron(lam.T, pbeta)
+    mid = m23 @ v_b @ m23.T
+
+    bstar = np.column_stack([vec(np.outer(beta[i], beta[i])) for i in range(n)]).T
+    var_vec_sigma = (np.eye(k * k) + commutation(k, k)) @ np.kron(sigma_v, sigma_v)
+    iota = np.ones((n, 1))
+    g_core = 0.25 * bstar @ var_vec_sigma @ bstar.T + (sigma2**2 / (2.0 * n)) * (iota @ iota.T)
+    g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
+    return sym(term1 + mid + g_extra)
 
 
 def rearrange_inverse(r, p, k):

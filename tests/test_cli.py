@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import riskpremia
-from riskpremia import cli, pipeline
+from riskpremia import cli, confsets, pipeline
 from riskpremia.cli import main
-from riskpremia.moments import robust_tests
-from riskpremia._linalg import chi2_ppf, ks_chi2_pvalue
+from riskpremia.moments import robust_statistics, robust_tests
+from riskpremia._linalg import NumericalError, chi2_ppf, ks_chi2_pvalue
 from riskpremia.montecarlo import (
     EigenLabSpec,
     power_curve,
@@ -124,7 +124,6 @@ def test_estimate_outputs_and_variant_agreement(tmp_path, yields_csv):
     assert "variant" not in json.loads((out / "manifest.json").read_text())["config"]
     assert len(est["beta"]) == 2 and len(est["beta"][0]) == 2
     assert 0.0 <= est["rank_test"]["pvalue"] <= 1.0
-    assert est["cov_mode"] in ("kps", "hc0")
     cfg = tmp_path / "variant.json"
     cfg.write_text(json.dumps({"variant": "I"}))
     assert run(["estimate", *data, "--config", cfg, "--out", tmp_path / "c"]) == 2
@@ -140,7 +139,7 @@ def test_estimates_json_has_exactly_its_keys(tmp_path, yields_csv):
     est = json.loads((out / "estimates.json").read_text())
     assert list(est) == [
         "beta", "beta_tstats", "column_joint_pvalues", "rank_test", "lambda0", "lambda1",
-        "a_hat", "d_hat", "g_hat", "sigma_e2", "mu", "phi1", "sigma_v", "cov_mode",
+        "a_hat", "d_hat", "g_hat", "sigma_e2", "mu", "phi1", "sigma_v",
     ]
 
 
@@ -224,6 +223,24 @@ def test_test_command_h0_sizes(tmp_path, yields_csv, capsys):
         assert "4 values" in err and "or 2" in err
 
 
+def test_test_rejects_a_non_finite_h0(tmp_path, yields_csv, capsys):
+    # a configuration error, not a p-value outside [0, 1]
+    assert run(["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
+                "--stat", "far", "--h0", "nan", "--out", tmp_path / "t"]) == 2
+    err = capsys.readouterr().err
+    assert "--h0" in err and "finite" in err
+    assert not (tmp_path / "t").exists()
+
+
+def test_cs_rejects_a_non_finite_h0(tmp_path, yields_csv, capsys):
+    # a configuration error, not an all-NaN surface reported as an empty set
+    assert run(["cs", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+                "--stat", "far", "--h0", "0,nan,0,0", "--grid=-1:1:5", "--out", tmp_path / "cs"]) == 2
+    err = capsys.readouterr().err
+    assert "--h0" in err and "finite" in err
+    assert not (tmp_path / "cs").exists()
+
+
 def test_test_command_far_dof(tmp_path, yields_csv):
     out = tmp_path / "t"
     code = run(["test", "--input", yields_csv, "--maturities", "12,24", "--factors",
@@ -248,6 +265,24 @@ def test_cs_command_surface_and_projection(tmp_path, yields_csv):
     assert len(rows) == 10
     summary = json.loads((out / "set.json").read_text())
     assert summary["bounded"] in ("bounded", "unbounded", "empty")
+    assert summary["failures"] == []
+
+
+def test_cs_records_its_failed_points(tmp_path, yields_csv, monkeypatch):
+    # a point whose statistic raises is NaN in surface.csv, and set.json says why
+    def failing_at_half(sys, lam, mode, tests):
+        if np.any(lam == 0.5):
+            raise NumericalError("forced failure")
+        return robust_statistics(sys, lam, mode, tests)
+
+    monkeypatch.setattr(confsets, "robust_statistics", failing_at_half)
+    out = tmp_path / "cs"
+    assert run(["cs", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
+                "--stat", "far", "--grid=-1:1:5", "--out", out]) == 0
+    rows = (out / "surface.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[1] == "nan" for row in rows] == [False, False, False, True, False]
+    summary = json.loads((out / "set.json").read_text())
+    assert summary["failures"] == [[3, "NumericalError('forced failure')"]]
 
 
 def test_mc_smoke_and_determinism(tmp_path):
@@ -449,15 +484,16 @@ def test_config_file_merging(tmp_path, yields_csv):
 
 
 def test_cov_is_a_flag_of_the_fitting_commands_only(tmp_path, yields_csv, capsys):
-    # estimate, test and cs fit with --cov (kps by default, as in the manifest);
-    # mc fits with the library default, so --cov or a "cov" config key is an error
+    # test and cs run FAR/KLM/JKLM with --cov (kps by default, as in the
+    # manifest); no output of estimate reads a variance mode, and mc fits with
+    # the library default, so --cov or a "cov" config key is an error there
     out = tmp_path / "t"
     assert run(["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
                 "--cov", "hc0", "--out", out]) == 0
     assert json.loads((out / "manifest.json").read_text())["config"]["cov"] == "hc0"
     parser, data = cli.build_parser(), ["--input", "y.csv", "--maturities", "12", "--out", "o"]
-    assert parser.parse_args(["estimate", *data]).cov == "kps"
     assert parser.parse_args(["cs", *data, "--grid", "0:1:2"]).cov == "kps"
+    assert not hasattr(parser.parse_args(["estimate", *data]), "cov")
     assert not hasattr(parser.parse_args(["ingest", *data]), "cov")
     assert not hasattr(parser.parse_args(["eigenlab", "--n", "3", "--dim", "2", "--out", "o"]), "cov")
     mc = ["mc", "--k", "1", "--n", "4", "--t", "80", "--reps", "100", "--grid-steps", "3"]
@@ -470,6 +506,14 @@ def test_cov_is_a_flag_of_the_fitting_commands_only(tmp_path, yields_csv, capsys
     assert run(mc + ["--config", cfg, "--out", tmp_path / "m2"]) == 2
     assert "'cov'" in capsys.readouterr().err
     assert not (tmp_path / "m1").exists() and not (tmp_path / "m2").exists()
+    est = ["estimate", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1"]
+    with pytest.raises(SystemExit) as exc:
+        run(est + ["--cov", "hc0", "--out", tmp_path / "e1"])
+    assert exc.value.code == 2
+    assert "--cov" in capsys.readouterr().err
+    assert run(est + ["--config", cfg, "--out", tmp_path / "e2"]) == 2
+    assert "'cov'" in capsys.readouterr().err
+    assert not (tmp_path / "e1").exists() and not (tmp_path / "e2").exists()
 
 
 def test_unknown_stat_exit_2(tmp_path, yields_csv):

@@ -195,7 +195,8 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     module of ``sources`` (module name -> text) defines and that no code of
     ``sources`` reads.  Reads are matched by name, ``x.field`` loaded
     anywhere, a method of the class included; setting a field, by keyword
-    or by assignment, is not a read."""
+    or by assignment, is not a read, and neither is ``args.field``, a flag
+    of an argparse namespace."""
     defined, reads = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -204,7 +205,11 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
                 if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
                     defined += [(module, node.name, stmt.target.id) for stmt in node.body
                                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-        reads |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        reads |= {
+            n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and not (isinstance(n.value, ast.Name) and n.value.id == "args")
+        }
     return sorted(f"{module}: {cls}.{name}" for module, cls, name in defined if name not in reads)
 
 
@@ -212,18 +217,21 @@ def test_scanner_flags_dataclass_fields_no_code_reads():
     sources = {
         "src/a.py": "from dataclasses import dataclass\nimport dataclasses\n"
                     "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int = 0\n"
-                    "    by_method: int = 0\n    __test__ = False\n"
+                    "    by_method: int = 0\n    flag: int = 0\n    __test__ = False\n"
                     "    def total(self):\n        return self.by_method\n"
                     "@dataclasses.dataclass\nclass B:\n    stored: int\n"
                     "class Plain:\n    annotated: int\n",
-        "scripts/b.py": "from a import A, B\nA(read=1, unread=2).read\nb = B(1)\nb.stored = 2\n",
+        "scripts/b.py": "from a import A, B\nA(read=1, unread=2).read\nb = B(1)\nb.stored = 2\n"
+                        "print(args.flag)\n",
     }
-    assert unread_fields(sources) == ["src/a.py: A.unread", "src/a.py: B.stored"]
+    assert unread_fields(sources) == ["src/a.py: A.flag", "src/a.py: A.unread", "src/a.py: B.stored"]
 
 
 # Dataclass fields that no module, script or benchmark reads, each kept on
 # purpose; every other field has a reader in shipped code.
 KEPT_FIELDS = {
+    "src/riskpremia/confsets.py: ConfidenceSet.level":
+        "the confidence level the set was inverted at, which one surface serves many of",
     "src/riskpremia/kronecker.py: KpsFactorization.normalization":
         "which scalar split of the factors kps_factorize used, its maxabs fallback included (criterion 8)",
     "src/riskpremia/kronecker.py: KpsFactorization.omega":
@@ -232,6 +240,8 @@ KEPT_FIELDS = {
         "the distance of S from the product of its factors, falling with T for Kronecker data (criterion 8)",
     "src/riskpremia/kronecker.py: KpsFactorization.sigma":
         "the k x k factor kps_factorize recovers (criterion 8)",
+    "src/riskpremia/montecarlo.py: PowerTable.level":
+        "the nominal size each rejection frequency was counted at",
     "src/riskpremia/montecarlo.py: SfarDensityResult.quantile_se":
         "the standard errors criterion 5 compares the empirical sFAR quantiles with",
     "src/riskpremia/montecarlo.py: WishartLabResult.eigenvalues":
@@ -307,6 +317,8 @@ def test_scanner_flags_defaulted_parameters_no_call_passes():
 KEPT_DEFAULTS = {
     "src/riskpremia/cli.py: main(argv)":
         "the console entry point reads sys.argv; programs pass an argument list",
+    "src/riskpremia/confsets.py: joint_confidence_set(seed)":
+        "the seed of the sFAR boundedness scan; riskpremia cs passes it to invert_surface",
     "src/riskpremia/kronecker.py: kps_factorize(normalize)":
         "the scalar split of the factors, whose product it leaves alone (criterion 8)",
     "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov(reps)":

@@ -39,6 +39,8 @@ from riskpremia.subset import SubsetHypothesis, sfar_row
 from riskpremia.varstage import RankError
 from riskpremia.threestep import asymptotic_covariance
 
+from oracles import term_by_term_covariance
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -251,8 +253,10 @@ def test_calibrate_simulate_self_consistency():
     se = np.sqrt(np.diag(cov.v_lambda1) / spec.t)
     diff = np.abs(refit.por.lambda1 - spec.lambda1).reshape(-1, order="F")
     assert np.all(diff < 4 * se)
-    # lambda0 recovered too through the intercept construction
-    se0 = np.sqrt(np.diag(cov.v_lambda[:2, :2]) / spec.t)
+    # lambda0 recovered too through the intercept construction, with its
+    # standard errors from the joint oracle's lambda0 block
+    v_joint = term_by_term_covariance(big_f, refit.var, refit.reg, refit.por)
+    se0 = np.sqrt(np.diag(v_joint[:2, :2]) / spec.t)
     assert np.all(np.abs(refit.por.lambda0 - fit.por.lambda0) < 4 * se0)
 
 

@@ -1,5 +1,4 @@
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpremia._linalg import sym, vec
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.subset import build_stacked
@@ -22,7 +20,12 @@ from riskpremia.threestep import (
 )
 from riskpremia.varstage import RankError, VarEstimate, fit_var1
 
-from oracles import residuals_contemporaneous, second_stage_contemporaneous
+from oracles import (
+    commutation,
+    residuals_contemporaneous,
+    second_stage_contemporaneous,
+    term_by_term_covariance,
+)
 
 
 def make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, sigma_e, t):
@@ -258,52 +261,6 @@ def lagged_q_xx(factors):
     return centered @ centered.T / centered.shape[1]
 
 
-def commutation(m, n):
-    """K_{m,n} with K vec(A) = vec(A') for m x n matrices A."""
-    k = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(n):
-            k[j + i * n, i + j * m] = 1.0
-    return k
-
-
-def term_by_term_covariance(factors, var, reg, por):
-    """The covariance built from the factor panel, with the Gaussian variance
-    of vec(Sigma_v) as (I + K_{K,K})(Sigma_v kron Sigma_v) and a loop-built
-    convexity sensitivity: the oracle for ``asymptotic_covariance``."""
-    beta = reg.beta_hat
-    n, k = beta.shape
-    sigma_v = var.sigma_v
-    sigma2 = reg.sigma_e2
-    x = factors.factors
-    t = var.n_periods
-    z = np.column_stack([np.ones(t), x[:, :-1].T])
-    gamma_inv = np.linalg.inv(z.T @ z / t)
-
-    pbeta = np.linalg.solve(beta.T @ beta, beta.T)
-    sigma_u = beta @ sigma_v @ beta.T + sigma2 * np.eye(n)
-    term1 = np.kron(gamma_inv, pbeta @ sigma_u @ pbeta.T)
-    v_b = np.kron(np.linalg.inv(sigma_v), sigma2 * np.eye(n))
-
-    dmat = np.zeros((n, n * k))
-    bsv = beta @ sigma_v
-    for j in range(k):
-        dmat[np.arange(n), j * n + np.arange(n)] = bsv[:, j]
-
-    lam = np.column_stack([por.lambda0, por.lambda1])
-    e1 = np.zeros(k + 1)
-    e1[0] = 1.0
-    m23 = np.kron(e1[:, None], pbeta @ dmat) - np.kron(lam.T, pbeta)
-    mid = m23 @ v_b @ m23.T
-
-    bstar = np.column_stack([vec(np.outer(beta[i], beta[i])) for i in range(n)]).T
-    var_vec_sigma = (np.eye(k * k) + commutation(k, k)) @ np.kron(sigma_v, sigma_v)
-    iota = np.ones((n, 1))
-    g_core = 0.25 * bstar @ var_vec_sigma @ bstar.T + (sigma2**2 / (2.0 * n)) * (iota @ iota.T)
-    g_extra = np.kron(np.outer(e1, e1), pbeta @ g_core @ pbeta.T)
-    return SimpleNamespace(v_lambda=sym(term1 + mid + g_extra))
-
-
 def test_commutation_matrix():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 2))
@@ -313,7 +270,8 @@ def test_commutation_matrix():
 
 def random_estimates(rng, k, n, t=40):
     """Factor panel, VAR, second stage and price of risk with arbitrary values;
-    the factors have a nonzero mean, so Gamma_zz is not block diagonal."""
+    the factors have a nonzero mean, so the oracle's Gamma_zz is not block
+    diagonal; the Lambda1 block of its inverse is still Qxx^-1."""
     x = rng.uniform(-3.0, 3.0, (k, 1)) + rng.standard_normal((k, t + 1))
     factors = FactorPanel(x, tuple(f"f{i}" for i in range(k)))
     a = rng.standard_normal((k, k))
@@ -332,7 +290,10 @@ def random_estimates(rng, k, n, t=40):
 
 
 def assert_matches_oracle(got, ref):
-    assert np.linalg.norm(got.v_lambda - ref.v_lambda) <= 1e-12 * np.linalg.norm(ref.v_lambda)
+    """``v_lambda1`` against the trailing K^2 block of the joint oracle."""
+    k = got.v_lambda1.shape[-1]
+    ref = ref[-k:, -k:]
+    assert np.linalg.norm(got.v_lambda1 - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,11 +333,12 @@ def test_covariance_of_a_stack_equals_each_fit():
         np.stack([lagged_q_xx(f) for f, *_ in fits]),
     )
     for i, cov in enumerate(single):
-        np.testing.assert_allclose(stacked.v_lambda[i], cov.v_lambda, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(stacked.v_lambda1[i], cov.v_lambda1, rtol=1e-13, atol=0)
 
 
 def test_covariance_scalar_oracle_k1_n2():
-    """Term-by-term scalar re-derivation of V_Lambda for K=1, N=2."""
+    """Term-by-term scalar re-derivation of V_Lambda for K=1, N=2, compared
+    at its Lambda1 entry."""
     rng = np.random.default_rng(9)
     beta = np.array([[1.3], [0.7]])
     lam0, lam1 = np.array([0.4]), np.array([[0.25]])
@@ -405,7 +367,7 @@ def test_covariance_scalar_oracle_k1_n2():
     extra = np.zeros((2, 2))
     extra[0, 0] = pb @ core @ pb
     oracle = term1 + mid + extra
-    assert np.allclose(cov.v_lambda, 0.5 * (oracle + oracle.T), rtol=1e-10)
+    assert np.allclose(cov.v_lambda1, 0.5 * (oracle + oracle.T)[1:, 1:], rtol=1e-10)
 
 
 def test_wald_zero_at_estimate_and_affine_invariance():
