@@ -46,7 +46,6 @@ from .panels import (
 from .pipeline import ModelFit, fit_model
 from .subset import (
     StackedSystem,
-    SubsetHypothesis,
     boundedness_diagnostic,
     build_stacked,
     kp_rank,

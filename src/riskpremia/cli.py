@@ -51,7 +51,7 @@ from .panels import (
     save_matrix_csv,
 )
 from .pipeline import fit_model
-from .subset import VARIANCE_MODES, SubsetHypothesis, kp_rank, sfar_column, sfar_row
+from .subset import VARIANCE_MODES, kp_rank, sfar_column, sfar_row
 from .varstage import RankError
 
 
@@ -160,16 +160,27 @@ def _build_panels(args):
     return panel, returns, factors
 
 
+def _numbers(node) -> bool:
+    """True for a JSON number or a (nested) list of numbers; a boolean is none."""
+    return all(map(_numbers, node)) if isinstance(node, list) else type(node) in (int, float)
+
+
 def _parse_h0(text: str, k: int, sfar_only: bool) -> np.ndarray:
     """``--h0`` as Lambda1 (K^2 values, column-major), or as the sFAR row or
     column itself (K values, accepted only when sFAR is the only test)."""
-    if text == "zeros":
-        vals = np.zeros(k * k)
-    elif text.startswith("@"):
-        with _open_user_file(text[1:]) as fh:
-            vals = np.asarray(json.load(fh), dtype=float).reshape(-1)
-    else:
-        vals = np.asarray([float(x) for x in text.split(",")], dtype=float)
+    try:
+        if text == "zeros":
+            vals = np.zeros(k * k)
+        elif text.startswith("@"):
+            with _open_user_file(text[1:]) as fh:
+                node = json.load(fh)
+            if not _numbers(node):
+                raise ValueError(f"expected a number or a list of numbers, got {json.dumps(node)}")
+            vals = np.asarray(node, dtype=float).reshape(-1)
+        else:
+            vals = np.asarray([float(x) for x in text.split(",")], dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise PanelError(f"--h0 {text}: {exc}") from None
     if not np.all(np.isfinite(vals)):
         raise PanelError(f"--h0 values must be finite; got {vals.tolist()}")
     if vals.size == k * k:
@@ -194,8 +205,11 @@ def _subset_value(h0: np.ndarray, kind: str, index: int) -> np.ndarray:
 def _parse_grid(text: str):
     axes = []
     for part in text.split(","):
-        lo, hi, steps = part.split(":")
-        axes.append(GridAxis(float(lo), float(hi), int(steps)))
+        try:
+            lo, hi, steps = part.split(":")
+            axes.append(GridAxis(float(lo), float(hi), int(steps)))
+        except ValueError as exc:
+            raise PanelError(f"--grid part {part!r} (lo:hi:steps): {exc}") from None
     return axes
 
 
@@ -253,8 +267,8 @@ def cmd_test(args) -> dict:
             res = fit.wald(h0)
         elif stat == "sfar":
             value = _subset_value(h0, args.subset_kind, args.subset_index)
-            h = SubsetHypothesis(args.subset_kind, args.subset_index, value)
-            res = (sfar_row if args.subset_kind == "row" else sfar_column)(h, fit.stacked)
+            sfar = sfar_row if args.subset_kind == "row" else sfar_column
+            res = sfar(fit.stacked, value, args.subset_index)
         else:
             raise PanelError(f"unknown statistic {stat!r}")
         results.append(res.to_dict())
@@ -471,19 +485,37 @@ def build_parser():
 def _apply_config(parser, args, argv):
     """Re-parse with a JSON config file's values as the subcommand's defaults.
 
-    Explicit flags, abbreviated ones included, win, and string values go
-    through each flag's ``type=`` like typed flags.
+    The file is an object of flag values; explicit flags, abbreviated ones
+    included, win.  A string or number goes through its flag's ``type=`` and
+    ``choices`` like the flag's text, a boolean only sets a switch and null
+    only a flag that defaults to None.  A replayed manifest's ``command`` is skipped.
     """
     try:
         overrides = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise PanelError(f"cannot read config file: {exc}") from exc
-    overrides = {key.replace("-", "_"): val for key, val in overrides.items()}
-    for key in overrides:
-        if not hasattr(args, key):
-            raise PanelError(f"unknown config key {key!r}")
+    if not isinstance(overrides, dict):
+        raise PanelError("config file must hold a JSON object of flag values")
     (commands,) = parser._subparsers._group_actions
-    commands.choices[args.command].set_defaults(**overrides)
+    command = commands.choices[args.command]
+    actions = {action.dest: action for action in command._actions if hasattr(args, action.dest)}
+    for name, val in overrides.items():
+        key = name.replace("-", "_")
+        if key == "command" and val == args.command:
+            continue
+        if key not in actions:
+            raise PanelError(f"unknown config key {key!r}")
+        action = actions[key]
+        switch = isinstance(action, argparse._StoreTrueAction)
+        if val is None:
+            ok = action.default is None
+        elif isinstance(val, bool) or switch:
+            ok = isinstance(val, bool) and switch
+        else:           # a string or number, converted by the flag's type= on re-parsing
+            ok = type(val) in (str, int, float) and (action.choices is None or str(val) in action.choices)
+        if not ok:
+            raise PanelError(f"config key {name!r} cannot take {json.dumps(val)}")
+        command.set_defaults(**{key: str(val) if type(val) in (int, float) else val})
     return parser.parse_args(argv)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import chi2_sf
 from .moments import TESTS, dofs, robust_statistics
 from .pipeline import FIT_ERRORS, ModelFit
-from .subset import boundedness_diagnostic, sfar_column_statistics, sfar_dof, sfar_row_statistics
+from .subset import boundedness_diagnostic, sfar_dof, sfar_statistics
 from .threestep import wald_statistics
 
 VALID_TESTS = ("far", "klm", "jklm", "wald", "sfar")
@@ -36,6 +36,8 @@ class GridAxis:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("grid axes need at least 2 steps")
+        if not np.isfinite(self.hi - self.lo):      # np.linspace needs the span too
+            raise ValueError("grid axis bounds and their span must be finite")
         if not self.lo < self.hi:
             raise ValueError("grid axis requires lo < hi")
 
@@ -179,12 +181,11 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
     elif test == "sfar":
         if binding.kind == "full":
             raise ValueError("sfar requires a 'row' or 'column' binding")
-        statistics = sfar_row_statistics if binding.kind == "row" else sfar_column_statistics
         floats = 2 * (2 * k) ** 2   # projected matrices and their eigenvalues
 
         def ev(params):
             values = params.reshape(len(params), *(1,) * len(stack), k)
-            stat = statistics(fit.stacked, values, binding.index)
+            stat = sfar_statistics(fit.stacked, values, binding.index, binding.kind)
             return chi2_sf(stat, sfar_dof(k, n))[None]
 
     else:

@@ -36,7 +36,7 @@ from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalue
 from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
 from .pipeline import FIT_ERRORS, fit_model
-from .subset import SubsetHypothesis, sfar_dof, sfar_row_statistics
+from .subset import sfar_dof, sfar_statistics
 from .threestep import PriceOfRisk, ReturnRegression
 from .varstage import RankError, VarEstimate
 
@@ -64,9 +64,9 @@ class DgpSpec:
     ``weak_scale`` multiplies beta column-wise; values of order 1/sqrt(T)
     emulate nearly unspanned factors.  The arrays are copied and made
     read-only, so the law ``simulate`` caches on the spec cannot go stale.
-    Their shapes are checked against the (N, K) of ``beta`` and
-    ``sigma_e2`` must be finite and nonnegative; a failure is a ValueError
-    naming the field.
+    Their shapes are checked against the (N, K) of ``beta``, their entries
+    must be finite and ``sigma_e2`` must be finite and nonnegative; a failure
+    is a ValueError naming the field.
     """
 
     c: np.ndarray            # (N,)
@@ -92,6 +92,8 @@ class DgpSpec:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape} at N = {n}, K = {k}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not np.isfinite(self.sigma_e2) or self.sigma_e2 < 0:
@@ -535,7 +537,7 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
     Lambda1, with its quantiles at ``SFAR_QUANTILE_LEVELS``.
 
     Each block of replicates is one stacked fit and one stacked
-    ``sfar_row_statistics`` call (``_replicates``); ``failure_kinds`` counts
+    ``sfar_statistics`` call (``_replicates``); ``failure_kinds`` counts
     the failed replicates by the exception class that the fit or the
     statistic raised, and ``block_refits`` the ``fit_model`` calls made on
     halves of a block that raised.  Negative ``reps`` raise ValueError
@@ -544,10 +546,8 @@ def sfar_density_experiment(spec: DgpSpec, reps: int, seed: int = 0) -> SfarDens
     if reps < 0:
         raise ValueError("reps must be nonnegative")
     quantile_levels = SFAR_QUANTILE_LEVELS
-    h = SubsetHypothesis("row", 0, spec.lambda1[0])
-
     results, refits = _replicates(
-        spec, reps, seed, lambda fit: sfar_row_statistics(fit.stacked, h.value, h.index)
+        spec, reps, seed, lambda fit: sfar_statistics(fit.stacked, spec.lambda1[0], 0)
     )
     stats = np.asarray([s for s in results if not isinstance(s, Exception)])
     failures = len(results) - stats.size

@@ -285,56 +285,10 @@ def build_stacked(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsetHypothesis:
-    kind: str                # 'row' or 'column'
-    index: int
-    value: np.ndarray        # (K,)
-
-    def __post_init__(self):
-        if self.kind not in ("row", "column"):
-            raise ValueError("hypothesis kind must be 'row' or 'column'")
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
-        _check_subset_values(self.index, self.value)
-
-
-def _check_subset_values(index: int, values: np.ndarray) -> None:
-    """Validate a subset hypothesis, or a stack of values (..., K) at one index."""
-    if index < 0 or index >= values.shape[-1]:
-        raise ValueError("hypothesis index out of range")
-    if not np.isfinite(values).all():
-        raise ValueError("hypothesis value must be finite")
-
-
 def _require_one_fit(sys: StackedSystem, caller: str) -> None:
     """Raise TypeError when a single-fit entry point gets a stack of fits."""
     if sys.batch_shape:
         raise TypeError(f"{caller} takes one fit, got a stack of {int(np.prod(sys.batch_shape))}")
-
-
-def _check_length(sys: StackedSystem, values: np.ndarray) -> None:
-    """Raise unless subset values (..., K) have the K entries of ``sys``."""
-    if values.shape[-1:] != (sys.n_factors,):
-        got = np.atleast_1d(values).shape[-1]
-        raise ValueError(f"subset hypothesis needs {sys.n_factors} values, got {got}")
-
-
-def _normals(sys: StackedSystem, values: np.ndarray, index: int | None = None, kind: str = "row"):
-    """(..., 2K) vectors of a subset hypothesis at values (..., K): the normal
-    (lambda_1^0 ; e_index) of a row value and the column (e_index ; -lambda)
-    of B of a column value; with no index, the limits (d ; 0) and (0 ; -d)
-    of either along the direction d."""
-    _check_length(sys, values)
-    k = sys.n_factors
-    normals = np.zeros((*values.shape[:-1], 2 * k))
-    column = kind == "column"
-    if column:
-        normals[..., k:] = -values
-    else:
-        normals[..., :k] = values
-    if index is not None:
-        normals[..., index if column else k + index] = 1.0
-    return normals
 
 
 def sfar_dof(k: int, n: int) -> int:
@@ -371,88 +325,88 @@ def _pencil_roots(sys: StackedSystem, q: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
-def _projected_roots(sys: StackedSystem, normals: np.ndarray, kind: str = "row"):
-    """Subset statistics (...) at a stack of ``_normals`` (..., 2K), and the
-    ascending roots (..., 2K-1) of the pencil (H, Psi) off them.
+def _projected_roots(sys: StackedSystem, values, index: int | None = None, kind: str = "row"):
+    """Subset statistics (...) at a stack of row or column values (..., K)
+    of ``index``, and the ascending roots (..., 2K-1) of the pencil (H, Psi)
+    off their normals; the one place an sFAR hypothesis is validated.
 
-    The roots are ``_pencil_roots`` on u, the unit L^-1 w of a row normal w or
-    L'b of a column b.  A row statistic is T times the K smallest roots, a
-    column one T (u'Mu + the K-1 smallest).  The normals broadcast against
-    the stack axes of ``sys``.
+    The normal of a row value is w = (lambda_1^0 ; e_index), of a column
+    value the column b = (e_index ; -lambda) of B; with no index, the limits
+    (d ; 0) and (0 ; -d) of either along the direction d.  The roots are
+    ``_pencil_roots`` on u, the unit L^-1 w or L'b.  A row statistic is T
+    times the K smallest roots, a column one T (u'Mu + the K-1 smallest).
+    The values broadcast against the stack axes of ``sys``.
     """
+    if kind not in ("row", "column"):
+        raise ValueError("hypothesis kind must be 'row' or 'column'")
+    values, k = np.asarray(values, dtype=float), sys.n_factors
+    if values.shape[-1:] != (k,):
+        raise ValueError(f"subset hypothesis needs {k} values, got {np.atleast_1d(values).shape[-1]}")
+    if index is not None and not 0 <= index < k:
+        raise ValueError("hypothesis index out of range")
+    if not np.isfinite(values).all():
+        raise ValueError("hypothesis value must be finite")
+    column = kind == "column"
+    normals = np.zeros((*values.shape[:-1], 2 * k))
+    if column:
+        normals[..., k:] = -values
+    else:
+        normals[..., :k] = values
+    if index is not None:
+        normals[..., index if column else k + index] = 1.0
     # elementwise products per hypothesis, so a stack of one gives the same
     # numbers as any stack
-    column = kind == "column"
     factor = sys.psi_chol.swapaxes(-1, -2) if column else sys.psi_whitener
     u = (factor * normals[..., None, :]).sum(axis=-1)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     roots = _pencil_roots(sys, u[..., None])
     if not column:
-        return sys.n_periods * roots[..., : sys.n_factors].sum(axis=-1), roots
+        return sys.n_periods * roots[..., :k].sum(axis=-1), roots
     rayleigh = np.einsum("...i,...ij,...j->...", u, sys.h_whitened, u)
-    return sys.n_periods * (rayleigh + roots[..., : sys.n_factors - 1].sum(axis=-1)), roots
+    return sys.n_periods * (rayleigh + roots[..., : k - 1].sum(axis=-1)), roots
 
 
-def _sfar_result(sys: StackedSystem, caller: str, values: np.ndarray, index: int | None = None,
+def sfar_statistics(sys: StackedSystem, values, index: int, kind: str = "row") -> np.ndarray:
+    """Subset statistics at a stack of values (..., K) of row or column
+    ``index`` of Lambda1; the values broadcast against the stack axes of
+    ``sys``."""
+    return _projected_roots(sys, values, index, kind)[0]
+
+
+def _sfar_result(sys: StackedSystem, caller: str, value, index: int | None = None,
                  kind: str = "row") -> TestResult:
-    """The stack-of-one case of ``_projected_roots`` at the ``_normals`` of
-    ``values`` (K,) on one fit, as a ``TestResult`` named sFAR whose p-value
-    is the chi^2(K(N-K+1)) upper bound, with the pencil roots; ``h0`` is the
-    hypothesis value, None for a distant value (no ``index``)."""
+    """The stack-of-one case of ``_projected_roots`` at ``value`` (K,) on one
+    fit, as a ``TestResult`` named sFAR whose p-value is the chi^2(K(N-K+1))
+    upper bound, with the pencil roots; ``h0`` is the hypothesis value, None
+    for a distant value (no ``index``)."""
     _require_one_fit(sys, caller)
-    stats, roots = _projected_roots(sys, _normals(sys, values, index, kind)[None], kind)
+    value = np.asarray(value, dtype=float).reshape(-1)
+    stats, roots = _projected_roots(sys, value[None], index, kind)
     stat, dof = float(stats[0]), sfar_dof(sys.n_factors, sys.n_assets)
     return TestResult("sFAR", stat, dof, chi2_sf(stat, dof), bound_only=True,
-                      h0=None if index is None else values, roots=roots[0])
+                      h0=None if index is None else value, roots=roots[0])
 
 
-def _subset_result(h: SubsetHypothesis, sys: StackedSystem, kind: str) -> TestResult:
-    if h.kind != kind:
-        raise ValueError(f"sfar_{kind} requires a {kind} hypothesis")
-    return _sfar_result(sys, f"sfar_{kind}", h.value, h.index, kind)
+def sfar_row(sys: StackedSystem, value, index: int) -> TestResult:
+    """Subset test of row ``index`` of Lambda1 at ``value`` (K,), an sFAR ``TestResult``."""
+    return _sfar_result(sys, "sfar_row", value, index)
 
 
-def sfar_row(h: SubsetHypothesis, sys: StackedSystem) -> TestResult:
-    """Subset statistic for one row of Lambda1 via the projected pencil, an
-    sFAR ``TestResult``."""
-    return _subset_result(h, sys, "row")
+def sfar_column(sys: StackedSystem, value, index: int) -> TestResult:
+    """Subset test of column ``index`` of Lambda1 at ``value`` (K,), an sFAR ``TestResult``."""
+    return _sfar_result(sys, "sfar_column", value, index, "column")
 
 
-def sfar_column(h: SubsetHypothesis, sys: StackedSystem) -> TestResult:
-    """Subset statistic for one column of Lambda1 via the projected pencil,
-    an sFAR ``TestResult``."""
-    return _subset_result(h, sys, "column")
-
-
-def _subset_statistics(sys: StackedSystem, values: np.ndarray, index: int, kind: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    _check_subset_values(index, values)
-    return _projected_roots(sys, _normals(sys, values, index, kind), kind)[0]
-
-
-def sfar_row_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
-    """Row statistics of ``sfar_row`` at a stack of values (..., K) of row
-    ``index``; the values broadcast against the stack axes of ``sys``."""
-    return _subset_statistics(sys, values, index, "row")
-
-
-def sfar_column_statistics(sys: StackedSystem, values: np.ndarray, index: int) -> np.ndarray:
-    """``sfar_row_statistics`` for the values of column ``index``."""
-    return _subset_statistics(sys, values, index, "column")
-
-
-def sfar_distant(direction: np.ndarray, sys: StackedSystem) -> TestResult:
+def sfar_distant(sys: StackedSystem, direction) -> TestResult:
     """Limit of the row statistic along lambda_1 = c * direction as c grows,
     an sFAR ``TestResult`` with no ``h0``.
 
     The normal (c d ; e_index) of the restricted pencil turns into (d ; 0) as
     c grows, so the limit is the same for every row index.
     """
-    lam = np.asarray(direction, dtype=float).reshape(-1)
-    norm = np.linalg.norm(lam)
-    if not np.isfinite(norm) or norm == 0.0:
+    if not np.any(direction):
         raise ValueError("direction must be a nonzero vector")
-    return _sfar_result(sys, "sfar_distant", lam)
+    return _sfar_result(sys, "sfar_distant", direction)
 
 
 def kp_rank(sys: StackedSystem) -> TestResult:
@@ -524,7 +478,7 @@ def boundedness_diagnostic(
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((n_directions, sys.n_factors))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        stats, _ = _projected_roots(sys, _normals(sys, dirs, kind=kind), kind)
+        stats, _ = _projected_roots(sys, dirs, kind=kind)
         unbounded = [d.copy() for d, stat in zip(dirs, stats) if stat <= crit]
     return BoundednessReport(
         bounded_all=len(unbounded) == 0,

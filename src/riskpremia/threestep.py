@@ -72,8 +72,9 @@ class TestResult:
     (sFAR).
 
     Every test returns it: FAR/KLM/JKLM (``moments.robust_tests``), Wald
-    (``wald_test``), sFAR (``subset.sfar_row``, ``sfar_column``,
-    ``sfar_distant``, with the pencil roots in ``roots``) and the rank test
+    (``wald_test``), sFAR (``subset.sfar_row(sys, value, index)``,
+    ``sfar_column(sys, value, index)`` and ``sfar_distant(sys, direction)``,
+    with the pencil roots in ``roots``) and the rank test
     (``subset.kp_rank``).  The statistic is clipped at 0, and a p-value
     outside [0, 1] raises ValueError.
     """

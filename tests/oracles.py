@@ -11,27 +11,27 @@ from riskpremia.subset import VARIANCE_MODES, StackedSystem
 from riskpremia.threestep import ReturnRegression, convexity_adjustment
 
 
-def sfar_minimized(h, sys, seed):
-    """The subset statistic as the smallest FAR over the other rows (columns)
-    of Lambda1: L-BFGS-B from the GLS-implied Lambda1, zero and 18 seeded
-    starts.  K >= 2."""
+def sfar_minimized(sys, value, index, kind, seed):
+    """The subset statistic of row (column) ``index`` at ``value`` as the
+    smallest FAR over the other rows (columns) of Lambda1: L-BFGS-B from the
+    GLS-implied Lambda1, zero and 18 seeded starts.  K >= 2."""
     k = sys.n_factors
-    rest = np.delete(np.arange(k), h.index)
+    rest = np.delete(np.arange(k), index)
     lam = np.empty((k, k))
 
     def objective(free):
-        if h.kind == "row":
-            lam[h.index], lam[rest] = h.value, free.reshape(k - 1, k)
+        if kind == "row":
+            lam[index], lam[rest] = value, free.reshape(k - 1, k)
         else:
-            lam[:, h.index], lam[:, rest] = h.value, free.reshape(k, k - 1)
+            lam[:, index], lam[:, rest] = value, free.reshape(k, k - 1)
         try:
             return robust_statistics(sys, lam, "kps", ("far",))["far"]
         except np.linalg.LinAlgError:
             return np.inf
 
     gls = np.linalg.solve(sys.h_hat[k:, k:], sys.h_hat[k:, :k])
-    anchor = (gls[rest] if h.kind == "row" else gls[:, rest]).reshape(-1)
-    scale = max(1.0, np.abs(anchor).max(), np.abs(h.value).max())
+    anchor = (gls[rest] if kind == "row" else gls[:, rest]).reshape(-1)
+    scale = max(1.0, np.abs(anchor).max(), np.abs(value).max())
     rng = np.random.default_rng(seed)
     starts = [anchor, np.zeros(anchor.size)]
     starts += [anchor + scale * rng.standard_normal(anchor.size) for _ in range(18)]

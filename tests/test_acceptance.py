@@ -27,7 +27,6 @@ from riskpremia.montecarlo import (
 from riskpremia.moments import robust_tests
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import (
-    SubsetHypothesis,
     build_stacked,
     kp_rank,
     sfar_column,
@@ -113,15 +112,16 @@ def test_criterion_3_sfar_minimization_oracle():
     for i in range(50):
         n = 4 + i % 3
         sys, lam1, _ = random_instance(rng, 2, n, t=70)
-        h = SubsetHypothesis("row", i % 2, lam1[i % 2] + 0.05 * rng.standard_normal(2))
-        eig = sfar_row(h, sys)
-        num = sfar_minimized(h, sys, seed=i)
+        index = i % 2
+        value = lam1[index] + 0.05 * rng.standard_normal(2)
+        eig = sfar_row(sys, value, index)
+        num = sfar_minimized(sys, value, index, "row", seed=i)
         worst = max(worst, abs(num - eig.statistic) / max(eig.statistic, 1e-12))
         # the column arm: the closed form is the exact minimum, so it never
         # lies above the optimizer's value by more than rounding
-        h = SubsetHypothesis("column", i % 2, lam1[:, i % 2] + column_offsets[i])
-        eig = sfar_column(h, sys).statistic
-        num = sfar_minimized(h, sys, seed=i)
+        value = lam1[:, index] + column_offsets[i]
+        eig = sfar_column(sys, value, index).statistic
+        num = sfar_minimized(sys, value, index, "column", seed=i)
         worst = max(worst, abs(num - eig) / max(eig, 1e-12))
         above = max(above, (eig - num) / max(num, 1e-12))
     elapsed = time.time() - t0
@@ -144,8 +144,8 @@ def test_criterion_4_distant_value_limit():
         for _ in range(4):
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
-            limit = sfar_distant(d, sys)
-            far_out = sfar_row(SubsetHypothesis("row", 0, 1e6 * d), sys)
+            limit = sfar_distant(sys, d)
+            far_out = sfar_row(sys, 1e6 * d, 0)
             rel = abs(far_out.statistic - limit.statistic) / max(limit.statistic, 1e-12)
             worst_lim = max(worst_lim, rel)
             min_gap = min(min_gap, limit.statistic - rank.statistic)
@@ -154,7 +154,7 @@ def test_criterion_4_distant_value_limit():
     for i in range(4):
         sys1, _, _ = random_instance(rng, 1, 4, t=70)
         rank1 = kp_rank(sys1)
-        res = sfar_distant(rng.standard_normal(1), sys1)
+        res = sfar_distant(sys1, rng.standard_normal(1))
         worst_k1 = max(worst_k1, abs(res.statistic - rank1.statistic) / max(rank1.statistic, 1e-12))
     elapsed = time.time() - t0
     report(

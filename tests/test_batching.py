@@ -26,8 +26,6 @@ from riskpremia.montecarlo import DgpSpec, preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
 from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.subset import (
-    SubsetHypothesis,
-    _normals,
     _pencil_roots,
     _projected_roots,
     boundedness_diagnostic,
@@ -35,10 +33,9 @@ from riskpremia.subset import (
     kp_rank,
     model_score_terms,
     sfar_column,
-    sfar_column_statistics,
     sfar_distant,
     sfar_row,
-    sfar_row_statistics,
+    sfar_statistics,
 )
 from riskpremia.threestep import asymptotic_covariance, second_stage, third_stage, wald_statistics
 from riskpremia.varstage import RankError, fit_var1
@@ -132,24 +129,22 @@ def test_stacked_hypotheses_equal_single_calls(k, extra, beta_scale, r, b, seed)
 
     values = lams[:, 0, :] * 3.0
     directions = rng.standard_normal((b, k))
-    distant = np.hstack([directions, np.zeros_like(directions)])
     for index in range(k):
-        normals = _normals(stack, values, index)
-        rows, row_roots = _projected_roots(stack, normals[:, None])
-        assert_same(sfar_row_statistics(stack, values[:, None], index), rows)
-        columns = sfar_column_statistics(stack, values[:, None], index)
+        rows, row_roots = _projected_roots(stack, values[:, None], index)
+        assert_same(sfar_statistics(stack, values[:, None], index), rows)
+        columns = sfar_statistics(stack, values[:, None], index, "column")
         for j, sys in enumerate(systems):
-            singles = [sfar_row(SubsetHypothesis("row", index, v), sys) for v in values]
-            assert_results(*_projected_roots(sys, normals), singles)
+            singles = [sfar_row(sys, v, index) for v in values]
+            assert_results(*_projected_roots(sys, values, index), singles)
             assert_results(rows[:, j], row_roots[:, j], singles)
-            assert_same(sfar_row_statistics(sys, values, index), rows[:, j])
-            singles = [sfar_column(SubsetHypothesis("column", index, v), sys) for v in values]
+            assert_same(sfar_statistics(sys, values, index), rows[:, j])
+            singles = [sfar_column(sys, v, index) for v in values]
             assert_same(columns[:, j], [res.statistic for res in singles])
 
-    limits, limit_roots = _projected_roots(stack, distant[:, None])
+    limits, limit_roots = _projected_roots(stack, directions[:, None])
     for j, sys in enumerate(systems):
-        singles = [sfar_distant(d, sys) for d in directions]
-        assert_results(*_projected_roots(sys, distant), singles)
+        singles = [sfar_distant(sys, d) for d in directions]
+        assert_results(*_projected_roots(sys, directions), singles)
         assert_results(limits[:, j], limit_roots[:, j], singles)
 
 
@@ -166,9 +161,9 @@ def test_stacked_statistics_are_bitwise_equal_at_one_shape():
             assert [single[t].statistic for t in ("far", "klm", "jklm")] == [
                 float(stacked[t][i]) for t in ("far", "klm", "jklm")
             ]
-    stats = sfar_row_statistics(fit.stacked, lams[:, 1, :], 1)
+    stats = sfar_statistics(fit.stacked, lams[:, 1, :], 1)
     assert stats.tolist() == [
-        sfar_row(SubsetHypothesis("row", 1, lam[1]), fit.stacked).statistic for lam in lams
+        sfar_row(fit.stacked, lam[1], 1).statistic for lam in lams
     ]
 
 
@@ -230,9 +225,11 @@ def test_stack_validates_like_a_single_hypothesis():
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 80)
     sys = fit_model(returns, factors).stacked
     with pytest.raises(ValueError, match="finite"):
-        sfar_row_statistics(sys, np.array([[0.0, 1.0], [np.nan, 0.0]]), 0)
+        sfar_statistics(sys, np.array([[0.0, 1.0], [np.nan, 0.0]]), 0)
     with pytest.raises(ValueError, match="index"):
-        sfar_row_statistics(sys, np.zeros((3, 2)), 2)
+        sfar_statistics(sys, np.zeros((3, 2)), 2)
+    with pytest.raises(ValueError, match="kind must be 'row' or 'column'"):
+        sfar_statistics(sys, np.zeros((3, 2)), 0, "diagonal")
 
 
 #: agreement of the per-fit kernels with the dense and pencil references,
@@ -277,7 +274,7 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
     values = lams[:, 0, :] * 3.0
     for index in range(k):
         for value, lam in zip(values, lams):
-            stat = sfar_row(SubsetHypothesis("row", index, value), sys).statistic
+            stat = sfar_row(sys, value, index).statistic
             ref, _ = _pencil_by_permutation_matrix(sys, index, restriction_matrix(value))
             rows = lam.copy()
             rows[index] = value
@@ -496,11 +493,11 @@ def test_single_fit_entry_points_reject_a_stack():
     spec = preset_dgp("strong", k=2, n=6, t=300)
     stack = fit_model(*simulate(spec, 0, range(3)))
     sys = stack.stacked
-    row = SubsetHypothesis("row", 0, spec.lambda1[0])
+    row = spec.lambda1[0]
     calls = {
-        "sfar_row": lambda: sfar_row(row, sys),
-        "sfar_distant": lambda: sfar_distant(np.array([1.0, 0.0]), sys),
-        "sfar_column": lambda: sfar_column(SubsetHypothesis("column", 0, spec.lambda1[:, 0]), sys),
+        "sfar_row": lambda: sfar_row(sys, row, 0),
+        "sfar_distant": lambda: sfar_distant(sys, np.array([1.0, 0.0])),
+        "sfar_column": lambda: sfar_column(sys, spec.lambda1[:, 0], 0),
         "kp_rank": lambda: kp_rank(sys),
         "boundedness_diagnostic": lambda: boundedness_diagnostic(sys),
         "robust_tests": lambda: robust_tests(stack, spec.lambda1),
@@ -510,6 +507,6 @@ def test_single_fit_entry_points_reject_a_stack():
         with pytest.raises(TypeError, match=f"^{name} takes one fit, got a stack of 3$"):
             call()
     # the stacked kernel gives each fit its own value: fit 1's, not fit 0's
-    stats = sfar_row_statistics(sys, row.value, row.index)
-    assert_close(sfar_row(row, fit_model(*simulate(spec, 0, 1)).stacked).statistic, stats[1])
+    stats = sfar_statistics(sys, row, 0)
+    assert_close(sfar_row(fit_model(*simulate(spec, 0, 1)).stacked, row, 0).statistic, stats[1])
     assert not np.isclose(stats[0], stats[1])

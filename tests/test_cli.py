@@ -22,7 +22,7 @@ from riskpremia.montecarlo import (
 )
 from riskpremia.panels import YieldPanel, save_panel_csv
 from riskpremia.pipeline import fit_model
-from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
+from riskpremia.subset import sfar_column, sfar_row
 from riskpremia.varstage import RankError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -190,7 +190,7 @@ def test_test_command_matches_one_call_per_statistic(tmp_path, yields_csv):
         results.append(fit.wald(lam).to_dict())
         value = lam[index] if kind == "row" else lam[:, index]
         subset_test = sfar_row if kind == "row" else sfar_column
-        results.append(subset_test(SubsetHypothesis(kind, index, value), fit.stacked).to_dict())
+        results.append(subset_test(fit.stacked, value, index).to_dict())
         expected = cli._render_json({"results": results}) + "\n"
         assert (out / "tests.json").read_text() == expected
         # one record: the common keys, and the sFAR pencil roots besides
@@ -238,6 +238,37 @@ def test_cs_rejects_a_non_finite_h0(tmp_path, yields_csv, capsys):
                 "--stat", "far", "--h0", "0,nan,0,0", "--grid=-1:1:5", "--out", tmp_path / "cs"]) == 2
     err = capsys.readouterr().err
     assert "--h0" in err and "finite" in err
+    assert not (tmp_path / "cs").exists()
+
+
+@pytest.mark.parametrize("h0", [{"a": 1}, [True, False, 0, 1], [[1, 2], [3]], "1,2,x,4"],
+                         ids=["object", "booleans", "ragged", "word"])
+def test_h0_takes_only_numbers(tmp_path, yields_csv, capsys, h0):
+    # a JSON object or booleans in an @file, a ragged list or a word in the
+    # list are configuration errors naming --h0; a nested list of numbers is vec'd
+    base = ["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+            "--stat", "far", "--out", tmp_path / "t"]
+    path = tmp_path / "h0.json"
+    path.write_text("[[0.1, 0], [0, 0]]")
+    assert run(base + ["--h0", f"@{path}"]) == 0
+    capsys.readouterr()
+    if not isinstance(h0, str):
+        path.write_text(json.dumps(h0))
+        h0 = f"@{path}"
+    assert run(base + ["--h0", h0, "--out", tmp_path / "bad"]) == 2
+    assert "--h0" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(("grid", "word"), [("-inf:1:5", "finite"), ("0:nan:5", "finite"),
+                                            ("-1e308:1e308:3", "finite"),
+                                            ("0:1", "lo:hi:steps"), ("0:1:5,1", "lo:hi:steps")])
+def test_cs_grid_parts_must_be_finite_lo_hi_steps(tmp_path, yields_csv, capsys, grid, word):
+    # a non-finite bound or span used to exit 0 with a NaN surface called "empty"
+    assert run(["cs", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
+                "--stat", "far", f"--grid={grid}", "--out", tmp_path / "cs"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and word in err
     assert not (tmp_path / "cs").exists()
 
 
@@ -450,7 +481,7 @@ def test_eigenlab_rejects_no_replicates_and_k_above_dim(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-def test_config_file_merging(tmp_path, yields_csv):
+def test_config_file_merging(tmp_path, yields_csv, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"maturities": "12,24", "factors": "pca:1"}))
     # explicit --maturities wins, spelled out or abbreviated; config supplies factors
@@ -481,6 +512,47 @@ def test_config_file_merging(tmp_path, yields_csv):
         run(["test", "--input", yields_csv, "--maturities", "12", "--threads", "2",
              "--out", tmp_path / "c3"])
     assert exc.value.code == 2
+
+    # a value its flag cannot take is a configuration error naming the key:
+    # a list or an object, a boolean off a switch, null where the default is
+    # not None, a choice the flag does not offer; the top level is an object
+    test = ["test", "--input", yields_csv, "--maturities", "12", "--factors", "pca:1"]
+    for bad, key in (({"maturities": [12, 24]}, "maturities"), ({"h0": {"a": 1}}, "h0"),
+                     ({"seed": True}, "seed"), ({"seed": None}, "seed"),
+                     ({"interpolate": "yes"}, "interpolate"), ({"subset_kind": "diagonal"}, "subset_kind"),
+                     ([{"seed": 1}], "object")):
+        cfg2.write_text(json.dumps(bad))
+        assert run(test + ["--config", cfg2, "--out", tmp_path / "c4"]) == 2
+        assert key in capsys.readouterr().err
+    # a number goes through the flag's type like its text: "stat" 5 is the
+    # unknown statistic '5', "reps" 500.0 fails as --reps 500.0 does
+    cfg2.write_text(json.dumps({"stat": 5}))
+    assert run(test + ["--config", cfg2, "--out", tmp_path / "c5"]) == 2
+    assert "unknown statistic '5'" in capsys.readouterr().err
+    mc = ["mc", "--k", "1", "--n", "4", "--t", "80", "--grid-steps", "3"]
+    cfg2.write_text(json.dumps({"reps": 500.0}))
+    for argv in (mc + ["--config", cfg2], mc + ["--reps", "500.0"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", tmp_path / "c6"])
+        assert exc.value.code == 2
+        assert "invalid int value: '500.0'" in capsys.readouterr().err
+    assert not any((tmp_path / f"c{i}").exists() for i in (4, 5, 6))
+
+    # a manifest's config replayed through --config reproduces its run
+    for argv, required, name in (
+        (test + ["--stat", "far,sfar", "--annualized-percent"], test[:5], "tests.json"),
+        (mc + ["--reps", "100", "--level", "0.1"], mc[:1], "power_strong.csv"),
+    ):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(argv + ["--out", first]) == 0
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+        assert run(required + ["--config", replay, "--out", again]) == 0
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+        configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (first, again)]
+        for config in configs:
+            del config["out"], config["config"]
+        assert configs[0] == configs[1]
 
 
 def test_cov_is_a_flag_of_the_fitting_commands_only(tmp_path, yields_csv, capsys):

@@ -21,7 +21,7 @@ from riskpremia.moments import robust_tests
 from riskpremia.panels import ReturnPanel
 from riskpremia.pipeline import fit_model
 from riskpremia.montecarlo import preset_dgp, simulate
-from riskpremia.subset import SubsetHypothesis, sfar_column, sfar_row
+from riskpremia.subset import sfar_column, sfar_row
 from riskpremia.threestep import asymptotic_covariance
 from riskpremia.varstage import RankError, fit_var1
 
@@ -44,6 +44,10 @@ def test_grid_validation():
         GridAxis(0, 1, 1)
     with pytest.raises(ValueError, match="lo < hi"):
         GridAxis(1, 0, 5)
+    # a non-finite bound or span gave a NaN surface, inverted to an "empty" set
+    for lo, hi in ((-np.inf, 1), (0, np.inf), (np.nan, 1), (0, np.nan), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="bounds and their span must be finite"):
+            GridAxis(lo, hi, 5)
     b = full_lambda_binding(1)
     with pytest.raises(ValueError, match="1 to 3"):
         GridSpec(axes=(), binding=b)
@@ -142,7 +146,7 @@ def test_scan_failures_match_a_point_by_point_loop(monkeypatch, test):
     fit, lam1 = fitted(seed=10, k=2, n=5)
     binding = row_binding(2, index=1) if test == "sfar" else full_lambda_binding(2, vary=(0, 3))
     grid = GridSpec(axes=(GridAxis(-1, 1, 7), GridAxis(-0.5, 0.5, 3)), binding=binding)
-    name = "sfar_row_statistics" if test == "sfar" else "robust_statistics"
+    name = "sfar_statistics" if test == "sfar" else "robust_statistics"
     real = getattr(confsets, name)
 
     def injected(value):
@@ -172,7 +176,7 @@ def test_scan_failures_match_a_point_by_point_loop(monkeypatch, test):
             failures.append((i, repr(injected(float(params[0])))))
             expected.append(np.nan)
         elif test == "sfar":
-            expected.append(sfar_row(SubsetHypothesis("row", 1, params), fit.stacked).pvalue)
+            expected.append(sfar_row(fit.stacked, params, 1).pvalue)
         else:
             lam = params.reshape(2, 2, order="F")
             expected.append(robust_tests(fit, lam, mode="kps", which=("klm",))["klm"].pvalue)
@@ -269,8 +273,7 @@ def test_column_binding_scan_matches_sfar_column_at_every_point():
     assert surface.failures == ()
     params = binding.assemble(grid.points())
     for i, value in enumerate(params):
-        h = SubsetHypothesis("column", 1, value)
-        assert surface.pvalues.reshape(-1)[i] == sfar_column(h, fit.stacked).pvalue
+        assert surface.pvalues.reshape(-1)[i] == sfar_column(fit.stacked, value, 1).pvalue
     # a stack of fits is scanned in one pass, equal to the single-fit scans
     spec = preset_dgp("strong", k=2, n=4, t=200)
     pvalues, _ = confsets.scan_pvalues(("sfar",), fit_model(*simulate(spec, 3, range(2))), binding, params)

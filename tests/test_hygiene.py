@@ -3,10 +3,15 @@ every private module-level helper of the package has a caller, every public
 function of the package is named somewhere in the repository, every public
 function, method and property of it is read by shipped code or kept on
 purpose, so is every dataclass field, every defaulted parameter of one is
-passed by shipped code or kept on purpose, and no handler catches every
-exception."""
+passed by shipped code or kept on purpose, no handler catches every
+exception, and every name the README gives in backticks exists."""
 
 import ast
+import importlib
+import importlib.util
+import pkgutil
+import re
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -382,3 +387,93 @@ def test_no_catch_all_handlers(path):
         assert len(last_resort) == 1 and ast.unparse(last_resort[0].body[-1]) == "return 4"
         found = [(func, h) for func, h in found if func != "main"]
     assert [f"{func} (line {h.lineno})" for func, h in found] == []
+
+
+def readme_names(text: str) -> list[str]:
+    """Backticked identifiers of ``text`` that contain ``_`` or ``.``, a
+    trailing call ``(...)`` dropped; file names (.csv, .json, .py) are not
+    identifiers."""
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span)
+        if match and re.search(r"[_.]", match[1]) and not match[1].endswith((".csv", ".json", ".py")):
+            names.add(match[1])
+    return sorted(names)
+
+
+def unresolved_names(names, modules: dict) -> list[str]:
+    """The ``names`` that are none of: a module of ``modules`` (name -> module)
+    or a module-level name of one, each with any chain of attributes or
+    dataclass fields after it; a member or field of a class the modules
+    define, bare or off an instance (``spec.lambda1``); an importable module
+    outside them, with any chain of attributes after it."""
+    namespace = dict(modules)
+    members = set()
+    for module in modules.values():
+        namespace.update(vars(module))
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                members |= set(vars(obj)) | set(getattr(obj, "__annotations__", {}))
+
+    def chain(obj, parts) -> bool:
+        for part in parts:
+            if not hasattr(obj, part) and part not in getattr(obj, "__annotations__", {}):
+                return False
+            obj = getattr(obj, part, None)
+        return True
+
+    def external(parts) -> bool:
+        for i in range(len(parts), 0, -1):
+            try:
+                found = importlib.util.find_spec(".".join(parts[:i])) is not None
+            except ModuleNotFoundError:             # a parent that is no package
+                found = False
+            if found:       # a module named whole is found, not imported
+                return i == len(parts) or chain(importlib.import_module(".".join(parts[:i])), parts[i:])
+        return False
+
+    def resolves(name: str) -> bool:
+        head, *rest = name.split(".")
+        if head in namespace:
+            return chain(namespace[head], rest)
+        return head in members if not rest else rest[0] in members or external([head, *rest])
+
+    return [name for name in names if not resolves(name)]
+
+
+def test_scanner_resolves_readme_names():
+    text = ("`fit_model(..., cov=...)` `mod.helper` `Point.x` `Point.norm()` `p.x` `y_only` "
+            "`out.json` `run.py` `a b` `plain` `scipy.linalg` `dataclasses.fields` "
+            "`mod.gone` `Point.z` `gone_name` `nomodule.at_all` `p.nothing`")
+    assert readme_names(text) == sorted([
+        "fit_model", "mod.helper", "Point.x", "Point.norm", "p.x", "y_only", "scipy.linalg",
+        "dataclasses.fields", "mod.gone", "Point.z", "gone_name", "nomodule.at_all", "p.nothing",
+    ])
+    mod = types.ModuleType("mod")
+    exec("from dataclasses import dataclass\n"
+         "@dataclass\nclass Point:\n    x: float\n    y_only: float = 0.0\n"
+         "    def norm(self):\n        pass\n"
+         "def helper():\n    pass\ndef fit_model():\n    pass\n", mod.__dict__)
+    assert unresolved_names(readme_names(text), {"mod": mod}) == [
+        "Point.z", "gone_name", "mod.gone", "nomodule.at_all", "p.nothing",
+    ]
+
+
+# Backticked README names that are no name of the package, of tests/oracles.py
+# or of an importable module, each with its reason
+README_ONLY = {
+    "RISKPREMIA_DATA": "the environment variable naming the empirical yield file",
+    "ks_pvalue_vs_central": "a key of eigen_summary.json",
+    "ru_maxrss": "the resource.getrusage field the benchmark reads peak memory from",
+    "small_sum": "a column of eigen.csv",
+}
+
+
+def test_readme_names_resolve():
+    import riskpremia
+    import oracles
+
+    modules = {info.name: importlib.import_module(f"riskpremia.{info.name}")
+               for info in pkgutil.iter_modules(riskpremia.__path__)}
+    names = readme_names((ROOT / "README.md").read_text())
+    assert unresolved_names(names, {**modules, "oracles": oracles}) == sorted(README_ONLY)

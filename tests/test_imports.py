@@ -37,7 +37,7 @@ FRESH = textwrap.dedent(
     from riskpremia.montecarlo import power_curve, preset_dgp, sfar_density_experiment, simulate
     from riskpremia.panels import YieldPanel, excess_returns, load_yield_csv, pca_factors, save_panel_csv
     from riskpremia.pipeline import fit_model
-    from riskpremia.subset import SubsetHypothesis, kp_rank, sfar_column
+    from riskpremia.subset import kp_rank, sfar_column
 
     EMPIRICAL = ("scipy.special", "scipy.linalg", "scipy._lib._array_api")
     HEAVY = ("scipy.stats", "scipy.optimize")
@@ -70,7 +70,7 @@ FRESH = textwrap.dedent(
         assert all(0.0 <= r.pvalue <= 1.0 for r in res.values()), res
     assert 0.0 <= fit.wald(lam1 + 0.1).pvalue <= 1.0
     assert 0.0 <= kp_rank(fit.stacked).pvalue <= 1.0
-    assert 0.0 <= sfar_column(SubsetHypothesis("column", 1, lam1[:, 1]), fit.stacked).pvalue <= 1.0
+    assert 0.0 <= sfar_column(fit.stacked, lam1[:, 1], 1).pvalue <= 1.0
     # a grid of accepted points touches its boundary, so the boundedness
     # diagnostic decides (rank certificate or distant-value scan)
     axes = tuple(GridAxis(v - 1e-6, v + 1e-6, 3) for v in lam1[0])

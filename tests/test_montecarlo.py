@@ -35,7 +35,7 @@ from riskpremia import confsets, moments, montecarlo, pipeline, subset, threeste
 from riskpremia._linalg import NumericalError
 from riskpremia.moments import robust_tests
 from riskpremia.pipeline import FIT_ERRORS, fit_model
-from riskpremia.subset import SubsetHypothesis, sfar_row
+from riskpremia.subset import sfar_row
 from riskpremia.varstage import RankError
 from riskpremia.threestep import asymptotic_covariance
 
@@ -242,6 +242,18 @@ def test_weak_scale_zero_column():
             dataclasses.replace(spec, sigma_e2=value)
 
 
+@pytest.mark.parametrize("name", ["c", "beta", "lambda1", "mu", "phi1", "sigma_v", "weak_scale"])
+def test_dgp_spec_rejects_a_non_finite_entry_naming_the_field(name):
+    # a NaN used to pass, then fail at the first draw (a LinAlgError from
+    # phi1, an unlocated non-finite return elsewhere) or, in sigma_v, never
+    spec = preset_dgp("strong", k=2, n=4, t=40)
+    for bad in (np.nan, np.inf):
+        arr = np.array(getattr(spec, name))
+        arr.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            dataclasses.replace(spec, **{name: arr})
+
+
 def test_calibrate_simulate_self_consistency():
     spec0 = preset_dgp("strong", k=2, n=6, t=300)
     returns, factors = simulate(spec0, seed=3)
@@ -321,8 +333,7 @@ def per_hypothesis_tests(fit, tests, h0_mats, level):
         if "sfar" in tests:
             i = tests.index("sfar")
             try:
-                h = SubsetHypothesis("row", 0, np.asarray(lam)[0])
-                out[i, j] = sfar_row(h, fit.stacked).pvalue < level
+                out[i, j] = sfar_row(fit.stacked, np.asarray(lam)[0], 0).pvalue < level
             except FIT_ERRORS:
                 pass
     return out
@@ -578,7 +589,7 @@ def test_a_block_traces_an_innovation_rank_error_to_its_replicate():
     value = spec.lambda1[0]
 
     def evaluate(fit):
-        return subset.sfar_row_statistics(fit.stacked, value, 0)
+        return subset.sfar_statistics(fit.stacked, value, 0)
 
     results, refits = montecarlo._run_block(returns, factors, evaluate)
     assert isinstance(results[2], RankError)
@@ -689,7 +700,7 @@ def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, b
             return montecarlo._evaluate_tests(fit, families, (4, 1))
     else:
         def evaluate(fit):
-            return subset.sfar_row_statistics(fit.stacked, spec.lambda1[0], 0)
+            return subset.sfar_statistics(fit.stacked, spec.lambda1[0], 0)
 
     # a first block loads what a run loads once; the traced block follows it
     montecarlo._run_block(*simulate(spec, 0, range(size)), evaluate)
@@ -938,7 +949,7 @@ def test_power_surface_counts_failed_points_and_raises_bugs(monkeypatch):
     ay = spec.lambda1[0, 1] + np.array([-0.5, 0.5])
     calls = []
 
-    def first_point_fails(sys, values, index):
+    def first_point_fails(sys, values, index, kind):
         calls.append(len(values))
         if len(calls) <= 3:
             raise NumericalError("matrix is not positive definite")
@@ -949,7 +960,7 @@ def test_power_surface_counts_failed_points_and_raises_bugs(monkeypatch):
     # on the point-by-point retry; replicate 0 keeps its other three points,
     # and every point with a result rejects, so the surface is exactly one
     # with one failure recorded
-    monkeypatch.setattr(confsets, "sfar_row_statistics", first_point_fails)
+    monkeypatch.setattr(confsets, "sfar_statistics", first_point_fails)
     monkeypatch.setattr(montecarlo, "_block_size", lambda spec: 2)
     table = power_surface(spec, ax, ay, reps=100, seed=1)
     assert np.array_equal(table.rejection[0].reshape(2, 2), np.ones((2, 2)))
@@ -963,7 +974,7 @@ def test_power_surface_counts_failed_points_and_raises_bugs(monkeypatch):
     def bug(*args):
         raise TypeError("programming error")
 
-    monkeypatch.setattr(confsets, "sfar_row_statistics", bug)
+    monkeypatch.setattr(confsets, "sfar_statistics", bug)
     with pytest.raises(TypeError):
         power_surface(spec, ax, ay, reps=100, seed=1)
 
@@ -1037,7 +1048,7 @@ def test_sfar_density_counts_numerical_failures_and_raises_bugs(monkeypatch):
     clean = sfar_density_experiment(spec, reps=6, seed=4)
     assert clean.failure_kinds == {}
     bad = set(clean.statistics[[1, 4]])
-    real = montecarlo.sfar_row_statistics
+    real = montecarlo.sfar_statistics
 
     def flaky(sys, values, index):
         stats = real(sys, values, index)
@@ -1045,7 +1056,7 @@ def test_sfar_density_counts_numerical_failures_and_raises_bugs(monkeypatch):
             raise RankError("injected")
         return stats
 
-    monkeypatch.setattr(montecarlo, "sfar_row_statistics", flaky)
+    monkeypatch.setattr(montecarlo, "sfar_statistics", flaky)
     res = sfar_density_experiment(spec, reps=6, seed=4)
     assert res.failures == 2 and res.failure_kinds == {"RankError": 2}
     np.testing.assert_array_equal(res.statistics, clean.statistics[[0, 2, 3, 5]])

@@ -15,15 +15,13 @@ from riskpremia.pipeline import FIT_ERRORS, fit_model
 from riskpremia.panels import ReturnPanel, demean
 from riskpremia.subset import (
     BoundednessReport,
-    SubsetHypothesis,
     boundedness_diagnostic,
     build_stacked,
     kp_rank,
     sfar_column,
-    sfar_column_statistics,
     sfar_distant,
     sfar_row,
-    sfar_row_statistics,
+    sfar_statistics,
     stacked_score_covariance,
 )
 from riskpremia.threestep import second_stage
@@ -225,9 +223,8 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     dense_sys = dataclasses.replace(
         stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv), sigma_hat=dense.sigma
     )
-    h = SubsetHypothesis("row", 0, spec.lambda1[0])
-    got = sfar_row(h, stacked).statistic
-    ref = sfar_row(h, dense_sys).statistic
+    got = sfar_row(stacked, spec.lambda1[0], 0).statistic
+    ref = sfar_row(dense_sys, spec.lambda1[0], 0).statistic
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
@@ -308,10 +305,10 @@ def test_restriction_matrix_shape_and_k1():
 
 def test_k1_scalar_reduction_matches_far():
     sys, lam1 = fitted_system(k=1, n=4, t=90, seed=4)
-    h = SubsetHypothesis("row", 0, np.array([lam1[0, 0]]))
-    res = sfar_row(h, sys)
+    value = np.array([lam1[0, 0]])
+    res = sfar_row(sys, value, 0)
     # 1x1 pencil: explicit ratio
-    a = restriction_matrix(h.value)
+    a = restriction_matrix(value)
     hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
     expected = sys.n_periods * ((a.T @ hm @ a) / (a.T @ sys.psi_hat @ a)).item()
     assert res.statistic == pytest.approx(expected, rel=1e-8)
@@ -322,17 +319,15 @@ def test_k1_scalar_reduction_matches_far():
 def test_sfar_row_equals_numeric_min_over_nuisance():
     for seed in (5, 6):
         sys, lam1 = fitted_system(k=2, n=5, t=100, seed=seed)
-        h = SubsetHypothesis("row", 0, lam1[0])
-        eig = sfar_row(h, sys)
-        num = sfar_minimized(h, sys, seed=seed)
+        eig = sfar_row(sys, lam1[0], 0)
+        num = sfar_minimized(sys, lam1[0], 0, "row", seed=seed)
         assert num == pytest.approx(eig.statistic, rel=1e-6)
 
 
 def test_sfar_row_lower_bounds_far_over_nuisance_draws():
     rng = np.random.default_rng(7)
     sys, lam1 = fitted_system(k=2, n=5, t=100, seed=8)
-    h = SubsetHypothesis("row", 0, lam1[0])
-    stat = sfar_row(h, sys).statistic
+    stat = sfar_row(sys, lam1[0], 0).statistic
     for _ in range(100):
         lam = np.vstack([lam1[0], rng.standard_normal((1, 2))])
         assert stat <= robust_statistics(sys, lam, "kps", ("far",))["far"] + 1e-8 * max(1.0, stat)
@@ -340,10 +335,9 @@ def test_sfar_row_lower_bounds_far_over_nuisance_draws():
 
 def test_sfar_row_nonzero_index_matches_explicit_permutation():
     sys, lam1 = fitted_system(k=2, n=5, t=100, seed=9)
-    h = SubsetHypothesis("row", 1, lam1[1])
-    stat = sfar_row(h, sys).statistic
+    stat = sfar_row(sys, lam1[1], 1).statistic
     # oracle: minimize FAR over the other row numerically
-    num = sfar_minimized(h, sys, seed=1)
+    num = sfar_minimized(sys, lam1[1], 1, "row", seed=1)
     assert num == pytest.approx(stat, rel=1e-6)
 
 
@@ -368,12 +362,12 @@ def test_sfar_every_index_matches_permutation_matrix_oracle(k, extra, seed):
     sys = synthetic_system(rng, k, k + 1 + extra)
     value = 3.0 * rng.standard_normal(k)
     for index in range(k):
-        res = sfar_row(SubsetHypothesis("row", index, value), sys)
+        res = sfar_row(sys, value, index)
         stat, roots = _pencil_by_permutation_matrix(sys, index, restriction_matrix(value))
         scale = sys.n_periods * roots.max()
         assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
         np.testing.assert_allclose(res.roots, roots, rtol=1e-12, atol=1e-12 * roots.max())
-        dist = sfar_distant(value, sys)
+        dist = sfar_distant(sys, value)
         stat, roots = _pencil_by_permutation_matrix(sys, index, distant_restriction(value))
         scale = sys.n_periods * roots.max()
         assert dist.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12 * scale)
@@ -409,7 +403,7 @@ def test_far_out_rows_match_a_high_precision_oracle():
             for _ in range(3):
                 d = rng.standard_normal(3)
                 value = 1e6 * d / np.linalg.norm(d)
-                stat = sfar_row(SubsetHypothesis("row", index, value), sys).statistic
+                stat = sfar_row(sys, value, index).statistic
                 oracle = float(mp_row_statistic(mpmath.mp, sys, index, value))
                 assert abs(stat - oracle) <= 1e-12 * oracle
 
@@ -425,8 +419,8 @@ def test_sigma_factored_once_per_system(monkeypatch):
 
     monkeypatch.setattr(subset, "chol_whiten", counting_chol)
     for index in range(3):
-        sfar_row(SubsetHypothesis("row", index, lam1[index]), sys)
-        sfar_distant(lam1[index], sys)
+        sfar_row(sys, lam1[index], index)
+        sfar_distant(sys, lam1[index])
     robust_statistics(sys, lam1, "kps", ("far",))
     kp_rank(sys)
     boundedness_diagnostic(sys, n_directions=4)
@@ -436,12 +430,12 @@ def test_sigma_factored_once_per_system(monkeypatch):
 def test_sfar_roots_real_nonnegative_and_continuous():
     sys, lam1 = fitted_system(k=2, n=6, t=110, seed=10)
     h0 = lam1[0]
-    base = sfar_row(SubsetHypothesis("row", 0, h0), sys)
+    base = sfar_row(sys, h0, 0)
     assert np.all(base.roots >= 0.0)
     eps = 1e-6
-    shifted = sfar_row(SubsetHypothesis("row", 0, h0 + eps), sys)
+    shifted = sfar_row(sys, h0 + eps, 0)
     slope = abs(shifted.statistic - base.statistic) / eps
-    bigger = sfar_row(SubsetHypothesis("row", 0, h0 + 1e-3), sys)
+    bigger = sfar_row(sys, h0 + 1e-3, 0)
     big_slope = abs(bigger.statistic - base.statistic) / 1e-3
     assert slope < 10 * max(big_slope, 1.0) + 1e3  # no jump at small perturbation
 
@@ -450,27 +444,35 @@ def test_sfar_invariant_to_asset_rotation():
     rng = np.random.default_rng(11)
     sys = synthetic_system(rng, k=2, n=5)
     lam0 = rng.standard_normal(2)
-    stat = sfar_row(SubsetHypothesis("row", 0, lam0), sys).statistic
+    stat = sfar_row(sys, lam0, 0).statistic
     rot = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     sys_rot = dataclasses.replace(
         sys, phi_hat=rot @ sys.phi_hat, sigma_hat=rot @ sys.sigma_hat @ rot.T
     )
-    stat_rot = sfar_row(SubsetHypothesis("row", 0, lam0), sys_rot).statistic
+    stat_rot = sfar_row(sys_rot, lam0, 0).statistic
     assert stat_rot == pytest.approx(stat, rel=1e-8)
 
 
 def test_subset_values_of_the_wrong_length_raise_a_located_error():
     sys = fit_model(*simulate(preset_dgp("strong", k=2, n=4, t=80), 0)).stacked
     calls = [
-        lambda: sfar_distant(np.ones(3), sys),
-        lambda: sfar_distant(np.ones(1), sys),
-        lambda: sfar_row_statistics(sys, np.ones((2, 3)), 0),
-        lambda: sfar_row(SubsetHypothesis("row", 0, np.ones(3)), sys),
-        lambda: sfar_column(SubsetHypothesis("column", 0, np.ones(3)), sys),
+        lambda: sfar_distant(sys, np.ones(3)),
+        lambda: sfar_distant(sys, np.ones(1)),
+        lambda: sfar_statistics(sys, np.ones((2, 3)), 0),
+        lambda: sfar_row(sys, np.ones(3), 0),
+        lambda: sfar_column(sys, np.ones(3), 0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="needs 2 values, got [13]$"):
             call()
+
+
+def test_sfar_distant_rejects_a_zero_or_non_finite_direction():
+    sys = fit_model(*simulate(preset_dgp("strong", k=2, n=4, t=80), 0)).stacked
+    for direction, message in ((np.zeros(2), "nonzero"), (np.array([1.0, np.nan]), "finite"),
+                               (np.array([np.inf, 0.0]), "finite")):
+        with pytest.raises(ValueError, match=message):
+            sfar_distant(sys, direction)
 
 
 # -- columns ----------------------------------------------------------------------
@@ -479,18 +481,17 @@ def test_subset_values_of_the_wrong_length_raise_a_located_error():
 def test_sfar_column_k1_equals_row():
     sys, lam1 = fitted_system(k=1, n=4, t=90, seed=12)
     val = np.array([lam1[0, 0] + 0.1])
-    row = sfar_row(SubsetHypothesis("row", 0, val), sys)
-    col = sfar_column(SubsetHypothesis("column", 0, val), sys)
+    row = sfar_row(sys, val, 0)
+    col = sfar_column(sys, val, 0)
     assert col.statistic == pytest.approx(row.statistic, rel=1e-8)
 
 
 def test_sfar_column_multistart_stability_and_dominance():
     sys, lam1 = fitted_system(k=2, n=5, t=100, seed=13)
-    h = SubsetHypothesis("column", 0, lam1[:, 0])
-    stat = sfar_column(h, sys).statistic
+    stat = sfar_column(sys, lam1[:, 0], 0).statistic
     # the oracle's multi-start minimum agrees across seeds and with the closed form
-    r1 = sfar_minimized(h, sys, seed=0)
-    r2 = sfar_minimized(h, sys, seed=42)
+    r1 = sfar_minimized(sys, lam1[:, 0], 0, "column", seed=0)
+    r2 = sfar_minimized(sys, lam1[:, 0], 0, "column", seed=42)
     assert r2 == pytest.approx(r1, rel=1e-6)
     assert stat == pytest.approx(r1, rel=1e-6)
     # fixing the column at any value dominates the unrestricted-FAR minimum
@@ -509,13 +510,13 @@ def test_sfar_column_lower_bounds_far_and_is_the_row_at_k1(shape, kind, seed):
     rng = np.random.default_rng(seed)
     index = int(rng.integers(k))
     value = spec.lambda1[:, index] + rng.standard_normal(k)
-    stat = sfar_column(SubsetHypothesis("column", index, value), sys).statistic
+    stat = sfar_column(sys, value, index).statistic
     # FAR with the column fixed, at random nuisance columns of three scales
     lams = rng.standard_normal((60, k, k)) * np.repeat([0.1, 1.0, 10.0], 20)[:, None, None]
     lams[:, :, index] = value
     assert (stat <= robust_statistics(sys, lams, "kps", ("far",))["far"] + 1e-10 * max(1.0, stat)).all()
     if k == 1:
-        assert stat == pytest.approx(sfar_row(SubsetHypothesis("row", 0, value), sys).statistic, rel=1e-10)
+        assert stat == pytest.approx(sfar_row(sys, value, 0).statistic, rel=1e-10)
 
 
 # -- distant values and rank ------------------------------------------------------
@@ -527,8 +528,8 @@ def test_distant_value_matches_large_c_limit():
     for _ in range(4):
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
-        limit = sfar_distant(d, sys).statistic
-        far_out = sfar_row(SubsetHypothesis("row", 0, 1e6 * d), sys).statistic
+        limit = sfar_distant(sys, d).statistic
+        far_out = sfar_row(sys, 1e6 * d, 0).statistic
         assert far_out == pytest.approx(limit, rel=1e-4)
 
 
@@ -539,15 +540,15 @@ def test_distant_value_bounded_below_by_rank_stat():
     for _ in range(8):
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
-        assert sfar_distant(d, sys).statistic >= rank.statistic - 1e-8
+        assert sfar_distant(sys, d).statistic >= rank.statistic - 1e-8
 
 
 def test_distant_equals_rank_stat_when_k1():
     sys, _ = fitted_system(k=1, n=5, t=90, seed=16)
     rank = kp_rank(sys)
-    res = sfar_distant(np.array([1.0]), sys)
+    res = sfar_distant(sys, np.array([1.0]))
     assert res.statistic == pytest.approx(rank.statistic, rel=1e-8)
-    res_neg = sfar_distant(np.array([-3.7]), sys)
+    res_neg = sfar_distant(sys, np.array([-3.7]))
     assert res_neg.statistic == pytest.approx(rank.statistic, rel=1e-8)
 
 
@@ -556,7 +557,7 @@ def test_interlacing_of_distant_pencil_roots():
     sys = synthetic_system(rng, k=3, n=7)
     d = rng.standard_normal(3)
     d /= np.linalg.norm(d)
-    res = sfar_distant(d, sys)
+    res = sfar_distant(sys, d)
     k = 3
     # standardized pencil via reverse-order Cholesky keeps the lower-right
     # K x K block equal to the standardized rank matrix; Cauchy interlacing
@@ -616,7 +617,7 @@ def test_kp_rank_matches_the_rank_pencil_oracle(k, extra, weak_last, seed):
     rank = kp_rank(sys).statistic
     assert rank == pytest.approx(max(oracle, 0.0), rel=1e-9, abs=floor)
     if k == 1:
-        assert sfar_distant(rng.standard_normal(1), sys).statistic == pytest.approx(rank, rel=1e-12)
+        assert sfar_distant(sys, rng.standard_normal(1)).statistic == pytest.approx(rank, rel=1e-12)
 
 
 # -- boundedness ------------------------------------------------------------------
@@ -674,7 +675,7 @@ def test_rank_certificate_bounds_every_direction(k, extra, t, seed):
     else:
         dirs = rng.standard_normal((200, k))
     for d in dirs:
-        assert sfar_distant(d, sys).statistic > rep.critical_value
+        assert sfar_distant(sys, d).statistic > rep.critical_value
 
 
 @settings(max_examples=40, deadline=None)
@@ -698,7 +699,7 @@ def test_rank_statistic_bounds_every_column_limit(k, extra, t, seed):
     dirs = rng.standard_normal((50, k))
     b = np.concatenate([np.zeros((50, k)), -dirs], axis=1)
     rayleigh = t * np.einsum("pi,ij,pj->p", b, sys.h_hat, b) / np.einsum("pi,ij,pj->p", b, sys.psi_hat, b)
-    limits = subset._projected_roots(sys, subset._normals(sys, dirs, kind="column"), "column")[0]
+    limits = subset._projected_roots(sys, dirs, kind="column")[0]
     floor = 1e-9 * t * np.linalg.eigvalsh(sys.h_whitened)[-1]
     assert np.all(rayleigh >= rank - floor)
     assert np.all(limits >= rayleigh - floor)
@@ -717,7 +718,7 @@ def test_column_scan_takes_column_limits_direction_by_direction():
     assert not cols.rank_shortcut
     dirs = np.random.default_rng(0).standard_normal((64, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    limits = sfar_column_statistics(sys, 1e12 * dirs, 1)
+    limits = sfar_statistics(sys, 1e12 * dirs, 1, "column")
     clear = np.abs(limits - cols.critical_value) > 1e-6 * cols.critical_value
     accepted = {tuple(d) for d in cols.unbounded_directions}
     assert [tuple(d) in accepted for d in dirs[clear]] == list(limits[clear] <= cols.critical_value)
