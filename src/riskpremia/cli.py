@@ -194,11 +194,12 @@ def _parse_h0(text: str, k: int, sfar_only: bool) -> np.ndarray:
 
 
 def _subset_value(h0: np.ndarray, kind: str, index: int) -> np.ndarray:
-    """The sFAR values of a parsed ``--h0``: row or column ``index`` of Lambda1."""
-    if h0.ndim == 1:
-        return h0
+    """The sFAR values of a parsed ``--h0``, K values or K x K: row or column
+    ``index`` of Lambda1."""
     if not 0 <= index < len(h0):
         raise PanelError(f"--subset-index {index} out of range for K = {len(h0)}")
+    if h0.ndim == 1:
+        return h0
     return h0[index] if kind == "row" else h0[:, index]
 
 

@@ -189,8 +189,12 @@ def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dic
     array per name in ``which``, shaped like the broadcast stack; JKLM is
     FAR - KLM, clipped at zero.  Only per-fit quantities and K-sized ('kps')
     or NK-sized ('hc0') algebra are used per hypothesis; ``robust_tests`` is
-    the single-hypothesis form of the same computation.
+    the single-hypothesis form of the same computation.  A name outside
+    ``TESTS`` raises ValueError before any work.
     """
+    unknown = sorted(set(which) - set(TESTS))
+    if unknown:
+        raise ValueError(f"unknown statistics {unknown}; expected names from {TESTS}")
     if mode not in VARIANCE_MODES:
         raise ValueError(f"unknown variance mode {mode!r}; expected one of {VARIANCE_MODES}")
     lam1_0 = square_stack(lam1_0, sys.n_factors)

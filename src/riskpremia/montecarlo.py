@@ -65,8 +65,9 @@ class DgpSpec:
     emulate nearly unspanned factors.  The arrays are copied and made
     read-only, so the law ``simulate`` caches on the spec cannot go stale.
     Their shapes are checked against the (N, K) of ``beta``, their entries
-    must be finite and ``sigma_e2`` must be finite and nonnegative; a failure
-    is a ValueError naming the field.
+    must be finite, ``sigma_e2`` must be finite and nonnegative and ``t`` an
+    integer (a Python or NumPy int, not a bool); a failure is a ValueError
+    naming the field.
     """
 
     c: np.ndarray            # (N,)
@@ -100,6 +101,8 @@ class DgpSpec:
             raise ValueError(f"sigma_e2 must be finite and nonnegative, got {self.sigma_e2!r}")
         if np.any(self.weak_scale < 0):
             raise ValueError("weak_scale must be nonnegative")
+        if isinstance(self.t, bool) or not isinstance(self.t, (int, np.integer)):
+            raise ValueError(f"t must be an integer sample length, got {self.t!r}")
         if self.t < self.beta.shape[1] + 2:
             raise ValueError("sample length too short for the factor count")
         if np.any(np.linalg.eigvalsh(0.5 * (self.sigma_v + self.sigma_v.T)) < -1e-12):
@@ -292,13 +295,13 @@ def _block_size(spec: DgpSpec) -> int:
     """Replicates per block: as many as ``confsets.CHUNK_BYTES`` holds of
     what their fits keep, from the spec's (K, N, T) alone.
 
-    A fitted replicate keeps Phi, W, Psi, Qxx, Sigma, xbar, vhat and the
-    VAR's Q of (1, X_{t-1}), and no second-stage residual: the fit sums
-    sigma_e^2 one replicate at a time and forms the residuals only for hc0.
-    The panels, which the fit holds by reference, and the simulation
-    buffers are not counted."""
+    A fitted replicate keeps Phi, W, Psi, Qxx, Sigma, vhat and the VAR's
+    QR factors of (1, X_{t-1}, X_t), and no second-stage residual: the fit
+    sums sigma_e^2 one replicate at a time and forms the residuals and xbar
+    only for hc0.  The panels, which the fit holds by reference, the
+    (1 + 2K) x (1 + 2K) R, and the simulation buffers are not counted."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); xbar, vhat (K x T); Q (T x (1 + K))
+    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); vhat (K x T); Q (T x (1 + 2K))
     floats = 2 * n * k + 9 * k * k + n * n + (3 * k + 1) * t
     return max(1, confsets.CHUNK_BYTES // (8 * floats))
 
@@ -435,8 +438,8 @@ def power_curve(
     """Rejection frequencies of the chosen tests over a hypothesis grid.
 
     ``h0_grid`` holds at least one finite K x K matrix (scalars allowed when
-    K = 1); an empty grid, an invalid matrix or a level outside (0, 1]
-    raises ValueError before any replicate is drawn.  The sFAR entry tests
+    K = 1); no test, an empty grid, an invalid matrix or a level outside
+    (0, 1] raises ValueError before any replicate is drawn.  The sFAR entry tests
     the first row of Lambda1 against the matrix's first row.  Each block of
     replicates (``_replicates``) is one stacked fit and runs one
     ``confsets.scan_pvalues`` per test family (far/klm/jklm together, wald, sfar) over the whole grid;
@@ -452,6 +455,8 @@ def power_curve(
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must lie in (0, 1], got {level!r}")
     tests = [t.lower() for t in tests]
+    if not tests:
+        raise ValueError("need at least one test")
     if set(tests) - set(VALID_TESTS):
         raise ValueError(f"unknown test in {tests}; expected any of {VALID_TESTS}")
     if len(h0_grid) == 0:

@@ -45,7 +45,7 @@ from ._linalg import (
 )
 from .kronecker import kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
-from .threestep import ReturnRegression, TestResult, check_alignment, joint_basis, project_out
+from .threestep import ReturnRegression, TestResult, check_alignment, project_out
 from .varstage import VarEstimate
 
 VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` parts
@@ -59,22 +59,24 @@ class StackedSystem:
     xbar, so the moment vector needs only Phi and Qxx (``moments.moment_vector``).
     ``returns`` is the array the fit was given, held by reference and read
     only when the hc0 variance forms the residuals (``residuals``); writing
-    to that array afterwards changes what hc0 reads.  ``design_q`` is the
-    VAR's array, not a copy.  The system of a stack of fits
+    to that array afterwards changes what hc0 reads.  ``design_q`` and
+    ``design_r`` are the VAR's QR factors of (1, X_{t-1}, X_t), not copies;
+    the hc0 variance forms xbar and the residuals from them.  The system of
+    a stack of fits
     (``build_stacked`` on stacked panels) is one system whose arrays carry
     leading axes; its sizes are read from the trailing axes and its per-fit
     invariants below are stacked too.
     """
 
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
-    w_hat: np.ndarray        # (2K, 2K) regressor second moments
+    w_hat: np.ndarray        # (2K, 2K) = diag(Qxx, Sigma_v), regressor second moments
     psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD as Omega is
     sigma_hat: np.ndarray    # (N, N) KPS residual covariance factor
     q_xx: np.ndarray         # (K, K) upper-left block of w_hat
-    xbar_lagged: np.ndarray  # (K, T)
     vhat: np.ndarray         # (K, T)
     returns: np.ndarray      # (N, T) the fitted returns, by reference
-    design_q: np.ndarray     # (T, 1 + K) the VAR's Q of (1, X_{t-1})
+    design_q: np.ndarray     # (T, 1 + 2K) the VAR's Q of (1, X_{t-1}, X_t)
+    design_r: np.ndarray     # (1 + 2K, 1 + 2K) the VAR's R of (1, X_{t-1}, X_t)
 
     @property
     def n_assets(self) -> int:
@@ -135,11 +137,19 @@ class StackedSystem:
         return -kron(self.q_xx, self.beta_hat)
 
     @cached_property
+    def xbar_lagged(self) -> np.ndarray:
+        """(K, T) demeaned lagged factors (Q_x R_x)', the lag columns of the
+        QR of (1, X_{t-1}, X_t) with the constant, column 0, projected out;
+        only the hc0 variance reads them."""
+        lag = slice(1, 1 + self.n_factors)
+        return (self.design_q[..., lag] @ self.design_r[..., lag, lag]).swapaxes(-1, -2)
+
+    @cached_property
     def residuals(self) -> np.ndarray:
         """(N, T) second-stage residuals, formed on first read by the
-        projection ``second_stage`` summed sigma_e^2 from, so they carry the
-        same bits; only the hc0 variance reads them."""
-        basis = joint_basis(self.design_q, self.vhat)[0]
+        projection on ``design_q`` that ``second_stage`` summed sigma_e^2
+        from, so they carry the same bits; only the hc0 variance reads them."""
+        basis = self.design_q
         return project_out(self.returns, self.returns @ basis, basis, np.empty(self.returns.shape))
 
     @cached_property
@@ -251,32 +261,39 @@ def build_stacked(
     The joint regression of demeaned returns on (xbar_{t-1}; vhat_t) is the
     second stage in the parameterization Phi = (d + beta phi1 : beta), so its
     coefficients are read off ``reg``, and its residuals are formed from
-    the returns only if the hc0 variance reads them.  The model score
-    covariance is factored in closed form from its two Kronecker terms, with
-    no dense matrix, decomposition or projection.
+    the returns only if the hc0 variance reads them.  The regressors are
+    orthogonal, so W = diag(Qxx, Sigma_v) is read off the VAR's R, with
+    Qxx = R_x'R_x / T for the lag block R_x = R[1:1+K, 1:1+K].  The model
+    score covariance is factored in closed form from its two Kronecker
+    terms, Omega = diag(Qxx / Qxx_11, c Sigma_v), so Psi = W^-1 Omega W^-1
+    = diag(Qxx^-1 / Qxx_11, c Sigma_v^-1), with no dense matrix, no T-length
+    product, and no decomposition or projection.
     Stacked panels and fits give one stacked system.
     """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
-    xbar = factors.factors[..., :, :-1] - var.x_lagged_mean[..., None]
-    vhat = var.residuals
-    w_rows = np.concatenate([xbar, vhat], axis=-2)
-    w_hat = w_rows @ w_rows.swapaxes(-1, -2) / t
+    r_x, sigma_v = var.design_r[..., 1 : 1 + k, 1 : 1 + k], var.sigma_v
+    w_hat = np.zeros((*sigma_v.shape[:-2], 2 * k, 2 * k))
+    w_hat[..., :k, :k] = r_x.swapaxes(-1, -2) @ r_x / t
+    w_hat[..., k:, k:] = sigma_v
+    q_xx = w_hat[..., :k, :k]
     beta = reg.beta_hat
     phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
-    omega, sigma = kps_factorize_model(w_hat[..., :k, :k], w_hat[..., k:, k:], reg.sigma_e2, beta)
-    w_inv = np.linalg.inv(w_hat)
-    psi_hat = sym(w_inv @ omega @ w_inv)
+    omega, sigma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, beta)
+    c = omega[..., k, k] / sigma_v[..., 0, 0]                      # Omega_22 = c Sigma_v
+    psi_hat = np.zeros_like(w_hat)
+    psi_hat[..., :k, :k] = np.linalg.inv(q_xx) / q_xx[..., :1, :1]
+    psi_hat[..., k:, k:] = c[..., None, None] * np.linalg.inv(sigma_v)
     return StackedSystem(
         phi_hat=phi_hat,
         w_hat=w_hat,
-        psi_hat=psi_hat,
+        psi_hat=sym(psi_hat),
         sigma_hat=sigma,
-        q_xx=w_hat[..., :k, :k],
-        xbar_lagged=xbar,
-        vhat=vhat,
+        q_xx=q_xx,
+        vhat=var.residuals,
         returns=returns.returns,
         design_q=var.design_q,
+        design_r=var.design_r,
     )
 
 

@@ -5,7 +5,8 @@ factors and the first-stage innovations (variant II of Adrian, Crump and
 Moench).  Regressing on the contemporaneous factors (1, X_t, X_{t+1}) instead
 (variant I) gives the same fit: X_{t+1} = mu + phi1 X_t + vhat_{t+1}, so both
 designs span the same column space, and only the coefficients on (1, X_t)
-move, by beta mu and beta phi1.  They are stored in the lag parameterization
+move, by beta mu and beta phi1.  The VAR's one QR of (1, X_t, X_{t+1})
+serves both.  The coefficients are stored in the lag parameterization
 (a, d, beta) consumed by the third-stage closed forms
 
     lambda0 = (beta'beta)^-1 beta' (a + g + beta mu)
@@ -116,15 +117,6 @@ def convexity_adjustment(beta_hat: np.ndarray, sigma_v: np.ndarray, sigma_e2) ->
     return 0.5 * (quad + np.asarray(sigma_e2, dtype=float)[..., None])
 
 
-def joint_basis(design_q: np.ndarray, vhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal basis [Q, Q_v] (T, 1 + 2K) of the second-stage design
-    (1, X_{t-1}, vhat) and R_v, per fit of a stack, from the VAR's Q and the
-    QR factors Q_v R_v of vhat'.  The same call gives the same bits, so the
-    residuals ``StackedSystem.residuals`` forms are those sigma_e^2 summed."""
-    q_v, r_v = np.linalg.qr(vhat.swapaxes(-1, -2))
-    return np.concatenate([design_q, q_v], axis=-1), r_v
-
-
 def project_out(r: np.ndarray, proj: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The residuals r - (rB) B' of returns r on the basis B, with rB given,
     written into ``out``."""
@@ -136,16 +128,14 @@ def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -
     """Per-maturity OLS of returns on a constant, lagged factors and the
     first-stage innovations.
 
-    It reuses the VAR's QR factors Q R of (1, X_{t-1}): the innovations are
-    orthogonal to that design by construction, so with vhat' = Q_v R_v the
-    joint design (1, X_{t-1}, vhat) has the QR factors [Q, Q_v] diag(R, R_v)
-    (``joint_basis``).  The coefficients are R^-1 Q'r' and
-    beta' = R_v^-1 Q_v'r', and the residuals are r less the one product
-    [rQ, rQ_v][Q, Q_v]'.  The rank check reads the condition of that R
-    diagonal, as a dense QR does; a Cholesky factor of vhat vhat' would
-    square it and miss innovations that are collinear to rounding.  Only the
-    T x K QR of vhat' is run, and no T x (2K+1) design is formed; a VAR
-    estimate without its QR factors raises ValueError.
+    It reuses the VAR's QR factors Q R of (1, X_{t-1}, X_t): vhat' = Q_v R_v,
+    so the design (1, X_{t-1}, vhat) has the same basis Q and no QR is run.
+    One solve of R against Q'r' gives beta' = R_v^-1 Q_v'r' and, by back
+    substitution through R12 = R11 (mu ; phi1'), the lag parameterization
+    (a ; d') = R11^-1 Q1'r' - (mu ; phi1') beta'; the residuals are r - (rQ) Q'.
+    The rank check reads the whole R diagonal, as a dense QR does, so
+    innovations collinear to rounding raise RankError; a VAR estimate
+    without its QR factors raises ValueError.
 
     Stacked panels give one regression per panel, with sigma_e^2 per fit.
     sigma_e^2 sums one fit's residuals at a time, formed in one reused
@@ -155,21 +145,12 @@ def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -
     t = check_alignment(returns, factors, var)
     if var.design_q is None:
         raise ValueError("the second stage reuses the VAR's QR factors; fit the VAR with fit_var1")
-    r = returns.returns
+    r, basis = returns.returns, var.design_q                   # (T, 1 + 2K), orthonormal
     k = var.n_factors
-    basis, r_v = joint_basis(var.design_q, var.residuals)      # (T, 1 + 2K), orthonormal
-    _check_r_diagonal(np.concatenate([
-        np.diagonal(var.design_r, axis1=-2, axis2=-1), np.diagonal(r_v, axis1=-2, axis2=-1)
-    ], axis=-1))
-    proj = r @ basis                                            # (N, 1 + 2K) = [rQ, rQ_v]
-    coef = np.concatenate([
-        np.linalg.solve(var.design_r, proj[..., : k + 1].swapaxes(-1, -2)),
-        np.linalg.solve(r_v, proj[..., k + 1 :].swapaxes(-1, -2)),
-    ], axis=-2)                                                 # (1 + 2K, N)
+    _check_r_diagonal(np.diagonal(var.design_r, axis1=-2, axis2=-1))
+    proj = r @ basis                                            # (N, 1 + 2K) = rQ
+    coef = np.linalg.solve(var.design_r, proj.swapaxes(-1, -2))  # (1 + 2K, N) = (a ; d' ; beta')
     beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
-    # map to the lag parameterization used by the third stage
-    a = coef[..., 0, :] - (beta @ var.mu[..., None])[..., 0]
-    d = coef[..., 1 : 1 + k, :].swapaxes(-1, -2) - beta @ var.phi1
     n = r.shape[-2]
     ssr, resid = np.empty(r.shape[:-2]), np.empty(r.shape[-2:])
     for i in np.ndindex(ssr.shape):
@@ -177,7 +158,8 @@ def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -
         ssr[i] = np.einsum("nt,nt->", resid, resid)
     sigma_e2 = ssr / (n * t)
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
-    return ReturnRegression(a_hat=a, d_hat=d, beta_hat=beta, sigma_e2=sigma_e2, g_hat=g)
+    d = coef[..., 1 : 1 + k, :].swapaxes(-1, -2)
+    return ReturnRegression(a_hat=coef[..., 0, :], d_hat=d, beta_hat=beta, sigma_e2=sigma_e2, g_hat=g)
 
 
 def third_stage(reg: ReturnRegression, var: VarEstimate) -> PriceOfRisk:

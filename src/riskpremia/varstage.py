@@ -22,22 +22,21 @@ COND_CAP = 1e12
 class VarEstimate:
     """OLS fit of X_t = mu + phi1 X_{t-1} + v_t.
 
-    ``residuals`` spans t = 1..T; ``sigma_v`` uses the 1/T divisor;
-    ``x_lagged_mean`` is the mean of the lagged factors X_0..X_{T-1}.
-    ``design_q`` and ``design_r`` are the QR factors of the design
-    (1, X_{t-1}); the second stage reuses them and raises ValueError
-    without them, and an estimate built by hand without them serves every
-    later stage.  The fit
-    of a stack of panels carries the stack axis in front of each field.
+    ``residuals`` spans t = 1..T; ``sigma_v`` uses the 1/T divisor.
+    ``design_q`` and ``design_r`` are the QR factors of (1, X_{t-1}, X_t),
+    which hold both the VAR and the second stage.  The second stage and
+    ``build_stacked`` read them, the second stage raises ValueError without
+    them, and an estimate built by hand without them serves the third stage
+    and the Wald covariance.  The fit of a stack of panels carries the stack
+    axis in front of each field.
     """
 
     mu: np.ndarray          # (K,)
     phi1: np.ndarray        # (K, K)
     residuals: np.ndarray   # (K, T)
     sigma_v: np.ndarray     # (K, K)
-    x_lagged_mean: np.ndarray  # (K,)
-    design_q: np.ndarray | None = None   # (T, 1+K)
-    design_r: np.ndarray | None = None   # (1+K, 1+K)
+    design_q: np.ndarray | None = None   # (T, 1+2K)
+    design_r: np.ndarray | None = None   # (1+2K, 1+2K)
 
     @property
     def n_factors(self) -> int:
@@ -60,40 +59,30 @@ def _check_r_diagonal(diag: np.ndarray) -> None:
         )
 
 
-def _ols_qr(design: np.ndarray, targets: np.ndarray):
-    """Least squares via QR, per fit of a stack: the coefficients and the QR
-    factors Q, R of the design.  Raises RankError with the worst condition
-    number if any design is rank deficient.
-
-    R is solved with ``np.linalg.solve``: its LU step keeps the triangle as
-    is, and SciPy's triangular solve would loop over a stack in Python.
-    """
-    q, r = np.linalg.qr(design)
-    _check_r_diagonal(np.diagonal(r, axis1=-2, axis2=-1))
-    return np.linalg.solve(r, q.swapaxes(-1, -2) @ targets), q, r
-
-
 def fit_var1(factors: FactorPanel) -> VarEstimate:
     """Least-squares VAR(1) on a K x (T+1) factor panel, or one VAR per
-    panel of a stack (every field then carries the stack axis)."""
+    panel of a stack (every field then carries the stack axis).
+
+    With (1, X_{t-1}, X_t) = Q R, (mu ; phi1') = R11^-1 R12, vhat' = Q_v R_v
+    and Sigma_v = R_v'R_v / T.  The rank check reads diag R11 alone, so a
+    noiseless VAR (R_v = 0) still fits; the second stage checks all of R.
+    """
     x = np.asarray(factors.factors, dtype=float)
     k, n_obs = x.shape[-2:]
     t = n_obs - 1
     if t < k + 2:
         raise PanelError(f"need at least K+3 factor observations, got {n_obs}")
-    lagged = x[..., :, :-1].swapaxes(-1, -2)      # (T, K)
-    current = x[..., :, 1:].swapaxes(-1, -2)      # (T, K)
-    design = np.concatenate([np.ones((*x.shape[:-2], t, 1)), lagged], axis=-1)
-    coef, q, r = _ols_qr(design, current)          # (1+K, K)
-    mu = coef[..., 0, :]
-    phi1 = coef[..., 1:, :].swapaxes(-1, -2)
-    resid = (current - design @ coef).swapaxes(-1, -2)   # (K, T)
+    design = np.concatenate([np.ones((*x.shape[:-2], 1, t)), x[..., :-1], x[..., 1:]], axis=-2)
+    q, r = np.linalg.qr(design.swapaxes(-1, -2))                # (T, 1 + 2K)
+    r11, r_v = r[..., : k + 1, : k + 1], r[..., k + 1 :, k + 1 :]
+    _check_r_diagonal(np.diagonal(r11, axis1=-2, axis2=-1))
+    # LU keeps a triangle as is; SciPy's triangular solve loops over a stack
+    coef = np.linalg.solve(r11, r[..., : k + 1, k + 1 :])       # (1+K, K)
     return VarEstimate(
-        mu=mu,
-        phi1=phi1,
-        residuals=resid,
-        sigma_v=resid @ resid.swapaxes(-1, -2) / t,
-        x_lagged_mean=lagged.mean(axis=-2),
+        mu=coef[..., 0, :],
+        phi1=coef[..., 1:, :].swapaxes(-1, -2),
+        residuals=(q[..., k + 1 :] @ r_v).swapaxes(-1, -2),
+        sigma_v=r_v.swapaxes(-1, -2) @ r_v / t,
         design_q=q,
         design_r=r,
     )

@@ -45,6 +45,21 @@ def sfar_minimized(sys, value, index, kind, seed):
 # -- routes the package replaced ----------------------------------------------
 
 
+def var1_lstsq(factors):
+    """mu (..., K), phi1 (..., K, K), residuals (..., K, T) and Sigma_v of
+    the VAR(1), one SVD least squares of X_t on (1, X_{t-1}) per fit; the
+    reference for ``varstage.fit_var1``."""
+    x = factors.factors
+    lead, (k, t) = x.shape[:-2], (x.shape[-2], x.shape[-1] - 1)
+    mu, phi1, resid = np.empty((*lead, k)), np.empty((*lead, k, k)), np.empty((*lead, k, t))
+    for i in np.ndindex(lead):
+        design = np.column_stack([np.ones(t), x[i][:, :-1].T])
+        coef = np.linalg.lstsq(design, x[i][:, 1:].T, rcond=None)[0]
+        mu[i], phi1[i] = coef[0], coef[1:].T
+        resid[i] = x[i][:, 1:] - (design @ coef).T
+    return mu, phi1, resid, resid @ resid.swapaxes(-1, -2) / t
+
+
 def _contemporaneous_ols(returns, factors):
     """Coefficients (..., 1 + 2K, N) and residuals (..., N, T) of one dense
     QR least squares of the returns on (1, X_{t-1}, X_t)."""

@@ -208,8 +208,19 @@ def test_cs_subset_index_out_of_range_exit_2(tmp_path, yields_csv, capsys):
     assert run(["cs", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
                 "--stat", "sfar", "--h0", "0.1,0.2", "--subset-index", "5",
                 "--grid=-1:1:3,-1:1:3", "--out", out]) == 2
-    assert "row index 5 out of range for K = 2" in capsys.readouterr().err
+    assert "--subset-index 5 out of range for K = 2" in capsys.readouterr().err
     assert not (out / "set.json").exists()
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+@pytest.mark.parametrize("h0", ["0.1,0.2", "0.1,0.2,0.3,0.4"])
+def test_test_subset_index_out_of_range_names_the_flag(tmp_path, yields_csv, capsys, index, h0):
+    # K values or K^2: the same message, naming the flag
+    assert run(["test", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:2",
+                "--stat", "sfar", "--h0", h0, f"--subset-index={index}",
+                "--out", tmp_path / "t"]) == 2
+    assert f"--subset-index {index} out of range for K = 2" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_test_command_h0_sizes(tmp_path, yields_csv, capsys):

@@ -312,6 +312,20 @@ def test_far_zero_when_moment_vanishes():
     assert jklm.statistic == pytest.approx(0.0, abs=1e-9)
 
 
+def test_unknown_statistic_names_raise_before_any_work(monkeypatch):
+    fit, lam1, _ = fitted_model(k=2, n=5, t=80, seed=51)
+
+    def refuse(*args):
+        raise AssertionError("a statistic was computed")
+
+    monkeypatch.setattr(moments, "_kps_statistics", refuse)
+    monkeypatch.setattr(moments, "_hc0_statistics", refuse)
+    with pytest.raises(ValueError, match=r"unknown statistics \['FAR'\].*'far', 'klm', 'jklm'"):
+        robust_statistics(fit.stacked, lam1, "kps", which=("FAR",))
+    with pytest.raises(ValueError, match=r"unknown statistics \['wald'\]"):
+        robust_tests(fit, lam1, which=["klm", "wald"])
+
+
 def test_far_equals_klm_plus_jklm():
     for seed in range(51, 56):
         fit, lam1, _ = fitted_model(k=2, n=5, t=80, seed=seed)

@@ -254,6 +254,18 @@ def test_dgp_spec_rejects_a_non_finite_entry_naming_the_field(name):
             dataclasses.replace(spec, **{name: arr})
 
 
+def test_dgp_spec_requires_an_integer_t():
+    # a float or string t would construct, then fail inside simulate
+    spec = preset_dgp("strong", k=2, n=4, t=40)
+    assert dataclasses.replace(spec, t=np.int64(40)).t == 40
+    for bad in (50.5, 40.0, "40", True):
+        with pytest.raises(ValueError, match="^t must be an integer"):
+            dataclasses.replace(spec, t=bad)
+    fit = fit_model(*simulate(spec, seed=1))
+    with pytest.raises(ValueError, match="^t must be an integer"):
+        calibrate(fit.var, fit.reg, fit.por, t=40.0)
+
+
 def test_calibrate_simulate_self_consistency():
     spec0 = preset_dgp("strong", k=2, n=6, t=300)
     returns, factors = simulate(spec0, seed=3)
@@ -890,6 +902,8 @@ def test_power_curve_rejects_invalid_hypotheses_before_simulating(monkeypatch):
         power_curve(["far"], [np.zeros(3)], spec, reps=100)
     with pytest.raises(ValueError, match="unknown test"):
         power_curve(["far", "lm"], [spec.lambda1], spec, reps=100)
+    with pytest.raises(ValueError, match="^need at least one test$"):
+        power_curve([], [spec.lambda1], spec, reps=100)
     with pytest.raises(ValueError, match="finite"):
         power_surface(spec, np.array([0.0, np.inf]), np.zeros(2), reps=100)
     # an empty grid, as ``mc --grid-steps 0`` gives, has nothing to test

@@ -20,7 +20,7 @@ from riskpremia.moments import TESTS
 LEVEL, REPS, SEED, T = 0.05, 1000, 7, 300
 SE = np.sqrt(LEVEL * (1 - LEVEL) / REPS)     # 0.69 points
 SWEEP = ("far", "klm", "jklm", "sfar")
-SHAPES = ((1, 11), (2, 11), (3, 10), (5, 20))
+SHAPES = ((1, 2), (2, 3), (1, 11), (2, 11), (3, 10), (5, 20))     # N = K + 1 first
 
 KPS_MISFIT = (
     "ROADMAP item 2: the nearest Kronecker product misfits the score "

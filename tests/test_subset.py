@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskpremia import subset, threestep
+from riskpremia import subset
 from riskpremia._linalg import NumericalError, chi2_ppf, chol_whiten, sym
 from riskpremia.kronecker import kps_factorize, kps_factorize_model
 from riskpremia.moments import robust_statistics
@@ -98,10 +98,10 @@ def synthetic_system(rng, k, n, t=100):
         psi_hat=psi,
         sigma_hat=sigma,
         q_xx=np.eye(k),
-        xbar_lagged=np.zeros((k, t)),
         vhat=np.zeros((k, t)),
         returns=np.zeros((n, t)),
-        design_q=np.zeros((t, 1 + k)),
+        design_q=np.zeros((t, 1 + 2 * k)),
+        design_r=np.zeros((1 + 2 * k, 1 + 2 * k)),
     )
 
 
@@ -173,8 +173,9 @@ def test_stacked_system_reuses_second_stage(variant):
     reg = route(returns, factors, var)
     sys = build_stacked(returns, factors, var, reg)
     # Phi = (d + beta phi1 : beta) is the second stage itself, not a re-fit,
-    # and the system holds the returns and the VAR's Q by reference
+    # and the system holds the returns and the VAR's Q and R by reference
     assert sys.returns is returns.returns and sys.design_q is var.design_q
+    assert sys.design_r is var.design_r
     assert np.array_equal(sys.d_hat, reg.d_hat + reg.beta_hat @ var.phi1)
     assert np.array_equal(sys.beta_hat, reg.beta_hat)
 
@@ -195,7 +196,7 @@ def test_residuals_are_formed_on_demand_from_the_returns(k, n, reps):
     assert sys.residuals is resid
     ref = residuals_contemporaneous(returns, factors)
     assert np.abs(resid - ref).max() <= 1e-12
-    r, basis = returns.returns, threestep.joint_basis(var.design_q, var.residuals)[0]
+    r, basis = returns.returns, var.design_q
     assert np.array_equal(resid, r - (r @ basis) @ basis.swapaxes(-1, -2))
     sigma_e2 = np.einsum("...nt,...nt->...", resid, resid) / (n * spec.t)
     assert np.array_equal(sigma_e2, reg.sigma_e2)
@@ -243,10 +244,22 @@ def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, s
     sys, _, rbar, reg = preset_system(k, n, kind, seed, range(reps) if reps else 0)
     assert sys.batch_shape == ((reps,) if reps else ())
     # the pair the fit was built from: Sigma is sigma_hat, Omega is behind psi_hat
-    omega, sigma = kps_factorize_model(sys.q_xx, sys.w_hat[..., k:, k:], reg.sigma_e2, sys.beta_hat)
-    w_inv = np.linalg.inv(sys.w_hat)
+    q_xx, sigma_v = sys.w_hat[..., :k, :k], sys.w_hat[..., k:, k:]
+    omega, sigma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, sys.beta_hat)
     assert np.array_equal(sigma, sys.sigma_hat)
-    assert np.array_equal(sym(w_inv @ omega @ w_inv), sys.psi_hat)
+    # W is block diagonal exactly, and Psi = W^-1 Omega W^-1 is its block form
+    # diag(Qxx^-1 / Qxx_11, c Sigma_v^-1) with Omega_22 = c Sigma_v
+    assert not sys.w_hat[..., :k, k:].any() and not sys.w_hat[..., k:, :k].any()
+    assert np.array_equal(q_xx, sys.q_xx)
+    c = omega[..., k, k] / sigma_v[..., 0, 0]
+    assert np.allclose(omega[..., k:, k:], c[..., None, None] * sigma_v, rtol=1e-15, atol=0.0)
+    block = np.zeros_like(sys.psi_hat)
+    block[..., :k, :k] = np.linalg.inv(q_xx) / q_xx[..., :1, :1]
+    block[..., k:, k:] = c[..., None, None] * np.linalg.inv(sigma_v)
+    assert np.array_equal(sym(block), sys.psi_hat)
+    w_inv = np.linalg.inv(sys.w_hat)
+    dense_psi = w_inv @ omega @ w_inv
+    assert np.abs(dense_psi - sys.psi_hat).max() <= 1e-14 * np.abs(dense_psi).max()
     for j in np.ndindex(sys.batch_shape):
         s = stacked_score_covariance(rbar[j], sys.xbar_lagged[j], sys.vhat[j], sys.phi_hat[j])
         dense = kps_factorize(s, 2 * k, n)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.panels import FactorPanel, ReturnPanel
+from riskpremia.pipeline import fit_model
 from riskpremia.subset import build_stacked
 from riskpremia.threestep import (
     PriceOfRisk,
@@ -25,6 +26,7 @@ from oracles import (
     residuals_contemporaneous,
     second_stage_contemporaneous,
     term_by_term_covariance,
+    var1_lstsq,
 )
 
 
@@ -82,8 +84,8 @@ def test_variant_ii_reuses_the_var_qr_factors():
     beta, lam0, lam1, mu, phi, sigma_v = default_params(k=3, n=6)
     returns, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.5, 60)
     var = fit_var1(factors)
-    assert var.design_q.shape == (60, 4) and var.design_r.shape == (4, 4)
-    design = np.column_stack([np.ones(60), factors.factors[:, :-1].T])
+    assert var.design_q.shape == (60, 7) and var.design_r.shape == (7, 7)
+    design = np.column_stack([np.ones(60), factors.factors[:, :-1].T, factors.factors[:, 1:].T])
     assert np.allclose(var.design_q @ var.design_r, design, rtol=0, atol=1e-12)
     bare = replace(var, design_q=None, design_r=None)
     with pytest.raises(ValueError, match="QR factors"):
@@ -92,9 +94,9 @@ def test_variant_ii_reuses_the_var_qr_factors():
 
 def block_sigma_e2(returns, var):
     """sigma_e^2 by the block formula: every replicate's residual formed in
-    one stack-sized product, then summed in one einsum."""
-    r = returns.returns
-    basis = np.concatenate([var.design_q, np.linalg.qr(var.residuals.swapaxes(-1, -2))[0]], axis=-1)
+    one stack-sized product on the Q of (1, X_{t-1}, X_t), then summed in
+    one einsum."""
+    r, basis = returns.returns, var.design_q
     fitted = (r @ basis) @ basis.swapaxes(-1, -2)
     resid = np.subtract(r, fitted, out=fitted)
     return np.einsum("...nt,...nt->...", resid, resid) / (r.shape[-2] * r.shape[-1])
@@ -110,6 +112,52 @@ def test_sigma_e2_is_bitwise_the_block_formula(k, n, reps, kind):
     got = second_stage(returns, factors, var).sigma_e2
     want = block_sigma_e2(returns, var)
     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(st.just(k), st.just(k + 1) | st.integers(k + 1, 20))
+    ),
+    st.sampled_from(["strong", "weak"]),
+    st.sampled_from([0, 3]),
+    st.integers(0, 1000),
+)
+def test_one_qr_fit_matches_the_dense_regressions(shape, kind, reps, seed):
+    # the VAR and the second stage read one QR of (1, X_{t-1}, X_t); against
+    # an SVD least squares of the VAR and the dense variant I regression, per
+    # fit of a single fit (reps = 0) or a stack of three
+    k, n = shape
+    returns, factors = simulate(preset_dgp(kind, k=k, n=n, t=120), seed, range(reps) if reps else 0)
+    var = fit_var1(factors)
+    reg = second_stage(returns, factors, var)
+    ref_reg = second_stage_contemporaneous(returns, factors, var)
+    pairs = zip(
+        (var.mu, var.phi1, var.residuals, var.sigma_v,
+         reg.beta_hat, reg.d_hat, reg.a_hat, np.asarray(reg.sigma_e2)),
+        (*var1_lstsq(factors), ref_reg.beta_hat, ref_reg.d_hat, ref_reg.a_hat, ref_reg.sigma_e2),
+    )
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        for j in np.ndindex((reps,) if reps else ()):
+            assert np.linalg.norm(got[j] - ref[j]) <= 1e-12 * np.linalg.norm(ref[j])
+
+
+def test_fit_model_runs_one_qr_per_fit_or_stack(monkeypatch):
+    # the VAR's QR of (1, X_{t-1}, X_t) is the fit's only one: a QR of the
+    # innovations or of a Gram creeping back into the fit fails this count
+    real, calls = np.linalg.qr, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    spec = preset_dgp("strong", k=3, n=10, t=120)
+    for reps, lead in ((0, ()), (range(4), (4,))):
+        calls.clear()
+        fit_model(*simulate(spec, 5, reps))
+        assert calls == [(*lead, 120, 7)]
 
 
 @pytest.mark.parametrize("second", ["lagged", "same innovations"])
@@ -192,7 +240,7 @@ def test_third_stage_identity_projection():
     )
     var = VarEstimate(
         mu=np.zeros(k), phi1=np.zeros((k, k)), residuals=np.zeros((k, 4)),
-        sigma_v=np.eye(k), x_lagged_mean=np.zeros(k),
+        sigma_v=np.eye(k),
     )
     por = third_stage(reg, var)
     assert np.allclose(por.lambda0, a)
@@ -237,7 +285,7 @@ def test_near_singular_beta_raises():
     )
     var = VarEstimate(
         mu=np.zeros(2), phi1=np.zeros((2, 2)), residuals=np.zeros((2, 4)),
-        sigma_v=np.eye(2), x_lagged_mean=np.zeros(2),
+        sigma_v=np.eye(2),
     )
     with pytest.raises(RankError, match="unspanned"):
         third_stage(reg, var)
@@ -278,7 +326,6 @@ def random_estimates(rng, k, n, t=40):
     var = VarEstimate(
         mu=rng.standard_normal(k), phi1=0.3 * rng.standard_normal((k, k)),
         residuals=np.zeros((k, t)), sigma_v=a @ a.T + 0.1 * np.eye(k),
-        x_lagged_mean=x[:, :-1].mean(axis=1),
     )
     reg = ReturnRegression(
         a_hat=rng.standard_normal(n), d_hat=rng.standard_normal((n, k)),
