@@ -24,7 +24,6 @@ from .moments import moment_vector, robust_tests
 from .montecarlo import (
     DgpSpec,
     EigenLabSpec,
-    bootstrap_lambda1_cov,
     calibrate,
     power_curve,
     power_surface,
@@ -38,7 +37,6 @@ from .panels import (
     PanelError,
     ReturnPanel,
     YieldPanel,
-    demean,
     excess_returns,
     load_yield_csv,
     pca_factors,

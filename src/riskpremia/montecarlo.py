@@ -3,7 +3,10 @@
 Reproducibility contract: every replicate draws from a counter-based
 generator keyed by (seed, replicate, stream), so replicate r's draws and
 result do not depend on ``reps``: a longer run extends a shorter one, and the
-draws are bit-identical per (seed, replicate).  ``simulate`` gets the factor
+draws are bit-identical per (seed, replicate).  Replicate r's draws are those
+of ``Generator(Philox(SeedSequence(seed, spawn_key=(r, 0))))``, reproducible
+with NumPy alone; ``simulate`` derives a block's keys at once
+(``_philox_keys``) and re-keys one Philox per replicate.  It gets the factor
 path from one banded forward substitution of the stacked VAR(1) recursion,
 equal to the step-by-step recursion up to rounding; the quantities that
 depend on the spec alone (stationary law, shock factor, band) are computed
@@ -23,6 +26,7 @@ process, as after any large free.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -31,20 +35,95 @@ from typing import NamedTuple
 import numpy as np
 
 from . import confsets
-from ._linalg import chi2_pdf, chi2_ppf, ks_chi2_pvalue, vec
+from ._linalg import chi2_pdf, chi2_ppf, ks_chi2_pvalue
 from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalues
 from .moments import TESTS
 from .panels import FactorPanel, ReturnPanel
 from .pipeline import FIT_ERRORS, fit_model
 from .subset import sfar_dof, sfar_statistics
 from .threestep import PriceOfRisk, ReturnRegression
-from .varstage import RankError, VarEstimate
+from .varstage import VarEstimate
 
 
-def replicate_rng(seed: int, replicate: int = 0, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, replicate, stream)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate, stream))
-    return np.random.Generator(np.random.Philox(ss))
+# NumPy SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(const, mult):
+    """SeedSequence's hash constants: successive (xor, multiplier) pairs
+    (const * mult**i, const * mult**(i + 1)) mod 2**32."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hash(value, xor, mult):
+    """SeedSequence's hash of 32-bit words, Python ints or uint32 arrays."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, Python ints or uint32 arrays."""
+    word = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return word ^ word >> 16
+
+
+def _philox_keys(seed: int, reps: range, stream: int) -> np.ndarray:
+    """The (len(reps), 2) uint64 Philox keys of replicates ``reps``: row i is
+    ``SeedSequence(seed, spawn_key=(reps[i], stream)).generate_state(2,
+    np.uint64)``, all rows at once.
+
+    SeedSequence hashes its entropy words into a 4-word pool and the pool
+    into the key.  The words are the seed's 32-bit words, little end first
+    and zero-padded to 4, then the replicate and the stream.  The seed's
+    words are mixed once, as Python ints; each of the replicate and stream
+    words is mixed into the 4 pool words as uint32 array operations over the
+    whole range.  A non-integer seed raises TypeError; a negative seed, an
+    empty range, or a replicate or stream outside [0, 2**32) raises
+    ValueError, since SeedSequence would split a larger index into two words.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    seed, stream = int(seed), operator.index(stream)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not reps:
+        raise ValueError(f"replicate must be a nonempty range, got {reps!r}")
+    for name, index in (("replicate", reps[0]), ("replicate", reps[-1]), ("stream", stream)):
+        if not 0 <= index < 2**32:
+            raise ValueError(f"{name} must lie in [0, 2**32), got {index}")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(consts)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(consts)))
+    # one row per pool word, one column per replicate
+    pool = np.array(pool, np.uint32)[:, None]
+    for word in (np.fromiter(reps, np.uint32, len(reps)), stream):
+        xor, mult = np.array([next(consts) for _ in range(4)], np.uint32).T[..., None]
+        pool = _mix(pool, _hash(word, xor, mult))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    xor, mult = np.array([next(consts) for _ in range(4)], np.uint32).T[..., None]
+    state = _hash(pool, xor, mult).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+def replicate_rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, replicate, stream): that of
+    ``Philox(SeedSequence(seed, spawn_key=(replicate, stream)))``."""
+    key = _philox_keys(seed, range(replicate, replicate + 1), stream)[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _FactorLaw(NamedTuple):
@@ -227,22 +306,29 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     """Draw one panel pair; bit-identical for identical (spec, seed, replicate).
 
     The draws are x_0 (stationary init only), the factor shocks, then the
-    return noise, all from ``replicate_rng(seed, replicate)``.  The factor path
-    solves the stacked recursion x_{s+1} = mu + phi1 x_s + v_s in one banded
-    forward substitution (LAPACK ``dtbtrs``), equal to stepping the recursion
-    up to rounding.  ``init="burnin"`` starts at mu and drops 200 periods.
+    return noise, all from the generator of ``replicate_rng(seed, replicate,
+    0)``, that of ``Philox(SeedSequence(seed, spawn_key=(replicate, 0)))``, so
+    NumPy alone reproduces them.  The factor path solves the stacked recursion
+    x_{s+1} = mu + phi1 x_s + v_s in one banded forward substitution (LAPACK
+    ``dtbtrs``), equal to stepping the recursion up to rounding.
+    ``init="burnin"`` starts at mu and drops 200 periods.
 
     ``replicate`` may be a range: the panels then carry a leading replicate
-    axis, each replicate drawn from its own generator as above, and every
+    axis, each replicate drawn from its own stream as above, and every
     factor path comes from the one ``dtbtrs`` call, one right-hand side per
     replicate; each entry equals ``simulate`` of its replicate bit for bit.
+    The block's Philox keys are derived at once (``_philox_keys``), and one
+    Philox bit generator is re-keyed per replicate, with its counter at 0
+    and its buffer empty, as a fresh one.  An empty range, or a replicate
+    outside [0, 2**32), raises ValueError before anything is allocated.
     The draws go straight into the block's buffers, and the returns are
     summed as (beta f + c) + sigma e in the noise buffer, one replicate's
     beta f at a time, so the one block-sized N x T array is the one returned.
     """
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    law = spec._law
     reps = replicate if isinstance(replicate, range) else range(replicate, replicate + 1)
+    keys = _philox_keys(seed, reps, 0)
+    law = spec._law
     if init == "stationary":
         if law.mean is None:
             raise ValueError(f"phi1 spectral radius {law.radius:.3f} >= 1; no stationary law")
@@ -259,8 +345,12 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     rhs = columns.reshape(total + 1, k, len(reps))
     shocks = np.empty((len(reps), k, total))
     noise = np.empty((len(reps), n, t))
-    for b, rep in enumerate(reps):
-        rng = replicate_rng(seed, rep)
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state            # counter 0 and an empty buffer
+    for b, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
         rhs[0, :, b] = spec.mu if burn else law.mean + law.half @ rng.standard_normal(k)
         rng.standard_normal(out=shocks[b])
         rng.standard_normal(out=noise[b])
@@ -649,7 +739,7 @@ EIGEN_LAB_BATCH = 20_000
 
 def wishart_eigen_lab(spec: EigenLabSpec) -> WishartLabResult:
     """Sample eigenvalues of Xi'Xi with Xi = Z + M, Z standard normal."""
-    rng = replicate_rng(spec.seed)
+    rng = replicate_rng(spec.seed, 0, 0)
     n, l, k = spec.n_rows, spec.dim, spec.k
     chunks = []
     done = 0
@@ -680,30 +770,3 @@ def rank_one_noncentrality(n: int, l: int, kappa: float) -> np.ndarray:
     u = np.ones(n) / np.sqrt(n)
     v = np.ones(l) / np.sqrt(l)
     return np.sqrt(kappa) * np.outer(u, v)
-
-
-# ---------------------------------------------------------------------------
-# Bootstrap cross-check of the Wald covariance
-# ---------------------------------------------------------------------------
-
-
-def bootstrap_lambda1_cov(spec: DgpSpec, reps: int = 2000, seed: int = 0) -> np.ndarray:
-    """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T.
-
-    Replicates whose fit fails or has no price of risk are dropped.  Fewer
-    than two replicates raise ValueError before any draw, fewer than two
-    with a price of risk RankError."""
-    if reps < 2:
-        raise ValueError(f"a covariance needs at least two replicates, got reps={reps!r}")
-
-    def lambda1(fit):
-        return [None] * fit.stacked.batch_shape[0] if fit.por is None else fit.por.lambda1
-
-    lams = _replicates(spec, reps, seed, lambda1)[0]
-    draws = np.asarray([vec(lam) for lam in lams if isinstance(lam, np.ndarray)])
-    if len(draws) < 2:
-        raise RankError(f"a covariance needs two replicates with a price of risk, "
-                        f"{len(draws)} of {reps} had one")
-    return np.cov(draws.T, ddof=1).reshape(
-        (spec.n_factors**2, spec.n_factors**2)
-    ) * spec.t

@@ -8,7 +8,7 @@ dataclasses and safe to share across threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +109,6 @@ class FactorPanel:
 
     factors: np.ndarray  # (K, T) or (R, K, T)
     labels: tuple[str, ...]
-    demeaned: bool = False
     dates: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -126,10 +125,6 @@ class FactorPanel:
             raise PanelError("labels length does not match factor rows")
         if not np.isfinite(x).all():
             raise PanelError("non-finite factor value")
-        if self.demeaned:
-            scale = np.maximum(np.abs(x).max(axis=-1), 1.0)
-            if np.any(np.abs(x.sum(axis=-1)) > 1e-10 * x.shape[-1] * scale):
-                raise PanelError("demeaned flag set but rows do not sum to zero")
 
     @property
     def n_factors(self) -> int:
@@ -308,21 +303,5 @@ def pca_factors(panel: YieldPanel, k: int) -> FactorPanel:
     return FactorPanel(
         factors=scores.T,
         labels=tuple(f"PC{j + 1}" for j in range(k)),
-        demeaned=False,
         dates=panel.dates,
     )
-
-
-def demean(panel):
-    """Subtract each row's time-series mean; returns the same panel type.
-    A stacked panel is demeaned one panel at a time (over its last axis)."""
-    if isinstance(panel, FactorPanel):
-        x = panel.factors - panel.factors.mean(axis=-1, keepdims=True)
-        # second pass removes the rounding left by a large row mean, so the
-        # rows sum to zero at the scale of the centered values
-        x -= x.mean(axis=-1, keepdims=True)
-        return replace(panel, factors=x, demeaned=True)
-    if isinstance(panel, ReturnPanel):
-        r = panel.returns - panel.returns.mean(axis=-1, keepdims=True)
-        return replace(panel, returns=r)
-    raise TypeError(f"cannot demean {type(panel).__name__}")

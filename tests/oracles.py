@@ -1,14 +1,18 @@
 """Independent references for the closed forms of the package."""
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import scipy.optimize
 
+from riskpremia import montecarlo
 from riskpremia._linalg import square_stack, sym, vec, vec_kron
 from riskpremia.moments import moment_vector, robust_statistics
+from riskpremia.panels import FactorPanel, PanelError, ReturnPanel
 from riskpremia.subset import VARIANCE_MODES, StackedSystem
 from riskpremia.threestep import ReturnRegression, convexity_adjustment
+from riskpremia.varstage import RankError
 
 
 def sfar_minimized(sys, value, index, kind, seed):
@@ -40,6 +44,66 @@ def sfar_minimized(sys, value, index, kind, seed):
         float(scipy.optimize.minimize(objective, x0, method="L-BFGS-B", options=options).fun)
         for x0 in starts
     )
+
+
+def seedsequence_draws(spec, seed, replicate, init):
+    """The standard normals ``simulate`` draws for ``replicate``, in order:
+    x_0's (stationary start only), the factor shocks' and the return noise's,
+    from NumPy's own ``Philox(SeedSequence(seed, spawn_key=(replicate, 0)))``."""
+    ss = np.random.SeedSequence(seed, spawn_key=(replicate, 0))
+    rng = np.random.Generator(np.random.Philox(ss))
+    k, n, t = spec.n_factors, spec.n_assets, spec.t
+    x0 = [rng.standard_normal(k)] if init == "stationary" else []
+    burn = 0 if init == "stationary" else 200
+    return x0 + [rng.standard_normal((k, t + burn)), rng.standard_normal((n, t))]
+
+
+def bootstrap_lambda1_cov(spec, reps, seed=0):
+    """Parametric-bootstrap covariance of vec(Lambda1_hat), scaled by T; the
+    cross-check of the Wald covariance.
+
+    Replicates whose fit fails or has no price of risk are dropped.  Fewer
+    than two replicates raise ValueError before any draw, fewer than two
+    with a price of risk RankError."""
+    if reps < 2:
+        raise ValueError(f"a covariance needs at least two replicates, got reps={reps!r}")
+
+    def lambda1(fit):
+        return [None] * fit.stacked.batch_shape[0] if fit.por is None else fit.por.lambda1
+
+    lams = montecarlo._replicates(spec, reps, seed, lambda1)[0]
+    draws = np.asarray([vec(lam) for lam in lams if isinstance(lam, np.ndarray)])
+    if len(draws) < 2:
+        raise RankError(f"a covariance needs two replicates with a price of risk, "
+                        f"{len(draws)} of {reps} had one")
+    return np.cov(draws.T, ddof=1).reshape(
+        (spec.n_factors**2, spec.n_factors**2)
+    ) * spec.t
+
+
+def demeaned(x) -> bool:
+    """Whether every row of ``x`` (..., K, T) sums to zero at the scale of
+    its values, as demeaned factors do."""
+    scale = np.maximum(np.abs(x).max(axis=-1), 1.0)
+    return not np.any(np.abs(x.sum(axis=-1)) > 1e-10 * x.shape[-1] * scale)
+
+
+def demean(panel):
+    """Subtract each row's time-series mean; returns the same panel type.
+    A stacked panel is demeaned one panel at a time (over its last axis).
+    Demeaned factors that fail ``demeaned`` raise PanelError."""
+    if isinstance(panel, FactorPanel):
+        x = panel.factors - panel.factors.mean(axis=-1, keepdims=True)
+        # second pass removes the rounding left by a large row mean, so the
+        # rows sum to zero at the scale of the centered values
+        x -= x.mean(axis=-1, keepdims=True)
+        if not demeaned(x):
+            raise PanelError("demeaned factor rows do not sum to zero")
+        return replace(panel, factors=x)
+    if isinstance(panel, ReturnPanel):
+        r = panel.returns - panel.returns.mean(axis=-1, keepdims=True)
+        return replace(panel, returns=r)
+    raise TypeError(f"cannot demean {type(panel).__name__}")
 
 
 # -- routes the package replaced ----------------------------------------------

@@ -163,12 +163,8 @@ def test_scanner_flags_unread_public_functions_methods_and_properties():
 # benchmark reads, each kept on purpose; everything else public has a reader
 # in shipped code.
 KEPT_UNREAD = {
-    "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov":
-        "library capability: the parametric-bootstrap cross-check of the Wald covariance",
     "src/riskpremia/montecarlo.py: calibrate":
         "library capability: a DGP calibrated to an empirical fit",
-    "src/riskpremia/panels.py: demean":
-        "library capability: demeaning a return or factor panel, or a stack of them",
     "src/riskpremia/panels.py: save_panel_csv":
         "the writer of the yield CSV that load_yield_csv reads back",
     "src/riskpremia/subset.py: sfar_distant":
@@ -326,16 +322,10 @@ KEPT_DEFAULTS = {
         "the seed of the sFAR boundedness scan; riskpremia cs passes it to invert_surface",
     "src/riskpremia/kronecker.py: kps_factorize(normalize)":
         "the scalar split of the factors, whose product it leaves alone (criterion 8)",
-    "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov(reps)":
-        "library capability: the bootstrap cross-check of the Lambda1 covariance",
-    "src/riskpremia/montecarlo.py: bootstrap_lambda1_cov(seed)":
-        "library capability: the bootstrap cross-check of the Lambda1 covariance",
     "src/riskpremia/montecarlo.py: calibrate(por)":
         "library capability: a DGP from a fit, with or without a price of risk",
     "src/riskpremia/montecarlo.py: calibrate(t)":
         "library capability: the sample length of a DGP from a fit",
-    "src/riskpremia/montecarlo.py: replicate_rng(stream)":
-        "part of the key of a replicate's random generator",
     "src/riskpremia/montecarlo.py: simulate(init)":
         "library capability: a burn-in start in place of the stationary law",
 }

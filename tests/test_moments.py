@@ -13,14 +13,14 @@ from riskpremia import _linalg, moments, subset
 from riskpremia._linalg import chol_bordered, vec
 from riskpremia.moments import _decompose, moment_vector, robust_statistics, robust_tests
 from riskpremia.montecarlo import preset_dgp, simulate
-from riskpremia.panels import ReturnPanel, demean
+from riskpremia.panels import ReturnPanel
 from riskpremia.pipeline import fit_model
 from riskpremia.subset import StackedSystem, build_stacked
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
 import oracles
-from oracles import build_moment_system, vff_estimator, vqf_estimator
+from oracles import build_moment_system, demean, vff_estimator, vqf_estimator
 from test_subset import fitted_data, fitted_model, fitted_system, preset_system, synthetic_system
 from test_threestep import default_params, make_dataset
 

