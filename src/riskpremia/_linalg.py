@@ -27,6 +27,10 @@ import math
 import numpy as np
 
 
+# diagonal jitters of a failed Cholesky factorization, relative to trace/dim
+JITTERS = (0.0, 1e-12, 1e-10)
+
+
 class NumericalError(RuntimeError):
     """A matrix factorization or solve failed beyond recoverable jitter."""
 
@@ -72,7 +76,7 @@ def bordered(lead: tuple, n: int, m: int) -> np.ndarray:
     return buf
 
 
-def chol_bordered(buf: np.ndarray, n: int, jitters=(0.0, 1e-12, 1e-10)):
+def chol_bordered(buf: np.ndarray, n: int, jitters=JITTERS):
     """(L, L^-1 X) for SPD V = L L' from one Cholesky factorization of the
     bordered [[V, X], [X', inf I]] held in ``buf`` (``bordered``).
 
@@ -105,7 +109,7 @@ def _chol_jittered(buf: np.ndarray, n: int, jitters) -> np.ndarray:
     )
 
 
-def chol_whiten(v: np.ndarray, x: np.ndarray, jitters=(0.0, 1e-12, 1e-10)):
+def chol_whiten(v: np.ndarray, x: np.ndarray, jitters=JITTERS):
     """(L, L^-1 X) for SPD V = L L' (..., n, n) and X (..., n, m), both
     possibly stacked, from one factorization of [[V, X], [X', inf I]]
     (``chol_bordered``, whose jitter rule applies); X = I gives L^-1."""

@@ -85,26 +85,29 @@ def kps_factorize(
     )
 
 
-def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (Omega, Sigma) of :func:`kps_factorize` of the model score
-    covariance, in closed form.
+def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of :func:`kps_factorize` of the model score covariance, in
+    closed form: (Omega, alpha, gamma) with Sigma = alpha I + gamma P.
 
     S = A1 kron B1 + A2 kron B2 with A1 = diag(Qxx, 0), B1 = s2 I + P,
     P = beta Sigma_v beta', A2 = diag(0, Sigma_v) and B2 = s2 I (the terms of
     ``subset.model_score_terms``).  A1 and A2 are orthogonal, so with
     a_i = ||A_i||_F the singular pairs of R(S) are the eigenpairs of the
-    2 x 2 C = D G D, D = diag(a1, a2), G the Gram matrix of (B1, B2).  C has
-    a non-negative off-diagonal, so its leading eigenvector u = (cos t, sin t)
-    is non-negative, and
+    2 x 2 C = D G D, D = diag(a1, a2), G the Gram matrix of (B1, B2), whose
+    entries need only the K x K F = beta' beta Sigma_v: tr P = tr F and
+    ||B1||_F^2 = N s2^2 + 2 s2 tr F + tr(F^2).  C has a non-negative
+    off-diagonal, so its leading eigenvector u = (cos t, sin t) is
+    non-negative, and
 
         Omega = diag(u1 Qxx / a1, u2 Sigma_v / a2) / p,
         Sigma = p (u1 a1 B1 + u2 a2 B2),       p = u1 Qxx_11 / a1,
 
-    are positive combinations of PSD terms with an SPD one: SPD with no
-    projection, and Omega_11 = 1.  Stacked inputs (leading axes on every
-    argument) give stacked factors.  Raises NumericalError when Qxx_11,
-    Sigma_v or s2 vanishes: S is then singular along a whole block and so is
-    one of its factors.
+    so gamma = p u1 a1 and alpha = p s2 (u1 a1 + u2 a2): positive
+    combinations of PSD terms with an SPD one, SPD with no projection, and
+    Omega_11 = 1.  No N x N matrix is formed.  Stacked inputs (leading axes
+    on every argument) give stacked factors.  Raises NumericalError when
+    Qxx_11, Sigma_v or s2 vanishes: S is then singular along a whole block
+    and so is one of its factors.
     """
     q_xx, sigma_v, beta = (np.asarray(x, dtype=float) for x in (q_xx, sigma_v, beta))
     s2 = np.asarray(sigma_e2, dtype=float)
@@ -118,12 +121,10 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.n
             raise NumericalError(
                 f"model score covariance has no SPD Kronecker factors: {name} is not positive{where}"
             )
-    eye = np.eye(n)
-    load = beta @ sigma_v @ beta.swapaxes(-1, -2)
-    tr_load = np.trace(load, axis1=-2, axis2=-1)
-    b1 = s2[..., None, None] * eye + load
-    c11 = a1 * a1 * np.sum(b1 * b1, axis=(-2, -1))
-    c12 = a1 * a2 * s2 * (n * s2 + tr_load)
+    f = beta.swapaxes(-1, -2) @ beta @ sigma_v
+    tr_f = np.trace(f, axis1=-2, axis2=-1)
+    c11 = a1 * a1 * (n * s2 * s2 + 2.0 * s2 * tr_f + np.sum(f * f.swapaxes(-1, -2), axis=(-2, -1)))
+    c12 = a1 * a2 * s2 * (n * s2 + tr_f)
     c22 = a2 * a2 * (n * s2 * s2)
     angle = 0.5 * np.arctan2(2.0 * c12, c11 - c22)
     u1, u2 = np.cos(angle), np.sin(angle)
@@ -132,5 +133,4 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.n
     omega = np.zeros((*q_xx.shape[:-2], 2 * k, 2 * k))
     omega[..., :k, :k] = q_xx / q_xx[..., :1, :1]
     omega[..., k:, k:] = (u2 / (a2 * pivot))[..., None, None] * sigma_v
-    sigma = (pivot * u1 * a1)[..., None, None] * b1 + (pivot * u2 * a2 * s2)[..., None, None] * eye
-    return omega, sigma
+    return omega, pivot * s2 * (u1 * a1 + u2 * a2), pivot * u1 * a1

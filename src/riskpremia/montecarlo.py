@@ -12,16 +12,17 @@ equal to the step-by-step recursion up to rounding; the quantities that
 depend on the spec alone (stationary law, shock factor, band) are computed
 once per ``DgpSpec``.  The experiments simulate, fit and evaluate a block of
 replicates at a time over a leading replicate axis (``_replicates``).  A
-block's size counts what its fits keep (``_block_size``): they keep no
-second-stage residuals, so the one block-sized N x T array is the returns
-``simulate`` draws, and a block holds 96 replicates at (K, N, T) = (1, 11,
-300) and 23 at (5, 20, 300).  Before its first block, ``_replicates``
-allocates and frees one untouched buffer of twice the block's return panel,
-which raises glibc's mmap and trim thresholds above a block's arrays: the
-next blocks reuse the heap instead of faulting their arrays in again (1,453
-minor page faults per 40-replicate call at (5, 20) before, about 1 after).
-Results do not depend on it, and the raised thresholds stay for the
-process, as after any large free.
+block's size counts what its fits keep, plus N^2 floats of headroom
+(``_block_size``): they keep no second-stage residuals, so the one
+block-sized N x T array is the returns ``simulate`` draws, and a block
+holds 96 replicates at (K, N, T) = (1, 11, 300) and 23 at (5, 20, 300).
+Before its first block, ``_replicates`` allocates and frees one untouched
+buffer of twice the block's return panel, which raises glibc's mmap and
+trim thresholds above a block's arrays: the next blocks reuse the heap
+instead of faulting their arrays in again (1,453 minor page faults per
+40-replicate call at (5, 20) before, about 1 after).  Results do not
+depend on it, and the raised thresholds stay for the process, as after
+any large free.
 """
 
 from __future__ import annotations
@@ -385,13 +386,17 @@ def _block_size(spec: DgpSpec) -> int:
     """Replicates per block: as many as ``confsets.CHUNK_BYTES`` holds of
     what their fits keep, from the spec's (K, N, T) alone.
 
-    A fitted replicate keeps Phi, W, Psi, Qxx, Sigma, vhat and the VAR's
-    QR factors of (1, X_{t-1}, X_t), and no second-stage residual: the fit
+    A fitted replicate keeps Phi, W, Psi, Qxx, vhat and the VAR's QR
+    factors of (1, X_{t-1}, X_t), and no second-stage residual: the fit
     sums sigma_e^2 one replicate at a time and forms the residuals and xbar
     only for hc0.  The panels, which the fit holds by reference, the
-    (1 + 2K) x (1 + 2K) R, and the simulation buffers are not counted."""
+    (1 + 2K) x (1 + 2K) R, the two scalars of Sigma and the simulation
+    buffers are not counted.  The N^2 term counts no array the fit keeps
+    (Sigma is two scalars): it stays as headroom, so a block's size (96 at
+    (K, N, T) = (1, 11, 300), 23 at (5, 20, 300)) and its peak memory do
+    not grow."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; Sigma (N x N); vhat (K x T); Q (T x (1 + 2K))
+    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; N^2 headroom; vhat (K x T); Q (T x (1 + 2K))
     floats = 2 * n * k + 9 * k * k + n * n + (3 * k + 1) * t
     return max(1, confsets.CHUNK_BYTES // (8 * floats))
 

@@ -23,7 +23,10 @@ vectors onto the leading axes give the compression as the trailing
 (2K-r) x (2K-r) block of P M P.  H, L and M are fixed once the model is fit
 (``StackedSystem.h_hat``, ``psi_chol``, ``h_whitened``) and only the normals
 carry the hypothesis, so a stack of hypotheses, over one fit or a stack of
-fits, is one stacked (2K-r) x (2K-r) ``eigvalsh``.
+fits, is one stacked (2K-r) x (2K-r) ``eigvalsh``.  The KPS factor
+Sigma = alpha I + gamma beta Sigma_v beta' is two scalars on the fit, and H
+comes from the R of the thin QR of Phi, on whose span Sigma acts as a
+min(N, 2K)-square matrix: no N x N array is formed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
+    JITTERS,
     chi2_ppf,
     chi2_sf,
     chol_whiten,
@@ -55,7 +59,10 @@ VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` 
 class StackedSystem:
     """Joint-regression view of the model plus its KPS covariance pieces.
 
-    It holds no demeaned returns: the residuals and vhat are orthogonal to
+    The KPS factors are Omega, held through ``psi_hat``, and
+    Sigma = alpha I + gamma beta Sigma_v beta', held as ``sigma_pair`` =
+    (alpha, gamma) with Sigma_v the lower-right block of ``w_hat``.  It
+    holds no demeaned returns: the residuals and vhat are orthogonal to
     xbar, so the moment vector needs only Phi and Qxx (``moments.moment_vector``).
     ``returns`` is the array the fit was given, held by reference and read
     only when the hc0 variance forms the residuals (``residuals``); writing
@@ -71,7 +78,7 @@ class StackedSystem:
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
     w_hat: np.ndarray        # (2K, 2K) = diag(Qxx, Sigma_v), regressor second moments
     psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD as Omega is
-    sigma_hat: np.ndarray    # (N, N) KPS residual covariance factor
+    sigma_pair: np.ndarray   # (2,) (alpha, gamma) of the KPS factor Sigma = alpha I + gamma beta Sigma_v beta'
     q_xx: np.ndarray         # (K, K) upper-left block of w_hat
     vhat: np.ndarray         # (K, T)
     returns: np.ndarray      # (N, T) the fitted returns, by reference
@@ -106,8 +113,35 @@ class StackedSystem:
     @cached_property
     def h_hat(self) -> np.ndarray:
         """(2K, 2K) H = Phi' Sigma^-1 Phi, shared by every pencil and by the
-        Kronecker-weighted FAR/KLM (``moments``)."""
-        half = chol_whiten(self.sigma_hat, self.phi_hat)[1]     # L^-1 Phi, Sigma = L L'
+        Kronecker-weighted FAR/KLM (``moments``).
+
+        Sigma - alpha I = gamma beta Sigma_v beta' lives on span(beta), inside
+        span(Phi): with the thin QR Phi = Q R and R_beta = R[:, K:],
+        Sigma = Q C Q' + alpha (I - QQ') for the min(N, 2K)-square
+        C = alpha I + gamma R_beta Sigma_v R_beta', so H = R' C^-1 R, from one
+        factorization of C bordered by R.  When N > K, alpha is also Sigma's
+        eigenvalue off span(beta); where it is not above eps tr(Sigma)/N
+        (sigma_e^2 = 0 on noiseless data), Sigma is singular to rounding, and
+        alpha takes the first jitter of ``chol_bordered``'s ladder, relative
+        to tr(Sigma)/N = alpha + gamma tr(R_beta Sigma_v R_beta')/N, that
+        lifts it above, as a factorization of the N x N Sigma would.
+        """
+        k, n = self.n_factors, self.n_assets
+        r = np.linalg.qr(self.phi_hat, mode="r")
+        r_beta = r[..., k:]
+        load = r_beta @ self.w_hat[..., k:, k:] @ r_beta.swapaxes(-1, -2)
+        alpha, gamma = self.sigma_pair[..., 0], self.sigma_pair[..., 1]
+        if n > k:
+            scale = alpha + gamma * np.trace(load, axis1=-2, axis2=-1) / n
+            floor, lifted = np.finfo(float).eps * scale, alpha
+            # no level lifts an indefinite Sigma, and C then fails as Sigma does
+            for jitter in JITTERS[1:]:
+                lifted = np.where(lifted > floor, lifted, alpha + jitter * scale)
+            alpha = lifted
+        core = gamma[..., None, None] * load
+        diag = np.arange(r.shape[-2])
+        core[..., diag, diag] += alpha[..., None]
+        half = chol_whiten(core, r)[1]                          # L^-1 R, C = L L'
         return half.swapaxes(-1, -2) @ half
 
     @cached_property
@@ -266,8 +300,9 @@ def build_stacked(
     Qxx = R_x'R_x / T for the lag block R_x = R[1:1+K, 1:1+K].  The model
     score covariance is factored in closed form from its two Kronecker
     terms, Omega = diag(Qxx / Qxx_11, c Sigma_v), so Psi = W^-1 Omega W^-1
-    = diag(Qxx^-1 / Qxx_11, c Sigma_v^-1), with no dense matrix, no T-length
-    product, and no decomposition or projection.
+    = diag(Qxx^-1 / Qxx_11, c Sigma_v^-1), and Sigma = alpha I + gamma beta
+    Sigma_v beta' is kept as (alpha, gamma), with no dense matrix, no
+    T-length product, and no decomposition or projection.
     Stacked panels and fits give one stacked system.
     """
     t = check_alignment(returns, factors, var)
@@ -279,7 +314,7 @@ def build_stacked(
     q_xx = w_hat[..., :k, :k]
     beta = reg.beta_hat
     phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
-    omega, sigma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, beta)
+    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, beta)
     c = omega[..., k, k] / sigma_v[..., 0, 0]                      # Omega_22 = c Sigma_v
     psi_hat = np.zeros_like(w_hat)
     psi_hat[..., :k, :k] = np.linalg.inv(q_xx) / q_xx[..., :1, :1]
@@ -288,7 +323,7 @@ def build_stacked(
         phi_hat=phi_hat,
         w_hat=w_hat,
         psi_hat=sym(psi_hat),
-        sigma_hat=sigma,
+        sigma_pair=np.stack([alpha, gamma], axis=-1),
         q_xx=q_xx,
         vhat=var.residuals,
         returns=returns.returns,

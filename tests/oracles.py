@@ -219,6 +219,31 @@ def rearrange_inverse(r, p, k):
     return s
 
 
+def kps_sigma(alpha, gamma, beta, sigma_v):
+    """The dense N x N Sigma = alpha I + gamma beta Sigma_v beta' of a KPS
+    pair (``kronecker.kps_factorize_model``), stacked for stacked inputs."""
+    load = beta @ sigma_v @ beta.swapaxes(-1, -2)
+    alpha, gamma = (np.asarray(x, dtype=float)[..., None, None] for x in (alpha, gamma))
+    return alpha * np.eye(beta.shape[-2]) + gamma * load
+
+
+def dense_sigma(sys: StackedSystem) -> np.ndarray:
+    """The system's KPS factor Sigma as a dense (..., N, N) array."""
+    k = sys.n_factors
+    return kps_sigma(sys.sigma_pair[..., 0], sys.sigma_pair[..., 1], sys.beta_hat, sys.w_hat[..., k:, k:])
+
+
+def with_dense_sigma(sys: StackedSystem, sigma: np.ndarray) -> StackedSystem:
+    """A copy of ``sys`` whose H is Phi' Sigma^-1 Phi for a dense SPD
+    ``sigma``: a system keeps its Sigma as the pair (alpha, gamma), so a
+    Sigma outside that family, such as the dense route's factor, enters
+    through the cached H that every statistic reads."""
+    out = replace(sys)
+    white = chol_solve(sigma, sys.phi_hat)[1]
+    out.__dict__["h_hat"] = white.swapaxes(-1, -2) @ white
+    return out
+
+
 def chol_solve(v, x):
     """(L, L^-1 X): NumPy's Cholesky factor of V, then an LU solve against it;
     the reference for ``_linalg.chol_whiten``."""
@@ -283,7 +308,7 @@ def hc0_psi_q(sys: StackedSystem) -> np.ndarray:
 
 def _kron_sigma(sys: StackedSystem, core: np.ndarray) -> np.ndarray:
     """core kron Sigma for a stack of K x K cores, as (..., K, N, K, N)."""
-    return core[..., :, None, :, None] * sys.sigma_hat[:, None, :]
+    return core[..., :, None, :, None] * dense_sigma(sys)[:, None, :]
 
 
 def _vff(sys: StackedSystem, lam1_0: np.ndarray, mode: str, scores) -> np.ndarray:

@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskpremia.moments import _decompose, _hc0_vff, _hc0_vqf_apply, robust_statistics, robust_tests
@@ -40,7 +40,16 @@ from riskpremia.subset import (
 from riskpremia.threestep import asymptotic_covariance, second_stage, third_stage, wald_statistics
 from riskpremia.varstage import RankError, fit_var1
 
-from oracles import build_moment_system, chol_solve, pencil_roots, vff_estimator, vqf_estimator, whitened
+from oracles import (
+    build_moment_system,
+    chol_solve,
+    dense_sigma,
+    kps_sigma,
+    pencil_roots,
+    vff_estimator,
+    vqf_estimator,
+    whitened,
+)
 from test_subset import _pencil_by_permutation_matrix, restriction_matrix
 from test_threestep import default_params, make_dataset
 
@@ -175,14 +184,14 @@ def test_one_failing_system_fails_alone():
     k = 2
 
     def break_fit(fit, index):
-        w_hat, sigma_v, sigma_hat = (a.copy() for a in (fit.stacked.w_hat, fit.var.sigma_v, fit.stacked.sigma_hat))
+        w_hat, sigma_v, sigma_pair = (a.copy() for a in (fit.stacked.w_hat, fit.var.sigma_v, fit.stacked.sigma_pair))
         w_hat[index][k:, k:] = 0.0
         sigma_v[index] = 0.0
-        sigma_hat[index] = -np.eye(5)
+        sigma_pair[index] = (-1.0, 0.0)  # Sigma = -I
         return dataclasses.replace(
             fit,
             var=dataclasses.replace(fit.var, sigma_v=sigma_v),
-            stacked=dataclasses.replace(fit.stacked, sigma_hat=sigma_hat, w_hat=w_hat),
+            stacked=dataclasses.replace(fit.stacked, sigma_pair=sigma_pair, w_hat=w_hat),
         )
 
     fits[1] = break_fit(fits[1], ...)
@@ -244,6 +253,8 @@ REF_RTOL = 1e-10
     st.sampled_from([1.0, 1e-3, 1e-6]),
     st.integers(0, 2**32 - 1),
 )
+# N = K+1 < 2K, where the R of Phi is N x 2K
+@example(k=3, extra=1, beta_scale=1.0, seed=0)
 def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_scale, seed):
     # N = K+1 when extra = 1; beta_scale shrinks the last factor's loadings
     n = k + extra
@@ -322,12 +333,14 @@ def test_bordered_factor_matches_cholesky_and_the_solve_oracle(n, m, lead, cond,
     st.sampled_from([1, 3]),
     st.integers(0, 2**32 - 1),
 )
+# a stack at N = K+1 < 2K, where the R of Phi is N x 2K
+@example(k=3, extra=1, beta_scale=1.0, r=3, seed=0)
 def test_fit_factors_and_compressed_roots_match_the_oracles(k, extra, beta_scale, r, seed):
     # N = K+1 when extra = 1; beta_scale 1e-6 leaves beta nearly unspanned
     n = k + extra
     panels = fits_of_one_shape(seed, k, n, r, beta_scale)[1]
     sys = fit_stages(*(stack_panels(panels) if r > 1 else panels[0]))[2]
-    white = chol_solve(sys.sigma_hat, sys.phi_hat)[1]
+    white = chol_solve(dense_sigma(sys), sys.phi_hat)[1]
     ref_h = white.swapaxes(-1, -2) @ white
     np.testing.assert_allclose(sys.h_hat, ref_h, rtol=0, atol=1e-12 * np.abs(ref_h).max())
     ref_low, ref_inv = chol_solve(sys.psi_hat, np.eye(2 * k))
@@ -435,7 +448,7 @@ def test_stacked_fit_equals_single_fits(k, extra, beta_scale, r, seed):
     assert stack.stacked.batch_shape == (r,)
     assert stack.cov_mode == "kps"
     for j, fit in enumerate(singles):
-        for name in ("phi_hat", "psi_hat", "sigma_hat"):
+        for name in ("phi_hat", "psi_hat", "sigma_pair"):
             assert_close(getattr(stack.stacked, name)[j], getattr(fit.stacked, name))
         if fit.por is None:
             assert stack.por is None
@@ -461,16 +474,18 @@ def test_stacked_spd_projection_and_kps_terms_equal_single_calls(k, n, r, seed):
     beta = rng.standard_normal((r, n, k))
     s2 = rng.uniform(0.1, 2.0, r)
 
-    omega, sigma = kps_factorize_model(q_xx, sigma_v, s2, beta)
+    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, s2, beta)
+    sigma = kps_sigma(alpha, gamma, beta, sigma_v)
     for j in range(r):
         one = kps_factorize_model(q_xx[j], sigma_v[j], s2[j], beta[j])
+        one_sigma = kps_sigma(*one[1:], beta[j], sigma_v[j])
         assert_close(omega[j], one[0])
-        assert_close(sigma[j], one[1])
+        assert_close(sigma[j], one_sigma)
         # the dense factorization of the two model terms of fit j is the oracle
         terms = model_score_terms(q_xx[j], sigma_v[j], s2[j], beta[j])
         dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), 2 * k, n)
         ref = np.kron(dense.omega, dense.sigma)
-        assert np.linalg.norm(np.kron(*one) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(np.kron(one[0], one_sigma) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_a_stack_has_a_price_of_risk_for_every_fit_or_none():

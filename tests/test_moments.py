@@ -101,7 +101,7 @@ def test_moment_vector_least_squares_geometry():
 def test_vff_kps_identity_case():
     rng = np.random.default_rng(44)
     sys = synthetic_system(rng, k=2, n=3)
-    sys = dataclasses.replace(sys, psi_hat=np.eye(4), sigma_hat=np.eye(3), q_xx=np.eye(2))
+    sys = dataclasses.replace(sys, psi_hat=np.eye(4), sigma_pair=np.array([1.0, 0.0]), q_xx=np.eye(2))
     v = vff_estimator(sys, np.zeros((2, 2)), mode="kps")
     assert np.allclose(v, np.eye(6))
 
@@ -175,7 +175,7 @@ def test_vqf_matches_loop_built_kronecker_oracle(k, n):
     g_q = kron_map_right(sys.q_xx, (n, k))
 
     psi_vx = sys.psi_hat[k:, :k]
-    cov_bf = np.kron((psi_vx - sys.psi_hat[k:, k:] @ lam0) @ sys.q_xx, sys.sigma_hat)
+    cov_bf = np.kron((psi_vx - sys.psi_hat[k:, k:] @ lam0) @ sys.q_xx, oracles.dense_sigma(sys))
     np.testing.assert_allclose(vqf_estimator(sys, lam0, "kps"), -g_q @ cov_bf, rtol=1e-15, atol=0)
 
     t = sys.n_periods
@@ -402,7 +402,7 @@ def test_far_minimum_over_lambda_equals_pencil_value():
     # the Kronecker-weighted FAR attains its global minimum at the eigenvalue
     # bound of the full pencil (not exactly at the OLS-implied Lambda1)
     sys, _ = fitted_system(k=2, n=5, t=100, seed=30)
-    hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
+    hm = sys.phi_hat.T @ np.linalg.inv(oracles.dense_sigma(sys)) @ sys.phi_hat
     pencil = sys.n_periods * scipy.linalg.eigh(hm, sys.psi_hat, eigvals_only=True)[:2].sum()
     beta, d = sys.beta_hat, sys.d_hat
     ols = np.linalg.solve(beta.T @ beta, beta.T @ d)
@@ -421,7 +421,7 @@ def test_far_kps_equals_trace_form():
     # T tr((B' Psi B)^-1 B' H B) with B = (I ; -Lambda1) and H = Phi' Sigma^-1 Phi
     sys = fit.stacked
     b = np.vstack([np.eye(2), -h0])
-    hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
+    hm = sys.phi_hat.T @ np.linalg.inv(oracles.dense_sigma(sys)) @ sys.phi_hat
     trace = sys.n_periods * np.trace(np.linalg.solve(b.T @ sys.psi_hat @ b, b.T @ hm @ b))
     assert far.statistic == pytest.approx(trace, rel=1e-9)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,15 @@ from riskpremia.subset import (
 from riskpremia.threestep import second_stage
 from riskpremia.varstage import fit_var1
 
-from oracles import demean, residuals_contemporaneous, second_stage_contemporaneous, sfar_minimized
+from oracles import (
+    demean,
+    dense_sigma,
+    kps_sigma,
+    residuals_contemporaneous,
+    second_stage_contemporaneous,
+    sfar_minimized,
+    with_dense_sigma,
+)
 from test_threestep import make_dataset, default_params
 
 
@@ -84,19 +93,18 @@ def fitted_system(rng=None, k=2, n=5, t=120, sigma_e=0.4, beta_scale=None, seed=
 
 
 def synthetic_system(rng, k, n, t=100):
-    """A StackedSystem with freely chosen Phi, Psi, Sigma for algebraic tests."""
+    """A StackedSystem with freely chosen Phi and Psi for algebraic tests, and
+    Sigma = I + beta beta'."""
     from riskpremia.subset import StackedSystem
 
     phi = rng.standard_normal((n, 2 * k))
     a = rng.standard_normal((2 * k, 2 * k))
     psi = a @ a.T / (2 * k) + np.eye(2 * k)
-    b = rng.standard_normal((n, n))
-    sigma = b @ b.T / n + np.eye(n)
     return StackedSystem(
         phi_hat=phi,
         w_hat=np.eye(2 * k),
         psi_hat=psi,
-        sigma_hat=sigma,
+        sigma_pair=np.array([1.0, 1.0]),
         q_xx=np.eye(k),
         vhat=np.zeros((k, t)),
         returns=np.zeros((n, t)),
@@ -221,8 +229,8 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
     )
     dense = kps_factorize(score, 2 * k, n)
     w_inv = np.linalg.inv(stacked.w_hat)
-    dense_sys = dataclasses.replace(
-        stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv), sigma_hat=dense.sigma
+    dense_sys = with_dense_sigma(
+        dataclasses.replace(stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv)), dense.sigma
     )
     got = sfar_row(stacked, spec.lambda1[0], 0).statistic
     ref = sfar_row(dense_sys, spec.lambda1[0], 0).statistic
@@ -243,10 +251,12 @@ def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, s
     k, n = shape
     sys, _, rbar, reg = preset_system(k, n, kind, seed, range(reps) if reps else 0)
     assert sys.batch_shape == ((reps,) if reps else ())
-    # the pair the fit was built from: Sigma is sigma_hat, Omega is behind psi_hat
+    # the pair the fit was built from: Sigma's scalars are sigma_pair, Omega
+    # is behind psi_hat
     q_xx, sigma_v = sys.w_hat[..., :k, :k], sys.w_hat[..., k:, k:]
-    omega, sigma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, sys.beta_hat)
-    assert np.array_equal(sigma, sys.sigma_hat)
+    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, sys.beta_hat)
+    assert np.array_equal(np.stack([alpha, gamma], axis=-1), sys.sigma_pair)
+    sigma = kps_sigma(alpha, gamma, sys.beta_hat, sigma_v)
     # W is block diagonal exactly, and Psi = W^-1 Omega W^-1 is its block form
     # diag(Qxx^-1 / Qxx_11, c Sigma_v^-1) with Omega_22 = c Sigma_v
     assert not sys.w_hat[..., :k, k:].any() and not sys.w_hat[..., k:, :k].any()
@@ -289,7 +299,24 @@ def test_build_stacked_makes_no_decomposition(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse(name))
     sys = build_stacked(returns, factors, var, reg)
     assert calls == []
-    assert sys.sigma_hat.shape == (4, 10, 10) and sys.psi_hat.shape == (4, 6, 6)
+    assert sys.sigma_pair.shape == (4, 2) and sys.psi_hat.shape == (4, 6, 6)
+
+
+def test_a_fit_and_its_pencil_form_no_n_by_n_array():
+    # Sigma is two scalars on the fit and H comes from the 2K x 2K R of Phi,
+    # so at N = 2000 one fit, its H and a row sFAR stay under the 32 MB of
+    # one N x N float64 array
+    spec = preset_dgp("strong", k=2, n=2000, t=60)
+    panels = simulate(spec, 0)
+    tracemalloc.start()
+    try:
+        sys = fit_model(*panels).stacked
+        sys.h_hat
+        sfar_row(sys, spec.lambda1[0], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8
 
 
 def test_a_fit_with_zero_residual_variance_raises_naming_it():
@@ -322,7 +349,7 @@ def test_k1_scalar_reduction_matches_far():
     res = sfar_row(sys, value, 0)
     # 1x1 pencil: explicit ratio
     a = restriction_matrix(value)
-    hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
+    hm = sys.phi_hat.T @ np.linalg.inv(dense_sigma(sys)) @ sys.phi_hat
     expected = sys.n_periods * ((a.T @ hm @ a) / (a.T @ sys.psi_hat @ a)).item()
     assert res.statistic == pytest.approx(expected, rel=1e-8)
     assert res.statistic == pytest.approx(robust_statistics(sys, lam1[:1, :1], "kps", ("far",))["far"], rel=1e-8)
@@ -362,7 +389,7 @@ def _pencil_by_permutation_matrix(sys, index, g):
     perm = np.eye(k)[order]
     tp = np.block([[np.eye(k), np.zeros((k, k))], [np.zeros((k, k)), perm]])
     phi, psi = sys.phi_hat @ tp.T, tp @ sys.psi_hat @ tp.T
-    hmat = phi.T @ np.linalg.inv(sys.sigma_hat) @ phi
+    hmat = phi.T @ np.linalg.inv(dense_sigma(sys)) @ phi
     roots = np.maximum(scipy.linalg.eigh(g.T @ hmat @ g, g.T @ psi @ g, eigvals_only=True), 0.0)
     return sys.n_periods * roots[:k].sum(), roots
 
@@ -426,7 +453,8 @@ def test_sigma_factored_once_per_system(monkeypatch):
     calls = []
 
     def counting_chol(v, *args, **kwargs):
-        if np.array_equal(v, sys.sigma_hat):
+        # the other factorization is Psi's
+        if not np.array_equal(v, sys.psi_hat):
             calls.append(1)
         return chol_whiten(v, *args, **kwargs)
 
@@ -459,9 +487,8 @@ def test_sfar_invariant_to_asset_rotation():
     lam0 = rng.standard_normal(2)
     stat = sfar_row(sys, lam0, 0).statistic
     rot = np.linalg.qr(rng.standard_normal((5, 5)))[0]
-    sys_rot = dataclasses.replace(
-        sys, phi_hat=rot @ sys.phi_hat, sigma_hat=rot @ sys.sigma_hat @ rot.T
-    )
+    # Sigma = alpha I + gamma beta Sigma_v beta' turns with beta
+    sys_rot = dataclasses.replace(sys, phi_hat=rot @ sys.phi_hat)
     stat_rot = sfar_row(sys_rot, lam0, 0).statistic
     assert stat_rot == pytest.approx(stat, rel=1e-8)
 
@@ -576,7 +603,7 @@ def test_interlacing_of_distant_pencil_roots():
     # K x K block equal to the standardized rank matrix; Cauchy interlacing
     # then bounds root[j + K - 1] >= block eigenvalue j
     g = distant_restriction(d)
-    hm = sys.phi_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.phi_hat
+    hm = sys.phi_hat.T @ np.linalg.inv(dense_sigma(sys)) @ sys.phi_hat
     big_a, big_b = g.T @ hm @ g, g.T @ sys.psi_hat @ g
     rev = lambda m: m[::-1, ::-1]
     u = rev(np.linalg.cholesky(rev(big_b)))  # upper-triangular with u u' = big_b
@@ -597,7 +624,7 @@ def test_kp_rank_zero_column_and_eigen_oracle():
     beta[:, 1] = 0.0
     phi = np.hstack([rng.standard_normal((5, 2)), beta])
     sys0 = dataclasses.replace(
-        sys, phi_hat=phi, psi_hat=np.eye(4), sigma_hat=np.eye(5)
+        sys, phi_hat=phi, psi_hat=np.eye(4), sigma_pair=np.array([1.0, 0.0])
     )
     assert kp_rank(sys0).statistic == pytest.approx(0.0, abs=1e-10)
 
@@ -605,7 +632,7 @@ def test_kp_rank_zero_column_and_eigen_oracle():
     pv = sys.psi_hat[2:, 2:]
     w, q = np.linalg.eigh(pv)
     pv_half_inv = q @ np.diag(w**-0.5) @ q.T
-    m = pv_half_inv @ sys.beta_hat.T @ np.linalg.inv(sys.sigma_hat) @ sys.beta_hat @ pv_half_inv
+    m = pv_half_inv @ sys.beta_hat.T @ np.linalg.inv(dense_sigma(sys)) @ sys.beta_hat @ pv_half_inv
     oracle = sys.n_periods * np.linalg.eigvalsh(m).min()
     assert res.statistic == pytest.approx(oracle, rel=1e-8)
     assert res.dof == 5 - 2 + 1
