@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * ``vec`` is column-major (Fortran) stacking, so ``vec(a b') = b kron a``
-  for column vectors and ``vec(A X B) = (B' kron A) vec(X)``;
-  ``vec(A kron B)`` is linear in each factor and is formed by ``vec_kron``.
+  for column vectors and ``vec(A X B) = (B' kron A) vec(X)``.
 * matrix square roots are lower-triangular Cholesky factors; ``M^{-1/2}``
   means the inverse of that factor.
 * the matrix helpers below also take stacks of matrices (leading batch
@@ -254,17 +253,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a kron b, broadcast over leading batch axes of ``a`` and ``b``."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
-
-
-def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """vec(a kron b), broadcast over leading batch axes of ``a`` and ``b``.
-
-    For a of shape (p, q) and b of shape (m, n), the entry a[i, j] b[r, s] of
-    the product sits at column-major position ((j n + s) p + i) m + r, so the
-    outer product laid out with axes (j, s, i, r) is already vec-ordered.
-    """
-    out = np.einsum("...ij,...ab->...jbia", a, b)
-    return out.reshape(*out.shape[:-4], -1)
 
 
 def format_float(x: float) -> str:

@@ -162,7 +162,7 @@ def _chunk_evaluator(tests, fit: ModelFit, binding: ParameterBinding, mode=None)
         else:
             floats = 6 * nk * nk              # V_ff, its parts and its factor
             if {"klm", "jklm"} & set(tests):
-                floats += 2 * nk * k * k      # V_qf V_ff^-1 f and the Jacobian
+                floats += 2 * nk * k * k      # the orthogonalized Jacobian and its Kronecker terms
 
         def ev(params):
             stats = robust_statistics(fit.stacked, lambdas(params), mode, tests)

@@ -25,10 +25,10 @@ hypotheses,
 where G = (I - B D^-1 B' Psi) e_v, e_v = (0 ; I_K), and X = B'HG; the
 orthogonalized Jacobian is -(Qxx kron Phi G).  Under 'hc0' the score at
 Lambda1 is a_t - (M kron I_N) z_t with M = Qxx Lambda1' and a_t, z_t free of
-the hypothesis, so V_ff and V_qf are fixed quadratic and linear forms in the
-per-fit Grams of (a_t, z_t) and of the Jacobian scores with them
-(``StackedSystem.hc0_grams``, ``hc0_psi_q_grams``); no work per hypothesis
-grows with T.
+the hypothesis, so V_ff is a fixed quadratic form in their per-fit Gram
+(``StackedSystem.hc0_grams``), and V_qf V_ff^-1 f takes one vector per
+hypothesis through per-fit moments before the Kronecker expansion
+(``_hc0_ortho_jacobian``); no work per hypothesis grows with T.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ import warnings
 
 import numpy as np
 
-from ._linalg import bordered, chi2_sf, chol_bordered, square_stack, sumsq, sym, vec
+from ._linalg import (
+    NumericalError, bordered, chi2_sf, chol_bordered, kron, square_stack, sumsq, sym, unvec, vec,
+)
 from .pipeline import ModelFit
 from .subset import VARIANCE_MODES, StackedSystem, _require_one_fit
 from .threestep import TestResult
@@ -149,14 +151,22 @@ def _hc0_vff(sys: StackedSystem, m: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def _hc0_vqf_apply(sys: StackedSystem, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """hc0 V_qf x at a stack of M = Qxx Lambda1', for x (..., NK, P).
+def _hc0_ortho_jacobian(sys: StackedSystem, m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(..., NK, K^2) hc0 orthogonalized Jacobian D - V_qf g at a stack of
+    M = Qxx Lambda1', for g = V_ff^-1 f (..., NK, 1).
 
-    V_qf = Q'a/T - (Q'z/T)(M kron I)', the blocks of ``hc0_psi_q_grams``.
+    V_qf is the cross-moment of the Jacobian scores -(Qxx kron B_t +
+    X_t kron beta) with the scores p_t' (I ; -(M' kron I)) of the parts
+    p_t = [a_t | z_t], so V_qf g = -(Qxx kron B + X kron beta) for the
+    moments vec(B) = sum_t z_t p_t'y / T and vec(X) = sum_t vec(X_t) p_t'y / T
+    at y = (g ; -(M' kron I) g).  With D = -(Qxx kron beta),
+    D - V_qf g = Qxx kron (B - beta) + X kron beta.
     """
-    shifted = _kron_eye(m.swapaxes(-1, -2), x)
-    x = np.broadcast_to(x, shifted.shape)
-    return sys.hc0_psi_q_grams @ np.concatenate([x, -shifted], axis=-2)
+    k, n = sys.n_factors, sys.n_assets
+    y = np.concatenate([g, -_kron_eye(m.swapaxes(-1, -2), g)], axis=-2)
+    b = unvec((sys.hc0_grams[..., n * k :, :] @ y)[..., 0], (n, k))
+    x = unvec((sys.hc0_x_moments @ y)[..., 0], (k, k))
+    return kron(sys.q_xx, b - sys.beta_hat) + kron(x, sys.beta_hat)
 
 
 def _hc0_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
@@ -165,20 +175,23 @@ def _hc0_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
     V_ff is written straight into the bordered buffer next to f (and, for
     KLM, the orthogonalized Jacobian), so one Cholesky factorization per
     hypothesis whitens them all.  V_qf is applied to V_ff^-1 f, one LU
-    solve, without being formed.
+    solve, without being formed.  The T scores sum to zero, as the residuals
+    are orthogonal to xbar_{t-1} and vhat, and vhat to xbar_{t-1}, so V_ff
+    has rank at most T - 1: NK >= T raises NumericalError before any work.
     """
-    k, nk = sys.n_factors, sys.n_factors * sys.n_assets
+    k, nk, t = sys.n_factors, sys.n_factors * sys.n_assets, sys.n_periods
+    if nk >= t:
+        raise NumericalError(f"hc0 V_ff is singular: NK = {nk} is not below T = {t}")
     m = sys.q_xx @ lam1_0.swapaxes(-1, -2)
     f = moment_vector(sys, lam1_0)
     buf = bordered(f.shape[:-1], nk, 1 + k * k if klm else 1)
     vff = _hc0_vff(sys, m, out=buf[..., :nk, :nk])
     buf[..., nk, :nk] = f
     if klm:
-        shift = _hc0_vqf_apply(sys, m, np.linalg.solve(vff, f[..., None]))[..., 0]
-        d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
+        d_ortho = _hc0_ortho_jacobian(sys, m, np.linalg.solve(vff, f[..., None]))
         buf[..., nk + 1 :, :nk] = d_ortho.swapaxes(-1, -2)
     white = chol_bordered(buf, nk)[1]
-    return _decompose(white[..., 0], white[..., 1:] if klm else None, sys.n_periods)
+    return _decompose(white[..., 0], white[..., 1:] if klm else None, t)
 
 
 def robust_statistics(sys: StackedSystem, lam1_0, mode: str, which=TESTS) -> dict:

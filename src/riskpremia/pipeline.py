@@ -83,7 +83,8 @@ def fit_model(returns: ReturnPanel, factors: FactorPanel, cov: str = "kps") -> M
     the per-period outer product, an NK x NK matrix estimated from T periods:
     at T = 300 (``preset_dgp``, seed 7, 1000 replicates, 5 % level) its FAR
     rejects a true Lambda1 in 11.8 % of replicates at (K, N) = (1, 11),
-    17.6 % at (2, 11), 23.7 % at (3, 10) and 97.5 % at (5, 20).  Panels with
+    17.6 % at (2, 11), 23.7 % at (3, 10) and 97.5 % at (5, 20), and its
+    statistics need NK < T (``moments._hc0_statistics``).  Panels with
     a leading replicate axis give one stacked fit in one pass of every
     stage.  Its fits either all have a price of risk or none does; a stack
     that splits on it raises ValueError, and a stack with one failing fit

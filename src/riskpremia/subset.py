@@ -41,11 +41,8 @@ from ._linalg import (
     chi2_ppf,
     chi2_sf,
     chol_whiten,
-    kron,
     sym,
-    unvec,
     vec,
-    vec_kron,
 )
 from .kronecker import kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
@@ -166,11 +163,6 @@ class StackedSystem:
         return sym(lw @ self.h_hat @ lw.swapaxes(-1, -2))
 
     @cached_property
-    def jacobian(self) -> np.ndarray:
-        """(NK, K^2) Jacobian -(Qxx kron beta) of the moment vector in vec(Lambda1)."""
-        return -kron(self.q_xx, self.beta_hat)
-
-    @cached_property
     def xbar_lagged(self) -> np.ndarray:
         """(K, T) demeaned lagged factors (Q_x R_x)', the lag columns of the
         QR of (1, X_{t-1}, X_t) with the constant, column 0, projected out;
@@ -213,29 +205,17 @@ class StackedSystem:
         return parts.swapaxes(-1, -2) @ parts / self.n_periods
 
     @cached_property
-    def hc0_psi_q_grams(self) -> np.ndarray:
-        """(NK^3, 2NK) cross-moments of the per-period Jacobian scores with
-        ``hc0_parts``; every hc0 V_qf is a fixed linear form in its blocks.
-
-        The Jacobian score of period t is -vec(Qxx kron B_t + X_t kron beta),
-        with the beta score B_t = e_t (Sigma_v^-1 v_t)' and
-        X_t = xbar_t xbar_t' - Qxx; none of it depends on the hypothesis.
-        ``vec_kron`` is linear in each factor, so with p_t = [a_t | z_t] the
-        cross-moments are vec_kron(Qxx, .) of the third moments
-        sum_t vec(B_t) p_t' / T, which are the z rows of ``hc0_grams``, plus
-        vec_kron(., beta) of sum_t vec(X_t) p_t' / T, column by column; no
-        T x NK^3 array of scores is formed.
-        """
-        k, n, t = self.n_factors, self.n_assets, self.n_periods
+    def hc0_x_moments(self) -> np.ndarray:
+        """(K^2, 2NK) third moments sum_t vec(X_t) p_t' / T of
+        X_t = xbar_t xbar_t' - Qxx with the parts p_t = [a_t | z_t] of
+        ``hc0_parts``; with the z rows of ``hc0_grams`` they give every hc0
+        orthogonalized Jacobian (``moments._hc0_ortho_jacobian``)."""
+        k, t = self.n_factors, self.n_periods
         parts = self.hc0_parts
         xx = np.einsum("...it,...jt->...jit", self.xbar_lagged, self.xbar_lagged)
-        x_third = xx.reshape(*xx.shape[:-3], k * k, t) @ parts
-        x_third -= vec(self.q_xx)[..., :, None] * parts.sum(axis=-2)[..., None, :]
-        b_cols = unvec(self.hc0_grams[..., n * k :, :].swapaxes(-1, -2), (n, k))
-        x_cols = unvec(x_third.swapaxes(-1, -2), (k, k)) / t
-        scores = vec_kron(self.q_xx[..., None, :, :], b_cols)
-        scores += vec_kron(x_cols, self.beta_hat[..., None, :, :])
-        return -scores.swapaxes(-1, -2)
+        third = xx.reshape(*xx.shape[:-3], k * k, t) @ parts
+        third -= vec(self.q_xx)[..., :, None] * parts.sum(axis=-2)[..., None, :]
+        return third / t
 
 
 def model_score_terms(

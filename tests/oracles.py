@@ -7,7 +7,7 @@ import numpy as np
 import scipy.optimize
 
 from riskpremia import montecarlo
-from riskpremia._linalg import square_stack, sym, vec, vec_kron
+from riskpremia._linalg import square_stack, sym, vec
 from riskpremia.moments import moment_vector, robust_statistics
 from riskpremia.panels import FactorPanel, PanelError, ReturnPanel
 from riskpremia.subset import VARIANCE_MODES, StackedSystem
@@ -274,6 +274,17 @@ def whitened(ms):
 # invariants (``moments.robust_statistics``).
 
 
+def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """vec(a kron b), broadcast over leading batch axes of ``a`` and ``b``.
+
+    For a of shape (p, q) and b of shape (m, n), the entry a[i, j] b[r, s] of
+    the product sits at column-major position ((j n + s) p + i) m + r, so the
+    outer product laid out with axes (j, s, i, r) is already vec-ordered.
+    """
+    out = np.einsum("...ij,...ab->...jbia", a, b)
+    return out.reshape(*out.shape[:-4], -1)
+
+
 def _hc0_scores(sys: StackedSystem, lam1_0: np.ndarray) -> np.ndarray:
     """Per-period influence of the moment vector, (..., T, NK).
 
@@ -297,7 +308,7 @@ def hc0_psi_q(sys: StackedSystem) -> np.ndarray:
     Row t is -vec(Qxx kron B_t + X_t kron beta) with the beta score
     B_t = e_t (Sigma_v^-1 v_t)' and X_t = xbar_t xbar_t' - Qxx; none of it
     depends on the hypothesis.  Their cross-moments with the hc0 parts are
-    the reference for ``StackedSystem.hc0_psi_q_grams``.
+    the reference for ``moments._hc0_ortho_jacobian``.
     """
     # the period axis leads, so the per-fit arrays broadcast against it
     b_t = np.einsum("...jt,...nt->t...nj", sys.sigma_v_inv_vhat, sys.residuals)
@@ -379,5 +390,6 @@ def build_moment_system(sys: StackedSystem, lam1_0, mode: str = "kps") -> DenseM
     vff_inv_f = np.linalg.solve(vff, f[..., None])
     shift = (vqf @ vff_inv_f)[..., 0]
     k = sys.n_factors
-    d_ortho = sys.jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
+    jacobian = -np.kron(sys.q_xx, sys.beta_hat)
+    d_ortho = jacobian - shift.reshape(*shift.shape[:-1], k * k, -1).swapaxes(-1, -2)
     return DenseMoments(f, vff, low, vqf, d_ortho)

@@ -18,7 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskpremia.moments import _decompose, _hc0_vff, _hc0_vqf_apply, robust_statistics, robust_tests
+from riskpremia.moments import (
+    _decompose,
+    _hc0_ortho_jacobian,
+    _hc0_vff,
+    moment_vector,
+    robust_statistics,
+    robust_tests,
+)
 from riskpremia._linalg import chol_whiten, spd_project
 from riskpremia.confsets import GridAxis, GridSpec, full_lambda_binding, pvalue_curve, row_binding, scan_pvalues
 from riskpremia.kronecker import kps_factorize, kps_factorize_model
@@ -47,7 +54,6 @@ from oracles import (
     kps_sigma,
     pencil_roots,
     vff_estimator,
-    vqf_estimator,
     whitened,
 )
 from test_subset import _pencil_by_permutation_matrix, restriction_matrix
@@ -275,12 +281,13 @@ def test_per_fit_kernels_match_the_dense_and_pencil_references(k, extra, beta_sc
             assert abs(stats["klm"][i] + stats["jklm"][i] - stats["far"][i]) <= REF_RTOL * far
 
     m = sys.q_xx @ lams.swapaxes(-1, -2)
-    vff, vqf = _hc0_vff(sys, m), _hc0_vqf_apply(sys, m, np.eye(n * k))
+    vff = _hc0_vff(sys, m)
+    d_ortho = _hc0_ortho_jacobian(sys, m, np.linalg.solve(vff, moment_vector(sys, lams)[..., None]))
     for i, lam in enumerate(lams):
         ref = vff_estimator(sys, lam, "hc0")
         assert np.abs(vff[i] - ref).max() <= REF_RTOL * np.abs(ref).max()
-        ref = vqf_estimator(sys, lam, "hc0")
-        assert np.abs(vqf[i] - ref).max() <= REF_RTOL * np.abs(ref).max()
+        ref = build_moment_system(sys, lam, "hc0").d_ortho
+        assert np.abs(d_ortho[i] - ref).max() <= REF_RTOL * np.abs(ref).max()
 
     values = lams[:, 0, :] * 3.0
     for index in range(k):

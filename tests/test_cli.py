@@ -327,6 +327,29 @@ def test_cs_records_its_failed_points(tmp_path, yields_csv, monkeypatch):
     assert summary["failures"] == [[3, "NumericalError('forced failure')"]]
 
 
+def test_hc0_at_nk_not_below_t_is_a_numerical_failure(tmp_path, capsys):
+    # K = 3, N = 10 and T = 24: the hc0 V_ff is singular, so test exits 3
+    # and cs records every point as failed
+    rng = np.random.default_rng(3)
+    t, mats = 25, tuple(range(1, 12))
+    level = 0.004 + 0.0008 * np.cumsum(rng.standard_normal(t)) / np.sqrt(t)
+    panel = YieldPanel(
+        dates=tuple(f"19{87 + i // 12}-{i % 12 + 1:02d}" for i in range(t)),
+        maturities=mats,
+        yields=level[:, None] + 0.0002 * rng.standard_normal((t, len(mats))),
+    )
+    path = tmp_path / "short.csv"
+    save_panel_csv(path, panel)
+    common = ["--input", path, "--maturities", "1,2,3,4,5,6,7,8,9,10", "--factors", "pca:3",
+              "--cov", "hc0"]
+    assert run(["test", *common, "--stat", "far,klm,jklm", "--out", tmp_path / "t"]) == 3
+    assert capsys.readouterr().err == "numerical error: hc0 V_ff is singular: NK = 30 is not below T = 24\n"
+    assert run(["cs", *common, "--stat", "far", "--grid=-1:1:3", "--out", tmp_path / "cs"]) == 0
+    summary = json.loads((tmp_path / "cs" / "set.json").read_text())
+    assert [i for i, _ in summary["failures"]] == [0, 1, 2]
+    assert all("NK = 30 is not below T = 24" in why for _, why in summary["failures"])
+
+
 def test_mc_smoke_and_determinism(tmp_path):
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
     args = ["mc", "--dgp", "strong", "--k", "1", "--n", "4", "--t", "80",

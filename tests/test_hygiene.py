@@ -4,7 +4,8 @@ function of the package is named somewhere in the repository, every public
 function, method and property of it is read by shipped code or kept on
 purpose, so is every dataclass field, every defaulted parameter of one is
 passed by shipped code or kept on purpose, no handler catches every
-exception, and every name the README gives in backticks exists."""
+exception, and every name the README or a package docstring gives in
+backticks exists."""
 
 import ast
 import importlib
@@ -467,3 +468,42 @@ def test_readme_names_resolve():
                for info in pkgutil.iter_modules(riskpremia.__path__)}
     names = readme_names((ROOT / "README.md").read_text())
     assert unresolved_names(names, {**modules, "oracles": oracles}) == sorted(README_ONLY)
+
+
+def docstring_names(source: str) -> list[str]:
+    """The ``readme_names`` of the double-backticked spans in the module,
+    class and function docstrings of ``source``, less the parameters of its
+    functions."""
+    tree = ast.parse(source)
+    spans, params = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            spans += re.findall(r"``([^`\n]+)``", ast.get_docstring(node, clean=False) or "")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params |= {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+    return [name for name in readme_names(" ".join(f"`{span}`" for span in spans)) if name not in params]
+
+
+def test_scanner_resolves_docstring_names():
+    src = ('"""Module text: ``mod.helper``, ``gone_name`` and ``out.json``."""\n'
+           "class Point:\n    \"\"\"Has ``Point.norm`` and ``Point.z``.\"\"\"\n"
+           "def f(h0_grid, *rest, period_months=1):\n"
+           "    \"\"\"Reads ``h0_grid``, ``period_months``, ``rest_of`` and ``f(x)``.\"\"\"\n"
+           "    # ``in_a_comment`` is no docstring\n")
+    names = docstring_names(src)
+    assert names == sorted(["mod.helper", "gone_name", "Point.norm", "Point.z", "rest_of"])
+    mod = types.ModuleType("mod")
+    exec("class Point:\n    def norm(self):\n        pass\ndef helper():\n    pass\n", mod.__dict__)
+    assert unresolved_names(names, {"mod": mod}) == ["Point.z", "gone_name", "rest_of"]
+
+
+def test_docstring_names_resolve():
+    # a docstring naming what the package no longer has is stale
+    import riskpremia
+
+    modules = {info.name: importlib.import_module(f"riskpremia.{info.name}")
+               for info in pkgutil.iter_modules(riskpremia.__path__)}
+    found = [f"{path.name}: {name}" for path in sorted((ROOT / "src" / "riskpremia").glob("*.py"))
+             for name in unresolved_names(docstring_names(path.read_text()), modules)]
+    assert found == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpremia._linalg import NumericalError, vec, vec_kron
+from riskpremia._linalg import NumericalError, vec
 from riskpremia.kronecker import (
     kps_factorize,
     kps_factorize_model,
@@ -13,7 +13,7 @@ from riskpremia.kronecker import (
 )
 from riskpremia.subset import model_score_terms
 
-from oracles import kps_sigma, rearrange_inverse
+from oracles import kps_sigma, rearrange_inverse, vec_kron
 
 
 def random_spd(rng, n, scale=1.0):

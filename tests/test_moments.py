@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -9,8 +10,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskpremia import _linalg, moments, subset
-from riskpremia._linalg import chol_bordered, vec
+from riskpremia import _linalg, moments
+from riskpremia._linalg import NumericalError, chol_bordered, vec
 from riskpremia.moments import _decompose, moment_vector, robust_statistics, robust_tests
 from riskpremia.montecarlo import preset_dgp, simulate
 from riskpremia.panels import ReturnPanel
@@ -189,36 +190,29 @@ def test_vqf_matches_loop_built_kronecker_oracle(k, n):
     np.testing.assert_allclose(vqf_estimator(sys, lam0, "hc0"), oracle, rtol=1e-15, atol=0)
 
 
-def test_hc0_jacobian_scores_built_once_per_system(monkeypatch):
-    fit, lam1, _ = fitted_model(k=2, n=5, t=80, seed=50)
-    mapped = []
-
-    def counting_vec_kron(a, b):
-        mapped.append(1)           # the Qxx kron B and X kron beta terms
-        return _linalg.vec_kron(a, b)
-
-    monkeypatch.setattr(subset, "vec_kron", counting_vec_kron)
-    for shift in (0.0, 0.1, -0.3):
-        robust_tests(fit, lam1 + shift, mode="hc0")
-    assert len(mapped) == 2
-
-
 @pytest.mark.parametrize("k, n, t, reps", [(1, 11, 300, 0), (2, 6, 120, 3), (3, 10, 80, 0), (5, 20, 300, 0)])
 def test_hc0_psi_q_grams_equal_the_per_period_product(k, n, t, reps):
-    # the third moments give the cross-moments of the T x NK^3 Jacobian
-    # scores with the hc0 parts without forming the scores
+    # the orthogonalized Jacobian from the moments of B_t and X_t against one
+    # vector equals the T x NK^3 Jacobian scores' product with S g / T, the
+    # scores S at Lambda1 and g = V_ff^-1 f
     spec = preset_dgp("strong", k=k, n=n, t=t)
     returns, factors = simulate(spec, 11, range(reps) if reps else 0)
     sys = fit_model(returns, factors).stacked
-    ref = oracles.hc0_psi_q(sys).swapaxes(-1, -2) @ sys.hc0_parts / t
-    got = sys.hc0_psi_q_grams
-    assert got.shape == (*sys.batch_shape, n * k**3, 2 * n * k)
+    lam = spec.lambda1 + 0.1
+    m = sys.q_xx @ lam.T
+    parts = sys.hc0_parts
+    scores = parts[..., : n * k] - parts[..., n * k :] @ _linalg.kron(m, np.eye(n)).swapaxes(-1, -2)
+    vff = scores.swapaxes(-1, -2) @ scores / t
+    g = np.linalg.solve(vff, moment_vector(sys, lam)[..., None])
+    shift = (oracles.hc0_psi_q(sys).swapaxes(-1, -2) @ (scores @ g))[..., 0] / t
+    ref = -_linalg.kron(sys.q_xx, sys.beta_hat) - _linalg.unvec(shift, (n * k, k * k))
+    got = moments._hc0_ortho_jacobian(sys, m, g)
+    assert got.shape == (*sys.batch_shape, n * k, k * k)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):
+def test_vff_factored_once_per_hc0_hypothesis(monkeypatch):
     fit, lam1, _ = fitted_model(k=2, n=5, t=80, seed=51)
-    sys = fit.stacked
     factored = []
 
     def counting_chol(buf, n, *args, **kwargs):
@@ -227,8 +221,6 @@ def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):
         return chol_bordered(buf, n, *args, **kwargs)
 
     monkeypatch.setattr(moments, "chol_bordered", counting_chol)
-    formed = []
-    monkeypatch.setattr(subset, "kron", lambda a, b: formed.append(1) or _linalg.kron(a, b))
     hypotheses = [lam1, lam1 + 0.1, lam1 - 0.3]
     per_mode = {}
     for mode in ("kps", "hc0"):
@@ -238,8 +230,34 @@ def test_vff_factored_once_and_jacobian_kept_per_system(monkeypatch):
         per_mode[mode] = len(factored) - before
     # kps works with K x K blocks of the per-fit H and Psi: no NK x NK factor
     assert per_mode == {"kps": 0, "hc0": len(hypotheses)}
-    assert len(formed) == 1       # the Jacobian, once for every hc0 hypothesis
-    np.testing.assert_array_equal(sys.jacobian, -np.kron(sys.q_xx, sys.beta_hat))
+
+
+@pytest.mark.parametrize("t", [24, 30])
+def test_hc0_refuses_nk_not_below_t_before_any_work(t):
+    # the T hc0 scores sum to zero, so V_ff (NK x NK) has rank at most T - 1
+    # and would factor only by jitter; kps is untouched
+    spec = preset_dgp("strong", k=3, n=10, t=t)
+    fit = fit_model(*simulate(spec, 3))
+    for which in (("far",), ("far", "klm", "jklm")):
+        with pytest.raises(NumericalError, match=f"NK = 30 is not below T = {t}"):
+            robust_tests(fit, spec.lambda1, mode="hc0", which=which)
+    assert "hc0_parts" not in vars(fit.stacked)
+    assert np.isfinite(robust_tests(fit, spec.lambda1, mode="kps")["klm"].statistic)
+
+
+def test_a_first_hc0_klm_point_forms_no_nk3_by_2nk_array():
+    # the Jacobian scores' cross-moments with the hc0 parts, N K^3 x 2NK,
+    # are never formed: one point on a fresh fit peaks below that array
+    k, n = 5, 20
+    spec = preset_dgp("strong", k=k, n=n, t=300)
+    fit = fit_model(*simulate(spec, 0))
+    tracemalloc.start()
+    try:
+        robust_tests(fit, spec.lambda1, mode="hc0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k**3 * 2 * n * k * 8
 
 
 def test_hc0_grams_built_once_per_system(monkeypatch):
@@ -289,7 +307,7 @@ def test_jacobian_reduces_to_q_when_decoupled(monkeypatch):
 def test_jacobian_matches_dense_oracle():
     sys, lam1 = fitted_system(k=2, n=4, t=60, seed=49)
     ms = build_moment_system(sys, lam1, "hc0")
-    oracle = vec(sys.jacobian) - ms.vqf @ np.linalg.inv(ms.vff) @ ms.f
+    oracle = vec(-np.kron(sys.q_xx, sys.beta_hat)) - ms.vqf @ np.linalg.inv(ms.vff) @ ms.f
     assert np.allclose(vec(ms.d_ortho), oracle, rtol=1e-8)
 
 
