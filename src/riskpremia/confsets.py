@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chi2_sf
+from ._linalg import NumericalError, chi2_sf
 from .moments import TESTS, dofs, robust_statistics
 from .pipeline import FIT_ERRORS, ModelFit
 from .subset import boundedness_diagnostic, sfar_dof, sfar_statistics
@@ -287,10 +287,15 @@ def invert_surface(
     column limits, as the binding is, decides boundedness (the scan's
     directions are drawn from ``seed``); for the other
     tests a boundary-touching set is reported unbounded.  One surface serves
-    any number of levels.
+    any number of levels.  A surface with no p-value at all tested nothing,
+    so it raises NumericalError naming its first failure rather than
+    calling the set empty.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    if np.isnan(surface.pvalues).all():
+        first = "".join(f"; the first, point {i}: {why}" for i, why in surface.failures[:1])
+        raise NumericalError(f"no grid point has a p-value: all {surface.pvalues.size} points failed{first}")
     grid = surface.grid
     alpha = 1.0 - level
     with np.errstate(invalid="ignore"):

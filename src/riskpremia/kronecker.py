@@ -5,7 +5,7 @@ Sigma k x k) becomes rank one under the block rearrangement R(S); the leading
 singular pair of R(S) therefore recovers the factors, and the trailing
 singular values measure the distance from exact structure.  The model
 score covariance, a sum of two Kronecker products, is factored in closed
-form without being formed.
+form without being formed, into the four scalars the fit reads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericalError, spd_project, unvec
+from ._linalg import JITTERS, NumericalError, spd_project, unvec
 
 # the dense route's default split, and its clipping floor
 DEFAULT_NORMALIZE = "omega11"
@@ -85,9 +85,11 @@ def kps_factorize(
     )
 
 
-def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of :func:`kps_factorize` of the model score covariance, in
-    closed form: (Omega, alpha, gamma) with Sigma = alpha I + gamma P.
+def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, ...]:
+    """The factors of :func:`kps_factorize` of the model score covariance in
+    closed form: the four scalars (omega_x, omega_v, alpha, gamma) of
+    Omega = diag(omega_x Qxx, omega_v Sigma_v) and Sigma = alpha I + gamma P,
+    the one place the fit's Kronecker weight is decided.
 
     S = A1 kron B1 + A2 kron B2 with A1 = diag(Qxx, 0), B1 = s2 I + P,
     P = beta Sigma_v beta', A2 = diag(0, Sigma_v) and B2 = s2 I (the terms of
@@ -102,12 +104,16 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.n
         Omega = diag(u1 Qxx / a1, u2 Sigma_v / a2) / p,
         Sigma = p (u1 a1 B1 + u2 a2 B2),       p = u1 Qxx_11 / a1,
 
-    so gamma = p u1 a1 and alpha = p s2 (u1 a1 + u2 a2): positive
-    combinations of PSD terms with an SPD one, SPD with no projection, and
-    Omega_11 = 1.  No N x N matrix is formed.  Stacked inputs (leading axes
-    on every argument) give stacked factors.  Raises NumericalError when
-    Qxx_11, Sigma_v or s2 vanishes: S is then singular along a whole block
-    and so is one of its factors.
+    so omega_x = 1 / Qxx_11 (Omega_11 = 1), omega_v = u2 / (a2 p),
+    gamma = p u1 a1 and alpha = p s2 (u1 a1 + u2 a2): positive combinations
+    of PSD terms with an SPD one, SPD with no projection.  When N > K, alpha
+    is Sigma's eigenvalue off span(beta); where it is not above eps times
+    tr(Sigma)/N = alpha + gamma tr F / N (s2 = 0 to rounding), it gains the
+    first nonzero of the ``JITTERS`` times tr(Sigma)/N, as a Cholesky
+    factorization of the N x N Sigma would.  No N x N matrix is formed.
+    Stacked inputs give stacked scalars.  Raises NumericalError when Qxx_11,
+    Sigma_v or s2 vanishes: S is then singular along a whole block and so
+    is one of its factors.
     """
     q_xx, sigma_v, beta = (np.asarray(x, dtype=float) for x in (q_xx, sigma_v, beta))
     s2 = np.asarray(sigma_e2, dtype=float)
@@ -129,8 +135,8 @@ def kps_factorize_model(q_xx, sigma_v, sigma_e2, beta) -> tuple[np.ndarray, np.n
     angle = 0.5 * np.arctan2(2.0 * c12, c11 - c22)
     u1, u2 = np.cos(angle), np.sin(angle)
     pivot = u1 * q_xx[..., 0, 0] / a1
-
-    omega = np.zeros((*q_xx.shape[:-2], 2 * k, 2 * k))
-    omega[..., :k, :k] = q_xx / q_xx[..., :1, :1]
-    omega[..., k:, k:] = (u2 / (a2 * pivot))[..., None, None] * sigma_v
-    return omega, pivot * s2 * (u1 * a1 + u2 * a2), pivot * u1 * a1
+    alpha, gamma = pivot * s2 * (u1 * a1 + u2 * a2), pivot * u1 * a1
+    if n > k:       # alpha >= 0, so the ladder's first nonzero jitter lifts it
+        scale = alpha + gamma * tr_f / n
+        alpha = np.where(alpha > np.finfo(float).eps * scale, alpha, alpha + JITTERS[1] * scale)
+    return 1.0 / q_xx[..., 0, 0], u2 / (a2 * pivot), alpha, gamma

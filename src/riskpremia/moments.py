@@ -175,13 +175,22 @@ def _hc0_statistics(sys: StackedSystem, lam1_0: np.ndarray, klm: bool):
     V_ff is written straight into the bordered buffer next to f (and, for
     KLM, the orthogonalized Jacobian), so one Cholesky factorization per
     hypothesis whitens them all.  V_qf is applied to V_ff^-1 f, one LU
-    solve, without being formed.  The T scores sum to zero, as the residuals
-    are orthogonal to xbar_{t-1} and vhat, and vhat to xbar_{t-1}, so V_ff
-    has rank at most T - 1: NK >= T raises NumericalError before any work.
+    solve, without being formed.  V_ff is the Gram of the T x NK matrix with
+    rows vec(S_t)', S_t = e_t c_t' + beta v_t xbar_t' the N x K score of
+    period t and c_t = xbar_t - M Sigma_v^-1 v_t.  The residuals are
+    orthogonal in time to the 1 + 2K series (1, xbar, vhat), so the N
+    residual series span at most T - 1 - 2K dimensions of R^T; the N columns
+    of factor k are those series weighted by c_k plus the K vhat series
+    weighted by xbar_k, at most T - 1 - K dimensions.  The scores also sum
+    to zero over t, so rank V_ff <= min(T - 1, K (T - 1 - K)), below NK when
+    NK >= T or N + K >= T; either raises NumericalError before any work.
     """
-    k, nk, t = sys.n_factors, sys.n_factors * sys.n_assets, sys.n_periods
+    k, n, t = sys.n_factors, sys.n_assets, sys.n_periods
+    nk = n * k
     if nk >= t:
         raise NumericalError(f"hc0 V_ff is singular: NK = {nk} is not below T = {t}")
+    if n + k >= t:
+        raise NumericalError(f"hc0 V_ff is singular: N + K = {n + k} is not below T = {t}")
     m = sys.q_xx @ lam1_0.swapaxes(-1, -2)
     f = moment_vector(sys, lam1_0)
     buf = bordered(f.shape[:-1], nk, 1 + k * k if klm else 1)

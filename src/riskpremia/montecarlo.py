@@ -145,9 +145,10 @@ class DgpSpec:
     emulate nearly unspanned factors.  The arrays are copied and made
     read-only, so the law ``simulate`` caches on the spec cannot go stale.
     Their shapes are checked against the (N, K) of ``beta``, their entries
-    must be finite, ``sigma_e2`` must be finite and nonnegative and ``t`` an
-    integer (a Python or NumPy int, not a bool); a failure is a ValueError
-    naming the field.
+    must be finite, ``sigma_v`` zero or positive definite (by one Cholesky
+    factorization), ``sigma_e2`` finite and nonnegative and ``t`` an integer
+    (a Python or NumPy int, not a bool); a failure is a ValueError naming
+    the field.
     """
 
     c: np.ndarray            # (N,)
@@ -155,7 +156,7 @@ class DgpSpec:
     lambda1: np.ndarray      # (K, K)
     mu: np.ndarray           # (K,)
     phi1: np.ndarray         # (K, K)
-    sigma_v: np.ndarray      # (K, K) SPD
+    sigma_v: np.ndarray      # (K, K) SPD, or zero
     sigma_e2: float
     t: int
     weak_scale: np.ndarray = None  # (K,), defaults to ones
@@ -185,8 +186,11 @@ class DgpSpec:
             raise ValueError(f"t must be an integer sample length, got {self.t!r}")
         if self.t < self.beta.shape[1] + 2:
             raise ValueError("sample length too short for the factor count")
-        if np.any(np.linalg.eigvalsh(0.5 * (self.sigma_v + self.sigma_v.T)) < -1e-12):
-            raise ValueError("sigma_v must be positive semidefinite")
+        if np.any(self.sigma_v):
+            try:
+                np.linalg.cholesky(self.sigma_v)
+            except np.linalg.LinAlgError:
+                raise ValueError("sigma_v must be zero or positive definite") from None
 
     @property
     def n_assets(self) -> int:
@@ -213,7 +217,7 @@ class DgpSpec:
             gamma = scipy.linalg.solve_discrete_lyapunov(phi1, sigma_v)
             w, q = np.linalg.eigh(0.5 * (gamma + gamma.T))
             half = q * np.sqrt(np.maximum(w, 0.0))
-        shock_factor = np.linalg.cholesky(sigma_v + 1e-300 * np.eye(k)) if np.any(sigma_v) else np.zeros((k, k))
+        shock_factor = np.linalg.cholesky(sigma_v) if np.any(sigma_v) else np.zeros((k, k))
         return _FactorLaw(radius, mean, half, shock_factor, _recursion_band(phi1, self.t))
 
 
@@ -386,17 +390,17 @@ def _block_size(spec: DgpSpec) -> int:
     """Replicates per block: as many as ``confsets.CHUNK_BYTES`` holds of
     what their fits keep, from the spec's (K, N, T) alone.
 
-    A fitted replicate keeps Phi, W, Psi, Qxx, vhat and the VAR's QR
+    A fitted replicate keeps Phi, Psi, Qxx, Sigma_v, vhat and the VAR's QR
     factors of (1, X_{t-1}, X_t), and no second-stage residual: the fit
     sums sigma_e^2 one replicate at a time and forms the residuals and xbar
     only for hc0.  The panels, which the fit holds by reference, the
     (1 + 2K) x (1 + 2K) R, the two scalars of Sigma and the simulation
-    buffers are not counted.  The N^2 term counts no array the fit keeps
-    (Sigma is two scalars): it stays as headroom, so a block's size (96 at
-    (K, N, T) = (1, 11, 300), 23 at (5, 20, 300)) and its peak memory do
-    not grow."""
+    buffers are not counted.  The N^2 term and 3K^2 of the 9K^2 count no
+    array the fit keeps (Sigma is two scalars): they stay as headroom, so a
+    block's size (96 at (K, N, T) = (1, 11, 300), 23 at (5, 20, 300)) and
+    its peak memory do not grow."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
-    # Phi (N x 2K); W, Psi (2K x 2K); Qxx; N^2 headroom; vhat (K x T); Q (T x (1 + 2K))
+    # Phi (N x 2K); Psi (2K x 2K); Qxx, Sigma_v; 3K^2 + N^2 headroom; vhat (K x T); Q (T x (1 + 2K))
     floats = 2 * n * k + 9 * k * k + n * n + (3 * k + 1) * t
     return max(1, confsets.CHUNK_BYTES // (8 * floats))
 

@@ -36,14 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (
-    JITTERS,
-    chi2_ppf,
-    chi2_sf,
-    chol_whiten,
-    sym,
-    vec,
-)
+from ._linalg import chi2_ppf, chi2_sf, chol_whiten, sym, vec
 from .kronecker import kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
 from .threestep import ReturnRegression, TestResult, check_alignment, project_out
@@ -58,8 +51,8 @@ class StackedSystem:
 
     The KPS factors are Omega, held through ``psi_hat``, and
     Sigma = alpha I + gamma beta Sigma_v beta', held as ``sigma_pair`` =
-    (alpha, gamma) with Sigma_v the lower-right block of ``w_hat``.  It
-    holds no demeaned returns: the residuals and vhat are orthogonal to
+    (alpha, gamma), both as ``kronecker.kps_factorize_model`` decided them.
+    It holds no demeaned returns: the residuals and vhat are orthogonal to
     xbar, so the moment vector needs only Phi and Qxx (``moments.moment_vector``).
     ``returns`` is the array the fit was given, held by reference and read
     only when the hc0 variance forms the residuals (``residuals``); writing
@@ -73,10 +66,10 @@ class StackedSystem:
     """
 
     phi_hat: np.ndarray      # (N, 2K) = (d_hat : beta_hat)
-    w_hat: np.ndarray        # (2K, 2K) = diag(Qxx, Sigma_v), regressor second moments
-    psi_hat: np.ndarray      # (2K, 2K) = W^-1 Omega W^-1, SPD as Omega is
+    psi_hat: np.ndarray      # (2K, 2K) = diag(omega_x Qxx^-1, omega_v Sigma_v^-1), SPD
     sigma_pair: np.ndarray   # (2,) (alpha, gamma) of the KPS factor Sigma = alpha I + gamma beta Sigma_v beta'
-    q_xx: np.ndarray         # (K, K) upper-left block of w_hat
+    q_xx: np.ndarray         # (K, K) second moments of the demeaned lagged factors
+    sigma_v: np.ndarray      # (K, K) VAR innovation covariance, by reference
     vhat: np.ndarray         # (K, T)
     returns: np.ndarray      # (N, T) the fitted returns, by reference
     design_q: np.ndarray     # (T, 1 + 2K) the VAR's Q of (1, X_{t-1}, X_t)
@@ -116,28 +109,15 @@ class StackedSystem:
         span(Phi): with the thin QR Phi = Q R and R_beta = R[:, K:],
         Sigma = Q C Q' + alpha (I - QQ') for the min(N, 2K)-square
         C = alpha I + gamma R_beta Sigma_v R_beta', so H = R' C^-1 R, from one
-        factorization of C bordered by R.  When N > K, alpha is also Sigma's
-        eigenvalue off span(beta); where it is not above eps tr(Sigma)/N
-        (sigma_e^2 = 0 on noiseless data), Sigma is singular to rounding, and
-        alpha takes the first jitter of ``chol_bordered``'s ladder, relative
-        to tr(Sigma)/N = alpha + gamma tr(R_beta Sigma_v R_beta')/N, that
-        lifts it above, as a factorization of the N x N Sigma would.
+        factorization of C bordered by R; alpha arrives already lifted off
+        zero where sigma_e^2 is zero to rounding (``kps_factorize_model``).
         """
-        k, n = self.n_factors, self.n_assets
+        k = self.n_factors
         r = np.linalg.qr(self.phi_hat, mode="r")
         r_beta = r[..., k:]
-        load = r_beta @ self.w_hat[..., k:, k:] @ r_beta.swapaxes(-1, -2)
-        alpha, gamma = self.sigma_pair[..., 0], self.sigma_pair[..., 1]
-        if n > k:
-            scale = alpha + gamma * np.trace(load, axis1=-2, axis2=-1) / n
-            floor, lifted = np.finfo(float).eps * scale, alpha
-            # no level lifts an indefinite Sigma, and C then fails as Sigma does
-            for jitter in JITTERS[1:]:
-                lifted = np.where(lifted > floor, lifted, alpha + jitter * scale)
-            alpha = lifted
-        core = gamma[..., None, None] * load
+        core = self.sigma_pair[..., 1, None, None] * (r_beta @ self.sigma_v @ r_beta.swapaxes(-1, -2))
         diag = np.arange(r.shape[-2])
-        core[..., diag, diag] += alpha[..., None]
+        core[..., diag, diag] += self.sigma_pair[..., :1]
         half = chol_whiten(core, r)[1]                          # L^-1 R, C = L L'
         return half.swapaxes(-1, -2) @ half
 
@@ -181,8 +161,7 @@ class StackedSystem:
     @cached_property
     def sigma_v_inv_vhat(self) -> np.ndarray:
         """(K, T) Sigma_v^-1 vhat, read by every hc0 score."""
-        k = self.n_factors
-        return np.linalg.solve(self.w_hat[..., k:, k:], self.vhat)
+        return np.linalg.solve(self.sigma_v, self.vhat)
 
     @cached_property
     def hc0_parts(self) -> np.ndarray:
@@ -276,35 +255,30 @@ def build_stacked(
     second stage in the parameterization Phi = (d + beta phi1 : beta), so its
     coefficients are read off ``reg``, and its residuals are formed from
     the returns only if the hc0 variance reads them.  The regressors are
-    orthogonal, so W = diag(Qxx, Sigma_v) is read off the VAR's R, with
-    Qxx = R_x'R_x / T for the lag block R_x = R[1:1+K, 1:1+K].  The model
-    score covariance is factored in closed form from its two Kronecker
-    terms, Omega = diag(Qxx / Qxx_11, c Sigma_v), so Psi = W^-1 Omega W^-1
-    = diag(Qxx^-1 / Qxx_11, c Sigma_v^-1), and Sigma = alpha I + gamma beta
-    Sigma_v beta' is kept as (alpha, gamma), with no dense matrix, no
-    T-length product, and no decomposition or projection.
+    orthogonal, so their second moments are diag(Qxx, Sigma_v), with
+    Qxx = R_x'R_x / T for the lag block R_x = R[1:1+K, 1:1+K] of the VAR's
+    R.  ``kps_factorize_model`` factors the model score covariance into
+    Omega = diag(omega_x Qxx, omega_v Sigma_v) and Sigma = alpha I + gamma
+    beta Sigma_v beta', and this applies its four scalars:
+    Psi = diag(omega_x Qxx^-1, omega_v Sigma_v^-1) and ``sigma_pair`` =
+    (alpha, gamma), with no dense matrix, no T-length product, and no
+    decomposition or projection.
     Stacked panels and fits give one stacked system.
     """
     t = check_alignment(returns, factors, var)
     k = var.n_factors
-    r_x, sigma_v = var.design_r[..., 1 : 1 + k, 1 : 1 + k], var.sigma_v
-    w_hat = np.zeros((*sigma_v.shape[:-2], 2 * k, 2 * k))
-    w_hat[..., :k, :k] = r_x.swapaxes(-1, -2) @ r_x / t
-    w_hat[..., k:, k:] = sigma_v
-    q_xx = w_hat[..., :k, :k]
-    beta = reg.beta_hat
-    phi_hat = np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1)
-    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, beta)
-    c = omega[..., k, k] / sigma_v[..., 0, 0]                      # Omega_22 = c Sigma_v
-    psi_hat = np.zeros_like(w_hat)
-    psi_hat[..., :k, :k] = np.linalg.inv(q_xx) / q_xx[..., :1, :1]
-    psi_hat[..., k:, k:] = c[..., None, None] * np.linalg.inv(sigma_v)
+    r_x, sigma_v, beta = var.design_r[..., 1 : 1 + k, 1 : 1 + k], var.sigma_v, reg.beta_hat
+    q_xx = r_x.swapaxes(-1, -2) @ r_x / t
+    omega_x, omega_v, alpha, gamma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, beta)
+    psi_hat = np.zeros((*q_xx.shape[:-2], 2 * k, 2 * k))
+    psi_hat[..., :k, :k] = omega_x[..., None, None] * np.linalg.inv(q_xx)
+    psi_hat[..., k:, k:] = omega_v[..., None, None] * np.linalg.inv(sigma_v)
     return StackedSystem(
-        phi_hat=phi_hat,
-        w_hat=w_hat,
+        phi_hat=np.concatenate([reg.d_hat + beta @ var.phi1, beta], axis=-1),
         psi_hat=sym(psi_hat),
         sigma_pair=np.stack([alpha, gamma], axis=-1),
         q_xx=q_xx,
+        sigma_v=sigma_v,
         vhat=var.residuals,
         returns=returns.returns,
         design_q=var.design_q,

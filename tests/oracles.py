@@ -219,6 +219,16 @@ def rearrange_inverse(r, p, k):
     return s
 
 
+def kps_omega(omega_x, omega_v, q_xx, sigma_v):
+    """The dense 2K x 2K Omega = diag(omega_x Qxx, omega_v Sigma_v) of the
+    scalars of ``kronecker.kps_factorize_model``, stacked for stacked inputs."""
+    k = q_xx.shape[-1]
+    omega = np.zeros((*q_xx.shape[:-2], 2 * k, 2 * k))
+    omega[..., :k, :k] = np.asarray(omega_x)[..., None, None] * q_xx
+    omega[..., k:, k:] = np.asarray(omega_v)[..., None, None] * sigma_v
+    return omega
+
+
 def kps_sigma(alpha, gamma, beta, sigma_v):
     """The dense N x N Sigma = alpha I + gamma beta Sigma_v beta' of a KPS
     pair (``kronecker.kps_factorize_model``), stacked for stacked inputs."""
@@ -229,8 +239,7 @@ def kps_sigma(alpha, gamma, beta, sigma_v):
 
 def dense_sigma(sys: StackedSystem) -> np.ndarray:
     """The system's KPS factor Sigma as a dense (..., N, N) array."""
-    k = sys.n_factors
-    return kps_sigma(sys.sigma_pair[..., 0], sys.sigma_pair[..., 1], sys.beta_hat, sys.w_hat[..., k:, k:])
+    return kps_sigma(sys.sigma_pair[..., 0], sys.sigma_pair[..., 1], sys.beta_hat, sys.sigma_v)
 
 
 def with_dense_sigma(sys: StackedSystem, sigma: np.ndarray) -> StackedSystem:

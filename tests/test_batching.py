@@ -51,6 +51,7 @@ from oracles import (
     build_moment_system,
     chol_solve,
     dense_sigma,
+    kps_omega,
     kps_sigma,
     pencil_roots,
     vff_estimator,
@@ -190,14 +191,13 @@ def test_one_failing_system_fails_alone():
     k = 2
 
     def break_fit(fit, index):
-        w_hat, sigma_v, sigma_pair = (a.copy() for a in (fit.stacked.w_hat, fit.var.sigma_v, fit.stacked.sigma_pair))
-        w_hat[index][k:, k:] = 0.0
+        sigma_v, sigma_pair = (a.copy() for a in (fit.var.sigma_v, fit.stacked.sigma_pair))
         sigma_v[index] = 0.0
         sigma_pair[index] = (-1.0, 0.0)  # Sigma = -I
         return dataclasses.replace(
             fit,
             var=dataclasses.replace(fit.var, sigma_v=sigma_v),
-            stacked=dataclasses.replace(fit.stacked, sigma_pair=sigma_pair, w_hat=w_hat),
+            stacked=dataclasses.replace(fit.stacked, sigma_pair=sigma_pair, sigma_v=sigma_v),
         )
 
     fits[1] = break_fit(fits[1], ...)
@@ -481,18 +481,20 @@ def test_stacked_spd_projection_and_kps_terms_equal_single_calls(k, n, r, seed):
     beta = rng.standard_normal((r, n, k))
     s2 = rng.uniform(0.1, 2.0, r)
 
-    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, s2, beta)
+    omega_x, omega_v, alpha, gamma = kps_factorize_model(q_xx, sigma_v, s2, beta)
+    omega = kps_omega(omega_x, omega_v, q_xx, sigma_v)
     sigma = kps_sigma(alpha, gamma, beta, sigma_v)
     for j in range(r):
         one = kps_factorize_model(q_xx[j], sigma_v[j], s2[j], beta[j])
-        one_sigma = kps_sigma(*one[1:], beta[j], sigma_v[j])
-        assert_close(omega[j], one[0])
+        one_omega = kps_omega(*one[:2], q_xx[j], sigma_v[j])
+        one_sigma = kps_sigma(*one[2:], beta[j], sigma_v[j])
+        assert_close(omega[j], one_omega)
         assert_close(sigma[j], one_sigma)
         # the dense factorization of the two model terms of fit j is the oracle
         terms = model_score_terms(q_xx[j], sigma_v[j], s2[j], beta[j])
         dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), 2 * k, n)
         ref = np.kron(dense.omega, dense.sigma)
-        assert np.linalg.norm(np.kron(one[0], one_sigma) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(np.kron(one_omega, one_sigma) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_a_stack_has_a_price_of_risk_for_every_fit_or_none():

@@ -327,27 +327,46 @@ def test_cs_records_its_failed_points(tmp_path, yields_csv, monkeypatch):
     assert summary["failures"] == [[3, "NumericalError('forced failure')"]]
 
 
-def test_hc0_at_nk_not_below_t_is_a_numerical_failure(tmp_path, capsys):
-    # K = 3, N = 10 and T = 24: the hc0 V_ff is singular, so test exits 3
-    # and cs records every point as failed
+def short_hc0_args(tmp_path, rows: int, factors: int) -> list:
+    """The common arguments of an hc0 run on ``rows`` rows of a random-walk
+    yield CSV with 11 maturities, N = 10 held and ``factors`` principal
+    components, so T = rows - 1."""
     rng = np.random.default_rng(3)
-    t, mats = 25, tuple(range(1, 12))
-    level = 0.004 + 0.0008 * np.cumsum(rng.standard_normal(t)) / np.sqrt(t)
+    mats = tuple(range(1, 12))
+    level = 0.004 + 0.0008 * np.cumsum(rng.standard_normal(rows)) / np.sqrt(rows)
     panel = YieldPanel(
-        dates=tuple(f"19{87 + i // 12}-{i % 12 + 1:02d}" for i in range(t)),
+        dates=tuple(f"19{87 + i // 12}-{i % 12 + 1:02d}" for i in range(rows)),
         maturities=mats,
-        yields=level[:, None] + 0.0002 * rng.standard_normal((t, len(mats))),
+        yields=level[:, None] + 0.0002 * rng.standard_normal((rows, len(mats))),
     )
     path = tmp_path / "short.csv"
     save_panel_csv(path, panel)
-    common = ["--input", path, "--maturities", "1,2,3,4,5,6,7,8,9,10", "--factors", "pca:3",
-              "--cov", "hc0"]
+    return ["--input", path, "--maturities", "1,2,3,4,5,6,7,8,9,10", "--factors", f"pca:{factors}",
+            "--cov", "hc0"]
+
+
+def test_hc0_at_nk_not_below_t_is_a_numerical_failure(tmp_path, capsys):
+    # K = 3, N = 10 and T = 24: the hc0 V_ff is singular, so test exits 3,
+    # and so does cs, whose points all fail: a set no point tested is not empty
+    common = short_hc0_args(tmp_path, 25, 3)
     assert run(["test", *common, "--stat", "far,klm,jklm", "--out", tmp_path / "t"]) == 3
     assert capsys.readouterr().err == "numerical error: hc0 V_ff is singular: NK = 30 is not below T = 24\n"
-    assert run(["cs", *common, "--stat", "far", "--grid=-1:1:3", "--out", tmp_path / "cs"]) == 0
-    summary = json.loads((tmp_path / "cs" / "set.json").read_text())
-    assert [i for i, _ in summary["failures"]] == [0, 1, 2]
-    assert all("NK = 30 is not below T = 24" in why for _, why in summary["failures"])
+    assert run(["cs", *common, "--stat", "far", "--grid=-1:1:3", "--out", tmp_path / "cs"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: no grid point has a p-value: all 3 points failed; the first, point 0: "
+        "NumericalError('hc0 V_ff is singular: NK = 30 is not below T = 24')\n"
+    )
+    assert not (tmp_path / "cs").exists()
+
+
+def test_hc0_at_n_plus_k_not_below_t_is_a_numerical_failure(tmp_path, capsys):
+    # K = 1, N = 10 and T = 11: NK < T, yet V_ff has rank K (T - 1 - K) = 9
+    # below NK = 10; factored by jitter, its FAR here read 1.7e15 with exit 0
+    common = short_hc0_args(tmp_path, 12, 1)
+    assert run(["test", *common, "--stat", "far,klm", "--out", tmp_path / "t"]) == 3
+    assert capsys.readouterr().err == "numerical error: hc0 V_ff is singular: N + K = 11 is not below T = 11\n"
+    assert run(["cs", *common, "--stat", "far", "--grid=-1:1:3", "--out", tmp_path / "cs"]) == 3
+    assert "all 3 points failed" in capsys.readouterr().err
 
 
 def test_mc_smoke_and_determinism(tmp_path):

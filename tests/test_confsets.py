@@ -323,6 +323,21 @@ def test_one_surface_inverts_at_every_level():
         invert_surface(surface, 1.0, fit)
 
 
+def test_a_surface_with_every_point_failed_is_no_empty_set():
+    # hc0 at NK >= T fails every point: no point was tested, so inverting the
+    # surface raises, naming the count and the first failure
+    spec = preset_dgp("strong", k=3, n=10, t=24)
+    fit = fit_model(*simulate(spec, 3))
+    grid = GridSpec(axes=(GridAxis(-1.0, 1.0, 3),), binding=full_lambda_binding(3, vary=(0,)))
+    surface = pvalue_curve("far", grid, fit, mode="hc0")
+    assert [i for i, _ in surface.failures] == [0, 1, 2]
+    message = r"all 3 points failed; the first, point 0: NumericalError\('hc0 V_ff is singular"
+    with pytest.raises(NumericalError, match=message):
+        invert_surface(surface, 0.95, fit)
+    with pytest.raises(NumericalError, match=message):
+        joint_confidence_set("far", grid, 0.95, fit, mode="hc0")
+
+
 def test_empty_set_classification():
     fit, _ = fitted(seed=8)
     grid = GridSpec(axes=(GridAxis(50.0, 60.0, 5),), binding=full_lambda_binding(1))

@@ -13,7 +13,7 @@ from riskpremia.kronecker import (
 )
 from riskpremia.subset import model_score_terms
 
-from oracles import kps_sigma, rearrange_inverse, vec_kron
+from oracles import kps_omega, kps_sigma, rearrange_inverse, vec_kron
 
 
 def random_spd(rng, n, scale=1.0):
@@ -195,11 +195,12 @@ def test_terms_route_matches_dense_factorization(moments):
     terms = model_score_terms(*moments)
     p, k = terms[0][0].shape[0], terms[0][1].shape[0]
     dense = kps_factorize(sum(np.kron(a, b) for a, b in terms), p, k)
-    omega, alpha, gamma = kps_factorize_model(*moments)
+    omega_x, omega_v, alpha, gamma = kps_factorize_model(*moments)
     q_xx, sigma_v, _, beta = moments
+    omega = kps_omega(omega_x, omega_v, q_xx, sigma_v)
     sigma = kps_sigma(alpha, gamma, beta, sigma_v)
     assert dense.normalization == "omega11"
-    assert omega[0, 0] == 1.0
+    assert omega_x == 1.0 / q_xx[0, 0]      # Omega_11 = 1
     assert _rel(omega, dense.omega) <= 1e-10
     assert _rel(sigma, dense.sigma) <= 1e-10
     # SPD by construction: no clipping, no jitter
@@ -212,7 +213,8 @@ def test_terms_route_exact_product_and_zero():
     rng = np.random.default_rng(9)
     q_xx, sigma_v = random_spd(rng, 3), random_spd(rng, 3)
     beta = rng.standard_normal((1, 3))
-    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, 0.7, beta)
+    omega_x, omega_v, alpha, gamma = kps_factorize_model(q_xx, sigma_v, 0.7, beta)
+    omega = kps_omega(omega_x, omega_v, q_xx, sigma_v)
     sigma = kps_sigma(alpha, gamma, beta, sigma_v)
     s = sum(np.kron(a, b) for a, b in model_score_terms(q_xx, sigma_v, 0.7, beta))
     assert np.allclose(np.kron(omega, sigma), s, rtol=1e-12, atol=1e-14 * np.abs(s).max())

@@ -110,8 +110,8 @@ def test_vff_kps_identity_case():
 def test_vff_hc0_matches_explicit_loop():
     sys, lam1 = fitted_system(k=1, n=2, t=25, seed=45)
     v = vff_estimator(sys, lam1, mode="hc0")
-    k, t = 1, 25
-    sig_v = sys.w_hat[k:, k:]
+    t = 25
+    sig_v = sys.sigma_v
     oracle = np.zeros((2, 2))
     for s in range(t):
         m_t = np.kron(
@@ -180,7 +180,7 @@ def test_vqf_matches_loop_built_kronecker_oracle(k, n):
     np.testing.assert_allclose(vqf_estimator(sys, lam0, "kps"), -g_q @ cov_bf, rtol=1e-15, atol=0)
 
     t = sys.n_periods
-    sv = np.linalg.solve(sys.w_hat[k:, k:], sys.vhat)
+    sv = np.linalg.solve(sys.sigma_v, sys.vhat)
     psi_q = np.empty((t, k**3 * n))
     for s in range(t):
         b_s = np.outer(sys.residuals[:, s], sv[:, s])
@@ -243,6 +243,24 @@ def test_hc0_refuses_nk_not_below_t_before_any_work(t):
             robust_tests(fit, spec.lambda1, mode="hc0", which=which)
     assert "hc0_parts" not in vars(fit.stacked)
     assert np.isfinite(robust_tests(fit, spec.lambda1, mode="kps")["klm"].statistic)
+
+
+@pytest.mark.parametrize("k, n, t", [(1, 29, 30), (1, 28, 30), (1, 21, 22), (2, 14, 30), (3, 9, 30), (2, 9, 20)])
+def test_hc0_refuses_a_vff_below_full_rank(k, n, t):
+    # each factor's N score columns lie in the residual series plus K vhat
+    # series, so rank V_ff <= min(T - 1, K (T - 1 - K)): the SVD rank meets
+    # that bound, and hc0 raises before any work exactly where it is below NK
+    spec = preset_dgp("strong", k=k, n=n, t=t)
+    fit = fit_model(*simulate(spec, 3))
+    s = np.linalg.svd(moments._hc0_vff(fit.stacked, fit.stacked.q_xx @ spec.lambda1.T), compute_uv=False)
+    bound = min(t - 1, k * (t - 1 - k))
+    assert (s > n * k * np.finfo(float).eps * s[0]).sum() == min(n * k, bound)
+    if bound < n * k:
+        for which in (("far",), ("far", "klm", "jklm")):
+            with pytest.raises(NumericalError, match=rf"N \+ K = {n + k} is not below T = {t}"):
+                robust_tests(fit, spec.lambda1, mode="hc0", which=which)
+    else:
+        assert np.isfinite(robust_tests(fit, spec.lambda1, mode="hc0")["klm"].statistic)
 
 
 def test_a_first_hc0_klm_point_forms_no_nk3_by_2nk_array():

@@ -117,7 +117,7 @@ def simulate_by_steps(spec, seed, replicate=0, init="stationary"):
         burn = 0
     else:
         x0, burn = spec.mu.copy(), 200
-    lv = np.linalg.cholesky(spec.sigma_v + 1e-300 * np.eye(k)) if np.any(spec.sigma_v) else np.zeros((k, k))
+    lv = np.linalg.cholesky(spec.sigma_v) if np.any(spec.sigma_v) else np.zeros((k, k))
     total = t + burn
     shocks = lv @ rng.standard_normal((k, total))
     x = np.empty((k, total + 1))
@@ -364,6 +364,17 @@ def test_dgp_spec_rejects_a_non_finite_entry_naming_the_field(name):
         arr.flat[-1] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             dataclasses.replace(spec, **{name: arr})
+
+
+def test_dgp_spec_takes_a_zero_or_positive_definite_sigma_v():
+    # a singular PSD sigma_v used to construct, then fail inside simulate with
+    # an unlocated LinAlgError from the shock factor
+    spec = preset_dgp("strong", k=2, n=4, t=40)
+    for bad in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]], -np.eye(2), [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError, match="^sigma_v must be zero or positive definite$"):
+            dataclasses.replace(spec, sigma_v=np.array(bad))
+    zero = dataclasses.replace(spec, sigma_v=np.zeros((2, 2)))
+    assert np.array_equal(simulate(zero, seed=1)[1].factors, simulate(zero, seed=2)[1].factors)
 
 
 def test_dgp_spec_requires_an_integer_t():

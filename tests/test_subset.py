@@ -31,6 +31,7 @@ from riskpremia.varstage import fit_var1
 from oracles import (
     demean,
     dense_sigma,
+    kps_omega,
     kps_sigma,
     residuals_contemporaneous,
     second_stage_contemporaneous,
@@ -102,10 +103,10 @@ def synthetic_system(rng, k, n, t=100):
     psi = a @ a.T / (2 * k) + np.eye(2 * k)
     return StackedSystem(
         phi_hat=phi,
-        w_hat=np.eye(2 * k),
         psi_hat=psi,
         sigma_pair=np.array([1.0, 1.0]),
         q_xx=np.eye(k),
+        sigma_v=np.eye(k),
         vhat=np.zeros((k, t)),
         returns=np.zeros((n, t)),
         design_q=np.zeros((t, 1 + 2 * k)),
@@ -167,7 +168,8 @@ def test_build_stacked_asset_permutation_equivariance():
     )
     sys_p = build_stacked(rp, factors, var, second_stage(rp, factors, var))
     assert np.allclose(sys_p.phi_hat, sys.phi_hat[perm], rtol=1e-10)
-    assert np.allclose(sys_p.w_hat, sys.w_hat, rtol=1e-12)
+    assert np.allclose(sys_p.q_xx, sys.q_xx, rtol=1e-12)
+    assert np.allclose(sys_p.sigma_v, sys.sigma_v, rtol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["I", "II"])
@@ -228,7 +230,7 @@ def test_fit_model_terms_route_matches_dense_route(k, extra, kind, seed):
         demean(returns).returns, stacked.xbar_lagged, stacked.vhat, stacked.phi_hat
     )
     dense = kps_factorize(score, 2 * k, n)
-    w_inv = np.linalg.inv(stacked.w_hat)
+    w_inv = np.linalg.inv(kps_omega(1.0, 1.0, stacked.q_xx, stacked.sigma_v))     # W = diag(Qxx, Sigma_v)
     dense_sys = with_dense_sigma(
         dataclasses.replace(stacked, psi_hat=sym(w_inv @ dense.omega @ w_inv)), dense.sigma
     )
@@ -251,23 +253,20 @@ def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, s
     k, n = shape
     sys, _, rbar, reg = preset_system(k, n, kind, seed, range(reps) if reps else 0)
     assert sys.batch_shape == ((reps,) if reps else ())
-    # the pair the fit was built from: Sigma's scalars are sigma_pair, Omega
-    # is behind psi_hat
-    q_xx, sigma_v = sys.w_hat[..., :k, :k], sys.w_hat[..., k:, k:]
-    omega, alpha, gamma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, sys.beta_hat)
+    # the scalars the fit was built from: Sigma's are sigma_pair, Omega's
+    # are behind psi_hat
+    q_xx, sigma_v = sys.q_xx, sys.sigma_v
+    omega_x, omega_v, alpha, gamma = kps_factorize_model(q_xx, sigma_v, reg.sigma_e2, sys.beta_hat)
     assert np.array_equal(np.stack([alpha, gamma], axis=-1), sys.sigma_pair)
+    omega = kps_omega(omega_x, omega_v, q_xx, sigma_v)
     sigma = kps_sigma(alpha, gamma, sys.beta_hat, sigma_v)
-    # W is block diagonal exactly, and Psi = W^-1 Omega W^-1 is its block form
-    # diag(Qxx^-1 / Qxx_11, c Sigma_v^-1) with Omega_22 = c Sigma_v
-    assert not sys.w_hat[..., :k, k:].any() and not sys.w_hat[..., k:, :k].any()
-    assert np.array_equal(q_xx, sys.q_xx)
-    c = omega[..., k, k] / sigma_v[..., 0, 0]
-    assert np.allclose(omega[..., k:, k:], c[..., None, None] * sigma_v, rtol=1e-15, atol=0.0)
+    # Psi = W^-1 Omega W^-1 for W = diag(Qxx, Sigma_v) is the block form
+    # diag(omega_x Qxx^-1, omega_v Sigma_v^-1)
     block = np.zeros_like(sys.psi_hat)
-    block[..., :k, :k] = np.linalg.inv(q_xx) / q_xx[..., :1, :1]
-    block[..., k:, k:] = c[..., None, None] * np.linalg.inv(sigma_v)
+    block[..., :k, :k] = omega_x[..., None, None] * np.linalg.inv(q_xx)
+    block[..., k:, k:] = omega_v[..., None, None] * np.linalg.inv(sigma_v)
     assert np.array_equal(sym(block), sys.psi_hat)
-    w_inv = np.linalg.inv(sys.w_hat)
+    w_inv = np.linalg.inv(kps_omega(1.0, 1.0, q_xx, sigma_v))
     dense_psi = w_inv @ omega @ w_inv
     assert np.abs(dense_psi - sys.psi_hat).max() <= 1e-14 * np.abs(dense_psi).max()
     for j in np.ndindex(sys.batch_shape):
@@ -279,6 +278,21 @@ def test_closed_form_factors_match_dense_over_random_shapes(shape, kind, reps, s
         # SPD with no clipping and no jitter
         for m in (omega[j], sigma[j], sys.psi_hat[j]):
             np.linalg.cholesky(m)
+
+
+def test_sigma_pair_is_lifted_on_noiseless_data():
+    # sigma_e^2 is zero to rounding, so alpha, Sigma's eigenvalue off
+    # span(beta), is too: the fit stores it already lifted above
+    # eps tr(Sigma)/N, and no later reader repairs it
+    rng = np.random.default_rng(1)
+    beta, lam0, lam1, mu, phi, sigma_v = default_params(k=1, n=4)
+    _, factors = make_dataset(rng, beta, lam0, lam1, mu, phi, sigma_v, 0.0, 80)
+    var = fit_var1(factors)
+    r = beta @ (lam1 @ factors.factors[:, :-1] + var.residuals)
+    fit = fit_model(ReturnPanel(tuple(range(4)), r, tuple(f"t{i}" for i in range(80))), factors)
+    assert fit.reg.sigma_e2 < 1e-20
+    alpha = fit.stacked.sigma_pair[0]
+    assert alpha > np.finfo(float).eps * np.trace(dense_sigma(fit.stacked)) / 4
 
 
 def test_build_stacked_makes_no_decomposition(monkeypatch):
