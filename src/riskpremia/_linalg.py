@@ -131,6 +131,13 @@ def spd_project(m: np.ndarray, floor_rel: float = 1e-12) -> np.ndarray:
     return sym(q @ (w[..., :, None] * q.swapaxes(-1, -2)))
 
 
+def project_out(r: np.ndarray, proj: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The residuals r - (rB) B' of returns r on the basis B, with rB given,
+    written into ``out``."""
+    np.matmul(proj, basis.swapaxes(-1, -2), out=out)
+    return np.subtract(r, out, out=out)
+
+
 def sumsq(x: np.ndarray) -> np.ndarray:
     """x'x over the last axis, one dot product per vector."""
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]

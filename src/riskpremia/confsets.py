@@ -288,19 +288,23 @@ def invert_surface(
     directions are drawn from ``seed``); for the other
     tests a boundary-touching set is reported unbounded.  One surface serves
     any number of levels.  A surface with no p-value at all tested nothing,
-    so it raises NumericalError naming its first failure rather than
-    calling the set empty.
+    and one that accepts no point while some points failed did not test
+    those, so either raises NumericalError naming the failed count and the
+    first failure rather than calling the set empty.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    if np.isnan(surface.pvalues).all():
-        first = "".join(f"; the first, point {i}: {why}" for i, why in surface.failures[:1])
-        raise NumericalError(f"no grid point has a p-value: all {surface.pvalues.size} points failed{first}")
+    size, failed = surface.pvalues.size, int(np.isnan(surface.pvalues).sum())
+    first = "".join(f"; the first, point {i}: {why}" for i, why in surface.failures[:1])
+    if failed == size:
+        raise NumericalError(f"no grid point has a p-value: all {size} points failed{first}")
     grid = surface.grid
     alpha = 1.0 - level
     with np.errstate(invalid="ignore"):
         mask = surface.pvalues >= alpha
     accepted = grid.points()[mask.reshape(-1)]
+    if accepted.shape[0] == 0 and failed:
+        raise NumericalError(f"no grid point is accepted and {failed} of {size} points failed{first}")
     if accepted.shape[0] == 0:
         bounded = "empty"
     elif not _touches_boundary(mask):

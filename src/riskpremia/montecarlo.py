@@ -10,14 +10,17 @@ with NumPy alone; ``simulate`` derives a block's keys at once
 path from one banded forward substitution of the stacked VAR(1) recursion,
 equal to the step-by-step recursion up to rounding; the quantities that
 depend on the spec alone (stationary law, shock factor, band) are computed
-once per ``DgpSpec``.  The experiments simulate, fit and evaluate a block of
-replicates at a time over a leading replicate axis (``_replicates``).  A
-block's size counts what its fits keep, plus N^2 floats of headroom
-(``_block_size``): they keep no second-stage residuals, so the one
-block-sized N x T array is the returns ``simulate`` draws, and a block
-holds 96 replicates at (K, N, T) = (1, 11, 300) and 23 at (5, 20, 300).
+once per ``DgpSpec``.  The experiments draw, fit and evaluate a block of
+replicates at a time over a leading replicate axis (``_replicates``), and
+fit the draw itself (``DrawnReturns``): the second stage reads rQ and
+sigma_e^2 off the noise in closed form, so no N x T return panel is
+assembled or projected.  A block's size counts what its fits keep, plus
+N^2 floats of headroom (``_block_size``): they keep no second-stage
+residuals and form no per-replicate residual buffer, so the one
+block-sized N x T array is the noise ``_draw`` draws, and a block holds
+96 replicates at (K, N, T) = (1, 11, 300) and 23 at (5, 20, 300).
 Before its first block, ``_replicates`` allocates and frees one untouched
-buffer of twice the block's return panel, which raises glibc's mmap and
+buffer of twice the block's noise, which raises glibc's mmap and
 trim thresholds above a block's arrays: the next blocks reuse the heap
 instead of faulting their arrays in again (1,453 minor page faults per
 40-replicate call at (5, 20) before, about 1 after).  Results do not
@@ -36,10 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import confsets
-from ._linalg import chi2_pdf, chi2_ppf, ks_chi2_pvalue
+from ._linalg import chi2_pdf, chi2_ppf, ks_chi2_pvalue, sumsq
 from .confsets import VALID_TESTS, full_lambda_binding, row_binding, scan_pvalues
 from .moments import TESTS
-from .panels import FactorPanel, ReturnPanel
+from .panels import FactorPanel, PanelError, ReturnPanel
 from .pipeline import FIT_ERRORS, fit_model
 from .subset import sfar_dof, sfar_statistics
 from .threestep import PriceOfRisk, ReturnRegression
@@ -145,10 +148,12 @@ class DgpSpec:
     emulate nearly unspanned factors.  The arrays are copied and made
     read-only, so the law ``simulate`` caches on the spec cannot go stale.
     Their shapes are checked against the (N, K) of ``beta``, their entries
-    must be finite, ``sigma_v`` zero or positive definite (by one Cholesky
-    factorization), ``sigma_e2`` finite and nonnegative and ``t`` an integer
-    (a Python or NumPy int, not a bool); a failure is a ValueError naming
-    the field.
+    must be finite, ``sigma_v`` symmetric, with max|Sigma_v - Sigma_v'| at
+    most 1e-12 max|Sigma_v| (the shocks' Cholesky factor reads its lower
+    triangle alone, the stationary law all of it), and zero or positive
+    definite (by one Cholesky factorization), ``sigma_e2`` finite and
+    nonnegative and ``t`` an integer (a Python or NumPy int, not a bool); a
+    failure is a ValueError naming the field.
     """
 
     c: np.ndarray            # (N,)
@@ -186,6 +191,9 @@ class DgpSpec:
             raise ValueError(f"t must be an integer sample length, got {self.t!r}")
         if self.t < self.beta.shape[1] + 2:
             raise ValueError("sample length too short for the factor count")
+        asymmetry = np.abs(self.sigma_v - self.sigma_v.T).max()
+        if asymmetry > 1e-12 * np.abs(self.sigma_v).max():
+            raise ValueError(f"sigma_v must be symmetric, got max|sigma_v - sigma_v'| = {asymmetry:.3e}")
         if np.any(self.sigma_v):
             try:
                 np.linalg.cholesky(self.sigma_v)
@@ -307,28 +315,90 @@ def _recursion_band(phi1: np.ndarray, periods: int) -> np.ndarray:
     return band
 
 
-def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
-    """Draw one panel pair; bit-identical for identical (spec, seed, replicate).
+@dataclass(frozen=True)
+class DrawnReturns:
+    """A block of return panels held as their draw r = c 1' + beta f + sigma e,
+    unassembled: what ``_replicates`` hands ``fit_model``.
 
-    The draws are x_0 (stationary init only), the factor shocks, then the
-    return noise, all from the generator of ``replicate_rng(seed, replicate,
-    0)``, that of ``Philox(SeedSequence(seed, spawn_key=(replicate, 0)))``, so
-    NumPy alone reproduces them.  The factor path solves the stacked recursion
-    x_{s+1} = mu + phi1 x_s + v_s in one banded forward substitution (LAPACK
-    ``dtbtrs``), equal to stepping the recursion up to rounding.
-    ``init="burnin"`` starts at mu and drops 200 periods.
+    ``f`` = Lambda1 X_{t-1} + v_t is the factor risk, ``beta`` the
+    effective loadings, ``sigma_e`` = sqrt(sigma_e^2) and ``noise`` the
+    standard normal e, with a leading replicate axis on ``f`` and ``noise``
+    for a block.  It has the reader interface of a ``ReturnPanel`` that the
+    fit uses.  ``moments`` answers the second stage in closed form, and
+    ``returns`` assembles the panels, with ``simulate``'s bits, only when a
+    reader asks for them (the hc0 residuals, say): into an array of their
+    own, kept for the block, so the noise is left as drawn.
+    """
 
-    ``replicate`` may be a range: the panels then carry a leading replicate
-    axis, each replicate drawn from its own stream as above, and every
-    factor path comes from the one ``dtbtrs`` call, one right-hand side per
-    replicate; each entry equals ``simulate`` of its replicate bit for bit.
-    The block's Philox keys are derived at once (``_philox_keys``), and one
-    Philox bit generator is re-keyed per replicate, with its counter at 0
-    and its buffer empty, as a fresh one.  An empty range, or a replicate
-    outside [0, 2**32), raises ValueError before anything is allocated.
-    The draws go straight into the block's buffers, and the returns are
-    summed as (beta f + c) + sigma e in the noise buffer, one replicate's
-    beta f at a time, so the one block-sized N x T array is the one returned.
+    maturities_held: tuple[int, ...]
+    c: np.ndarray            # (N,)
+    beta: np.ndarray         # (N, K) effective loadings
+    f: np.ndarray            # (K, T) or (R, K, T)
+    sigma_e: float
+    noise: np.ndarray        # (N, T) or (R, N, T) standard normal
+
+    @property
+    def n_assets(self) -> int:
+        return self.noise.shape[-2]
+
+    @property
+    def n_periods(self) -> int:
+        return self.noise.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.noise.shape[:-2]
+
+    @cached_property
+    def returns(self) -> np.ndarray:
+        """(N, T) or (R, N, T) the assembled returns, bit for bit those of
+        ``simulate``."""
+        return _assemble(self, np.empty_like(self.noise))
+
+    def moments(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``ReturnPanel.moments`` of the block's returns, from the draw.
+
+        With 1 and f in the span of the basis Q of (1, X_{t-1}, X_t),
+        rQ = c (1'Q) + beta (fQ) + sigma (eQ) and the sum of squared
+        residuals is sigma^2 (||e||^2 - ||eQ||^2), one pair per replicate,
+        equal to those of the assembled returns up to rounding.  At
+        sigma = 0 the residual is only the rounding of c 1' + beta f off the
+        span, and the fit's Kronecker weight reads sigma_e^2 at that scale,
+        so the block reads the pair off its assembled returns, as a panel
+        does.  A non-finite pair raises PanelError, as a non-finite return
+        does.
+        """
+        if self.sigma_e == 0.0:
+            return ReturnPanel(self.maturities_held, self.returns).moments(basis)
+        lead = self.batch_shape
+        eq = self.noise @ basis
+        proj = self.beta @ (self.f @ basis)
+        # 1'Q as a product: NumPy's sum over the long axis of a thin stack is slower
+        proj += self.c[:, None] * (np.ones(self.n_periods) @ basis)[..., None, :]
+        proj += self.sigma_e * eq
+        ssr = self.sigma_e**2 * (sumsq(self.noise.reshape(*lead, -1)) - sumsq(eq.reshape(*lead, -1)))
+        if not (np.isfinite(proj).all() and np.isfinite(ssr).all()):
+            raise PanelError("non-finite excess return")
+        return proj, ssr
+
+
+def _assemble(drawn: DrawnReturns, out: np.ndarray) -> np.ndarray:
+    """The returns (beta f + c) + sigma e of a draw, written into ``out``
+    (which may be the draw's own noise), one replicate's beta f at a time."""
+    np.multiply(drawn.noise, drawn.sigma_e, out=out)
+    for i in np.ndindex(out.shape[:-2]):
+        fitted = drawn.beta @ drawn.f[i]
+        fitted += drawn.c[:, None]
+        out[i] += fitted
+    return out
+
+
+def _draw(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
+    """The draws of ``simulate``, unassembled: (``DrawnReturns``, factors).
+
+    Its arguments, checks, draws and factor path are those of ``simulate``,
+    which assembles its return panel from it; ``_replicates`` fits the
+    drawn blocks themselves.
     """
     k, n, t = spec.n_factors, spec.n_assets, spec.t
     reps = replicate if isinstance(replicate, range) else range(replicate, replicate + 1)
@@ -368,17 +438,39 @@ def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
     x = np.ascontiguousarray(path.reshape(total + 1, k, -1)[burn:].transpose(2, 1, 0))
     f = spec.lambda1 @ x[..., :-1]
     f += shocks[..., burn:]
-    noise *= np.sqrt(spec.sigma_e2)
-    beta = spec.effective_beta
-    for b in range(len(reps)):
-        fitted = beta @ f[b]
-        fitted += spec.c[:, None]
-        noise[b] += fitted
-    r = noise
     if not isinstance(replicate, range):
-        x, r = x[0], r[0]
-    factors = FactorPanel(x, tuple(f"f{i + 1}" for i in range(k)))
-    return ReturnPanel(tuple(range(1, n + 1)), r), factors
+        x, f, noise = x[0], f[0], noise[0]
+    beta, sigma_e = spec.effective_beta, np.sqrt(spec.sigma_e2)
+    drawn = DrawnReturns(tuple(range(1, n + 1)), spec.c, beta, f, sigma_e, noise)
+    return drawn, FactorPanel(x, tuple(f"f{i + 1}" for i in range(k)))
+
+
+def simulate(spec: DgpSpec, seed: int, replicate=0, init: str = "stationary"):
+    """Draw one panel pair; bit-identical for identical (spec, seed, replicate).
+
+    The draws are x_0 (stationary init only), the factor shocks, then the
+    return noise, all from the generator of ``replicate_rng(seed, replicate,
+    0)``, that of ``Philox(SeedSequence(seed, spawn_key=(replicate, 0)))``, so
+    NumPy alone reproduces them.  The factor path solves the stacked recursion
+    x_{s+1} = mu + phi1 x_s + v_s in one banded forward substitution (LAPACK
+    ``dtbtrs``), equal to stepping the recursion up to rounding.
+    ``init="burnin"`` starts at mu and drops 200 periods.
+
+    ``replicate`` may be a range: the panels then carry a leading replicate
+    axis, each replicate drawn from its own stream as above, and every
+    factor path comes from the one ``dtbtrs`` call, one right-hand side per
+    replicate; each entry equals ``simulate`` of its replicate bit for bit.
+    The block's Philox keys are derived at once (``_philox_keys``), and one
+    Philox bit generator is re-keyed per replicate, with its counter at 0
+    and its buffer empty, as a fresh one.  An empty range, or a replicate
+    outside [0, 2**32), raises ValueError before anything is allocated.
+    The draws (``_draw``) go straight into the block's buffers, and the
+    returns are summed as (beta f + c) + sigma e in the noise buffer, one
+    replicate's beta f at a time, so the one block-sized N x T array is the
+    one returned.
+    """
+    drawn, factors = _draw(spec, seed, replicate, init)
+    return ReturnPanel(drawn.maturities_held, _assemble(drawn, drawn.noise)), factors
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +484,14 @@ def _block_size(spec: DgpSpec) -> int:
 
     A fitted replicate keeps Phi, Psi, Qxx, Sigma_v, vhat and the VAR's QR
     factors of (1, X_{t-1}, X_t), and no second-stage residual: the fit
-    sums sigma_e^2 one replicate at a time and forms the residuals and xbar
-    only for hc0.  The panels, which the fit holds by reference, the
-    (1 + 2K) x (1 + 2K) R, the two scalars of Sigma and the simulation
-    buffers are not counted.  The N^2 term and 3K^2 of the 9K^2 count no
-    array the fit keeps (Sigma is two scalars): they stay as headroom, so a
-    block's size (96 at (K, N, T) = (1, 11, 300), 23 at (5, 20, 300)) and
-    its peak memory do not grow."""
+    reads sigma_e^2 off the drawn noise (``DrawnReturns.moments``), with no
+    per-replicate residual buffer, and forms the returns, the residuals and
+    xbar only for hc0.  The noise, which the fit holds by reference and is
+    the block's one N x T array, the (1 + 2K) x (1 + 2K) R, the two scalars
+    of Sigma and the draw's other buffers are not counted.  The N^2 term
+    and 3K^2 of the 9K^2 count no array the fit keeps (Sigma is two
+    scalars): they stay as headroom, so a block's size (96 at (K, N, T) =
+    (1, 11, 300), 23 at (5, 20, 300)) and its peak memory do not grow."""
     k, n, t = spec.n_factors, spec.n_assets, spec.t
     # Phi (N x 2K); Psi (2K x 2K); Qxx, Sigma_v; 3K^2 + N^2 headroom; vhat (K x T); Q (T x (1 + 2K))
     floats = 2 * n * k + 9 * k * k + n * n + (3 * k + 1) * t
@@ -425,8 +518,9 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> tuple[list, in
     block at a time, and the number of block refits.
 
     The replicates are cut into blocks of at most ``_block_size(spec)``,
-    balanced by ``_blocks``.  Each block is one ``simulate`` and one
-    ``fit_model`` call on stacked panels; ``evaluate(fit)`` takes the stacked
+    balanced by ``_blocks``.  Each block is one ``_draw`` and one
+    ``fit_model`` call on the drawn block (``DrawnReturns``), whose returns
+    are never assembled unless a reader asks; ``evaluate(fit)`` takes the stacked
     fit and returns one result per replicate.  A replicate's draws, fit and
     result do not depend on the block it is in, so a block whose fit or
     evaluation raises one of FIT_ERRORS or a ValueError (its fits split on
@@ -439,7 +533,7 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> tuple[list, in
     calls made after a block raised, 0 when none did.
 
     Before the first block it allocates and frees one untouched buffer of
-    twice the largest block's return panel, capped at 31 MiB, under
+    twice the largest block's noise, capped at 31 MiB, under
     glibc's 32 MiB ceiling.  glibc raises its mmap threshold to the size of a freed mmapped
     chunk, and its trim threshold to twice that (mallopt(3), NOTES), so the
     block arrays are then served from the heap and stay there between
@@ -455,19 +549,28 @@ def _replicates(spec: DgpSpec, reps: int, seed: int, evaluate) -> tuple[list, in
     np.empty(min(2 * panel, _RAISE_CAP), dtype=np.uint8)
     results, refits = [], 0
     for block in blocks:
-        res, extra = _run_block(*simulate(spec, seed, block), evaluate)
+        res, extra = _run_block(*_draw(spec, seed, block), evaluate)
         results += res
         refits += extra
     return results, refits
 
 
-def _run_block(returns: ReturnPanel, factors: FactorPanel, evaluate) -> tuple[list, int]:
-    """``evaluate`` of the fit of stacked panels, or of their halves if that
-    raises, and the number of ``fit_model`` calls made on halves."""
+def _rows(returns: ReturnPanel | DrawnReturns, rows: slice):
+    """The replicates ``rows`` of a block's returns, a ``ReturnPanel`` or a
+    ``DrawnReturns``; a drawn block is cut without being assembled."""
+    if isinstance(returns, DrawnReturns):
+        return replace(returns, f=returns.f[rows], noise=returns.noise[rows])
+    return replace(returns, returns=returns.returns[rows])
+
+
+def _run_block(returns: ReturnPanel | DrawnReturns, factors: FactorPanel, evaluate) -> tuple[list, int]:
+    """``evaluate`` of the fit of stacked panels, drawn (``DrawnReturns``)
+    or assembled, or of their halves if that raises, and the number of
+    ``fit_model`` calls made on halves."""
     try:
         return list(evaluate(fit_model(returns, factors))), 0
     except FIT_ERRORS + (ValueError,) as exc:
-        n = len(returns.returns)
+        n = len(factors.factors)
         if n == 1:
             if not isinstance(exc, FIT_ERRORS):     # LinAlgError is a ValueError too
                 raise
@@ -475,9 +578,7 @@ def _run_block(returns: ReturnPanel, factors: FactorPanel, evaluate) -> tuple[li
         results, refits = [], 0
         for half in (slice(None, n // 2), slice(n // 2, None)):
             res, extra = _run_block(
-                replace(returns, returns=returns.returns[half]),
-                replace(factors, factors=factors.factors[half]),
-                evaluate,
+                _rows(returns, half), replace(factors, factors=factors.factors[half]), evaluate
             )
             results += res
             refits += 1 + extra

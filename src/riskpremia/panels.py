@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import format_float
+from ._linalg import format_float, project_out
 
 
 class PanelError(ValueError):
@@ -97,6 +97,24 @@ class ReturnPanel:
     @property
     def n_periods(self) -> int:
         return self.returns.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading axes of a stack of panels; () for one panel."""
+        return self.returns.shape[:-2]
+
+    def moments(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rQ, SSR) of the returns r on an orthonormal basis Q (T, p), one
+        pair per panel of a stack: rQ (..., N, p) and the sum of squares of
+        the residuals r - (rQ) Q', each panel's formed in one reused N x T
+        buffer, so no stack-sized N x T array is made."""
+        r = self.returns
+        proj = r @ basis
+        ssr, resid = np.empty(r.shape[:-2]), np.empty(r.shape[-2:])
+        for i in np.ndindex(ssr.shape):
+            project_out(r[i], proj[i], basis[i], resid)
+            ssr[i] = np.einsum("nt,nt->", resid, resid)
+        return proj, ssr
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,11 @@ FIT_ERRORS = (NumericalError, RankError, np.linalg.LinAlgError)
 class ModelFit:
     """Immutable bundle of every estimation output the tests consume.
 
-    It copies no input panel: ``stacked.returns`` is the returns array it was
-    given, held by reference for the hc0 variance alone, so writing to that
-    array afterwards changes what hc0 reads; ``n_assets`` and ``n_periods``
+    It copies no input panel: ``stacked.panel`` is the return panel it was
+    given, a ``ReturnPanel`` or a Monte Carlo ``DrawnReturns``, held by
+    reference, and ``stacked.returns`` its returns, read for the hc0
+    variance alone, so writing to that array afterwards changes what hc0
+    reads; ``n_assets`` and ``n_periods``
     are read off the stacked system.  ``por`` is None when beta'beta is
     numerically singular (the unspanned factor pathology); the
     identification-robust tests remain available.  ``asymptotic_cov`` is computed on first use and

@@ -36,10 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import chi2_ppf, chi2_sf, chol_whiten, sym, vec
+from ._linalg import chi2_ppf, chi2_sf, chol_whiten, project_out, sym, vec
 from .kronecker import kps_factorize_model
 from .panels import FactorPanel, ReturnPanel
-from .threestep import ReturnRegression, TestResult, check_alignment, project_out
+from .threestep import ReturnRegression, TestResult, check_alignment
 from .varstage import VarEstimate
 
 VARIANCE_MODES = ("kps", "hc0")     # of FAR/KLM/JKLM: ``kps`` or the ``hc0_*`` parts
@@ -54,9 +54,11 @@ class StackedSystem:
     (alpha, gamma), both as ``kronecker.kps_factorize_model`` decided them.
     It holds no demeaned returns: the residuals and vhat are orthogonal to
     xbar, so the moment vector needs only Phi and Qxx (``moments.moment_vector``).
-    ``returns`` is the array the fit was given, held by reference and read
-    only when the hc0 variance forms the residuals (``residuals``); writing
-    to that array afterwards changes what hc0 reads.  ``design_q`` and
+    ``panel`` is the return panel the fit was given, a ``ReturnPanel`` or a
+    Monte Carlo block (``montecarlo.DrawnReturns``), held by reference; its
+    returns are read (``returns``) only when the hc0 variance forms the
+    residuals (``residuals``), and writing to them afterwards changes what
+    hc0 reads.  ``design_q`` and
     ``design_r`` are the VAR's QR factors of (1, X_{t-1}, X_t), not copies;
     the hc0 variance forms xbar and the residuals from them.  The system of
     a stack of fits
@@ -71,7 +73,7 @@ class StackedSystem:
     q_xx: np.ndarray         # (K, K) second moments of the demeaned lagged factors
     sigma_v: np.ndarray      # (K, K) VAR innovation covariance, by reference
     vhat: np.ndarray         # (K, T)
-    returns: np.ndarray      # (N, T) the fitted returns, by reference
+    panel: ReturnPanel       # the fitted returns (or a montecarlo.DrawnReturns), by reference
     design_q: np.ndarray     # (T, 1 + 2K) the VAR's Q of (1, X_{t-1}, X_t)
     design_r: np.ndarray     # (1 + 2K, 1 + 2K) the VAR's R of (1, X_{t-1}, X_t)
 
@@ -150,13 +152,21 @@ class StackedSystem:
         lag = slice(1, 1 + self.n_factors)
         return (self.design_q[..., lag] @ self.design_r[..., lag, lag]).swapaxes(-1, -2)
 
+    @property
+    def returns(self) -> np.ndarray:
+        """(N, T) the fitted returns, ``panel.returns``: the panel's array by
+        reference, or a Monte Carlo block's returns, assembled on this first
+        read into an array of their own (``montecarlo.DrawnReturns``)."""
+        return self.panel.returns
+
     @cached_property
     def residuals(self) -> np.ndarray:
         """(N, T) second-stage residuals, formed on first read by the
-        projection on ``design_q`` that ``second_stage`` summed sigma_e^2
-        from, so they carry the same bits; only the hc0 variance reads them."""
-        basis = self.design_q
-        return project_out(self.returns, self.returns @ basis, basis, np.empty(self.returns.shape))
+        projection of ``returns`` on ``design_q``, so on a ``ReturnPanel``
+        they carry the bits ``second_stage`` summed sigma_e^2 from; only the
+        hc0 variance reads them."""
+        r, basis = self.returns, self.design_q
+        return project_out(r, r @ basis, basis, np.empty(r.shape))
 
     @cached_property
     def sigma_v_inv_vhat(self) -> np.ndarray:
@@ -280,7 +290,7 @@ def build_stacked(
         q_xx=q_xx,
         sigma_v=sigma_v,
         vhat=var.residuals,
-        returns=returns.returns,
+        panel=returns,
         design_q=var.design_q,
         design_r=var.design_r,
     )

@@ -32,7 +32,7 @@ def check_alignment(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate
             f"factors must have one more observation than returns "
             f"({factors.n_periods} vs {t})"
         )
-    if returns.returns.shape[:-2] != factors.factors.shape[:-2]:
+    if returns.batch_shape != factors.factors.shape[:-2]:
         raise PanelError("returns and factors must stack the same number of panels")
     if var.n_periods != t:
         raise PanelError("VAR estimate does not match the return sample length")
@@ -117,13 +117,6 @@ def convexity_adjustment(beta_hat: np.ndarray, sigma_v: np.ndarray, sigma_e2) ->
     return 0.5 * (quad + np.asarray(sigma_e2, dtype=float)[..., None])
 
 
-def project_out(r: np.ndarray, proj: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The residuals r - (rB) B' of returns r on the basis B, with rB given,
-    written into ``out``."""
-    np.matmul(proj, basis.swapaxes(-1, -2), out=out)
-    return np.subtract(r, out, out=out)
-
-
 def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -> ReturnRegression:
     """Per-maturity OLS of returns on a constant, lagged factors and the
     first-stage innovations.
@@ -132,31 +125,30 @@ def second_stage(returns: ReturnPanel, factors: FactorPanel, var: VarEstimate) -
     so the design (1, X_{t-1}, vhat) has the same basis Q and no QR is run.
     One solve of R against Q'r' gives beta' = R_v^-1 Q_v'r' and, by back
     substitution through R12 = R11 (mu ; phi1'), the lag parameterization
-    (a ; d') = R11^-1 Q1'r' - (mu ; phi1') beta'; the residuals are r - (rQ) Q'.
+    (a ; d') = R11^-1 Q1'r' - (mu ; phi1') beta'; sigma_e^2 is the sum of
+    squares of the residuals r - (rQ) Q' over NT.
     The rank check reads the whole R diagonal, as a dense QR does, so
     innovations collinear to rounding raise RankError; a VAR estimate
     without its QR factors raises ValueError.
 
-    Stacked panels give one regression per panel, with sigma_e^2 per fit.
-    sigma_e^2 sums one fit's residuals at a time, formed in one reused
-    N x T buffer, and the residuals are not kept, so no stack-sized N x T
-    array is made.
+    The returns are read through one method, ``returns.moments(Q)``, which
+    gives rQ and the sum of squared residuals.  A ``ReturnPanel`` forms
+    each panel's residual in one reused N x T buffer; a Monte Carlo block
+    (``montecarlo.DrawnReturns``) reads both off its unassembled draw, so
+    no N x T return panel is assembled or projected.  Stacked panels give
+    one regression per panel, with sigma_e^2 per fit, and no residual is
+    kept.
     """
     t = check_alignment(returns, factors, var)
     if var.design_q is None:
         raise ValueError("the second stage reuses the VAR's QR factors; fit the VAR with fit_var1")
-    r, basis = returns.returns, var.design_q                   # (T, 1 + 2K), orthonormal
+    basis = var.design_q                                        # (T, 1 + 2K), orthonormal
     k = var.n_factors
     _check_r_diagonal(np.diagonal(var.design_r, axis1=-2, axis2=-1))
-    proj = r @ basis                                            # (N, 1 + 2K) = rQ
+    proj, ssr = returns.moments(basis)                          # (N, 1 + 2K) = rQ
     coef = np.linalg.solve(var.design_r, proj.swapaxes(-1, -2))  # (1 + 2K, N) = (a ; d' ; beta')
     beta = coef[..., 1 + k :, :].swapaxes(-1, -2)
-    n = r.shape[-2]
-    ssr, resid = np.empty(r.shape[:-2]), np.empty(r.shape[-2:])
-    for i in np.ndindex(ssr.shape):
-        project_out(r[i], proj[i], basis[i], resid)
-        ssr[i] = np.einsum("nt,nt->", resid, resid)
-    sigma_e2 = ssr / (n * t)
+    sigma_e2 = ssr / (returns.n_assets * t)
     g = convexity_adjustment(beta, var.sigma_v, sigma_e2)
     d = coef[..., 1 : 1 + k, :].swapaxes(-1, -2)
     return ReturnRegression(a_hat=coef[..., 0, :], d_hat=d, beta_hat=beta, sigma_e2=sigma_e2, g_hat=g)

@@ -327,6 +327,25 @@ def test_cs_records_its_failed_points(tmp_path, yields_csv, monkeypatch):
     assert summary["failures"] == [[3, "NumericalError('forced failure')"]]
 
 
+def test_cs_exits_3_when_no_point_is_accepted_and_some_failed(tmp_path, yields_csv, monkeypatch, capsys):
+    # far from the estimate every tested point rejects; the failed one did
+    # not test, so the set is not reported empty
+    def failing_at_41(sys, lam, mode, tests):
+        if np.any(lam == 41.0):
+            raise NumericalError("forced failure")
+        return robust_statistics(sys, lam, mode, tests)
+
+    monkeypatch.setattr(confsets, "robust_statistics", failing_at_41)
+    out = tmp_path / "cs"
+    assert run(["cs", "--input", yields_csv, "--maturities", "12,24", "--factors", "pca:1",
+                "--stat", "far", "--grid=40:42:3", "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: no grid point is accepted and 1 of 3 points failed; the first, point 1: "
+        "NumericalError('forced failure')\n"
+    )
+    assert not out.exists()
+
+
 def short_hc0_args(tmp_path, rows: int, factors: int) -> list:
     """The common arguments of an hc0 run on ``rows`` rows of a random-walk
     yield CSV with 11 maturities, N = 10 held and ``factors`` principal

@@ -338,6 +338,24 @@ def test_a_surface_with_every_point_failed_is_no_empty_set():
         joint_confidence_set("far", grid, 0.95, fit, mode="hc0")
 
 
+def test_a_surface_with_failed_points_and_none_accepted_is_no_empty_set():
+    # p-values (NaN, NaN, 1e-9): the one tested point rejects, but two of
+    # three did not test, so the set is not empty; it raises as the
+    # all-failed case does, naming the count and the first failure
+    fit, _ = fitted(seed=8)
+    grid = GridSpec(axes=(GridAxis(-1.0, 1.0, 3),), binding=full_lambda_binding(1))
+    failures = ((0, "NumericalError('injected at 0')"), (1, "NumericalError('injected at 1')"))
+    surface = confsets.PvalueSurface(grid, "far", np.array([np.nan, np.nan, 1e-9]), failures)
+    message = r"^no grid point is accepted and 2 of 3 points failed; the first, point 0: NumericalError\('injected at 0'\)$"
+    with pytest.raises(NumericalError, match=message):
+        invert_surface(surface, 0.95, fit)
+    # a partly failed surface with an accepted point inverts as before
+    accepted = dataclasses.replace(surface, pvalues=np.array([np.nan, 0.5, 1e-9]), failures=failures[:1])
+    cs = invert_surface(accepted, 0.95, fit)
+    np.testing.assert_array_equal(cs.accepted_mask, [False, True, False])
+    assert cs.bounded == "bounded" and cs.accepted.tolist() == [[0.0]]
+
+
 def test_empty_set_classification():
     fit, _ = fitted(seed=8)
     grid = GridSpec(axes=(GridAxis(50.0, 60.0, 5),), binding=full_lambda_binding(1))

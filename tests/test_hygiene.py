@@ -329,6 +329,8 @@ KEPT_DEFAULTS = {
         "library capability: the sample length of a DGP from a fit",
     "src/riskpremia/montecarlo.py: simulate(init)":
         "library capability: a burn-in start in place of the stationary law",
+    "src/riskpremia/montecarlo.py: simulate(replicate)":
+        "library capability: a replicate's or a block's assembled panels, which the experiments fit drawn",
 }
 
 

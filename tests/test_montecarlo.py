@@ -377,6 +377,23 @@ def test_dgp_spec_takes_a_zero_or_positive_definite_sigma_v():
     assert np.array_equal(simulate(zero, seed=1)[1].factors, simulate(zero, seed=2)[1].factors)
 
 
+def test_dgp_spec_refuses_a_non_symmetric_sigma_v():
+    # NumPy's Cholesky reads the lower triangle alone: [[1, 0.9], [0, 1]] used
+    # to construct, then draw shocks of covariance I while the stationary
+    # law read the full matrix
+    spec = preset_dgp("strong", k=2, n=4, t=40)
+    with pytest.raises(ValueError, match=r"^sigma_v must be symmetric, got max\|sigma_v - sigma_v'\| = 9\.000e-01$"):
+        dataclasses.replace(spec, sigma_v=np.array([[1.0, 0.9], [0.0, 1.0]]))
+    # symmetric to rounding, it constructs as given
+    rounded = spec.sigma_v.copy()
+    rounded[0, 1] = np.nextafter(rounded[0, 1], 1.0)
+    assert np.array_equal(dataclasses.replace(spec, sigma_v=rounded).sigma_v, rounded)
+    # the presets are exactly symmetric, so their draws do not move
+    for k in (1, 2, 5):
+        sigma_v = preset_dgp("strong", k=k).sigma_v
+        assert np.array_equal(sigma_v, sigma_v.T)
+
+
 def test_dgp_spec_requires_an_integer_t():
     # a float or string t would construct, then fail inside simulate
     spec = preset_dgp("strong", k=2, n=4, t=40)
@@ -476,12 +493,12 @@ def per_hypothesis_tests(fit, tests, h0_mats, level):
 
 def per_hypothesis_power_curve(tests, h0_mats, spec, reps, level, seed):
     """(rejection, failures) of ``power_curve`` from the per-hypothesis oracle,
-    each replicate simulated and fitted on its own."""
+    each replicate drawn and fitted on its own, as the experiments fit it."""
     failed = np.full((len(tests), len(h0_mats)), np.nan)
     results = []
     for rep in range(reps):
         try:
-            fit = fit_model(*simulate(spec, seed, rep))
+            fit = fit_model(*montecarlo._draw(spec, seed, rep))
         except FIT_ERRORS:
             results.append(failed)
             continue
@@ -502,8 +519,8 @@ def test_power_curve_matches_the_per_hypothesis_oracle(monkeypatch):
     # 3 and sFAR at 4, wherever a kernel meets that fit and such a
     # hypothesis, alone or stacked with other fits and hypotheses.  A fit is
     # known by its phi_hat[0, 0] (robust tests, sFAR) or Lambda1[0, 0] (Wald),
-    # read off the replicate fitted on its own: a block's fit equals it
-    flaky = [fit_model(*simulate(spec, 3, rep)) for rep in range(0, 100, 3)]
+    # read off the replicate drawn and fitted on its own: a block's fit equals it
+    flaky = [fit_model(*montecarlo._draw(spec, 3, rep)) for rep in range(0, 100, 3)]
     flaky_fits = {"system": {fit.stacked.phi_hat[0, 0] for fit in flaky},
                   "por": {fit.por.lambda1[0, 0] for fit in flaky}}
     fail_at = {name: spec.lambda1[0, 0] + offsets[j]
@@ -605,7 +622,7 @@ def test_block_fallback_matches_one_replicate_at_a_time(monkeypatch):
     spec = preset_dgp("weak", k=2, n=6, t=300)
     seed, outcomes = 5, []
     bad_x0 = simulate(spec, seed, 4)[1].factors[0, 0]
-    unspanned_beta = fit_model(*simulate(spec, seed, 30)).reg.beta_hat[0, 0]
+    unspanned_beta = fit_model(*montecarlo._draw(spec, seed, 30)).reg.beta_hat[0, 0]
     real_var1, real_third = pipeline.fit_var1, pipeline.third_stage
 
     def rank_deficient(factors):
@@ -761,10 +778,10 @@ def test_block_refits_count_the_fits_made_after_a_block_raised(monkeypatch):
     # raises and is refitted in halves, and ``block_refits`` is the count of
     # fit_model calls beyond one per block
     spec = preset_dgp("strong", k=2, n=6, t=120)
-    real_simulate, calls = montecarlo.simulate, []
+    real_draw, calls = montecarlo._draw, []
 
     def with_a_rank_deficient_replicate(spec, seed, block):
-        returns, factors = real_simulate(spec, seed, block)
+        returns, factors = real_draw(spec, seed, block)
         if 2 in block:
             x = factors.factors.copy()
             x[block.index(2), 1, 1:] = 0.5 * x[block.index(2), 0, :-1]
@@ -779,7 +796,7 @@ def test_block_refits_count_the_fits_made_after_a_block_raised(monkeypatch):
         return len(montecarlo._blocks(reps, montecarlo._block_size(spec)))
 
     monkeypatch.setattr(montecarlo, "fit_model", counted)
-    monkeypatch.setattr(montecarlo, "simulate", with_a_rank_deficient_replicate)
+    monkeypatch.setattr(montecarlo, "_draw", with_a_rank_deficient_replicate)
     density = sfar_density_experiment(spec, reps=40, seed=3)
     assert density.failure_kinds == {"RankError": 1}
     assert density.block_refits == len(calls) - blocks(40) > 0
@@ -788,7 +805,7 @@ def test_block_refits_count_the_fits_made_after_a_block_raised(monkeypatch):
     assert table.failure_kinds == {"far": {"RankError": 1}, "sfar": {"RankError": 1}}
     assert table.block_refits == len(calls) - blocks(100) > 0
     # no block raises: one fit per block and no refit
-    monkeypatch.setattr(montecarlo, "simulate", real_simulate)
+    monkeypatch.setattr(montecarlo, "_draw", real_draw)
     calls.clear()
     table = power_curve(["far", "sfar"], [spec.lambda1], spec, reps=100, seed=3)
     assert table.block_refits == 0 and len(calls) == blocks(100)
@@ -817,14 +834,146 @@ def test_a_kps_run_never_forms_the_residuals(monkeypatch):
     assert formed == [()]
 
 
+def fit_outcomes(fit, spec):
+    """FAR/KLM/JKLM, Wald and row sFAR of one fit at the true Lambda1 and a
+    false one, each a statistic or the name of the error it raised."""
+    def outcome(statistic):
+        try:
+            return statistic()
+        except FIT_ERRORS as exc:
+            return type(exc).__name__
+
+    out = {}
+    for scale in (1.0, 2.0):
+        lam = scale * spec.lambda1
+        robust = outcome(lambda: robust_tests(fit, lam))
+        for name in moments.TESTS:
+            out[name, scale] = robust if isinstance(robust, str) else robust[name].statistic
+        out["wald", scale] = outcome(lambda: fit.wald(lam).statistic)
+        out["sfar", scale] = outcome(lambda: sfar_row(fit.stacked, lam[0], 0).statistic)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:orthogonalized Jacobian rank")    # both routes warn alike
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, k + 6))),
+    st.sampled_from([1.0, 1e-6, 0.0]),
+    st.sampled_from([0.5, 0.0]),
+    st.integers(0, 1000),
+)
+def test_a_drawn_block_fits_as_its_assembled_panels(shape, weak_scale, sigma_e2, seed):
+    # the drawn block reads rQ and sigma_e^2 off its noise, the panel off its
+    # assembled returns: the same fit up to rounding.  At sigma_e^2 = 0 the
+    # residual is rounding alone, which the Kronecker weight reads, so the
+    # block reads that pair off its assembled returns, bit for bit
+    k, n = shape
+    spec = dataclasses.replace(preset_dgp("strong", k=k, n=n, t=120),
+                               weak_scale=np.full(k, weak_scale), sigma_e2=sigma_e2)
+    drawn, factors = montecarlo._draw(spec, seed, range(3))
+    panel, same_factors = simulate(spec, seed, range(3))
+    np.testing.assert_array_equal(same_factors.factors, factors.factors)
+    basis = pipeline.fit_var1(factors).design_q
+    (got_proj, got_ssr), (proj, ssr) = drawn.moments(basis), panel.moments(basis)
+    assert np.abs(got_proj - proj).max() <= 1e-12 * np.abs(proj).max()
+    if sigma_e2:
+        assert np.all(np.abs(got_ssr - ssr) <= 1e-12 * ssr)
+    else:
+        np.testing.assert_array_equal(got_ssr, ssr)
+    for rep in range(3):
+        got_fit = fit_model(*montecarlo._draw(spec, seed, rep))
+        fit = fit_model(*simulate(spec, seed, rep))
+        s2 = fit.reg.sigma_e2
+        assert abs(got_fit.reg.sigma_e2 - s2) <= (1e-12 * s2 if sigma_e2 else 0.0)
+        got, want = fit_outcomes(got_fit, spec), fit_outcomes(fit, spec)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, str):
+                assert got[key] == value, key
+            else:
+                np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10, err_msg=str(key))
+
+
+def counting_assembly(monkeypatch) -> list:
+    """The batch shapes of the drawn blocks whose returns get assembled."""
+    assembled = []
+    real = montecarlo.DrawnReturns.returns.func
+
+    def counting(drawn):
+        assembled.append(drawn.batch_shape)
+        return real(drawn)
+
+    counted = cached_property(counting)
+    counted.__set_name__(montecarlo.DrawnReturns, "returns")
+    monkeypatch.setattr(montecarlo.DrawnReturns, "returns", counted)
+    return assembled
+
+
+def test_a_kps_run_never_assembles_a_block_s_returns(monkeypatch):
+    # the kps fits read the second stage off the draw; hc0 assembles the
+    # returns once, for its residuals, and its statistics are the panel's
+    assembled = counting_assembly(monkeypatch)
+    spec = preset_dgp("strong", k=2, n=6, t=300)
+    power_curve(["far", "klm", "jklm", "wald", "sfar"], [spec.lambda1], spec, reps=100, seed=1)
+    sfar_density_experiment(spec, reps=30, seed=1)
+    assert assembled == []
+    fit = fit_model(*montecarlo._draw(spec, 1, range(3)), cov="hc0")
+    panel_fit = fit_model(*simulate(spec, 1, range(3)), cov="hc0")
+    for lam in (spec.lambda1, 2 * spec.lambda1):
+        got = moments.robust_statistics(fit.stacked, lam, "hc0")
+        want = moments.robust_statistics(panel_fit.stacked, lam, "hc0")
+        for name in moments.TESTS:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-10)
+    assert assembled == [(3,)]
+    np.testing.assert_array_equal(fit.stacked.returns, panel_fit.stacked.returns)
+
+
+def test_a_block_s_results_do_not_depend_on_reading_its_returns(monkeypatch):
+    # a hook that reads .returns assembles them into an array of their own:
+    # the noise stays as drawn and every result keeps its bits, halves of a
+    # failing block included
+    spec = preset_dgp("strong", k=2, n=6, t=120)
+    per_replicate, evaluate_tests = [], montecarlo._evaluate_tests
+
+    def recording(fit, families, shape):
+        out = evaluate_tests(fit, families, shape)
+        per_replicate.append([pvalues for pvalues, _ in out])
+        return out
+
+    def reading(returns, factors):
+        noise = returns.noise.copy()
+        assert returns.returns is not returns.noise
+        np.testing.assert_array_equal(returns.noise, noise)
+        if len(factors.factors) > 8:
+            raise NumericalError("injected: blocks are split down to 8 replicates")
+        return fit_model(returns, factors)
+
+    def runs():
+        per_replicate.clear()
+        table = power_curve(["far", "wald", "sfar"], [spec.lambda1], spec, reps=100, seed=9)
+        density = sfar_density_experiment(spec, reps=20, seed=9)
+        return table, density, np.concatenate(per_replicate)
+
+    monkeypatch.setattr(montecarlo, "_evaluate_tests", recording)
+    table, density, pvalues = runs()
+    assert table.block_refits == 0
+    monkeypatch.setattr(montecarlo, "fit_model", reading)
+    read_table, read_density, read_pvalues = runs()
+    assert read_table.block_refits > 0
+    np.testing.assert_array_equal(read_pvalues, pvalues)
+    np.testing.assert_array_equal(read_table.rejection, table.rejection)
+    np.testing.assert_array_equal(read_density.statistics, density.statistics)
+
+
 @pytest.mark.parametrize("k, n, size, bound_kb", [(1, 11, 96, 52), (5, 20, 23, 156)])
 def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, bound_kb):
-    # one block as the benchmark's mc workloads run it: simulate, fit, then
-    # FAR/KLM/JKLM/Wald at (1, 11) or row sFAR at (5, 20); the bounds sit 5 %
-    # above the peaks measured when the fits stopped keeping their residuals
-    # (49.3 and 147.9 KB per replicate), which were 75.8 KB at blocks of 32
-    # and 196.0 KB at blocks of 13 before, and 95.1 and 220.1 KB at blocks of
-    # 17 and 8 before that
+    # one block as the benchmark's mc workloads run it: drawn, fit, then
+    # FAR/KLM/JKLM/Wald at (1, 11) or row sFAR at (5, 20), and the same block
+    # simulated (assembled) and fit; the bounds sit 5 % above the peaks
+    # measured when the fits stopped keeping their residuals (49.3 and
+    # 147.9 KB per replicate), which were 75.8 KB at blocks of 32 and
+    # 196.0 KB at blocks of 13 before, and 95.1 and 220.1 KB at blocks of 17
+    # and 8 before that
     spec = preset_dgp("strong", k=k, n=n, t=300)
     assert montecarlo._block_size(spec) == size
     if k == 1:
@@ -837,18 +986,19 @@ def test_a_block_s_traced_peak_per_replicate_stays_under_its_bound(k, n, size, b
         def evaluate(fit):
             return subset.sfar_statistics(fit.stacked, spec.lambda1[0], 0)
 
-    # a first block loads what a run loads once; the traced block follows it
-    montecarlo._run_block(*simulate(spec, 0, range(size)), evaluate)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        results, _ = montecarlo._run_block(*simulate(spec, 1, range(size)), evaluate)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(results) == size and not any(isinstance(res, Exception) for res in results)
-    assert peak / size < bound_kb * 1024
+    for draw in (montecarlo._draw, simulate):
+        # a first block loads what a run loads once; the traced block follows it
+        montecarlo._run_block(*draw(spec, 0, range(size)), evaluate)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            results, _ = montecarlo._run_block(*draw(spec, 1, range(size)), evaluate)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(results) == size and not any(isinstance(res, Exception) for res in results)
+        assert peak / size < bound_kb * 1024, draw.__name__
 
 
 # Runs in a fresh interpreter, so the test process's own heap does not decide
@@ -990,8 +1140,8 @@ def test_a_block_without_a_price_of_risk_is_not_split(monkeypatch):
     assert table.failure_kinds == {"far": {}, "klm": {}, "jklm": {}, "wald": {"RankError": 1000}}
 
     # a robust-test failure on such a block still splits it down to the
-    # replicate that raised, known by its phi_hat[0, 0] fitted on its own
-    bad = kps_fit(*simulate(spec, 3, 5)).stacked.phi_hat[0, 0]
+    # replicate that raised, known by its phi_hat[0, 0] drawn and fitted on its own
+    bad = kps_fit(*montecarlo._draw(spec, 3, 5)).stacked.phi_hat[0, 0]
     real = confsets.robust_statistics
 
     def flaky(sys, lams, *args):

@@ -31,7 +31,7 @@ KPS_MISFIT = (
     "covariance along beta at this shape, and the tests over-reject"
 )
 HC0_SIZE = (
-    "ROADMAP item 2: hc0 estimates an NK x NK outer product from T = 300 "
+    "ROADMAP item 6: hc0 estimates an NK x NK outer product from T = 300 "
     "periods and over-rejects; the exact model variance is the size-correct form"
 )
 

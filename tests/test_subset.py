@@ -108,7 +108,7 @@ def synthetic_system(rng, k, n, t=100):
         q_xx=np.eye(k),
         sigma_v=np.eye(k),
         vhat=np.zeros((k, t)),
-        returns=np.zeros((n, t)),
+        panel=ReturnPanel(tuple(range(1, n + 1)), np.zeros((n, t))),
         design_q=np.zeros((t, 1 + 2 * k)),
         design_r=np.zeros((1 + 2 * k, 1 + 2 * k)),
     )
